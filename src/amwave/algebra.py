@@ -92,12 +92,6 @@ class OperatorMatrix:
     def hermitian_part(self) -> "OperatorMatrix":
         return OperatorMatrix(0.5 * (self.mat + self.mat.conj().T))
 
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return self.norm <= tol
-
-    def allclose(self, other: "OperatorMatrix", tol: float = 1e-12) -> bool:
-        return (self - other).norm <= tol
-
     def _check_dim(self, other: "OperatorMatrix"):
         if self.dim != other.dim:
             raise DimMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -143,13 +137,6 @@ class OperatorVector3:
         object.__setattr__(self, "comps", arr)
 
     @classmethod
-    def from_components(cls, x: OperatorMatrix, y: OperatorMatrix,
-                        z: OperatorMatrix) -> "OperatorVector3":
-        if not (x.dim == y.dim == z.dim):
-            raise DimMismatch("components must share dimension")
-        return cls(np.stack([x.mat, y.mat, z.mat]))
-
-    @classmethod
     def from_numeric(cls, v: Sequence[float], dim: int) -> "OperatorVector3":
         """Lift an ordinary 3-vector to a multiple of the identity."""
         v = np.asarray(v, dtype=complex)
@@ -166,21 +153,6 @@ class OperatorVector3:
         return cls(np.zeros((3, dim, dim)))
 
     @property
-    def x(self) -> OperatorMatrix:
-        return OperatorMatrix(self.comps[0])
-
-    @property
-    def y(self) -> OperatorMatrix:
-        return OperatorMatrix(self.comps[1])
-
-    @property
-    def z(self) -> OperatorMatrix:
-        return OperatorMatrix(self.comps[2])
-
-    def component(self, i: int) -> OperatorMatrix:
-        return OperatorMatrix(self.comps[i])
-
-    @property
     def dim(self) -> int:
         return self.comps.shape[1]
 
@@ -191,12 +163,6 @@ class OperatorVector3:
 
     def hermitian_part(self) -> "OperatorVector3":
         return OperatorVector3(0.5 * (self.comps + np.conj(np.swapaxes(self.comps, 1, 2))))
-
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return self.norm <= tol
-
-    def allclose(self, other: "OperatorVector3", tol: float = 1e-12) -> bool:
-        return (self - other).norm <= tol
 
     def _check_dim(self, other: "OperatorVector3"):
         if self.dim != other.dim:
@@ -263,9 +229,11 @@ def dot(u: VectorLike, v: VectorLike) -> OperatorMatrix:
 
 # --- generator sets ---------------------------------------------------------
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 _GELLMANN = (
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -333,8 +301,7 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
     if kind == "identity":
         return GeneratorSet(kind, 1, (), hbar=hbar, eta_scale=hbar)
     if kind == "su2_spin_half":
-        gens = tuple(OperatorMatrix(0.5 * hbar * s)
-                     for s in (_PAULI_X, _PAULI_Y, _PAULI_Z))
+        gens = tuple(OperatorMatrix(0.5 * hbar * s) for s in PAULI)
         gs = GeneratorSet(kind, 2, gens, hbar=hbar, eta_scale=hbar)
     elif kind == "su2_spin_one":
         sx = hbar / np.sqrt(2.0) * np.array(
@@ -397,10 +364,9 @@ def structure_constants(basis: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
         if abs(g.trace) > 1e-12:
             raise NonTracelessBasis("structure constants need traceless generators")
     mats = np.stack([g.mat for g in basis.generators])
-    comm = np.einsum("bij,cjk->bcik", mats, mats)
-    comm = comm - np.transpose(comm, (1, 0, 2, 3))
-    acomm = np.einsum("bij,cjk->bcik", mats, mats)
-    acomm = acomm + np.transpose(acomm, (1, 0, 2, 3))
+    prod = np.einsum("bij,cjk->bcik", mats, mats)
+    comm = prod - np.transpose(prod, (1, 0, 2, 3))
+    acomm = prod + np.transpose(prod, (1, 0, 2, 3))
     f = -0.25j * np.einsum("aij,bcji->abc", mats, comm)
     d = 0.25 * np.einsum("aij,bcji->abc", mats, acomm)
     for name, arr in (("f", f), ("d", d)):

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -32,9 +33,14 @@ from .fields import (
     build_fields,
     build_potentials,
     random_family,
-    vector_field,
 )
-from .poynting import amw_flux, em_flux, flux_quadrature, flux_quadrature_blocks
+from .poynting import (
+    amw_flux,
+    em_flux,
+    flux_quadrature,
+    flux_quadrature_blocks,
+    harmonic_blocks,
+)
 from .relativity import boosted_residuals, gauge_conjugate, unitary_exponential
 from .residuals import (
     ResidualItem,
@@ -57,6 +63,11 @@ from .zitter import (
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+
+# mkstemp makes owner-only files; written files get open()'s mode instead.
+# os.umask is read by setting it, so it is set straight back.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 SUITES = ("wca", "zca", "exact", "full", "boost", "gauge", "zitter", "poynting", "su3")
 
@@ -109,8 +120,8 @@ class RunConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if self.tolerance is not None and not 0.0 < self.tolerance < np.inf:
+            raise ConfigError("tolerance must be positive and finite")
         if self.generator not in ("both", "su2_spin_half", "su2_spin_one",
                                   "su3_gellmann"):
             raise ConfigError(f"unknown generator kind {self.generator!r}")
@@ -119,6 +130,8 @@ class RunConfig:
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def tol(self) -> float:
@@ -207,19 +220,6 @@ def _worker_count(n: int) -> int:
     return max(1, min(cap, n))
 
 
-def _map_trials(fn, cfg: RunConfig) -> list[list[ResidualItem]]:
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
-    args = list(enumerate(rngs))
-    workers = _worker_count(cfg.trials)
-    if workers == 1:
-        results = [fn(i, rng) for i, rng in args]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: fn(*a), args))
-    return results
-
-
 def _trial_kind(cfg: RunConfig, i: int) -> str:
     if cfg.suite == "su3":
         return "su3_gellmann"
@@ -238,184 +238,147 @@ def _trial_family(cfg: RunConfig, i: int, rng, **kwargs) -> SolutionFamily:
                          c=cfg.c, g=cfg.coupling, **kwargs)
 
 
-def _prefix(i: int, items) -> list[ResidualItem]:
-    return [ResidualItem(f"trial{i:03d}/{it.name}", it.residual, it.tolerance,
-                         it.passed) for it in items]
+# --- suites: the items of one trial ------------------------------------------------
+
+def _zca_trial(cfg: RunConfig, fam: SolutionFamily, rng):
+    items = zca_conditions(fam, cfg.tol).items
+    b, e = build_fields(fam)
+    return (items + maxwell_type_residuals(b, e, fam.ctx, cfg.tol).items
+            + property_battery(b, e, fam.ctx, cfg.tol).items)
 
 
-# --- suites ----------------------------------------------------------------------
-
-def _suite_wca(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        return _prefix(i, wca_conditions(_trial_family(cfg, i, rng), cfg.tol).items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
+def _full_trial(cfg: RunConfig, fam: SolutionFamily, rng):
+    a, phi = build_potentials(fam)
+    return full_ym_residuals(a, phi, fam.ctx, cfg.tol).items
 
 
-def _suite_zca(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        fam = _trial_family(cfg, i, rng)
-        items = list(zca_conditions(fam, cfg.tol).items)
-        b, e = build_fields(fam)
-        items += list(maxwell_type_residuals(b, e, fam.ctx, cfg.tol).items)
-        items += list(property_battery(b, e, fam.ctx, cfg.tol).items)
-        return _prefix(i, items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
+def _boost_trial(cfg: RunConfig, fam: SolutionFamily, rng):
+    items = []
+    for v in (cfg.velocity, -cfg.velocity):
+        rep = boosted_residuals(fam, v * cfg.c, axis=cfg.boost_axis, tol=cfg.tol)
+        items += [ResidualItem(f"v={v:+g}c/{it.name}", it.residual, it.tolerance)
+                  for it in rep.items]
+    return items
 
 
-def _suite_exact(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        return _prefix(i, exact_conditions(_trial_family(cfg, i, rng), cfg.tol).items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
+def _gauge_trial(cfg: RunConfig, fam: SolutionFamily, rng):
+    gens = fam.ctx.generators
+    herm = sum((float(c) * g for c, g in
+                zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
+               start=0.0 * gens.identity)
+    u = unitary_exponential(herm)
+    a, phi = build_potentials(fam)
+    ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
+    before = full_ym_residuals(a, phi, fam.ctx, cfg.tol)
+    after = full_ym_residuals(ac, pc, fam.ctx, cfg.tol)
+    drift = max(abs(x.residual - y.residual)
+                for x, y in zip(before.items, after.items))
+    conj_wca = report_from_fields(
+        "wca", wca_condition_fields(ac, pc, fam.ctx), cfg.tol, max(1.0, a.norm))
+    worst = max(it.residual for it in conj_wca.items)
+    return [ResidualItem("residual_norm_invariance", drift, cfg.tol),
+            ResidualItem("conjugated_wca", worst, cfg.tol)]
 
 
-def _suite_full(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        fam = _trial_family(cfg, i, rng)
-        a, phi = build_potentials(fam)
-        return _prefix(i, full_ym_residuals(a, phi, fam.ctx, cfg.tol).items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
-
-
-def _suite_boost(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        fam = _trial_family(cfg, i, rng)
-        items: list[ResidualItem] = []
-        for v in (cfg.velocity, -cfg.velocity):
-            rep = boosted_residuals(fam, v * cfg.c, axis=cfg.boost_axis, tol=cfg.tol)
-            items += [ResidualItem(f"v={v:+g}c/{it.name}", it.residual,
-                                   it.tolerance, it.passed) for it in rep.items]
-        return _prefix(i, items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
-
-
-def _suite_gauge(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        fam = _trial_family(cfg, i, rng)
-        gens = fam.ctx.generators
-        herm = sum((float(c) * g for c, g in
-                    zip(rng.uniform(-1.0, 1.0, len(gens.generators)),
-                        gens.generators)),
-                   start=0.0 * gens.identity)
-        u = unitary_exponential(herm)
-        a, phi = build_potentials(fam)
-        ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
-        before = full_ym_residuals(a, phi, fam.ctx, cfg.tol)
-        after = full_ym_residuals(ac, pc, fam.ctx, cfg.tol)
-        drift = max(abs(x.residual - y.residual)
-                    for x, y in zip(before.items, after.items))
-        conj_wca = report_from_fields(
-            "wca", wca_condition_fields(ac, pc, fam.ctx), cfg.tol,
-            max(1.0, a.norm))
-        worst = max(it.residual for it in conj_wca.items)
-        items = [
-            ResidualItem("residual_norm_invariance", drift, cfg.tol,
-                         drift <= cfg.tol),
-            ResidualItem("conjugated_wca", worst, cfg.tol, worst <= cfg.tol),
-        ]
-        return _prefix(i, items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
-
-
-def _zitter_draw(cfg: RunConfig, rng) -> DiracContext:
+def _zitter_trial(cfg: RunConfig, _, rng):
     p = rng.uniform(-1.0, 1.0, 3)
     p[2] = abs(p[2]) + 0.2  # stay clear of the -z polar singularity
-    return DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+    ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+    theta = rng.uniform(0.0, np.pi / 2.0)
+    t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
+    zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
+    pos_err = float(np.abs(zr - position_closed_form(theta, ctx, t)).max())
+    zs = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
+    spin_err = float(np.abs(zs - spin_closed_form(theta, ctx, t)).max())
+    pure = float(np.abs(zitter_position_expectation(
+        SuperpositionSpec(0.0, (1, 3)), ctx, t)).max())
+    samehel = float(np.abs(zitter_spin_expectation(
+        SuperpositionSpec(theta, (1, 3)), ctx, t)).max())
+    return [ResidualItem("position_vs_closed", pos_err, cfg.tol),
+            ResidualItem("spin_vs_closed", spin_err, cfg.tol),
+            ResidualItem("pure_energy_zero", pure, 1e-14),
+            ResidualItem("same_helicity_spin_zero", samehel, 1e-14)]
 
 
-def _suite_zitter(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        ctx = _zitter_draw(cfg, rng)
-        theta = rng.uniform(0.0, np.pi / 2.0)
-        t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
-        zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
-        pos_err = float(np.abs(zr - position_closed_form(theta, ctx, t)).max())
-        zs = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
-        spin_err = float(np.abs(zs - spin_closed_form(theta, ctx, t)).max())
-        pure = float(np.abs(zitter_position_expectation(
-            SuperpositionSpec(0.0, (1, 3)), ctx, t)).max())
-        samehel = float(np.abs(zitter_spin_expectation(
-            SuperpositionSpec(theta, (1, 3)), ctx, t)).max())
-        items = [
-            ResidualItem("position_vs_closed", pos_err, cfg.tol,
-                         pos_err <= cfg.tol),
-            ResidualItem("spin_vs_closed", spin_err, cfg.tol,
-                         spin_err <= cfg.tol),
-            ResidualItem("pure_energy_zero", pure, 1e-14, pure <= 1e-14),
-            ResidualItem("same_helicity_spin_zero", samehel, 1e-14,
-                         samehel <= 1e-14),
-        ]
-        return _prefix(i, items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
+def _poynting_trial(cfg: RunConfig, fam: SolutionFamily, rng):
+    closed = amw_flux(fam)
+    quad = flux_quadrature(fam, samples=cfg.samples, r=rng.uniform(-1, 1, 3))
+    scale = max(1.0, closed.vector.norm)
+    quad_err = (quad - closed.vector).norm / scale
+    mixed = flux_quadrature_blocks(fam, samples=cfg.samples)["mixed"].norm / scale
+    gens = fam.ctx.generators
+    ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
+    r0 = rng.uniform(-1.0, 1.0, 3)
+    fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(
+        np.zeros(3) for _ in gens.generators))
+    a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
+    abelian_err = (amw_flux(fam0).vector - em_flux(a01, ctx0).vector).norm
+    return [ResidualItem("quadrature_vs_closed", quad_err, cfg.tol),
+            ResidualItem("mixed_block_average", mixed, 1e-10),
+            ResidualItem("abelian_equals_em", abelian_err, 1e-10)]
 
 
-def _suite_poynting(cfg: RunConfig) -> list[ResidualItem]:
-    def one(i, rng):
-        fam = _trial_family(cfg, i, rng)
-        closed = amw_flux(fam)
-        quad = flux_quadrature(fam, samples=cfg.samples, r=rng.uniform(-1, 1, 3))
-        scale = max(1.0, closed.vector.norm)
-        quad_err = (quad - closed.vector).norm / scale
-        mixed = flux_quadrature_blocks(fam, samples=cfg.samples)["mixed"].norm / scale
-        gens = fam.ctx.generators
-        ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
-        r0 = rng.uniform(-1.0, 1.0, 3)
-        fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(
-            np.zeros(3) for _ in gens.generators))
-        a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
-        abelian_err = (amw_flux(fam0).vector - em_flux(a01, ctx0).vector).norm
-        items = [
-            ResidualItem("quadrature_vs_closed", quad_err, cfg.tol,
-                         quad_err <= cfg.tol),
-            ResidualItem("mixed_block_average", mixed, 1e-10, mixed <= 1e-10),
-            ResidualItem("abelian_equals_em", abelian_err, 1e-10,
-                         abelian_err <= 1e-10),
-        ]
-        return _prefix(i, items)
-    return [it for chunk in _map_trials(one, cfg) for it in chunk]
+# suite -> the items of one trial, given its family and its generator
+_TRIALS = {
+    "wca": lambda cfg, fam, rng: wca_conditions(fam, cfg.tol).items,
+    "zca": _zca_trial,
+    "exact": lambda cfg, fam, rng: exact_conditions(fam, cfg.tol).items,
+    "full": _full_trial,
+    "boost": _boost_trial,
+    "gauge": _gauge_trial,
+    "zitter": _zitter_trial,
+    "poynting": _poynting_trial,
+    "su3": lambda cfg, fam, rng: zca_conditions(fam, cfg.tol).items,
+}
 
 
-def _suite_su3(cfg: RunConfig) -> list[ResidualItem]:
+def _su3_constants(tol: float) -> list[ResidualItem]:
+    """The structure-constant table checks that open the su3 report."""
     gens = make_generators("su3_gellmann")
     f, _ = structure_constants(gens)
-    items = []
-    for (a, b, c), want in SU3_F_VALUES.items():
-        err = abs(f[a - 1, b - 1, c - 1] - want)
-        items.append(ResidualItem(f"f{a}{b}{c}", err, cfg.tol, err <= cfg.tol))
+    items = [ResidualItem(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), tol)
+             for (a, b, c), want in SU3_F_VALUES.items()]
     anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
-    items.append(ResidualItem("f_antisymmetry", anti, cfg.tol, anti <= cfg.tol))
+    items.append(ResidualItem("f_antisymmetry", anti, tol))
     listed = np.zeros_like(f, dtype=bool)
     for (a, b, c) in SU3_F_VALUES:
         for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
             listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
     stray = float(np.abs(f[~listed]).max())
-    items.append(ResidualItem("f_unlisted_vanish", stray, cfg.tol, stray <= cfg.tol))
-
-    def one(i, rng):
-        fam = _trial_family(cfg, i, rng)
-        return _prefix(i, zca_conditions(fam, cfg.tol).items)
-    per_trial = [it for chunk in _map_trials(one, cfg) for it in chunk]
-    return items + per_trial
+    items.append(ResidualItem("f_unlisted_vanish", stray, tol))
+    return items
 
 
-_SUITE_FNS = {
-    "wca": _suite_wca, "zca": _suite_zca, "exact": _suite_exact,
-    "full": _suite_full, "boost": _suite_boost, "gauge": _suite_gauge,
-    "zitter": _suite_zitter, "poynting": _suite_poynting, "su3": _suite_su3,
-}
+def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
+    """Every trial's items in trial order, each named trialNNN/<item>.  A
+    trial draws its wave family first; zitter trials draw no family."""
+    trial = _TRIALS[cfg.suite]
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+
+    def one(i: int) -> list[ResidualItem]:
+        fam = None if cfg.suite == "zitter" else _trial_family(cfg, i, rngs[i])
+        return [ResidualItem(f"trial{i:03d}/{it.name}", it.residual, it.tolerance)
+                for it in trial(cfg, fam, rngs[i])]
+
+    workers = _worker_count(cfg.trials)
+    if workers == 1:
+        chunks = [one(i) for i in range(cfg.trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(one, range(cfg.trials)))
+    return [it for chunk in chunks for it in chunk]
 
 
 def run_suite(cfg: RunConfig) -> dict:
-    items = _SUITE_FNS[cfg.suite](cfg)
+    items = _su3_constants(cfg.tol) if cfg.suite == "su3" else []
+    items += _run_trials(cfg)
     failed = [it for it in items if not it.passed]
     return {
         "suite": cfg.suite,
         "config": cfg.canonical(),
         "rng": "numpy PCG64; trial i uses SeedSequence(seed).spawn(trials)[i]",
-        "items": [
-            {"name": it.name, "residual": float(it.residual),
-             "tolerance": float(it.tolerance), "pass": bool(it.passed)}
-            for it in items
-        ],
+        "items": [it.as_dict() for it in items],
         "summary": {
             "total": len(items),
             "failed": len(failed),
@@ -424,15 +387,26 @@ def run_suite(cfg: RunConfig) -> dict:
     }
 
 
-def write_report(report: dict, path: str | None):
-    body = json.dumps(report, indent=2) + "\n"
+def _write(path: str | None, emit):
+    """Call ``emit`` on stdout, or write a file atomically: ``emit`` fills a
+    unique temporary file beside ``path``, which is then renamed over
+    ``path``; on any failure the temporary file is removed."""
     if path is None:
-        sys.stdout.write(body)
+        emit(sys.stdout)
         return
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(body)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            emit(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_report(report: dict, path: str | None):
+    _write(path, lambda fh: fh.write(json.dumps(report, indent=2) + "\n"))
 
 
 # --- time series -----------------------------------------------------------------
@@ -476,13 +450,7 @@ def poynting_timeseries(cfg: RunConfig, rng=None) -> tuple[list[str], list[list]
     rng = rng or np.random.default_rng(cfg.seed)
     fam = _trial_family(cfg, 0, rng)
     ctx = fam.ctx
-    b, e = build_fields(fam)
-    parts = {
-        "first": (vector_field(ctx, {1: e.amplitude(1)}),
-                  vector_field(ctx, {1: b.amplitude(1)})),
-        "second": (vector_field(ctx, {2: e.amplitude(2)}),
-                   vector_field(ctx, {2: b.amplitude(2)})),
-    }
+    (e1, b1), (e2, b2) = harmonic_blocks(fam)
     khat = ctx.khat
     d = ctx.dim
     coeff = ctx.c / (4.0 * np.pi)
@@ -498,10 +466,8 @@ def poynting_timeseries(cfg: RunConfig, rng=None) -> tuple[list[str], list[list]
     ts = np.linspace(0.0, ctx.period, cfg.steps) if cfg.steps else []
     running = 0.0
     for idx, t in enumerate(ts):
-        first = block_value(*parts["first"], t)
-        second = block_value(*parts["second"], t)
-        e1, b1 = parts["first"]
-        e2, b2 = parts["second"]
+        first = block_value(e1, b1, t)
+        second = block_value(e2, b2, t)
         mixed = block_value(e1, b2, t) + block_value(e2, b1, t)
         total = first + mixed + second
         running += (total - running) / (idx + 1)
@@ -514,13 +480,7 @@ def write_timeseries(header: list[str], rows: list[list], path: str | None):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    if path is None:
-        emit(sys.stdout)
-        return
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        emit(fh)
-    os.replace(tmp, path)
+    _write(path, emit)
 
 
 # --- argument parsing --------------------------------------------------------------
@@ -566,13 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a randomized verification suite")
     verify.add_argument("suite", choices=SUITES)
     _add_common(verify)
-    for name, descr in (
-        ("zitter", "export a trembling-motion time series"),
-        ("poynting", "export the flux quadrature decomposition"),
-        ("boost", "verify boosted-frame field equations"),
-        ("su3-constants", "check the SU(3) structure constants"),
+    for name, suite, descr in (
+        ("zitter", None, "export a trembling-motion time series"),
+        ("poynting", None, "export the flux quadrature decomposition"),
+        ("boost", "boost", "verify boosted-frame field equations (verify boost)"),
+        ("su3-constants", "su3", "check the SU(3) structure constants (verify su3)"),
     ):
         p = sub.add_parser(name, help=descr)
+        p.set_defaults(suite=suite)
         _add_common(p)
     return parser
 
@@ -639,35 +600,12 @@ def _cmd_poynting(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_boost(args) -> int:
-    cfg = _collect_config(args, "boost")
-    report = run_suite(cfg)
-    write_report(report, cfg.out)
-    if report["summary"]["failed"]:
-        print("FAIL boost", file=sys.stderr)
-        return EXIT_FAIL
-    print(f"PASS boost: {report['summary']['total']} items", file=sys.stderr)
-    return EXIT_PASS
-
-
-def _cmd_su3(args) -> int:
-    cfg = _collect_config(args, "su3")
-    report = run_suite(cfg)
-    write_report(report, cfg.out)
-    if report["summary"]["failed"]:
-        print("FAIL su3-constants", file=sys.stderr)
-        return EXIT_FAIL
-    print(f"PASS su3-constants: {report['summary']['total']} items",
-          file=sys.stderr)
-    return EXIT_PASS
-
-
 _COMMANDS = {
     "verify": _cmd_verify,
     "zitter": _cmd_zitter,
     "poynting": _cmd_poynting,
-    "boost": _cmd_boost,
-    "su3-constants": _cmd_su3,
+    "boost": _cmd_verify,
+    "su3-constants": _cmd_verify,
 }
 
 

@@ -128,9 +128,6 @@ class _HarmonicField:
         """Max over harmonics of the amplitude norm (termwise sup norm)."""
         return max((amp.norm for _, amp in self.terms), default=0.0)
 
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return self.norm <= tol
-
     def _require(self, other):
         if type(other) is not type(self) or not _compatible(self.ctx, other.ctx):
             raise ValueError("fields must share a wave context")
@@ -190,11 +187,6 @@ def _product_terms(f: _HarmonicField, g: _HarmonicField, combine):
     for m1, a1 in f.terms:
         for m2, a2 in g.terms:
             yield m1 + m2, combine(a1, a2)
-
-
-def sprod(f: HarmonicScalarField, g: HarmonicScalarField) -> HarmonicScalarField:
-    f._require(g)
-    return HarmonicScalarField(f.ctx, _product_terms(f, g, lambda a, b: a @ b))
 
 
 def comm_ss(f: HarmonicScalarField, g: HarmonicScalarField) -> HarmonicScalarField:
@@ -272,11 +264,6 @@ def laplacian(field):
     k2 = field.ctx.knorm ** 2
     return type(field)(field.ctx,
                        tuple((m, (-(m ** 2) * k2) * amp) for m, amp in field.terms))
-
-
-def eval_at(field, r, t: float):
-    """Numeric value sum_m amp_m exp(i m (k.r - omega t))."""
-    return field.eval_at(r, t)
 
 
 # --- solution families --------------------------------------------------------
@@ -521,14 +508,3 @@ def fd_laplacian(field, r, t: float, h: float) -> DerivativeEstimate:
             total = part if total is None else total + part
         return total
     return _richardson(stencil(h), stencil(h / 2.0))
-
-
-def fd_oracle(field, r, t: float, h: float) -> dict[str, DerivativeEstimate]:
-    """All applicable derivative estimates of a field at one point."""
-    out = {"dt": fd_dt(field, r, t, h), "laplacian": fd_laplacian(field, r, t, h)}
-    if isinstance(field, HarmonicVectorField):
-        out["div"] = fd_div(field, r, t, h)
-        out["curl"] = fd_curl(field, r, t, h)
-    else:
-        out["grad"] = fd_grad(field, r, t, h)
-    return out

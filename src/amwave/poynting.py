@@ -113,6 +113,13 @@ def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
     return OperatorVector3(_periodic_average(vals))
 
 
+def harmonic_blocks(fam: SolutionFamily):
+    """(E, B) of the family restricted to the first and the second harmonic."""
+    b, e = build_fields(fam)
+    return [tuple(vector_field(fam.ctx, {m: f.amplitude(m)}) for f in (e, b))
+            for m in (1, 2)]
+
+
 def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
                            r=None) -> dict[str, OperatorVector3]:
     """Quadrature average split into the three harmonic blocks.
@@ -122,11 +129,7 @@ def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
     'total' (their sum).
     """
     ctx = fam.ctx
-    b, e = build_fields(fam)
-    b1 = vector_field(ctx, {1: b.amplitude(1)})
-    b2 = vector_field(ctx, {2: b.amplitude(2)})
-    e1 = vector_field(ctx, {1: e.amplitude(1)})
-    e2 = vector_field(ctx, {2: e.amplitude(2)})
+    (e1, b1), (e2, b2) = harmonic_blocks(fam)
     r = np.zeros(3) if r is None else np.asarray(r, dtype=float)
     ts = np.linspace(0.0, ctx.period, samples + 1)
 

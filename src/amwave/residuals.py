@@ -17,6 +17,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,12 +49,18 @@ class ResidualItem:
     name: str
     residual: float
     tolerance: float
-    passed: bool
 
     def __post_init__(self):
         object.__setattr__(self, "residual", float(self.residual))
         object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "passed", bool(self.passed))
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "residual": self.residual,
+                "tolerance": self.tolerance, "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -71,11 +78,7 @@ class ResidualReport:
     def as_dict(self) -> dict:
         return {
             "label": self.label,
-            "items": [
-                {"name": i.name, "residual": float(i.residual),
-                 "tolerance": float(i.tolerance), "pass": bool(i.passed)}
-                for i in self.items
-            ],
+            "items": [i.as_dict() for i in self.items],
             "overall_pass": bool(self.overall_pass),
         }
 
@@ -86,11 +89,8 @@ def _scale(a: HarmonicVectorField) -> float:
 
 def report_from_fields(label: str, named_fields, tol: float,
                        scale: float) -> ResidualReport:
-    items = []
-    for name, field in named_fields:
-        res = field.norm / scale
-        items.append(ResidualItem(name, res, tol, res <= tol))
-    return ResidualReport(label, tuple(items))
+    return ResidualReport(label, tuple(ResidualItem(name, field.norm / scale, tol)
+                                       for name, field in named_fields))
 
 
 # --- full gauge-field equations ------------------------------------------------
@@ -138,28 +138,75 @@ def maxwell_type_residuals(b: HarmonicVectorField, e: HarmonicVectorField,
 
 # --- graded condition sets ------------------------------------------------------
 
+# The operator brackets the condition sets are made of, each defined once.
+# ``w`` carries the potentials a and phi, kn = |k|, and the two products
+# every set uses, m = A x A and n = [phi, A].
+BRACKETS = {
+    "scalar_wave": lambda w: (1j * w.kn) * div(w.a) - laplacian(w.phi),
+    "phi_diva": lambda w: comm_ss(w.phi, div(w.a)),
+    "a_n_bracket": lambda w: vdot(w.a, w.n) - vdot(w.n, w.a),
+    "induction": lambda w: 2.0 * w.kn * w.m + 1j * curl(w.n),
+    "div_m": lambda w: div(w.m),
+    "div_n": lambda w: div(w.n),
+    "vector_wave": lambda w: (grad(div(w.a)) - laplacian(w.a) - (w.kn ** 2) * w.a
+                              - (1j * w.kn) * grad(w.phi)),
+    "ampere_bracket": lambda w: ((1j * w.kn) * w.n - vcross(w.a, curl(w.a))
+                                 - vcross(curl(w.a), w.a) + curl(w.m)
+                                 + comm_sv(w.phi, grad(w.phi))),
+    "n_curl_m": lambda w: (2j * w.kn) * w.n + curl(w.m),
+    "phi_n_bracket": lambda w: (comm_sv(w.phi, w.n) + vcross(w.a, w.m)
+                                + vcross(w.m, w.a)),
+}
+
+# Each set lists (item name, bracket, unit factor).  The factors are +-1 or
+# +-i, which are exact in floating point, so a bracket's residual is the
+# same number in every set that lists it.
+CONDITION_SETS = {
+    "wca": (
+        ("wca1_scalar_wave", "scalar_wave", 1),
+        ("wca2_phi_diva", "phi_diva", 1),
+        ("wca3_induction", "induction", 1),
+        ("wca4_div_m", "div_m", 1),
+        ("wca5_vector_wave", "vector_wave", 1),
+        ("wca6_ampere_bracket", "ampere_bracket", 1),
+    ),
+    "exact": (
+        ("exact1_scalar_wave", "scalar_wave", 1),
+        ("exact2_phi_diva", "phi_diva", 1),
+        ("exact3_a_n_bracket", "a_n_bracket", 1),
+        ("exact4_induction", "induction", 1),
+        ("exact5_div_m", "div_m", 1),
+        ("exact6_vector_wave", "vector_wave", 1),
+        ("exact7_ampere_bracket", "ampere_bracket", -1j),
+        ("exact8_phi_n_bracket", "phi_n_bracket", 1),
+    ),
+    "zca": (
+        ("zca1_div_m", "div_m", 1),
+        ("zca2_curl_n", "induction", -1j),
+        ("zca3_scalar_wave", "scalar_wave", 1),
+        ("zca4_div_n", "div_n", 1),
+        ("zca5_vector_wave", "vector_wave", -1),
+        ("zca6_n_curl_m", "n_curl_m", 1),
+    ),
+}
+
+
+def condition_fields(label: str, a: HarmonicVectorField,
+                     phi: HarmonicScalarField, ctx: WaveContext):
+    """The named residual fields of one condition set; only the brackets
+    the set lists are evaluated."""
+    w = SimpleNamespace(a=a, phi=phi, kn=ctx.knorm, m=vcross(a, a), n=comm_sv(phi, a))
+    out = []
+    for name, bracket, factor in CONDITION_SETS[label]:
+        field = BRACKETS[bracket](w)
+        out.append((name, field if factor == 1 else factor * field))
+    return out
+
+
 def wca_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
                          ctx: WaveContext):
     """The six conditions left after discarding the g^2 self-interactions."""
-    kn = ctx.knorm
-    m = vcross(a, a)
-    n = comm_sv(phi, a)
-    return [
-        ("wca1_scalar_wave", (1j * kn) * div(a) - laplacian(phi)),
-        ("wca2_phi_diva", comm_ss(phi, div(a))),
-        ("wca3_induction", 2.0 * kn * m + 1j * curl(n)),
-        ("wca4_div_m", div(m)),
-        ("wca5_vector_wave", grad(div(a)) - laplacian(a) - (kn ** 2) * a
-         - (1j * kn) * grad(phi)),
-        ("wca6_ampere_bracket", (1j * kn) * n - vcross(a, curl(a))
-         - vcross(curl(a), a) + curl(m) + comm_sv(phi, grad(phi))),
-    ]
-
-
-def wca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    a, phi = build_potentials(fam)
-    return report_from_fields("wca", wca_condition_fields(a, phi, fam.ctx),
-                              tol, _scale(a))
+    return condition_fields("wca", a, phi, ctx)
 
 
 def exact_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
@@ -170,50 +217,31 @@ def exact_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
     carry one power of g and 3, 8 two (factors stripped, see module doc).
     Only 3 and 8 obstruct generic noncommuting amplitudes.
     """
-    kn = ctx.knorm
-    m = vcross(a, a)
-    n = comm_sv(phi, a)
-    return [
-        ("exact1_scalar_wave", (1j * kn) * div(a) - laplacian(phi)),
-        ("exact2_phi_diva", comm_ss(phi, div(a))),
-        ("exact3_a_n_bracket", vdot(a, n) - vdot(n, a)),
-        ("exact4_induction", 2.0 * kn * m + 1j * curl(n)),
-        ("exact5_div_m", div(m)),
-        ("exact6_vector_wave", grad(div(a)) - laplacian(a) - (kn ** 2) * a
-         - (1j * kn) * grad(phi)),
-        ("exact7_ampere_bracket", kn * n + 1j * vcross(a, curl(a))
-         + 1j * vcross(curl(a), a) - 1j * curl(m) - 1j * comm_sv(phi, grad(phi))),
-        ("exact8_phi_n_bracket", comm_sv(phi, n) + vcross(a, m) + vcross(m, a)),
-    ]
-
-
-def exact_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    a, phi = build_potentials(fam)
-    return report_from_fields("exact", exact_condition_fields(a, phi, fam.ctx),
-                              tol, _scale(a))
+    return condition_fields("exact", a, phi, ctx)
 
 
 def zca_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
                          ctx: WaveContext):
     """The six spatial conditions of the zero-coupling (Maxwell-type) system."""
-    kn = ctx.knorm
-    m = vcross(a, a)
-    n = comm_sv(phi, a)
-    return [
-        ("zca1_div_m", div(m)),
-        ("zca2_curl_n", curl(n) - (2j * kn) * m),
-        ("zca3_scalar_wave", (1j * kn) * div(a) - laplacian(phi)),
-        ("zca4_div_n", div(n)),
-        ("zca5_vector_wave", -1.0 * grad(div(a)) + laplacian(a) + (kn ** 2) * a
-         + (1j * kn) * grad(phi)),
-        ("zca6_n_curl_m", (2j * kn) * n + curl(m)),
-    ]
+    return condition_fields("zca", a, phi, ctx)
+
+
+def _condition_report(label: str, fam: SolutionFamily, tol: float) -> ResidualReport:
+    a, phi = build_potentials(fam)
+    return report_from_fields(label, condition_fields(label, a, phi, fam.ctx),
+                              tol, _scale(a))
+
+
+def wca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
+    return _condition_report("wca", fam, tol)
+
+
+def exact_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
+    return _condition_report("exact", fam, tol)
 
 
 def zca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    a, phi = build_potentials(fam)
-    return report_from_fields("zca", zca_condition_fields(a, phi, fam.ctx),
-                              tol, _scale(a))
+    return _condition_report("zca", fam, tol)
 
 
 # --- difference terms between the two approximations ----------------------------

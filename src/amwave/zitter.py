@@ -19,15 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import OperatorMatrix, OperatorVector3
+from .algebra import PAULI, OperatorMatrix, OperatorVector3
 
 POLAR_EPS = 1e-10
-
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 class PolarSingularity(ValueError):
@@ -39,10 +33,10 @@ def dirac_matrices() -> tuple[OperatorVector3, OperatorMatrix, OperatorVector3]:
     zero = np.zeros((2, 2), dtype=complex)
     eye = np.eye(2, dtype=complex)
     alpha = OperatorVector3(np.stack(
-        [np.block([[zero, s], [s, zero]]) for s in _SIGMA]))
+        [np.block([[zero, s], [s, zero]]) for s in PAULI]))
     beta = OperatorMatrix(np.block([[eye, zero], [zero, -eye]]))
     sigma = OperatorVector3(np.stack(
-        [np.block([[s, zero], [zero, s]]) for s in _SIGMA]))
+        [np.block([[s, zero], [zero, s]]) for s in PAULI]))
     return alpha, beta, sigma
 
 
@@ -196,14 +190,12 @@ class SuperpositionSpec:
 
 
 def _spectral(ctx: DiracContext):
-    h = hamiltonian(ctx).mat
-    w, v = np.linalg.eigh(h)
-    return h, w, v
+    return np.linalg.eigh(hamiltonian(ctx).mat)
 
 
 def evolution_factor(ctx: DiracContext, t: float) -> np.ndarray:
     """exp(-2iHt/hbar) via the spectral decomposition of H."""
-    _, w, v = _spectral(ctx)
+    w, v = _spectral(ctx)
     return v @ np.diag(np.exp(-2j * w * t / ctx.hbar)) @ v.conj().T
 
 
@@ -213,7 +205,7 @@ def zitter_position_operator(ctx: DiracContext, t: float) -> OperatorVector3:
     (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1).
     """
     alpha, _, _ = dirac_matrices()
-    _, w, v = _spectral(ctx)
+    w, v = _spectral(ctx)
     hinv = v @ np.diag(1.0 / w) @ v.conj().T
     phase = v @ np.diag(np.exp(-2j * w * t / ctx.hbar) - 1.0) @ v.conj().T
     tail = hinv @ phase

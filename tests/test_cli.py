@@ -9,6 +9,7 @@ from amwave.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    SUITES,
     ConfigError,
     RunConfig,
     config_from_file,
@@ -23,13 +24,23 @@ def read_json(path):
         return json.load(fh)
 
 
-def test_run_config_validation():
+def test_run_config_validation(capsys):
     with pytest.raises(ConfigError):
         RunConfig(suite="bogus")
     with pytest.raises(ConfigError):
         RunConfig(suite="wca", trials=0)
     with pytest.raises(ConfigError):
         RunConfig(suite="wca", tolerance=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            RunConfig(suite="wca", tolerance=bad)
+    with pytest.raises(ConfigError):
+        RunConfig(suite="wca", seed=-1)
+    for flags in (["--seed", "-1"], ["--tol", "nan"]):
+        capsys.readouterr()
+        assert main(["verify", "wca", "--trials", "1", *flags]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
     cfg = RunConfig(suite="boost")
     assert cfg.tol == 1e-10  # suite default
 
@@ -75,20 +86,18 @@ def test_reports_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_cap_does_not_change_results(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    old = os.environ.get("AMWAVE_THREADS")
-    try:
-        os.environ["AMWAVE_THREADS"] = "1"
-        main(["verify", "wca", "--trials", "6", "--seed", "5", "--out", str(a)])
-        os.environ["AMWAVE_THREADS"] = "4"
-        main(["verify", "wca", "--trials", "6", "--seed", "5", "--out", str(b)])
-    finally:
-        if old is None:
-            os.environ.pop("AMWAVE_THREADS", None)
-        else:
-            os.environ["AMWAVE_THREADS"] = old
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("suite", SUITES)
+def test_thread_cap_does_not_change_results(tmp_path, monkeypatch, suite):
+    size = ["--trials", "6"]
+    if suite == "poynting":
+        size = ["--trials", "2", "--samples", "64"]
+    bodies = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("AMWAVE_THREADS", threads)
+        out = tmp_path / f"{threads}.json"
+        main(["verify", suite, *size, "--seed", "5", "--out", str(out)])
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -123,6 +132,22 @@ def test_config_errors(tmp_path):
 def test_unwritable_report_path():
     assert main(["verify", "wca", "--trials", "1",
                  "--out", "/nonexistent-dir/report.json"]) == EXIT_USAGE
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main(["verify", "wca", "--trials", "1", "--out", str(target)]) == EXIT_USAGE
+    assert main(["zitter", "--steps", "4", "--out", str(target)]) == EXIT_USAGE
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
+
+
+def test_written_report_has_default_file_mode(tmp_path):
+    plain, report = tmp_path / "plain", tmp_path / "r.json"
+    plain.write_text("")
+    assert main(["verify", "wca", "--trials", "1", "--out", str(report)]) == EXIT_PASS
+    assert report.stat().st_mode == plain.stat().st_mode
 
 
 def test_zitter_timeseries_zero_theta(tmp_path):
@@ -165,7 +190,7 @@ def test_poynting_export(tmp_path):
     assert abs(np.mean(mixed[:-1])) <= 1e-3
 
 
-def test_boost_and_su3_commands(tmp_path):
+def test_boost_and_su3_commands(tmp_path, capsys):
     out = tmp_path / "b.json"
     assert main(["boost", "--trials", "2", "--seed", "4", "--velocity", "0.9",
                  "--out", str(out)]) == EXIT_PASS
@@ -175,6 +200,9 @@ def test_boost_and_su3_commands(tmp_path):
     rep = read_json(out)
     names = {it["name"] for it in rep["items"]}
     assert "f123" in names and "f458" in names
+    # the aliases print the same verdict line as verify
+    assert capsys.readouterr().err.splitlines() == ["PASS boost: 16 items",
+                                                    "PASS su3: 17 items"]
 
 
 def test_zitter_suite_and_poynting_suite():

@@ -263,6 +263,36 @@ def test_scaling_covariance():
             assert n2 / n1 == pytest.approx(2.0 ** deg, rel=1e-9)
 
 
+# Items that evaluate one shared bracket, possibly times -1 or +-i.  Those
+# factors are exact in floating point, so the residuals must agree exactly.
+SHARED_BRACKETS = (
+    ("wca1_scalar_wave", "exact1_scalar_wave"),
+    ("wca1_scalar_wave", "zca3_scalar_wave"),
+    ("wca2_phi_diva", "exact2_phi_diva"),
+    ("wca3_induction", "exact4_induction"),
+    ("wca3_induction", "zca2_curl_n"),
+    ("wca4_div_m", "exact5_div_m"),
+    ("wca4_div_m", "zca1_div_m"),
+    ("wca5_vector_wave", "exact6_vector_wave"),
+    ("wca5_vector_wave", "zca5_vector_wave"),
+    ("wca6_ampere_bracket", "exact7_ampere_bracket"),
+)
+
+
+@pytest.mark.parametrize("coplanar", (True, False))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_shared_brackets_agree_across_sets(kind, coplanar):
+    rng = np.random.default_rng(79)
+    for _ in range(10):
+        fam = random_family(make_generators(kind), rng, coplanar=coplanar,
+                            g=rng.uniform(0, 1))
+        res = {i.name: i.residual
+               for check in (wca_conditions, exact_conditions, zca_conditions)
+               for i in check(fam).items}
+        for x, y in SHARED_BRACKETS:
+            assert res[x] == res[y], (x, y, res[x], res[y])
+
+
 def test_report_serialization():
     fam = xz_family()
     rep = wca_conditions(fam)
