@@ -18,12 +18,12 @@ from .algebra import (
     structure_constants,
 )
 from .fields import (
-    HarmonicScalarField,
-    HarmonicVectorField,
+    HarmonicField,
     SolutionFamily,
     WaveContext,
     build_fields,
     build_potentials,
+    field,
     fields_from_potentials,
     random_family,
     xz_family,

@@ -79,7 +79,7 @@ class OperatorMatrix:
     @property
     def norm(self) -> float:
         """Frobenius norm."""
-        return float(np.linalg.norm(self.mat))
+        return operator_norm(self.mat)
 
     @property
     def dagger(self) -> "OperatorMatrix":
@@ -139,8 +139,7 @@ class OperatorVector3:
     @classmethod
     def from_numeric(cls, v: Sequence[float], dim: int) -> "OperatorVector3":
         """Lift an ordinary 3-vector to a multiple of the identity."""
-        v = np.asarray(v, dtype=complex)
-        return cls(np.einsum("i,ab->iab", v, np.eye(dim)))
+        return cls(numeric_lift(v, dim))
 
     @classmethod
     def from_coeff(cls, v: Sequence[float], m: OperatorMatrix) -> "OperatorVector3":
@@ -159,7 +158,7 @@ class OperatorVector3:
     @property
     def norm(self) -> float:
         """Largest component Frobenius norm."""
-        return float(max(np.linalg.norm(self.comps[i]) for i in range(3)))
+        return operator_norm(self.comps)
 
     def hermitian_part(self) -> "OperatorVector3":
         return OperatorVector3(0.5 * (self.comps + np.conj(np.swapaxes(self.comps, 1, 2))))
@@ -188,10 +187,36 @@ class OperatorVector3:
 VectorLike = Union[OperatorVector3, Sequence[float], np.ndarray]
 
 
-def _promote(v: VectorLike, dim: int) -> OperatorVector3:
-    if isinstance(v, OperatorVector3):
-        return v
-    return OperatorVector3.from_numeric(np.asarray(v, dtype=complex), dim)
+def operator_norm(arr: np.ndarray) -> float:
+    """Frobenius norm of a (d, d) matrix; largest component norm of (3, d, d)."""
+    if arr.ndim == 2:
+        return float(np.linalg.norm(arr))
+    return float(max(np.linalg.norm(arr[i]) for i in range(3)))
+
+
+def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:
+    """Components, shape (3, d, d), of the operator vector v (x) identity."""
+    return np.einsum("i,ab->iab", np.asarray(v, dtype=complex), np.eye(dim))
+
+
+def cross_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``cross`` on raw (3, d, d) component arrays."""
+    return np.einsum("ijk,jab,kbc->iac", _EPS, u, v)
+
+
+def dot_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``dot`` on raw (3, d, d) component arrays."""
+    return np.einsum("iab,ibc->ac", u, v)
+
+
+def _promote(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray]:
+    """Components of u and v, an ordinary 3-vector lifted to v (x) identity."""
+    dim = u.dim if isinstance(u, OperatorVector3) else v.dim
+    uu, vv = (w.comps if isinstance(w, OperatorVector3) else numeric_lift(w, dim)
+              for w in (u, v))
+    if uu.shape != vv.shape:
+        raise DimMismatch(f"dimension mismatch: {uu.shape[1]} vs {vv.shape[1]}")
+    return uu, vv
 
 
 def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
@@ -213,18 +238,12 @@ def cross(u: VectorLike, v: VectorLike) -> OperatorVector3:
     multiple of the identity; in that limit this reduces to the Euclidean
     cross product.  Note u x u is generally nonzero for operator vectors.
     """
-    dim = u.dim if isinstance(u, OperatorVector3) else v.dim
-    uu, vv = _promote(u, dim), _promote(v, dim)
-    uu._check_dim(vv)
-    return OperatorVector3(np.einsum("ijk,jab,kbc->iac", _EPS, uu.comps, vv.comps))
+    return OperatorVector3(cross_comps(*_promote(u, v)))
 
 
 def dot(u: VectorLike, v: VectorLike) -> OperatorMatrix:
     """Ordered dot product sum_i u_i v_i (matrix products, not symmetrized)."""
-    dim = u.dim if isinstance(u, OperatorVector3) else v.dim
-    uu, vv = _promote(u, dim), _promote(v, dim)
-    uu._check_dim(vv)
-    return OperatorMatrix(np.einsum("iab,ibc->ac", uu.comps, vv.comps))
+    return OperatorMatrix(dot_comps(*_promote(u, v)))
 
 
 # --- generator sets ---------------------------------------------------------

@@ -41,7 +41,12 @@ from .poynting import (
     flux_quadrature_blocks,
     harmonic_blocks,
 )
-from .relativity import boosted_residuals, gauge_conjugate, unitary_exponential
+from .relativity import (
+    boost_matrix,
+    boosted_residuals,
+    gauge_conjugate,
+    unitary_exponential,
+)
 from .residuals import (
     ResidualItem,
     exact_conditions,
@@ -132,6 +137,17 @@ class RunConfig:
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        # the program's own constructors hold the rules; building what the
+        # run will build turns a bad value into a config error up front
+        try:
+            DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c).check_polar()
+            boost_matrix(self.velocity * self.c, c=self.c, axis=self.boost_axis)
+            SuperpositionSpec(self.theta, self.pair)
+            if self.suite != "zitter":
+                for kind in {_trial_kind(self, i) for i in range(min(self.trials, 2))}:
+                    _fixed_family(self, kind)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def tol(self) -> float:
@@ -192,13 +208,16 @@ def config_from_file(path: str, overrides: dict | None = None,
             raise ConfigError(f"unknown top-level key {key!r}")
     if overrides:
         flat.update(overrides)
-    for name in ("k", "momentum"):
-        if flat.get(name) is not None:
-            flat[name] = tuple(float(v) for v in flat[name])
-    if flat.get("pair") is not None:
-        flat["pair"] = tuple(int(v) for v in flat["pair"])
-    if flat.get("R") is not None:
-        flat["R"] = tuple(tuple(float(x) for x in row) for row in flat["R"])
+    try:
+        for name in ("k", "momentum"):
+            if flat.get(name) is not None:
+                flat[name] = tuple(float(v) for v in flat[name])
+        if flat.get("pair") is not None:
+            flat["pair"] = tuple(int(v) for v in flat["pair"])
+        if flat.get("R") is not None:
+            flat["R"] = tuple(tuple(float(x) for x in row) for row in flat["R"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
     if "suite" not in flat:
         if fallback_suite is None:
             raise ConfigError("config must name a suite")
@@ -228,14 +247,23 @@ def _trial_kind(cfg: RunConfig, i: int) -> str:
     return cfg.generator
 
 
-def _trial_family(cfg: RunConfig, i: int, rng, **kwargs) -> SolutionFamily:
-    gens = make_generators(_trial_kind(cfg, i), hbar=cfg.hbar)
+def _fixed_family(cfg: RunConfig, kind: str) -> SolutionFamily | None:
+    """The family the config fixes for one generator kind, or None when R is
+    drawn per trial; either way the wave context is built, which checks k."""
+    gens = make_generators(kind, hbar=cfg.hbar)
+    k = cfg.k if cfg.k is not None else (0.0, 0.0, 1.0)
+    ctx = WaveContext(generators=gens, k=np.array(k), c=cfg.c, g=cfg.coupling)
+    if cfg.R is None:
+        return None
+    return SolutionFamily(ctx=ctx, R=tuple(np.array(r) for r in cfg.R))
+
+
+def _trial_family(cfg: RunConfig, i: int, rng) -> SolutionFamily:
     if cfg.R is not None:
-        k = cfg.k if cfg.k is not None else (0.0, 0.0, 1.0)
-        ctx = WaveContext(generators=gens, k=np.array(k), c=cfg.c, g=cfg.coupling)
-        return SolutionFamily(ctx=ctx, R=tuple(np.array(r) for r in cfg.R))
+        return _fixed_family(cfg, _trial_kind(cfg, i))
+    gens = make_generators(_trial_kind(cfg, i), hbar=cfg.hbar)
     return random_family(gens, rng, k=None if cfg.k is None else np.array(cfg.k),
-                         c=cfg.c, g=cfg.coupling, **kwargs)
+                         c=cfg.c, g=cfg.coupling)
 
 
 # --- suites: the items of one trial ------------------------------------------------

@@ -20,6 +20,7 @@ into finite per-order operator identities.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,8 +32,12 @@ from .algebra import (
     OperatorVector3,
     commutator,
     cross,
+    cross_comps,
     dot,
+    dot_comps,
     make_generators,
+    numeric_lift,
+    operator_norm,
 )
 
 # Amplitudes this much smaller than the largest term are dropped when
@@ -84,186 +89,189 @@ class WaveContext:
 
 
 def _compatible(a: WaveContext, b: WaveContext) -> bool:
-    return (a is b) or (
-        np.array_equal(a.k, b.k)
-        and a.omega == b.omega
-        and a.c == b.c
-        and a.g == b.g
-        and a.dim == b.dim
-    )
+    return (a is b) or (np.array_equal(a.k, b.k) and a.omega == b.omega
+                        and a.c == b.c and a.g == b.g and a.dim == b.dim)
 
 
-def _merge(pairs):
-    acc: dict[int, object] = {}
-    for m, amp in pairs:
-        acc[m] = amp if m not in acc else acc[m] + amp
-    if not acc:
-        return ()
-    top = max(amp.norm for amp in acc.values())
-    cut = MERGE_DROP * top
-    return tuple(sorted((m, amp) for m, amp in acc.items() if amp.norm > cut))
+@dataclass(frozen=True, eq=False)
+class HarmonicField:
+    """A scalar or vector harmonic field on one wave context.
 
+    ``orders`` are the harmonic orders, sorted; ``amps`` is one read-only
+    complex array holding amp_m for each of them, shape (H, d, d) for a
+    scalar field or (H, 3, d, d) for a vector field; ``norm`` is the largest
+    amplitude norm (``algebra.operator_norm``).  Build one with ``field``;
+    the operations below work on the raw arrays.
+    """
 
-class _HarmonicField:
-    """Shared term bookkeeping for scalar and vector harmonic fields."""
-
-    _zero = None  # overridden: callable dim -> zero amplitude
-
-    def __init__(self, ctx: WaveContext, terms):
-        self.ctx = ctx
-        self.terms = _merge(terms)
+    ctx: WaveContext
+    orders: tuple[int, ...]
+    amps: np.ndarray
+    norm: float
 
     @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.terms)
+    def is_vector(self) -> bool:
+        return self.amps.ndim == 4
 
-    def amplitude(self, m: int):
-        for order, amp in self.terms:
-            if order == m:
-                return amp
-        return self._zero(self.ctx.dim)
+    def raw_amplitude(self, m: int) -> np.ndarray:
+        """amp_m as an array; zeros for an order the field does not hold."""
+        if m in self.orders:
+            return self.amps[self.orders.index(m)]
+        return np.zeros(self.amps.shape[1:], dtype=complex)
 
-    @property
-    def norm(self) -> float:
-        """Max over harmonics of the amplitude norm (termwise sup norm)."""
-        return max((amp.norm for _, amp in self.terms), default=0.0)
+    def amplitude(self, m: int) -> OperatorMatrix | OperatorVector3:
+        return _operator(self.raw_amplitude(m))
 
-    def _require(self, other):
-        if type(other) is not type(self) or not _compatible(self.ctx, other.ctx):
+    def eval_at(self, r, t: float) -> OperatorMatrix | OperatorVector3:
+        phase = self.ctx.k @ np.asarray(r, float) - self.ctx.omega * t
+        out = np.zeros(self.amps.shape[1:], dtype=complex)
+        for m, amp in zip(self.orders, self.amps):
+            out += np.exp(1j * m * phase) * amp
+        return _operator(out)
+
+    def _require(self, other: "HarmonicField"):
+        if other.is_vector != self.is_vector or not _compatible(self.ctx, other.ctx):
             raise ValueError("fields must share a wave context")
 
-    def __add__(self, other):
+    def __add__(self, other: "HarmonicField") -> "HarmonicField":
         self._require(other)
-        return type(self)(self.ctx, self.terms + other.terms)
+        return _collect(self.ctx, self.is_vector,
+                        [*zip(self.orders, self.amps), *zip(other.orders, other.amps)])
 
-    def __sub__(self, other):
+    def __sub__(self, other: "HarmonicField") -> "HarmonicField":
         return self + (-1.0) * other
 
-    def __neg__(self):
+    def __neg__(self) -> "HarmonicField":
         return (-1.0) * self
 
-    def __mul__(self, scalar: complex):
-        return type(self)(self.ctx, tuple((m, amp * scalar) for m, amp in self.terms))
+    def __mul__(self, scalar: complex) -> "HarmonicField":
+        return _termwise(self, self.is_vector, lambda m, a: a * scalar)
 
     __rmul__ = __mul__
 
-    def phase(self, r, t: float) -> np.ndarray:
-        k, w = self.ctx.k, self.ctx.omega
-        return np.array([np.exp(1j * m * (k @ np.asarray(r, float) - w * t))
-                         for m, _ in self.terms])
+
+def _operator(arr: np.ndarray) -> OperatorMatrix | OperatorVector3:
+    return OperatorVector3(arr) if arr.ndim == 3 else OperatorMatrix(arr)
 
 
-class HarmonicScalarField(_HarmonicField):
-    _zero = staticmethod(OperatorMatrix.zero)
+def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
+    """The field sum_m amp_m of (order, amplitude array) pairs.
 
-    def eval_at(self, r, t: float) -> OperatorMatrix:
-        out = np.zeros((self.ctx.dim, self.ctx.dim), dtype=complex)
-        for ph, (_, amp) in zip(self.phase(r, t), self.terms):
-            out += ph * amp.mat
-        return OperatorMatrix(out)
-
-
-class HarmonicVectorField(_HarmonicField):
-    _zero = staticmethod(OperatorVector3.zero)
-
-    def eval_at(self, r, t: float) -> OperatorVector3:
-        out = np.zeros((3, self.ctx.dim, self.ctx.dim), dtype=complex)
-        for ph, (_, amp) in zip(self.phase(r, t), self.terms):
-            out += ph * amp.comps
-        return OperatorVector3(out)
+    Same-order amplitudes are summed in first-seen order; amplitudes whose
+    norm is at most MERGE_DROP times the largest are dropped.
+    """
+    acc: dict[int, np.ndarray] = {}
+    for m, amp in pairs:
+        acc[m] = amp if m not in acc else acc[m] + amp
+    norms = {m: operator_norm(amp) for m, amp in acc.items()}
+    cut = MERGE_DROP * max(norms.values(), default=0.0)
+    orders = tuple(sorted(m for m, n in norms.items() if n > cut))
+    amps = (np.stack([acc[m] for m in orders]) if orders else
+            np.zeros((0,) + (3,) * vector + (ctx.dim, ctx.dim), dtype=complex))
+    amps.flags.writeable = False
+    return HarmonicField(ctx, orders, amps, max((norms[m] for m in orders), default=0.0))
 
 
-def scalar_field(ctx: WaveContext, terms: Mapping[int, OperatorMatrix]) -> HarmonicScalarField:
-    return HarmonicScalarField(ctx, tuple(terms.items()))
+def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
+    """The harmonic field sum_m amp_m exp(i m (k.r - omega t)).
+
+    Each amplitude is an OperatorMatrix, an OperatorVector3 or a complex
+    array of shape (d, d) or (3, d, d) with d = ctx.dim; all must be
+    scalar or all vector.
+    """
+    d = ctx.dim
+    arrays = {}
+    for m, amp in amplitudes.items():
+        arr = np.asarray(getattr(amp, "comps", getattr(amp, "mat", amp)), dtype=complex)
+        if arr.shape not in ((d, d), (3, d, d)):
+            raise ValueError(f"amplitude of order {m} has shape {arr.shape}, not ([3,] {d}, {d})")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"amplitude of order {m} is not finite")
+        arrays[operator.index(m)] = arr
+    kinds = {arr.ndim for arr in arrays.values()}
+    if len(kinds) != 1:
+        raise ValueError("need at least one amplitude, all scalar or all vector")
+    return _collect(ctx, kinds == {3}, arrays.items())
 
 
-def vector_field(ctx: WaveContext, terms: Mapping[int, OperatorVector3]) -> HarmonicVectorField:
-    return HarmonicVectorField(ctx, tuple(terms.items()))
+def _termwise(f: HarmonicField, vector: bool, op) -> HarmonicField:
+    return _collect(f.ctx, vector, ((m, op(m, a)) for m, a in zip(f.orders, f.amps)))
 
 
 # --- products (order preserving; harmonic orders add) ------------------------
 
-def _product_terms(f: _HarmonicField, g: _HarmonicField, combine):
-    for m1, a1 in f.terms:
-        for m2, a2 in g.terms:
-            yield m1 + m2, combine(a1, a2)
+def _product(f: HarmonicField, g: HarmonicField, vector: bool, op) -> HarmonicField:
+    return _collect(f.ctx, vector, ((m1 + m2, op(a1, a2))
+                                    for m1, a1 in zip(f.orders, f.amps)
+                                    for m2, a2 in zip(g.orders, g.amps)))
 
 
-def comm_ss(f: HarmonicScalarField, g: HarmonicScalarField) -> HarmonicScalarField:
+def comm_ss(f: HarmonicField, g: HarmonicField) -> HarmonicField:
     """[f, g] for scalar fields."""
     f._require(g)
-    return HarmonicScalarField(f.ctx, _product_terms(f, g, commutator))
+    return _product(f, g, False, lambda x, y: x @ y - y @ x)
 
 
-def comm_sv(f: HarmonicScalarField, v: HarmonicVectorField) -> HarmonicVectorField:
+def comm_sv(f: HarmonicField, v: HarmonicField) -> HarmonicField:
     """[f, v] componentwise for a scalar and a vector field."""
     if not _compatible(f.ctx, v.ctx):
         raise ValueError("fields must share a wave context")
-    def comb(a: OperatorMatrix, b: OperatorVector3) -> OperatorVector3:
-        return OperatorVector3(np.einsum("ab,ibc->iac", a.mat, b.comps)
-                               - np.einsum("iab,bc->iac", b.comps, a.mat))
-    return HarmonicVectorField(f.ctx, _product_terms(f, v, comb))
+    return _product(f, v, True, lambda a, b: (np.einsum("ab,ibc->iac", a, b)
+                                              - np.einsum("iab,bc->iac", b, a)))
 
 
-def vdot(u: HarmonicVectorField, v: HarmonicVectorField) -> HarmonicScalarField:
+def vdot(u: HarmonicField, v: HarmonicField) -> HarmonicField:
     u._require(v)
-    return HarmonicScalarField(u.ctx, _product_terms(u, v, dot))
+    return _product(u, v, False, dot_comps)
 
 
-def vcross(u: HarmonicVectorField, v: HarmonicVectorField) -> HarmonicVectorField:
+def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
     u._require(v)
-    return HarmonicVectorField(u.ctx, _product_terms(u, v, cross))
+    return _product(u, v, True, cross_comps)
 
 
-def ndot(n: Sequence[float], v: HarmonicVectorField) -> HarmonicScalarField:
+def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Dot of a constant numeric 3-vector with a vector field."""
-    return HarmonicScalarField(
-        v.ctx, tuple((m, dot(n, amp)) for m, amp in v.terms))
+    nl = numeric_lift(n, v.ctx.dim)
+    return _termwise(v, False, lambda m, a: dot_comps(nl, a))
 
 
-def ncross(n: Sequence[float], v: HarmonicVectorField) -> HarmonicVectorField:
+def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Cross of a constant numeric 3-vector with a vector field."""
-    return HarmonicVectorField(
-        v.ctx, tuple((m, cross(n, amp)) for m, amp in v.terms))
+    nl = numeric_lift(n, v.ctx.dim)
+    return _termwise(v, True, lambda m, a: cross_comps(nl, a))
 
 
 # --- exact differential operators --------------------------------------------
 
-def div(v: HarmonicVectorField) -> HarmonicScalarField:
-    k = v.ctx.k
-    return HarmonicScalarField(
-        v.ctx, tuple((m, (1j * m) * dot(k, amp)) for m, amp in v.terms))
+def div(v: HarmonicField) -> HarmonicField:
+    kl = numeric_lift(v.ctx.k, v.ctx.dim)
+    return _termwise(v, False, lambda m, a: dot_comps(kl, a) * (1j * m))
 
 
-def curl(v: HarmonicVectorField) -> HarmonicVectorField:
-    k = v.ctx.k
-    return HarmonicVectorField(
-        v.ctx, tuple((m, (1j * m) * cross(k, amp)) for m, amp in v.terms))
+def curl(v: HarmonicField) -> HarmonicField:
+    kl = numeric_lift(v.ctx.k, v.ctx.dim)
+    return _termwise(v, True, lambda m, a: cross_comps(kl, a) * (1j * m))
 
 
-def grad(f: HarmonicScalarField) -> HarmonicVectorField:
+def grad(f: HarmonicField) -> HarmonicField:
     k = f.ctx.k
-    return HarmonicVectorField(
-        f.ctx, tuple((m, OperatorVector3(np.einsum("i,ab->iab", 1j * m * k, amp.mat)))
-                     for m, amp in f.terms))
+    return _termwise(f, True, lambda m, a: np.einsum("i,ab->iab", 1j * m * k, a))
 
 
-def dt(field):
-    w = field.ctx.omega
-    return type(field)(field.ctx,
-                       tuple((m, (-1j * m * w) * amp) for m, amp in field.terms))
+def dt(f: HarmonicField) -> HarmonicField:
+    w = f.ctx.omega
+    return _termwise(f, f.is_vector, lambda m, a: a * (-1j * m * w))
 
 
-def d2t(field):
-    w = field.ctx.omega
-    return type(field)(field.ctx,
-                       tuple((m, (-(m * w) ** 2) * amp) for m, amp in field.terms))
+def d2t(f: HarmonicField) -> HarmonicField:
+    w = f.ctx.omega
+    return _termwise(f, f.is_vector, lambda m, a: a * (-(m * w) ** 2))
 
 
-def laplacian(field):
-    k2 = field.ctx.knorm ** 2
-    return type(field)(field.ctx,
-                       tuple((m, (-(m ** 2) * k2) * amp) for m, amp in field.terms))
+def laplacian(f: HarmonicField) -> HarmonicField:
+    k2 = f.ctx.knorm ** 2
+    return _termwise(f, f.is_vector, lambda m, a: a * (-(m ** 2) * k2))
 
 
 # --- solution families --------------------------------------------------------
@@ -287,13 +295,9 @@ def _constraint_pairs(gens: GeneratorSet) -> list[tuple[int, int]]:
     Those are exactly the pairs whose coefficient vectors must be coplanar
     with k so that the self-interaction amplitude stays divergence free.
     """
-    pairs = []
-    n = len(gens.generators)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if commutator(gens.generators[a], gens.generators[b]).norm > 1e-12:
-                pairs.append((a + 1, b + 1))
-    return pairs
+    gs = gens.generators
+    return [(a + 1, b + 1) for a in range(len(gs)) for b in range(a + 1, len(gs))
+            if commutator(gs[a], gs[b]).norm > 1e-12]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +311,7 @@ class SolutionFamily:
         gens = self.ctx.generators
         vecs = tuple(np.array(r, dtype=float) for r in self.R)
         if len(vecs) != gens.n_coeffs:
-            raise ValueError(f"expected {gens.n_coeffs} coefficient vectors")
+            raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(vecs)}")
         for v in vecs:
             if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValueError("coefficient vectors must be finite 3-vectors")
@@ -334,31 +338,24 @@ class SolutionFamily:
         return (1.0 / (1j * self.ctx.generators.eta_scale)) * cross(self.tau, self.tau)
 
 
-def build_potentials(fam: SolutionFamily) -> tuple[HarmonicVectorField, HarmonicScalarField]:
+def build_potentials(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     """Vector and scalar potentials of the family (single first harmonic)."""
-    a = vector_field(fam.ctx, {1: fam.tau})
-    phi = scalar_field(fam.ctx, {1: fam.phi_amplitude})
-    return a, phi
+    return field(fam.ctx, {1: fam.tau}), field(fam.ctx, {1: fam.phi_amplitude})
 
 
-def build_fields(fam: SolutionFamily) -> tuple[HarmonicVectorField, HarmonicVectorField]:
+def build_fields(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     """Closed-form "magnetic" and "electric" fields of the family.
 
     B carries i*(k x tau) at the first harmonic and -i*g*(tau x tau) at the
     second (equal to g*eta_scale*eta); E = -khat x B harmonic by harmonic.
     """
-    ctx = fam.ctx
-    tau = fam.tau
-    b = vector_field(ctx, {
-        1: 1j * cross(ctx.k, tau),
-        2: (-1j * ctx.g) * cross(tau, tau),
-    })
-    e = -1.0 * ncross(ctx.khat, b)
-    return b, e
+    ctx, tau = fam.ctx, fam.tau
+    b = field(ctx, {1: 1j * cross(ctx.k, tau), 2: (-1j * ctx.g) * cross(tau, tau)})
+    return b, -1.0 * ncross(ctx.khat, b)
 
 
-def fields_from_potentials(a: HarmonicVectorField, phi: HarmonicScalarField,
-                           ctx: WaveContext) -> tuple[HarmonicVectorField, HarmonicVectorField]:
+def fields_from_potentials(a: HarmonicField, phi: HarmonicField,
+                           ctx: WaveContext) -> tuple[HarmonicField, HarmonicField]:
     """Field strengths from arbitrary potentials via the defining relations.
 
     B = curl A - i g (A x A);  E = -(1/c) dA/dt - grad phi - i g [phi, A].
@@ -451,60 +448,51 @@ def _richardson(est_h, est_half) -> DerivativeEstimate:
     return DerivativeEstimate(est_h, est_half, combined)
 
 
-def _fd_partial(field, r, t, axis: int, h: float):
+def _fd_partial(f, r, t, axis: int, h: float):
     e = np.zeros(3)
     e[axis] = h
-    return (1.0 / (2.0 * h)) * (field.eval_at(r + e, t) - field.eval_at(r - e, t))
+    return (1.0 / (2.0 * h)) * (f.eval_at(r + e, t) - f.eval_at(r - e, t))
 
 
-def _fd_partial2(field, r, t, axis: int, h: float):
+def _fd_partial2(f, r, t, axis: int, h: float):
     e = np.zeros(3)
     e[axis] = h
-    return (1.0 / h ** 2) * (field.eval_at(r + e, t)
-                             - 2.0 * field.eval_at(r, t)
-                             + field.eval_at(r - e, t))
+    return (1.0 / h ** 2) * (f.eval_at(r + e, t)
+                             - 2.0 * f.eval_at(r, t)
+                             + f.eval_at(r - e, t))
 
 
-def fd_div(v: HarmonicVectorField, r, t: float, h: float) -> DerivativeEstimate:
+def fd_div(v: HarmonicField, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        total = np.zeros((v.ctx.dim, v.ctx.dim), dtype=complex)
-        for axis in range(3):
-            total += _fd_partial(v, r, t, axis, step).comps[axis]
-        return OperatorMatrix(total)
+        return OperatorMatrix(sum(_fd_partial(v, r, t, axis, step).comps[axis]
+                                  for axis in range(3)))
     return _richardson(stencil(h), stencil(h / 2.0))
 
 
-def fd_curl(v: HarmonicVectorField, r, t: float, h: float) -> DerivativeEstimate:
+def fd_curl(v: HarmonicField, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        parts = [_fd_partial(v, r, t, axis, step).comps for axis in range(3)]
-        comps = np.stack([
-            parts[1][2] - parts[2][1],
-            parts[2][0] - parts[0][2],
-            parts[0][1] - parts[1][0],
-        ])
-        return OperatorVector3(comps)
+        p = [_fd_partial(v, r, t, axis, step).comps for axis in range(3)]
+        return OperatorVector3(np.stack([p[1][2] - p[2][1], p[2][0] - p[0][2],
+                                         p[0][1] - p[1][0]]))
     return _richardson(stencil(h), stencil(h / 2.0))
 
 
-def fd_grad(f: HarmonicScalarField, r, t: float, h: float) -> DerivativeEstimate:
+def fd_grad(f: HarmonicField, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        comps = np.stack([_fd_partial(f, r, t, axis, step).mat for axis in range(3)])
-        return OperatorVector3(comps)
+        return OperatorVector3(np.stack([_fd_partial(f, r, t, axis, step).mat
+                                         for axis in range(3)]))
     return _richardson(stencil(h), stencil(h / 2.0))
 
 
-def fd_dt(field, r, t: float, h: float) -> DerivativeEstimate:
+def fd_dt(f, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        return (1.0 / (2.0 * step)) * (field.eval_at(r, t + step)
-                                       - field.eval_at(r, t - step))
+        return (1.0 / (2.0 * step)) * (f.eval_at(r, t + step)
+                                       - f.eval_at(r, t - step))
     return _richardson(stencil(h), stencil(h / 2.0))
 
 
-def fd_laplacian(field, r, t: float, h: float) -> DerivativeEstimate:
+def fd_laplacian(f, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        total = None
-        for axis in range(3):
-            part = _fd_partial2(field, r, t, axis, step)
-            total = part if total is None else total + part
-        return total
+        return sum((_fd_partial2(f, r, t, axis, step) for axis in (1, 2)),
+                   start=_fd_partial2(f, r, t, 0, step))
     return _richardson(stencil(h), stencil(h / 2.0))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorMatrix, OperatorVector3, cross, dot
-from .fields import HarmonicVectorField, SolutionFamily, build_fields, vector_field
+from .fields import HarmonicField, SolutionFamily, build_fields, field
 
 
 class NonTransverseAmplitude(ValueError):
@@ -84,39 +84,38 @@ def amw_flux(fam: SolutionFamily) -> FluxResult:
                       classical_magnitude=_classical_part(op))
 
 
-def real_part_at(field: HarmonicVectorField, r, t: float) -> OperatorVector3:
+def real_part_at(f: HarmonicField, r, t: float) -> OperatorVector3:
     """Hermitian part of the field value: the physical oscillating wave."""
-    return field.eval_at(r, t).hermitian_part()
+    return f.eval_at(r, t).hermitian_part()
 
 
-def _instantaneous_flux(e: HarmonicVectorField, b: HarmonicVectorField,
+def _instantaneous_flux(e: HarmonicField, b: HarmonicField,
                         r, t: float, c: float) -> np.ndarray:
     er = real_part_at(e, r, t)
     br = real_part_at(b, r, t)
     return (c / (4.0 * np.pi)) * cross(er, br).comps
 
 
-def _periodic_average(samples: np.ndarray) -> np.ndarray:
+def _average_flux(e: HarmonicField, b: HarmonicField, ctx, samples: int, r) -> np.ndarray:
+    r = np.zeros(3) if r is None else np.asarray(r, dtype=float)
+    ts = np.linspace(0.0, ctx.period, samples + 1)
+    vals = np.stack([_instantaneous_flux(e, b, r, t, ctx.c) for t in ts])
     # trapezoid over one exact period: endpoints coincide, so this is the
     # plain mean of the first n points
-    return samples[:-1].mean(axis=0)
+    return vals[:-1].mean(axis=0)
 
 
 def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
                     r=None) -> OperatorVector3:
     """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period."""
-    ctx = fam.ctx
     b, e = build_fields(fam)
-    r = np.zeros(3) if r is None else np.asarray(r, dtype=float)
-    ts = np.linspace(0.0, ctx.period, samples + 1)
-    vals = np.stack([_instantaneous_flux(e, b, r, t, ctx.c) for t in ts])
-    return OperatorVector3(_periodic_average(vals))
+    return OperatorVector3(_average_flux(e, b, fam.ctx, samples, r))
 
 
 def harmonic_blocks(fam: SolutionFamily):
     """(E, B) of the family restricted to the first and the second harmonic."""
     b, e = build_fields(fam)
-    return [tuple(vector_field(fam.ctx, {m: f.amplitude(m)}) for f in (e, b))
+    return [tuple(field(fam.ctx, {m: f.raw_amplitude(m)}) for f in (e, b))
             for m in (1, 2)]
 
 
@@ -128,14 +127,10 @@ def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
     terms, which average to zero), 'second' (squared second harmonic),
     'total' (their sum).
     """
-    ctx = fam.ctx
     (e1, b1), (e2, b2) = harmonic_blocks(fam)
-    r = np.zeros(3) if r is None else np.asarray(r, dtype=float)
-    ts = np.linspace(0.0, ctx.period, samples + 1)
 
     def avg(efld, bfld):
-        vals = np.stack([_instantaneous_flux(efld, bfld, r, t, ctx.c) for t in ts])
-        return _periodic_average(vals)
+        return _average_flux(efld, bfld, fam.ctx, samples, r)
 
     first = avg(e1, b1)
     second = avg(e2, b2)

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorMatrix, OperatorVector3
-from .fields import (
-    HarmonicScalarField,
-    HarmonicVectorField,
-    SolutionFamily,
-    build_fields,
-)
+from .fields import HarmonicField, SolutionFamily, build_fields, field
 from .residuals import ResidualItem, ResidualReport
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -57,11 +52,11 @@ def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostM
     by permuting the spatial coordinates.
     """
     if isinstance(axis, str):
-        axis = BOOST_AXES[axis]
+        axis = BOOST_AXES.get(axis, axis)
     if axis not in (0, 1, 2):
         raise ValueError("axis must be 0, 1, 2 (or 'x', 'y', 'z')")
     beta = velocity / c
-    if abs(beta) >= 1.0:
+    if not abs(beta) < 1.0:
         raise SuperluminalBoost(f"|v| = {abs(velocity)} >= c = {c}")
     gamma = 1.0 / np.sqrt(1.0 - beta * beta)
 
@@ -113,17 +108,19 @@ class FieldStrengthTensor:
                          self.comps)
 
 
-def assemble_tensor(b: OperatorVector3, e: OperatorVector3) -> FieldStrengthTensor:
-    """Place electric and magnetic amplitudes in the contravariant tensor.
+def assemble_tensor(b: OperatorVector3 | np.ndarray,
+                    e: OperatorVector3 | np.ndarray) -> FieldStrengthTensor:
+    """Place electric and magnetic amplitudes, operator vectors or their
+    (3, d, d) component arrays, in the contravariant tensor.
 
     Layout: F^{i0} = E_i and (F^{32}, F^{13}, F^{21}) = B.
     """
-    if b.dim != e.dim:
+    b, e = getattr(b, "comps", b), getattr(e, "comps", e)
+    if b.shape != e.shape:
         raise ValueError("field amplitudes must share dimension")
-    d = b.dim
-    f = np.zeros((4, 4, d, d), dtype=complex)
-    ex, ey, ez = e.comps
-    bx, by, bz = b.comps
+    f = np.zeros((4, 4) + b.shape[1:], dtype=complex)
+    ex, ey, ez = e
+    bx, by, bz = b
     f[1, 0], f[2, 0], f[3, 0] = ex, ey, ez
     f[0, 1], f[0, 2], f[0, 3] = -ex, -ey, -ez
     f[3, 2], f[1, 3], f[2, 1] = bx, by, bz
@@ -159,8 +156,8 @@ def null_defect(kmu: np.ndarray, c: float = 1.0) -> float:
 def harmonic_tensors(fam: SolutionFamily) -> list[tuple[int, FieldStrengthTensor]]:
     """Per-harmonic field-strength amplitudes of a solution family."""
     b, e = build_fields(fam)
-    orders = sorted(set(b.orders) | set(e.orders))
-    return [(m, assemble_tensor(b.amplitude(m), e.amplitude(m))) for m in orders]
+    return [(m, assemble_tensor(b.raw_amplitude(m), e.raw_amplitude(m)))
+            for m in sorted(set(b.orders) | set(e.orders))]
 
 
 def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[float, float]:
@@ -237,9 +234,10 @@ def gauge_conjugate(obj, u: OperatorMatrix):
         return OperatorVector3(np.einsum("ab,ibc,cd->iad", um, obj.comps, ud))
     if isinstance(obj, FieldStrengthTensor):
         return FieldStrengthTensor(np.einsum("ab,mnbc,cd->mnad", um, obj.comps, ud))
-    if isinstance(obj, (HarmonicScalarField, HarmonicVectorField)):
-        terms = tuple((m, gauge_conjugate(amp, u)) for m, amp in obj.terms)
-        return type(obj)(obj.ctx, terms)
+    if isinstance(obj, HarmonicField):
+        amps = (np.einsum("ab,hibc,cd->hiad", um, obj.amps, ud) if obj.is_vector
+                else um @ obj.amps @ ud)
+        return field(obj.ctx, dict(zip(obj.orders, amps)))
     raise TypeError(f"cannot gauge-conjugate {type(obj).__name__}")
 
 

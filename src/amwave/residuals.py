@@ -22,8 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fields import (
-    HarmonicScalarField,
-    HarmonicVectorField,
+    HarmonicField,
     SolutionFamily,
     WaveContext,
     build_potentials,
@@ -32,6 +31,7 @@ from .fields import (
     curl,
     div,
     dt,
+    field,
     fields_from_potentials,
     grad,
     laplacian,
@@ -83,19 +83,19 @@ class ResidualReport:
         }
 
 
-def _scale(a: HarmonicVectorField) -> float:
+def _scale(a: HarmonicField) -> float:
     return max(1.0, a.norm)
 
 
 def report_from_fields(label: str, named_fields, tol: float,
                        scale: float) -> ResidualReport:
-    return ResidualReport(label, tuple(ResidualItem(name, field.norm / scale, tol)
-                                       for name, field in named_fields))
+    return ResidualReport(label, tuple(ResidualItem(name, f.norm / scale, tol)
+                                       for name, f in named_fields))
 
 
 # --- full gauge-field equations ------------------------------------------------
 
-def ym_equation_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
+def ym_equation_fields(a: HarmonicField, phi: HarmonicField,
                        ctx: WaveContext):
     """The four full field equations, self-interaction terms included."""
     b, e = fields_from_potentials(a, phi, ctx)
@@ -111,13 +111,13 @@ def ym_equation_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
     ]
 
 
-def full_ym_residuals(a: HarmonicVectorField, phi: HarmonicScalarField,
+def full_ym_residuals(a: HarmonicField, phi: HarmonicField,
                       ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
     return report_from_fields("full-ym", ym_equation_fields(a, phi, ctx),
                               tol, _scale(a))
 
 
-def maxwell_type_fields(b: HarmonicVectorField, e: HarmonicVectorField,
+def maxwell_type_fields(b: HarmonicField, e: HarmonicField,
                         ctx: WaveContext):
     """The four field equations with every self-interaction term dropped."""
     inv_c = 1.0 / ctx.c
@@ -129,7 +129,7 @@ def maxwell_type_fields(b: HarmonicVectorField, e: HarmonicVectorField,
     ]
 
 
-def maxwell_type_residuals(b: HarmonicVectorField, e: HarmonicVectorField,
+def maxwell_type_residuals(b: HarmonicField, e: HarmonicField,
                            ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
     scale = max(1.0, b.norm, e.norm)
     return report_from_fields("maxwell-type", maxwell_type_fields(b, e, ctx),
@@ -191,25 +191,25 @@ CONDITION_SETS = {
 }
 
 
-def condition_fields(label: str, a: HarmonicVectorField,
-                     phi: HarmonicScalarField, ctx: WaveContext):
+def condition_fields(label: str, a: HarmonicField,
+                     phi: HarmonicField, ctx: WaveContext):
     """The named residual fields of one condition set; only the brackets
     the set lists are evaluated."""
     w = SimpleNamespace(a=a, phi=phi, kn=ctx.knorm, m=vcross(a, a), n=comm_sv(phi, a))
     out = []
     for name, bracket, factor in CONDITION_SETS[label]:
-        field = BRACKETS[bracket](w)
-        out.append((name, field if factor == 1 else factor * field))
+        res = BRACKETS[bracket](w)
+        out.append((name, res if factor == 1 else factor * res))
     return out
 
 
-def wca_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
+def wca_condition_fields(a: HarmonicField, phi: HarmonicField,
                          ctx: WaveContext):
     """The six conditions left after discarding the g^2 self-interactions."""
     return condition_fields("wca", a, phi, ctx)
 
 
-def exact_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
+def exact_condition_fields(a: HarmonicField, phi: HarmonicField,
                            ctx: WaveContext):
     """All eight conditions of the unapproximated equations.
 
@@ -220,7 +220,7 @@ def exact_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
     return condition_fields("exact", a, phi, ctx)
 
 
-def zca_condition_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
+def zca_condition_fields(a: HarmonicField, phi: HarmonicField,
                          ctx: WaveContext):
     """The six spatial conditions of the zero-coupling (Maxwell-type) system."""
     return condition_fields("zca", a, phi, ctx)
@@ -246,7 +246,7 @@ def zca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualRep
 
 # --- difference terms between the two approximations ----------------------------
 
-def w_term_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
+def w_term_fields(a: HarmonicField, phi: HarmonicField,
                   ctx: WaveContext):
     """The four terms separating the approximated equation sets.
 
@@ -266,7 +266,7 @@ def w_term_fields(a: HarmonicVectorField, phi: HarmonicScalarField,
     ]
 
 
-def w_terms(a: HarmonicVectorField, phi: HarmonicScalarField,
+def w_terms(a: HarmonicField, phi: HarmonicField,
             ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
     return report_from_fields("w-terms", w_term_fields(a, phi, ctx),
                               tol, _scale(a))
@@ -274,18 +274,15 @@ def w_terms(a: HarmonicVectorField, phi: HarmonicScalarField,
 
 # --- transversality / orthogonality battery --------------------------------------
 
-def perpendicular_part(v: HarmonicVectorField, direction: np.ndarray) -> HarmonicVectorField:
+def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField:
     """Componentwise projection of every amplitude orthogonal to a unit vector."""
     nhat = np.asarray(direction, dtype=float)
-    terms = []
-    for m, amp in v.terms:
-        along = np.einsum("i,iab->ab", nhat, amp.comps)
-        perp = amp.comps - np.einsum("i,ab->iab", nhat, along)
-        terms.append((m, type(amp)(perp)))
-    return HarmonicVectorField(v.ctx, tuple(terms))
+    along = np.einsum("i,hiab->hab", nhat, v.amps)
+    perp = v.amps - np.einsum("i,hab->hiab", nhat, along)
+    return field(v.ctx, dict(zip(v.orders, perp)))
 
 
-def property_battery_fields(b: HarmonicVectorField, e: HarmonicVectorField,
+def property_battery_fields(b: HarmonicField, e: HarmonicField,
                             ctx: WaveContext):
     khat = ctx.khat
     return [
@@ -300,7 +297,7 @@ def property_battery_fields(b: HarmonicVectorField, e: HarmonicVectorField,
     ]
 
 
-def property_battery(b: HarmonicVectorField, e: HarmonicVectorField,
+def property_battery(b: HarmonicField, e: HarmonicField,
                      ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
     scale = max(1.0, b.norm, e.norm)
     return report_from_fields("properties", property_battery_fields(b, e, ctx),

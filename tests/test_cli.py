@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amwave.cli import (
     EXIT_FAIL,
@@ -43,6 +48,96 @@ def test_run_config_validation(capsys):
         assert len(err) == 1 and err[0].startswith("config error:")
     cfg = RunConfig(suite="boost")
     assert cfg.tol == 1e-10  # suite default
+
+
+def run_main(argv):
+    """Exit code and stderr lines of one ``main`` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def assert_one_config_error(code, err):
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+
+
+@pytest.mark.parametrize("command", [["zitter", "--steps", "4"],
+                                     ["verify", "zitter", "--trials", "1"],
+                                     ["verify", "boost", "--trials", "1"]])
+@pytest.mark.parametrize("flag", ["--velocity=1", "--velocity=-1.5", "--pair=1,2",
+                                  "--pair=3,4", "--momentum=0,0,0",
+                                  "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12"])
+def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
+    code, err = run_main([*command, flag, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", [
+    {"R": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]},                # one vector short
+    {"R": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},     # R_1 x R_2 along k
+    {"k": [0, 0, 0]},
+    {"k": [0, 0, 0], "R": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]},
+    {"generator": "su3_gellmann", "R": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]},
+    {"k": [0, 0, "x"]},
+])
+def test_bad_family_config_is_config_error(tmp_path, family):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"family": family}))
+    for argv in (["verify", "wca"], ["verify", "boost"], ["poynting", "--steps", "2"]):
+        code, err = run_main([*argv, "--trials", "2", "--config", str(path),
+                              "--out", str(tmp_path / "out")])
+        assert_one_config_error(code, err)
+
+
+def test_fixed_family_config_runs(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"family": {
+        "k": [0, 0, 2.0], "R": [[0.3, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]}}))
+    out = tmp_path / "r.json"
+    assert run_main(["verify", "zca", "--trials", "2", "--config", str(path),
+                     "--out", str(out)]) == (EXIT_PASS, ["PASS zca: 36 items"])
+    assert read_json(out)["config"]["k"] == [0.0, 0.0, 2.0]
+
+
+_FLOAT = st.floats(-1.5, 1.5, allow_nan=False)
+_VEC = st.one_of(st.tuples(_FLOAT, _FLOAT, _FLOAT),
+                 st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, -0.7), (0.0, 0.0, 1.0)]))
+_R = st.one_of(
+    st.sampled_from([[[0.2, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]]),
+    st.lists(st.lists(_FLOAT, min_size=3, max_size=3), min_size=3, max_size=5))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([["verify", s] for s in SUITES]
+                               + [["zitter"], ["poynting"], ["boost"]]),
+       velocity=_FLOAT,
+       pair=st.sampled_from([(1, 3), (1, 4), (2, 3), (2, 4)])
+       | st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       momentum=_VEC, k=st.none() | _VEC, R=st.none() | _R,
+       samples=st.integers(1, 48), in_yaml=st.booleans())
+def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
+                                samples, in_yaml):
+    family = {key: val for key, val in (("k", k), ("R", R)) if val is not None}
+    config = {"family": family}
+    flags = ["--trials", "1", "--samples", str(samples), "--steps", "4"]
+    if in_yaml:
+        config["boost"] = {"velocity": velocity}
+        config["zitter"] = {"pair": list(pair), "momentum": list(momentum)}
+    else:
+        flags += [f"--velocity={velocity!r}", "--pair={},{}".format(*pair),
+                  "--momentum=" + ",".join(repr(x) for x in momentum)]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    code, err = run_main([*command, *flags, "--config", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
+    assert not any("Traceback" in line for line in err)
+    if code == EXIT_USAGE:
+        assert_one_config_error(code, err)
 
 
 def test_wca_suite_all_pass():

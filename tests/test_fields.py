@@ -18,13 +18,12 @@ from amwave.fields import (
     fd_dt,
     fd_grad,
     fd_laplacian,
+    field,
     fields_from_potentials,
     grad,
     laplacian,
     random_family,
-    scalar_field,
     vcross,
-    vector_field,
     xz_family,
 )
 
@@ -62,7 +61,8 @@ def test_build_potentials_abelian_and_zero():
     assert vcross(a, a).norm <= 1e-14  # identity amplitudes commute
     fam0 = SolutionFamily(ctx=ctx, R=(zero, zero, zero, zero))
     a0, phi0 = build_potentials(fam0)
-    assert a0.terms == () and phi0.terms == ()
+    assert a0.orders == () and phi0.orders == ()
+    assert a0.amps.shape == (0, 3, 2, 2) and phi0.amps.shape == (0, 2, 2)
 
 
 def test_build_fields_xz_display():
@@ -168,8 +168,8 @@ def test_eval_matches_naive_term_sum():
     b, _ = build_fields(fam)
     r, t = rng.uniform(-2, 2, 3), rng.uniform(0, 5)
     naive = np.zeros((3, 3, 3), dtype=complex)
-    for m, amp in b.terms:
-        naive += amp.comps * np.exp(1j * m * (fam.ctx.k @ r - fam.ctx.omega * t))
+    for m, amp in zip(b.orders, b.amps):
+        naive += amp * np.exp(1j * m * (fam.ctx.k @ r - fam.ctx.omega * t))
     assert (b.eval_at(r, t) - OperatorVector3(naive)).norm <= 1e-12
 
 
@@ -197,11 +197,44 @@ def test_m_wave_equation_and_amplitude():
 def test_term_merging():
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
     sx = SPIN_HALF.generators[0]
-    f = scalar_field(ctx, {1: sx}) + scalar_field(ctx, {1: -1.0 * sx})
-    assert f.terms == ()
-    g = vector_field(ctx, {2: OperatorVector3.from_coeff([1, 0, 0], sx)})
-    h = g + vector_field(ctx, {2: OperatorVector3.from_coeff([0, 1, 0], sx)})
+    f = field(ctx, {1: sx}) + field(ctx, {1: -1.0 * sx})
+    assert f.orders == () and f.amps.shape == (0, 2, 2) and f.norm == 0.0
+    g = field(ctx, {2: OperatorVector3.from_coeff([1, 0, 0], sx)})
+    h = g + field(ctx, {2: OperatorVector3.from_coeff([0, 1, 0], sx)})
     assert h.orders == (2,)
+    np.testing.assert_array_equal(h.amps[0], OperatorVector3.from_coeff([1, 1, 0], sx).comps)
+
+
+def test_field_validates_amplitudes():
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
+    sx = SPIN_HALF.generators[0]
+    spin_one_sx = make_generators("su2_spin_one").generators[0]
+    with pytest.raises(ValueError, match="shape"):
+        field(ctx, {1: OperatorVector3.from_coeff([1, 0, 0], spin_one_sx)})
+    with pytest.raises(ValueError, match="shape"):
+        field(ctx, {1: spin_one_sx})
+    with pytest.raises(ValueError, match="all scalar or all vector"):
+        field(ctx, {1: sx, 2: OperatorVector3.from_coeff([1, 0, 0], sx)})
+    with pytest.raises(ValueError):
+        field(ctx, {})
+    with pytest.raises(ValueError, match="finite"):
+        field(ctx, {1: np.full((2, 2), np.nan)})
+
+
+def test_field_orders_sorted_and_amps_read_only():
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
+    sx, sy, _ = SPIN_HALF.generators
+    f = field(ctx, {3: sy, -1: sx.mat, 0: 0.0 * sx})
+    assert f.orders == (-1, 3)
+    assert f.amps.shape == (2, 2, 2)
+    np.testing.assert_array_equal(f.amps[1], sy.mat)
+    assert f.norm == max(sx.norm, sy.norm)
+    assert not f.amps.flags.writeable
+    with pytest.raises(ValueError):
+        f.amps[0, 0, 0] = 1.0
+    a, _ = build_potentials(xz_family(SPIN_HALF))
+    m = vcross(a, a)
+    assert m.amps.shape == (1, 3, 2, 2) and not m.amps.flags.writeable
 
 
 def test_coplanarity_enforced():
@@ -261,7 +294,7 @@ def test_fd_constant_field_zero():
     # difference quotient cancels exactly
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
     sx = SPIN_HALF.generators[0]
-    const = scalar_field(ctx, {0: sx})
+    const = field(ctx, {0: sx})
     rng = np.random.default_rng(3)
     r, t = rng.uniform(-1, 1, 3), 0.3
     assert fd_dt(const, r, t, 1e-3).extrapolated.norm == 0.0
