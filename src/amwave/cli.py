@@ -134,6 +134,8 @@ class RunConfig:
             raise ConfigError("steps must be >= 0")
         if self.samples < 2:
             raise ConfigError("samples must be >= 2")
+        if self.t_max is not None and not np.isfinite(self.t_max):
+            raise ConfigError("t_max must be finite")
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -604,8 +606,8 @@ def _cmd_zitter(args) -> int:
     header, rows = zitter_timeseries(cfg)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
     devs = [row[-1] for row in rows if isinstance(row[-1], float)]
-    worst = max(devs, default=0.0)
-    if worst > cfg.tol:
+    worst = float(np.max(devs)) if devs else 0.0  # a NaN deviation propagates
+    if not worst <= cfg.tol:
         print(f"FAIL zitter: max |numeric - closed| = {worst:.3e}", file=sys.stderr)
         return EXIT_FAIL
     print(f"PASS zitter: {len(rows)} samples, max deviation {worst:.3e}",
@@ -621,7 +623,7 @@ def _cmd_poynting(args) -> int:
     closed = amw_flux(fam)
     quad = flux_quadrature(fam, samples=cfg.samples)
     err = (quad - closed.vector).norm / max(1.0, closed.vector.norm)
-    if err > cfg.tol:
+    if not err <= cfg.tol:
         print(f"FAIL poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
         return EXIT_FAIL
     print(f"PASS poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)

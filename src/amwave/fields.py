@@ -57,13 +57,15 @@ class WaveContext:
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
-        if k.shape != (3,):
-            raise ValueError("k must be a real 3-vector")
+        if k.shape != (3,) or not np.all(np.isfinite(k)):
+            raise ValueError("k must be a finite real 3-vector")
         knorm = float(np.linalg.norm(k))
         if knorm <= 0.0:
             raise ValueError("|k| must be positive")
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError("c must be positive and finite")
+        if not np.isfinite(self.g):
+            raise ValueError("coupling g must be finite")
         omega = self.c * knorm if self.omega is None else float(self.omega)
         if abs(omega - self.c * knorm) > 1e-12 * omega:
             raise ValueError("dispersion omega = c*|k| violated")
@@ -129,6 +131,10 @@ class HarmonicField:
             out += np.exp(1j * m * phase) * amp
         return _operator(out)
 
+    def with_amps(self, amps: np.ndarray) -> "HarmonicField":
+        """The field of the same kind with these amplitudes at ``orders``."""
+        return _collect(self.ctx, self.is_vector, zip(self.orders, amps))
+
     def _require(self, other: "HarmonicField"):
         if other.is_vector != self.is_vector or not _compatible(self.ctx, other.ctx):
             raise ValueError("fields must share a wave context")
@@ -158,12 +164,16 @@ def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
     """The field sum_m amp_m of (order, amplitude array) pairs.
 
     Same-order amplitudes are summed in first-seen order; amplitudes whose
-    norm is at most MERGE_DROP times the largest are dropped.
+    norm is at most MERGE_DROP times the largest are dropped.  A non-finite
+    norm raises, so a NaN or inf can never be dropped as small.
     """
     acc: dict[int, np.ndarray] = {}
     for m, amp in pairs:
         acc[m] = amp if m not in acc else acc[m] + amp
     norms = {m: operator_norm(amp) for m, amp in acc.items()}
+    for m, n in norms.items():
+        if not np.isfinite(n):
+            raise ValueError(f"amplitude of order {m} is not finite")
     cut = MERGE_DROP * max(norms.values(), default=0.0)
     orders = tuple(sorted(m for m, n in norms.items() if n > cut))
     amps = (np.stack([acc[m] for m in orders]) if orders else
@@ -185,8 +195,6 @@ def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
         arr = np.asarray(getattr(amp, "comps", getattr(amp, "mat", amp)), dtype=complex)
         if arr.shape not in ((d, d), (3, d, d)):
             raise ValueError(f"amplitude of order {m} has shape {arr.shape}, not ([3,] {d}, {d})")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"amplitude of order {m} is not finite")
         arrays[operator.index(m)] = arr
     kinds = {arr.ndim for arr in arrays.values()}
     if len(kinds) != 1:

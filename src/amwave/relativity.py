@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import OperatorMatrix, OperatorVector3
-from .fields import HarmonicField, SolutionFamily, build_fields, field
+from .fields import HarmonicField, SolutionFamily, build_fields
 from .residuals import ResidualItem, ResidualReport
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -108,14 +108,12 @@ class FieldStrengthTensor:
                          self.comps)
 
 
-def assemble_tensor(b: OperatorVector3 | np.ndarray,
-                    e: OperatorVector3 | np.ndarray) -> FieldStrengthTensor:
-    """Place electric and magnetic amplitudes, operator vectors or their
-    (3, d, d) component arrays, in the contravariant tensor.
+def assemble_tensor(b: np.ndarray, e: np.ndarray) -> FieldStrengthTensor:
+    """Place magnetic and electric amplitude components, each of shape
+    (3, d, d), in the contravariant tensor.
 
     Layout: F^{i0} = E_i and (F^{32}, F^{13}, F^{21}) = B.
     """
-    b, e = getattr(b, "comps", b), getattr(e, "comps", e)
     if b.shape != e.shape:
         raise ValueError("field amplitudes must share dimension")
     f = np.zeros((4, 4) + b.shape[1:], dtype=complex)
@@ -199,14 +197,16 @@ def boosted_residuals(fam: SolutionFamily, velocity: float,
     kmu_prime = boost_wavevector(kmu, boost)
     tensors = harmonic_tensors(fam)
     boosted = [(m, boost_tensor(f, boost)) for m, f in tensors]
-    scale = max(1.0, max(f.norm for _, f in boosted) * float(np.abs(kmu_prime).max()))
+    top = max((f.norm for _, f in boosted), default=0.0)  # no harmonics when R = 0
+    scale = max(1.0, top * float(np.abs(kmu_prime).max()))
     div_defect, bianchi_defect = tensor_equation_defects(boosted, kmu_prime)
     items = (
         ResidualItem("tensor_divergence", div_defect / scale, tol),
         ResidualItem("bianchi_cycle", bianchi_defect / scale, tol),
         ResidualItem("null_wavevector", null_defect(kmu_prime, ctx.c), 1e-12),
         ResidualItem("tensor_antisymmetry",
-                     max(f.antisymmetry_defect() for _, f in boosted) / scale, 1e-12),
+                     max((f.antisymmetry_defect() for _, f in boosted), default=0.0)
+                     / scale, 1e-12),
     )
     return ResidualReport(f"boost v={velocity}", items)
 
@@ -237,7 +237,7 @@ def gauge_conjugate(obj, u: OperatorMatrix):
     if isinstance(obj, HarmonicField):
         amps = (np.einsum("ab,hibc,cd->hiad", um, obj.amps, ud) if obj.is_vector
                 else um @ obj.amps @ ud)
-        return field(obj.ctx, dict(zip(obj.orders, amps)))
+        return obj.with_amps(amps)
     raise TypeError(f"cannot gauge-conjugate {type(obj).__name__}")
 
 

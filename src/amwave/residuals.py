@@ -31,7 +31,6 @@ from .fields import (
     curl,
     div,
     dt,
-    field,
     fields_from_potentials,
     grad,
     laplacian,
@@ -279,7 +278,7 @@ def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField
     nhat = np.asarray(direction, dtype=float)
     along = np.einsum("i,hiab->hab", nhat, v.amps)
     perp = v.amps - np.einsum("i,hab->hiab", nhat, along)
-    return field(v.ctx, dict(zip(v.orders, perp)))
+    return v.with_amps(perp)
 
 
 def property_battery_fields(b: HarmonicField, e: HarmonicField,

@@ -51,10 +51,10 @@ class DiracContext:
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
-        if p.shape != (3,):
-            raise ValueError("p must be a real 3-vector")
-        if self.mass <= 0 or self.c <= 0 or self.hbar <= 0:
-            raise ValueError("mass, c and hbar must be positive")
+        if p.shape != (3,) or not np.all(np.isfinite(p)):
+            raise ValueError("p must be a finite real 3-vector")
+        if not all(0.0 < x < np.inf for x in (self.mass, self.c, self.hbar)):
+            raise ValueError("mass, c and hbar must be positive and finite")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -168,6 +168,8 @@ class SuperpositionSpec:
     coefficients: tuple[complex, complex, complex, complex] | None = None
 
     def __post_init__(self):
+        if not np.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if self.coefficients is None:
             a, b = self.pair
             if a not in (1, 2) or b not in (3, 4):

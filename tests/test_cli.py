@@ -41,6 +41,8 @@ def test_run_config_validation(capsys):
             RunConfig(suite="wca", tolerance=bad)
     with pytest.raises(ConfigError):
         RunConfig(suite="wca", seed=-1)
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(suite="zitter", t_max=float("nan"))
     for flags in (["--seed", "-1"], ["--tol", "nan"]):
         capsys.readouterr()
         assert main(["verify", "wca", "--trials", "1", *flags]) == EXIT_USAGE
@@ -68,7 +70,8 @@ def assert_one_config_error(code, err):
                                      ["verify", "boost", "--trials", "1"]])
 @pytest.mark.parametrize("flag", ["--velocity=1", "--velocity=-1.5", "--pair=1,2",
                                   "--pair=3,4", "--momentum=0,0,0",
-                                  "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12"])
+                                  "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12",
+                                  "--momentum=nan,0,0.8", "--theta=inf"])
 def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
     code, err = run_main([*command, flag, "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
@@ -82,6 +85,7 @@ def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
     {"k": [0, 0, 0], "R": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]},
     {"generator": "su3_gellmann", "R": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]},
     {"k": [0, 0, "x"]},
+    {"hbar": float("nan")},
 ])
 def test_bad_family_config_is_config_error(tmp_path, family):
     path = tmp_path / "cfg.yaml"
@@ -102,11 +106,36 @@ def test_fixed_family_config_runs(tmp_path):
     assert read_json(out)["config"]["k"] == [0.0, 0.0, 2.0]
 
 
+@pytest.mark.parametrize("argv", [["verify", "full", "--coupling", "nan"],
+                                  ["verify", "gauge", "--coupling", "inf"],
+                                  ["poynting", "--steps", "2", "--coupling", "nan"]])
+def test_non_finite_coupling_is_config_error(tmp_path, argv):
+    code, err = run_main([*argv, "--trials", "1", "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite, R", [
+    ("gauge", [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]]),   # phi = khat.tau = 0
+    ("zca", [[0, 0, 0]] * 4),                                  # every field empty
+    ("full", [[0, 0, 0]] * 4),
+    ("boost", [[0, 0, 0]] * 4),                                # no harmonics to boost
+])
+def test_fixed_family_with_empty_fields_runs(tmp_path, suite, R):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"family": {"generator": "su2_spin_half", "R": R}}))
+    code, err = run_main(["verify", suite, "--trials", "2", "--config", str(path),
+                          "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_PASS and err[0].startswith(f"PASS {suite}:"), err
+
+
 _FLOAT = st.floats(-1.5, 1.5, allow_nan=False)
 _VEC = st.one_of(st.tuples(_FLOAT, _FLOAT, _FLOAT),
                  st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, -0.7), (0.0, 0.0, 1.0)]))
 _R = st.one_of(
-    st.sampled_from([[[0.2, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]]),
+    st.sampled_from([[[0.2, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]],
+                     [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                     [[0, 0, 0]] * 4]),
     st.lists(st.lists(_FLOAT, min_size=3, max_size=3), min_size=3, max_size=5))
 
 
@@ -118,12 +147,14 @@ _R = st.one_of(
        pair=st.sampled_from([(1, 3), (1, 4), (2, 3), (2, 4)])
        | st.tuples(st.integers(0, 5), st.integers(0, 5)),
        momentum=_VEC, k=st.none() | _VEC, R=st.none() | _R,
+       coupling=st.sampled_from([0.1, 0.0, -2.0, float("nan"), float("inf")]),
        samples=st.integers(1, 48), in_yaml=st.booleans())
 def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
-                                samples, in_yaml):
+                                coupling, samples, in_yaml):
     family = {key: val for key, val in (("k", k), ("R", R)) if val is not None}
     config = {"family": family}
-    flags = ["--trials", "1", "--samples", str(samples), "--steps", "4"]
+    flags = ["--trials", "1", "--samples", str(samples), "--steps", "4",
+             f"--coupling={coupling!r}"]
     if in_yaml:
         config["boost"] = {"velocity": velocity}
         config["zitter"] = {"pair": list(pair), "momentum": list(momentum)}

@@ -22,10 +22,13 @@ from amwave.fields import (
     fields_from_potentials,
     grad,
     laplacian,
+    ndot,
     random_family,
     vcross,
     xz_family,
 )
+from amwave.relativity import gauge_conjugate, unitary_exponential
+from amwave.residuals import perpendicular_part
 
 SPIN_HALF = make_generators("su2_spin_half")
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
@@ -219,6 +222,31 @@ def test_field_validates_amplitudes():
         field(ctx, {})
     with pytest.raises(ValueError, match="finite"):
         field(ctx, {1: np.full((2, 2), np.nan)})
+
+
+def test_non_finite_values_are_rejected_not_dropped():
+    k = np.array([0, 0, 1.0])
+    for bad in ({"g": np.nan}, {"g": np.inf}, {"c": np.nan}, {"c": np.inf},
+                {"k": np.array([0, 0, np.nan])}):
+        with pytest.raises(ValueError, match="finite"):
+            WaveContext(**{"generators": SPIN_HALF, "k": k, **bad})
+    a, _ = build_potentials(xz_family())
+    with pytest.raises(ValueError, match="finite"):
+        np.nan * a
+    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+        curl(a) - (1j * np.inf) * vcross(a, a)
+
+
+def test_empty_field_passes_through_the_algebra():
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
+    sx = SPIN_HALF.generators[0]
+    empty = field(ctx, {1: OperatorVector3.from_coeff([0, 0, 0], sx)})
+    assert empty.orders == () and empty.amps.shape == (0, 3, 2, 2) and empty.norm == 0.0
+    perp = perpendicular_part(empty, ctx.khat)
+    assert perp.orders == () and perp.is_vector
+    u = unitary_exponential(sx, 0.3)
+    assert gauge_conjugate(empty, u).orders == ()
+    assert gauge_conjugate(ndot(ctx.khat, empty), u).amps.shape == (0, 2, 2)
 
 
 def test_field_orders_sorted_and_amps_read_only():
