@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 import yaml
 
-from .algebra import cross as opcross
 from .algebra import make_generators, structure_constants
 from .fields import (
     SolutionFamily,
@@ -37,9 +36,9 @@ from .fields import (
 from .poynting import (
     amw_flux,
     em_flux,
+    flux_block_series,
     flux_quadrature,
     flux_quadrature_blocks,
-    harmonic_blocks,
 )
 from .relativity import (
     boost_matrix,
@@ -76,13 +75,14 @@ os.umask(_UMASK)
 
 SUITES = ("wca", "zca", "exact", "full", "boost", "gauge", "zitter", "poynting", "su3")
 
-# Default per-item tolerances; analytic residuals are exact termwise
-# algebra, boosted-frame checks allow contraction roundoff, and the
-# quadrature oracle is limited by the trapezoid sample count.
+# Default per-item tolerances; analytic residuals are exact termwise algebra,
+# boosted-frame checks allow contraction roundoff, and the flux quadrature is
+# exact for samples >= 5, leaving sum rounding of ~eps*sqrt(samples): 2e-14
+# at 10,000 samples, where the worst of 120 seeded trials was 1.1e-15.
 SUITE_TOL = {
     "wca": 1e-12, "zca": 1e-12, "exact": 1e-12, "full": 1e-12,
     "gauge": 1e-12, "su3": 1e-12, "zitter": 1e-12,
-    "boost": 1e-10, "poynting": 1e-8,
+    "boost": 1e-10, "poynting": 1e-12,
 }
 
 SU3_F_VALUES = {
@@ -132,8 +132,8 @@ class RunConfig:
             raise ConfigError(f"unknown generator kind {self.generator!r}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if self.samples < 2:
-            raise ConfigError("samples must be >= 2")
+        if self.samples < 5:
+            raise ConfigError("samples must be >= 5 (exact flux quadrature)")
         if self.t_max is not None and not np.isfinite(self.t_max):
             raise ConfigError("t_max must be finite")
         self.seed = int(self.seed)
@@ -471,38 +471,17 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def poynting_timeseries(cfg: RunConfig, rng=None) -> tuple[list[str], list[list]]:
+def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], list[list]]:
     """Instantaneous flux blocks along khat plus the running average.
 
     Each block column is the identity part (trace over dimension) of
     khat . (c/4 pi) Re(E) x Re(B) restricted to the named harmonic block.
     """
-    rng = rng or np.random.default_rng(cfg.seed)
-    fam = _trial_family(cfg, 0, rng)
-    ctx = fam.ctx
-    (e1, b1), (e2, b2) = harmonic_blocks(fam)
-    khat = ctx.khat
-    d = ctx.dim
-    coeff = ctx.c / (4.0 * np.pi)
-
-    def block_value(efld, bfld, t):
-        er = efld.eval_at(np.zeros(3), t).hermitian_part()
-        br = bfld.eval_at(np.zeros(3), t).hermitian_part()
-        val = coeff * np.einsum("i,iab->ab", khat, opcross(er, br).comps)
-        return float(np.trace(val).real / d)
-
-    header = ["t", "first", "mixed", "second", "running_avg"]
-    rows = []
-    ts = np.linspace(0.0, ctx.period, cfg.steps) if cfg.steps else []
-    running = 0.0
-    for idx, t in enumerate(ts):
-        first = block_value(e1, b1, t)
-        second = block_value(e2, b2, t)
-        mixed = block_value(e1, b2, t) + block_value(e2, b1, t)
-        total = first + mixed + second
-        running += (total - running) / (idx + 1)
-        rows.append([t, first, mixed, second, running])
-    return header, rows
+    ts = np.linspace(0.0, fam.ctx.period, cfg.steps)
+    blocks = flux_block_series(fam, ts)
+    running = np.cumsum(blocks["total"]) / np.arange(1, len(ts) + 1)
+    cols = (ts, blocks["first"], blocks["mixed"], blocks["second"], running)
+    return ["t", "first", "mixed", "second", "running_avg"], np.column_stack(cols).tolist()
 
 
 def write_timeseries(header: list[str], rows: list[list], path: str | None):
@@ -547,8 +526,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--timeseries", help="CSV output path for time series")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ConfigError (one line, exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amwave",
         description="verify operator-valued plane-wave solutions and their "
                     "source model")
@@ -617,17 +603,15 @@ def _cmd_zitter(args) -> int:
 
 def _cmd_poynting(args) -> int:
     cfg = _collect_config(args, "poynting")
-    header, rows = poynting_timeseries(cfg, rng=np.random.default_rng(cfg.seed))
-    write_timeseries(header, rows, cfg.out or cfg.timeseries)
     fam = _trial_family(cfg, 0, np.random.default_rng(cfg.seed))
+    header, rows = poynting_timeseries(cfg, fam)
+    write_timeseries(header, rows, cfg.out or cfg.timeseries)
     closed = amw_flux(fam)
     quad = flux_quadrature(fam, samples=cfg.samples)
     err = (quad - closed.vector).norm / max(1.0, closed.vector.norm)
-    if not err <= cfg.tol:
-        print(f"FAIL poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
-        return EXIT_FAIL
-    print(f"PASS poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
-    return EXIT_PASS
+    verdict = "PASS" if err <= cfg.tol else "FAIL"  # a NaN error fails
+    print(f"{verdict} poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
+    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
 
 
 _COMMANDS = {
@@ -640,9 +624,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,11 +12,11 @@ For the generator-valued waves the closed form is
 
 an operator along the propagation direction; the second block equals the
 g^2 hbar^2 (eta.eta) form of the spin-set convention.  The quadrature
-oracle integrates the instantaneous flux over one exact period with the
-composite trapezoid rule, which is spectrally accurate for the periodic
-integrand, and can split the integrand into the squared first-harmonic,
-mixed, and squared second-harmonic blocks (the mixed block averages to
-zero over a full period).
+oracle averages the instantaneous flux over one exact period with the
+trapezoid rule (exact up to rounding from 5 nodes on), as one contraction of
+basis cross products with averaged phase weights, and splits it into the
+squared first-harmonic, mixed, and squared second-harmonic blocks (the mixed
+block averages to zero over a full period).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorMatrix, OperatorVector3, cross, dot
-from .fields import HarmonicField, SolutionFamily, build_fields, field
+from .algebra import OperatorMatrix, OperatorVector3, cross, cross_comps, dot
+from .fields import SolutionFamily, build_fields
 
 
 class NonTransverseAmplitude(ValueError):
@@ -84,39 +84,56 @@ def amw_flux(fam: SolutionFamily) -> FluxResult:
                       classical_magnitude=_classical_part(op))
 
 
-def real_part_at(f: HarmonicField, r, t: float) -> OperatorVector3:
-    """Hermitian part of the field value: the physical oscillating wave."""
-    return f.eval_at(r, t).hermitian_part()
+def _flux_form(fam: SolutionFamily, phase: np.ndarray):
+    """(c/4 pi) Re E x Re B as a bilinear form at the given phases phi.
+
+    Re F = sum_m cos(m phi) Herm(amp_m) + sin(m phi) Herm(i amp_m): a fixed
+    Hermitian basis of 2H rows weighted by c(phi) = [cos(m phi) | sin(m phi)],
+    so the flux is c_E^T X c_B with X_pq = (c/4 pi) U_p x V_q over the bases
+    U of E and V of B.  Returns X, c_E and c_B (a row per phase) and the
+    masks over X of the blocks: 'first'/'second' pair equal orders 1/2,
+    'mixed' unequal ones (E and B hold orders 1 and 2 only), 'total' all.
+    """
+    def basis(f):  # (2H, 3, d, d): Herm(amp_m) for each order, then Herm(i amp_m)
+        a = np.concatenate([f.amps, 1j * f.amps])
+        return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+    def trig(f):  # (N, 2H): cos(m phase) for each order, then sin(m phase)
+        mphi = np.multiply.outer(phase, np.asarray(f.orders, dtype=float))
+        return np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
+
+    b, e = build_fields(fam)
+    u, v = basis(e), basis(b)
+    table = np.array([[cross_comps(x, y) for y in v] for x in u]).reshape(
+        len(u), len(v), *u.shape[1:])
+    me, mb = np.tile(e.orders, 2)[:, None], np.tile(b.orders, 2)[None, :]
+    masks = {"first": (me == 1) & (mb == 1), "mixed": me != mb,
+             "second": (me == 2) & (mb == 2), "total": np.ones(table.shape[:2], bool)}
+    return (fam.ctx.c / (4.0 * np.pi)) * table, trig(e), trig(b), masks
 
 
-def _instantaneous_flux(e: HarmonicField, b: HarmonicField,
-                        r, t: float, c: float) -> np.ndarray:
-    er = real_part_at(e, r, t)
-    br = real_part_at(b, r, t)
-    return (c / (4.0 * np.pi)) * cross(er, br).comps
-
-
-def _average_flux(e: HarmonicField, b: HarmonicField, ctx, samples: int, r) -> np.ndarray:
+def _average_flux(fam: SolutionFamily, samples: int, r) -> dict[str, np.ndarray]:
+    """Trapezoid average of (c/4 pi) Re E x Re B at r over one period, per
+    block: a (2H_E, 2H_B) weight matrix on the table, no sample axis."""
+    ctx = fam.ctx
     r = np.zeros(3) if r is None else np.asarray(r, dtype=float)
-    ts = np.linspace(0.0, ctx.period, samples + 1)
-    vals = np.stack([_instantaneous_flux(e, b, r, t, ctx.c) for t in ts])
-    # trapezoid over one exact period: endpoints coincide, so this is the
-    # plain mean of the first n points
-    return vals[:-1].mean(axis=0)
+    # N nodes over one exact period; the endpoint repeats the first node, so
+    # the trapezoid rule is their plain mean.  The integrand is a
+    # trigonometric polynomial of degree m_E + m_B <= 4 in phi, and the
+    # N-point rule averages e^{i j phi} exactly unless N divides j, so it is
+    # exact up to rounding once N >= 5 (Trefethen & Weideman, SIAM Review
+    # 2014); RunConfig rejects fewer samples.
+    phase = ctx.k @ r - ctx.omega * np.linspace(0.0, ctx.period, samples + 1)[:-1]
+    table, ce, cb, masks = _flux_form(fam, phase)
+    w = ce.T @ cb / samples
+    return {name: np.einsum("pq,pqiab->iab", w * mask, table)
+            for name, mask in masks.items()}
 
 
 def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
                     r=None) -> OperatorVector3:
     """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period."""
-    b, e = build_fields(fam)
-    return OperatorVector3(_average_flux(e, b, fam.ctx, samples, r))
-
-
-def harmonic_blocks(fam: SolutionFamily):
-    """(E, B) of the family restricted to the first and the second harmonic."""
-    b, e = build_fields(fam)
-    return [tuple(field(fam.ctx, {m: f.raw_amplitude(m)}) for f in (e, b))
-            for m in (1, 2)]
+    return OperatorVector3(_average_flux(fam, samples, r)["total"])
 
 
 def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
@@ -125,19 +142,18 @@ def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
 
     Keys: 'first' (squared first harmonic), 'mixed' (the order-g cross
     terms, which average to zero), 'second' (squared second harmonic),
-    'total' (their sum).
+    'total' (the whole average, as ``flux_quadrature``).
     """
-    (e1, b1), (e2, b2) = harmonic_blocks(fam)
+    return {name: OperatorVector3(val)
+            for name, val in _average_flux(fam, samples, r).items()}
 
-    def avg(efld, bfld):
-        return _average_flux(efld, bfld, fam.ctx, samples, r)
 
-    first = avg(e1, b1)
-    second = avg(e2, b2)
-    mixed = avg(e1, b2) + avg(e2, b1)
-    return {
-        "first": OperatorVector3(first),
-        "mixed": OperatorVector3(mixed),
-        "second": OperatorVector3(second),
-        "total": OperatorVector3(first + mixed + second),
-    }
+def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
+    """Instantaneous flux along khat at r = 0 and each time in ``ts``, per
+    harmonic block (keys as ``flux_quadrature_blocks``): the identity part
+    tr(.)/d of khat . (c/4 pi) Re E x Re B, as c_E(t)^T S c_B(t)."""
+    ctx = fam.ctx
+    table, ce, cb, masks = _flux_form(fam, -ctx.omega * np.asarray(ts, dtype=float))
+    s = np.einsum("i,pqiaa->pq", ctx.khat, table).real / ctx.dim
+    return {name: np.einsum("tp,pq,tq->t", ce, s * mask, cb)
+            for name, mask in masks.items()}

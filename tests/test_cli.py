@@ -43,6 +43,9 @@ def test_run_config_validation(capsys):
         RunConfig(suite="wca", seed=-1)
     with pytest.raises(ConfigError, match="finite"):
         RunConfig(suite="zitter", t_max=float("nan"))
+    for samples in (4, 2):
+        with pytest.raises(ConfigError, match="samples must be >= 5"):
+            RunConfig(suite="poynting", samples=samples)
     for flags in (["--seed", "-1"], ["--tol", "nan"]):
         capsys.readouterr()
         assert main(["verify", "wca", "--trials", "1", *flags]) == EXIT_USAGE
@@ -71,10 +74,21 @@ def assert_one_config_error(code, err):
 @pytest.mark.parametrize("flag", ["--velocity=1", "--velocity=-1.5", "--pair=1,2",
                                   "--pair=3,4", "--momentum=0,0,0",
                                   "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12",
-                                  "--momentum=nan,0,0.8", "--theta=inf"])
+                                  "--momentum=nan,0,0.8", "--theta=inf",
+                                  "--samples=4"])
 def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
     code, err = run_main([*command, flag, "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["zitter", "--pair", "1"],
+                                  ["verify", "wca", "--trials", "x"],
+                                  ["poynting", "--samples", "x"]])
+def test_command_line_errors_are_config_errors(tmp_path, argv):
+    code, err = run_main([*argv, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0].startswith("config error: argument ")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from amwave.algebra import make_generators
-from amwave.fields import SolutionFamily, WaveContext, random_family, xz_family
+from amwave.algebra import cross, make_generators
+from amwave.cli import RunConfig, poynting_timeseries
+from amwave.fields import (
+    SolutionFamily,
+    WaveContext,
+    build_fields,
+    field,
+    random_family,
+    xz_family,
+)
 from amwave.poynting import (
     NonTransverseAmplitude,
     amw_flux,
@@ -115,3 +123,81 @@ def test_flux_direction_purely_along_k():
     along = np.einsum("i,iab->ab", khat, quad.comps)
     perp = quad.comps - np.einsum("i,ab->iab", khat, along)
     assert np.abs(perp).max() <= 1e-12
+
+
+KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
+
+
+def loop_flux(e, b, ts, r):
+    """Reference: (c/4 pi) Re E x Re B evaluated sample by sample, (T, 3, d, d)."""
+    coeff = e.ctx.c / (4.0 * np.pi)
+    return np.stack([coeff * cross(e.eval_at(r, t).hermitian_part(),
+                                   b.eval_at(r, t).hermitian_part()).comps
+                     for t in ts])
+
+
+def loop_blocks(fam, ts, r):
+    """Reference per-sample flux of each harmonic block, from one-harmonic fields."""
+    b, e = build_fields(fam)
+    (e1, b1), (e2, b2) = [[field(fam.ctx, {m: f.raw_amplitude(m)}) for f in (e, b)]
+                          for m in (1, 2)]
+    return {"first": loop_flux(e1, b1, ts, r), "second": loop_flux(e2, b2, ts, r),
+            "mixed": loop_flux(e1, b2, ts, r) + loop_flux(e2, b1, ts, r),
+            "total": loop_flux(e, b, ts, r)}
+
+
+# 3 samples alias the degree-4 integrand, so there the nodes (and r) matter
+@pytest.mark.parametrize("samples", (3, 5, 7, 64))
+@pytest.mark.parametrize("kind", KINDS)
+def test_contraction_matches_sample_loop(kind, samples):
+    rng = np.random.default_rng(17)
+    fam = random_family(make_generators(kind), rng, g=0.4)
+    r = rng.uniform(-1, 1, 3)
+    ts = np.linspace(0.0, fam.ctx.period, samples + 1)[:-1]
+    want = {key: val.mean(axis=0) for key, val in loop_blocks(fam, ts, r).items()}
+    scale = np.abs(want["total"]).max()
+    quad = flux_quadrature(fam, samples=samples, r=r).comps
+    assert np.abs(quad - want["total"]).max() <= 1e-13 * scale
+    blocks = flux_quadrature_blocks(fam, samples=samples, r=r)
+    assert blocks.keys() == want.keys()
+    for key, val in want.items():
+        assert np.abs(blocks[key].comps - val).max() <= 1e-13 * scale, key
+    assert np.abs(blocks["total"].comps - quad).max() <= 1e-15 * scale
+    parts = sum(blocks[key].comps for key in ("first", "mixed", "second"))
+    assert np.abs(parts - quad).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_timeseries_matches_sample_loop(kind):
+    rng = np.random.default_rng(19)
+    fam = random_family(make_generators(kind), rng, g=0.4)
+    cfg = RunConfig(suite="poynting", steps=33, samples=5)
+    header, rows = poynting_timeseries(cfg, fam)
+    got = dict(zip(header, np.array(rows).T))
+    ts = np.linspace(0.0, fam.ctx.period, cfg.steps)
+    khat, d = fam.ctx.khat, fam.ctx.dim
+    want = {key: np.einsum("i,tiaa->t", khat, val).real / d
+            for key, val in loop_blocks(fam, ts, np.zeros(3)).items()}
+    want["running_avg"] = np.cumsum(want.pop("total")) / np.arange(1, len(ts) + 1)
+    scale = max(np.abs(val).max() for val in want.values())
+    np.testing.assert_array_equal(got["t"], ts)
+    for key, val in want.items():
+        assert np.abs(got[key] - val).max() <= 1e-13 * scale, key
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_five_samples_match_closed_form(kind):
+    rng = np.random.default_rng(23)
+    fam = random_family(make_generators(kind), rng, g=0.3)
+    closed = amw_flux(fam).vector
+    quad = flux_quadrature(fam, samples=5, r=rng.uniform(-1, 1, 3))
+    assert (quad - closed).norm / max(1.0, closed.norm) <= 1e-14
+
+
+def test_quadrature_of_an_empty_field_is_zero():
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0.0, 0.0, 1.0]), g=0.1)
+    fam = SolutionFamily(ctx=ctx, R=tuple(np.zeros(3) for _ in range(4)))
+    assert flux_quadrature(fam, samples=5).norm == 0.0
+    assert all(v.norm == 0.0 for v in flux_quadrature_blocks(fam, samples=5).values())
+    _, rows = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
+    assert [row[1:] for row in rows] == [[0.0] * 4] * 3
