@@ -20,6 +20,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -187,11 +189,18 @@ class OperatorVector3:
 VectorLike = Union[OperatorVector3, Sequence[float], np.ndarray]
 
 
+def _frobenius(arr: np.ndarray) -> float:
+    # np.linalg.norm's own arithmetic for a complex array, without its wrapper
+    x = arr.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def operator_norm(arr: np.ndarray) -> float:
     """Frobenius norm of a (d, d) matrix; largest component norm of (3, d, d)."""
     if arr.ndim == 2:
-        return float(np.linalg.norm(arr))
-    return float(max(np.linalg.norm(arr[i]) for i in range(3)))
+        return _frobenius(arr)
+    return max(_frobenius(arr[i]) for i in range(3))
 
 
 def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:
@@ -308,12 +317,22 @@ class GeneratorSet:
     def n_coeffs(self) -> int:
         return 1 + len(self.generators)
 
+    @functools.cached_property
+    def noncommuting_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs (l, m), 1-based as in R_l, of generators that fail to
+        commute: the coefficient vectors that must be coplanar with k."""
+        gs = self.generators
+        return tuple((a + 1, b + 1) for a in range(len(gs)) for b in range(a + 1, len(gs))
+                     if commutator(gs[a], gs[b]).norm > 1e-12)
 
+
+@functools.lru_cache(maxsize=64)
 def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
     """Build one of the supported generator sets.
 
     Spin generators are scaled by hbar; Gell-Mann matrices are returned
-    exactly as printed (no hbar factor).
+    exactly as printed (no hbar factor).  Memoized per (kind, hbar): a set
+    is immutable (frozen, read-only matrices), so callers share one.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")

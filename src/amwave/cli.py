@@ -3,12 +3,14 @@ time-series export.
 
 Determinism: randomness comes from numpy's PCG64 generator; trial i of a
 run draws from ``default_rng(SeedSequence(seed).spawn(trials)[i])``, so a
-given (config, seed) produces bit-identical reports regardless of worker
-count or scheduling.  Reports carry no timestamps for the same reason.
+given (config, seed) produces bit-identical reports.  Reports carry no
+timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
-listed), 2 usage or configuration error.  The environment variable
-AMWAVE_THREADS caps the worker pool used to spread trials.
+listed), 2 usage or configuration error.  Trials run in one thread, in
+trial order.  The environment variable AMWAVE_THREADS is still accepted
+and validated (a non-integer is a configuration error) but sets nothing:
+a thread pool was slower than one thread for every suite.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 import yaml
 
-from .algebra import make_generators, structure_constants
+from .algebra import make_generators, operator_norm, structure_constants
 from .fields import (
     SolutionFamily,
     WaveContext,
@@ -36,9 +37,9 @@ from .fields import (
 from .poynting import (
     amw_flux,
     em_flux,
+    flux_averages,
     flux_block_series,
     flux_quadrature,
-    flux_quadrature_blocks,
 )
 from .relativity import (
     boost_matrix,
@@ -233,6 +234,8 @@ def config_from_file(path: str, overrides: dict | None = None,
 # --- trial plumbing ------------------------------------------------------------
 
 def _worker_count(n: int) -> int:
+    """The worker count AMWAVE_THREADS asks for, capped at n trials (all
+    CPUs when unset); raises ConfigError for a value that is no integer."""
     env = os.environ.get("AMWAVE_THREADS")
     try:
         cap = int(env) if env else (os.cpu_count() or 1)
@@ -331,11 +334,11 @@ def _zitter_trial(cfg: RunConfig, _, rng):
 
 
 def _poynting_trial(cfg: RunConfig, fam: SolutionFamily, rng):
-    closed = amw_flux(fam)
-    quad = flux_quadrature(fam, samples=cfg.samples, r=rng.uniform(-1, 1, 3))
-    scale = max(1.0, closed.vector.norm)
-    quad_err = (quad - closed.vector).norm / scale
-    mixed = flux_quadrature_blocks(fam, samples=cfg.samples)["mixed"].norm / scale
+    closed = amw_flux(fam).vector
+    at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
+    scale = max(1.0, closed.norm)
+    quad_err = operator_norm(at_r["total"] - closed.comps) / scale
+    mixed = operator_norm(at_origin["mixed"]) / scale
     gens = fam.ctx.generators
     ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
     r0 = rng.uniform(-1.0, 1.0, 3)
@@ -380,24 +383,20 @@ def _su3_constants(tol: float) -> list[ResidualItem]:
 
 
 def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
-    """Every trial's items in trial order, each named trialNNN/<item>.  A
-    trial draws its wave family first; zitter trials draw no family."""
+    """Every trial's items, each named trialNNN/<item>, from trials run one
+    after another in trial order.  A trial draws its wave family first;
+    zitter trials draw no family."""
     trial = _TRIALS[cfg.suite]
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
 
-    def one(i: int) -> list[ResidualItem]:
-        fam = None if cfg.suite == "zitter" else _trial_family(cfg, i, rngs[i])
-        return [ResidualItem(f"trial{i:03d}/{it.name}", it.residual, it.tolerance)
-                for it in trial(cfg, fam, rngs[i])]
-
-    workers = _worker_count(cfg.trials)
-    if workers == 1:
-        chunks = [one(i) for i in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(one, range(cfg.trials)))
-    return [it for chunk in chunks for it in chunk]
+    _worker_count(cfg.trials)  # validates AMWAVE_THREADS; trials run in this thread
+    items = []
+    for i, rng in enumerate(rngs):
+        fam = None if cfg.suite == "zitter" else _trial_family(cfg, i, rng)
+        items += [ResidualItem(f"trial{i:03d}/{it.name}", it.residual, it.tolerance)
+                  for it in trial(cfg, fam, rng)]
+    return items
 
 
 def run_suite(cfg: RunConfig) -> dict:
@@ -420,10 +419,14 @@ def run_suite(cfg: RunConfig) -> dict:
 def _write(path: str | None, emit):
     """Call ``emit`` on stdout, or write a file atomically: ``emit`` fills a
     unique temporary file beside ``path``, which is then renamed over
-    ``path``; on any failure the temporary file is removed."""
+    ``path``; on any failure the temporary file is removed.  A ``path`` that
+    exists but is no regular file (a directory, a device) is refused before
+    anything is written, so the rename never replaces it."""
     if path is None:
         emit(sys.stdout)
         return
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -476,8 +479,10 @@ def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str],
 
     Each block column is the identity part (trace over dimension) of
     khat . (c/4 pi) Re(E) x Re(B) restricted to the named harmonic block.
+    The rows sample one period [0, period) at steps equally spaced times,
+    so from 5 steps on the last running average is the exact period mean.
     """
-    ts = np.linspace(0.0, fam.ctx.period, cfg.steps)
+    ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
     blocks = flux_block_series(fam, ts)
     running = np.cumsum(blocks["total"]) / np.arange(1, len(ts) + 1)
     cols = (ts, blocks["first"], blocks["mixed"], blocks["second"], running)

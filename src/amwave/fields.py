@@ -20,6 +20,7 @@ into finite per-order operator identities.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,7 +31,6 @@ from .algebra import (
     GeneratorSet,
     OperatorMatrix,
     OperatorVector3,
-    commutator,
     cross,
     cross_comps,
     dot,
@@ -59,7 +59,9 @@ class WaveContext:
         k = np.array(self.k, dtype=float)
         if k.shape != (3,) or not np.all(np.isfinite(k)):
             raise ValueError("k must be a finite real 3-vector")
-        knorm = float(np.linalg.norm(k))
+        k.flags.writeable = False
+        object.__setattr__(self, "k", k)
+        knorm = self.knorm
         if knorm <= 0.0:
             raise ValueError("|k| must be positive")
         if not 0.0 < self.c < np.inf:
@@ -69,17 +71,25 @@ class WaveContext:
         omega = self.c * knorm if self.omega is None else float(self.omega)
         if abs(omega - self.c * knorm) > 1e-12 * omega:
             raise ValueError("dispersion omega = c*|k| violated")
-        k.flags.writeable = False
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "omega", omega)
 
-    @property
+    @functools.cached_property
     def knorm(self) -> float:
         return float(np.linalg.norm(self.k))
 
-    @property
+    @functools.cached_property
     def khat(self) -> np.ndarray:
-        return self.k / self.knorm
+        khat = self.k / self.knorm
+        khat.flags.writeable = False
+        return khat
+
+    @functools.cached_property
+    def k_lift(self) -> np.ndarray:
+        """k (x) identity, shape (3, d, d), read-only: what ``div`` and
+        ``curl`` multiply each amplitude by."""
+        kl = numeric_lift(self.k, self.dim)
+        kl.flags.writeable = False
+        return kl
 
     @property
     def dim(self) -> int:
@@ -145,7 +155,11 @@ class HarmonicField:
                         [*zip(self.orders, self.amps), *zip(other.orders, other.amps)])
 
     def __sub__(self, other: "HarmonicField") -> "HarmonicField":
-        return self + (-1.0) * other
+        # one collect: negating an amplitude keeps its norm, so other's own
+        # collect would drop nothing and keep its orders
+        self._require(other)
+        return _collect(self.ctx, self.is_vector,
+                        [*zip(self.orders, self.amps), *zip(other.orders, -other.amps)])
 
     def __neg__(self) -> "HarmonicField":
         return (-1.0) * self
@@ -253,12 +267,12 @@ def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
 # --- exact differential operators --------------------------------------------
 
 def div(v: HarmonicField) -> HarmonicField:
-    kl = numeric_lift(v.ctx.k, v.ctx.dim)
+    kl = v.ctx.k_lift
     return _termwise(v, False, lambda m, a: dot_comps(kl, a) * (1j * m))
 
 
 def curl(v: HarmonicField) -> HarmonicField:
-    kl = numeric_lift(v.ctx.k, v.ctx.dim)
+    kl = v.ctx.k_lift
     return _termwise(v, True, lambda m, a: cross_comps(kl, a) * (1j * m))
 
 
@@ -297,17 +311,6 @@ def amplitude_from_coeffs(gens: GeneratorSet, coeffs: Sequence[np.ndarray]) -> O
     return OperatorVector3(out)
 
 
-def _constraint_pairs(gens: GeneratorSet) -> list[tuple[int, int]]:
-    """Index pairs (1-based) whose generators fail to commute.
-
-    Those are exactly the pairs whose coefficient vectors must be coplanar
-    with k so that the self-interaction amplitude stays divergence free.
-    """
-    gs = gens.generators
-    return [(a + 1, b + 1) for a in range(len(gs)) for b in range(a + 1, len(gs))
-            if commutator(gs[a], gs[b]).norm > 1e-12]
-
-
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
     """Constant coefficient vectors R_0..R_n plus the wave context."""
@@ -325,14 +328,22 @@ class SolutionFamily:
                 raise ValueError("coefficient vectors must be finite 3-vectors")
             v.flags.writeable = False
         object.__setattr__(self, "R", vecs)
-        k, kn = self.ctx.k, self.ctx.knorm
-        for l, m in _constraint_pairs(gens):
-            bound = COPLANARITY_TOL * kn * np.linalg.norm(vecs[l]) * np.linalg.norm(vecs[m])
-            if abs(k @ np.cross(vecs[l], vecs[m])) > bound:
-                raise ValueError(
-                    f"coefficient vectors R_{l}, R_{m} are not coplanar with k")
+        # the vectors of noncommuting generators must be coplanar with k, so
+        # that the self-interaction amplitude stays divergence free
+        pairs = gens.noncommuting_pairs
+        if not pairs:
+            return
+        l, m = np.array(pairs).T
+        stack = np.stack(vecs)
+        lengths = np.sqrt(np.einsum("ij,ij->i", stack, stack))
+        triple = np.cross(stack[l], stack[m]) @ self.ctx.k
+        bound = COPLANARITY_TOL * self.ctx.knorm * lengths[l] * lengths[m]
+        bad = np.flatnonzero(np.abs(triple) > bound)
+        if bad.size:
+            raise ValueError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
+                             "are not coplanar with k")
 
-    @property
+    @functools.cached_property
     def tau(self) -> OperatorVector3:
         return amplitude_from_coeffs(self.ctx.generators, self.R)
 

@@ -84,23 +84,19 @@ def amw_flux(fam: SolutionFamily) -> FluxResult:
                       classical_magnitude=_classical_part(op))
 
 
-def _flux_form(fam: SolutionFamily, phase: np.ndarray):
-    """(c/4 pi) Re E x Re B as a bilinear form at the given phases phi.
+def _flux_form(fam: SolutionFamily):
+    """(c/4 pi) Re E x Re B as a bilinear form in the phase phi.
 
     Re F = sum_m cos(m phi) Herm(amp_m) + sin(m phi) Herm(i amp_m): a fixed
     Hermitian basis of 2H rows weighted by c(phi) = [cos(m phi) | sin(m phi)],
     so the flux is c_E^T X c_B with X_pq = (c/4 pi) U_p x V_q over the bases
-    U of E and V of B.  Returns X, c_E and c_B (a row per phase) and the
-    masks over X of the blocks: 'first'/'second' pair equal orders 1/2,
-    'mixed' unequal ones (E and B hold orders 1 and 2 only), 'total' all.
+    U of E and V of B.  Returns X, the orders of E and of B (for ``_trig``)
+    and the masks over X of the blocks: 'first'/'second' pair equal orders
+    1/2, 'mixed' unequal ones (E and B hold orders 1 and 2 only), 'total' all.
     """
     def basis(f):  # (2H, 3, d, d): Herm(amp_m) for each order, then Herm(i amp_m)
         a = np.concatenate([f.amps, 1j * f.amps])
         return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-    def trig(f):  # (N, 2H): cos(m phase) for each order, then sin(m phase)
-        mphi = np.multiply.outer(phase, np.asarray(f.orders, dtype=float))
-        return np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
 
     b, e = build_fields(fam)
     u, v = basis(e), basis(b)
@@ -109,31 +105,49 @@ def _flux_form(fam: SolutionFamily, phase: np.ndarray):
     me, mb = np.tile(e.orders, 2)[:, None], np.tile(b.orders, 2)[None, :]
     masks = {"first": (me == 1) & (mb == 1), "mixed": me != mb,
              "second": (me == 2) & (mb == 2), "total": np.ones(table.shape[:2], bool)}
-    return (fam.ctx.c / (4.0 * np.pi)) * table, trig(e), trig(b), masks
+    return (fam.ctx.c / (4.0 * np.pi)) * table, e.orders, b.orders, masks
 
 
-def _average_flux(fam: SolutionFamily, samples: int, r) -> dict[str, np.ndarray]:
-    """Trapezoid average of (c/4 pi) Re E x Re B at r over one period, per
-    block: a (2H_E, 2H_B) weight matrix on the table, no sample axis."""
+def _trig(orders, phase: np.ndarray) -> np.ndarray:
+    """c(phi), shape (N, 2H): cos(m phase) for each order, then sin(m phase)."""
+    mphi = np.multiply.outer(phase, np.asarray(orders, dtype=float))
+    return np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
+
+
+def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.ndarray]]:
+    """Trapezoid averages of (c/4 pi) Re E x Re B over one period at each
+    position in ``rs`` (None is the origin), per block (keys as
+    ``flux_quadrature_blocks``).  One table serves every position: each
+    average is a (2H_E, 2H_B) weight matrix on it, with no sample axis.
+
+    ``samples`` (N) must be >= 1; below 5 the average aliases (see below).
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     ctx = fam.ctx
-    r = np.zeros(3) if r is None else np.asarray(r, dtype=float)
+    table, orders_e, orders_b, masks = _flux_form(fam)
     # N nodes over one exact period; the endpoint repeats the first node, so
     # the trapezoid rule is their plain mean.  The integrand is a
     # trigonometric polynomial of degree m_E + m_B <= 4 in phi, and the
     # N-point rule averages e^{i j phi} exactly unless N divides j, so it is
     # exact up to rounding once N >= 5 (Trefethen & Weideman, SIAM Review
-    # 2014); RunConfig rejects fewer samples.
-    phase = ctx.k @ r - ctx.omega * np.linspace(0.0, ctx.period, samples + 1)[:-1]
-    table, ce, cb, masks = _flux_form(fam, phase)
-    w = ce.T @ cb / samples
-    return {name: np.einsum("pq,pqiab->iab", w * mask, table)
-            for name, mask in masks.items()}
+    # 2014); fewer nodes alias, and RunConfig rejects them.
+    wt = ctx.omega * np.linspace(0.0, ctx.period, samples + 1)[:-1]
+    out = []
+    for r in rs:
+        phase = ctx.k @ (np.zeros(3) if r is None else np.asarray(r, dtype=float)) - wt
+        w = _trig(orders_e, phase).T @ _trig(orders_b, phase) / samples
+        out.append({name: np.einsum("pq,pqiab->iab", w * mask, table)
+                    for name, mask in masks.items()})
+    return out
 
 
 def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
                     r=None) -> OperatorVector3:
-    """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period."""
-    return OperatorVector3(_average_flux(fam, samples, r)["total"])
+    """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period,
+    at r (default the origin) from ``samples`` nodes; exact up to rounding
+    for samples >= 5, aliased below that, and samples < 1 raises."""
+    return OperatorVector3(flux_averages(fam, samples, (r,))[0]["total"])
 
 
 def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
@@ -142,10 +156,11 @@ def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
 
     Keys: 'first' (squared first harmonic), 'mixed' (the order-g cross
     terms, which average to zero), 'second' (squared second harmonic),
-    'total' (the whole average, as ``flux_quadrature``).
+    'total' (the whole average, as ``flux_quadrature``).  ``samples`` as
+    in ``flux_quadrature``: exact from 5, aliased below, < 1 raises.
     """
     return {name: OperatorVector3(val)
-            for name, val in _average_flux(fam, samples, r).items()}
+            for name, val in flux_averages(fam, samples, (r,))[0].items()}
 
 
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
@@ -153,7 +168,9 @@ def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
     harmonic block (keys as ``flux_quadrature_blocks``): the identity part
     tr(.)/d of khat . (c/4 pi) Re E x Re B, as c_E(t)^T S c_B(t)."""
     ctx = fam.ctx
-    table, ce, cb, masks = _flux_form(fam, -ctx.omega * np.asarray(ts, dtype=float))
+    table, orders_e, orders_b, masks = _flux_form(fam)
+    phase = -ctx.omega * np.asarray(ts, dtype=float)
+    ce, cb = _trig(orders_e, phase), _trig(orders_b, phase)
     s = np.einsum("i,pqiaa->pq", ctx.khat, table).real / ctx.dim
     return {name: np.einsum("tp,pq,tq->t", ce, s * mask, cb)
             for name, mask in masks.items()}

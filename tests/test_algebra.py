@@ -15,6 +15,7 @@ from amwave.algebra import (
     custom_generators,
     dot,
     make_generators,
+    operator_norm,
     structure_constants,
 )
 
@@ -161,6 +162,40 @@ def test_dim_mismatch():
         cross(u, v)
     with pytest.raises(DimMismatch):
         dot(u, v)
+
+
+@pytest.mark.parametrize("kind", ("identity", "su2_spin_half", "su2_spin_one",
+                                  "su3_gellmann"))
+def test_generator_sets_are_shared_and_read_only(kind):
+    gens = make_generators(kind)
+    assert make_generators(kind) is gens
+    assert make_generators(kind, hbar=2.0) is not gens
+    for mat in [g.mat for g in gens.basis]:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("kind", ("identity", "su2_spin_half", "su2_spin_one",
+                                  "su3_gellmann"))
+def test_noncommuting_pairs(kind):
+    gs = make_generators(kind).generators
+    want = tuple((a + 1, b + 1) for a in range(len(gs)) for b in range(a + 1, len(gs))
+                 if np.abs(gs[a].mat @ gs[b].mat - gs[b].mat @ gs[a].mat).max() > 1e-12)
+    assert make_generators(kind).noncommuting_pairs == want
+    if kind.startswith("su2"):
+        assert want == ((1, 2), (1, 3), (2, 3))
+
+
+def test_operator_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 4):
+        for _ in range(50):
+            v = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+            v *= 10.0 ** rng.uniform(-8, 8)
+            assert operator_norm(v[0]) == float(np.linalg.norm(v[0]))
+            assert operator_norm(v[0].T) == float(np.linalg.norm(v[0].T))
+            assert operator_norm(v) == max(float(np.linalg.norm(c)) for c in v)
+    assert np.isnan(operator_norm(np.full((2, 2), np.nan + 0j)))
 
 
 SU3_F = {

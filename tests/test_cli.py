@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from amwave.algebra import GeneratorSet
 from amwave.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -240,6 +242,26 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch, suite):
     assert bodies[0] == bodies[1]
 
 
+def test_bad_thread_setting_is_config_error(monkeypatch):
+    monkeypatch.setenv("AMWAVE_THREADS", "x")
+    code, err = run_main(["verify", "wca", "--trials", "1"])
+    assert_one_config_error(code, err)
+    assert "AMWAVE_THREADS" in err[0]
+
+
+def test_trials_share_one_generator_set(monkeypatch, tmp_path):
+    built = []
+    post_init = GeneratorSet.__post_init__
+    monkeypatch.setattr(GeneratorSet, "__post_init__",
+                        lambda self: built.append(self.kind) or post_init(self))
+    monkeypatch.setenv("AMWAVE_THREADS", "1")
+    for generator in ("both", "su3_gellmann"):
+        assert main(["verify", "zca", "--trials", "6", "--seed", "3",
+                     "--generator", generator,
+                     "--out", str(tmp_path / "report.json")]) == EXIT_PASS
+    assert len(built) == len(set(built)) <= 3
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(
@@ -281,6 +303,16 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert main(["zitter", "--steps", "4", "--out", str(target)]) == EXIT_USAGE
     assert os.listdir(tmp_path) == ["taken"]
     assert os.listdir(target) == []
+
+
+def test_write_refuses_non_regular_target(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code, err = run_main(["verify", "wca", "--trials", "1", "--out", str(fifo)])
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("i/o error:")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 def test_written_report_has_default_file_mode(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amwave.algebra import OperatorVector3, cross, make_generators
+from amwave.algebra import OperatorVector3, cross, make_generators, numeric_lift
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -22,6 +22,7 @@ from amwave.fields import (
     fields_from_potentials,
     grad,
     laplacian,
+    ncross,
     ndot,
     random_family,
     vcross,
@@ -271,6 +272,46 @@ def test_coplanarity_enforced():
     with pytest.raises(ValueError, match="coplanar"):
         SolutionFamily(ctx=ctx, R=(zero, np.array([1.0, 0, 0]),
                                    np.array([0, 1.0, 0]), np.array([0, 0, 1.0])))
+
+
+def test_coplanarity_names_the_first_offending_pair():
+    gens = make_generators("su3_gellmann")
+    rng = np.random.default_rng(4)
+    bad = random_family(gens, rng, coplanar=False)
+    with pytest.raises(ValueError, match=r"R_1, R_2 are not coplanar"):
+        SolutionFamily(ctx=bad.ctx, R=bad.R)
+    # commuting generators (G_3, G_8) may leave the plane
+    R = [np.zeros(3)] * 9
+    R[3], R[8] = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
+    ctx = WaveContext(generators=gens, k=np.array([0, 0, 1.0]))
+    SolutionFamily(ctx=ctx, R=tuple(R))
+    R[1] = np.array([0, 1.0, 0])
+    with pytest.raises(ValueError, match=r"R_1, R_3 are not coplanar"):
+        SolutionFamily(ctx=ctx, R=tuple(R))
+
+
+def test_cached_context_and_family_values_are_read_only():
+    fam = random_family(make_generators("su2_spin_one"), np.random.default_rng(8))
+    ctx = fam.ctx
+    assert ctx.knorm == float(np.linalg.norm(ctx.k))
+    np.testing.assert_array_equal(ctx.khat, ctx.k / np.linalg.norm(ctx.k))
+    np.testing.assert_array_equal(ctx.k_lift, numeric_lift(ctx.k, ctx.dim))
+    assert fam.tau is fam.tau and ctx.khat is ctx.khat
+    for arr in (fam.tau.comps, ctx.khat, ctx.k_lift, ctx.k):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_difference_is_sum_with_negation(kind):
+    fam = random_family(make_generators(kind), np.random.default_rng(6), g=0.3)
+    b, e = build_fields(fam)
+    pairs = [(b, ncross(fam.ctx.khat, e)), (e, -1.0 * ncross(fam.ctx.khat, b)),
+             (b, b), (b, 0.5 * b)]
+    for f, g in pairs:
+        want, got = f + (-1.0) * g, f - g
+        assert got.orders == want.orders and got.norm == want.norm
+        np.testing.assert_array_equal(got.amps, want.amps)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -15,6 +15,7 @@ from amwave.poynting import (
     NonTransverseAmplitude,
     amw_flux,
     em_flux,
+    flux_averages,
     flux_quadrature,
     flux_quadrature_blocks,
 )
@@ -174,7 +175,7 @@ def test_timeseries_matches_sample_loop(kind):
     cfg = RunConfig(suite="poynting", steps=33, samples=5)
     header, rows = poynting_timeseries(cfg, fam)
     got = dict(zip(header, np.array(rows).T))
-    ts = np.linspace(0.0, fam.ctx.period, cfg.steps)
+    ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
     khat, d = fam.ctx.khat, fam.ctx.dim
     want = {key: np.einsum("i,tiaa->t", khat, val).real / d
             for key, val in loop_blocks(fam, ts, np.zeros(3)).items()}
@@ -201,3 +202,38 @@ def test_quadrature_of_an_empty_field_is_zero():
     assert all(v.norm == 0.0 for v in flux_quadrature_blocks(fam, samples=5).values())
     _, rows = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
     assert [row[1:] for row in rows] == [[0.0] * 4] * 3
+
+
+@pytest.mark.parametrize("steps", (5, 6, 33, 128))
+@pytest.mark.parametrize("kind", KINDS)
+def test_last_running_average_is_the_closed_form(kind, steps):
+    rng = np.random.default_rng(29)
+    fam = random_family(make_generators(kind), rng, g=0.4)
+    _, rows = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
+    closed = amw_flux(fam).vector.comps
+    want = np.einsum("i,iaa->", fam.ctx.khat, closed).real / fam.ctx.dim
+    assert rows[-1][-1] == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert rows[-1][0] < fam.ctx.period
+
+
+@pytest.mark.parametrize("samples", (0, -1))
+def test_bad_sample_counts_raise(samples):
+    fam = xz_family()
+    for call in (flux_quadrature, flux_quadrature_blocks):
+        with pytest.raises(ValueError, match="samples"):
+            call(fam, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        flux_averages(fam, samples, (None,))
+
+
+def test_averages_at_several_positions_match_single_calls():
+    rng = np.random.default_rng(31)
+    fam = random_family(make_generators("su2_spin_one"), rng, g=0.4)
+    r = rng.uniform(-1, 1, 3)
+    at_r, at_origin = flux_averages(fam, 7, (r, None))
+    for got, pos in ((at_r, r), (at_origin, None)):
+        blocks = flux_quadrature_blocks(fam, samples=7, r=pos)
+        assert got.keys() == blocks.keys()
+        for key, val in blocks.items():
+            np.testing.assert_array_equal(got[key], val.comps)
+    np.testing.assert_array_equal(at_r["total"], flux_quadrature(fam, 7, r).comps)
