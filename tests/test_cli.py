@@ -337,9 +337,31 @@ def test_zitter_timeseries_zero_theta(tmp_path):
 def test_zitter_timeseries_matches_closed_form():
     cfg = RunConfig(suite="zitter", theta=0.7, pair=(1, 4),
                     momentum=(0.0, 0.0, 0.8), steps=200)
-    _, rows = zitter_timeseries(cfg)
+    _, rows, dev = zitter_timeseries(cfg)
     devs = [row[-1] for row in rows]
     assert max(devs) <= 1e-12
+    assert devs == dev.tolist()
+
+
+@pytest.mark.parametrize("pair", ["2,3", "2,4"])
+def test_zitter_pairs_without_closed_form_leave_columns_blank(tmp_path, pair):
+    out = tmp_path / "z.csv"
+    assert main(["zitter", "--pair", pair, "--steps", "5", "--out", str(out)]) == EXIT_PASS
+    rows = list(csv.reader(out.open()))[1:]
+    assert len(rows) == 5
+    assert all(row[4:] == ["", "", "", ""] for row in rows)
+    cfg = RunConfig(suite="zitter", pair=tuple(int(x) for x in pair.split(",")), steps=5)
+    assert zitter_timeseries(cfg)[2].size == 0
+
+
+def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
+    def nan_series(spec, ctx, ts, spin=False):
+        return np.full((len(ts), 3), np.nan)
+
+    monkeypatch.setattr("amwave.cli.zitter_expectation_series", nan_series)
+    out = tmp_path / "z.csv"
+    assert main(["zitter", "--pair", "1,3", "--steps", "3", "--out", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("FAIL zitter: max |numeric - closed| = nan")
 
 
 def test_zitter_header_only_when_steps_zero(tmp_path):

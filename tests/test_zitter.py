@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from amwave import zitter
 from amwave.algebra import OperatorMatrix, commutator
 from amwave.zitter import (
+    ALPHA,
+    BETA,
+    SERIES_BLOCK,
+    SIGMA,
     DiracContext,
     PolarSingularity,
     SuperpositionSpec,
@@ -19,6 +24,7 @@ from amwave.zitter import (
     projectors,
     spin_closed_form,
     spin_closed_form_z,
+    zitter_expectation_series,
     zitter_position_expectation,
     zitter_position_operator,
     zitter_spin_expectation,
@@ -282,3 +288,140 @@ def test_amplitude_frequency_bounds_and_si():
     assert a_si == pytest.approx(1.9308e-13, rel=5e-4)
     assert a_si == pytest.approx(lam / (4 * np.pi), rel=1e-12)
     assert omega_si == pytest.approx(1.55269e21, rel=5e-5)
+
+
+# --- stacked time series ------------------------------------------------------
+
+def reference_position_operator(ctx, t):
+    """Z_r(t) by the one-time formula, one 4x4 product at a time."""
+    w, v = np.linalg.eigh(hamiltonian(ctx).mat)
+    hinv = v @ np.diag(1.0 / w) @ v.conj().T
+    phase = v @ np.diag(np.exp(-2j * w * t / ctx.hbar) - 1.0) @ v.conj().T
+    tail = hinv @ phase
+    alpha = dirac_matrices()[0].comps
+    return np.stack([(0.5j * ctx.hbar * ctx.c)
+                     * (alpha[i] - ctx.c * ctx.p[i] * hinv) @ tail for i in range(3)])
+
+
+def reference_expectation(spec, ctx, t, spin):
+    zr = reference_position_operator(ctx, t)
+    p = ctx.p
+    op = np.stack([-(zr[(i + 1) % 3] * p[(i + 2) % 3] - zr[(i + 2) % 3] * p[(i + 1) % 3])
+                   for i in range(3)]) if spin else zr
+    psi = spec.state_vector(ctx)
+    return np.einsum("a,iab,b->i", psi.conj(), op, psi).real
+
+
+SPECS = [SuperpositionSpec(0.6, pair) for pair in ((1, 3), (1, 4), (2, 3), (2, 4))] \
+    + [SuperpositionSpec(0.9, coefficients=(0.6, 0.8j, 0.3, -0.1))]
+
+
+def series_contexts():
+    rng = np.random.default_rng(30)
+    ctxs = [DiracContext(p=np.array([0.0, 0.0, 0.8])),
+            DiracContext(p=np.array([0.0, 0.0, 0.35]), hbar=1.7, c=0.6)]
+    return ctxs + [random_ctx(rng, hbar=rng.uniform(0.5, 2.0)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_stacked_series_matches_per_time_evaluation_bitwise(steps):
+    for ctx in series_contexts():
+        ts = np.linspace(0.0, 3.0 * np.pi * ctx.hbar / ctx.energy, steps)
+        for spec in SPECS:
+            for spin in (False, True):
+                got = zitter_expectation_series(spec, ctx, ts, spin=spin)
+                assert got.shape == (steps, 3)
+                one = zitter_spin_expectation if spin else zitter_position_expectation
+                want = np.array([one(spec, ctx, t) for t in ts]).reshape(steps, 3)
+                assert np.array_equal(got, want)
+                ref = np.array([reference_expectation(spec, ctx, t, spin)
+                                for t in ts]).reshape(steps, 3)
+                assert np.array_equal(got, ref)
+        for theta in (0.0, 0.7):
+            pos = position_closed_form(theta, ctx, ts)
+            spin = spin_closed_form(theta, ctx, ts)
+            assert pos.shape == spin.shape == (steps, 3)
+            for row, t in enumerate(ts):
+                assert np.array_equal(pos[row], position_closed_form(theta, ctx, t))
+                assert np.array_equal(spin[row], spin_closed_form(theta, ctx, t))
+
+
+def test_stacked_series_crosses_a_block_boundary_bitwise():
+    ctx = DiracContext(p=np.array([0.3, -0.4, 0.9]))
+    ts = np.linspace(0.0, 4.0, SERIES_BLOCK + 1)
+    for spec, spin in ((SuperpositionSpec(0.5, (1, 3)), False),
+                       (SuperpositionSpec(0.5, (1, 4)), True)):
+        got = zitter_expectation_series(spec, ctx, ts, spin=spin)
+        want = np.array([reference_expectation(spec, ctx, t, spin) for t in ts])
+        assert np.array_equal(got, want)
+
+
+def test_one_time_operators_match_reference_bitwise():
+    rng = np.random.default_rng(31)
+    for ctx in series_contexts():
+        for t in (0.0, rng.uniform(0.0, 6.0), -rng.uniform(0.0, 2.0)):
+            zr = reference_position_operator(ctx, t)
+            assert np.array_equal(zitter_position_operator(ctx, t).comps, zr)
+            p = ctx.p
+            zs = np.stack([-(zr[(i + 1) % 3] * p[(i + 2) % 3]
+                             - zr[(i + 2) % 3] * p[(i + 1) % 3]) for i in range(3)])
+            assert np.array_equal(zitter_spin_operator(ctx, t).comps, zs)
+
+
+def test_series_is_evaluated_in_fixed_blocks(monkeypatch):
+    sizes = []
+    stack = zitter._position_stack
+
+    def spy(ctx, ts):
+        sizes.append(len(ts))
+        return stack(ctx, ts)
+
+    monkeypatch.setattr(zitter, "_position_stack", spy)
+    ctx = DiracContext(p=np.array([0.0, 0.0, 0.8]))
+    spec = SuperpositionSpec(0.4, (1, 3))
+    ts = np.linspace(0.0, 1.0, 2 * SERIES_BLOCK + 3)
+    whole = zitter_expectation_series(spec, ctx, ts)
+    assert sizes == [SERIES_BLOCK, SERIES_BLOCK, 3]
+    # the block length changes no value
+    monkeypatch.setattr(zitter, "SERIES_BLOCK", 7)
+    sizes.clear()
+    assert np.array_equal(zitter_expectation_series(spec, ctx, ts), whole)
+    assert sizes == [min(7, len(ts) - start) for start in range(0, len(ts), 7)]
+
+
+def test_series_rejects_non_finite_times():
+    ctx = DiracContext(p=np.array([0.0, 0.0, 0.8]))
+    spec = SuperpositionSpec(0.4, (1, 3))
+    with pytest.raises(ValueError, match="finite"):
+        zitter_expectation_series(spec, ctx, [0.0, np.nan])
+    with pytest.raises(ValueError, match="finite"):
+        zitter_position_expectation(spec, ctx, np.inf)
+    with pytest.raises(PolarSingularity):
+        zitter_expectation_series(spec, DiracContext(p=np.array([0.0, 0.0, -0.7])), [0.0])
+
+
+def test_imaginary_expectation_is_rejected_per_row():
+    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    eye = np.eye(4)
+    loud = np.broadcast_to(1e6 * eye + 1e-5j * eye, (3, 4, 4))  # imag/scale 1e-11
+    quiet = np.broadcast_to(1e-9j * eye, (3, 4, 4))             # imag/scale 1e-9
+    assert np.array_equal(zitter._expectations(np.stack([loud]), psi),
+                          np.full((1, 3), 1e6))
+    # the quiet row fails against its own scale, not against the loud row's
+    with pytest.raises(ValueError, match="complex"):
+        zitter._expectations(np.stack([loud, quiet]), psi)
+
+
+def test_constants_and_caches_are_read_only():
+    alpha, beta, sigma = dirac_matrices()
+    assert alpha is ALPHA and beta is BETA and sigma is SIGMA
+    ctx = DiracContext(p=np.array([0.2, -0.1, 0.7]))
+    w, v, vh = ctx.spectrum
+    assert ctx.hinv is ctx.hinv and ctx.spectrum is ctx.spectrum
+    assert eigenstates(ctx) is eigenstates(ctx)
+    for arr in (ALPHA.comps, BETA.mat, SIGMA.comps, ctx.hmat, w, v, vh, ctx.hinv,
+                ctx.phat, ctx.position_prefactor, eigenstates(ctx)[0].amplitudes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert np.array_equal(vh, v.conj().T)
+    assert np.abs(ctx.hinv @ hamiltonian(ctx).mat - np.eye(4)).max() <= 1e-12

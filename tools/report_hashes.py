@@ -1,27 +1,39 @@
-"""Determinism gate: sha256 of the report body for a fixed set of runs.
+"""Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 21 runs:
-all nine suites at seeds 1 and 42 with 25 trials (poynting: 3 trials,
-200 samples), plus wca/zca/exact at seed 7 with the su3_gellmann
-generator.  The hashed body is exactly what ``amwave verify --out``
-writes.  A refactor that promises byte-identical reports runs this
-against the old and the new source tree and compares the output:
+Prints one line per configuration, ``<sha256>  <label>``, for 30 runs:
+
+- 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
+  (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
+  the su3_gellmann generator.  The hashed body is exactly what
+  ``amwave verify --out`` writes.
+- 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
+  each at the default momentum 0,0,0.8 (exact zeros in p) and at the
+  off-axis momentum 0.3,-0.4,0.9.
+- 1 ``amwave poynting --seed 2`` CSV body.
+
+The CSV bodies are exactly what the command writes with ``--out``.  A
+refactor that promises byte-identical output runs this against the old
+and the new source tree and compares the output:
 
     PYTHONPATH=src python tools/report_hashes.py > new.txt
     PYTHONPATH=/path/to/old/checkout/src python tools/report_hashes.py > old.txt
     diff old.txt new.txt
-
-Run it once with AMWAVE_THREADS=1 and once at the default worker count;
-reports must not depend on either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 
-from amwave.cli import SUITES, RunConfig, run_suite
+from amwave.cli import SUITES, RunConfig, main as cli_main, run_suite
+
+ZITTER_PAIRS = ("1,3", "1,4", "2,3", "2,4")
+ZITTER_MOMENTA = ("0,0,0.8", "0.3,-0.4,0.9")
 
 
 def configs():
@@ -37,12 +49,33 @@ def configs():
             suite=suite, seed=7, trials=25, generator="su3_gellmann")
 
 
+def exports():
+    for pair in ZITTER_PAIRS:
+        for momentum in ZITTER_MOMENTA:
+            yield (f"zitter csv pair={pair} momentum={momentum}",
+                   ["zitter", "--pair", pair, f"--momentum={momentum}"])
+    yield "poynting csv seed=2", ["poynting", "--seed", "2"]
+
+
+def export_body(argv: list[str]) -> bytes:
+    """The bytes ``amwave <argv> --out FILE`` writes; the verdict on stderr
+    is dropped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli_main([*argv, "--out", path])
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def main() -> int:
     import amwave
     print(f"# amwave from {amwave.__file__}", file=sys.stderr)
     for label, cfg in configs():
         body = json.dumps(run_suite(cfg), indent=2) + "\n"
         print(f"{hashlib.sha256(body.encode()).hexdigest()}  {label}")
+    for label, argv in exports():
+        print(f"{hashlib.sha256(export_body(argv)).hexdigest()}  {label}")
     return 0
 
 
