@@ -35,6 +35,11 @@ _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
+class NonFiniteValue(ValueError):
+    """A value that must be finite is NaN or infinite: a non-finite input,
+    or an amplitude that overflowed."""
+
+
 class DimMismatch(ValueError):
     """Operands live in representation spaces of different dimension."""
 
@@ -52,7 +57,7 @@ def _square_complex(data) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteValue("matrix entries must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -134,7 +139,7 @@ class OperatorVector3:
         if arr.ndim != 3 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected shape (3, d, d), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("vector entries must be finite")
+            raise NonFiniteValue("vector entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "comps", arr)
 
@@ -203,19 +208,36 @@ def operator_norm(arr: np.ndarray) -> float:
     return max(_frobenius(arr[i]) for i in range(3))
 
 
-def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:
-    """Components, shape (3, d, d), of the operator vector v (x) identity."""
-    return np.einsum("i,ab->iab", np.asarray(v, dtype=complex), np.eye(dim))
+def frobenius_norms(arr: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every (d, d) matrix in a stack (..., d, d).
 
+    Each norm has ``_frobenius``'s bits: the squares are summed by a stacked
+    (1, n) @ (n, 1) ``matmul``, which numpy hands to the same BLAS dot.
+    A batched ``einsum`` or ``sum`` orders the sum differently and misses
+    the last bit on a few percent of inputs.
+    """
+    x = arr.reshape(arr.shape[:-2] + (1, arr.shape[-2] * arr.shape[-1]))
+    re, im = x.real, x.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:
+    """Components, shape (..., 3, d, d), of the operator vector v (x) identity
+    for each real 3-vector in v (shape (..., 3))."""
+    return np.einsum("...i,ab->...iab", np.asarray(v, dtype=complex), np.eye(dim))
+
+
+# The raw kernels take stacks: leading axes (a trial axis) broadcast.
 
 def cross_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``cross`` on raw (3, d, d) component arrays."""
-    return np.einsum("ijk,jab,kbc->iac", _EPS, u, v)
+    """``cross`` on raw (..., 3, d, d) component arrays."""
+    return np.einsum("ijk,...jab,...kbc->...iac", _EPS, u, v)
 
 
 def dot_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``dot`` on raw (3, d, d) component arrays."""
-    return np.einsum("iab,ibc->ac", u, v)
+    """``dot`` on raw (..., 3, d, d) component arrays."""
+    return np.einsum("...iab,...ibc->...ac", u, v)
 
 
 def _promote(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray]:

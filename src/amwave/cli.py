@@ -7,10 +7,14 @@ given (config, seed) produces bit-identical reports.  Reports carry no
 timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
-listed), 2 usage or configuration error.  Trials run in one thread, in
-trial order.  The environment variable AMWAVE_THREADS is still accepted
-and validated (a non-integer is a configuration error) but sets nothing:
-a thread pool was slower than one thread for every suite.
+listed), 2 usage or configuration error (including a family whose
+amplitudes overflow).  Every trial draws its family first; the condition
+suites (wca, zca, exact, full, gauge, su3) then evaluate the trials of
+each generator kind as one batch on a leading trial axis, and boost,
+zitter and poynting run their trials one after another.  The environment
+variable AMWAVE_THREADS is still accepted and validated (a non-integer is
+a configuration error) but sets nothing: a thread pool was slower than
+one thread for every suite.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 import yaml
 
-from .algebra import make_generators, operator_norm, structure_constants
+from .algebra import NonFiniteValue, make_generators, operator_norm, structure_constants
 from .fields import (
+    FamilyBatch,
     SolutionFamily,
     WaveContext,
     build_fields,
@@ -49,16 +55,16 @@ from .relativity import (
 )
 from .residuals import (
     ResidualItem,
-    exact_conditions,
-    full_ym_residuals,
-    maxwell_type_residuals,
-    property_battery,
-    report_from_fields,
+    condition_residuals,
+    field_scale,
+    maxwell_type_fields,
+    named_residuals,
+    property_battery_fields,
     wca_condition_fields,
-    wca_conditions,
-    zca_conditions,
+    ym_equation_fields,
 )
 from .zitter import (
+    SERIES_BLOCK,
     DiracContext,
     SuperpositionSpec,
     position_closed_form,
@@ -125,6 +131,10 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
+        for name in ("trials", "seed", "steps", "samples"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {val!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.tolerance is not None and not 0.0 < self.tolerance < np.inf:
@@ -138,7 +148,6 @@ class RunConfig:
             raise ConfigError("samples must be >= 5 (exact flux quadrature)")
         if self.t_max is not None and not np.isfinite(self.t_max):
             raise ConfigError("t_max must be finite")
-        self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # the program's own constructors hold the rules; building what the
@@ -272,18 +281,66 @@ def _trial_family(cfg: RunConfig, i: int, rng) -> SolutionFamily:
                          c=cfg.c, g=cfg.coupling)
 
 
-# --- suites: the items of one trial ------------------------------------------------
+# --- suites: the items of a group of trials ---------------------------------------
+#
+# A suite maps (cfg, families, rngs) for the trials of one generator kind
+# to columns (item name, one residual per trial, tolerance).  The condition
+# suites evaluate the group as one FamilyBatch; the others run trial by
+# trial.
 
-def _zca_trial(cfg: RunConfig, fam: SolutionFamily, rng):
-    items = zca_conditions(fam, cfg.tol).items
-    b, e = build_fields(fam)
-    return (items + maxwell_type_residuals(b, e, fam.ctx, cfg.tol).items
-            + property_battery(b, e, fam.ctx, cfg.tol).items)
+
+def _batched(residuals):
+    """A suite evaluated on the whole group at once: ``residuals`` maps the
+    FamilyBatch and the trials' generators to (name, residuals) pairs, all
+    held to the suite tolerance."""
+    def run(cfg: RunConfig, fams, rngs):
+        return [(name, r, cfg.tol) for name, r in residuals(FamilyBatch(tuple(fams)), rngs)]
+    return run
 
 
-def _full_trial(cfg: RunConfig, fam: SolutionFamily, rng):
-    a, phi = build_potentials(fam)
-    return full_ym_residuals(a, phi, fam.ctx, cfg.tol).items
+def _each(trial):
+    """A suite run trial by trial: ``trial`` gives one trial's items."""
+    def run(cfg: RunConfig, fams, rngs):
+        rows = [trial(cfg, fam, rng) for fam, rng in zip(fams, rngs)]
+        return [(it.name, [row[k].residual for row in rows], it.tolerance)
+                for k, it in enumerate(rows[0])]
+    return run
+
+
+def _conditions(label: str):
+    return _batched(lambda fams, rngs: condition_residuals(label, fams))
+
+
+def _zca_residuals(fams: FamilyBatch, rngs):
+    b, e = build_fields(fams)
+    named = maxwell_type_fields(b, e, fams.ctx) + property_battery_fields(b, e, fams.ctx)
+    return condition_residuals("zca", fams) + named_residuals(named, field_scale(b, e))
+
+
+def _full_residuals(fams: FamilyBatch, rngs):
+    a, phi = build_potentials(fams)
+    return named_residuals(ym_equation_fields(a, phi, fams.ctx), field_scale(a))
+
+
+def _gauge_residuals(fams: FamilyBatch, rngs):
+    """Full-equation residuals before and after a random constant gauge
+    rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
+    right after its family, and the wca conditions on the rotated wave."""
+    ctx = fams.ctx
+    gens = ctx.generators
+    coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
+    herm = gens.identity.mat * 0.0
+    for c, g in zip(coeffs.T, gens.generators):
+        herm = herm + g.mat * c[:, None, None]
+    u = unitary_exponential(herm)
+    a, phi = build_potentials(fams)
+    ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
+    before = named_residuals(ym_equation_fields(a, phi, ctx), field_scale(a))
+    after = named_residuals(ym_equation_fields(ac, pc, ctx), field_scale(ac))
+    drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
+    conj_wca = named_residuals(wca_condition_fields(ac, pc, ctx), field_scale(a))
+    return [("residual_norm_invariance", drift),
+            ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
 
 
 def _boost_trial(cfg: RunConfig, fam: SolutionFamily, rng):
@@ -293,25 +350,6 @@ def _boost_trial(cfg: RunConfig, fam: SolutionFamily, rng):
         items += [ResidualItem(f"v={v:+g}c/{it.name}", it.residual, it.tolerance)
                   for it in rep.items]
     return items
-
-
-def _gauge_trial(cfg: RunConfig, fam: SolutionFamily, rng):
-    gens = fam.ctx.generators
-    herm = sum((float(c) * g for c, g in
-                zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
-               start=0.0 * gens.identity)
-    u = unitary_exponential(herm)
-    a, phi = build_potentials(fam)
-    ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
-    before = full_ym_residuals(a, phi, fam.ctx, cfg.tol)
-    after = full_ym_residuals(ac, pc, fam.ctx, cfg.tol)
-    drift = max(abs(x.residual - y.residual)
-                for x, y in zip(before.items, after.items))
-    conj_wca = report_from_fields(
-        "wca", wca_condition_fields(ac, pc, fam.ctx), cfg.tol, max(1.0, a.norm))
-    worst = max(it.residual for it in conj_wca.items)
-    return [ResidualItem("residual_norm_invariance", drift, cfg.tol),
-            ResidualItem("conjugated_wca", worst, cfg.tol)]
 
 
 def _zitter_trial(cfg: RunConfig, _, rng):
@@ -352,17 +390,16 @@ def _poynting_trial(cfg: RunConfig, fam: SolutionFamily, rng):
             ResidualItem("abelian_equals_em", abelian_err, 1e-10)]
 
 
-# suite -> the items of one trial, given its family and its generator
 _TRIALS = {
-    "wca": lambda cfg, fam, rng: wca_conditions(fam, cfg.tol).items,
-    "zca": _zca_trial,
-    "exact": lambda cfg, fam, rng: exact_conditions(fam, cfg.tol).items,
-    "full": _full_trial,
-    "boost": _boost_trial,
-    "gauge": _gauge_trial,
-    "zitter": _zitter_trial,
-    "poynting": _poynting_trial,
-    "su3": lambda cfg, fam, rng: zca_conditions(fam, cfg.tol).items,
+    "wca": _conditions("wca"),
+    "zca": _batched(_zca_residuals),
+    "exact": _conditions("exact"),
+    "full": _batched(_full_residuals),
+    "boost": _each(_boost_trial),
+    "gauge": _batched(_gauge_residuals),
+    "zitter": _each(_zitter_trial),
+    "poynting": _each(_poynting_trial),
+    "su3": _conditions("zca"),
 }
 
 
@@ -384,20 +421,27 @@ def _su3_constants(tol: float) -> list[ResidualItem]:
 
 
 def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
-    """Every trial's items, each named trialNNN/<item>, from trials run one
-    after another in trial order.  A trial draws its wave family first;
-    zitter trials draw no family."""
-    trial = _TRIALS[cfg.suite]
+    """Every trial's items, each named trialNNN/<item>, in trial order.
+
+    Each trial first draws its wave family (zitter trials draw none) from
+    its own generator; then the trials of each generator kind run as one
+    group, and whatever a suite draws later comes from the same per-trial
+    generators, so grouping changes no value."""
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
-
+    fams = [None if cfg.suite == "zitter" else _trial_family(cfg, i, rng)
+            for i, rng in enumerate(rngs)]
     _worker_count(cfg.trials)  # validates AMWAVE_THREADS; trials run in this thread
-    items = []
-    for i, rng in enumerate(rngs):
-        fam = None if cfg.suite == "zitter" else _trial_family(cfg, i, rng)
-        items += [ResidualItem(f"trial{i:03d}/{it.name}", it.residual, it.tolerance)
-                  for it in trial(cfg, fam, rng)]
-    return items
+    groups: dict[str, list[int]] = {}
+    for i in range(cfg.trials):
+        groups.setdefault(_trial_kind(cfg, i), []).append(i)
+    per_trial = [[] for _ in rngs]
+    for idx in groups.values():
+        columns = _TRIALS[cfg.suite](cfg, [fams[i] for i in idx], [rngs[i] for i in idx])
+        for name, residuals, tol in columns:
+            for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
+                per_trial[i].append(ResidualItem(f"trial{i:03d}/{name}", r, tol))
+    return [it for items in per_trial for it in items]
 
 
 def run_suite(cfg: RunConfig) -> dict:
@@ -445,7 +489,34 @@ def write_report(report: dict, path: str | None):
 
 # --- time series -----------------------------------------------------------------
 
-def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], list[list], np.ndarray]:
+class _Rows(Sequence):
+    """The rows of a time-series table, made SERIES_BLOCK at a time as they
+    are read, so an export never holds more than one block of them.
+
+    ``block(start, stop)`` gives the numeric columns of rows start..stop-1;
+    a row is a list of their floats followed by ``blank`` cells.
+    """
+
+    def __init__(self, n: int, block, blank=()):
+        self._n, self._block, self._blank = n, block, list(blank)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _rows(self, start: int, stop: int) -> list[list]:
+        rows = np.column_stack(self._block(start, stop)).tolist()
+        return [row + self._blank for row in rows] if self._blank else rows
+
+    def __getitem__(self, i: int) -> list:
+        i = range(self._n)[i]
+        return self._rows(i, i + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, self._n, SERIES_BLOCK):
+            yield from self._rows(start, min(start + SERIES_BLOCK, self._n))
+
+
+def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.ndarray]:
     """Rows of (t, numeric expectation, closed form, deviation), and the
     deviation column on its own.
 
@@ -453,7 +524,9 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], list[list], np.ndarray
     equal-helicity mixes, spin wobble for the opposite-helicity ones.
     Closed-form columns are filled for the (1,3) position and (1,4) spin
     cases and left blank otherwise; the deviation column is then empty.
-    The whole series is one stacked evaluation over t.
+    The series is evaluated SERIES_BLOCK times at a time as the rows are
+    read, and each block fills in its part of the deviation column, which
+    holds NaN until then (so a verdict taken before the rows fails).
     """
     ctx = DiracContext(p=np.array(cfg.momentum), hbar=cfg.hbar, c=cfg.c)
     spec = SuperpositionSpec(cfg.theta, cfg.pair)
@@ -462,17 +535,23 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], list[list], np.ndarray
     header = ["t", "num_x", "num_y", "num_z",
               "closed_x", "closed_y", "closed_z", "abs_dev"]
     ts = np.linspace(0.0, t_max, cfg.steps)
-    num = zitter_expectation_series(spec, ctx, ts, spin=spin_like)
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
-    if closed_form is None:
-        blank = ["", "", "", ""]
-        return header, [row + blank for row in np.column_stack((ts, num)).tolist()], np.empty(0)
-    closed = closed_form(cfg.theta, ctx, ts)
-    dev = np.abs(num - closed).max(axis=1)
-    return header, np.column_stack((ts, num, closed, dev)).tolist(), dev
+    dev = np.full(cfg.steps if closed_form else 0, np.nan)
+
+    def block(start, stop):
+        t = ts[start:stop]
+        num = zitter_expectation_series(spec, ctx, t, spin=spin_like)
+        if closed_form is None:
+            return t, num
+        closed = closed_form(cfg.theta, ctx, t)
+        dev[start:stop] = np.abs(num - closed).max(axis=1)
+        return t, num, closed, dev[start:stop]
+
+    blank = ("",) * 4 if closed_form is None else ()
+    return header, _Rows(cfg.steps, block, blank), dev
 
 
-def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], list[list]]:
+def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], Sequence[list]]:
     """Instantaneous flux blocks along khat plus the running average.
 
     Each block column is the identity part (trace over dimension) of
@@ -484,10 +563,11 @@ def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str],
     blocks = flux_block_series(fam, ts)
     running = np.cumsum(blocks["total"]) / np.arange(1, len(ts) + 1)
     cols = (ts, blocks["first"], blocks["mixed"], blocks["second"], running)
-    return ["t", "first", "mixed", "second", "running_avg"], np.column_stack(cols).tolist()
+    return (["t", "first", "mixed", "second", "running_avg"],
+            _Rows(len(ts), lambda start, stop: [c[start:stop] for c in cols]))
 
 
-def write_timeseries(header: list[str], rows: list[list], path: str | None):
+def write_timeseries(header: list[str], rows, path: str | None):
     def emit(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -593,7 +673,7 @@ def _cmd_verify(args) -> int:
 def _cmd_zitter(args) -> int:
     cfg = _collect_config(args, "zitter")
     header, rows, dev = zitter_timeseries(cfg)
-    write_timeseries(header, rows, cfg.out or cfg.timeseries)
+    write_timeseries(header, rows, cfg.out or cfg.timeseries)  # fills in dev
     worst = float(dev.max()) if dev.size else 0.0  # a NaN deviation propagates
     if not worst <= cfg.tol:
         print(f"FAIL zitter: max |numeric - closed| = {worst:.3e}", file=sys.stderr)
@@ -628,9 +708,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # an overflow is reported once, by the checks on amplitudes and
+        # residuals, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NonFiniteValue as exc:
+        print(f"config error: a value overflowed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -16,6 +16,12 @@ termwise and exactly:
 Products of fields multiply amplitudes in the written order and add the
 harmonic orders, which is what turns the nonlinear gauge-field equations
 into finite per-order operator identities.
+
+A field lives on one wave (``WaveContext``) or on a batch of T waves, one
+per trial (``WaveBatch``).  A batch puts a trial axis in front of every
+amplitude, so one evaluation of an expression serves all T trials; a field
+on one wave is the same code with an empty trial axis, and each trial of
+a batch gets the bits its own single-wave field would get.
 """
 
 from __future__ import annotations
@@ -29,15 +35,16 @@ import numpy as np
 
 from .algebra import (
     GeneratorSet,
+    NonFiniteValue,
     OperatorMatrix,
     OperatorVector3,
     cross,
     cross_comps,
     dot,
     dot_comps,
+    frobenius_norms,
     make_generators,
     numeric_lift,
-    operator_norm,
 )
 
 # Amplitudes this much smaller than the largest term are dropped when
@@ -54,6 +61,8 @@ class WaveContext:
     omega: float | None = None
     c: float = 1.0
     g: float = 0.1
+
+    batch_shape = ()  # one wave: amplitudes carry no trial axis
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
@@ -100,30 +109,113 @@ class WaveContext:
         return 2.0 * np.pi / self.omega
 
 
-def _compatible(a: WaveContext, b: WaveContext) -> bool:
-    return (a is b) or (np.array_equal(a.k, b.k) and a.omega == b.omega
+class _Stacked:
+    """A WaveBatch attribute: each wave's own value of the same name,
+    stacked on axis 0 into a read-only array and cached."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, batch, owner=None):
+        arr = np.array([getattr(w, self.name) for w in batch.waves])
+        arr.flags.writeable = False
+        batch.__dict__[self.name] = arr
+        return arr
+
+
+@dataclass(frozen=True, eq=False)
+class WaveBatch:
+    """The wave contexts of T trials on one leading axis.
+
+    The waves share one generator set, c and g.  ``k``, ``knorm``, ``khat``,
+    ``k_lift`` and ``omega`` stack each wave's own cached value along axis
+    0, so a batch computes with exactly the numbers its waves hold.
+    """
+
+    waves: tuple[WaveContext, ...]
+
+    k, knorm, khat, k_lift, omega = (_Stacked() for _ in range(5))
+
+    def __post_init__(self):
+        if not self.waves:
+            raise ValueError("a wave batch needs at least one wave")
+        first = self.waves[0]
+        if any(w.generators is not first.generators or w.c != first.c or w.g != first.g
+               for w in self.waves):
+            raise ValueError("the waves of a batch must share generators, c and g")
+
+    @property
+    def generators(self) -> GeneratorSet:
+        return self.waves[0].generators
+
+    @property
+    def c(self) -> float:
+        return self.waves[0].c
+
+    @property
+    def g(self) -> float:
+        return self.waves[0].g
+
+    @property
+    def dim(self) -> int:
+        return self.generators.dim
+
+    @property
+    def batch_shape(self) -> tuple[int]:
+        return (len(self.waves),)
+
+
+def _compatible(a, b) -> bool:
+    return (a is b) or (type(a) is type(b) and np.array_equal(a.k, b.k)
+                        and np.array_equal(a.omega, b.omega)
                         and a.c == b.c and a.g == b.g and a.dim == b.dim)
+
+
+def square(x):
+    """x ** 2 by Python's float power, for a float or each value of an
+    array.  A batch must square its per-trial values exactly as one wave
+    squares its float, and numpy's square of an array rounds differently
+    from pow() on about one value in a thousand."""
+    if np.ndim(x) == 0:
+        return x ** 2
+    return np.array([v ** 2 for v in np.asarray(x).tolist()])
+
+
+def _per_trial(x, a: np.ndarray):
+    """x, a scalar or one value per trial, shaped to broadcast against a
+    slot's amplitudes ``a`` (batch + ([3,] d, d))."""
+    if np.ndim(x) == 0:
+        return x
+    return np.reshape(x, np.shape(x) + (1,) * (a.ndim - np.ndim(x)))
 
 
 @dataclass(frozen=True, eq=False)
 class HarmonicField:
-    """A scalar or vector harmonic field on one wave context.
+    """A scalar or vector harmonic field on one wave or on a batch of waves.
 
-    ``orders`` are the harmonic orders, sorted; ``amps`` is one read-only
-    complex array holding amp_m for each of them, shape (H, d, d) for a
-    scalar field or (H, 3, d, d) for a vector field; ``norm`` is the largest
-    amplitude norm (``algebra.operator_norm``).  Build one with ``field``;
-    the operations below work on the raw arrays.
+    ``orders`` are the harmonic orders, sorted.  ``amps`` is one read-only
+    complex array holding amp_m for each of them, shape (H,) + batch +
+    (d, d) for a scalar field or (H,) + batch + (3, d, d) for a vector
+    field, where batch is ``ctx.batch_shape``: () on one wave, (T,) on a
+    WaveBatch.  ``norm`` is the largest amplitude norm
+    (``algebra.operator_norm``): a float on one wave, one per trial on a
+    batch.  On a batch each order is a slot shared by every trial; a trial
+    whose merge dropped that order holds zeros in it.  Build one with
+    ``field``; the operations below work on the raw arrays.
     """
 
-    ctx: WaveContext
+    ctx: WaveContext | WaveBatch
     orders: tuple[int, ...]
     amps: np.ndarray
-    norm: float
+    norm: float | np.ndarray
+
+    # numpy then defers to __rmul__, so one scalar per trial times a field
+    # scales each trial's amplitudes
+    __array_ufunc__ = None
 
     @property
     def is_vector(self) -> bool:
-        return self.amps.ndim == 4
+        return self.amps.ndim - len(self.ctx.batch_shape) == 4
 
     def raw_amplitude(self, m: int) -> np.ndarray:
         """amp_m as an array; zeros for an order the field does not hold."""
@@ -135,6 +227,7 @@ class HarmonicField:
         return _operator(self.raw_amplitude(m))
 
     def eval_at(self, r, t: float) -> OperatorMatrix | OperatorVector3:
+        """The field's value at (r, t), on one wave."""
         phase = self.ctx.k @ np.asarray(r, float) - self.ctx.omega * t
         out = np.zeros(self.amps.shape[1:], dtype=complex)
         for m, amp in zip(self.orders, self.amps):
@@ -164,8 +257,9 @@ class HarmonicField:
     def __neg__(self) -> "HarmonicField":
         return (-1.0) * self
 
-    def __mul__(self, scalar: complex) -> "HarmonicField":
-        return _termwise(self, self.is_vector, lambda m, a: a * scalar)
+    def __mul__(self, scalar) -> "HarmonicField":
+        """Times a scalar, or on a batch times one scalar per trial."""
+        return _termwise(self, self.is_vector, lambda m, a: a * _per_trial(scalar, a))
 
     __rmul__ = __mul__
 
@@ -174,46 +268,62 @@ def _operator(arr: np.ndarray) -> OperatorMatrix | OperatorVector3:
     return OperatorVector3(arr) if arr.ndim == 3 else OperatorMatrix(arr)
 
 
-def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
+def _collect(ctx: WaveContext | WaveBatch, vector: bool, pairs) -> HarmonicField:
     """The field sum_m amp_m of (order, amplitude array) pairs.
 
-    Same-order amplitudes are summed in first-seen order; amplitudes whose
-    norm is at most MERGE_DROP times the largest are dropped.  A non-finite
-    norm raises, so a NaN or inf can never be dropped as small.
+    Same-order amplitudes are summed in first-seen order into one slot per
+    order.  Per trial, an amplitude whose norm is at most MERGE_DROP times
+    that trial's largest is dropped: its slot is zeroed, which changes no
+    later sum since x + 0 == x, and a slot that no trial keeps is removed,
+    so on one wave exactly the orders above the cut remain.  A non-finite
+    norm raises NonFiniteValue, so a NaN or inf can never be dropped as
+    small.
     """
     acc: dict[int, np.ndarray] = {}
     for m, amp in pairs:
         acc[m] = amp if m not in acc else acc[m] + amp
-    norms = {m: operator_norm(amp) for m, amp in acc.items()}
-    for m, n in norms.items():
-        if not np.isfinite(n):
-            raise ValueError(f"amplitude of order {m} is not finite")
-    cut = MERGE_DROP * max(norms.values(), default=0.0)
-    orders = tuple(sorted(m for m, n in norms.items() if n > cut))
+    orders = sorted(acc)
     amps = (np.stack([acc[m] for m in orders]) if orders else
-            np.zeros((0,) + (3,) * vector + (ctx.dim, ctx.dim), dtype=complex))
+            np.zeros((0,) + ctx.batch_shape + (3,) * vector + (ctx.dim, ctx.dim),
+                     dtype=complex))
+    norms = frobenius_norms(amps)  # (H,) + batch [+ (3,)]
+    if vector:
+        norms = norms.max(axis=-1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        m = next(m for m in acc if bad[orders.index(m)].any())
+        raise NonFiniteValue(f"amplitude of order {m} is not finite")
+    top = norms.max(axis=0, initial=0.0)  # the largest norm, always kept
+    keep = norms > MERGE_DROP * top
+    if not keep.all():
+        held = keep.reshape(len(orders), -1).any(axis=1)
+        mask = keep.reshape(keep.shape + (1,) * (amps.ndim - keep.ndim))
+        amps = np.where(mask, amps, 0.0)[held]
+        orders = [m for m, h in zip(orders, held) if h]
     amps.flags.writeable = False
-    return HarmonicField(ctx, orders, amps, max((norms[m] for m in orders), default=0.0))
+    return HarmonicField(ctx, tuple(orders), amps, float(top) if top.ndim == 0 else top)
 
 
-def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
+def field(ctx: WaveContext | WaveBatch, amplitudes: Mapping[int, object]) -> HarmonicField:
     """The harmonic field sum_m amp_m exp(i m (k.r - omega t)).
 
     Each amplitude is an OperatorMatrix, an OperatorVector3 or a complex
-    array of shape (d, d) or (3, d, d) with d = ctx.dim; all must be
-    scalar or all vector.
+    array of shape batch + (d, d) or batch + (3, d, d), with batch =
+    ctx.batch_shape and d = ctx.dim; all must be scalar or all vector.
     """
-    d = ctx.dim
+    d, batch = ctx.dim, ctx.batch_shape
     arrays = {}
     for m, amp in amplitudes.items():
         arr = np.asarray(getattr(amp, "comps", getattr(amp, "mat", amp)), dtype=complex)
-        if arr.shape not in ((d, d), (3, d, d)):
-            raise ValueError(f"amplitude of order {m} has shape {arr.shape}, not ([3,] {d}, {d})")
+        if arr.shape not in (batch + (d, d), batch + (3, d, d)):
+            lead = f"{batch} + " if batch else ""
+            raise ValueError(f"amplitude of order {m} has shape {arr.shape}, "
+                             f"not {lead}([3,] {d}, {d})")
         arrays[operator.index(m)] = arr
     kinds = {arr.ndim for arr in arrays.values()}
     if len(kinds) != 1:
         raise ValueError("need at least one amplitude, all scalar or all vector")
-    return _collect(ctx, kinds == {3}, arrays.items())
+    return _collect(ctx, kinds == {len(batch) + 3}, arrays.items())
 
 
 def _termwise(f: HarmonicField, vector: bool, op) -> HarmonicField:
@@ -238,8 +348,8 @@ def comm_sv(f: HarmonicField, v: HarmonicField) -> HarmonicField:
     """[f, v] componentwise for a scalar and a vector field."""
     if not _compatible(f.ctx, v.ctx):
         raise ValueError("fields must share a wave context")
-    return _product(f, v, True, lambda a, b: (np.einsum("ab,ibc->iac", a, b)
-                                              - np.einsum("iab,bc->iac", b, a)))
+    return _product(f, v, True, lambda a, b: (np.einsum("...ab,...ibc->...iac", a, b)
+                                              - np.einsum("...iab,...bc->...iac", b, a)))
 
 
 def vdot(u: HarmonicField, v: HarmonicField) -> HarmonicField:
@@ -253,13 +363,15 @@ def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
 
 
 def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
-    """Dot of a constant numeric 3-vector with a vector field."""
+    """Dot of a constant numeric 3-vector (one per trial on a batch) with a
+    vector field."""
     nl = numeric_lift(n, v.ctx.dim)
     return _termwise(v, False, lambda m, a: dot_comps(nl, a))
 
 
 def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
-    """Cross of a constant numeric 3-vector with a vector field."""
+    """Cross of a constant numeric 3-vector (one per trial on a batch) with
+    a vector field."""
     nl = numeric_lift(n, v.ctx.dim)
     return _termwise(v, True, lambda m, a: cross_comps(nl, a))
 
@@ -278,22 +390,22 @@ def curl(v: HarmonicField) -> HarmonicField:
 
 def grad(f: HarmonicField) -> HarmonicField:
     k = f.ctx.k
-    return _termwise(f, True, lambda m, a: np.einsum("i,ab->iab", 1j * m * k, a))
+    return _termwise(f, True, lambda m, a: np.einsum("...i,...ab->...iab", 1j * m * k, a))
 
 
 def dt(f: HarmonicField) -> HarmonicField:
     w = f.ctx.omega
-    return _termwise(f, f.is_vector, lambda m, a: a * (-1j * m * w))
+    return _termwise(f, f.is_vector, lambda m, a: a * _per_trial(-1j * m * w, a))
 
 
 def d2t(f: HarmonicField) -> HarmonicField:
     w = f.ctx.omega
-    return _termwise(f, f.is_vector, lambda m, a: a * (-(m * w) ** 2))
+    return _termwise(f, f.is_vector, lambda m, a: a * _per_trial(-square(m * w), a))
 
 
 def laplacian(f: HarmonicField) -> HarmonicField:
-    k2 = f.ctx.knorm ** 2
-    return _termwise(f, f.is_vector, lambda m, a: a * (-(m ** 2) * k2))
+    k2 = square(f.ctx.knorm)
+    return _termwise(f, f.is_vector, lambda m, a: a * _per_trial(-(m ** 2) * k2, a))
 
 
 # --- solution families --------------------------------------------------------
@@ -301,14 +413,21 @@ def laplacian(f: HarmonicField) -> HarmonicField:
 COPLANARITY_TOL = 1e-12
 
 
+def _tau_comps(gens: GeneratorSet, coeffs) -> np.ndarray:
+    """R_0 (x) identity + sum_l R_l (x) G_l, shape (..., 3, d, d), for
+    coefficient vectors of shape (..., 3)."""
+    coeffs = [np.asarray(r, dtype=float) for r in coeffs]
+    out = np.zeros(coeffs[0].shape + (gens.dim, gens.dim), dtype=complex)
+    for r, b in zip(coeffs, gens.basis):
+        out += np.einsum("...i,ab->...iab", r, b.mat)
+    return out
+
+
 def amplitude_from_coeffs(gens: GeneratorSet, coeffs: Sequence[np.ndarray]) -> OperatorVector3:
     """tau = R_0 * identity + sum_l R_l * G_l for coefficient vectors R."""
     if len(coeffs) != gens.n_coeffs:
         raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(coeffs)}")
-    out = np.zeros((3, gens.dim, gens.dim), dtype=complex)
-    for r, b in zip(coeffs, gens.basis):
-        out += np.einsum("i,ab->iab", np.asarray(r, dtype=float), b.mat)
-    return OperatorVector3(out)
+    return OperatorVector3(_tau_comps(gens, coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,19 +476,46 @@ class SolutionFamily:
         return (1.0 / (1j * self.ctx.generators.eta_scale)) * cross(self.tau, self.tau)
 
 
-def build_potentials(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
+@dataclass(frozen=True, eq=False)
+class FamilyBatch:
+    """Solution families on one generator set, c and g, stacked on a
+    leading trial axis.  ``ctx`` is their WaveBatch, and ``tau`` and
+    ``phi_amplitude`` are raw (T, 3, d, d) and (T, d, d) arrays, so
+    ``build_potentials`` and ``build_fields`` take a batch as they take
+    one family."""
+
+    families: tuple[SolutionFamily, ...]
+
+    @functools.cached_property
+    def ctx(self) -> WaveBatch:
+        return WaveBatch(tuple(f.ctx for f in self.families))
+
+    @functools.cached_property
+    def tau(self) -> np.ndarray:
+        coeffs = np.array([f.R for f in self.families])  # (T, n + 1, 3)
+        tau = _tau_comps(self.ctx.generators, coeffs.swapaxes(0, 1))
+        tau.flags.writeable = False
+        return tau
+
+    @property
+    def phi_amplitude(self) -> np.ndarray:
+        return dot_comps(numeric_lift(self.ctx.khat, self.ctx.dim), self.tau)
+
+
+def build_potentials(fam: SolutionFamily | FamilyBatch) -> tuple[HarmonicField, HarmonicField]:
     """Vector and scalar potentials of the family (single first harmonic)."""
     return field(fam.ctx, {1: fam.tau}), field(fam.ctx, {1: fam.phi_amplitude})
 
 
-def build_fields(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
+def build_fields(fam: SolutionFamily | FamilyBatch) -> tuple[HarmonicField, HarmonicField]:
     """Closed-form "magnetic" and "electric" fields of the family.
 
     B carries i*(k x tau) at the first harmonic and -i*g*(tau x tau) at the
     second (equal to g*eta_scale*eta); E = -khat x B harmonic by harmonic.
     """
-    ctx, tau = fam.ctx, fam.tau
-    b = field(ctx, {1: 1j * cross(ctx.k, tau), 2: (-1j * ctx.g) * cross(tau, tau)})
+    ctx, tau = fam.ctx, getattr(fam.tau, "comps", fam.tau)
+    b = field(ctx, {1: cross_comps(ctx.k_lift, tau) * 1j,
+                    2: cross_comps(tau, tau) * (-1j * ctx.g)})
     return b, -1.0 * ncross(ctx.khat, b)
 
 

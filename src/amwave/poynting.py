@@ -27,6 +27,7 @@ import numpy as np
 
 from .algebra import OperatorMatrix, OperatorVector3, cross, cross_comps, dot
 from .fields import SolutionFamily, build_fields
+from .zitter import SERIES_BLOCK
 
 
 class NonTransverseAmplitude(ValueError):
@@ -166,11 +167,17 @@ def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
     """Instantaneous flux along khat at r = 0 and each time in ``ts``, per
     harmonic block (keys as ``flux_quadrature_blocks``): the identity part
-    tr(.)/d of khat . (c/4 pi) Re E x Re B, as c_E(t)^T S c_B(t)."""
+    tr(.)/d of khat . (c/4 pi) Re E x Re B, as c_E(t)^T S c_B(t),
+    evaluated SERIES_BLOCK times at a time so its temporaries stay bounded."""
     ctx = fam.ctx
     table, orders_e, orders_b, masks = _flux_form(fam)
-    phase = -ctx.omega * np.asarray(ts, dtype=float)
-    ce, cb = _trig(orders_e, phase), _trig(orders_b, phase)
     s = np.einsum("i,pqiaa->pq", ctx.khat, table).real / ctx.dim
-    return {name: np.einsum("tp,pq,tq->t", ce, s * mask, cb)
-            for name, mask in masks.items()}
+    ts = np.asarray(ts, dtype=float)
+    out = {name: np.empty(len(ts)) for name in masks}
+    for start in range(0, len(ts), SERIES_BLOCK):
+        block = slice(start, start + SERIES_BLOCK)
+        phase = -ctx.omega * ts[block]
+        ce, cb = _trig(orders_e, phase), _trig(orders_b, phase)
+        for name, mask in masks.items():
+            out[name][block] = np.einsum("tp,pq,tq->t", ce, s * mask, cb)
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorMatrix, OperatorVector3
+from .algebra import OperatorMatrix, OperatorVector3, frobenius_norms
 from .fields import HarmonicField, SolutionFamily, build_fields
 from .residuals import ResidualItem, ResidualReport
 
@@ -213,38 +213,51 @@ def boosted_residuals(fam: SolutionFamily, velocity: float,
 
 # --- constant gauge conjugation ---------------------------------------------------
 
-def _check_unitary(u: OperatorMatrix):
-    defect = (OperatorMatrix(u.mat @ u.mat.conj().T) - OperatorMatrix.identity(u.dim)).norm
-    if defect > 1e-12:
-        raise NonUnitary(f"conjugation matrix is not unitary (defect {defect:.2e})")
+def _check_unitary(um: np.ndarray, ud: np.ndarray):
+    """Raises NonUnitary unless every matrix of um (one, or a stack) times
+    its adjoint ud is the identity to 1e-12."""
+    defect = frobenius_norms(um @ ud - np.eye(um.shape[-1]))
+    if not np.all(defect <= 1e-12):
+        raise NonUnitary(f"conjugation matrix is not unitary "
+                         f"(defect {float(np.max(defect)):.2e})")
 
 
-def gauge_conjugate(obj, u: OperatorMatrix):
+def gauge_conjugate(obj, u):
     """Conjugate every operator amplitude by a constant unitary, X -> U X U+.
 
     Works on operator matrices/vectors, harmonic fields, and field-strength
-    tensors.  Frobenius norms are unitarily invariant, so residual norms
-    computed before and after conjugation agree.
+    tensors.  For a harmonic field on a batch of waves, u may also be a
+    (T, d, d) stack, one unitary per trial.  Frobenius norms are unitarily
+    invariant, so residual norms computed before and after conjugation
+    agree.
     """
-    _check_unitary(u)
-    um, ud = u.mat, u.mat.conj().T
+    um = getattr(u, "mat", u)
+    ud = um.conj().swapaxes(-1, -2)
+    _check_unitary(um, ud)
+    if isinstance(obj, HarmonicField):
+        amps = (np.einsum("...ab,h...ibc,...cd->h...iad", um, obj.amps, ud) if obj.is_vector
+                else um @ obj.amps @ ud)
+        return obj.with_amps(amps)
     if isinstance(obj, OperatorMatrix):
         return OperatorMatrix(um @ obj.mat @ ud)
     if isinstance(obj, OperatorVector3):
         return OperatorVector3(np.einsum("ab,ibc,cd->iad", um, obj.comps, ud))
     if isinstance(obj, FieldStrengthTensor):
         return FieldStrengthTensor(np.einsum("ab,mnbc,cd->mnad", um, obj.comps, ud))
-    if isinstance(obj, HarmonicField):
-        amps = (np.einsum("ab,hibc,cd->hiad", um, obj.amps, ud) if obj.is_vector
-                else um @ obj.amps @ ud)
-        return obj.with_amps(amps)
     raise TypeError(f"cannot gauge-conjugate {type(obj).__name__}")
 
 
-def unitary_exponential(hermitian: OperatorMatrix, angle: float = 1.0) -> OperatorMatrix:
-    """exp(i * angle * H) for Hermitian H, via spectral decomposition."""
-    h = hermitian.mat
-    if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
+def unitary_exponential(hermitian, angle: float = 1.0):
+    """exp(i * angle * H) for Hermitian H, via spectral decomposition: an
+    OperatorMatrix for an OperatorMatrix, and for a (T, d, d) stack of
+    Hermitian matrices the (T, d, d) stack of their exponentials."""
+    h = getattr(hermitian, "mat", hermitian)
+    hd = h.conj().swapaxes(-1, -2)
+    if np.any(frobenius_norms(h - hd) > 1e-12 * np.maximum(1.0, frobenius_norms(h))):
         raise ValueError("generator of a unitary must be Hermitian")
     w, v = np.linalg.eigh(h)
-    return OperatorMatrix(v @ np.diag(np.exp(1j * angle * w)) @ v.conj().T)
+    diag = np.zeros(v.shape, dtype=complex)
+    idx = np.arange(h.shape[-1])
+    diag[..., idx, idx] = np.exp(1j * angle * w)
+    u = v @ diag @ v.conj().swapaxes(-1, -2)
+    return OperatorMatrix(u) if isinstance(hermitian, OperatorMatrix) else u

@@ -11,17 +11,21 @@ stripped, so pass/fail reflects the operator bracket itself rather than
 the smallness of g.  Low-level ``*_fields`` functions return the named
 residual fields for callers that need amplitudes (scaling tests, gauge
 conjugation); the ``*_conditions``/``*_residuals`` wrappers produce
-reports.
+reports.  The ``*_fields`` functions, ``named_residuals`` and
+``condition_residuals`` also take fields on a batch of waves
+(``fields.WaveBatch``) and then give one residual per trial.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .fields import (
+    FamilyBatch,
     HarmonicField,
     SolutionFamily,
     WaveContext,
@@ -36,6 +40,7 @@ from .fields import (
     laplacian,
     ncross,
     ndot,
+    square,
     vcross,
     vdot,
 )
@@ -82,14 +87,24 @@ class ResidualReport:
         }
 
 
-def _scale(a: HarmonicField) -> float:
-    return max(1.0, a.norm)
+def field_scale(*fields: HarmonicField):
+    """max(1, each field's largest amplitude norm), per trial on a batch."""
+    return functools.reduce(np.maximum, (f.norm for f in fields), 1.0)
+
+
+def named_residuals(named_fields, scale) -> list[tuple[str, float | np.ndarray]]:
+    """(name, norm / scale) for each named residual field: a float on one
+    wave, one value per trial on a batch."""
+    return [(name, f.norm / scale) for name, f in named_fields]
+
+
+def _report(label: str, named, tol: float) -> ResidualReport:
+    return ResidualReport(label, tuple(ResidualItem(name, r, tol) for name, r in named))
 
 
 def report_from_fields(label: str, named_fields, tol: float,
                        scale: float) -> ResidualReport:
-    return ResidualReport(label, tuple(ResidualItem(name, f.norm / scale, tol)
-                                       for name, f in named_fields))
+    return _report(label, named_residuals(named_fields, scale), tol)
 
 
 # --- full gauge-field equations ------------------------------------------------
@@ -113,7 +128,7 @@ def ym_equation_fields(a: HarmonicField, phi: HarmonicField,
 def full_ym_residuals(a: HarmonicField, phi: HarmonicField,
                       ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
     return report_from_fields("full-ym", ym_equation_fields(a, phi, ctx),
-                              tol, _scale(a))
+                              tol, field_scale(a))
 
 
 def maxwell_type_fields(b: HarmonicField, e: HarmonicField,
@@ -130,9 +145,8 @@ def maxwell_type_fields(b: HarmonicField, e: HarmonicField,
 
 def maxwell_type_residuals(b: HarmonicField, e: HarmonicField,
                            ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
-    scale = max(1.0, b.norm, e.norm)
     return report_from_fields("maxwell-type", maxwell_type_fields(b, e, ctx),
-                              tol, scale)
+                              tol, field_scale(b, e))
 
 
 # --- graded condition sets ------------------------------------------------------
@@ -147,7 +161,7 @@ BRACKETS = {
     "induction": lambda w: 2.0 * w.kn * w.m + 1j * curl(w.n),
     "div_m": lambda w: div(w.m),
     "div_n": lambda w: div(w.n),
-    "vector_wave": lambda w: (grad(div(w.a)) - laplacian(w.a) - (w.kn ** 2) * w.a
+    "vector_wave": lambda w: (grad(div(w.a)) - laplacian(w.a) - square(w.kn) * w.a
                               - (1j * w.kn) * grad(w.phi)),
     "ampere_bracket": lambda w: ((1j * w.kn) * w.n - vcross(w.a, curl(w.a))
                                  - vcross(curl(w.a), w.a) + curl(w.m)
@@ -225,10 +239,15 @@ def zca_condition_fields(a: HarmonicField, phi: HarmonicField,
     return condition_fields("zca", a, phi, ctx)
 
 
-def _condition_report(label: str, fam: SolutionFamily, tol: float) -> ResidualReport:
+def condition_residuals(label: str, fam: SolutionFamily | FamilyBatch):
+    """(name, residual) for each item of a condition set on a family's
+    potentials; on a FamilyBatch, one residual per trial."""
     a, phi = build_potentials(fam)
-    return report_from_fields(label, condition_fields(label, a, phi, fam.ctx),
-                              tol, _scale(a))
+    return named_residuals(condition_fields(label, a, phi, fam.ctx), field_scale(a))
+
+
+def _condition_report(label: str, fam: SolutionFamily, tol: float) -> ResidualReport:
+    return _report(label, condition_residuals(label, fam), tol)
 
 
 def wca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -268,16 +287,17 @@ def w_term_fields(a: HarmonicField, phi: HarmonicField,
 def w_terms(a: HarmonicField, phi: HarmonicField,
             ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
     return report_from_fields("w-terms", w_term_fields(a, phi, ctx),
-                              tol, _scale(a))
+                              tol, field_scale(a))
 
 
 # --- transversality / orthogonality battery --------------------------------------
 
 def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField:
-    """Componentwise projection of every amplitude orthogonal to a unit vector."""
+    """Componentwise projection of every amplitude orthogonal to a unit
+    vector (one per trial on a batch)."""
     nhat = np.asarray(direction, dtype=float)
-    along = np.einsum("i,hiab->hab", nhat, v.amps)
-    perp = v.amps - np.einsum("i,hab->hiab", nhat, along)
+    along = np.einsum("...i,h...iab->h...ab", nhat, v.amps)
+    perp = v.amps - np.einsum("...i,h...ab->h...iab", nhat, along)
     return v.with_amps(perp)
 
 
@@ -298,6 +318,5 @@ def property_battery_fields(b: HarmonicField, e: HarmonicField,
 
 def property_battery(b: HarmonicField, e: HarmonicField,
                      ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
-    scale = max(1.0, b.norm, e.norm)
     return report_from_fields("properties", property_battery_fields(b, e, ctx),
-                              tol, scale)
+                              tol, field_scale(b, e))

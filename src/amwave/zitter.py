@@ -114,9 +114,14 @@ class DiracContext:
         return float(np.sqrt(self.energy - self.mass * self.c ** 2))
 
     def check_polar(self):
+        """Raises PolarSingularity where the closed-form eigenstates are
+        undefined: p + p_z = 0, or |p| so small that E - m c^2 rounds to 0
+        (the states divide by its square root)."""
         if self.pnorm == 0.0 or self.pnorm + self.p[2] <= POLAR_EPS * self.pnorm:
             raise PolarSingularity(
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
+        if self.u_minus == 0.0:
+            raise PolarSingularity("|p| is too small: E - m c^2 rounds to zero")
 
     @functools.cached_property
     def hmat(self) -> np.ndarray:

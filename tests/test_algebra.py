@@ -14,6 +14,7 @@ from amwave.algebra import (
     cross,
     custom_generators,
     dot,
+    frobenius_norms,
     make_generators,
     operator_norm,
     structure_constants,
@@ -196,6 +197,22 @@ def test_operator_norm_is_numpy_norm_bit_for_bit():
             assert operator_norm(v[0].T) == float(np.linalg.norm(v[0].T))
             assert operator_norm(v) == max(float(np.linalg.norm(c)) for c in v)
     assert np.isnan(operator_norm(np.full((2, 2), np.nan + 0j)))
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_stacked_norms_equal_operator_norm_bit_for_bit(d):
+    rng = np.random.default_rng(30 + d)
+    stacks = [np.zeros((2, 5, 3, d, d), dtype=complex),
+              np.zeros((0, 3, d, d), dtype=complex),
+              np.zeros((4, 0, d, d), dtype=complex)]
+    for _ in range(20):
+        shape = (3, 7, 3, d, d)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        v *= 10.0 ** rng.uniform(-8, 8, size=shape[:-2] + (1, 1))
+        stacks += [v, v[:, 2], v[1:, :, 0]]  # the last two are strided slices
+    for stack in stacks:
+        want = np.array([operator_norm(m) for m in stack.reshape((-1, d, d))])
+        assert np.array_equal(frobenius_norms(stack), want.reshape(stack.shape[:-2]))
 
 
 SU3_F = {

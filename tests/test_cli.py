@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amwave.algebra import GeneratorSet
+from amwave.algebra import GeneratorSet, make_generators
 from amwave.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -23,6 +23,19 @@ from amwave.cli import (
     main,
     run_suite,
     zitter_timeseries,
+)
+from amwave.fields import build_fields, build_potentials, random_family
+from amwave.relativity import gauge_conjugate, unitary_exponential
+from amwave.residuals import (
+    ResidualItem,
+    exact_conditions,
+    full_ym_residuals,
+    maxwell_type_residuals,
+    property_battery,
+    report_from_fields,
+    wca_condition_fields,
+    wca_conditions,
+    zca_conditions,
 )
 
 
@@ -76,6 +89,7 @@ def assert_one_config_error(code, err):
 @pytest.mark.parametrize("flag", ["--velocity=1", "--velocity=-1.5", "--pair=1,2",
                                   "--pair=3,4", "--momentum=0,0,0",
                                   "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12",
+                                  "--momentum=0,0,7e-34",
                                   "--momentum=nan,0,0.8", "--theta=inf",
                                   "--samples=4"])
 def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
@@ -155,6 +169,12 @@ _R = st.one_of(
     st.lists(st.lists(_FLOAT, min_size=3, max_size=3), min_size=3, max_size=5))
 
 
+# the config section of each count, and values for it: small integers, and
+# floats and bools, which are no counts
+_COUNT_SECTIONS = {"trials": None, "seed": None, "steps": "zitter", "samples": "poynting"}
+_COUNT = st.one_of(st.integers(0, 3), st.floats(-1.0, 50.0, allow_nan=False), st.booleans())
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from([["verify", s] for s in SUITES]
@@ -164,17 +184,23 @@ _R = st.one_of(
        | st.tuples(st.integers(0, 5), st.integers(0, 5)),
        momentum=_VEC, k=st.none() | _VEC, R=st.none() | _R,
        coupling=st.sampled_from([0.1, 0.0, -2.0, float("nan"), float("inf")]),
-       samples=st.integers(1, 48), in_yaml=st.booleans())
+       samples=st.integers(1, 48), in_yaml=st.booleans(),
+       count=st.none() | st.tuples(st.sampled_from(sorted(_COUNT_SECTIONS)), _COUNT))
 def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
-                                coupling, samples, in_yaml):
+                                coupling, samples, in_yaml, count):
     family = {key: val for key, val in (("k", k), ("R", R)) if val is not None}
     config = {"family": family}
-    flags = ["--trials", "1", "--samples", str(samples), "--steps", "4",
-             f"--coupling={coupling!r}"]
+    counts = {"trials": 1, "samples": samples, "steps": 4}
     if in_yaml:
         config["boost"] = {"velocity": velocity}
         config["zitter"] = {"pair": list(pair), "momentum": list(momentum)}
-    else:
+    if count is not None:  # given in the config file, so no flag overrides it
+        name, val = count
+        counts.pop(name, None)
+        section = _COUNT_SECTIONS[name]
+        (config.setdefault(section, {}) if section else config)[name] = val
+    flags = [f"--{name}={val}" for name, val in counts.items()] + [f"--coupling={coupling!r}"]
+    if not in_yaml:
         flags += [f"--velocity={velocity!r}", "--pair={},{}".format(*pair),
                   "--momentum=" + ",".join(repr(x) for x in momentum)]
     path = tmp_path / "cfg.yaml"
@@ -185,6 +211,38 @@ def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, 
     assert not any("Traceback" in line for line in err)
     if code == EXIT_USAGE:
         assert_one_config_error(code, err)
+    if count is not None and type(count[1]) is not int:
+        assert_one_config_error(code, err)
+        assert f"{count[0]} must be an integer" in err[0]
+
+
+@pytest.mark.parametrize("config", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5},
+                                    {"seed": 2.0}, {"zitter": {"steps": 10.5}},
+                                    {"poynting": {"samples": 7.5}}])
+def test_non_integer_counts_are_config_errors(tmp_path, config):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for argv in (["verify", "wca"], ["zitter"], ["poynting"]):
+        code, err = run_main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_one_config_error(code, err)
+        assert "must be an integer" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["verify", suite, "--trials", "2"] for suite in
+                                  ("wca", "zca", "exact", "full", "gauge", "boost", "poynting")]
+                         + [["poynting", "--steps", "4"]])
+def test_overflowing_family_is_config_error(tmp_path, argv):
+    # finite coefficients whose amplitude norms overflow
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"family": {
+        "generator": "su2_spin_half", "k": [0, 0, 1],
+        "R": [[0, 0, 0], [1e200, 0, 0], [0, 0, 0], [0, 0, 1e200]]}}))
+    code, err = run_main([*argv, "--samples", "20", "--config", str(path),
+                          "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert "not finite" in err[0] or "must be finite" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_wca_suite_all_pass():
@@ -408,3 +466,57 @@ def test_zitter_suite_and_poynting_suite():
     assert rep["summary"]["overall_pass"]
     rep = run_suite(RunConfig(suite="full", trials=2, seed=21))
     assert not rep["summary"]["overall_pass"]  # generic families keep g^2 terms
+
+
+def _single_family_items(cfg, fam, rng):
+    """One trial's items through the single-family functions."""
+    ctx, tol = fam.ctx, cfg.tol
+    if cfg.suite == "wca":
+        return wca_conditions(fam, tol).items
+    if cfg.suite == "exact":
+        return exact_conditions(fam, tol).items
+    if cfg.suite == "su3":
+        return zca_conditions(fam, tol).items
+    if cfg.suite == "zca":
+        b, e = build_fields(fam)
+        return (zca_conditions(fam, tol).items + maxwell_type_residuals(b, e, ctx, tol).items
+                + property_battery(b, e, ctx, tol).items)
+    a, phi = build_potentials(fam)
+    if cfg.suite == "full":
+        return full_ym_residuals(a, phi, ctx, tol).items
+    gens = ctx.generators
+    herm = sum((float(c) * g for c, g in
+                zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
+               start=0.0 * gens.identity)
+    u = unitary_exponential(herm)
+    ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
+    before = full_ym_residuals(a, phi, ctx, tol)
+    after = full_ym_residuals(ac, pc, ctx, tol)
+    drift = max(abs(x.residual - y.residual) for x, y in zip(before.items, after.items))
+    conj_wca = report_from_fields("wca", wca_condition_fields(ac, pc, ctx), tol,
+                                  max(1.0, a.norm))
+    return [ResidualItem("residual_norm_invariance", drift, tol),
+            ResidualItem("conjugated_wca", max(it.residual for it in conj_wca.items), tol)]
+
+
+@pytest.mark.parametrize("suite, generator", [
+    (suite, generator) for suite in ("wca", "zca", "exact", "full", "gauge")
+    for generator in ("both", "su2_spin_half", "su2_spin_one", "su3_gellmann")
+] + [("su3", "both")])  # the su3 suite always uses the Gell-Mann set
+def test_batched_suites_equal_a_loop_over_single_families(suite, generator):
+    for seed in (0, 17):
+        for trials in (1, 2, 3, 7):
+            cfg = RunConfig(suite=suite, trials=trials, seed=seed, generator=generator)
+            want = []
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed).spawn(trials)]
+            for i, rng in enumerate(rngs):
+                kind = {"su3": "su3_gellmann"}.get(suite, generator)
+                if kind == "both":
+                    kind = ("su2_spin_half", "su2_spin_one")[i % 2]
+                fam = random_family(make_generators(kind), rng, c=cfg.c, g=cfg.coupling)
+                want += [(f"trial{i:03d}/{it.name}", it.residual, it.tolerance)
+                         for it in _single_family_items(cfg, fam, rng)]
+            got = [(it["name"], it["residual"], it["tolerance"])
+                   for it in run_suite(cfg)["items"] if it["name"].startswith("trial")]
+            assert got == want, (seed, trials)

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from amwave.algebra import OperatorVector3, cross, make_generators, numeric_lift
 from amwave.fields import (
+    FamilyBatch,
     SolutionFamily,
     WaveContext,
     build_fields,
     build_potentials,
+    comm_ss,
+    comm_sv,
     curl,
     d2t,
     div,
@@ -29,7 +32,14 @@ from amwave.fields import (
     xz_family,
 )
 from amwave.relativity import gauge_conjugate, unitary_exponential
-from amwave.residuals import perpendicular_part
+from amwave.residuals import (
+    condition_fields,
+    maxwell_type_fields,
+    perpendicular_part,
+    property_battery_fields,
+    w_term_fields,
+    ym_equation_fields,
+)
 
 SPIN_HALF = make_generators("su2_spin_half")
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
@@ -407,3 +417,64 @@ def test_spatial_periodicity_property(rx, ry, rz, cycles):
     r = np.array([rx, ry, rz])
     shift = cycles * 2 * np.pi * fam.ctx.k / fam.ctx.knorm ** 2
     assert (b.eval_at(r, 0.7) - b.eval_at(r + shift, 0.7)).norm <= 1e-10
+
+
+def _expressions(fam, u):
+    """Named fields of one family or of a FamilyBatch; u is the unitary
+    (a stack of them for a batch) to gauge-rotate by."""
+    ctx = fam.ctx
+    a, phi = build_potentials(fam)
+    b, e = build_fields(fam)
+    named = [("a", a), ("phi", phi), ("b", b), ("e", e), ("axa", vcross(a, a)),
+             ("phi_a", comm_sv(phi, a)), ("phi_diva", comm_ss(phi, div(a))),
+             ("curl", curl(a)), ("grad", grad(phi)), ("dt", dt(b)), ("d2t", d2t(e)),
+             ("laplacian", laplacian(b)), ("ndot", ndot(ctx.khat, b)),
+             ("perp", perpendicular_part(vcross(e, b), ctx.khat)),
+             ("rotated_a", gauge_conjugate(a, u)), ("rotated_phi", gauge_conjugate(phi, u))]
+    for label in ("wca", "zca", "exact"):
+        named += condition_fields(label, a, phi, ctx)
+    return (named + ym_equation_fields(a, phi, ctx) + w_term_fields(a, phi, ctx)
+            + maxwell_type_fields(b, e, ctx) + property_battery_fields(b, e, ctx))
+
+
+def test_batch_gives_each_trial_its_single_wave_field():
+    rng = np.random.default_rng(41)
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0.3, -0.2, 1.1]), g=0.7)
+    fams = [random_family(SPIN_HALF, rng, abelian=True, g=0.7),  # B drops m = 2
+            random_family(SPIN_HALF, rng, g=0.7),
+            SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
+            random_family(SPIN_HALF, rng, abelian=True, g=0.7)]
+    us = [unitary_exponential(g, 0.4 + 0.3 * i)
+          for i, g in enumerate(SPIN_HALF.generators + SPIN_HALF.generators[:1])]
+    batch = _expressions(FamilyBatch(tuple(fams)), np.stack([u.mat for u in us]))
+    singles = [_expressions(fam, u) for fam, u in zip(fams, us)]
+    dropped = set()
+    for k, (name, fb) in enumerate(batch):
+        assert fb.norm.shape == (len(fams),)
+        for j, single in enumerate(singles):
+            name_j, f = single[k]
+            assert name_j == name
+            # a kept amplitude has a positive norm, a dropped one is zeroed
+            held = [i for i, amp in enumerate(fb.amps) if np.any(amp[j] != 0)]
+            assert tuple(fb.orders[i] for i in held) == f.orders, (name, j)
+            assert np.array_equal(fb.amps[held, j], f.amps), (name, j)
+            assert fb.norm[j] == f.norm, (name, j)
+            dropped |= {(name, j, m) for m in fb.orders if m not in f.orders}
+    assert ("b", 0, 2) in dropped and ("b", 1, 2) not in dropped
+    assert ("a", 2, 1) in dropped
+
+
+def test_wave_batch_stacks_each_wave_and_checks_them():
+    fams = [random_family(SPIN_HALF, np.random.default_rng(i)) for i in range(3)]
+    ctx = FamilyBatch(tuple(fams)).ctx
+    assert ctx.batch_shape == (3,)
+    for name in ("k", "knorm", "khat", "k_lift", "omega"):
+        assert np.array_equal(getattr(ctx, name), [getattr(f.ctx, name) for f in fams])
+        with pytest.raises(ValueError):
+            getattr(ctx, name)[0] = 0.0
+    other = random_family(make_generators("su2_spin_one"), np.random.default_rng(5))
+    for bad in ((), (fams[0].ctx, other.ctx),
+                (fams[0].ctx, random_family(SPIN_HALF, np.random.default_rng(6), g=0.2).ctx)):
+        with pytest.raises(ValueError):
+            FamilyBatch(tuple(SolutionFamily(ctx=c, R=(np.zeros(3),) * c.generators.n_coeffs)
+                              for c in bad)).ctx

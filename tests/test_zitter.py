@@ -102,6 +102,9 @@ def test_polar_singularity():
     with pytest.raises(PolarSingularity):
         SuperpositionSpec(0.3, (1, 3)).state_vector(
             DiracContext(p=np.array([0.0, 0.0, -0.7])))
+    # E - m c^2 rounds to zero, and the states divide by its square root
+    with pytest.raises(PolarSingularity, match="too small"):
+        eigenstates(DiracContext(p=np.array([0.0, 0.0, 7e-34])))
 
 
 def test_position_wobble_closed_form():

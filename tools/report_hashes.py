@@ -1,11 +1,17 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 30 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 69 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
   the su3_gellmann generator.  The hashed body is exactly what
   ``amwave verify --out`` writes.
+- 39 report bodies of edge cases for the condition suites (wca, zca,
+  exact, full, gauge): a fixed spin-1/2 family with k = z (also under
+  boost); zero coupling; an all-zero R, whose fields are empty; a family
+  with every R along x, so phi = 0; the su2_spin_one generator alone; and
+  the alternating generator at 1 and 3 trials, where one generator
+  group holds a single trial (also su3 at 1 and 3 trials).
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
   each at the default momentum 0,0,0.8 (exact zeros in p) and at the
   off-axis momentum 0.3,-0.4,0.9.
@@ -36,6 +42,15 @@ ZITTER_PAIRS = ("1,3", "1,4", "2,3", "2,4")
 ZITTER_MOMENTA = ("0,0,0.8", "0.3,-0.4,0.9")
 
 
+# Edge-case families, each with k = z and the spin-1/2 generator.
+FIXED_R = {
+    "fixed R": ((0.3, -0.2, 0.5), (1.0, 0.0, 0.0), (0.0, 0.0, -0.7), (0.4, 0.0, 1.0)),
+    "zero R": ((0.0, 0.0, 0.0),) * 4,
+    "R along x (phi=0)": ((0.6, 0.0, 0.0), (1.0, 0.0, 0.0), (-0.3, 0.0, 0.0), (0.8, 0.0, 0.0)),
+}
+CONDITION_SUITES = ("wca", "zca", "exact", "full", "gauge")
+
+
 def configs():
     for seed in (1, 42):
         for suite in SUITES:
@@ -47,6 +62,21 @@ def configs():
     for suite in ("wca", "zca", "exact"):
         yield f"{suite} seed=7 su3_gellmann", RunConfig(
             suite=suite, seed=7, trials=25, generator="su3_gellmann")
+    for name, R in FIXED_R.items():
+        for suite in CONDITION_SUITES + ("boost",) * (name == "fixed R"):
+            yield f"{suite} seed=3 {name}", RunConfig(
+                suite=suite, seed=3, trials=4, generator="su2_spin_half",
+                k=(0.0, 0.0, 1.0), R=R)
+    for suite in CONDITION_SUITES + ("su3",):
+        yield f"{suite} seed=5 coupling=0", RunConfig(
+            suite=suite, seed=5, trials=10, coupling=0.0)
+    for suite in CONDITION_SUITES:
+        yield f"{suite} seed=9 su2_spin_one", RunConfig(
+            suite=suite, seed=9, trials=10, generator="su2_spin_one")
+    for trials in (1, 3):
+        for suite in CONDITION_SUITES + ("su3",):
+            yield f"{suite} seed=11 trials={trials}", RunConfig(
+                suite=suite, seed=11, trials=trials)
 
 
 def exports():
