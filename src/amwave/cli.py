@@ -291,8 +291,8 @@ def _trial_family(cfg: RunConfig, i: int, rng) -> SolutionFamily:
 
 def _batched(residuals):
     """A suite evaluated on the whole group at once: ``residuals`` maps the
-    FamilyBatch and the trials' generators to (name, residuals) pairs, all
-    held to the suite tolerance."""
+    FamilyBatch and the trials' random generators to (name, residuals)
+    pairs, all held to the suite tolerance."""
     def run(cfg: RunConfig, fams, rngs):
         return [(name, r, cfg.tol) for name, r in residuals(FamilyBatch(tuple(fams)), rngs)]
     return run
@@ -524,9 +524,10 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.nda
     equal-helicity mixes, spin wobble for the opposite-helicity ones.
     Closed-form columns are filled for the (1,3) position and (1,4) spin
     cases and left blank otherwise; the deviation column is then empty.
-    The series is evaluated SERIES_BLOCK times at a time as the rows are
-    read, and each block fills in its part of the deviation column, which
-    holds NaN until then (so a verdict taken before the rows fails).
+    The numeric series is one stacked evaluation over t; the closed form
+    is evaluated SERIES_BLOCK times at a time, once for the deviation
+    column and again as the rows are read, so only the t, numeric and
+    deviation columns are held whole.
     """
     ctx = DiracContext(p=np.array(cfg.momentum), hbar=cfg.hbar, c=cfg.c)
     spec = SuperpositionSpec(cfg.theta, cfg.pair)
@@ -535,20 +536,22 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.nda
     header = ["t", "num_x", "num_y", "num_z",
               "closed_x", "closed_y", "closed_z", "abs_dev"]
     ts = np.linspace(0.0, t_max, cfg.steps)
+    num = zitter_expectation_series(spec, ctx, ts, spin=spin_like)
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
-    dev = np.full(cfg.steps if closed_form else 0, np.nan)
+    if closed_form is None:
+        rows = _Rows(cfg.steps, lambda start, stop: (ts[start:stop], num[start:stop]),
+                     blank=("",) * 4)
+        return header, rows, np.empty(0)
 
     def block(start, stop):
-        t = ts[start:stop]
-        num = zitter_expectation_series(spec, ctx, t, spin=spin_like)
-        if closed_form is None:
-            return t, num
+        t, n = ts[start:stop], num[start:stop]
         closed = closed_form(cfg.theta, ctx, t)
-        dev[start:stop] = np.abs(num - closed).max(axis=1)
-        return t, num, closed, dev[start:stop]
+        return t, n, closed, np.abs(n - closed).max(axis=1)
 
-    blank = ("",) * 4 if closed_form is None else ()
-    return header, _Rows(cfg.steps, block, blank), dev
+    dev = np.empty(cfg.steps)
+    for start in range(0, cfg.steps, SERIES_BLOCK):
+        dev[start:start + SERIES_BLOCK] = block(start, start + SERIES_BLOCK)[3]
+    return header, _Rows(cfg.steps, block), dev
 
 
 def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], Sequence[list]]:
@@ -673,7 +676,7 @@ def _cmd_verify(args) -> int:
 def _cmd_zitter(args) -> int:
     cfg = _collect_config(args, "zitter")
     header, rows, dev = zitter_timeseries(cfg)
-    write_timeseries(header, rows, cfg.out or cfg.timeseries)  # fills in dev
+    write_timeseries(header, rows, cfg.out or cfg.timeseries)
     worst = float(dev.max()) if dev.size else 0.0  # a NaN deviation propagates
     if not worst <= cfg.tol:
         print(f"FAIL zitter: max |numeric - closed| = {worst:.3e}", file=sys.stderr)

@@ -117,6 +117,8 @@ class _Stacked:
         self.name = name
 
     def __get__(self, batch, owner=None):
+        if batch is None:
+            return self
         arr = np.array([getattr(w, self.name) for w in batch.waves])
         arr.flags.writeable = False
         batch.__dict__[self.name] = arr
