@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -490,30 +491,29 @@ def write_report(report: dict, path: str | None):
 # --- time series -----------------------------------------------------------------
 
 class _Rows(Sequence):
-    """The rows of a time-series table, made SERIES_BLOCK at a time as they
-    are read, so an export never holds more than one block of them.
-
-    ``block(start, stop)`` gives the numeric columns of rows start..stop-1;
-    a row is a list of their floats followed by ``blank`` cells.
+    """The rows of a time-series table, read from its numeric columns: a
+    row is a list of floats followed by ``blank`` cells.  Iterating makes
+    the rows SERIES_BLOCK at a time, so an export never holds more than
+    one block of them as Python lists.
     """
 
-    def __init__(self, n: int, block, blank=()):
-        self._n, self._block, self._blank = n, block, list(blank)
+    def __init__(self, columns, blank=()):
+        self._cols, self._blank = columns, list(blank)
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._cols[0])
 
     def _rows(self, start: int, stop: int) -> list[list]:
-        rows = np.column_stack(self._block(start, stop)).tolist()
+        rows = np.column_stack([c[start:stop] for c in self._cols]).tolist()
         return [row + self._blank for row in rows] if self._blank else rows
 
     def __getitem__(self, i: int) -> list:
-        i = range(self._n)[i]
+        i = range(len(self))[i]
         return self._rows(i, i + 1)[0]
 
     def __iter__(self):
-        for start in range(0, self._n, SERIES_BLOCK):
-            yield from self._rows(start, min(start + SERIES_BLOCK, self._n))
+        return itertools.chain.from_iterable(
+            self._rows(start, start + SERIES_BLOCK) for start in range(0, len(self), SERIES_BLOCK))
 
 
 def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.ndarray]:
@@ -525,9 +525,8 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.nda
     Closed-form columns are filled for the (1,3) position and (1,4) spin
     cases and left blank otherwise; the deviation column is then empty.
     The numeric series is one stacked evaluation over t; the closed form
-    is evaluated SERIES_BLOCK times at a time, once for the deviation
-    column and again as the rows are read, so only the t, numeric and
-    deviation columns are held whole.
+    and the deviation are evaluated SERIES_BLOCK times at a time, so no
+    temporary grows with the series.
     """
     ctx = DiracContext(p=np.array(cfg.momentum), hbar=cfg.hbar, c=cfg.c)
     spec = SuperpositionSpec(cfg.theta, cfg.pair)
@@ -539,19 +538,13 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.nda
     num = zitter_expectation_series(spec, ctx, ts, spin=spin_like)
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
     if closed_form is None:
-        rows = _Rows(cfg.steps, lambda start, stop: (ts[start:stop], num[start:stop]),
-                     blank=("",) * 4)
-        return header, rows, np.empty(0)
-
-    def block(start, stop):
-        t, n = ts[start:stop], num[start:stop]
-        closed = closed_form(cfg.theta, ctx, t)
-        return t, n, closed, np.abs(n - closed).max(axis=1)
-
-    dev = np.empty(cfg.steps)
+        return header, _Rows((ts, num), blank=("",) * 4), np.empty(0)
+    closed, dev = np.empty_like(num), np.empty(cfg.steps)
     for start in range(0, cfg.steps, SERIES_BLOCK):
-        dev[start:start + SERIES_BLOCK] = block(start, start + SERIES_BLOCK)[3]
-    return header, _Rows(cfg.steps, block), dev
+        block = slice(start, start + SERIES_BLOCK)
+        closed[block] = closed_form(cfg.theta, ctx, ts[block])
+        dev[block] = np.abs(num[block] - closed[block]).max(axis=1)
+    return header, _Rows((ts, num, closed, dev)), dev
 
 
 def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], Sequence[list]]:
@@ -566,8 +559,7 @@ def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str],
     blocks = flux_block_series(fam, ts)
     running = np.cumsum(blocks["total"]) / np.arange(1, len(ts) + 1)
     cols = (ts, blocks["first"], blocks["mixed"], blocks["second"], running)
-    return (["t", "first", "mixed", "second", "running_avg"],
-            _Rows(len(ts), lambda start, stop: [c[start:stop] for c in cols]))
+    return ["t", "first", "mixed", "second", "running_avg"], _Rows(cols)
 
 
 def write_timeseries(header: list[str], rows, path: str | None):
