@@ -8,10 +8,10 @@ Prints one line per configuration, ``<sha256>  <label>``, for 69 runs:
   ``amwave verify --out`` writes.
 - 39 report bodies of edge cases for the condition suites (wca, zca,
   exact, full, gauge): a fixed spin-1/2 family with k = z (also under
-  boost); zero coupling; an all-zero R, whose fields are empty; a family
-  with every R along x, so phi = 0; the su2_spin_one generator alone; and
-  the alternating generator at 1 and 3 trials, where one generator
-  group holds a single trial (also su3 at 1 and 3 trials).
+  boost); an all-zero R, whose fields are empty; a family with every R
+  along x, so phi = 0; zero coupling (also su3); the su2_spin_one
+  generator alone; and the alternating generator at 1 and 3 trials,
+  where one generator group holds a single trial (also su3).
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
   each at the default momentum 0,0,0.8 (exact zeros in p) and at the
   off-axis momentum 0.3,-0.4,0.9.
