@@ -246,20 +246,16 @@ def condition_residuals(label: str, fam: SolutionFamily | FamilyBatch):
     return named_residuals(condition_fields(label, a, phi, fam.ctx), field_scale(a))
 
 
-def _condition_report(label: str, fam: SolutionFamily, tol: float) -> ResidualReport:
-    return _report(label, condition_residuals(label, fam), tol)
-
-
 def wca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return _condition_report("wca", fam, tol)
+    return _report("wca", condition_residuals("wca", fam), tol)
 
 
 def exact_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return _condition_report("exact", fam, tol)
+    return _report("exact", condition_residuals("exact", fam), tol)
 
 
 def zca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return _condition_report("zca", fam, tol)
+    return _report("zca", condition_residuals("zca", fam), tol)
 
 
 # --- difference terms between the two approximations ----------------------------
