@@ -52,6 +52,12 @@ class NonTracelessBasis(ValueError):
     """Structure constants requested for a basis with non-traceless members."""
 
 
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """arr, marked read-only in place."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _square_complex(data) -> np.ndarray:
     arr = np.array(data, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -75,10 +81,6 @@ class OperatorMatrix:
     def identity(cls, dim: int) -> "OperatorMatrix":
         return cls(np.eye(dim))
 
-    @classmethod
-    def zero(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.zeros((dim, dim)))
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -95,9 +97,6 @@ class OperatorMatrix:
     @property
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def hermitian_part(self) -> "OperatorMatrix":
-        return OperatorMatrix(0.5 * (self.mat + self.mat.conj().T))
 
     def _check_dim(self, other: "OperatorMatrix"):
         if self.dim != other.dim:
@@ -153,10 +152,6 @@ class OperatorVector3:
         """Vector coefficient times a single operator, e.g. ``yhat * S_y``."""
         v = np.asarray(v, dtype=complex)
         return cls(np.einsum("i,ab->iab", v, m.mat))
-
-    @classmethod
-    def zero(cls, dim: int) -> "OperatorVector3":
-        return cls(np.zeros((3, dim, dim)))
 
     @property
     def dim(self) -> int:

@@ -132,8 +132,8 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        for name in ("trials", "seed", "steps", "samples"):
-            val = getattr(self, name)
+        counts = [(name, getattr(self, name)) for name in ("trials", "seed", "steps", "samples")]
+        for name, val in counts + [("pair entry", v) for v in self.pair]:
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {val!r}")
         if self.trials < 1:
@@ -227,7 +227,7 @@ def config_from_file(path: str, overrides: dict | None = None,
             if flat.get(name) is not None:
                 flat[name] = tuple(float(v) for v in flat[name])
         if flat.get("pair") is not None:
-            flat["pair"] = tuple(int(v) for v in flat["pair"])
+            flat["pair"] = tuple(flat["pair"])
         if flat.get("R") is not None:
             flat["R"] = tuple(tuple(float(x) for x in row) for row in flat["R"])
     except (TypeError, ValueError) as exc:
@@ -376,8 +376,8 @@ def _zitter_trial(cfg: RunConfig, _, rng):
 def _poynting_trial(cfg: RunConfig, fam: SolutionFamily, rng):
     closed = amw_flux(fam).vector
     at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
-    scale = max(1.0, closed.norm)
-    quad_err = operator_norm(at_r["total"] - closed.comps) / scale
+    scale = max(1.0, operator_norm(closed))
+    quad_err = operator_norm(at_r["total"] - closed) / scale
     mixed = operator_norm(at_origin["mixed"]) / scale
     gens = fam.ctx.generators
     ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
@@ -385,7 +385,7 @@ def _poynting_trial(cfg: RunConfig, fam: SolutionFamily, rng):
     fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(
         np.zeros(3) for _ in gens.generators))
     a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
-    abelian_err = (amw_flux(fam0).vector - em_flux(a01, ctx0).vector).norm
+    abelian_err = operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector)
     return [ResidualItem("quadrature_vs_closed", quad_err, cfg.tol),
             ResidualItem("mixed_block_average", mixed, 1e-10),
             ResidualItem("abelian_equals_em", abelian_err, 1e-10)]
@@ -683,9 +683,9 @@ def _cmd_poynting(args) -> int:
     fam = _trial_family(cfg, 0, np.random.default_rng(cfg.seed))
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
-    closed = amw_flux(fam)
+    closed = amw_flux(fam).vector
     quad = flux_quadrature(fam, samples=cfg.samples)
-    err = (quad - closed.vector).norm / max(1.0, closed.vector.norm)
+    err = operator_norm(quad - closed) / max(1.0, operator_norm(closed))
     verdict = "PASS" if err <= cfg.tol else "FAIL"  # a NaN error fails
     print(f"{verdict} poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
     return EXIT_PASS if verdict == "PASS" else EXIT_FAIL

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorMatrix, OperatorVector3, cross, cross_comps, dot
+from .algebra import cross_comps, dot_comps, operator_norm
 from .fields import SolutionFamily, build_fields
 from .zitter import SERIES_BLOCK
 
@@ -36,28 +36,30 @@ class NonTransverseAmplitude(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FluxResult:
-    """Flux direction (always khat here) and operator-valued magnitude.
+    """Flux direction (always khat here) and operator-valued magnitude, a
+    (d, d) array.
 
     ``classical_magnitude`` is filled when the magnitude operator is a
     multiple of the identity, as in the g = 0 Abelian reduction.
     """
 
     direction: np.ndarray
-    magnitude_operator: OperatorMatrix
+    magnitude_operator: np.ndarray
     classical_magnitude: float | None = None
 
     @property
-    def vector(self) -> OperatorVector3:
-        return OperatorVector3(np.einsum(
-            "i,ab->iab", self.direction, self.magnitude_operator.mat))
+    def vector(self) -> np.ndarray:
+        """direction (x) magnitude, shape (3, d, d)."""
+        return np.einsum("i,ab->iab", self.direction, self.magnitude_operator)
 
 
-def _classical_part(op: OperatorMatrix) -> float | None:
+def _classical_part(op: np.ndarray) -> float | None:
     """Scalar s with op = s * identity, or None if off-identity content remains."""
-    d = op.dim
-    s = op.trace / d
-    rest = OperatorMatrix(op.mat - s * np.eye(d))
-    if rest.norm <= 1e-12 * max(1.0, op.norm) and abs(s.imag) <= 1e-12 * max(1.0, abs(s)):
+    d = op.shape[0]
+    s = complex(np.trace(op)) / d
+    rest = op - s * np.eye(d)
+    if (operator_norm(rest) <= 1e-12 * max(1.0, operator_norm(op))
+            and abs(s.imag) <= 1e-12 * max(1.0, abs(s))):
         return float(s.real)
     return None
 
@@ -66,21 +68,21 @@ def em_flux(a01, ctx) -> FluxResult:
     """Flux (c/8 pi) k^2 |A01|^2 khat of a classical transverse plane wave."""
     a01 = np.asarray(a01, dtype=float)
     k, kn = ctx.k, ctx.knorm
-    if abs(k @ a01) > 1e-12 * max(1.0, kn * np.linalg.norm(a01)):
+    if abs(k @ a01) > 1e-12 * max(1.0, kn * np.sqrt(a01 @ a01)):
         raise NonTransverseAmplitude("amplitude must satisfy k . A01 = 0")
     mag = ctx.c / (8.0 * np.pi) * kn ** 2 * float(a01 @ a01)
     return FluxResult(direction=ctx.khat,
-                      magnitude_operator=mag * OperatorMatrix.identity(ctx.dim),
+                      magnitude_operator=mag * np.eye(ctx.dim, dtype=complex),
                       classical_magnitude=mag)
 
 
 def amw_flux(fam: SolutionFamily) -> FluxResult:
     """Closed-form time-averaged flux of a generator-valued wave family."""
     ctx = fam.ctx
-    tau = fam.tau
-    kxt = cross(ctx.k, tau)
-    txt = cross(tau, tau)
-    op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
+    tau = fam.tau.comps
+    kxt = cross_comps(ctx.k_lift, tau)
+    txt = cross_comps(tau, tau)
+    op = (ctx.c / (8.0 * np.pi)) * (dot_comps(kxt, kxt) - (ctx.g ** 2) * dot_comps(txt, txt))
     return FluxResult(direction=ctx.khat, magnitude_operator=op,
                       classical_magnitude=_classical_part(op))
 
@@ -144,24 +146,24 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
 
 
 def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
-                    r=None) -> OperatorVector3:
+                    r=None) -> np.ndarray:
     """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period,
-    at r (default the origin) from ``samples`` nodes; exact up to rounding
-    for samples >= 5, aliased below that, and samples < 1 raises."""
-    return OperatorVector3(flux_averages(fam, samples, (r,))[0]["total"])
+    shape (3, d, d), at r (default the origin) from ``samples`` nodes; exact up
+    to rounding for samples >= 5, aliased below that, and samples < 1 raises."""
+    return flux_averages(fam, samples, (r,))[0]["total"]
 
 
 def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
-                           r=None) -> dict[str, OperatorVector3]:
+                           r=None) -> dict[str, np.ndarray]:
     """Quadrature average split into the three harmonic blocks.
 
     Keys: 'first' (squared first harmonic), 'mixed' (the order-g cross
     terms, which average to zero), 'second' (squared second harmonic),
-    'total' (the whole average, as ``flux_quadrature``).  ``samples`` as
-    in ``flux_quadrature``: exact from 5, aliased below, < 1 raises.
+    'total' (the whole average, as ``flux_quadrature``), each (3, d, d).
+    ``samples`` as in ``flux_quadrature``: exact from 5, aliased below,
+    < 1 raises.
     """
-    return {name: OperatorVector3(val)
-            for name, val in flux_averages(fam, samples, (r,))[0].items()}
+    return flux_averages(fam, samples, (r,))[0]
 
 
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:

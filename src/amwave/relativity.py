@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import OperatorMatrix, OperatorVector3, frobenius_norms
+from .algebra import frobenius_norms, readonly
 from .fields import HarmonicField, SolutionFamily, build_fields
 from .residuals import ResidualItem, ResidualReport
 
@@ -49,12 +49,14 @@ def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostM
     """Boost with speed ``velocity`` along a coordinate axis.
 
     The canonical matrix is written for the z axis; other axes are obtained
-    by permuting the spatial coordinates.
+    by permuting the spatial coordinates.  ``axis`` is 'x', 'y', 'z' or an
+    int 0, 1, 2; a bool or a float is no axis.
     """
     if isinstance(axis, str):
         axis = BOOST_AXES.get(axis, axis)
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1, 2 (or 'x', 'y', 'z')")
+    if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
+            or axis not in (0, 1, 2)):
+        raise ValueError(f"axis must be 0, 1, 2 (or 'x', 'y', 'z'), got {axis!r}")
     beta = velocity / c
     if not abs(beta) < 1.0:
         raise SuperluminalBoost(f"|v| = {abs(velocity)} >= c = {c}")
@@ -76,41 +78,10 @@ def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostM
     return BoostMatrix(velocity=velocity, c=c, axis=axis, matrix=mat, inverse=inv)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldStrengthTensor:
-    """Contravariant antisymmetric 4x4 grid of operator matrices."""
-
-    comps: np.ndarray  # shape (4, 4, d, d)
-
-    def __post_init__(self):
-        arr = np.array(self.comps, dtype=complex)
-        if arr.ndim != 4 or arr.shape[:2] != (4, 4) or arr.shape[2] != arr.shape[3]:
-            raise ValueError(f"expected shape (4, 4, d, d), got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "comps", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.comps.shape[2]
-
-    @property
-    def norm(self) -> float:
-        return float(max(np.linalg.norm(self.comps[m, n])
-                         for m in range(4) for n in range(4)))
-
-    def antisymmetry_defect(self) -> float:
-        return float(max(np.linalg.norm(self.comps[m, n] + self.comps[n, m])
-                         for m in range(4) for n in range(4)))
-
-    def lowered(self) -> np.ndarray:
-        """F_mu_nu = g F^{..} g with the diagonal metric."""
-        return np.einsum("m,n,mnab->mnab", np.diag(METRIC), np.diag(METRIC),
-                         self.comps)
-
-
-def assemble_tensor(b: np.ndarray, e: np.ndarray) -> FieldStrengthTensor:
-    """Place magnetic and electric amplitude components, each of shape
-    (3, d, d), in the contravariant tensor.
+def assemble_tensor(b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The contravariant field-strength tensor, a read-only (4, 4, d, d)
+    array, from magnetic and electric amplitude components, each of shape
+    (3, d, d).
 
     Layout: F^{i0} = E_i and (F^{32}, F^{13}, F^{21}) = B.
     """
@@ -123,20 +94,13 @@ def assemble_tensor(b: np.ndarray, e: np.ndarray) -> FieldStrengthTensor:
     f[0, 1], f[0, 2], f[0, 3] = -ex, -ey, -ez
     f[3, 2], f[1, 3], f[2, 1] = bx, by, bz
     f[2, 3], f[3, 1], f[1, 2] = -bx, -by, -bz
-    return FieldStrengthTensor(f)
+    return readonly(f)
 
 
-def extract_fields(f: FieldStrengthTensor) -> tuple[OperatorVector3, OperatorVector3]:
-    """Inverse of assemble_tensor: returns (B, E)."""
-    e = OperatorVector3(np.stack([f.comps[1, 0], f.comps[2, 0], f.comps[3, 0]]))
-    b = OperatorVector3(np.stack([f.comps[3, 2], f.comps[1, 3], f.comps[2, 1]]))
-    return b, e
-
-
-def boost_tensor(f: FieldStrengthTensor, boost: BoostMatrix) -> FieldStrengthTensor:
-    """F'^{mu nu} = C_mu_alpha C_nu_beta F^{alpha beta}."""
+def boost_tensor(f: np.ndarray, boost: BoostMatrix) -> np.ndarray:
+    """F'^{mu nu} = C_mu_alpha C_nu_beta F^{alpha beta}, read-only (4, 4, d, d)."""
     c = boost.matrix
-    return FieldStrengthTensor(np.einsum("ma,nb,abij->mnij", c, c, f.comps))
+    return readonly(np.einsum("ma,nb,abij->mnij", c, c, f))
 
 
 def boost_wavevector(kmu: np.ndarray, boost: BoostMatrix) -> np.ndarray:
@@ -151,8 +115,9 @@ def null_defect(kmu: np.ndarray, c: float = 1.0) -> float:
     return abs(w2 - c * c * float(kmu[1:] @ kmu[1:])) / w2
 
 
-def harmonic_tensors(fam: SolutionFamily) -> list[tuple[int, FieldStrengthTensor]]:
-    """Per-harmonic field-strength amplitudes of a solution family."""
+def harmonic_tensors(fam: SolutionFamily) -> list[tuple[int, np.ndarray]]:
+    """Per-harmonic field-strength amplitudes of a solution family, as
+    (order, (4, 4, d, d) tensor) pairs."""
     b, e = build_fields(fam)
     return [(m, assemble_tensor(b.raw_amplitude(m), e.raw_amplitude(m)))
             for m in sorted(set(b.orders) | set(e.orders))]
@@ -163,23 +128,21 @@ def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[float, float]:
 
     For a harmonic of order m the derivative acts as i*m*u with
     u = (-omega/c, k), so both the divergence equation and the cyclic
-    (Bianchi-type) sum become finite contractions.
+    (Bianchi-type) sum become finite contractions.  The cyclic sum is taken
+    on F_mu_nu = g F^{..} g with the diagonal metric.
     """
     u = np.asarray(kmu, dtype=float) * np.array([-1.0, 1.0, 1.0, 1.0])
+    g = np.diag(METRIC)
     div_defect = 0.0
     bianchi_defect = 0.0
     for m, f in tensors:
-        dive = 1j * m * np.einsum("m,mnab->nab", u, f.comps)
-        div_defect = max(div_defect,
-                         max(np.linalg.norm(dive[n]) for n in range(4)))
-        low = f.lowered()
+        dive = 1j * m * np.einsum("m,mnab->nab", u, f)
+        div_defect = max(div_defect, float(frobenius_norms(dive).max()))
+        low = np.einsum("m,n,mnab->mnab", g, g, f)
         cyc = abs(m) * (np.einsum("m,ngab->mngab", u, low)
                         + np.einsum("n,gmab->mngab", u, low)
                         + np.einsum("g,mnab->mngab", u, low))
-        bianchi_defect = max(bianchi_defect,
-                             max(np.linalg.norm(cyc[a, b, g])
-                                 for a in range(4) for b in range(4)
-                                 for g in range(4)))
+        bianchi_defect = max(bianchi_defect, float(frobenius_norms(cyc).max()))
     return div_defect, bianchi_defect
 
 
@@ -197,7 +160,8 @@ def boosted_residuals(fam: SolutionFamily, velocity: float,
     kmu_prime = boost_wavevector(kmu, boost)
     tensors = harmonic_tensors(fam)
     boosted = [(m, boost_tensor(f, boost)) for m, f in tensors]
-    top = max((f.norm for _, f in boosted), default=0.0)  # no harmonics when R = 0
+    # no harmonics when R = 0
+    top = max((float(frobenius_norms(f).max()) for _, f in boosted), default=0.0)
     scale = max(1.0, top * float(np.abs(kmu_prime).max()))
     div_defect, bianchi_defect = tensor_equation_defects(boosted, kmu_prime)
     items = (
@@ -205,8 +169,8 @@ def boosted_residuals(fam: SolutionFamily, velocity: float,
         ResidualItem("bianchi_cycle", bianchi_defect / scale, tol),
         ResidualItem("null_wavevector", null_defect(kmu_prime, ctx.c), 1e-12),
         ResidualItem("tensor_antisymmetry",
-                     max((f.antisymmetry_defect() for _, f in boosted), default=0.0)
-                     / scale, 1e-12),
+                     max((float(frobenius_norms(f + f.swapaxes(0, 1)).max())
+                          for _, f in boosted), default=0.0) / scale, 1e-12),
     )
     return ResidualReport(f"boost v={velocity}", items)
 
@@ -222,36 +186,30 @@ def _check_unitary(um: np.ndarray, ud: np.ndarray):
                          f"(defect {float(np.max(defect)):.2e})")
 
 
-def gauge_conjugate(obj, u):
+def gauge_conjugate(obj, u: np.ndarray):
     """Conjugate every operator amplitude by a constant unitary, X -> U X U+.
 
-    Works on operator matrices/vectors, harmonic fields, and field-strength
-    tensors.  For a harmonic field on a batch of waves, u may also be a
-    (T, d, d) stack, one unitary per trial.  Frobenius norms are unitarily
-    invariant, so residual norms computed before and after conjugation
-    agree.
+    ``obj`` is a harmonic field or a raw (..., d, d) array, such as one
+    operator, the (3, d, d) components of an operator vector or a
+    (4, 4, d, d) field-strength tensor.  For a harmonic field on a batch of
+    waves, u may also be a (T, d, d) stack, one unitary per trial.
+    Frobenius norms are unitarily invariant, so residual norms computed
+    before and after conjugation agree.
     """
-    um = getattr(u, "mat", u)
-    ud = um.conj().swapaxes(-1, -2)
-    _check_unitary(um, ud)
+    ud = u.conj().swapaxes(-1, -2)
+    _check_unitary(u, ud)
     if isinstance(obj, HarmonicField):
-        amps = (np.einsum("...ab,h...ibc,...cd->h...iad", um, obj.amps, ud) if obj.is_vector
-                else um @ obj.amps @ ud)
+        amps = (np.einsum("...ab,h...ibc,...cd->h...iad", u, obj.amps, ud) if obj.is_vector
+                else u @ obj.amps @ ud)
         return obj.with_amps(amps)
-    if isinstance(obj, OperatorMatrix):
-        return OperatorMatrix(um @ obj.mat @ ud)
-    if isinstance(obj, OperatorVector3):
-        return OperatorVector3(np.einsum("ab,ibc,cd->iad", um, obj.comps, ud))
-    if isinstance(obj, FieldStrengthTensor):
-        return FieldStrengthTensor(np.einsum("ab,mnbc,cd->mnad", um, obj.comps, ud))
-    raise TypeError(f"cannot gauge-conjugate {type(obj).__name__}")
+    return u @ obj @ ud
 
 
-def unitary_exponential(hermitian, angle: float = 1.0):
-    """exp(i * angle * H) for Hermitian H, via spectral decomposition: an
-    OperatorMatrix for an OperatorMatrix, and for a (T, d, d) stack of
-    Hermitian matrices the (T, d, d) stack of their exponentials."""
-    h = getattr(hermitian, "mat", hermitian)
+def unitary_exponential(hermitian: np.ndarray, angle: float = 1.0) -> np.ndarray:
+    """exp(i * angle * H) for a Hermitian (d, d) array, or for a (T, d, d)
+    stack of them the stack of their exponentials, via spectral
+    decomposition."""
+    h = hermitian
     hd = h.conj().swapaxes(-1, -2)
     if np.any(frobenius_norms(h - hd) > 1e-12 * np.maximum(1.0, frobenius_norms(h))):
         raise ValueError("generator of a unitary must be Hermitian")
@@ -259,5 +217,4 @@ def unitary_exponential(hermitian, angle: float = 1.0):
     diag = np.zeros(v.shape, dtype=complex)
     idx = np.arange(h.shape[-1])
     diag[..., idx, idx] = np.exp(1j * angle * w)
-    u = v @ diag @ v.conj().swapaxes(-1, -2)
-    return OperatorMatrix(u) if isinstance(hermitian, OperatorMatrix) else u
+    return v @ diag @ v.conj().swapaxes(-1, -2)

@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, OperatorMatrix, OperatorVector3
+from .algebra import PAULI, OperatorMatrix, OperatorVector3, readonly
 
 POLAR_EPS = 1e-10
 
@@ -43,22 +43,13 @@ class PolarSingularity(ValueError):
     """Momentum too close to the -z ray for the closed-form eigenvectors."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 _ZERO2 = np.zeros((2, 2), dtype=complex)
 _EYE2 = np.eye(2, dtype=complex)
-ALPHA = OperatorVector3(np.stack([np.block([[_ZERO2, s], [s, _ZERO2]]) for s in PAULI]))
-BETA = OperatorMatrix(np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]))
-SIGMA = OperatorVector3(np.stack([np.block([[s, _ZERO2], [_ZERO2, s]]) for s in PAULI]))
-
-
-def dirac_matrices() -> tuple[OperatorVector3, OperatorMatrix, OperatorVector3]:
-    """alpha (off-diagonal sigma blocks), beta (diag(1, -1)), Sigma (diag sigma);
-    the read-only module constants ALPHA, BETA, SIGMA."""
-    return ALPHA, BETA, SIGMA
+# alpha (off-diagonal sigma blocks, (3, 4, 4)), beta (diag(1, -1), (4, 4))
+# and Sigma (diag sigma, (3, 4, 4))
+ALPHA = readonly(np.stack([np.block([[_ZERO2, s], [s, _ZERO2]]) for s in PAULI]))
+BETA = readonly(np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]))
+SIGMA = readonly(np.stack([np.block([[s, _ZERO2], [_ZERO2, s]]) for s in PAULI]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +80,7 @@ class DiracContext:
 
     @functools.cached_property
     def phat(self) -> np.ndarray:
-        return _readonly(self.p / self.pnorm)
+        return readonly(self.p / self.pnorm)
 
     @functools.cached_property
     def energy(self) -> float:
@@ -126,26 +117,26 @@ class DiracContext:
     @functools.cached_property
     def hmat(self) -> np.ndarray:
         """H = c alpha.p + beta m c^2 as a 4x4 array."""
-        return _readonly(self.c * np.einsum("i,iab->ab", self.p, ALPHA.comps)
-                         + self.mass * self.c ** 2 * BETA.mat)
+        return readonly(self.c * np.einsum("i,iab->ab", self.p, ALPHA)
+                        + self.mass * self.c ** 2 * BETA)
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """eigh(H) as (w, v, v^H)."""
         w, v = np.linalg.eigh(self.hmat)
-        return _readonly(w), _readonly(v), _readonly(v.conj().T)
+        return readonly(w), readonly(v), readonly(v.conj().T)
 
     @functools.cached_property
     def hinv(self) -> np.ndarray:
         """H^-1 = v diag(1/w) v^H."""
         w, v, vh = self.spectrum
-        return _readonly(v @ np.diag(1.0 / w) @ vh)
+        return readonly(v @ np.diag(1.0 / w) @ vh)
 
     @functools.cached_property
     def position_prefactor(self) -> np.ndarray:
         """(i hbar c / 2) [alpha_i - c p_i H^-1], shape (3, 4, 4)."""
-        return _readonly(np.stack([
-            (0.5j * self.hbar * self.c) * (ALPHA.comps[i] - self.c * self.p[i] * self.hinv)
+        return readonly(np.stack([
+            (0.5j * self.hbar * self.c) * (ALPHA[i] - self.c * self.p[i] * self.hinv)
             for i in range(3)
         ]))
 
@@ -178,10 +169,13 @@ def hamiltonian(ctx: DiracContext) -> OperatorMatrix:
     return OperatorMatrix(ctx.hmat)
 
 
+def _helicity(ctx: DiracContext) -> np.ndarray:
+    return 0.5 * ctx.hbar * np.einsum("i,iab->ab", ctx.phat, SIGMA)
+
+
 def helicity_operator(ctx: DiracContext) -> OperatorMatrix:
     """Lambda = S.phat with S = (hbar/2) Sigma."""
-    return OperatorMatrix(
-        0.5 * ctx.hbar * np.einsum("i,iab->ab", ctx.phat, SIGMA.comps))
+    return OperatorMatrix(_helicity(ctx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,15 +393,10 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
 def projectors(ctx: DiracContext) -> tuple[OperatorMatrix, OperatorMatrix,
                                            OperatorMatrix, OperatorMatrix]:
     """Energy projectors (1 +- H/E_p)/2 and helicity projectors (1 +- 2 Lambda/hbar)/2."""
-    h = hamiltonian(ctx).mat
-    lam = helicity_operator(ctx).mat
+    h = ctx.hmat / ctx.energy
+    lam = 2.0 * _helicity(ctx) / ctx.hbar
     eye = np.eye(4)
-    ep = ctx.energy
-    pi_plus = OperatorMatrix(0.5 * (eye + h / ep))
-    pi_minus = OperatorMatrix(0.5 * (eye - h / ep))
-    pis_plus = OperatorMatrix(0.5 * (eye + 2.0 * lam / ctx.hbar))
-    pis_minus = OperatorMatrix(0.5 * (eye - 2.0 * lam / ctx.hbar))
-    return pi_plus, pi_minus, pis_plus, pis_minus
+    return tuple(OperatorMatrix(0.5 * m) for m in (eye + h, eye - h, eye + lam, eye - lam))
 
 
 # --- SI reporting ---------------------------------------------------------------

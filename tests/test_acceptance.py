@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from amwave.algebra import make_generators, structure_constants
+from amwave.algebra import make_generators, operator_norm, structure_constants
 from amwave.cli import EXIT_PASS, main
 from amwave.fields import (
     build_fields,
@@ -241,11 +241,11 @@ def test_criterion_11_poynting():
     for kind in ("su2_spin_half", "su2_spin_one", "su3_gellmann"):
         fam = random_family(make_generators(kind), rng, g=0.3)
         closed = amw_flux(fam)
-        scale = max(1.0, closed.vector.norm)
+        scale = max(1.0, operator_norm(closed.vector))
         quad = flux_quadrature(fam, samples=10_000, r=rng.uniform(-1, 1, 3))
-        worst_quad = max(worst_quad, (quad - closed.vector).norm / scale)
+        worst_quad = max(worst_quad, operator_norm(quad - closed.vector) / scale)
         blocks = flux_quadrature_blocks(fam, samples=10_000)
-        worst_mixed = max(worst_mixed, blocks["mixed"].norm / scale)
+        worst_mixed = max(worst_mixed, operator_norm(blocks["mixed"]) / scale)
     from amwave.fields import SolutionFamily, WaveContext
     gens = make_generators("su2_spin_half")
     ctx0 = WaveContext(generators=gens, k=np.array([0.1, -0.4, 1.0]), g=0.0)
@@ -253,7 +253,7 @@ def test_criterion_11_poynting():
     zero = np.zeros(3)
     fam0 = SolutionFamily(ctx=ctx0, R=(r0, zero, zero, zero))
     a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
-    abelian = (amw_flux(fam0).vector - em_flux(a01, ctx0).vector).norm
+    abelian = operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector)
     ok = worst_quad <= 1e-8 and abelian <= 1e-10 and worst_mixed <= 1e-10
     _line(11, ok, f"quadrature vs closed {worst_quad:.2e}, Abelian match "
                   f"{abelian:.2e}, mixed block {worst_mixed:.2e}")

@@ -173,6 +173,10 @@ _R = st.one_of(
 # floats and bools, which are no counts
 _COUNT_SECTIONS = {"trials": None, "seed": None, "steps": "zitter", "samples": "poynting"}
 _COUNT = st.one_of(st.integers(0, 3), st.floats(-1.0, 50.0, allow_nan=False), st.booleans())
+# boost.axis values: the axis names and ints, and values equal to an int
+# (1.0, True) or none at all, which are no axis
+_AXES = ("x", "y", "z", 0, 1, 2)
+_AXIS = st.sampled_from(_AXES + (1.0, 2.5, True, "w"))
 
 
 @settings(max_examples=100, deadline=None,
@@ -185,15 +189,19 @@ _COUNT = st.one_of(st.integers(0, 3), st.floats(-1.0, 50.0, allow_nan=False), st
        momentum=_VEC, k=st.none() | _VEC, R=st.none() | _R,
        coupling=st.sampled_from([0.1, 0.0, -2.0, float("nan"), float("inf")]),
        samples=st.integers(1, 48), in_yaml=st.booleans(),
-       count=st.none() | st.tuples(st.sampled_from(sorted(_COUNT_SECTIONS)), _COUNT))
+       count=st.none() | st.tuples(st.sampled_from(sorted(_COUNT_SECTIONS)), _COUNT),
+       axis=st.none() | _AXIS)
 def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
-                                coupling, samples, in_yaml, count):
+                                coupling, samples, in_yaml, count, axis):
     family = {key: val for key, val in (("k", k), ("R", R)) if val is not None}
     config = {"family": family}
+    boost = {} if axis is None else {"axis": axis}
     counts = {"trials": 1, "samples": samples, "steps": 4}
     if in_yaml:
-        config["boost"] = {"velocity": velocity}
+        boost["velocity"] = velocity
         config["zitter"] = {"pair": list(pair), "momentum": list(momentum)}
+    if boost:
+        config["boost"] = boost
     if count is not None:  # given in the config file, so no flag overrides it
         name, val = count
         counts.pop(name, None)
@@ -209,7 +217,8 @@ def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, 
                           "--out", str(tmp_path / "out")])
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
     assert not any("Traceback" in line for line in err)
-    if code == EXIT_USAGE:
+    valid_axis = axis is None or (axis in _AXES and type(axis) in (int, str))
+    if code == EXIT_USAGE or not valid_axis:
         assert_one_config_error(code, err)
     if count is not None and type(count[1]) is not int:
         assert_one_config_error(code, err)
@@ -218,7 +227,9 @@ def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, 
 
 @pytest.mark.parametrize("config", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5},
                                     {"seed": 2.0}, {"zitter": {"steps": 10.5}},
-                                    {"poynting": {"samples": 7.5}}])
+                                    {"poynting": {"samples": 7.5}},
+                                    {"zitter": {"pair": [1.7, 3.2]}},
+                                    {"zitter": {"pair": [True, 3]}}])
 def test_non_integer_counts_are_config_errors(tmp_path, config):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(config))
@@ -488,7 +499,7 @@ def _single_family_items(cfg, fam, rng):
     herm = sum((float(c) * g for c, g in
                 zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
                start=0.0 * gens.identity)
-    u = unitary_exponential(herm)
+    u = unitary_exponential(herm.mat)
     ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
     before = full_ym_residuals(a, phi, ctx, tol)
     after = full_ym_residuals(ac, pc, ctx, tol)

@@ -255,7 +255,7 @@ def test_empty_field_passes_through_the_algebra():
     assert empty.orders == () and empty.amps.shape == (0, 3, 2, 2) and empty.norm == 0.0
     perp = perpendicular_part(empty, ctx.khat)
     assert perp.orders == () and perp.is_vector
-    u = unitary_exponential(sx, 0.3)
+    u = unitary_exponential(sx.mat, 0.3)
     assert gauge_conjugate(empty, u).orders == ()
     assert gauge_conjugate(ndot(ctx.khat, empty), u).amps.shape == (0, 2, 2)
 
@@ -444,9 +444,9 @@ def test_batch_gives_each_trial_its_single_wave_field():
             random_family(SPIN_HALF, rng, g=0.7),
             SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
             random_family(SPIN_HALF, rng, abelian=True, g=0.7)]
-    us = [unitary_exponential(g, 0.4 + 0.3 * i)
+    us = [unitary_exponential(g.mat, 0.4 + 0.3 * i)
           for i, g in enumerate(SPIN_HALF.generators + SPIN_HALF.generators[:1])]
-    batch = _expressions(FamilyBatch(tuple(fams)), np.stack([u.mat for u in us]))
+    batch = _expressions(FamilyBatch(tuple(fams)), np.stack(us))
     singles = [_expressions(fam, u) for fam, u in zip(fams, us)]
     dropped = set()
     for k, (name, fb) in enumerate(batch):

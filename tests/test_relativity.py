@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from amwave.algebra import OperatorMatrix, OperatorVector3, make_generators
+from amwave.algebra import frobenius_norms, make_generators, numeric_lift, operator_norm
 from amwave.fields import build_potentials, random_family, xz_family
+from amwave.poynting import amw_flux, flux_quadrature, flux_quadrature_blocks
 from amwave.relativity import (
     METRIC,
-    FieldStrengthTensor,
     NonUnitary,
     SuperluminalBoost,
     assemble_tensor,
@@ -13,7 +13,6 @@ from amwave.relativity import (
     boost_tensor,
     boost_wavevector,
     boosted_residuals,
-    extract_fields,
     gauge_conjugate,
     harmonic_tensors,
     null_defect,
@@ -24,26 +23,41 @@ from amwave.residuals import full_ym_residuals, report_from_fields, wca_conditio
 SPIN_HALF = make_generators("su2_spin_half")
 
 
+def _norm(f: np.ndarray) -> float:
+    """Largest component Frobenius norm of a (4, 4, d, d) tensor."""
+    return float(frobenius_norms(f).max())
+
+
+def _antisymmetry_defect(f: np.ndarray) -> float:
+    return float(frobenius_norms(f + f.swapaxes(0, 1)).max())
+
+
+def _fields_of(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, E) read back from the tensor slots that assemble_tensor fills."""
+    return (np.stack([f[3, 2], f[1, 3], f[2, 1]]),
+            np.stack([f[1, 0], f[2, 0], f[3, 0]]))
+
+
 def test_assemble_pure_electric():
-    e = OperatorVector3.from_numeric([1.0, 0, 0], 1)
-    b = OperatorVector3.zero(1)
-    f = assemble_tensor(b.comps, e.comps)
-    np.testing.assert_allclose(f.comps[0, 1], [[-1.0]])
-    np.testing.assert_allclose(f.comps[1, 0], [[1.0]])
+    e = numeric_lift([1.0, 0, 0], 1)
+    b = np.zeros((3, 1, 1), dtype=complex)
+    f = assemble_tensor(b, e)
+    np.testing.assert_allclose(f[0, 1], [[-1.0]])
+    np.testing.assert_allclose(f[1, 0], [[1.0]])
     for mu, nu in ((3, 2), (1, 3), (2, 1)):
-        assert np.abs(f.comps[mu, nu]).max() == 0.0
-    assert f.antisymmetry_defect() <= 1e-15
+        assert np.abs(f[mu, nu]).max() == 0.0
+    assert _antisymmetry_defect(f) <= 1e-15
 
 
 def test_assemble_zero_and_roundtrip():
-    b = OperatorVector3.zero(2)
-    e = OperatorVector3.zero(2)
-    assert assemble_tensor(b.comps, e.comps).norm == 0.0
+    b = np.zeros((3, 2, 2), dtype=complex)
+    e = np.zeros((3, 2, 2), dtype=complex)
+    assert _norm(assemble_tensor(b, e)) == 0.0
     rng = np.random.default_rng(3)
-    b = OperatorVector3(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
-    e = OperatorVector3(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
-    bb, ee = extract_fields(assemble_tensor(b.comps, e.comps))
-    assert (bb - b).norm <= 1e-15 and (ee - e).norm <= 1e-15
+    b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    e = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    bb, ee = _fields_of(assemble_tensor(b, e))
+    assert operator_norm(bb - b) <= 1e-15 and operator_norm(ee - e) <= 1e-15
 
 
 def test_assemble_xz_first_harmonic():
@@ -52,9 +66,9 @@ def test_assemble_xz_first_harmonic():
     fam = xz_family(SPIN_HALF)
     _, f = harmonic_tensors(fam)[0], harmonic_tensors(fam)[0][1]
     sx = SPIN_HALF.generators[0].mat
-    np.testing.assert_allclose(f.comps[1, 3], 1j * sx, atol=1e-15)
-    assert np.abs(f.comps[2, 1]).max() <= 1e-15
-    np.testing.assert_allclose(f.comps[1, 0], 1j * sx, atol=1e-15)  # E_x
+    np.testing.assert_allclose(f[1, 3], 1j * sx, atol=1e-15)
+    assert np.abs(f[2, 1]).max() <= 1e-15
+    np.testing.assert_allclose(f[1, 0], 1j * sx, atol=1e-15)  # E_x
 
 
 def test_boost_identity_and_inverse():
@@ -83,6 +97,13 @@ def test_interval_invariance():
             assert abs(xp @ METRIC @ xp - x @ METRIC @ x) <= 1e-12 * (x @ x)
 
 
+@pytest.mark.parametrize("axis", [1.0, 2.5, True, False, "w", None, [1]])
+def test_boost_axis_rejects_non_axes(axis):
+    # 1.0 == 1 and True == 1, so a membership test alone lets them through
+    with pytest.raises(ValueError, match="axis must be"):
+        boost_matrix(0.5, axis=axis)
+
+
 def test_superluminal_raises():
     with pytest.raises(SuperluminalBoost):
         boost_matrix(1.0)
@@ -91,24 +112,23 @@ def test_superluminal_raises():
 
 
 def test_boost_tensor_pure_ex():
-    e = OperatorVector3.from_numeric([1.0, 0, 0], 1)
-    f = assemble_tensor(OperatorVector3.zero(1).comps, e.comps)
+    e = numeric_lift([1.0, 0, 0], 1)
+    f = assemble_tensor(np.zeros((3, 1, 1), dtype=complex), e)
     v = 0.5
     fp = boost_tensor(f, boost_matrix(v))
     gamma = 1.0 / np.sqrt(1 - v * v)
-    bp, ep = extract_fields(fp)
-    np.testing.assert_allclose(ep.comps[0], [[gamma]], atol=1e-14)
-    np.testing.assert_allclose(bp.comps[1], [[-gamma * v]], atol=1e-14)
-    assert fp.antisymmetry_defect() <= 1e-14
+    bp, ep = _fields_of(fp)
+    np.testing.assert_allclose(ep[0], [[gamma]], atol=1e-14)
+    np.testing.assert_allclose(bp[1], [[-gamma * v]], atol=1e-14)
+    assert _antisymmetry_defect(fp) <= 1e-14
 
 
 def test_double_boost_roundtrip():
     rng = np.random.default_rng(7)
     comps = rng.normal(size=(4, 4, 2, 2))
-    comps = comps - np.transpose(comps, (1, 0, 2, 3))
-    f = FieldStrengthTensor(comps.astype(complex))
+    f = (comps - np.transpose(comps, (1, 0, 2, 3))).astype(complex)
     out = boost_tensor(boost_tensor(f, boost_matrix(0.7)), boost_matrix(-0.7))
-    assert float(np.abs(out.comps - f.comps).max()) <= 1e-12
+    assert float(np.abs(out - f).max()) <= 1e-12
 
 
 def test_boost_wavevector_doppler():
@@ -150,7 +170,7 @@ def test_boosted_residuals_superluminal():
 def test_gauge_conjugate_identity():
     fam = xz_family(SPIN_HALF)
     a, phi = build_potentials(fam)
-    u = OperatorMatrix.identity(2)
+    u = np.eye(2, dtype=complex)
     assert (gauge_conjugate(a, u) - a).norm <= 1e-15
     assert (gauge_conjugate(phi, u) - phi).norm <= 1e-15
 
@@ -158,7 +178,7 @@ def test_gauge_conjugate_identity():
 def test_gauge_conjugate_preserves_residual_norms():
     fam = xz_family(SPIN_HALF)
     a, phi = build_potentials(fam)
-    u = unitary_exponential(SPIN_HALF.generators[2], angle=1.3)
+    u = unitary_exponential(SPIN_HALF.generators[2].mat, angle=1.3)
     before = full_ym_residuals(a, phi, fam.ctx)
     after = full_ym_residuals(gauge_conjugate(a, u), gauge_conjugate(phi, u),
                               fam.ctx)
@@ -173,7 +193,7 @@ def test_gauge_conjugate_solution_still_solves():
     herm = sum((float(c) * g for c, g in zip(rng.uniform(-1, 1, 3),
                                              fam.ctx.generators.generators)),
                start=0.0 * fam.ctx.generators.identity)
-    u = unitary_exponential(herm)
+    u = unitary_exponential(herm.mat)
     fields = wca_condition_fields(gauge_conjugate(a, u),
                                   gauge_conjugate(phi, u), fam.ctx)
     rep = report_from_fields("wca", fields, 1e-12, max(1.0, a.norm))
@@ -183,13 +203,47 @@ def test_gauge_conjugate_solution_still_solves():
 def test_gauge_conjugate_tensor_antisymmetry():
     fam = xz_family(SPIN_HALF)
     _, f = harmonic_tensors(fam)[1]
-    u = unitary_exponential(SPIN_HALF.generators[0], angle=0.4)
+    u = unitary_exponential(SPIN_HALF.generators[0].mat, angle=0.4)
     fc = gauge_conjugate(f, u)
-    assert fc.antisymmetry_defect() <= 1e-14
-    assert abs(fc.norm - f.norm) <= 1e-12  # unitary invariance
+    assert _antisymmetry_defect(fc) <= 1e-14
+    assert abs(_norm(fc) - _norm(f)) <= 1e-12  # unitary invariance
 
 
 def test_nonunitary_rejected():
     with pytest.raises(NonUnitary):
-        gauge_conjugate(OperatorMatrix.identity(2),
-                        OperatorMatrix(np.array([[1.0, 0.3], [0.0, 1.0]])))
+        gauge_conjugate(np.eye(2), np.array([[1.0, 0.3], [0.0, 1.0]]))
+
+
+def test_api_edge_returns_plain_arrays():
+    """Tensors, unitaries and fluxes are plain ndarrays of the documented
+    shapes; gauge_conjugate on a (3, d, d) array conjugates each component."""
+    fam = random_family(make_generators("su2_spin_one"), np.random.default_rng(4))
+    d = fam.ctx.dim
+    tensors = harmonic_tensors(fam)
+    assert [m for m, _ in tensors] == [1, 2]
+    shaped = [f for _, f in tensors] + [boost_tensor(tensors[0][1], boost_matrix(0.3, axis="x"))]
+    b = np.zeros((3, d, d), dtype=complex)
+    shaped.append(assemble_tensor(b, b))
+    for f in shaped:
+        assert type(f) is np.ndarray and f.shape == (4, 4, d, d)
+        assert not f.flags.writeable
+    herm = fam.ctx.generators.generators[0].mat
+    u = unitary_exponential(herm, 0.7)
+    assert type(u) is np.ndarray and u.shape == (d, d)
+    us = unitary_exponential(np.stack([herm, 2.0 * herm]))
+    assert type(us) is np.ndarray and us.shape == (2, d, d)
+    tau = fam.tau.comps
+    conj = gauge_conjugate(tau, u)
+    assert type(conj) is np.ndarray and conj.shape == (3, d, d)
+    for i in range(3):
+        np.testing.assert_array_equal(conj[i], gauge_conjugate(tau[i], u))
+        np.testing.assert_allclose(conj[i], u @ tau[i] @ u.conj().T, atol=1e-15)
+    flux = amw_flux(fam)
+    assert type(flux.magnitude_operator) is np.ndarray and flux.magnitude_operator.shape == (d, d)
+    assert type(flux.vector) is np.ndarray and flux.vector.shape == (3, d, d)
+    quad = flux_quadrature(fam, samples=5)
+    assert type(quad) is np.ndarray and quad.shape == (3, d, d)
+    blocks = flux_quadrature_blocks(fam, samples=5)
+    assert sorted(blocks) == ["first", "mixed", "second", "total"]
+    for val in blocks.values():
+        assert type(val) is np.ndarray and val.shape == (3, d, d)

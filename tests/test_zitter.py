@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amwave import zitter
-from amwave.algebra import OperatorMatrix, commutator
+from amwave.algebra import OperatorMatrix, commutator, operator_norm
 from amwave.zitter import (
     ALPHA,
     BETA,
@@ -15,7 +15,6 @@ from amwave.zitter import (
     amplitude_frequency,
     amplitude_frequency_si,
     compton_wavelength_si,
-    dirac_matrices,
     eigenstates,
     evolution_factor,
     hamiltonian,
@@ -39,17 +38,16 @@ def random_ctx(rng, **kw) -> DiracContext:
 
 
 def test_dirac_algebra():
-    alpha, beta, _ = dirac_matrices()
     eye = np.eye(4)
     for i in range(3):
-        ai = OperatorMatrix(alpha.comps[i])
-        assert (ai @ ai - OperatorMatrix(eye)).norm <= 1e-15
-        assert (ai @ beta + beta @ ai).norm <= 1e-15
+        ai = ALPHA[i]
+        assert operator_norm(ai @ ai - eye) <= 1e-15
+        assert operator_norm(ai @ BETA + BETA @ ai) <= 1e-15
         for j in range(3):
             want = 2.0 * eye if i == j else np.zeros((4, 4))
-            acc = alpha.comps[i] @ alpha.comps[j] + alpha.comps[j] @ alpha.comps[i]
+            acc = ALPHA[i] @ ALPHA[j] + ALPHA[j] @ ALPHA[i]
             assert np.abs(acc - want).max() <= 1e-15
-    assert (beta @ beta - OperatorMatrix(eye)).norm <= 1e-15
+    assert operator_norm(BETA @ BETA - eye) <= 1e-15
 
 
 def test_eigenstates_labels_and_orthonormality():
@@ -177,8 +175,7 @@ def test_spin_evolution_derivative():
     # central differences with second-order h-refinement
     rng = np.random.default_rng(13)
     ctx = random_ctx(rng)
-    alpha, _, sigma = dirac_matrices()
-    s0 = 0.5 * ctx.hbar * sigma.comps
+    s0 = 0.5 * ctx.hbar * SIGMA
     p = ctx.p
 
     def s_of_t(t):
@@ -192,9 +189,9 @@ def test_spin_evolution_derivative():
         ])
 
     want = -ctx.c * np.stack([
-        alpha.comps[1] * p[2] - alpha.comps[2] * p[1],
-        alpha.comps[2] * p[0] - alpha.comps[0] * p[2],
-        alpha.comps[0] * p[1] - alpha.comps[1] * p[0],
+        ALPHA[1] * p[2] - ALPHA[2] * p[1],
+        ALPHA[2] * p[0] - ALPHA[0] * p[2],
+        ALPHA[0] * p[1] - ALPHA[1] * p[0],
     ])
     errs = []
     for h in (1e-3, 5e-4):
@@ -207,18 +204,17 @@ def test_spin_evolution_derivative():
 
 def test_helicity_commutes_and_spin_identities():
     rng = np.random.default_rng(14)
-    alpha, _, sigma = dirac_matrices()
     for _ in range(20):
         ctx = random_ctx(rng)
         h = hamiltonian(ctx)
         lam = helicity_operator(ctx)
         assert commutator(h, lam).norm <= 1e-12
         # [S_i, alpha.p] = -i hbar (alpha x p)_i
-        adotp = OperatorMatrix(np.einsum("i,iab->ab", ctx.p, alpha.comps))
+        adotp = OperatorMatrix(np.einsum("i,iab->ab", ctx.p, ALPHA))
         for i in range(3):
-            si = OperatorMatrix(0.5 * ctx.hbar * sigma.comps[i])
-            axp = (alpha.comps[(i + 1) % 3] * ctx.p[(i + 2) % 3]
-                   - alpha.comps[(i + 2) % 3] * ctx.p[(i + 1) % 3])
+            si = OperatorMatrix(0.5 * ctx.hbar * SIGMA[i])
+            axp = (ALPHA[(i + 1) % 3] * ctx.p[(i + 2) % 3]
+                   - ALPHA[(i + 2) % 3] * ctx.p[(i + 1) % 3])
             lhs = commutator(si, adotp).mat
             assert np.abs(lhs + 1j * ctx.hbar * axp).max() <= 1e-12
 
@@ -253,22 +249,20 @@ def test_projector_properties():
             want = k * st.amplitudes
             assert np.linalg.norm(got - want) <= 1e-12
     # the sandwiched oscillation generator vanishes between like projectors
-    alpha, _, _ = dirac_matrices()
     h = hamiltonian(ctx).mat
     hinv = np.linalg.inv(h)
     for i in range(3):
-        gen = OperatorMatrix(alpha.comps[i] - ctx.c * ctx.p[i] * hinv)
+        gen = OperatorMatrix(ALPHA[i] - ctx.c * ctx.p[i] * hinv)
         assert (pp @ gen @ pp).norm <= 1e-12
         assert (pm @ gen @ pm).norm <= 1e-12
 
 
 def test_alpha_matrix_element_closed_form():
     rng = np.random.default_rng(17)
-    alpha, _, _ = dirac_matrices()
     for _ in range(20):
         ctx = random_ctx(rng)
         s1, _, _, s4 = eigenstates(ctx)
-        got = np.array([s1.amplitudes.conj() @ alpha.comps[i] @ s4.amplitudes
+        got = np.array([s1.amplitudes.conj() @ ALPHA[i] @ s4.amplitudes
                         for i in range(3)])
         assert np.abs(got - alpha_matrix_element_14(ctx)).max() <= 1e-12
 
@@ -301,9 +295,8 @@ def reference_position_operator(ctx, t):
     hinv = v @ np.diag(1.0 / w) @ v.conj().T
     phase = v @ np.diag(np.exp(-2j * w * t / ctx.hbar) - 1.0) @ v.conj().T
     tail = hinv @ phase
-    alpha = dirac_matrices()[0].comps
     return np.stack([(0.5j * ctx.hbar * ctx.c)
-                     * (alpha[i] - ctx.c * ctx.p[i] * hinv) @ tail for i in range(3)])
+                     * (ALPHA[i] - ctx.c * ctx.p[i] * hinv) @ tail for i in range(3)])
 
 
 def reference_expectation(spec, ctx, t, spin):
@@ -416,13 +409,13 @@ def test_imaginary_expectation_is_rejected_per_row():
 
 
 def test_constants_and_caches_are_read_only():
-    alpha, beta, sigma = dirac_matrices()
-    assert alpha is ALPHA and beta is BETA and sigma is SIGMA
+    assert all(type(m) is np.ndarray for m in (ALPHA, BETA, SIGMA))
+    assert ALPHA.shape == SIGMA.shape == (3, 4, 4) and BETA.shape == (4, 4)
     ctx = DiracContext(p=np.array([0.2, -0.1, 0.7]))
     w, v, vh = ctx.spectrum
     assert ctx.hinv is ctx.hinv and ctx.spectrum is ctx.spectrum
     assert eigenstates(ctx) is eigenstates(ctx)
-    for arr in (ALPHA.comps, BETA.mat, SIGMA.comps, ctx.hmat, w, v, vh, ctx.hinv,
+    for arr in (ALPHA, BETA, SIGMA, ctx.hmat, w, v, vh, ctx.hinv,
                 ctx.phat, ctx.position_prefactor, eigenstates(ctx)[0].amplitudes):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0

@@ -1,6 +1,6 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 69 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 71 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
@@ -12,6 +12,8 @@ Prints one line per configuration, ``<sha256>  <label>``, for 69 runs:
   along x, so phi = 0; zero coupling (also su3); the su2_spin_one
   generator alone; and the alternating generator at 1 and 3 trials,
   where one generator group holds a single trial (also su3).
+- 2 boost report bodies at seed 3 along the x and the y axis; every
+  other boost run uses the default z axis.
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
   each at the default momentum 0,0,0.8 (exact zeros in p) and at the
   off-axis momentum 0.3,-0.4,0.9.
@@ -77,6 +79,9 @@ def configs():
         for suite in CONDITION_SUITES + ("su3",):
             yield f"{suite} seed=11 trials={trials}", RunConfig(
                 suite=suite, seed=11, trials=trials)
+    for axis in ("x", "y"):
+        yield f"boost seed=3 axis={axis}", RunConfig(
+            suite="boost", seed=3, trials=10, boost_axis=axis)
 
 
 def exports():
