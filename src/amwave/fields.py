@@ -457,7 +457,13 @@ class SolutionFamily:
         l, m = np.array(pairs).T
         stack = np.stack(vecs)
         lengths = np.sqrt(np.einsum("ij,ij->i", stack, stack))
-        triple = np.cross(stack[l], stack[m]) @ self.ctx.k
+        # np.cross's own products and differences, without its argument
+        # handling, which cost more than the rest of this check
+        a, b = stack[l], stack[m]
+        normal = np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                           a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                           a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=-1)
+        triple = normal @ self.ctx.k
         bound = COPLANARITY_TOL * self.ctx.knorm * lengths[l] * lengths[m]
         bad = np.flatnonzero(np.abs(triple) > bound)
         if bad.size:

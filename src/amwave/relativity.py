@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import frobenius_norms, readonly
-from .fields import HarmonicField, SolutionFamily, build_fields
+from .fields import (
+    FamilyBatch,
+    HarmonicField,
+    SolutionFamily,
+    WaveBatch,
+    WaveContext,
+    build_fields,
+    square,
+)
 from .residuals import ResidualItem, ResidualReport
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -79,71 +87,130 @@ def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostM
 
 
 def assemble_tensor(b: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The contravariant field-strength tensor, a read-only (4, 4, d, d)
+    """The contravariant field-strength tensor, a read-only (..., 4, 4, d, d)
     array, from magnetic and electric amplitude components, each of shape
-    (3, d, d).
+    (..., 3, d, d); leading axes (a trial axis) carry through.
 
     Layout: F^{i0} = E_i and (F^{32}, F^{13}, F^{21}) = B.
     """
     if b.shape != e.shape:
         raise ValueError("field amplitudes must share dimension")
-    f = np.zeros((4, 4) + b.shape[1:], dtype=complex)
-    ex, ey, ez = e
-    bx, by, bz = b
-    f[1, 0], f[2, 0], f[3, 0] = ex, ey, ez
-    f[0, 1], f[0, 2], f[0, 3] = -ex, -ey, -ez
-    f[3, 2], f[1, 3], f[2, 1] = bx, by, bz
-    f[2, 3], f[3, 1], f[1, 2] = -bx, -by, -bz
+    f = np.zeros(b.shape[:-3] + (4, 4) + b.shape[-2:], dtype=complex)
+    ex, ey, ez = np.moveaxis(e, -3, 0)
+    bx, by, bz = np.moveaxis(b, -3, 0)
+    f[..., 1, 0, :, :], f[..., 2, 0, :, :], f[..., 3, 0, :, :] = ex, ey, ez
+    f[..., 0, 1, :, :], f[..., 0, 2, :, :], f[..., 0, 3, :, :] = -ex, -ey, -ez
+    f[..., 3, 2, :, :], f[..., 1, 3, :, :], f[..., 2, 1, :, :] = bx, by, bz
+    f[..., 2, 3, :, :], f[..., 3, 1, :, :], f[..., 1, 2, :, :] = -bx, -by, -bz
     return readonly(f)
 
 
 def boost_tensor(f: np.ndarray, boost: BoostMatrix) -> np.ndarray:
-    """F'^{mu nu} = C_mu_alpha C_nu_beta F^{alpha beta}, read-only (4, 4, d, d)."""
+    """F'^{mu nu} = C_mu_alpha C_nu_beta F^{alpha beta}, read-only
+    (..., 4, 4, d, d)."""
     c = boost.matrix
-    return readonly(np.einsum("ma,nb,abij->mnij", c, c, f))
+    return readonly(np.einsum("ma,nb,...abij->...mnij", c, c, f))
 
 
 def boost_wavevector(kmu: np.ndarray, boost: BoostMatrix) -> np.ndarray:
-    """Apply the boost to a contravariant four-vector (omega/c, k)."""
-    return boost.matrix @ np.asarray(kmu, dtype=float)
-
-
-def null_defect(kmu: np.ndarray, c: float = 1.0) -> float:
-    """|omega^2 - c^2 |k|^2| / omega^2 for a wave four-vector."""
+    """Apply the boost to a contravariant four-vector (omega/c, k), or to
+    each of a (..., 4) stack of them."""
     kmu = np.asarray(kmu, dtype=float)
-    w2 = (c * kmu[0]) ** 2
-    return abs(w2 - c * c * float(kmu[1:] @ kmu[1:])) / w2
+    return (boost.matrix @ kmu[..., None])[..., 0]
 
 
-def harmonic_tensors(fam: SolutionFamily) -> list[tuple[int, np.ndarray]]:
+def null_defect(kmu: np.ndarray, c: float = 1.0):
+    """|omega^2 - c^2 |k|^2| / omega^2 for a wave four-vector, or for each
+    of a (..., 4) stack of them."""
+    kmu = np.asarray(kmu, dtype=float)
+    w2 = square(c * kmu[..., 0])
+    k2 = (kmu[..., None, 1:] @ kmu[..., 1:, None])[..., 0, 0]
+    return abs(w2 - c * c * k2) / w2
+
+
+def harmonic_tensors(fam: SolutionFamily | FamilyBatch) -> list[tuple[int, np.ndarray]]:
     """Per-harmonic field-strength amplitudes of a solution family, as
-    (order, (4, 4, d, d) tensor) pairs."""
+    (order, (4, 4, d, d) tensor) pairs; on a FamilyBatch each tensor is
+    (T, 4, 4, d, d), zero for a trial that holds no amplitude of that
+    order."""
     b, e = build_fields(fam)
     return [(m, assemble_tensor(b.raw_amplitude(m), e.raw_amplitude(m)))
             for m in sorted(set(b.orders) | set(e.orders))]
 
 
-def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[float, float]:
+def _sup_norm(arr: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """The largest Frobenius norm of the (d, d) blocks of each trial of
+    ``arr``, shape batch + (..., d, d)."""
+    norms = frobenius_norms(arr)
+    return norms.reshape(batch + (-1,)).max(axis=-1)
+
+
+def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sup norms of the first-form equations on per-harmonic amplitudes.
 
     For a harmonic of order m the derivative acts as i*m*u with
     u = (-omega/c, k), so both the divergence equation and the cyclic
     (Bianchi-type) sum become finite contractions.  The cyclic sum is taken
-    on F_mu_nu = g F^{..} g with the diagonal metric.
+    on F_mu_nu = g F^{..} g with the diagonal metric.  ``kmu`` is (..., 4)
+    and each tensor (..., 4, 4, d, d); the defects are one per trial, and
+    the cyclic sum is formed one first index at a time, so its temporary
+    stays the size of a tensor.
     """
     u = np.asarray(kmu, dtype=float) * np.array([-1.0, 1.0, 1.0, 1.0])
+    batch = u.shape[:-1]
     g = np.diag(METRIC)
-    div_defect = 0.0
-    bianchi_defect = 0.0
+    div_defect = np.zeros(batch)
+    bianchi_defect = np.zeros(batch)
     for m, f in tensors:
-        dive = 1j * m * np.einsum("m,mnab->nab", u, f)
-        div_defect = max(div_defect, float(frobenius_norms(dive).max()))
-        low = np.einsum("m,n,mnab->mnab", g, g, f)
-        cyc = abs(m) * (np.einsum("m,ngab->mngab", u, low)
-                        + np.einsum("n,gmab->mngab", u, low)
-                        + np.einsum("g,mnab->mngab", u, low))
-        bianchi_defect = max(bianchi_defect, float(frobenius_norms(cyc).max()))
+        dive = 1j * m * np.einsum("...m,...mnab->...nab", u, f)
+        div_defect = np.maximum(div_defect, _sup_norm(dive, batch))
+        low = np.einsum("m,n,...mnab->...mnab", g, g, f)
+        for mu in range(4):
+            cyc = abs(m) * (np.einsum("...,...ngab->...ngab", u[..., mu], low)
+                            + np.einsum("...n,...gab->...ngab", u, low[..., mu, :, :])
+                            + np.einsum("...g,...nab->...ngab", u, low[..., mu, :, :, :]))
+            bianchi_defect = np.maximum(bianchi_defect, _sup_norm(cyc, batch))
     return div_defect, bianchi_defect
+
+
+def _boosted_items(ctx: WaveContext | WaveBatch, tensors, boost: BoostMatrix, tol: float):
+    """(item, residual per trial, tolerance) for the tensor equations of the
+    per-harmonic tensors and the wave four-vectors of ``ctx``, seen in the
+    boosted frame."""
+    kmu = np.concatenate([np.expand_dims(ctx.omega / ctx.c, -1), ctx.k], axis=-1)
+    kmu_prime = boost_wavevector(kmu, boost)
+    batch = kmu_prime.shape[:-1]
+    boosted = [(m, boost_tensor(f, boost)) for m, f in tensors]
+    top = np.zeros(batch)  # stays 0 with no harmonics, when R = 0
+    antisymmetry = np.zeros(batch)
+    for _, f in boosted:
+        top = np.maximum(top, _sup_norm(f, batch))
+        antisymmetry = np.maximum(antisymmetry, _sup_norm(f + f.swapaxes(-4, -3), batch))
+    scale = np.maximum(1.0, top * np.abs(kmu_prime).max(axis=-1))
+    div_defect, bianchi_defect = tensor_equation_defects(boosted, kmu_prime)
+    return [("tensor_divergence", div_defect / scale, tol),
+            ("bianchi_cycle", bianchi_defect / scale, tol),
+            ("null_wavevector", null_defect(kmu_prime, boost.c), 1e-12),
+            ("tensor_antisymmetry", antisymmetry / scale, 1e-12)]
+
+
+def boost_columns(fams: SolutionFamily | FamilyBatch, speeds, axis: int | str = 2,
+                  tol: float = 1e-10) -> list[tuple[str, np.ndarray, float]]:
+    """The boosted-frame checks of a family, or of every trial of a batch,
+    at several boost speeds.
+
+    The fields and per-harmonic tensors are built once and boosted with
+    velocity s*c for each speed s (in units of c) in ``speeds``.  Returns
+    (name, residual per trial, tolerance) columns named
+    ``v=<s:+g>c/<item>``: the divergence and cyclic equations held to
+    ``tol``, the null wave four-vector and the tensor antisymmetry to
+    1e-12.  Raises SuperluminalBoost for |s| >= 1.
+    """
+    ctx = fams.ctx
+    tensors = harmonic_tensors(fams)
+    return [(f"v={s:+g}c/{name}", r, item_tol) for s in speeds
+            for name, r, item_tol in _boosted_items(
+                ctx, tensors, boost_matrix(s * ctx.c, c=ctx.c, axis=axis), tol)]
 
 
 def boosted_residuals(fam: SolutionFamily, velocity: float,
@@ -152,27 +219,12 @@ def boosted_residuals(fam: SolutionFamily, velocity: float,
 
     Transforms every per-harmonic tensor amplitude and the wave four-vector,
     then re-evaluates the divergence and cyclic equations with the boosted
-    phase derivative.  Raises SuperluminalBoost for |v| >= c.
+    phase derivative: ``boost_columns`` for one family at one velocity.
+    Raises SuperluminalBoost for |v| >= c.
     """
-    ctx = fam.ctx
-    boost = boost_matrix(velocity, c=ctx.c, axis=axis)
-    kmu = np.concatenate([[ctx.omega / ctx.c], ctx.k])
-    kmu_prime = boost_wavevector(kmu, boost)
-    tensors = harmonic_tensors(fam)
-    boosted = [(m, boost_tensor(f, boost)) for m, f in tensors]
-    # no harmonics when R = 0
-    top = max((float(frobenius_norms(f).max()) for _, f in boosted), default=0.0)
-    scale = max(1.0, top * float(np.abs(kmu_prime).max()))
-    div_defect, bianchi_defect = tensor_equation_defects(boosted, kmu_prime)
-    items = (
-        ResidualItem("tensor_divergence", div_defect / scale, tol),
-        ResidualItem("bianchi_cycle", bianchi_defect / scale, tol),
-        ResidualItem("null_wavevector", null_defect(kmu_prime, ctx.c), 1e-12),
-        ResidualItem("tensor_antisymmetry",
-                     max((float(frobenius_norms(f + f.swapaxes(0, 1)).max())
-                          for _, f in boosted), default=0.0) / scale, 1e-12),
-    )
-    return ResidualReport(f"boost v={velocity}", items)
+    boost = boost_matrix(velocity, c=fam.ctx.c, axis=axis)
+    items = _boosted_items(fam.ctx, harmonic_tensors(fam), boost, tol)
+    return ResidualReport(f"boost v={velocity}", tuple(ResidualItem(*it) for it in items))
 
 
 # --- constant gauge conjugation ---------------------------------------------------

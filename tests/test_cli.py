@@ -240,6 +240,31 @@ def test_non_integer_counts_are_config_errors(tmp_path, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pair", [[1, 3, 4], [1], []])
+def test_wrong_length_pair_is_config_error(tmp_path, pair):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"zitter": {"pair": pair}}))
+    for argv in (["zitter"], ["verify", "wca"]):
+        code, err = run_main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_one_config_error(code, err)
+        assert err[0].startswith("config error: pair must be two integers")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("number, letter", [(0, "x"), (1, "y"), (2, "z")])
+def test_numeric_boost_axis_writes_the_letter_report(tmp_path, number, letter):
+    bodies = []
+    for axis in (number, letter):
+        path = tmp_path / f"{axis}.yaml"
+        path.write_text(yaml.safe_dump({"boost": {"axis": axis, "velocity": 0.7}}))
+        out = tmp_path / f"{axis}.json"
+        assert main(["boost", "--trials", "3", "--config", str(path),
+                     "--out", str(out)]) == EXIT_PASS
+        bodies.append(out.read_bytes())
+    assert bodies[0] == bodies[1]
+    assert read_json(tmp_path / f"{letter}.json")["config"]["boost_axis"] == letter
+
+
 @pytest.mark.parametrize("argv", [["verify", suite, "--trials", "2"] for suite in
                                   ("wca", "zca", "exact", "full", "gauge", "boost", "poynting")]
                          + [["poynting", "--steps", "4"]])

@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from amwave.algebra import frobenius_norms, make_generators, numeric_lift, operator_norm
-from amwave.fields import build_potentials, random_family, xz_family
+from amwave.fields import (
+    FamilyBatch,
+    SolutionFamily,
+    WaveContext,
+    build_potentials,
+    random_family,
+    xz_family,
+)
 from amwave.poynting import amw_flux, flux_quadrature, flux_quadrature_blocks
 from amwave.relativity import (
     METRIC,
     NonUnitary,
     SuperluminalBoost,
     assemble_tensor,
+    boost_columns,
     boost_matrix,
     boost_tensor,
     boost_wavevector,
@@ -16,6 +24,7 @@ from amwave.relativity import (
     gauge_conjugate,
     harmonic_tensors,
     null_defect,
+    tensor_equation_defects,
     unitary_exponential,
 )
 from amwave.residuals import full_ym_residuals, report_from_fields, wca_condition_fields
@@ -165,6 +174,71 @@ def test_boosted_residuals_random_families(velocity):
 def test_boosted_residuals_superluminal():
     with pytest.raises(SuperluminalBoost):
         boosted_residuals(xz_family(SPIN_HALF), 1.2)
+
+
+def _mixed_batches(kind: str, c: float, g: float):
+    """A batch of random families with k off every axis and a zero-R
+    family among them, and a batch of one family."""
+    gens = make_generators(kind)
+    rng = np.random.default_rng(17)
+    fams = [random_family(gens, rng, k=rng.normal(size=3), c=c, g=g) for _ in range(4)]
+    zero = SolutionFamily(ctx=WaveContext(generators=gens, k=np.array([0.2, -0.9, 0.4]),
+                                          c=c, g=g),
+                          R=(np.zeros(3),) * gens.n_coeffs)
+    fams.insert(2, zero)
+    return [FamilyBatch(tuple(fams)), FamilyBatch((fams[0],))]
+
+
+@pytest.mark.parametrize("kind, c, g", [("su2_spin_half", 1.0, 0.1),
+                                        ("su2_spin_one", 2.5, 0.0),
+                                        ("su3_gellmann", 0.3, -1.7)])
+@pytest.mark.parametrize("axis", ["x", "y", 2])
+def test_batch_columns_equal_single_family_bits(kind, c, g, axis):
+    speed = 0.93
+    for batch in _mixed_batches(kind, c, g):
+        cols = boost_columns(batch, (speed, -speed), axis=axis, tol=1e-10)
+        assert [name for name, _, _ in cols] == [
+            f"v={v:+g}c/{item}" for v in (speed, -speed)
+            for item in ("tensor_divergence", "bianchi_cycle", "null_wavevector",
+                         "tensor_antisymmetry")]
+        for t, fam in enumerate(batch.families):
+            single = [it for v in (speed, -speed)
+                      for it in boosted_residuals(fam, v * c, axis=axis, tol=1e-10).items]
+            assert [(float(r[t]), tol) for _, r, tol in cols] == [
+                (it.residual, it.tolerance) for it in single]
+        # the zero-R trial has no harmonics: every residual is exactly zero
+        # but the null defect of its four-vector
+        if len(batch.families) > 1:
+            assert all(r[2] == 0.0 for name, r, _ in cols if "null" not in name)
+
+
+def test_defects_match_the_whole_contraction_bits():
+    """The divergence and the cyclic sum, formed one first index at a time
+    on a batch, give the bits of the plain per-family contraction."""
+    batch = _mixed_batches("su2_spin_one", 1.0, 0.1)[0]
+    kmu = np.concatenate([(batch.ctx.omega / batch.ctx.c)[:, None], batch.ctx.k], axis=1)
+    div, cyc = tensor_equation_defects(harmonic_tensors(batch), kmu)
+    g = np.diag(METRIC)
+    for t, fam in enumerate(batch.families):
+        u = kmu[t] * np.array([-1.0, 1.0, 1.0, 1.0])
+        want_div = want_cyc = 0.0
+        for m, f in harmonic_tensors(fam):
+            dive = 1j * m * np.einsum("m,mnab->nab", u, f)
+            want_div = max(want_div, float(frobenius_norms(dive).max()))
+            low = np.einsum("m,n,mnab->mnab", g, g, f)
+            whole = abs(m) * (np.einsum("m,ngab->mngab", u, low)
+                              + np.einsum("n,gmab->mngab", u, low)
+                              + np.einsum("g,mnab->mngab", u, low))
+            want_cyc = max(want_cyc, float(frobenius_norms(whole).max()))
+        assert (div[t], cyc[t]) == (want_div, want_cyc)
+
+
+def test_batch_superluminal_raises():
+    batch = _mixed_batches("su2_spin_half", 1.0, 0.1)[0]
+    with pytest.raises(SuperluminalBoost):
+        boost_columns(batch, (0.5, 1.0))
+    with pytest.raises(SuperluminalBoost):
+        boost_columns(batch, (-1.3,), axis="x")
 
 
 def test_gauge_conjugate_identity():

@@ -1,17 +1,17 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 71 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 77 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
   the su3_gellmann generator.  The hashed body is exactly what
   ``amwave verify --out`` writes.
-- 39 report bodies of edge cases for the condition suites (wca, zca,
-  exact, full, gauge): a fixed spin-1/2 family with k = z (also under
-  boost); an all-zero R, whose fields are empty; a family with every R
-  along x, so phi = 0; zero coupling (also su3); the su2_spin_one
-  generator alone; and the alternating generator at 1 and 3 trials,
-  where one generator group holds a single trial (also su3).
+- 45 report bodies of edge cases for the condition suites (wca, zca,
+  exact, full, gauge) and boost: a fixed spin-1/2 family with k = z; an
+  all-zero R, whose fields are empty; a family with every R along x, so
+  phi = 0; zero coupling (also su3); the su2_spin_one generator alone;
+  and the alternating generator at 1 and 3 trials, where one generator
+  group holds a single trial (also su3).
 - 2 boost report bodies at seed 3 along the x and the y axis; every
   other boost run uses the default z axis.
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
@@ -65,18 +65,18 @@ def configs():
         yield f"{suite} seed=7 su3_gellmann", RunConfig(
             suite=suite, seed=7, trials=25, generator="su3_gellmann")
     for name, R in FIXED_R.items():
-        for suite in CONDITION_SUITES + ("boost",) * (name == "fixed R"):
+        for suite in CONDITION_SUITES + ("boost",):
             yield f"{suite} seed=3 {name}", RunConfig(
                 suite=suite, seed=3, trials=4, generator="su2_spin_half",
                 k=(0.0, 0.0, 1.0), R=R)
-    for suite in CONDITION_SUITES + ("su3",):
+    for suite in CONDITION_SUITES + ("su3", "boost"):
         yield f"{suite} seed=5 coupling=0", RunConfig(
             suite=suite, seed=5, trials=10, coupling=0.0)
-    for suite in CONDITION_SUITES:
+    for suite in CONDITION_SUITES + ("boost",):
         yield f"{suite} seed=9 su2_spin_one", RunConfig(
             suite=suite, seed=9, trials=10, generator="su2_spin_one")
     for trials in (1, 3):
-        for suite in CONDITION_SUITES + ("su3",):
+        for suite in CONDITION_SUITES + ("su3", "boost"):
             yield f"{suite} seed=11 trials={trials}", RunConfig(
                 suite=suite, seed=11, trials=trials)
     for axis in ("x", "y"):
