@@ -6,10 +6,7 @@ from .algebra import (
     DimMismatch,
     GeneratorSet,
     NonTracelessBasis,
-    OperatorMatrix,
-    OperatorVector3,
     UnsupportedGenerator,
-    anticommutator,
     commutator,
     cross,
     custom_generators,

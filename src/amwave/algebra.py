@@ -2,9 +2,12 @@
 
 All wave amplitudes in this package are dense complex square matrices
 (operators on the generator representation space) or 3-vectors whose
-components are such matrices.  Products never commute, so every binary
-operation preserves the written order of its factors; commutator-type
-expressions are composed by the caller, e.g. ``dot(u, v) - dot(v, u)``.
+components are such matrices, held as plain complex arrays of shape
+(..., d, d) and (..., 3, d, d); the operators the API keeps and hands
+out (generators, family amplitudes, field values) are read-only.
+Products never commute, so every binary operation preserves the written
+order of its factors; commutator-type expressions are composed by the
+caller, e.g. ``dot(u, v) - dot(v, u)``.
 
 Conventions:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,137 +59,6 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     """arr, marked read-only in place."""
     arr.flags.writeable = False
     return arr
-
-
-def _square_complex(data) -> np.ndarray:
-    arr = np.array(data, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue("matrix entries must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex square matrix; the atom of all operator arithmetic."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _square_complex(self.mat))
-
-    @classmethod
-    def identity(cls, dim: int) -> "OperatorMatrix":
-        return cls(np.eye(dim))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return operator_norm(self.mat)
-
-    @property
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-    def _check_dim(self, other: "OperatorMatrix"):
-        if self.dim != other.dim:
-            raise DimMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_dim(other)
-        return OperatorMatrix(self.mat + other.mat)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_dim(other)
-        return OperatorMatrix(self.mat - other.mat)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.mat)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_dim(other)
-        return OperatorMatrix(self.mat @ other.mat)
-
-
-@dataclass(frozen=True)
-class OperatorVector3:
-    """Spatial 3-vector whose components are operator matrices.
-
-    Stored as one complex array of shape (3, d, d); component i is
-    ``comps[i]``.
-    """
-
-    comps: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.comps, dtype=complex)
-        if arr.ndim != 3 or arr.shape[0] != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError(f"expected shape (3, d, d), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValue("vector entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "comps", arr)
-
-    @classmethod
-    def from_numeric(cls, v: Sequence[float], dim: int) -> "OperatorVector3":
-        """Lift an ordinary 3-vector to a multiple of the identity."""
-        return cls(numeric_lift(v, dim))
-
-    @classmethod
-    def from_coeff(cls, v: Sequence[float], m: OperatorMatrix) -> "OperatorVector3":
-        """Vector coefficient times a single operator, e.g. ``yhat * S_y``."""
-        v = np.asarray(v, dtype=complex)
-        return cls(np.einsum("i,ab->iab", v, m.mat))
-
-    @property
-    def dim(self) -> int:
-        return self.comps.shape[1]
-
-    @property
-    def norm(self) -> float:
-        """Largest component Frobenius norm."""
-        return operator_norm(self.comps)
-
-    def hermitian_part(self) -> "OperatorVector3":
-        return OperatorVector3(0.5 * (self.comps + np.conj(np.swapaxes(self.comps, 1, 2))))
-
-    def _check_dim(self, other: "OperatorVector3"):
-        if self.dim != other.dim:
-            raise DimMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "OperatorVector3") -> "OperatorVector3":
-        self._check_dim(other)
-        return OperatorVector3(self.comps + other.comps)
-
-    def __sub__(self, other: "OperatorVector3") -> "OperatorVector3":
-        self._check_dim(other)
-        return OperatorVector3(self.comps - other.comps)
-
-    def __neg__(self) -> "OperatorVector3":
-        return OperatorVector3(-self.comps)
-
-    def __mul__(self, scalar: complex) -> "OperatorVector3":
-        return OperatorVector3(self.comps * scalar)
-
-    __rmul__ = __mul__
-
-
-VectorLike = Union[OperatorVector3, Sequence[float], np.ndarray]
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -223,53 +95,25 @@ def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:
     return np.einsum("...i,ab->...iab", np.asarray(v, dtype=complex), np.eye(dim))
 
 
-# The raw kernels take stacks: leading axes (a trial axis) broadcast.
+# The kernels take stacks: leading axes (a trial axis) broadcast, and
+# operands of different dimension raise numpy's ValueError.
 
-def cross_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``cross`` on raw (..., 3, d, d) component arrays."""
+def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] = xy - yx on (..., d, d) arrays."""
+    return x @ y - y @ x
+
+
+def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Operator cross product (u x v)_i = eps_ijk u_j v_k on (..., 3, d, d)
+    component arrays, order preserved.  Note u x u is generally nonzero;
+    an ordinary 3-vector enters lifted by ``numeric_lift``."""
     return np.einsum("ijk,...jab,...kbc->...iac", _EPS, u, v)
 
 
-def dot_comps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``dot`` on raw (..., 3, d, d) component arrays."""
+def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ordered dot product sum_i u_i v_i on (..., 3, d, d) component arrays
+    (matrix products, not symmetrized)."""
     return np.einsum("...iab,...ibc->...ac", u, v)
-
-
-def _promote(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray]:
-    """Components of u and v, an ordinary 3-vector lifted to v (x) identity."""
-    dim = u.dim if isinstance(u, OperatorVector3) else v.dim
-    uu, vv = (w.comps if isinstance(w, OperatorVector3) else numeric_lift(w, dim)
-              for w in (u, v))
-    if uu.shape != vv.shape:
-        raise DimMismatch(f"dimension mismatch: {uu.shape[1]} vs {vv.shape[1]}")
-    return uu, vv
-
-
-def commutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
-    """[x, y] = xy - yx."""
-    x._check_dim(y)
-    return OperatorMatrix(x.mat @ y.mat - y.mat @ x.mat)
-
-
-def anticommutator(x: OperatorMatrix, y: OperatorMatrix) -> OperatorMatrix:
-    """{x, y} = xy + yx."""
-    x._check_dim(y)
-    return OperatorMatrix(x.mat @ y.mat + y.mat @ x.mat)
-
-
-def cross(u: VectorLike, v: VectorLike) -> OperatorVector3:
-    """Operator cross product (u x v)_i = eps_ijk u_j v_k, order preserved.
-
-    Either argument may be an ordinary 3-vector, which is treated as a
-    multiple of the identity; in that limit this reduces to the Euclidean
-    cross product.  Note u x u is generally nonzero for operator vectors.
-    """
-    return OperatorVector3(cross_comps(*_promote(u, v)))
-
-
-def dot(u: VectorLike, v: VectorLike) -> OperatorMatrix:
-    """Ordered dot product sum_i u_i v_i (matrix products, not symmetrized)."""
-    return OperatorMatrix(dot_comps(*_promote(u, v)))
 
 
 # --- generator sets ---------------------------------------------------------
@@ -294,19 +138,21 @@ _GELLMANN = (
 KINDS = ("identity", "su2_spin_half", "su2_spin_one", "su3_gellmann", "custom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """An expansion basis {identity} + {G_1 ... G_n} for wave amplitudes.
 
+    ``generators`` is one read-only complex array of shape (n, d, d).
     ``eta_scale`` is the scale s in ``tau x tau = i*s*eta``: hbar for the spin
     sets (where eta carries the Levi-Civita structure of S x S = i*hbar*S)
     and 1 for the Gell-Mann set (whose commutator convention 2i*f absorbs
-    the factor into eta's structure-constant definition).
+    the factor into eta's structure-constant definition).  Sets compare
+    and hash by identity.
     """
 
     kind: str
     dim: int
-    generators: tuple[OperatorMatrix, ...]
+    generators: np.ndarray
     hbar: float = 1.0
     eta_scale: float = 1.0
 
@@ -315,20 +161,25 @@ class GeneratorSet:
             raise UnsupportedGenerator(f"unknown generator kind {self.kind!r}")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        for g in self.generators:
-            if g.dim != self.dim:
-                raise DimMismatch("generator dimension mismatch")
-            if (g - g.dagger).norm > HERMITICITY_TOL:
+        gens = np.array(self.generators, dtype=complex)
+        if gens.ndim != 3 or gens.shape[1:] != (self.dim, self.dim):
+            raise DimMismatch("generator dimension mismatch")
+        if not np.all(np.isfinite(gens)):
+            raise NonFiniteValue("matrix entries must be finite")
+        for g in gens:
+            if operator_norm(g - g.conj().T) > HERMITICITY_TOL:
                 raise ValueError("generators must be Hermitian")
+        object.__setattr__(self, "generators", readonly(gens))
 
     @property
-    def identity(self) -> OperatorMatrix:
-        return OperatorMatrix.identity(self.dim)
+    def identity(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex)
 
-    @property
-    def basis(self) -> tuple[OperatorMatrix, ...]:
-        """Identity followed by the generators; matches the R_0..R_n layout."""
-        return (self.identity,) + self.generators
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Identity followed by the generators, shape (n + 1, d, d), read-only;
+        matches the R_0..R_n layout."""
+        return readonly(np.concatenate([self.identity[None], self.generators]))
 
     @property
     def n_coeffs(self) -> int:
@@ -340,7 +191,7 @@ class GeneratorSet:
         commute: the coefficient vectors that must be coplanar with k."""
         gs = self.generators
         return tuple((a + 1, b + 1) for a in range(len(gs)) for b in range(a + 1, len(gs))
-                     if commutator(gs[a], gs[b]).norm > 1e-12)
+                     if operator_norm(commutator(gs[a], gs[b])) > 1e-12)
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,21 +205,18 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     if kind == "identity":
-        return GeneratorSet(kind, 1, (), hbar=hbar, eta_scale=hbar)
+        return GeneratorSet(kind, 1, np.zeros((0, 1, 1)), hbar=hbar, eta_scale=hbar)
     if kind == "su2_spin_half":
-        gens = tuple(OperatorMatrix(0.5 * hbar * s) for s in PAULI)
-        gs = GeneratorSet(kind, 2, gens, hbar=hbar, eta_scale=hbar)
+        gs = GeneratorSet(kind, 2, [0.5 * hbar * s for s in PAULI], hbar=hbar, eta_scale=hbar)
     elif kind == "su2_spin_one":
         sx = hbar / np.sqrt(2.0) * np.array(
             [[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
         sy = 1j * hbar / np.sqrt(2.0) * np.array(
             [[0, -1, 0], [1, 0, -1], [0, 1, 0]], dtype=complex)
         sz = hbar * np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
-        gs = GeneratorSet(kind, 3, tuple(OperatorMatrix(m) for m in (sx, sy, sz)),
-                          hbar=hbar, eta_scale=hbar)
+        gs = GeneratorSet(kind, 3, [sx, sy, sz], hbar=hbar, eta_scale=hbar)
     elif kind == "su3_gellmann":
-        gens = tuple(OperatorMatrix(g) for g in _GELLMANN)
-        gs = GeneratorSet(kind, 3, gens, hbar=hbar, eta_scale=1.0)
+        gs = GeneratorSet(kind, 3, _GELLMANN, hbar=hbar, eta_scale=1.0)
         _validate_gellmann(gs)
         return gs
     else:
@@ -380,10 +228,16 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
 def custom_generators(matrices: Iterable[np.ndarray], hbar: float = 1.0,
                       eta_scale: float | None = None) -> GeneratorSet:
     """Wrap user-supplied Hermitian generators as a 'custom' set."""
-    gens = tuple(OperatorMatrix(m) for m in matrices)
+    gens = [np.array(m, dtype=complex) for m in matrices]
+    for g in gens:
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {g.shape}")
     if not gens:
         raise ValueError("custom set needs at least one generator")
-    return GeneratorSet("custom", gens[0].dim, gens, hbar=hbar,
+    dim = gens[0].shape[0]
+    if any(g.shape[0] != dim for g in gens):
+        raise DimMismatch("generator dimension mismatch")
+    return GeneratorSet("custom", dim, np.stack(gens), hbar=hbar,
                         eta_scale=hbar if eta_scale is None else eta_scale)
 
 
@@ -391,18 +245,18 @@ def _validate_su2(gs: GeneratorSet):
     sx, sy, sz = gs.generators
     hb = gs.hbar
     for (a, b, c) in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):
-        defect = (commutator(a, b) - 1j * hb * c).norm
+        defect = operator_norm(commutator(a, b) - 1j * hb * c)
         if defect > HERMITICITY_TOL * max(1.0, hb):
             raise ValueError(f"SU(2) algebra violated, defect {defect}")
 
 
 def _validate_gellmann(gs: GeneratorSet):
     for a, ga in enumerate(gs.generators):
-        if abs(ga.trace) > HERMITICITY_TOL:
+        if abs(np.trace(ga)) > HERMITICITY_TOL:
             raise ValueError("Gell-Mann matrices must be traceless")
         for b, gb in enumerate(gs.generators):
             want = 2.0 if a == b else 0.0
-            if abs((ga @ gb).trace - want) > HERMITICITY_TOL:
+            if abs(np.trace(ga @ gb) - want) > HERMITICITY_TOL:
                 raise ValueError("tr(G_a G_b) = 2 delta_ab violated")
 
 
@@ -413,12 +267,11 @@ def structure_constants(basis: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
     NonTracelessBasis if any generator has |trace| > 1e-12; the identity
     kind has no structure constants at all.
     """
-    if basis.kind == "identity" or not basis.generators:
+    if basis.kind == "identity" or not len(basis.generators):
         raise NonTracelessBasis("generator set has no non-identity members")
-    for g in basis.generators:
-        if abs(g.trace) > 1e-12:
-            raise NonTracelessBasis("structure constants need traceless generators")
-    mats = np.stack([g.mat for g in basis.generators])
+    mats = basis.generators
+    if np.abs(np.trace(mats, axis1=1, axis2=2)).max() > 1e-12:
+        raise NonTracelessBasis("structure constants need traceless generators")
     prod = np.einsum("bij,cjk->bcik", mats, mats)
     comm = prod - np.transpose(prod, (1, 0, 2, 3))
     acomm = prod + np.transpose(prod, (1, 0, 2, 3))

@@ -56,12 +56,12 @@ from .relativity import (
 )
 from .residuals import (
     ResidualItem,
+    condition_fields,
     condition_residuals,
     field_scale,
     maxwell_type_fields,
     named_residuals,
     property_battery_fields,
-    wca_condition_fields,
     ym_equation_fields,
 )
 from .zitter import (
@@ -334,16 +334,16 @@ def _gauge_residuals(fams: FamilyBatch, rngs):
     ctx = fams.ctx
     gens = ctx.generators
     coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
-    herm = gens.identity.mat * 0.0
+    herm = np.zeros((gens.dim, gens.dim), dtype=complex)
     for c, g in zip(coeffs.T, gens.generators):
-        herm = herm + g.mat * c[:, None, None]
+        herm = herm + g * c[:, None, None]
     u = unitary_exponential(herm)
     a, phi = build_potentials(fams)
     ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
     before = named_residuals(ym_equation_fields(a, phi, ctx), field_scale(a))
     after = named_residuals(ym_equation_fields(ac, pc, ctx), field_scale(ac))
     drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
-    conj_wca = named_residuals(wca_condition_fields(ac, pc, ctx), field_scale(a))
+    conj_wca = named_residuals(condition_fields("wca", ac, pc, ctx), field_scale(a))
     return [("residual_norm_invariance", drift),
             ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
 

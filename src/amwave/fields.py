@@ -36,15 +36,13 @@ import numpy as np
 from .algebra import (
     GeneratorSet,
     NonFiniteValue,
-    OperatorMatrix,
-    OperatorVector3,
+    commutator,
     cross,
-    cross_comps,
     dot,
-    dot_comps,
     frobenius_norms,
     make_generators,
     numeric_lift,
+    readonly,
 )
 
 # Amplitudes this much smaller than the largest term are dropped when
@@ -219,22 +217,19 @@ class HarmonicField:
     def is_vector(self) -> bool:
         return self.amps.ndim - len(self.ctx.batch_shape) == 4
 
-    def raw_amplitude(self, m: int) -> np.ndarray:
-        """amp_m as an array; zeros for an order the field does not hold."""
+    def amplitude(self, m: int) -> np.ndarray:
+        """amp_m, read-only; zeros for an order the field does not hold."""
         if m in self.orders:
             return self.amps[self.orders.index(m)]
-        return np.zeros(self.amps.shape[1:], dtype=complex)
+        return readonly(np.zeros(self.amps.shape[1:], dtype=complex))
 
-    def amplitude(self, m: int) -> OperatorMatrix | OperatorVector3:
-        return _operator(self.raw_amplitude(m))
-
-    def eval_at(self, r, t: float) -> OperatorMatrix | OperatorVector3:
-        """The field's value at (r, t), on one wave."""
+    def eval_at(self, r, t: float) -> np.ndarray:
+        """The field's value at (r, t), on one wave, read-only."""
         phase = self.ctx.k @ np.asarray(r, float) - self.ctx.omega * t
         out = np.zeros(self.amps.shape[1:], dtype=complex)
         for m, amp in zip(self.orders, self.amps):
             out += np.exp(1j * m * phase) * amp
-        return _operator(out)
+        return readonly(out)
 
     def with_amps(self, amps: np.ndarray) -> "HarmonicField":
         """The field of the same kind with these amplitudes at ``orders``."""
@@ -264,10 +259,6 @@ class HarmonicField:
         return _termwise(self, self.is_vector, lambda m, a: a * _per_trial(scalar, a))
 
     __rmul__ = __mul__
-
-
-def _operator(arr: np.ndarray) -> OperatorMatrix | OperatorVector3:
-    return OperatorVector3(arr) if arr.ndim == 3 else OperatorMatrix(arr)
 
 
 def _collect(ctx: WaveContext | WaveBatch, vector: bool, pairs) -> HarmonicField:
@@ -309,14 +300,14 @@ def _collect(ctx: WaveContext | WaveBatch, vector: bool, pairs) -> HarmonicField
 def field(ctx: WaveContext | WaveBatch, amplitudes: Mapping[int, object]) -> HarmonicField:
     """The harmonic field sum_m amp_m exp(i m (k.r - omega t)).
 
-    Each amplitude is an OperatorMatrix, an OperatorVector3 or a complex
-    array of shape batch + (d, d) or batch + (3, d, d), with batch =
-    ctx.batch_shape and d = ctx.dim; all must be scalar or all vector.
+    Each amplitude is a complex array of shape batch + (d, d) or batch +
+    (3, d, d), with batch = ctx.batch_shape and d = ctx.dim; all must be
+    scalar or all vector.
     """
     d, batch = ctx.dim, ctx.batch_shape
     arrays = {}
     for m, amp in amplitudes.items():
-        arr = np.asarray(getattr(amp, "comps", getattr(amp, "mat", amp)), dtype=complex)
+        arr = np.asarray(amp, dtype=complex)
         if arr.shape not in (batch + (d, d), batch + (3, d, d)):
             lead = f"{batch} + " if batch else ""
             raise ValueError(f"amplitude of order {m} has shape {arr.shape}, "
@@ -343,7 +334,7 @@ def _product(f: HarmonicField, g: HarmonicField, vector: bool, op) -> HarmonicFi
 def comm_ss(f: HarmonicField, g: HarmonicField) -> HarmonicField:
     """[f, g] for scalar fields."""
     f._require(g)
-    return _product(f, g, False, lambda x, y: x @ y - y @ x)
+    return _product(f, g, False, commutator)
 
 
 def comm_sv(f: HarmonicField, v: HarmonicField) -> HarmonicField:
@@ -356,38 +347,38 @@ def comm_sv(f: HarmonicField, v: HarmonicField) -> HarmonicField:
 
 def vdot(u: HarmonicField, v: HarmonicField) -> HarmonicField:
     u._require(v)
-    return _product(u, v, False, dot_comps)
+    return _product(u, v, False, dot)
 
 
 def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
     u._require(v)
-    return _product(u, v, True, cross_comps)
+    return _product(u, v, True, cross)
 
 
 def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Dot of a constant numeric 3-vector (one per trial on a batch) with a
     vector field."""
     nl = numeric_lift(n, v.ctx.dim)
-    return _termwise(v, False, lambda m, a: dot_comps(nl, a))
+    return _termwise(v, False, lambda m, a: dot(nl, a))
 
 
 def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Cross of a constant numeric 3-vector (one per trial on a batch) with
     a vector field."""
     nl = numeric_lift(n, v.ctx.dim)
-    return _termwise(v, True, lambda m, a: cross_comps(nl, a))
+    return _termwise(v, True, lambda m, a: cross(nl, a))
 
 
 # --- exact differential operators --------------------------------------------
 
 def div(v: HarmonicField) -> HarmonicField:
     kl = v.ctx.k_lift
-    return _termwise(v, False, lambda m, a: dot_comps(kl, a) * (1j * m))
+    return _termwise(v, False, lambda m, a: dot(kl, a) * (1j * m))
 
 
 def curl(v: HarmonicField) -> HarmonicField:
     kl = v.ctx.k_lift
-    return _termwise(v, True, lambda m, a: cross_comps(kl, a) * (1j * m))
+    return _termwise(v, True, lambda m, a: cross(kl, a) * (1j * m))
 
 
 def grad(f: HarmonicField) -> HarmonicField:
@@ -415,26 +406,40 @@ def laplacian(f: HarmonicField) -> HarmonicField:
 COPLANARITY_TOL = 1e-12
 
 
-def _tau_comps(gens: GeneratorSet, coeffs) -> np.ndarray:
-    """R_0 (x) identity + sum_l R_l (x) G_l, shape (..., 3, d, d), for
-    coefficient vectors of shape (..., 3)."""
+def tau_amplitude(gens: GeneratorSet, coeffs) -> np.ndarray:
+    """tau = R_0 (x) identity + sum_l R_l (x) G_l, shape (..., 3, d, d) and
+    read-only, for coefficient vectors R_l of shape (..., 3).  The basis
+    terms are added one at a time; a tau that overflows raises
+    NonFiniteValue."""
+    if len(coeffs) != gens.n_coeffs:
+        raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(coeffs)}")
     coeffs = [np.asarray(r, dtype=float) for r in coeffs]
     out = np.zeros(coeffs[0].shape + (gens.dim, gens.dim), dtype=complex)
     for r, b in zip(coeffs, gens.basis):
-        out += np.einsum("...i,ab->...iab", r, b.mat)
-    return out
+        out += np.einsum("...i,ab->...iab", r, b)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValue("amplitude tau is not finite")
+    return readonly(out)
 
 
-def amplitude_from_coeffs(gens: GeneratorSet, coeffs: Sequence[np.ndarray]) -> OperatorVector3:
-    """tau = R_0 * identity + sum_l R_l * G_l for coefficient vectors R."""
-    if len(coeffs) != gens.n_coeffs:
-        raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(coeffs)}")
-    return OperatorVector3(_tau_comps(gens, coeffs))
+class _Potentials:
+    """tau and phi = khat . tau of a family or a stacked batch of them,
+    both read-only and cached, from ``ctx`` and ``_coeffs`` (R_0..R_n on
+    axis 0)."""
+
+    @functools.cached_property
+    def tau(self) -> np.ndarray:
+        return tau_amplitude(self.ctx.generators, self._coeffs)
+
+    @functools.cached_property
+    def phi_amplitude(self) -> np.ndarray:
+        return readonly(dot(numeric_lift(self.ctx.khat, self.ctx.dim), self.tau))
 
 
 @dataclass(frozen=True, eq=False)
-class SolutionFamily:
-    """Constant coefficient vectors R_0..R_n plus the wave context."""
+class SolutionFamily(_Potentials):
+    """Constant coefficient vectors R_0..R_n plus the wave context; ``tau``
+    is (3, d, d), ``phi_amplitude`` (d, d) and ``eta`` (3, d, d)."""
 
     ctx: WaveContext
     R: tuple[np.ndarray, ...]
@@ -470,25 +475,21 @@ class SolutionFamily:
             raise ValueError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
                              "are not coplanar with k")
 
-    @functools.cached_property
-    def tau(self) -> OperatorVector3:
-        return amplitude_from_coeffs(self.ctx.generators, self.R)
+    @property
+    def _coeffs(self) -> tuple[np.ndarray, ...]:
+        return self.R
 
     @property
-    def phi_amplitude(self) -> OperatorMatrix:
-        return dot(self.ctx.khat, self.tau)
-
-    @property
-    def eta(self) -> OperatorVector3:
+    def eta(self) -> np.ndarray:
         """Second-harmonic structure vector, tau x tau = i*eta_scale*eta."""
-        return (1.0 / (1j * self.ctx.generators.eta_scale)) * cross(self.tau, self.tau)
+        return readonly((1.0 / (1j * self.ctx.generators.eta_scale)) * cross(self.tau, self.tau))
 
 
 @dataclass(frozen=True, eq=False)
-class FamilyBatch:
+class FamilyBatch(_Potentials):
     """Solution families on one generator set, c and g, stacked on a
     leading trial axis.  ``ctx`` is their WaveBatch, and ``tau`` and
-    ``phi_amplitude`` are raw (T, 3, d, d) and (T, d, d) arrays, so
+    ``phi_amplitude`` are (T, 3, d, d) and (T, d, d), so
     ``build_potentials`` and ``build_fields`` take a batch as they take
     one family."""
 
@@ -498,16 +499,10 @@ class FamilyBatch:
     def ctx(self) -> WaveBatch:
         return WaveBatch(tuple(f.ctx for f in self.families))
 
-    @functools.cached_property
-    def tau(self) -> np.ndarray:
-        coeffs = np.array([f.R for f in self.families])  # (T, n + 1, 3)
-        tau = _tau_comps(self.ctx.generators, coeffs.swapaxes(0, 1))
-        tau.flags.writeable = False
-        return tau
-
     @property
-    def phi_amplitude(self) -> np.ndarray:
-        return dot_comps(numeric_lift(self.ctx.khat, self.ctx.dim), self.tau)
+    def _coeffs(self) -> np.ndarray:
+        """R_0..R_n of every trial, shape (n + 1, T, 3)."""
+        return np.array([f.R for f in self.families]).swapaxes(0, 1)
 
 
 def build_potentials(fam: SolutionFamily | FamilyBatch) -> tuple[HarmonicField, HarmonicField]:
@@ -521,9 +516,9 @@ def build_fields(fam: SolutionFamily | FamilyBatch) -> tuple[HarmonicField, Harm
     B carries i*(k x tau) at the first harmonic and -i*g*(tau x tau) at the
     second (equal to g*eta_scale*eta); E = -khat x B harmonic by harmonic.
     """
-    ctx, tau = fam.ctx, getattr(fam.tau, "comps", fam.tau)
-    b = field(ctx, {1: cross_comps(ctx.k_lift, tau) * 1j,
-                    2: cross_comps(tau, tau) * (-1j * ctx.g)})
+    ctx, tau = fam.ctx, fam.tau
+    b = field(ctx, {1: cross(ctx.k_lift, tau) * 1j,
+                    2: cross(tau, tau) * (-1j * ctx.g)})
     return b, -1.0 * ncross(ctx.khat, b)
 
 
@@ -611,9 +606,9 @@ class DerivativeEstimate:
     which cancels the leading error term.
     """
 
-    at_h: object
-    at_half: object
-    extrapolated: object
+    at_h: np.ndarray
+    at_half: np.ndarray
+    extrapolated: np.ndarray
 
 
 def _richardson(est_h, est_half) -> DerivativeEstimate:
@@ -637,23 +632,20 @@ def _fd_partial2(f, r, t, axis: int, h: float):
 
 def fd_div(v: HarmonicField, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        return OperatorMatrix(sum(_fd_partial(v, r, t, axis, step).comps[axis]
-                                  for axis in range(3)))
+        return sum(_fd_partial(v, r, t, axis, step)[axis] for axis in range(3))
     return _richardson(stencil(h), stencil(h / 2.0))
 
 
 def fd_curl(v: HarmonicField, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        p = [_fd_partial(v, r, t, axis, step).comps for axis in range(3)]
-        return OperatorVector3(np.stack([p[1][2] - p[2][1], p[2][0] - p[0][2],
-                                         p[0][1] - p[1][0]]))
+        p = [_fd_partial(v, r, t, axis, step) for axis in range(3)]
+        return np.stack([p[1][2] - p[2][1], p[2][0] - p[0][2], p[0][1] - p[1][0]])
     return _richardson(stencil(h), stencil(h / 2.0))
 
 
 def fd_grad(f: HarmonicField, r, t: float, h: float) -> DerivativeEstimate:
     def stencil(step):
-        return OperatorVector3(np.stack([_fd_partial(f, r, t, axis, step).mat
-                                         for axis in range(3)]))
+        return np.stack([_fd_partial(f, r, t, axis, step) for axis in range(3)])
     return _richardson(stencil(h), stencil(h / 2.0))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import cross_comps, dot_comps, operator_norm
+from .algebra import cross, dot, operator_norm
 from .fields import SolutionFamily, build_fields
 from .zitter import SERIES_BLOCK
 
@@ -79,10 +79,10 @@ def em_flux(a01, ctx) -> FluxResult:
 def amw_flux(fam: SolutionFamily) -> FluxResult:
     """Closed-form time-averaged flux of a generator-valued wave family."""
     ctx = fam.ctx
-    tau = fam.tau.comps
-    kxt = cross_comps(ctx.k_lift, tau)
-    txt = cross_comps(tau, tau)
-    op = (ctx.c / (8.0 * np.pi)) * (dot_comps(kxt, kxt) - (ctx.g ** 2) * dot_comps(txt, txt))
+    tau = fam.tau
+    kxt = cross(ctx.k_lift, tau)
+    txt = cross(tau, tau)
+    op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
     return FluxResult(direction=ctx.khat, magnitude_operator=op,
                       classical_magnitude=_classical_part(op))
 
@@ -103,7 +103,7 @@ def _flux_form(fam: SolutionFamily):
 
     b, e = build_fields(fam)
     u, v = basis(e), basis(b)
-    table = np.array([[cross_comps(x, y) for y in v] for x in u]).reshape(
+    table = np.array([[cross(x, y) for y in v] for x in u]).reshape(
         len(u), len(v), *u.shape[1:])
     me, mb = np.tile(e.orders, 2)[:, None], np.tile(b.orders, 2)[None, :]
     masks = {"first": (me == 1) & (mb == 1), "mixed": me != mb,

@@ -134,7 +134,7 @@ def harmonic_tensors(fam: SolutionFamily | FamilyBatch) -> list[tuple[int, np.nd
     (T, 4, 4, d, d), zero for a trial that holds no amplitude of that
     order."""
     b, e = build_fields(fam)
-    return [(m, assemble_tensor(b.raw_amplitude(m), e.raw_amplitude(m)))
+    return [(m, assemble_tensor(b.amplitude(m), e.amplitude(m)))
             for m in sorted(set(b.orders) | set(e.orders))]
 
 

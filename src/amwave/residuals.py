@@ -175,6 +175,7 @@ BRACKETS = {
 # +-i, which are exact in floating point, so a bracket's residual is the
 # same number in every set that lists it.
 CONDITION_SETS = {
+    # the six conditions left after discarding the g^2 self-interactions
     "wca": (
         ("wca1_scalar_wave", "scalar_wave", 1),
         ("wca2_phi_diva", "phi_diva", 1),
@@ -183,6 +184,10 @@ CONDITION_SETS = {
         ("wca5_vector_wave", "vector_wave", 1),
         ("wca6_ampere_bracket", "ampere_bracket", 1),
     ),
+    # all eight conditions of the unapproximated equations: items 1 and 6
+    # are coupling-free, 2, 4, 5 and 7 carry g and 3 and 8 g^2 (factors
+    # stripped, see module doc); only 3 and 8 obstruct generic
+    # noncommuting amplitudes
     "exact": (
         ("exact1_scalar_wave", "scalar_wave", 1),
         ("exact2_phi_diva", "phi_diva", 1),
@@ -193,6 +198,7 @@ CONDITION_SETS = {
         ("exact7_ampere_bracket", "ampere_bracket", -1j),
         ("exact8_phi_n_bracket", "phi_n_bracket", 1),
     ),
+    # the six spatial conditions of the zero-coupling (Maxwell-type) system
     "zca": (
         ("zca1_div_m", "div_m", 1),
         ("zca2_curl_n", "induction", -1j),
@@ -214,29 +220,6 @@ def condition_fields(label: str, a: HarmonicField,
         res = BRACKETS[bracket](w)
         out.append((name, res if factor == 1 else factor * res))
     return out
-
-
-def wca_condition_fields(a: HarmonicField, phi: HarmonicField,
-                         ctx: WaveContext):
-    """The six conditions left after discarding the g^2 self-interactions."""
-    return condition_fields("wca", a, phi, ctx)
-
-
-def exact_condition_fields(a: HarmonicField, phi: HarmonicField,
-                           ctx: WaveContext):
-    """All eight conditions of the unapproximated equations.
-
-    Items 1 and 6 are the coupling-free wave conditions; 2, 4, 5 and 7
-    carry one power of g and 3, 8 two (factors stripped, see module doc).
-    Only 3 and 8 obstruct generic noncommuting amplitudes.
-    """
-    return condition_fields("exact", a, phi, ctx)
-
-
-def zca_condition_fields(a: HarmonicField, phi: HarmonicField,
-                         ctx: WaveContext):
-    """The six spatial conditions of the zero-coupling (Maxwell-type) system."""
-    return condition_fields("zca", a, phi, ctx)
 
 
 def condition_residuals(label: str, fam: SolutionFamily | FamilyBatch):

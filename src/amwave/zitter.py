@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, OperatorMatrix, OperatorVector3, readonly
+from .algebra import PAULI, readonly
 
 POLAR_EPS = 1e-10
 
@@ -164,18 +164,18 @@ class DiracContext:
         )
 
 
-def hamiltonian(ctx: DiracContext) -> OperatorMatrix:
-    """H = c alpha.p + beta m c^2."""
-    return OperatorMatrix(ctx.hmat)
+def hamiltonian(ctx: DiracContext) -> np.ndarray:
+    """H = c alpha.p + beta m c^2, the context's cached read-only (4, 4) array."""
+    return ctx.hmat
 
 
 def _helicity(ctx: DiracContext) -> np.ndarray:
     return 0.5 * ctx.hbar * np.einsum("i,iab->ab", ctx.phat, SIGMA)
 
 
-def helicity_operator(ctx: DiracContext) -> OperatorMatrix:
+def helicity_operator(ctx: DiracContext) -> np.ndarray:
     """Lambda = S.phat with S = (hbar/2) Sigma."""
-    return OperatorMatrix(_helicity(ctx))
+    return readonly(_helicity(ctx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,18 +298,18 @@ def zitter_expectation_series(spec: SuperpositionSpec, ctx: DiracContext,
     return out
 
 
-def zitter_position_operator(ctx: DiracContext, t: float) -> OperatorVector3:
+def zitter_position_operator(ctx: DiracContext, t: float) -> np.ndarray:
     """Oscillating part of the Heisenberg position operator,
 
     (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1).
     """
-    return OperatorVector3(_position_stack(ctx, np.array([t], dtype=float))[0])
+    return readonly(_position_stack(ctx, np.array([t], dtype=float))[0])
 
 
-def zitter_spin_operator(ctx: DiracContext, t: float) -> OperatorVector3:
+def zitter_spin_operator(ctx: DiracContext, t: float) -> np.ndarray:
     """Oscillating part of the spin, -Z_r x p (p is a number vector here)."""
     zr = _position_stack(ctx, np.array([t], dtype=float))
-    return OperatorVector3(_cross_p(zr, ctx.p)[0])
+    return readonly(_cross_p(zr, ctx.p)[0])
 
 
 def zitter_position_expectation(spec: SuperpositionSpec, ctx: DiracContext,
@@ -390,13 +390,12 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
 
 # --- projectors ----------------------------------------------------------------
 
-def projectors(ctx: DiracContext) -> tuple[OperatorMatrix, OperatorMatrix,
-                                           OperatorMatrix, OperatorMatrix]:
+def projectors(ctx: DiracContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energy projectors (1 +- H/E_p)/2 and helicity projectors (1 +- 2 Lambda/hbar)/2."""
     h = ctx.hmat / ctx.energy
     lam = 2.0 * _helicity(ctx) / ctx.hbar
     eye = np.eye(4)
-    return tuple(OperatorMatrix(0.5 * m) for m in (eye + h, eye - h, eye + lam, eye - lam))
+    return tuple(readonly(0.5 * m) for m in (eye + h, eye - h, eye + lam, eye - lam))
 
 
 # --- SI reporting ---------------------------------------------------------------

@@ -142,10 +142,10 @@ def test_criterion_06_derivative_oracle():
                                  (fd_dt(b, r, t, h), dt(b)),
                                  (fd_div(a, r, t, h), div(a))):
             exact = exact_field.eval_at(r, t)
-            scale = max(1.0, exact.norm)
-            worst_rel = max(worst_rel, (est.extrapolated - exact).norm / scale)
-            err_h = (est.at_h - exact).norm
-            err_half = (est.at_half - exact).norm
+            scale = max(1.0, operator_norm(exact))
+            worst_rel = max(worst_rel, operator_norm(est.extrapolated - exact) / scale)
+            err_h = operator_norm(est.at_h - exact)
+            err_half = operator_norm(est.at_half - exact)
             if err_half > 1e-13 * scale:
                 orders.append(np.log2(err_h / err_half))
     orders = np.array(orders)

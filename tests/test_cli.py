@@ -28,12 +28,12 @@ from amwave.fields import build_fields, build_potentials, random_family
 from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import (
     ResidualItem,
+    condition_fields,
     exact_conditions,
     full_ym_residuals,
     maxwell_type_residuals,
     property_battery,
     report_from_fields,
-    wca_condition_fields,
     wca_conditions,
     zca_conditions,
 )
@@ -524,12 +524,12 @@ def _single_family_items(cfg, fam, rng):
     herm = sum((float(c) * g for c, g in
                 zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
                start=0.0 * gens.identity)
-    u = unitary_exponential(herm.mat)
+    u = unitary_exponential(herm)
     ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
     before = full_ym_residuals(a, phi, ctx, tol)
     after = full_ym_residuals(ac, pc, ctx, tol)
     drift = max(abs(x.residual - y.residual) for x, y in zip(before.items, after.items))
-    conj_wca = report_from_fields("wca", wca_condition_fields(ac, pc, ctx), tol,
+    conj_wca = report_from_fields("wca", condition_fields("wca", ac, pc, ctx), tol,
                                   max(1.0, a.norm))
     return [ResidualItem("residual_norm_invariance", drift, tol),
             ResidualItem("conjugated_wca", max(it.residual for it in conj_wca.items), tol)]

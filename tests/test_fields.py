@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amwave.algebra import OperatorVector3, cross, make_generators, numeric_lift
+from amwave.algebra import NonFiniteValue, cross, make_generators, numeric_lift
+from amwave.algebra import operator_norm as norm
 from amwave.fields import (
     FamilyBatch,
     SolutionFamily,
@@ -45,6 +46,11 @@ SPIN_HALF = make_generators("su2_spin_half")
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
 
 
+def vec(coeff, m):
+    """The operator 3-vector coeff (x) m, e.g. ``yhat * S_y``."""
+    return np.einsum("i,ab->iab", np.asarray(coeff, dtype=complex), m)
+
+
 def test_wave_context_dispersion():
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 2.0]), c=0.5)
     assert ctx.omega == pytest.approx(1.0)
@@ -58,11 +64,10 @@ def test_build_potentials_xz():
     fam = xz_family(SPIN_HALF)
     a, phi = build_potentials(fam)
     sx, _, sz = SPIN_HALF.generators
-    want_a = OperatorVector3.from_coeff([1, 0, 0], sx) \
-        + OperatorVector3.from_coeff([0, 0, 1], sz)
+    want_a = vec([1, 0, 0], sx) + vec([0, 0, 1], sz)
     assert a.orders == (1,)
-    assert (a.amplitude(1) - want_a).norm <= 1e-12
-    assert (phi.amplitude(1) - sz).norm <= 1e-12
+    assert norm(a.amplitude(1) - want_a) <= 1e-12
+    assert norm(phi.amplitude(1) - sz) <= 1e-12
 
 
 def test_build_potentials_abelian_and_zero():
@@ -84,10 +89,10 @@ def test_build_fields_xz_display():
     b, e = build_fields(fam)
     sx, sy, _ = SPIN_HALF.generators
     yhat, xhat = [0, 1, 0], [1, 0, 0]
-    assert (b.amplitude(1) - OperatorVector3.from_coeff(yhat, 1j * sx)).norm <= 1e-12
-    assert (b.amplitude(2) - OperatorVector3.from_coeff(yhat, 0.1 * sy)).norm <= 1e-12
-    assert (e.amplitude(1) - OperatorVector3.from_coeff(xhat, 1j * sx)).norm <= 1e-12
-    assert (e.amplitude(2) - OperatorVector3.from_coeff(xhat, 0.1 * sy)).norm <= 1e-12
+    assert norm(b.amplitude(1) - vec(yhat, 1j * sx)) <= 1e-12
+    assert norm(b.amplitude(2) - vec(yhat, 0.1 * sy)) <= 1e-12
+    assert norm(e.amplitude(1) - vec(xhat, 1j * sx)) <= 1e-12
+    assert norm(e.amplitude(2) - vec(xhat, 0.1 * sy)) <= 1e-12
 
 
 def test_build_fields_maxwell_limit():
@@ -98,11 +103,11 @@ def test_build_fields_maxwell_limit():
     fam = SolutionFamily(ctx=ctx, R=(r0, zero, zero, zero))
     b, e = build_fields(fam)
     assert b.orders == (1,)
-    want_b = OperatorVector3.from_numeric(1j * np.cross(ctx.k, r0), 2)
-    assert (b.amplitude(1) - want_b).norm <= 1e-12
+    want_b = numeric_lift(1j * np.cross(ctx.k, r0), 2)
+    assert norm(b.amplitude(1) - want_b) <= 1e-12
     a01 = -np.cross(ctx.khat, np.cross(ctx.khat, r0))
-    want_e = OperatorVector3.from_numeric(1j * ctx.knorm * a01, 2)
-    assert (e.amplitude(1) - want_e).norm <= 1e-12
+    want_e = numeric_lift(1j * ctx.knorm * a01, 2)
+    assert norm(e.amplitude(1) - want_e) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -112,8 +117,8 @@ def test_second_harmonic_e_is_xi(kind):
     fam = random_family(gens, np.random.default_rng(42), g=0.3)
     _, e = build_fields(fam)
     scale = gens.eta_scale
-    xi = cross(fam.eta, np.zeros(3) + fam.ctx.khat)
-    assert (e.amplitude(2) - 0.3 * scale * xi).norm <= 1e-12
+    xi = cross(fam.eta, numeric_lift(fam.ctx.khat, gens.dim))
+    assert norm(e.amplitude(2) - 0.3 * scale * xi) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -157,23 +162,22 @@ def test_dt_example():
     dtb = dt(b)
     sx, sy, _ = SPIN_HALF.generators
     k = w = 1.0
-    want1 = OperatorVector3.from_coeff([0, 1, 0], k * w * sx)
-    want2 = OperatorVector3.from_coeff([0, 1, 0], -2j * w * 0.1 * sy)
-    assert (dtb.amplitude(1) - want1).norm <= 1e-12
-    assert (dtb.amplitude(2) - want2).norm <= 1e-12
+    want1 = vec([0, 1, 0], k * w * sx)
+    want2 = vec([0, 1, 0], -2j * w * 0.1 * sy)
+    assert norm(dtb.amplitude(1) - want1) <= 1e-12
+    assert norm(dtb.amplitude(2) - want2) <= 1e-12
 
 
 def test_eval_at_origin_and_periodicity():
     fam = xz_family(SPIN_HALF, g=0.1)
     b, _ = build_fields(fam)
     sx, sy, _ = SPIN_HALF.generators
-    want = OperatorVector3.from_coeff([0, 1, 0], 1j * sx) \
-        + OperatorVector3.from_coeff([0, 1, 0], 0.1 * sy)
-    assert (b.eval_at(np.zeros(3), 0.0) - want).norm <= 1e-12
+    want = vec([0, 1, 0], 1j * sx) + vec([0, 1, 0], 0.1 * sy)
+    assert norm(b.eval_at(np.zeros(3), 0.0) - want) <= 1e-12
     rng = np.random.default_rng(2)
     r, t = rng.uniform(-3, 3, 3), rng.uniform(0, 9)
     shift = 2 * np.pi * fam.ctx.k / fam.ctx.knorm ** 2
-    assert (b.eval_at(r, t) - b.eval_at(r + shift, t)).norm <= 1e-12
+    assert norm(b.eval_at(r, t) - b.eval_at(r + shift, t)) <= 1e-12
 
 
 def test_eval_matches_naive_term_sum():
@@ -184,7 +188,7 @@ def test_eval_matches_naive_term_sum():
     naive = np.zeros((3, 3, 3), dtype=complex)
     for m, amp in zip(b.orders, b.amps):
         naive += amp * np.exp(1j * m * (fam.ctx.k @ r - fam.ctx.omega * t))
-    assert (b.eval_at(r, t) - OperatorVector3(naive)).norm <= 1e-12
+    assert norm(b.eval_at(r, t) - naive) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -203,7 +207,7 @@ def test_m_wave_equation_and_amplitude():
     m = vcross(a, a)
     assert m.orders == (2,)
     hbar = fam.ctx.generators.hbar
-    assert (m.amplitude(2) - 1j * hbar * fam.eta).norm <= 1e-12
+    assert norm(m.amplitude(2) - 1j * hbar * fam.eta) <= 1e-12
     resid = laplacian(m) + 4.0 * fam.ctx.knorm ** 2 * m
     assert resid.norm <= 1e-12 * max(1.0, m.norm)
 
@@ -213,10 +217,10 @@ def test_term_merging():
     sx = SPIN_HALF.generators[0]
     f = field(ctx, {1: sx}) + field(ctx, {1: -1.0 * sx})
     assert f.orders == () and f.amps.shape == (0, 2, 2) and f.norm == 0.0
-    g = field(ctx, {2: OperatorVector3.from_coeff([1, 0, 0], sx)})
-    h = g + field(ctx, {2: OperatorVector3.from_coeff([0, 1, 0], sx)})
+    g = field(ctx, {2: vec([1, 0, 0], sx)})
+    h = g + field(ctx, {2: vec([0, 1, 0], sx)})
     assert h.orders == (2,)
-    np.testing.assert_array_equal(h.amps[0], OperatorVector3.from_coeff([1, 1, 0], sx).comps)
+    np.testing.assert_array_equal(h.amps[0], vec([1, 1, 0], sx))
 
 
 def test_field_validates_amplitudes():
@@ -224,11 +228,11 @@ def test_field_validates_amplitudes():
     sx = SPIN_HALF.generators[0]
     spin_one_sx = make_generators("su2_spin_one").generators[0]
     with pytest.raises(ValueError, match="shape"):
-        field(ctx, {1: OperatorVector3.from_coeff([1, 0, 0], spin_one_sx)})
+        field(ctx, {1: vec([1, 0, 0], spin_one_sx)})
     with pytest.raises(ValueError, match="shape"):
         field(ctx, {1: spin_one_sx})
     with pytest.raises(ValueError, match="all scalar or all vector"):
-        field(ctx, {1: sx, 2: OperatorVector3.from_coeff([1, 0, 0], sx)})
+        field(ctx, {1: sx, 2: vec([1, 0, 0], sx)})
     with pytest.raises(ValueError):
         field(ctx, {})
     with pytest.raises(ValueError, match="finite"):
@@ -246,16 +250,24 @@ def test_non_finite_values_are_rejected_not_dropped():
         np.nan * a
     with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
         curl(a) - (1j * np.inf) * vcross(a, a)
+    # finite coefficients whose tau overflows: R_0 + R_3 S_z in entry (0, 0)
+    zero, huge = np.zeros(3), np.array([0, 0, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fam = SolutionFamily(ctx=WaveContext(generators=SPIN_HALF, k=k),
+                             R=(huge, zero, zero, huge))
+        for owner in (fam, FamilyBatch((fam,))):
+            with pytest.raises(NonFiniteValue, match="not finite"):
+                owner.tau
 
 
 def test_empty_field_passes_through_the_algebra():
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
     sx = SPIN_HALF.generators[0]
-    empty = field(ctx, {1: OperatorVector3.from_coeff([0, 0, 0], sx)})
+    empty = field(ctx, {1: vec([0, 0, 0], sx)})
     assert empty.orders == () and empty.amps.shape == (0, 3, 2, 2) and empty.norm == 0.0
     perp = perpendicular_part(empty, ctx.khat)
     assert perp.orders == () and perp.is_vector
-    u = unitary_exponential(sx.mat, 0.3)
+    u = unitary_exponential(sx, 0.3)
     assert gauge_conjugate(empty, u).orders == ()
     assert gauge_conjugate(ndot(ctx.khat, empty), u).amps.shape == (0, 2, 2)
 
@@ -263,11 +275,11 @@ def test_empty_field_passes_through_the_algebra():
 def test_field_orders_sorted_and_amps_read_only():
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
     sx, sy, _ = SPIN_HALF.generators
-    f = field(ctx, {3: sy, -1: sx.mat, 0: 0.0 * sx})
+    f = field(ctx, {3: sy, -1: sx, 0: 0.0 * sx})
     assert f.orders == (-1, 3)
     assert f.amps.shape == (2, 2, 2)
-    np.testing.assert_array_equal(f.amps[1], sy.mat)
-    assert f.norm == max(sx.norm, sy.norm)
+    np.testing.assert_array_equal(f.amps[1], sy)
+    assert f.norm == max(norm(sx), norm(sy))
     assert not f.amps.flags.writeable
     with pytest.raises(ValueError):
         f.amps[0, 0, 0] = 1.0
@@ -306,8 +318,11 @@ def test_cached_context_and_family_values_are_read_only():
     assert ctx.knorm == float(np.linalg.norm(ctx.k))
     np.testing.assert_array_equal(ctx.khat, ctx.k / np.linalg.norm(ctx.k))
     np.testing.assert_array_equal(ctx.k_lift, numeric_lift(ctx.k, ctx.dim))
-    assert fam.tau is fam.tau and ctx.khat is ctx.khat
-    for arr in (fam.tau.comps, ctx.khat, ctx.k_lift, ctx.k):
+    assert fam.tau is fam.tau and fam.phi_amplitude is fam.phi_amplitude
+    assert ctx.khat is ctx.khat
+    b, _ = build_fields(fam)
+    for arr in (fam.tau, fam.phi_amplitude, fam.eta, ctx.khat, ctx.k_lift, ctx.k,
+                b.amplitude(5), b.eval_at(ctx.k, 0.3)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -335,7 +350,7 @@ def test_random_family_constraints(kind):
         for mm in range(l + 1, n + 1):
             assert abs(k @ np.cross(fam.R[l], fam.R[mm])) <= 1e-12
     ab = random_family(gens, rng, abelian=True)
-    assert cross(ab.tau, ab.tau).norm <= 1e-13
+    assert norm(cross(ab.tau, ab.tau)) <= 1e-13
 
 
 # --- finite-difference oracle --------------------------------------------------
@@ -357,13 +372,13 @@ def test_fd_oracle_accuracy_and_order():
         ]
         for est, exact_field in checks:
             exact = exact_field.eval_at(r, t)
-            scale = max(1.0, exact.norm)
+            scale = max(1.0, norm(exact))
             # extrapolated estimate agrees to 1e-6
-            assert (est.extrapolated - exact).norm / scale <= 1e-6
+            assert norm(est.extrapolated - exact) / scale <= 1e-6
             # raw stencils converge at second order: halving h cuts the
             # error by 4 +- 25%
-            err_h = (est.at_h - exact).norm
-            err_half = (est.at_half - exact).norm
+            err_h = norm(est.at_h - exact)
+            err_half = norm(est.at_half - exact)
             if err_h > 1e-12 * scale:
                 assert 3.0 <= err_h / err_half <= 5.0
 
@@ -376,9 +391,9 @@ def test_fd_constant_field_zero():
     const = field(ctx, {0: sx})
     rng = np.random.default_rng(3)
     r, t = rng.uniform(-1, 1, 3), 0.3
-    assert fd_dt(const, r, t, 1e-3).extrapolated.norm == 0.0
-    assert fd_grad(const, r, t, 1e-3).extrapolated.norm == 0.0
-    assert fd_laplacian(const, r, t, 1e-3).extrapolated.norm == 0.0
+    assert norm(fd_dt(const, r, t, 1e-3).extrapolated) == 0.0
+    assert norm(fd_grad(const, r, t, 1e-3).extrapolated) == 0.0
+    assert norm(fd_laplacian(const, r, t, 1e-3).extrapolated) == 0.0
 
 
 def test_fields_vs_oracle_at_random_points():
@@ -395,17 +410,16 @@ def test_fields_vs_oracle_at_random_points():
         curl_a = fd_curl(a, r, t, h).extrapolated
         axa = cross(a.eval_at(r, t), a.eval_at(r, t))
         b_fd = curl_a + (-1j * ctx.g) * axa
-        scale = max(1.0, b.eval_at(r, t).norm)
-        assert (b_fd - b.eval_at(r, t)).norm / scale <= 1e-6
+        scale = max(1.0, norm(b.eval_at(r, t)))
+        assert norm(b_fd - b.eval_at(r, t)) / scale <= 1e-6
         da_dt = fd_dt(a, r, t, h).extrapolated
         gphi = fd_grad(phi, r, t, h).extrapolated
         phv = phi.eval_at(r, t)
         av = a.eval_at(r, t)
-        comm = OperatorVector3(np.einsum("ab,ibc->iac", phv.mat, av.comps)
-                               - np.einsum("iab,bc->iac", av.comps, phv.mat))
+        comm = np.einsum("ab,ibc->iac", phv, av) - np.einsum("iab,bc->iac", av, phv)
         e_fd = (-1.0 / ctx.c) * da_dt - gphi - (1j * ctx.g) * comm
-        scale = max(1.0, e.eval_at(r, t).norm)
-        assert (e_fd - e.eval_at(r, t)).norm / scale <= 1e-6
+        scale = max(1.0, norm(e.eval_at(r, t)))
+        assert norm(e_fd - e.eval_at(r, t)) / scale <= 1e-6
 
 
 @settings(max_examples=25, deadline=None)
@@ -416,7 +430,7 @@ def test_spatial_periodicity_property(rx, ry, rz, cycles):
     b, _ = build_fields(fam)
     r = np.array([rx, ry, rz])
     shift = cycles * 2 * np.pi * fam.ctx.k / fam.ctx.knorm ** 2
-    assert (b.eval_at(r, 0.7) - b.eval_at(r + shift, 0.7)).norm <= 1e-10
+    assert norm(b.eval_at(r, 0.7) - b.eval_at(r + shift, 0.7)) <= 1e-10
 
 
 def _expressions(fam, u):
@@ -444,8 +458,8 @@ def test_batch_gives_each_trial_its_single_wave_field():
             random_family(SPIN_HALF, rng, g=0.7),
             SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
             random_family(SPIN_HALF, rng, abelian=True, g=0.7)]
-    us = [unitary_exponential(g.mat, 0.4 + 0.3 * i)
-          for i, g in enumerate(SPIN_HALF.generators + SPIN_HALF.generators[:1])]
+    us = [unitary_exponential(g, 0.4 + 0.3 * i)
+          for i, g in enumerate([*SPIN_HALF.generators, SPIN_HALF.generators[0]])]
     batch = _expressions(FamilyBatch(tuple(fams)), np.stack(us))
     singles = [_expressions(fam, u) for fam, u in zip(fams, us)]
     dropped = set()

@@ -57,7 +57,7 @@ def test_em_flux_quadrature_oracle():
 
 def test_amw_flux_xz_closed_form():
     fam = xz_family(SPIN_HALF, g=0.1)
-    sx, sy = SPIN_HALF.generators[0].mat, SPIN_HALF.generators[1].mat
+    sx, sy = SPIN_HALF.generators[0], SPIN_HALF.generators[1]
     want = (1.0 / (8 * np.pi)) * (sx @ sx + 0.01 * sy @ sy)
     got = amw_flux(fam).magnitude_operator
     assert np.abs(got - want).max() <= 1e-14
@@ -97,12 +97,12 @@ def test_mixed_block_averages_to_zero():
     from amwave.algebra import cross, dot
     tau = fam.tau
     c8pi = fam.ctx.c / (8 * np.pi)
-    kxt = cross(fam.ctx.k, tau)
+    kxt = cross(fam.ctx.k_lift, tau)
     first_closed = c8pi * dot(kxt, kxt)
     second_closed = -c8pi * fam.ctx.g ** 2 * dot(cross(tau, tau), cross(tau, tau))
     khat = fam.ctx.khat
-    first_vec = np.einsum("i,ab->iab", khat, first_closed.mat)
-    second_vec = np.einsum("i,ab->iab", khat, second_closed.mat)
+    first_vec = np.einsum("i,ab->iab", khat, first_closed)
+    second_vec = np.einsum("i,ab->iab", khat, second_closed)
     assert np.abs(blocks["first"] - first_vec).max() <= 1e-10
     assert np.abs(blocks["second"] - second_vec).max() <= 1e-10
 
@@ -129,18 +129,23 @@ def test_flux_direction_purely_along_k():
 KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
 
 
+def hermitian_part(v):
+    """Componentwise Hermitian part of a (3, d, d) operator vector."""
+    return 0.5 * (v + np.conj(np.swapaxes(v, 1, 2)))
+
+
 def loop_flux(e, b, ts, r):
     """Reference: (c/4 pi) Re E x Re B evaluated sample by sample, (T, 3, d, d)."""
     coeff = e.ctx.c / (4.0 * np.pi)
-    return np.stack([coeff * cross(e.eval_at(r, t).hermitian_part(),
-                                   b.eval_at(r, t).hermitian_part()).comps
+    return np.stack([coeff * cross(hermitian_part(e.eval_at(r, t)),
+                                   hermitian_part(b.eval_at(r, t)))
                      for t in ts])
 
 
 def loop_blocks(fam, ts, r):
     """Reference per-sample flux of each harmonic block, from one-harmonic fields."""
     b, e = build_fields(fam)
-    (e1, b1), (e2, b2) = [[field(fam.ctx, {m: f.raw_amplitude(m)}) for f in (e, b)]
+    (e1, b1), (e2, b2) = [[field(fam.ctx, {m: f.amplitude(m)}) for f in (e, b)]
                           for m in (1, 2)]
     return {"first": loop_flux(e1, b1, ts, r), "second": loop_flux(e2, b2, ts, r),
             "mixed": loop_flux(e1, b2, ts, r) + loop_flux(e2, b1, ts, r),

@@ -27,7 +27,7 @@ from amwave.relativity import (
     tensor_equation_defects,
     unitary_exponential,
 )
-from amwave.residuals import full_ym_residuals, report_from_fields, wca_condition_fields
+from amwave.residuals import condition_fields, full_ym_residuals, report_from_fields
 
 SPIN_HALF = make_generators("su2_spin_half")
 
@@ -74,7 +74,7 @@ def test_assemble_xz_first_harmonic():
     # F^{13} holds i k S_x and the B_z slot F^{21} stays empty
     fam = xz_family(SPIN_HALF)
     _, f = harmonic_tensors(fam)[0], harmonic_tensors(fam)[0][1]
-    sx = SPIN_HALF.generators[0].mat
+    sx = SPIN_HALF.generators[0]
     np.testing.assert_allclose(f[1, 3], 1j * sx, atol=1e-15)
     assert np.abs(f[2, 1]).max() <= 1e-15
     np.testing.assert_allclose(f[1, 0], 1j * sx, atol=1e-15)  # E_x
@@ -252,7 +252,7 @@ def test_gauge_conjugate_identity():
 def test_gauge_conjugate_preserves_residual_norms():
     fam = xz_family(SPIN_HALF)
     a, phi = build_potentials(fam)
-    u = unitary_exponential(SPIN_HALF.generators[2].mat, angle=1.3)
+    u = unitary_exponential(SPIN_HALF.generators[2], angle=1.3)
     before = full_ym_residuals(a, phi, fam.ctx)
     after = full_ym_residuals(gauge_conjugate(a, u), gauge_conjugate(phi, u),
                               fam.ctx)
@@ -267,9 +267,9 @@ def test_gauge_conjugate_solution_still_solves():
     herm = sum((float(c) * g for c, g in zip(rng.uniform(-1, 1, 3),
                                              fam.ctx.generators.generators)),
                start=0.0 * fam.ctx.generators.identity)
-    u = unitary_exponential(herm.mat)
-    fields = wca_condition_fields(gauge_conjugate(a, u),
-                                  gauge_conjugate(phi, u), fam.ctx)
+    u = unitary_exponential(herm)
+    fields = condition_fields("wca", gauge_conjugate(a, u),
+                              gauge_conjugate(phi, u), fam.ctx)
     rep = report_from_fields("wca", fields, 1e-12, max(1.0, a.norm))
     assert rep.overall_pass
 
@@ -277,7 +277,7 @@ def test_gauge_conjugate_solution_still_solves():
 def test_gauge_conjugate_tensor_antisymmetry():
     fam = xz_family(SPIN_HALF)
     _, f = harmonic_tensors(fam)[1]
-    u = unitary_exponential(SPIN_HALF.generators[0].mat, angle=0.4)
+    u = unitary_exponential(SPIN_HALF.generators[0], angle=0.4)
     fc = gauge_conjugate(f, u)
     assert _antisymmetry_defect(fc) <= 1e-14
     assert abs(_norm(fc) - _norm(f)) <= 1e-12  # unitary invariance
@@ -301,12 +301,12 @@ def test_api_edge_returns_plain_arrays():
     for f in shaped:
         assert type(f) is np.ndarray and f.shape == (4, 4, d, d)
         assert not f.flags.writeable
-    herm = fam.ctx.generators.generators[0].mat
+    herm = fam.ctx.generators.generators[0]
     u = unitary_exponential(herm, 0.7)
     assert type(u) is np.ndarray and u.shape == (d, d)
     us = unitary_exponential(np.stack([herm, 2.0 * herm]))
     assert type(us) is np.ndarray and us.shape == (2, d, d)
-    tau = fam.tau.comps
+    tau = fam.tau
     conj = gauge_conjugate(tau, u)
     assert type(conj) is np.ndarray and conj.shape == (3, d, d)
     for i in range(3):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amwave import zitter
-from amwave.algebra import OperatorMatrix, commutator, operator_norm
+from amwave.algebra import commutator, operator_norm
 from amwave.zitter import (
     ALPHA,
     BETA,
@@ -63,16 +63,16 @@ def test_eigenstates_labels_and_orthonormality():
         signs = [(+1, +0.5), (+1, -0.5), (-1, +0.5), (-1, -0.5)]
         for st, (es, hel) in zip(states, signs):
             assert st.energy_sign == es and st.helicity == pytest.approx(hel)
-            assert np.linalg.norm(h.mat @ st.amplitudes
+            assert np.linalg.norm(h @ st.amplitudes
                                   - es * ctx.energy * st.amplitudes) <= 1e-12
-            assert np.linalg.norm(lam.mat @ st.amplitudes
+            assert np.linalg.norm(lam @ st.amplitudes
                                   - hel * st.amplitudes) <= 1e-12
 
 
 def test_eigenstates_match_numerical_eigendecomposition():
     rng = np.random.default_rng(4)
     ctx = random_ctx(rng)
-    h = hamiltonian(ctx).mat
+    h = hamiltonian(ctx)
     w, v = np.linalg.eigh(h)
     for st in eigenstates(ctx):
         target = st.energy_sign * ctx.energy
@@ -163,11 +163,11 @@ def test_operator_identity_spin_from_position():
         zs = zitter_spin_operator(ctx, t)
         p = ctx.p
         manual = np.stack([
-            -(zr.comps[1] * p[2] - zr.comps[2] * p[1]),
-            -(zr.comps[2] * p[0] - zr.comps[0] * p[2]),
-            -(zr.comps[0] * p[1] - zr.comps[1] * p[0]),
+            -(zr[1] * p[2] - zr[2] * p[1]),
+            -(zr[2] * p[0] - zr[0] * p[2]),
+            -(zr[0] * p[1] - zr[1] * p[0]),
         ])
-        assert np.abs(zs.comps - manual).max() <= 1e-12
+        assert np.abs(zs - manual).max() <= 1e-12
 
 
 def test_spin_evolution_derivative():
@@ -180,12 +180,12 @@ def test_spin_evolution_derivative():
 
     def s_of_t(t):
         return s0 - np.stack([
-            zitter_position_operator(ctx, t).comps[1] * p[2]
-            - zitter_position_operator(ctx, t).comps[2] * p[1],
-            zitter_position_operator(ctx, t).comps[2] * p[0]
-            - zitter_position_operator(ctx, t).comps[0] * p[2],
-            zitter_position_operator(ctx, t).comps[0] * p[1]
-            - zitter_position_operator(ctx, t).comps[1] * p[0],
+            zitter_position_operator(ctx, t)[1] * p[2]
+            - zitter_position_operator(ctx, t)[2] * p[1],
+            zitter_position_operator(ctx, t)[2] * p[0]
+            - zitter_position_operator(ctx, t)[0] * p[2],
+            zitter_position_operator(ctx, t)[0] * p[1]
+            - zitter_position_operator(ctx, t)[1] * p[0],
         ])
 
     want = -ctx.c * np.stack([
@@ -208,14 +208,14 @@ def test_helicity_commutes_and_spin_identities():
         ctx = random_ctx(rng)
         h = hamiltonian(ctx)
         lam = helicity_operator(ctx)
-        assert commutator(h, lam).norm <= 1e-12
+        assert operator_norm(commutator(h, lam)) <= 1e-12
         # [S_i, alpha.p] = -i hbar (alpha x p)_i
-        adotp = OperatorMatrix(np.einsum("i,iab->ab", ctx.p, ALPHA))
+        adotp = np.einsum("i,iab->ab", ctx.p, ALPHA)
         for i in range(3):
-            si = OperatorMatrix(0.5 * ctx.hbar * SIGMA[i])
+            si = 0.5 * ctx.hbar * SIGMA[i]
             axp = (ALPHA[(i + 1) % 3] * ctx.p[(i + 2) % 3]
                    - ALPHA[(i + 2) % 3] * ctx.p[(i + 1) % 3])
-            lhs = commutator(si, adotp).mat
+            lhs = commutator(si, adotp)
             assert np.abs(lhs + 1j * ctx.hbar * axp).max() <= 1e-12
 
 
@@ -239,22 +239,22 @@ def test_projector_properties():
     ctx = random_ctx(rng)
     pp, pm, sp, sm = projectors(ctx)
     for proj in (pp, pm, sp, sm):
-        assert (proj @ proj - proj).norm <= 1e-12
+        assert operator_norm(proj @ proj - proj) <= 1e-12
     states = eigenstates(ctx)
     table = [(pp, (1, 1, 0, 0)), (pm, (0, 0, 1, 1)),
              (sp, (1, 0, 1, 0)), (sm, (0, 1, 0, 1))]
     for proj, keep in table:
         for st, k in zip(states, keep):
-            got = proj.mat @ st.amplitudes
+            got = proj @ st.amplitudes
             want = k * st.amplitudes
             assert np.linalg.norm(got - want) <= 1e-12
     # the sandwiched oscillation generator vanishes between like projectors
-    h = hamiltonian(ctx).mat
+    h = hamiltonian(ctx)
     hinv = np.linalg.inv(h)
     for i in range(3):
-        gen = OperatorMatrix(ALPHA[i] - ctx.c * ctx.p[i] * hinv)
-        assert (pp @ gen @ pp).norm <= 1e-12
-        assert (pm @ gen @ pm).norm <= 1e-12
+        gen = ALPHA[i] - ctx.c * ctx.p[i] * hinv
+        assert operator_norm(pp @ gen @ pp) <= 1e-12
+        assert operator_norm(pm @ gen @ pm) <= 1e-12
 
 
 def test_alpha_matrix_element_closed_form():
@@ -291,7 +291,7 @@ def test_amplitude_frequency_bounds_and_si():
 
 def reference_position_operator(ctx, t):
     """Z_r(t) by the one-time formula, one 4x4 product at a time."""
-    w, v = np.linalg.eigh(hamiltonian(ctx).mat)
+    w, v = np.linalg.eigh(hamiltonian(ctx))
     hinv = v @ np.diag(1.0 / w) @ v.conj().T
     phase = v @ np.diag(np.exp(-2j * w * t / ctx.hbar) - 1.0) @ v.conj().T
     tail = hinv @ phase
@@ -357,11 +357,11 @@ def test_one_time_operators_match_reference_bitwise():
     for ctx in series_contexts():
         for t in (0.0, rng.uniform(0.0, 6.0), -rng.uniform(0.0, 2.0)):
             zr = reference_position_operator(ctx, t)
-            assert np.array_equal(zitter_position_operator(ctx, t).comps, zr)
+            assert np.array_equal(zitter_position_operator(ctx, t), zr)
             p = ctx.p
             zs = np.stack([-(zr[(i + 1) % 3] * p[(i + 2) % 3]
                              - zr[(i + 2) % 3] * p[(i + 1) % 3]) for i in range(3)])
-            assert np.array_equal(zitter_spin_operator(ctx, t).comps, zs)
+            assert np.array_equal(zitter_spin_operator(ctx, t), zs)
 
 
 def test_series_is_evaluated_in_fixed_blocks(monkeypatch):
@@ -416,8 +416,10 @@ def test_constants_and_caches_are_read_only():
     assert ctx.hinv is ctx.hinv and ctx.spectrum is ctx.spectrum
     assert eigenstates(ctx) is eigenstates(ctx)
     for arr in (ALPHA, BETA, SIGMA, ctx.hmat, w, v, vh, ctx.hinv,
-                ctx.phat, ctx.position_prefactor, eigenstates(ctx)[0].amplitudes):
+                ctx.phat, ctx.position_prefactor, eigenstates(ctx)[0].amplitudes,
+                hamiltonian(ctx), helicity_operator(ctx), *projectors(ctx),
+                zitter_position_operator(ctx, 0.3), zitter_spin_operator(ctx, 0.3)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     assert np.array_equal(vh, v.conj().T)
-    assert np.abs(ctx.hinv @ hamiltonian(ctx).mat - np.eye(4)).max() <= 1e-12
+    assert np.abs(ctx.hinv @ hamiltonian(ctx) - np.eye(4)).max() <= 1e-12

@@ -1,6 +1,6 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 77 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 88 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
@@ -14,10 +14,17 @@ Prints one line per configuration, ``<sha256>  <label>``, for 77 runs:
   group holds a single trial (also su3).
 - 2 boost report bodies at seed 3 along the x and the y axis; every
   other boost run uses the default z axis.
+- 6 report bodies away from hbar = c = 1: wca, zca, gauge, boost and
+  zitter at seed 13 with 10 trials, and poynting (3 trials, 200
+  samples), all at hbar = 0.5 and c = 2.
+- 3 report bodies for generators no other run gives these suites: gauge
+  at seed 7 with su3_gellmann (10 trials), and poynting at seed 7 with
+  su2_spin_one and with su3_gellmann (3 trials, 200 samples).
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
   each at the default momentum 0,0,0.8 (exact zeros in p) and at the
   off-axis momentum 0.3,-0.4,0.9.
-- 1 ``amwave poynting --seed 2`` CSV body.
+- 3 ``amwave poynting --seed 2`` CSV bodies: the default generator,
+  su3_gellmann and su2_spin_one.
 
 The CSV bodies are exactly what the command writes with ``--out``.  A
 refactor that promises byte-identical output runs this against the old
@@ -82,6 +89,16 @@ def configs():
     for axis in ("x", "y"):
         yield f"boost seed=3 axis={axis}", RunConfig(
             suite="boost", seed=3, trials=10, boost_axis=axis)
+    for suite in ("wca", "zca", "gauge", "boost", "zitter"):
+        yield f"{suite} seed=13 hbar=0.5 c=2", RunConfig(
+            suite=suite, seed=13, trials=10, hbar=0.5, c=2.0)
+    yield "poynting seed=13 hbar=0.5 c=2", RunConfig(
+        suite="poynting", seed=13, trials=3, samples=200, hbar=0.5, c=2.0)
+    yield "gauge seed=7 su3_gellmann", RunConfig(
+        suite="gauge", seed=7, trials=10, generator="su3_gellmann")
+    for generator in ("su2_spin_one", "su3_gellmann"):
+        yield f"poynting seed=7 {generator}", RunConfig(
+            suite="poynting", seed=7, trials=3, samples=200, generator=generator)
 
 
 def exports():
@@ -90,6 +107,9 @@ def exports():
             yield (f"zitter csv pair={pair} momentum={momentum}",
                    ["zitter", "--pair", pair, f"--momentum={momentum}"])
     yield "poynting csv seed=2", ["poynting", "--seed", "2"]
+    for generator in ("su3_gellmann", "su2_spin_one"):
+        yield (f"poynting csv seed=2 {generator}",
+               ["poynting", "--seed", "2", "--generator", generator])
 
 
 def export_body(argv: list[str]) -> bytes:
