@@ -8,13 +8,12 @@ timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
-amplitudes overflow).  Every trial draws its family first; the condition
-suites (wca, zca, exact, full, gauge, su3) and boost then evaluate the
-trials of each generator kind as one batch on a leading trial axis, and
-zitter and poynting run their trials one after another.  The environment
-variable AMWAVE_THREADS is still accepted and validated (a non-integer is
-a configuration error) but sets nothing: a thread pool was slower than
-one thread for every suite.
+amplitudes overflow).  Every suite runs once per generator group: the
+trials of one generator kind draw their families (zitter trials draw
+none), and the suite takes them as one FamilyBatch on a leading trial
+axis.  The environment variable AMWAVE_THREADS is still accepted and
+validated (a non-integer is a configuration error) but sets nothing: a
+thread pool was slower than one thread for every suite.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
-import yaml
 
 from .algebra import NonFiniteValue, make_generators, operator_norm, structure_constants
 from .fields import (
@@ -68,11 +66,11 @@ from .zitter import (
     SERIES_BLOCK,
     DiracContext,
     SuperpositionSpec,
+    expectations,
+    operator_stacks,
     position_closed_form,
     spin_closed_form,
     zitter_expectation_series,
-    zitter_position_expectation,
-    zitter_spin_expectation,
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -161,7 +159,7 @@ class RunConfig:
             SuperpositionSpec(self.theta, self.pair)
             if self.suite != "zitter":
                 for kind in {_trial_kind(self, i) for i in range(min(self.trials, 2))}:
-                    _fixed_family(self, kind)
+                    _group_families(self, kind, ())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # the report names the axis one way, whether it was given as 2 or z
@@ -198,6 +196,8 @@ _TOP_KEYS = ("suite", "trials", "seed", "tolerance")
 def config_from_file(path: str, overrides: dict | None = None,
                      fallback_suite: str | None = None) -> RunConfig:
     """Load a YAML config (top-level keys plus nested sections)."""
+    import yaml  # only --config needs PyYAML, so no other run pays for its import
+
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
@@ -267,67 +267,45 @@ def _trial_kind(cfg: RunConfig, i: int) -> str:
     return cfg.generator
 
 
-def _fixed_family(cfg: RunConfig, kind: str) -> SolutionFamily | None:
-    """The family the config fixes for one generator kind, or None when R is
-    drawn per trial; either way the wave context is built, which checks k."""
+def _group_families(cfg: RunConfig, kind: str, rngs) -> tuple[SolutionFamily, ...]:
+    """The families of one generator group's trials: the family the config
+    fixes, built once, or one drawn from each trial's generator.  The wave
+    context and a fixed family are built even for no trials, which checks
+    the config's k, units and R."""
     gens = make_generators(kind, hbar=cfg.hbar)
     k = cfg.k if cfg.k is not None else (0.0, 0.0, 1.0)
     ctx = WaveContext(generators=gens, k=np.array(k), c=cfg.c, g=cfg.coupling)
-    if cfg.R is None:
-        return None
-    return SolutionFamily(ctx=ctx, R=tuple(np.array(r) for r in cfg.R))
-
-
-def _trial_family(cfg: RunConfig, i: int, rng) -> SolutionFamily:
     if cfg.R is not None:
-        return _fixed_family(cfg, _trial_kind(cfg, i))
-    gens = make_generators(_trial_kind(cfg, i), hbar=cfg.hbar)
-    return random_family(gens, rng, k=None if cfg.k is None else np.array(cfg.k),
-                         c=cfg.c, g=cfg.coupling)
+        return (SolutionFamily(ctx=ctx, R=tuple(np.array(r) for r in cfg.R)),) * len(rngs)
+    k = None if cfg.k is None else np.array(cfg.k)
+    return tuple(random_family(gens, rng, k=k, c=cfg.c, g=cfg.coupling) for rng in rngs)
 
 
-# --- suites: the items of a group of trials ---------------------------------------
+# --- suites: the columns of a group of trials ---------------------------------------
 #
-# A suite maps (cfg, families, rngs) for the trials of one generator kind
-# to columns (item name, one residual per trial, tolerance).  The condition
-# suites and boost evaluate the group as one FamilyBatch; zitter and
-# poynting run trial by trial.
-
-
-def _batched(residuals):
-    """A suite evaluated on the whole group at once: ``residuals`` maps the
-    FamilyBatch and the trials' random generators to (name, residuals)
-    pairs, all held to the suite tolerance."""
-    def run(cfg: RunConfig, fams, rngs):
-        return [(name, r, cfg.tol) for name, r in residuals(FamilyBatch(tuple(fams)), rngs)]
-    return run
-
-
-def _each(trial):
-    """A suite run trial by trial: ``trial`` gives one trial's items."""
-    def run(cfg: RunConfig, fams, rngs):
-        rows = [trial(cfg, fam, rng) for fam, rng in zip(fams, rngs)]
-        return [(it.name, [row[k].residual for row in rows], it.tolerance)
-                for k, it in enumerate(rows[0])]
-    return run
+# A suite maps (cfg, fams, rngs) for the trials of one generator kind to
+# columns (item name, one residual per trial[, tolerance]); a column
+# without a tolerance is held to cfg.tol.  ``fams`` is the group's
+# FamilyBatch (None for zitter, which draws no family) and ``rngs`` the
+# trials' generators, each already past its family draw.
 
 
 def _conditions(label: str):
-    return _batched(lambda fams, rngs: condition_residuals(label, fams))
+    return lambda cfg, fams, rngs: condition_residuals(label, fams)
 
 
-def _zca_residuals(fams: FamilyBatch, rngs):
+def _zca_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
     b, e = build_fields(fams)
     named = maxwell_type_fields(b, e, fams.ctx) + property_battery_fields(b, e, fams.ctx)
     return condition_residuals("zca", fams) + named_residuals(named, field_scale(b, e))
 
 
-def _full_residuals(fams: FamilyBatch, rngs):
+def _full_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
     a, phi = build_potentials(fams)
     return named_residuals(ym_equation_fields(a, phi, fams.ctx), field_scale(a))
 
 
-def _gauge_residuals(fams: FamilyBatch, rngs):
+def _gauge_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
     """Full-equation residuals before and after a random constant gauge
     rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
     right after its family, and the wca conditions on the rotated wave."""
@@ -348,60 +326,63 @@ def _gauge_residuals(fams: FamilyBatch, rngs):
             ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
 
 
-def _boost(cfg: RunConfig, fams, rngs):
-    """The boosted-frame checks at +velocity and -velocity, the fields of
-    the group built once for both."""
-    return boost_columns(FamilyBatch(tuple(fams)), (cfg.velocity, -cfg.velocity),
-                         axis=cfg.boost_axis, tol=cfg.tol)
+def _zitter_residuals(cfg: RunConfig, _, rngs):
+    """Each trial draws a momentum p, a mixing angle and a time t from its
+    own generator, in that order.  Z_r(t) is built once per trial and Z_s(t)
+    from it; the four expectations are taken on those two stacks."""
+    rows = []
+    for rng in rngs:
+        p = rng.uniform(-1.0, 1.0, 3)
+        p[2] = abs(p[2]) + 0.2  # stay clear of the -z polar singularity
+        ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+        theta = rng.uniform(0.0, np.pi / 2.0)
+        t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
+        zr, zs = operator_stacks(ctx, [t])
+        mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
+                                in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
+        rows.append((np.abs(expectations(zr, mix13)[0] - position_closed_form(theta, ctx, t)).max(),
+                     np.abs(expectations(zs, mix14)[0] - spin_closed_form(theta, ctx, t)).max(),
+                     np.abs(expectations(zr, pure13)[0]).max(),
+                     np.abs(expectations(zs, mix13)[0]).max()))
+    pos, spin, pure, samehel = zip(*rows)
+    return [("position_vs_closed", pos), ("spin_vs_closed", spin),
+            ("pure_energy_zero", pure, 1e-14), ("same_helicity_spin_zero", samehel, 1e-14)]
 
 
-def _zitter_trial(cfg: RunConfig, _, rng):
-    p = rng.uniform(-1.0, 1.0, 3)
-    p[2] = abs(p[2]) + 0.2  # stay clear of the -z polar singularity
-    ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
-    theta = rng.uniform(0.0, np.pi / 2.0)
-    t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
-    zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
-    pos_err = float(np.abs(zr - position_closed_form(theta, ctx, t)).max())
-    zs = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
-    spin_err = float(np.abs(zs - spin_closed_form(theta, ctx, t)).max())
-    pure = float(np.abs(zitter_position_expectation(
-        SuperpositionSpec(0.0, (1, 3)), ctx, t)).max())
-    samehel = float(np.abs(zitter_spin_expectation(
-        SuperpositionSpec(theta, (1, 3)), ctx, t)).max())
-    return [ResidualItem("position_vs_closed", pos_err, cfg.tol),
-            ResidualItem("spin_vs_closed", spin_err, cfg.tol),
-            ResidualItem("pure_energy_zero", pure, 1e-14),
-            ResidualItem("same_helicity_spin_zero", samehel, 1e-14)]
-
-
-def _poynting_trial(cfg: RunConfig, fam: SolutionFamily, rng):
-    closed = amw_flux(fam).vector
-    at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
-    scale = max(1.0, operator_norm(closed))
-    quad_err = operator_norm(at_r["total"] - closed) / scale
-    mixed = operator_norm(at_origin["mixed"]) / scale
-    gens = fam.ctx.generators
-    ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
-    r0 = rng.uniform(-1.0, 1.0, 3)
-    fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(
-        np.zeros(3) for _ in gens.generators))
-    a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
-    abelian_err = operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector)
-    return [ResidualItem("quadrature_vs_closed", quad_err, cfg.tol),
-            ResidualItem("mixed_block_average", mixed, 1e-10),
-            ResidualItem("abelian_equals_em", abelian_err, 1e-10)]
+def _poynting_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
+    """Per trial: the flux quadrature at a random r against the closed form,
+    the mixed block at the origin, and the g = 0 wave on a random r0
+    against the classical flux; each trial draws r, then r0."""
+    rows = []
+    for fam, rng in zip(fams.families, rngs):
+        closed = amw_flux(fam).vector
+        at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
+        scale = max(1.0, operator_norm(closed))
+        gens = fam.ctx.generators
+        ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
+        r0 = rng.uniform(-1.0, 1.0, 3)
+        fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(np.zeros(3) for _ in gens.generators))
+        a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
+        rows.append((operator_norm(at_r["total"] - closed) / scale,
+                     operator_norm(at_origin["mixed"]) / scale,
+                     operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector)))
+    quad, mixed, abelian = zip(*rows)
+    return [("quadrature_vs_closed", quad), ("mixed_block_average", mixed, 1e-10),
+            ("abelian_equals_em", abelian, 1e-10)]
 
 
 _TRIALS = {
     "wca": _conditions("wca"),
-    "zca": _batched(_zca_residuals),
+    "zca": _zca_residuals,
     "exact": _conditions("exact"),
-    "full": _batched(_full_residuals),
-    "boost": _boost,
-    "gauge": _batched(_gauge_residuals),
-    "zitter": _each(_zitter_trial),
-    "poynting": _each(_poynting_trial),
+    "full": _full_residuals,
+    # the boosted-frame checks at +velocity and -velocity, the group's
+    # fields built once for both
+    "boost": lambda cfg, fams, rngs: boost_columns(
+        fams, (cfg.velocity, -cfg.velocity), axis=cfg.boost_axis, tol=cfg.tol),
+    "gauge": _gauge_residuals,
+    "zitter": _zitter_residuals,
+    "poynting": _poynting_residuals,
     "su3": _conditions("zca"),
 }
 
@@ -426,22 +407,23 @@ def _su3_constants(tol: float) -> list[ResidualItem]:
 def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
     """Every trial's items, each named trialNNN/<item>, in trial order.
 
-    Each trial first draws its wave family (zitter trials draw none) from
-    its own generator; then the trials of each generator kind run as one
-    group, and whatever a suite draws later comes from the same per-trial
-    generators, so grouping changes no value."""
+    The trials of each generator kind run as one group: each trial draws
+    its wave family (zitter trials draw none) from its own generator, and
+    the suite runs once on the group's FamilyBatch.  Whatever a suite draws
+    comes from the same per-trial generators after the family, so grouping
+    changes no value."""
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
-    fams = [None if cfg.suite == "zitter" else _trial_family(cfg, i, rng)
-            for i, rng in enumerate(rngs)]
     _worker_count(cfg.trials)  # validates AMWAVE_THREADS; trials run in this thread
     groups: dict[str, list[int]] = {}
     for i in range(cfg.trials):
         groups.setdefault(_trial_kind(cfg, i), []).append(i)
     per_trial = [[] for _ in rngs]
-    for idx in groups.values():
-        columns = _TRIALS[cfg.suite](cfg, [fams[i] for i in idx], [rngs[i] for i in idx])
-        for name, residuals, tol in columns:
+    for kind, idx in groups.items():
+        group = [rngs[i] for i in idx]
+        fams = None if cfg.suite == "zitter" else FamilyBatch(_group_families(cfg, kind, group))
+        for name, residuals, *given in _TRIALS[cfg.suite](cfg, fams, group):
+            tol = given[0] if given else cfg.tol
             for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
                 per_trial[i].append(ResidualItem(f"trial{i:03d}/{name}", r, tol))
     return [it for items in per_trial for it in items]
@@ -682,7 +664,7 @@ def _cmd_zitter(args) -> int:
 
 def _cmd_poynting(args) -> int:
     cfg = _collect_config(args, "poynting")
-    fam = _trial_family(cfg, 0, np.random.default_rng(cfg.seed))
+    fam, = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)])
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
     closed = amw_flux(fam).vector

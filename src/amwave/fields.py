@@ -460,7 +460,12 @@ class SolutionFamily(_Potentials):
         if not pairs:
             return
         l, m = np.array(pairs).T
+        # each vector is divided by its largest |component| first, so the
+        # test is scale-free and neither |R|^2 nor the bound overflows for
+        # large coefficients; a zero vector stays zero
         stack = np.stack(vecs)
+        peak = np.abs(stack).max(axis=1, keepdims=True)
+        stack = stack / np.where(peak > 0.0, peak, 1.0)
         lengths = np.sqrt(np.einsum("ij,ij->i", stack, stack))
         # np.cross's own products and differences, without its argument
         # handling, which cost more than the rest of this check

@@ -270,7 +270,7 @@ def _cross_p(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """<psi| op_ti |psi> for a (T, 3, 4, 4) stack of Hermitian operators,
     real, shape (T, 3); each row's imaginary part is checked against that
     row's own scale."""
@@ -294,8 +294,16 @@ def zitter_expectation_series(spec: SuperpositionSpec, ctx: DiracContext,
     for start in range(0, len(ts), SERIES_BLOCK):
         block = slice(start, start + SERIES_BLOCK)
         ops = _position_stack(ctx, ts[block])
-        out[block] = _expectations(_cross_p(ops, ctx.p) if spin else ops, psi)
+        out[block] = expectations(_cross_p(ops, ctx.p) if spin else ops, psi)
     return out
+
+
+def operator_stacks(ctx: DiracContext, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Z_r(t) and Z_s(t) = -Z_r(t) x p for every t in the 1-D array ts,
+    each (T, 3, 4, 4): Z_r is built once and Z_s from it.  The rows are
+    the stacks ``zitter_expectation_series`` contracts, bit for bit."""
+    zr = _position_stack(ctx, np.asarray(ts, dtype=float))
+    return zr, _cross_p(zr, ctx.p)
 
 
 def zitter_position_operator(ctx: DiracContext, t: float) -> np.ndarray:
@@ -308,8 +316,7 @@ def zitter_position_operator(ctx: DiracContext, t: float) -> np.ndarray:
 
 def zitter_spin_operator(ctx: DiracContext, t: float) -> np.ndarray:
     """Oscillating part of the spin, -Z_r x p (p is a number vector here)."""
-    zr = _position_stack(ctx, np.array([t], dtype=float))
-    return readonly(_cross_p(zr, ctx.p)[0])
+    return readonly(operator_stacks(ctx, [t])[1][0])
 
 
 def zitter_position_expectation(spec: SuperpositionSpec, ctx: DiracContext,

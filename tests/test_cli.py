@@ -4,6 +4,9 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amwave.algebra import GeneratorSet, make_generators
+import amwave
+from amwave.algebra import GeneratorSet, make_generators, operator_norm
 from amwave.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -24,7 +28,14 @@ from amwave.cli import (
     run_suite,
     zitter_timeseries,
 )
-from amwave.fields import build_fields, build_potentials, random_family
+from amwave.fields import (
+    SolutionFamily,
+    WaveContext,
+    build_fields,
+    build_potentials,
+    random_family,
+)
+from amwave.poynting import amw_flux, em_flux, flux_averages
 from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import (
     ResidualItem,
@@ -36,6 +47,14 @@ from amwave.residuals import (
     report_from_fields,
     wca_conditions,
     zca_conditions,
+)
+from amwave.zitter import (
+    DiracContext,
+    SuperpositionSpec,
+    position_closed_form,
+    spin_closed_form,
+    zitter_position_expectation,
+    zitter_spin_expectation,
 )
 
 
@@ -108,6 +127,10 @@ def test_command_line_errors_are_config_errors(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+# R_1 x R_2 along k, with |R_l|^2 beyond the float range
+LARGE_R = [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0], [0, 0, 0]]
+
+
 @pytest.mark.parametrize("family", [
     {"R": [[0, 0, 0], [1, 0, 0], [0, 0, 1]]},                # one vector short
     {"R": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},     # R_1 x R_2 along k
@@ -116,6 +139,7 @@ def test_command_line_errors_are_config_errors(tmp_path, argv):
     {"generator": "su3_gellmann", "R": [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]]},
     {"k": [0, 0, "x"]},
     {"hbar": float("nan")},
+    {"R": LARGE_R},
 ])
 def test_bad_family_config_is_config_error(tmp_path, family):
     path = tmp_path / "cfg.yaml"
@@ -124,6 +148,10 @@ def test_bad_family_config_is_config_error(tmp_path, family):
         code, err = run_main([*argv, "--trials", "2", "--config", str(path),
                               "--out", str(tmp_path / "out")])
         assert_one_config_error(code, err)
+        # none of these families may get as far as an overflow
+        assert "overflowed" not in err[0]
+        if family.get("R") is LARGE_R:
+            assert "R_1, R_2 are not coplanar with k" in err[0]
 
 
 def test_fixed_family_config_runs(tmp_path):
@@ -533,6 +561,71 @@ def _single_family_items(cfg, fam, rng):
                                   max(1.0, a.norm))
     return [ResidualItem("residual_norm_invariance", drift, tol),
             ResidualItem("conjugated_wca", max(it.residual for it in conj_wca.items), tol)]
+
+
+def _single_trial_items(cfg, fam, rng):
+    """One zitter or poynting trial's (name, residual, tolerance) items
+    through the single-trial functions, in the trial's draw order."""
+    if cfg.suite == "zitter":
+        p = rng.uniform(-1.0, 1.0, 3)
+        p[2] = abs(p[2]) + 0.2
+        ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+        theta = rng.uniform(0.0, np.pi / 2.0)
+        t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
+        zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
+        zs = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
+        pure = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
+        samehel = zitter_spin_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
+        return [("position_vs_closed",
+                 float(np.abs(zr - position_closed_form(theta, ctx, t)).max()), cfg.tol),
+                ("spin_vs_closed",
+                 float(np.abs(zs - spin_closed_form(theta, ctx, t)).max()), cfg.tol),
+                ("pure_energy_zero", float(np.abs(pure).max()), 1e-14),
+                ("same_helicity_spin_zero", float(np.abs(samehel).max()), 1e-14)]
+    closed = amw_flux(fam).vector
+    at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
+    scale = max(1.0, operator_norm(closed))
+    n = len(fam.ctx.generators.generators)
+    ctx0 = WaveContext(generators=fam.ctx.generators, k=fam.ctx.k, c=cfg.c, g=0.0)
+    r0 = rng.uniform(-1.0, 1.0, 3)
+    fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + (np.zeros(3),) * n)
+    a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
+    return [("quadrature_vs_closed", operator_norm(at_r["total"] - closed) / scale, cfg.tol),
+            ("mixed_block_average", operator_norm(at_origin["mixed"]) / scale, 1e-10),
+            ("abelian_equals_em",
+             operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector), 1e-10)]
+
+
+@pytest.mark.parametrize("generator", ["both", "su2_spin_one", "su3_gellmann"])
+@pytest.mark.parametrize("suite", ["zitter", "poynting"])
+def test_zitter_and_poynting_equal_a_loop_over_single_trials(suite, generator):
+    for seed in (0, 17):
+        for trials in (1, 2, 3):
+            cfg = RunConfig(suite=suite, trials=trials, seed=seed, generator=generator,
+                            samples=64)
+            want = []
+            rngs = [np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed).spawn(trials)]
+            for i, rng in enumerate(rngs):
+                kind = generator if generator != "both" else (
+                    "su2_spin_half", "su2_spin_one")[i % 2]
+                fam = None if suite == "zitter" else random_family(
+                    make_generators(kind), rng, c=cfg.c, g=cfg.coupling)
+                want += [(f"trial{i:03d}/{name}", r, tol)
+                         for name, r, tol in _single_trial_items(cfg, fam, rng)]
+            got = [(it["name"], it["residual"], it["tolerance"])
+                   for it in run_suite(cfg)["items"]]
+            assert got == want, (seed, trials)
+
+
+def test_importing_the_cli_does_not_import_yaml():
+    # only --config needs PyYAML
+    src = str(Path(amwave.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import amwave.cli; "
+            "print('yaml' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("suite, generator", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -294,6 +296,18 @@ def test_coplanarity_enforced():
     with pytest.raises(ValueError, match="coplanar"):
         SolutionFamily(ctx=ctx, R=(zero, np.array([1.0, 0, 0]),
                                    np.array([0, 1.0, 0]), np.array([0, 0, 1.0])))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e150, 1e160, 1e300])
+def test_coplanarity_check_is_scale_free(scale):
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
+    zero = np.zeros(3)
+    x, y, z = scale * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow on the way
+        with pytest.raises(ValueError, match=r"R_1, R_2 are not coplanar"):
+            SolutionFamily(ctx=ctx, R=(zero, x, y, zero))
+        SolutionFamily(ctx=ctx, R=(zero, x, zero, z))  # in the plane of k: accepted
 
 
 def test_coplanarity_names_the_first_offending_pair():

@@ -401,11 +401,11 @@ def test_imaginary_expectation_is_rejected_per_row():
     eye = np.eye(4)
     loud = np.broadcast_to(1e6 * eye + 1e-5j * eye, (3, 4, 4))  # imag/scale 1e-11
     quiet = np.broadcast_to(1e-9j * eye, (3, 4, 4))             # imag/scale 1e-9
-    assert np.array_equal(zitter._expectations(np.stack([loud]), psi),
+    assert np.array_equal(zitter.expectations(np.stack([loud]), psi),
                           np.full((1, 3), 1e6))
     # the quiet row fails against its own scale, not against the loud row's
     with pytest.raises(ValueError, match="complex"):
-        zitter._expectations(np.stack([loud, quiet]), psi)
+        zitter.expectations(np.stack([loud, quiet]), psi)
 
 
 def test_constants_and_caches_are_read_only():

@@ -1,6 +1,6 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 88 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 93 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
@@ -20,6 +20,10 @@ Prints one line per configuration, ``<sha256>  <label>``, for 88 runs:
 - 3 report bodies for generators no other run gives these suites: gauge
   at seed 7 with su3_gellmann (10 trials), and poynting at seed 7 with
   su2_spin_one and with su3_gellmann (3 trials, 200 samples).
+- 5 report bodies of edge cases for zitter and poynting: both at seed 11
+  with 1 and with 3 trials, where one generator group holds a single
+  trial (poynting at 200 samples), and poynting at seed 3 with the fixed
+  spin-1/2 family (4 trials, 200 samples).
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
   each at the default momentum 0,0,0.8 (exact zeros in p) and at the
   off-axis momentum 0.3,-0.4,0.9.
@@ -99,6 +103,14 @@ def configs():
     for generator in ("su2_spin_one", "su3_gellmann"):
         yield f"poynting seed=7 {generator}", RunConfig(
             suite="poynting", seed=7, trials=3, samples=200, generator=generator)
+    for trials in (1, 3):
+        yield f"zitter seed=11 trials={trials}", RunConfig(
+            suite="zitter", seed=11, trials=trials)
+        yield f"poynting seed=11 trials={trials}", RunConfig(
+            suite="poynting", seed=11, trials=trials, samples=200)
+    yield "poynting seed=3 fixed R", RunConfig(
+        suite="poynting", seed=3, trials=4, samples=200, generator="su2_spin_half",
+        k=(0.0, 0.0, 1.0), R=FIXED_R["fixed R"])
 
 
 def exports():
