@@ -8,12 +8,10 @@ timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
-amplitudes overflow).  Every suite runs once per generator group: the
-trials of one generator kind draw their families (zitter trials draw
-none), and the suite takes them as one FamilyBatch on a leading trial
-axis.  The environment variable AMWAVE_THREADS is still accepted and
-validated (a non-integer is a configuration error) but sets nothing: a
-thread pool was slower than one thread for every suite.
+amplitudes overflow).  Every suite runs once per generator group, in
+one thread: the trials of one generator kind draw their families (zitter
+trials draw none), and the suite takes them as one ``SolutionFamily``
+stacked on a leading trial axis.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import numpy as np
 
 from .algebra import NonFiniteValue, make_generators, operator_norm, structure_constants
 from .fields import (
-    FamilyBatch,
     SolutionFamily,
     WaveContext,
     build_fields,
@@ -104,6 +101,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _real(name: str, val):
+    """val, if it is a real number; a bool or a string is a ConfigError."""
+    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {val!r}")
+    return val
+
+
 @dataclass
 class RunConfig:
     suite: str
@@ -136,6 +140,9 @@ class RunConfig:
         for name, val in counts + [("pair entry", v) for v in self.pair]:
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {val!r}")
+        for name in ("tolerance", "hbar", "c", "coupling", "velocity", "theta", "t_max"):
+            if getattr(self, name) is not None:
+                _real(name, getattr(self, name))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.tolerance is not None and not 0.0 < self.tolerance < np.inf:
@@ -229,11 +236,14 @@ def config_from_file(path: str, overrides: dict | None = None,
     try:
         for name in ("k", "momentum"):
             if flat.get(name) is not None:
-                flat[name] = tuple(float(v) for v in flat[name])
+                flat[name] = tuple(float(_real(f"{name} entry", v)) for v in flat[name])
         if flat.get("pair") is not None:
             flat["pair"] = tuple(flat["pair"])
         if flat.get("R") is not None:
-            flat["R"] = tuple(tuple(float(x) for x in row) for row in flat["R"])
+            flat["R"] = tuple(tuple(float(_real("R entry", x)) for x in row)
+                              for row in flat["R"])
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
     if "suite" not in flat:
@@ -247,17 +257,6 @@ def config_from_file(path: str, overrides: dict | None = None,
 
 
 # --- trial plumbing ------------------------------------------------------------
-
-def _worker_count(n: int) -> int:
-    """The worker count AMWAVE_THREADS asks for, capped at n trials (all
-    CPUs when unset); raises ConfigError for a value that is no integer."""
-    env = os.environ.get("AMWAVE_THREADS")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"AMWAVE_THREADS must be an integer, got {env!r}")
-    return max(1, min(cap, n))
-
 
 def _trial_kind(cfg: RunConfig, i: int) -> str:
     if cfg.suite == "su3":
@@ -285,8 +284,8 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> tuple[SolutionFamily, ..
 #
 # A suite maps (cfg, fams, rngs) for the trials of one generator kind to
 # columns (item name, one residual per trial[, tolerance]); a column
-# without a tolerance is held to cfg.tol.  ``fams`` is the group's
-# FamilyBatch (None for zitter, which draws no family) and ``rngs`` the
+# without a tolerance is held to cfg.tol.  ``fams`` is the group's stacked
+# SolutionFamily (None for zitter, which draws no family) and ``rngs`` the
 # trials' generators, each already past its family draw.
 
 
@@ -294,18 +293,18 @@ def _conditions(label: str):
     return lambda cfg, fams, rngs: condition_residuals(label, fams)
 
 
-def _zca_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
+def _zca_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     b, e = build_fields(fams)
     named = maxwell_type_fields(b, e, fams.ctx) + property_battery_fields(b, e, fams.ctx)
     return condition_residuals("zca", fams) + named_residuals(named, field_scale(b, e))
 
 
-def _full_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
+def _full_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     a, phi = build_potentials(fams)
     return named_residuals(ym_equation_fields(a, phi, fams.ctx), field_scale(a))
 
 
-def _gauge_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
+def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     """Full-equation residuals before and after a random constant gauge
     rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
     right after its family, and the wca conditions on the rotated wave."""
@@ -349,17 +348,19 @@ def _zitter_residuals(cfg: RunConfig, _, rngs):
             ("pure_energy_zero", pure, 1e-14), ("same_helicity_spin_zero", samehel, 1e-14)]
 
 
-def _poynting_residuals(cfg: RunConfig, fams: FamilyBatch, rngs):
+def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     """Per trial: the flux quadrature at a random r against the closed form,
     the mixed block at the origin, and the g = 0 wave on a random r0
     against the classical flux; each trial draws r, then r0."""
     rows = []
-    for fam, rng in zip(fams.families, rngs):
+    gens, c = fams.ctx.generators, fams.ctx.c
+    for t, rng in enumerate(rngs):
+        ctx = WaveContext(generators=gens, k=fams.ctx.k[t], c=c, g=fams.ctx.g)
+        fam = SolutionFamily(ctx=ctx, R=tuple(r[t] for r in fams.R))
         closed = amw_flux(fam).vector
         at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
         scale = max(1.0, operator_norm(closed))
-        gens = fam.ctx.generators
-        ctx0 = WaveContext(generators=gens, k=fam.ctx.k, c=cfg.c, g=0.0)
+        ctx0 = WaveContext(generators=gens, k=ctx.k, c=c, g=0.0)
         r0 = rng.uniform(-1.0, 1.0, 3)
         fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(np.zeros(3) for _ in gens.generators))
         a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
@@ -409,19 +410,19 @@ def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
 
     The trials of each generator kind run as one group: each trial draws
     its wave family (zitter trials draw none) from its own generator, and
-    the suite runs once on the group's FamilyBatch.  Whatever a suite draws
-    comes from the same per-trial generators after the family, so grouping
-    changes no value."""
+    the suite runs once on the group's families, stacked.  Whatever a
+    suite draws comes from the same per-trial generators after the family,
+    so grouping changes no value."""
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
-    _worker_count(cfg.trials)  # validates AMWAVE_THREADS; trials run in this thread
     groups: dict[str, list[int]] = {}
     for i in range(cfg.trials):
         groups.setdefault(_trial_kind(cfg, i), []).append(i)
     per_trial = [[] for _ in rngs]
     for kind, idx in groups.items():
         group = [rngs[i] for i in idx]
-        fams = None if cfg.suite == "zitter" else FamilyBatch(_group_families(cfg, kind, group))
+        fams = (None if cfg.suite == "zitter"
+                else SolutionFamily.stack(_group_families(cfg, kind, group)))
         for name, residuals, *given in _TRIALS[cfg.suite](cfg, fams, group):
             tol = given[0] if given else cfg.tol
             for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
@@ -617,13 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_config(args: argparse.Namespace, suite: str) -> RunConfig:
-    overrides = {}
-    for name in ("trials", "seed", "tolerance", "generator", "coupling",
-                 "velocity", "theta", "pair", "momentum", "steps", "samples",
-                 "out", "timeseries"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
+    overrides = {name: val for name, val in vars(args).items()
+                 if name not in ("command", "suite", "config") and val is not None}
     if args.config:
         cfg = config_from_file(args.config, overrides, fallback_suite=suite)
         if cfg.suite != suite:

@@ -17,11 +17,12 @@ Products of fields multiply amplitudes in the written order and add the
 harmonic orders, which is what turns the nonlinear gauge-field equations
 into finite per-order operator identities.
 
-A field lives on one wave (``WaveContext``) or on a batch of T waves, one
-per trial (``WaveBatch``).  A batch puts a trial axis in front of every
-amplitude, so one evaluation of an expression serves all T trials; a field
-on one wave is the same code with an empty trial axis, and each trial of
-a batch gets the bits its own single-wave field would get.
+A field lives on a ``WaveContext``: one wave, or the waves of T trials
+stacked on a leading axis (``WaveContext.stack``).  A stack puts a trial
+axis in front of every amplitude, so one evaluation of an expression
+serves all T trials; one wave is the same code with an empty trial axis,
+and each trial of a stack gets the bits its own single-wave field would
+get.  A ``SolutionFamily`` stacks the same way.
 """
 
 from __future__ import annotations
@@ -52,22 +53,21 @@ MERGE_DROP = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class WaveContext:
-    """Wave vector, frequency, coupling and generator set for one wave."""
+    """Wave vector, frequency, coupling and generator set of one wave, or of
+    T waves on a leading trial axis (``stack``): then ``k`` is (T, 3) and
+    ``knorm``, ``khat``, ``k_lift`` and ``omega`` hold each wave's own value."""
 
     generators: GeneratorSet
     k: np.ndarray
-    omega: float | None = None
+    omega: float | np.ndarray | None = None
     c: float = 1.0
     g: float = 0.1
-
-    batch_shape = ()  # one wave: amplitudes carry no trial axis
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
         if k.shape != (3,) or not np.all(np.isfinite(k)):
             raise ValueError("k must be a finite real 3-vector")
-        k.flags.writeable = False
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", readonly(k))
         knorm = self.knorm
         if knorm <= 0.0:
             raise ValueError("|k| must be positive")
@@ -80,23 +80,43 @@ class WaveContext:
             raise ValueError("dispersion omega = c*|k| violated")
         object.__setattr__(self, "omega", omega)
 
+    @classmethod
+    def stack(cls, waves) -> "WaveContext":
+        """The waves of T trials on one leading axis.  They must share one
+        generator set, c and g; ``k``, ``knorm`` and ``omega`` are each
+        wave's own, so a stack computes with exactly the numbers its waves
+        hold."""
+        waves = tuple(waves)
+        if not waves:
+            raise ValueError("a wave stack needs at least one wave")
+        first = waves[0]
+        if any(w.generators is not first.generators or w.c != first.c or w.g != first.g
+               for w in waves):
+            raise ValueError("stacked waves must share generators, c and g")
+        ctx = _unchecked(cls, generators=first.generators, c=first.c, g=first.g,
+                         k=readonly(np.array([w.k for w in waves])),
+                         omega=readonly(np.array([w.omega for w in waves])))
+        ctx.__dict__["knorm"] = readonly(np.array([w.knorm for w in waves]))
+        return ctx
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """() on one wave, (T,) on a stack of T."""
+        return self.k.shape[:-1]
+
     @functools.cached_property
     def knorm(self) -> float:
         return float(np.linalg.norm(self.k))
 
     @functools.cached_property
     def khat(self) -> np.ndarray:
-        khat = self.k / self.knorm
-        khat.flags.writeable = False
-        return khat
+        return readonly(self.k / np.expand_dims(self.knorm, -1))
 
     @functools.cached_property
     def k_lift(self) -> np.ndarray:
-        """k (x) identity, shape (3, d, d), read-only: what ``div`` and
-        ``curl`` multiply each amplitude by."""
-        kl = numeric_lift(self.k, self.dim)
-        kl.flags.writeable = False
-        return kl
+        """k (x) identity, shape batch + (3, d, d), read-only: what ``div``
+        and ``curl`` multiply each amplitude by."""
+        return readonly(numeric_lift(self.k, self.dim))
 
     @property
     def dim(self) -> int:
@@ -107,73 +127,23 @@ class WaveContext:
         return 2.0 * np.pi / self.omega
 
 
-class _Stacked:
-    """A WaveBatch attribute: each wave's own value of the same name,
-    stacked on axis 0 into a read-only array and cached."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, batch, owner=None):
-        if batch is None:
-            return self
-        arr = np.array([getattr(w, self.name) for w in batch.waves])
-        arr.flags.writeable = False
-        batch.__dict__[self.name] = arr
-        return arr
-
-
-@dataclass(frozen=True, eq=False)
-class WaveBatch:
-    """The wave contexts of T trials on one leading axis.
-
-    The waves share one generator set, c and g.  ``k``, ``knorm``, ``khat``,
-    ``k_lift`` and ``omega`` stack each wave's own cached value along axis
-    0, so a batch computes with exactly the numbers its waves hold.
-    """
-
-    waves: tuple[WaveContext, ...]
-
-    k, knorm, khat, k_lift, omega = (_Stacked() for _ in range(5))
-
-    def __post_init__(self):
-        if not self.waves:
-            raise ValueError("a wave batch needs at least one wave")
-        first = self.waves[0]
-        if any(w.generators is not first.generators or w.c != first.c or w.g != first.g
-               for w in self.waves):
-            raise ValueError("the waves of a batch must share generators, c and g")
-
-    @property
-    def generators(self) -> GeneratorSet:
-        return self.waves[0].generators
-
-    @property
-    def c(self) -> float:
-        return self.waves[0].c
-
-    @property
-    def g(self) -> float:
-        return self.waves[0].g
-
-    @property
-    def dim(self) -> int:
-        return self.generators.dim
-
-    @property
-    def batch_shape(self) -> tuple[int]:
-        return (len(self.waves),)
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` holding ``values``,
+    built without running its checks."""
+    obj = object.__new__(cls)
+    for name, val in values.items():
+        object.__setattr__(obj, name, val)
+    return obj
 
 
 def _compatible(a, b) -> bool:
-    return (a is b) or (type(a) is type(b) and np.array_equal(a.k, b.k)
-                        and np.array_equal(a.omega, b.omega)
+    return (a is b) or (np.array_equal(a.k, b.k) and np.array_equal(a.omega, b.omega)
                         and a.c == b.c and a.g == b.g and a.dim == b.dim)
 
 
 def square(x):
     """x ** 2 by Python's float power, for a float or each value of an
-    array.  A batch must square its per-trial values exactly as one wave
+    array.  A stack must square its per-trial values exactly as one wave
     squares its float, and numpy's square of an array rounds differently
     from pow() on about one value in a thousand."""
     if np.ndim(x) == 0:
@@ -191,20 +161,20 @@ def _per_trial(x, a: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class HarmonicField:
-    """A scalar or vector harmonic field on one wave or on a batch of waves.
+    """A scalar or vector harmonic field on one wave or on a stack of waves.
 
     ``orders`` are the harmonic orders, sorted.  ``amps`` is one read-only
     complex array holding amp_m for each of them, shape (H,) + batch +
     (d, d) for a scalar field or (H,) + batch + (3, d, d) for a vector
     field, where batch is ``ctx.batch_shape``: () on one wave, (T,) on a
-    WaveBatch.  ``norm`` is the largest amplitude norm
+    stack.  ``norm`` is the largest amplitude norm
     (``algebra.operator_norm``): a float on one wave, one per trial on a
-    batch.  On a batch each order is a slot shared by every trial; a trial
+    stack.  On a stack each order is a slot shared by every trial; a trial
     whose merge dropped that order holds zeros in it.  Build one with
     ``field``; the operations below work on the raw arrays.
     """
 
-    ctx: WaveContext | WaveBatch
+    ctx: WaveContext
     orders: tuple[int, ...]
     amps: np.ndarray
     norm: float | np.ndarray
@@ -224,11 +194,14 @@ class HarmonicField:
         return readonly(np.zeros(self.amps.shape[1:], dtype=complex))
 
     def eval_at(self, r, t: float) -> np.ndarray:
-        """The field's value at (r, t), on one wave, read-only."""
-        phase = self.ctx.k @ np.asarray(r, float) - self.ctx.omega * t
+        """The field's value at (r, t), read-only; one per trial on a stack."""
+        # k . r as one (1, 3) @ (3, 1) product per trial: a (T, 3) @ (3,)
+        # product rounds differently from the single wave's k @ r
+        kr = (self.ctx.k[..., None, :] @ np.asarray(r, float)[:, None])[..., 0, 0]
+        phase = kr - self.ctx.omega * t
         out = np.zeros(self.amps.shape[1:], dtype=complex)
         for m, amp in zip(self.orders, self.amps):
-            out += np.exp(1j * m * phase) * amp
+            out += _per_trial(np.exp(1j * m * phase), amp) * amp
         return readonly(out)
 
     def with_amps(self, amps: np.ndarray) -> "HarmonicField":
@@ -255,13 +228,13 @@ class HarmonicField:
         return (-1.0) * self
 
     def __mul__(self, scalar) -> "HarmonicField":
-        """Times a scalar, or on a batch times one scalar per trial."""
+        """Times a scalar, or on a stack times one scalar per trial."""
         return _termwise(self, self.is_vector, lambda m, a: a * _per_trial(scalar, a))
 
     __rmul__ = __mul__
 
 
-def _collect(ctx: WaveContext | WaveBatch, vector: bool, pairs) -> HarmonicField:
+def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
     """The field sum_m amp_m of (order, amplitude array) pairs.
 
     Same-order amplitudes are summed in first-seen order into one slot per
@@ -297,7 +270,7 @@ def _collect(ctx: WaveContext | WaveBatch, vector: bool, pairs) -> HarmonicField
     return HarmonicField(ctx, tuple(orders), amps, float(top) if top.ndim == 0 else top)
 
 
-def field(ctx: WaveContext | WaveBatch, amplitudes: Mapping[int, object]) -> HarmonicField:
+def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
     """The harmonic field sum_m amp_m exp(i m (k.r - omega t)).
 
     Each amplitude is a complex array of shape batch + (d, d) or batch +
@@ -356,14 +329,14 @@ def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
 
 
 def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
-    """Dot of a constant numeric 3-vector (one per trial on a batch) with a
+    """Dot of a constant numeric 3-vector (one per trial on a stack) with a
     vector field."""
     nl = numeric_lift(n, v.ctx.dim)
     return _termwise(v, False, lambda m, a: dot(nl, a))
 
 
 def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
-    """Cross of a constant numeric 3-vector (one per trial on a batch) with
+    """Cross of a constant numeric 3-vector (one per trial on a stack) with
     a vector field."""
     nl = numeric_lift(n, v.ctx.dim)
     return _termwise(v, True, lambda m, a: cross(nl, a))
@@ -422,24 +395,11 @@ def tau_amplitude(gens: GeneratorSet, coeffs) -> np.ndarray:
     return readonly(out)
 
 
-class _Potentials:
-    """tau and phi = khat . tau of a family or a stacked batch of them,
-    both read-only and cached, from ``ctx`` and ``_coeffs`` (R_0..R_n on
-    axis 0)."""
-
-    @functools.cached_property
-    def tau(self) -> np.ndarray:
-        return tau_amplitude(self.ctx.generators, self._coeffs)
-
-    @functools.cached_property
-    def phi_amplitude(self) -> np.ndarray:
-        return readonly(dot(numeric_lift(self.ctx.khat, self.ctx.dim), self.tau))
-
-
 @dataclass(frozen=True, eq=False)
-class SolutionFamily(_Potentials):
+class SolutionFamily:
     """Constant coefficient vectors R_0..R_n plus the wave context; ``tau``
-    is (3, d, d), ``phi_amplitude`` (d, d) and ``eta`` (3, d, d)."""
+    is batch + (3, d, d), ``phi_amplitude`` batch + (d, d) and ``eta``
+    batch + (3, d, d), with batch = ``ctx.batch_shape``."""
 
     ctx: WaveContext
     R: tuple[np.ndarray, ...]
@@ -480,9 +440,24 @@ class SolutionFamily(_Potentials):
             raise ValueError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
                              "are not coplanar with k")
 
-    @property
-    def _coeffs(self) -> tuple[np.ndarray, ...]:
-        return self.R
+    @classmethod
+    def stack(cls, families) -> "SolutionFamily":
+        """The families of T trials on one leading axis: ``ctx`` is their
+        ``WaveContext.stack`` and each R_l is (T, 3), so ``build_potentials``
+        and ``build_fields`` take a stack as they take one family."""
+        families = tuple(families)
+        ctx = WaveContext.stack(f.ctx for f in families)
+        return _unchecked(cls, ctx=ctx, R=tuple(readonly(np.array(r))
+                                                for r in zip(*(f.R for f in families))))
+
+    @functools.cached_property
+    def tau(self) -> np.ndarray:
+        return tau_amplitude(self.ctx.generators, self.R)
+
+    @functools.cached_property
+    def phi_amplitude(self) -> np.ndarray:
+        """phi = khat . tau, read-only."""
+        return readonly(dot(numeric_lift(self.ctx.khat, self.ctx.dim), self.tau))
 
     @property
     def eta(self) -> np.ndarray:
@@ -490,32 +465,12 @@ class SolutionFamily(_Potentials):
         return readonly((1.0 / (1j * self.ctx.generators.eta_scale)) * cross(self.tau, self.tau))
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyBatch(_Potentials):
-    """Solution families on one generator set, c and g, stacked on a
-    leading trial axis.  ``ctx`` is their WaveBatch, and ``tau`` and
-    ``phi_amplitude`` are (T, 3, d, d) and (T, d, d), so
-    ``build_potentials`` and ``build_fields`` take a batch as they take
-    one family."""
-
-    families: tuple[SolutionFamily, ...]
-
-    @functools.cached_property
-    def ctx(self) -> WaveBatch:
-        return WaveBatch(tuple(f.ctx for f in self.families))
-
-    @property
-    def _coeffs(self) -> np.ndarray:
-        """R_0..R_n of every trial, shape (n + 1, T, 3)."""
-        return np.array([f.R for f in self.families]).swapaxes(0, 1)
-
-
-def build_potentials(fam: SolutionFamily | FamilyBatch) -> tuple[HarmonicField, HarmonicField]:
+def build_potentials(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     """Vector and scalar potentials of the family (single first harmonic)."""
     return field(fam.ctx, {1: fam.tau}), field(fam.ctx, {1: fam.phi_amplitude})
 
 
-def build_fields(fam: SolutionFamily | FamilyBatch) -> tuple[HarmonicField, HarmonicField]:
+def build_fields(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     """Closed-form "magnetic" and "electric" fields of the family.
 
     B carries i*(k x tau) at the first harmonic and -i*g*(tau x tau) at the
@@ -579,10 +534,7 @@ def random_family(gens: GeneratorSet, rng: np.random.Generator, *,
         normal = np.cross(khat, u)
         idx = min(2, n)
         coeffs[idx] = coeffs[idx] + rng.uniform(0.5, 1.0) * normal
-        fam = object.__new__(SolutionFamily)
-        object.__setattr__(fam, "ctx", ctx)
-        object.__setattr__(fam, "R", tuple(np.asarray(v, float) for v in coeffs))
-        return fam
+        return _unchecked(SolutionFamily, ctx=ctx, R=tuple(np.asarray(v, float) for v in coeffs))
     return SolutionFamily(ctx=ctx, R=tuple(coeffs))
 
 

@@ -19,10 +19,8 @@ import numpy as np
 
 from .algebra import frobenius_norms, readonly
 from .fields import (
-    FamilyBatch,
     HarmonicField,
     SolutionFamily,
-    WaveBatch,
     WaveContext,
     build_fields,
     square,
@@ -128,9 +126,9 @@ def null_defect(kmu: np.ndarray, c: float = 1.0):
     return abs(w2 - c * c * k2) / w2
 
 
-def harmonic_tensors(fam: SolutionFamily | FamilyBatch) -> list[tuple[int, np.ndarray]]:
+def harmonic_tensors(fam: SolutionFamily) -> list[tuple[int, np.ndarray]]:
     """Per-harmonic field-strength amplitudes of a solution family, as
-    (order, (4, 4, d, d) tensor) pairs; on a FamilyBatch each tensor is
+    (order, (4, 4, d, d) tensor) pairs; on a stacked family each tensor is
     (T, 4, 4, d, d), zero for a trial that holds no amplitude of that
     order."""
     b, e = build_fields(fam)
@@ -173,7 +171,7 @@ def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[np.ndarray, np.nd
     return div_defect, bianchi_defect
 
 
-def _boosted_items(ctx: WaveContext | WaveBatch, tensors, boost: BoostMatrix, tol: float):
+def _boosted_items(ctx: WaveContext, tensors, boost: BoostMatrix, tol: float):
     """(item, residual per trial, tolerance) for the tensor equations of the
     per-harmonic tensors and the wave four-vectors of ``ctx``, seen in the
     boosted frame."""
@@ -194,10 +192,10 @@ def _boosted_items(ctx: WaveContext | WaveBatch, tensors, boost: BoostMatrix, to
             ("tensor_antisymmetry", antisymmetry / scale, 1e-12)]
 
 
-def boost_columns(fams: SolutionFamily | FamilyBatch, speeds, axis: int | str = 2,
+def boost_columns(fams: SolutionFamily, speeds, axis: int | str = 2,
                   tol: float = 1e-10) -> list[tuple[str, np.ndarray, float]]:
-    """The boosted-frame checks of a family, or of every trial of a batch,
-    at several boost speeds.
+    """The boosted-frame checks of a family, or of every trial of a stacked
+    family, at several boost speeds.
 
     The fields and per-harmonic tensors are built once and boosted with
     velocity s*c for each speed s (in units of c) in ``speeds``.  Returns
@@ -243,7 +241,7 @@ def gauge_conjugate(obj, u: np.ndarray):
 
     ``obj`` is a harmonic field or a raw (..., d, d) array, such as one
     operator, the (3, d, d) components of an operator vector or a
-    (4, 4, d, d) field-strength tensor.  For a harmonic field on a batch of
+    (4, 4, d, d) field-strength tensor.  For a harmonic field on a stack of
     waves, u may also be a (T, d, d) stack, one unitary per trial.
     Frobenius norms are unitarily invariant, so residual norms computed
     before and after conjugation agree.

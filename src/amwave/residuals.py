@@ -12,8 +12,8 @@ the smallness of g.  Low-level ``*_fields`` functions return the named
 residual fields for callers that need amplitudes (scaling tests, gauge
 conjugation); the ``*_conditions``/``*_residuals`` wrappers produce
 reports.  The ``*_fields`` functions, ``named_residuals`` and
-``condition_residuals`` also take fields on a batch of waves
-(``fields.WaveBatch``) and then give one residual per trial.
+``condition_residuals`` also take fields on a stack of waves
+(``fields.WaveContext.stack``) and then give one residual per trial.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .fields import (
-    FamilyBatch,
     HarmonicField,
     SolutionFamily,
     WaveContext,
@@ -88,13 +87,13 @@ class ResidualReport:
 
 
 def field_scale(*fields: HarmonicField):
-    """max(1, each field's largest amplitude norm), per trial on a batch."""
+    """max(1, each field's largest amplitude norm), per trial on a stack."""
     return functools.reduce(np.maximum, (f.norm for f in fields), 1.0)
 
 
 def named_residuals(named_fields, scale) -> list[tuple[str, float | np.ndarray]]:
     """(name, norm / scale) for each named residual field: a float on one
-    wave, one value per trial on a batch."""
+    wave, one value per trial on a stack."""
     return [(name, f.norm / scale) for name, f in named_fields]
 
 
@@ -222,9 +221,9 @@ def condition_fields(label: str, a: HarmonicField,
     return out
 
 
-def condition_residuals(label: str, fam: SolutionFamily | FamilyBatch):
+def condition_residuals(label: str, fam: SolutionFamily):
     """(name, residual) for each item of a condition set on a family's
-    potentials; on a FamilyBatch, one residual per trial."""
+    potentials; on a stacked family, one residual per trial."""
     a, phi = build_potentials(fam)
     return named_residuals(condition_fields(label, a, phi, fam.ctx), field_scale(a))
 
@@ -273,7 +272,7 @@ def w_terms(a: HarmonicField, phi: HarmonicField,
 
 def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField:
     """Componentwise projection of every amplitude orthogonal to a unit
-    vector (one per trial on a batch)."""
+    vector (one per trial on a stack)."""
     nhat = np.asarray(direction, dtype=float)
     along = np.einsum("...i,h...iab->h...ab", nhat, v.amps)
     perp = v.amps - np.einsum("...i,h...ab->h...iab", nhat, along)

@@ -268,6 +268,29 @@ def test_non_integer_counts_are_config_errors(tmp_path, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("config, name", [
+    ({"tolerance": True}, "tolerance"), ({"tolerance": "1e-9"}, "tolerance"),
+    ({"family": {"hbar": True}}, "hbar"), ({"family": {"c": "2"}}, "c"),
+    ({"family": {"coupling": True}}, "coupling"),
+    ({"boost": {"velocity": "0.5"}}, "velocity"),
+    ({"zitter": {"theta": "1"}}, "theta"), ({"zitter": {"t_max": False}}, "t_max"),
+    ({"family": {"k": [0, 0, True]}}, "k entry"), ({"family": {"k": [0, "1", 1]}}, "k entry"),
+    ({"zitter": {"momentum": [0, 0, "0.8"]}}, "momentum entry"),
+    ({"family": {"k": [0, 0, 1], "R": [[0, 0, 0], [True, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+     "R entry"),
+    ({"family": {"k": [0, 0, 1], "R": [[0, 0, 0], ["1", 0, 0], [0, 0, 0], [0, 0, 0]]}},
+     "R entry"),
+])
+def test_non_real_values_are_config_errors(tmp_path, config, name):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for argv in (["verify", "wca"], ["zitter"], ["poynting"]):
+        code, err = run_main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_one_config_error(code, err)
+        assert err[0].startswith(f"config error: {name} must be a real number"), err[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("pair", [[1, 3, 4], [1], []])
 def test_wrong_length_pair_is_config_error(tmp_path, pair):
     path = tmp_path / "cfg.yaml"
@@ -342,33 +365,16 @@ def test_verify_exit_codes(tmp_path):
     assert not read_json(out)["summary"]["overall_pass"]
 
 
-def test_reports_reproducible(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        assert main(["verify", "zca", "--trials", "4", "--seed", "99",
-                     "--out", str(path)]) == EXIT_PASS
-    assert a.read_bytes() == b.read_bytes()
-
-
 @pytest.mark.parametrize("suite", SUITES)
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch, suite):
-    size = ["--trials", "6"]
-    if suite == "poynting":
-        size = ["--trials", "2", "--samples", "64"]
-    bodies = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("AMWAVE_THREADS", threads)
-        out = tmp_path / f"{threads}.json"
-        main(["verify", suite, *size, "--seed", "5", "--out", str(out)])
+def test_reports_reproducible(tmp_path, suite):
+    size = ["--trials", "2", "--samples", "64"] if suite == "poynting" else ["--trials", "6"]
+    codes, bodies = [], []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.json"
+        codes.append(main(["verify", suite, *size, "--seed", "5", "--out", str(out)]))
         bodies.append(out.read_bytes())
+    assert codes[0] == codes[1] != EXIT_USAGE
     assert bodies[0] == bodies[1]
-
-
-def test_bad_thread_setting_is_config_error(monkeypatch):
-    monkeypatch.setenv("AMWAVE_THREADS", "x")
-    code, err = run_main(["verify", "wca", "--trials", "1"])
-    assert_one_config_error(code, err)
-    assert "AMWAVE_THREADS" in err[0]
 
 
 def test_trials_share_one_generator_set(monkeypatch, tmp_path):
@@ -376,7 +382,6 @@ def test_trials_share_one_generator_set(monkeypatch, tmp_path):
     post_init = GeneratorSet.__post_init__
     monkeypatch.setattr(GeneratorSet, "__post_init__",
                         lambda self: built.append(self.kind) or post_init(self))
-    monkeypatch.setenv("AMWAVE_THREADS", "1")
     for generator in ("both", "su3_gellmann"):
         assert main(["verify", "zca", "--trials", "6", "--seed", "3",
                      "--generator", generator,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from amwave.algebra import NonFiniteValue, cross, make_generators, numeric_lift
 from amwave.algebra import operator_norm as norm
 from amwave.fields import (
-    FamilyBatch,
     SolutionFamily,
     WaveContext,
     build_fields,
@@ -257,7 +256,7 @@ def test_non_finite_values_are_rejected_not_dropped():
     with np.errstate(over="ignore", invalid="ignore"):
         fam = SolutionFamily(ctx=WaveContext(generators=SPIN_HALF, k=k),
                              R=(huge, zero, zero, huge))
-        for owner in (fam, FamilyBatch((fam,))):
+        for owner in (fam, SolutionFamily.stack((fam,))):
             with pytest.raises(NonFiniteValue, match="not finite"):
                 owner.tau
 
@@ -448,8 +447,8 @@ def test_spatial_periodicity_property(rx, ry, rz, cycles):
 
 
 def _expressions(fam, u):
-    """Named fields of one family or of a FamilyBatch; u is the unitary
-    (a stack of them for a batch) to gauge-rotate by."""
+    """Named fields of one family or of a stacked family; u is the unitary
+    (a stack of them for a stacked family) to gauge-rotate by."""
     ctx = fam.ctx
     a, phi = build_potentials(fam)
     b, e = build_fields(fam)
@@ -474,7 +473,7 @@ def test_batch_gives_each_trial_its_single_wave_field():
             random_family(SPIN_HALF, rng, abelian=True, g=0.7)]
     us = [unitary_exponential(g, 0.4 + 0.3 * i)
           for i, g in enumerate([*SPIN_HALF.generators, SPIN_HALF.generators[0]])]
-    batch = _expressions(FamilyBatch(tuple(fams)), np.stack(us))
+    batch = _expressions(SolutionFamily.stack(fams), np.stack(us))
     singles = [_expressions(fam, u) for fam, u in zip(fams, us)]
     dropped = set()
     for k, (name, fb) in enumerate(batch):
@@ -494,8 +493,10 @@ def test_batch_gives_each_trial_its_single_wave_field():
 
 def test_wave_batch_stacks_each_wave_and_checks_them():
     fams = [random_family(SPIN_HALF, np.random.default_rng(i)) for i in range(3)]
-    ctx = FamilyBatch(tuple(fams)).ctx
+    stack = SolutionFamily.stack(fams)
+    ctx = stack.ctx
     assert ctx.batch_shape == (3,)
+    assert [r.shape for r in stack.R] == [(3, 3)] * 4
     for name in ("k", "knorm", "khat", "k_lift", "omega"):
         assert np.array_equal(getattr(ctx, name), [getattr(f.ctx, name) for f in fams])
         with pytest.raises(ValueError):
@@ -504,5 +505,22 @@ def test_wave_batch_stacks_each_wave_and_checks_them():
     for bad in ((), (fams[0].ctx, other.ctx),
                 (fams[0].ctx, random_family(SPIN_HALF, np.random.default_rng(6), g=0.2).ctx)):
         with pytest.raises(ValueError):
-            FamilyBatch(tuple(SolutionFamily(ctx=c, R=(np.zeros(3),) * c.generators.n_coeffs)
-                              for c in bad)).ctx
+            SolutionFamily.stack(SolutionFamily(ctx=c, R=(np.zeros(3),) * c.generators.n_coeffs)
+                                 for c in bad)
+
+
+@pytest.mark.parametrize("kind", ["su2_spin_half", "su2_spin_one"])
+def test_stacked_eval_at_gives_each_trial_its_single_value(kind):
+    gens = make_generators(kind)
+    rng = np.random.default_rng(23)
+    fams = [random_family(gens, rng, k=rng.normal(size=3)),
+            random_family(gens, rng, abelian=True),  # B holds no second harmonic
+            random_family(gens, rng, k=rng.normal(size=3), g=0.1)]
+    stack = SolutionFamily.stack(fams)
+    r, t = np.array([0.4, -1.3, 0.8]), 0.9
+    got = [f.eval_at(r, t) for f in (*build_potentials(stack), *build_fields(stack))]
+    for j, fam in enumerate(fams):
+        want = [f.eval_at(r, t) for f in (*build_potentials(fam), *build_fields(fam))]
+        for name, g, w in zip(("A", "phi", "B", "E"), got, want):
+            assert g.shape == (len(fams),) + w.shape, (name, j)
+            assert np.array_equal(g[j], w), (name, j)

@@ -3,7 +3,6 @@ import pytest
 
 from amwave.algebra import frobenius_norms, make_generators, numeric_lift, operator_norm
 from amwave.fields import (
-    FamilyBatch,
     SolutionFamily,
     WaveContext,
     build_potentials,
@@ -177,8 +176,8 @@ def test_boosted_residuals_superluminal():
 
 
 def _mixed_batches(kind: str, c: float, g: float):
-    """A batch of random families with k off every axis and a zero-R
-    family among them, and a batch of one family."""
+    """(singles, stack) pairs: random families with k off every axis and
+    a zero-R family among them, and one family alone."""
     gens = make_generators(kind)
     rng = np.random.default_rng(17)
     fams = [random_family(gens, rng, k=rng.normal(size=3), c=c, g=g) for _ in range(4)]
@@ -186,7 +185,7 @@ def _mixed_batches(kind: str, c: float, g: float):
                                           c=c, g=g),
                           R=(np.zeros(3),) * gens.n_coeffs)
     fams.insert(2, zero)
-    return [FamilyBatch(tuple(fams)), FamilyBatch((fams[0],))]
+    return [(fams, SolutionFamily.stack(fams)), (fams[:1], SolutionFamily.stack(fams[:1]))]
 
 
 @pytest.mark.parametrize("kind, c, g", [("su2_spin_half", 1.0, 0.1),
@@ -195,31 +194,31 @@ def _mixed_batches(kind: str, c: float, g: float):
 @pytest.mark.parametrize("axis", ["x", "y", 2])
 def test_batch_columns_equal_single_family_bits(kind, c, g, axis):
     speed = 0.93
-    for batch in _mixed_batches(kind, c, g):
+    for singles, batch in _mixed_batches(kind, c, g):
         cols = boost_columns(batch, (speed, -speed), axis=axis, tol=1e-10)
         assert [name for name, _, _ in cols] == [
             f"v={v:+g}c/{item}" for v in (speed, -speed)
             for item in ("tensor_divergence", "bianchi_cycle", "null_wavevector",
                          "tensor_antisymmetry")]
-        for t, fam in enumerate(batch.families):
+        for t, fam in enumerate(singles):
             single = [it for v in (speed, -speed)
                       for it in boosted_residuals(fam, v * c, axis=axis, tol=1e-10).items]
             assert [(float(r[t]), tol) for _, r, tol in cols] == [
                 (it.residual, it.tolerance) for it in single]
         # the zero-R trial has no harmonics: every residual is exactly zero
         # but the null defect of its four-vector
-        if len(batch.families) > 1:
+        if len(singles) > 1:
             assert all(r[2] == 0.0 for name, r, _ in cols if "null" not in name)
 
 
 def test_defects_match_the_whole_contraction_bits():
     """The divergence and the cyclic sum, formed one first index at a time
     on a batch, give the bits of the plain per-family contraction."""
-    batch = _mixed_batches("su2_spin_one", 1.0, 0.1)[0]
+    singles, batch = _mixed_batches("su2_spin_one", 1.0, 0.1)[0]
     kmu = np.concatenate([(batch.ctx.omega / batch.ctx.c)[:, None], batch.ctx.k], axis=1)
     div, cyc = tensor_equation_defects(harmonic_tensors(batch), kmu)
     g = np.diag(METRIC)
-    for t, fam in enumerate(batch.families):
+    for t, fam in enumerate(singles):
         u = kmu[t] * np.array([-1.0, 1.0, 1.0, 1.0])
         want_div = want_cyc = 0.0
         for m, f in harmonic_tensors(fam):
@@ -234,7 +233,7 @@ def test_defects_match_the_whole_contraction_bits():
 
 
 def test_batch_superluminal_raises():
-    batch = _mixed_batches("su2_spin_half", 1.0, 0.1)[0]
+    _, batch = _mixed_batches("su2_spin_half", 1.0, 0.1)[0]
     with pytest.raises(SuperluminalBoost):
         boost_columns(batch, (0.5, 1.0))
     with pytest.raises(SuperluminalBoost):
