@@ -365,8 +365,16 @@ def test_verify_exit_codes(tmp_path):
     assert not read_json(out)["summary"]["overall_pass"]
 
 
+def test_reports_reproducible(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert main(["verify", "zca", "--trials", "4", "--seed", "99",
+                     "--out", str(path)]) == EXIT_PASS
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("suite", SUITES)
-def test_reports_reproducible(tmp_path, suite):
+def test_every_suite_reruns_to_identical_bytes(tmp_path, suite):
     size = ["--trials", "2", "--samples", "64"] if suite == "poynting" else ["--trials", "6"]
     codes, bodies = [], []
     for name in ("a", "b"):
