@@ -24,7 +24,6 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,32 +60,27 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _frobenius(arr: np.ndarray) -> float:
-    # np.linalg.norm's own arithmetic for a complex array, without its wrapper
-    x = arr.ravel(order="K")
+def frobenius_norms(arr: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every (d, d) matrix in a stack (..., d, d).
+
+    Each norm has the bits of ``np.linalg.norm`` on that matrix in any
+    layout: like it, each matrix is copied out in memory order and its
+    squares summed by a BLAS dot, here through a stacked (1, n) @ (n, 1)
+    ``matmul``.  A batched ``einsum`` or ``sum`` orders the sum differently
+    and misses the last bit on a few percent of inputs.
+    """
+    if abs(arr.strides[-2]) < abs(arr.strides[-1]):
+        arr = arr.swapaxes(-2, -1)
+    x = np.ascontiguousarray(arr)
+    x = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def operator_norm(arr: np.ndarray) -> float:
     """Frobenius norm of a (d, d) matrix; largest component norm of (3, d, d)."""
-    if arr.ndim == 2:
-        return _frobenius(arr)
-    return max(_frobenius(arr[i]) for i in range(3))
-
-
-def frobenius_norms(arr: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every (d, d) matrix in a stack (..., d, d).
-
-    Each norm has ``_frobenius``'s bits: the squares are summed by a stacked
-    (1, n) @ (n, 1) ``matmul``, which numpy hands to the same BLAS dot.
-    A batched ``einsum`` or ``sum`` orders the sum differently and misses
-    the last bit on a few percent of inputs.
-    """
-    x = arr.reshape(arr.shape[:-2] + (1, arr.shape[-2] * arr.shape[-1]))
-    re, im = x.real, x.imag
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    return np.sqrt(sq[..., 0, 0])
+    return float(frobenius_norms(arr).max())
 
 
 def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:

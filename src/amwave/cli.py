@@ -21,6 +21,7 @@ import csv
 import itertools
 import json
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Sequence
@@ -54,10 +55,10 @@ from .residuals import (
     condition_fields,
     condition_residuals,
     field_scale,
-    maxwell_type_fields,
+    full_ym_residuals,
+    maxwell_type_residuals,
     named_residuals,
-    property_battery_fields,
-    ym_equation_fields,
+    property_battery,
 )
 from .zitter import (
     SERIES_BLOCK,
@@ -134,6 +135,18 @@ class RunConfig:
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ConfigError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
+        try:
+            for name in ("k", "momentum"):
+                if getattr(self, name) is not None:
+                    setattr(self, name, tuple(float(_real(f"{name} entry", v))
+                                              for v in getattr(self, name)))
+            if self.R is not None:
+                self.R = tuple(tuple(float(_real("R entry", x)) for x in row) for row in self.R)
+            self.pair = tuple(self.pair)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
         if len(self.pair) != 2:
             raise ConfigError(f"pair must be two integers, got {self.pair!r}")
         counts = [(name, getattr(self, name)) for name in ("trials", "seed", "steps", "samples")]
@@ -205,9 +218,16 @@ def config_from_file(path: str, overrides: dict | None = None,
     """Load a YAML config (top-level keys plus nested sections)."""
     import yaml  # only --config needs PyYAML, so no other run pays for its import
 
+    class Loader(yaml.SafeLoader):
+        """safe_load, but 1e-9 is a float as in YAML 1.2, not a string."""
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -233,19 +253,6 @@ def config_from_file(path: str, overrides: dict | None = None,
             raise ConfigError(f"unknown top-level key {key!r}")
     if overrides:
         flat.update(overrides)
-    try:
-        for name in ("k", "momentum"):
-            if flat.get(name) is not None:
-                flat[name] = tuple(float(_real(f"{name} entry", v)) for v in flat[name])
-        if flat.get("pair") is not None:
-            flat["pair"] = tuple(flat["pair"])
-        if flat.get("R") is not None:
-            flat["R"] = tuple(tuple(float(_real("R entry", x)) for x in row)
-                              for row in flat["R"])
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
     if "suite" not in flat:
         if fallback_suite is None:
             raise ConfigError("config must name a suite")
@@ -295,13 +302,12 @@ def _conditions(label: str):
 
 def _zca_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     b, e = build_fields(fams)
-    named = maxwell_type_fields(b, e, fams.ctx) + property_battery_fields(b, e, fams.ctx)
-    return condition_residuals("zca", fams) + named_residuals(named, field_scale(b, e))
+    return (condition_residuals("zca", fams) + maxwell_type_residuals(b, e, fams.ctx)
+            + property_battery(b, e, fams.ctx))
 
 
 def _full_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    a, phi = build_potentials(fams)
-    return named_residuals(ym_equation_fields(a, phi, fams.ctx), field_scale(a))
+    return full_ym_residuals(*build_potentials(fams), fams.ctx)
 
 
 def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
@@ -317,8 +323,7 @@ def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     u = unitary_exponential(herm)
     a, phi = build_potentials(fams)
     ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
-    before = named_residuals(ym_equation_fields(a, phi, ctx), field_scale(a))
-    after = named_residuals(ym_equation_fields(ac, pc, ctx), field_scale(ac))
+    before, after = full_ym_residuals(a, phi, ctx), full_ym_residuals(ac, pc, ctx)
     drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
     conj_wca = named_residuals(condition_fields("wca", ac, pc, ctx), field_scale(a))
     return [("residual_norm_invariance", drift),

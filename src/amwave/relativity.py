@@ -25,7 +25,6 @@ from .fields import (
     build_fields,
     square,
 )
-from .residuals import ResidualItem, ResidualReport
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -212,17 +211,17 @@ def boost_columns(fams: SolutionFamily, speeds, axis: int | str = 2,
 
 
 def boosted_residuals(fam: SolutionFamily, velocity: float,
-                      axis: int | str = 2, tol: float = 1e-10) -> ResidualReport:
+                      axis: int | str = 2, tol: float = 1e-10):
     """Check the zero-coupling tensor equations in a boosted frame.
 
     Transforms every per-harmonic tensor amplitude and the wave four-vector,
     then re-evaluates the divergence and cyclic equations with the boosted
-    phase derivative: ``boost_columns`` for one family at one velocity.
-    Raises SuperluminalBoost for |v| >= c.
+    phase derivative: the (name, residual, tolerance) columns of
+    ``boost_columns`` for one family at one velocity, unprefixed.  Raises
+    SuperluminalBoost for |v| >= c.
     """
     boost = boost_matrix(velocity, c=fam.ctx.c, axis=axis)
-    items = _boosted_items(fam.ctx, harmonic_tensors(fam), boost, tol)
-    return ResidualReport(f"boost v={velocity}", tuple(ResidualItem(*it) for it in items))
+    return _boosted_items(fam.ctx, harmonic_tensors(fam), boost, tol)
 
 
 # --- constant gauge conjugation ---------------------------------------------------

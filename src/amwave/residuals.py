@@ -10,10 +10,13 @@ The g- and g^2-graded conditions are reported with their coupling factors
 stripped, so pass/fail reflects the operator bracket itself rather than
 the smallness of g.  Low-level ``*_fields`` functions return the named
 residual fields for callers that need amplitudes (scaling tests, gauge
-conjugation); the ``*_conditions``/``*_residuals`` wrappers produce
-reports.  The ``*_fields`` functions, ``named_residuals`` and
-``condition_residuals`` also take fields on a stack of waves
-(``fields.WaveContext.stack``) and then give one residual per trial.
+conjugation).  Every check returns columns, ``(name, residual)`` pairs
+from ``named_residuals``: ``condition_residuals`` for a condition set,
+``full_ym_residuals``, ``maxwell_type_residuals``, ``w_terms`` and
+``property_battery`` for the other sets, each scaled by its own rule.
+The caller holds a column to its tolerance (``ResidualItem``).  On fields
+of a stack of waves (``fields.WaveContext.stack``) a column holds one
+residual per trial.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ from .fields import (
     vdot,
 )
 
-DEFAULT_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ResidualItem:
     name: str
@@ -66,26 +66,6 @@ class ResidualItem:
                 "tolerance": self.tolerance, "pass": self.passed}
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    label: str
-    items: tuple[ResidualItem, ...]
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def failed(self) -> tuple[ResidualItem, ...]:
-        return tuple(item for item in self.items if not item.passed)
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "items": [i.as_dict() for i in self.items],
-            "overall_pass": bool(self.overall_pass),
-        }
-
-
 def field_scale(*fields: HarmonicField):
     """max(1, each field's largest amplitude norm), per trial on a stack."""
     return functools.reduce(np.maximum, (f.norm for f in fields), 1.0)
@@ -95,15 +75,6 @@ def named_residuals(named_fields, scale) -> list[tuple[str, float | np.ndarray]]
     """(name, norm / scale) for each named residual field: a float on one
     wave, one value per trial on a stack."""
     return [(name, f.norm / scale) for name, f in named_fields]
-
-
-def _report(label: str, named, tol: float) -> ResidualReport:
-    return ResidualReport(label, tuple(ResidualItem(name, r, tol) for name, r in named))
-
-
-def report_from_fields(label: str, named_fields, tol: float,
-                       scale: float) -> ResidualReport:
-    return _report(label, named_residuals(named_fields, scale), tol)
 
 
 # --- full gauge-field equations ------------------------------------------------
@@ -124,10 +95,8 @@ def ym_equation_fields(a: HarmonicField, phi: HarmonicField,
     ]
 
 
-def full_ym_residuals(a: HarmonicField, phi: HarmonicField,
-                      ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return report_from_fields("full-ym", ym_equation_fields(a, phi, ctx),
-                              tol, field_scale(a))
+def full_ym_residuals(a: HarmonicField, phi: HarmonicField, ctx: WaveContext):
+    return named_residuals(ym_equation_fields(a, phi, ctx), field_scale(a))
 
 
 def maxwell_type_fields(b: HarmonicField, e: HarmonicField,
@@ -142,10 +111,8 @@ def maxwell_type_fields(b: HarmonicField, e: HarmonicField,
     ]
 
 
-def maxwell_type_residuals(b: HarmonicField, e: HarmonicField,
-                           ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return report_from_fields("maxwell-type", maxwell_type_fields(b, e, ctx),
-                              tol, field_scale(b, e))
+def maxwell_type_residuals(b: HarmonicField, e: HarmonicField, ctx: WaveContext):
+    return named_residuals(maxwell_type_fields(b, e, ctx), field_scale(b, e))
 
 
 # --- graded condition sets ------------------------------------------------------
@@ -228,16 +195,9 @@ def condition_residuals(label: str, fam: SolutionFamily):
     return named_residuals(condition_fields(label, a, phi, fam.ctx), field_scale(a))
 
 
-def wca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return _report("wca", condition_residuals("wca", fam), tol)
-
-
-def exact_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return _report("exact", condition_residuals("exact", fam), tol)
-
-
-def zca_conditions(fam: SolutionFamily, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return _report("zca", condition_residuals("zca", fam), tol)
+# condition_residuals("zca", ...) under the name perfbench/probes.py times
+def zca_conditions(fam: SolutionFamily):
+    return condition_residuals("zca", fam)
 
 
 # --- difference terms between the two approximations ----------------------------
@@ -262,10 +222,8 @@ def w_term_fields(a: HarmonicField, phi: HarmonicField,
     ]
 
 
-def w_terms(a: HarmonicField, phi: HarmonicField,
-            ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return report_from_fields("w-terms", w_term_fields(a, phi, ctx),
-                              tol, field_scale(a))
+def w_terms(a: HarmonicField, phi: HarmonicField, ctx: WaveContext):
+    return named_residuals(w_term_fields(a, phi, ctx), field_scale(a))
 
 
 # --- transversality / orthogonality battery --------------------------------------
@@ -294,7 +252,5 @@ def property_battery_fields(b: HarmonicField, e: HarmonicField,
     ]
 
 
-def property_battery(b: HarmonicField, e: HarmonicField,
-                     ctx: WaveContext, tol: float = DEFAULT_TOL) -> ResidualReport:
-    return report_from_fields("properties", property_battery_fields(b, e, ctx),
-                              tol, field_scale(b, e))
+def property_battery(b: HarmonicField, e: HarmonicField, ctx: WaveContext):
+    return named_residuals(property_battery_fields(b, e, ctx), field_scale(b, e))

@@ -198,6 +198,11 @@ def test_operator_norm_is_numpy_norm_bit_for_bit():
             assert operator_norm(v[0]) == float(np.linalg.norm(v[0]))
             assert operator_norm(v[0].T) == float(np.linalg.norm(v[0].T))
             assert operator_norm(v) == max(float(np.linalg.norm(c)) for c in v)
+            # strided, reversed and column-major matrices: the norm reads
+            # each in memory order, as np.linalg.norm does
+            for m in (v[0][::-1], v[0][:, ::-1].T, v[:, ::2, 0], np.asfortranarray(v)[1],
+                      v[1].real.T):
+                assert operator_norm(m) == float(np.linalg.norm(m))
     assert np.isnan(operator_norm(np.full((2, 2), np.nan + 0j)))
 
 
@@ -215,6 +220,9 @@ def test_stacked_norms_equal_operator_norm_bit_for_bit(d):
     for stack in stacks:
         want = np.array([operator_norm(m) for m in stack.reshape((-1, d, d))])
         assert np.array_equal(frobenius_norms(stack), want.reshape(stack.shape[:-2]))
+        for view in (stack.swapaxes(-1, -2), stack[..., ::-1, :], stack[..., ::-1].mT):
+            got = frobenius_norms(view)
+            assert all(got[i] == np.linalg.norm(view[i]) for i in np.ndindex(got.shape))
 
 
 SU3_F = {

@@ -40,13 +40,11 @@ from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import (
     ResidualItem,
     condition_fields,
-    exact_conditions,
+    condition_residuals,
     full_ym_residuals,
     maxwell_type_residuals,
+    named_residuals,
     property_battery,
-    report_from_fields,
-    wca_conditions,
-    zca_conditions,
 )
 from amwave.zitter import (
     DiracContext,
@@ -87,6 +85,9 @@ def test_run_config_validation(capsys):
         assert len(err) == 1 and err[0].startswith("config error:")
     cfg = RunConfig(suite="boost")
     assert cfg.tol == 1e-10  # suite default
+    for bad in ({"k": 5}, {"momentum": 0.8}, {"pair": 3}, {"R": [1, 2, 3, 4]}):
+        with pytest.raises(ConfigError, match="^malformed k, momentum, pair or R"):
+            RunConfig(suite="wca", **bad)
 
 
 def run_main(argv):
@@ -269,7 +270,9 @@ def test_non_integer_counts_are_config_errors(tmp_path, config):
 
 
 @pytest.mark.parametrize("config, name", [
-    ({"tolerance": True}, "tolerance"), ({"tolerance": "1e-9"}, "tolerance"),
+    ({"tolerance": True}, "tolerance"),
+    # quoted, so a string in any YAML version
+    pytest.param("tolerance: '1e-9'\n", "tolerance", id="config1-tolerance"),
     ({"family": {"hbar": True}}, "hbar"), ({"family": {"c": "2"}}, "c"),
     ({"family": {"coupling": True}}, "coupling"),
     ({"boost": {"velocity": "0.5"}}, "velocity"),
@@ -280,15 +283,44 @@ def test_non_integer_counts_are_config_errors(tmp_path, config):
      "R entry"),
     ({"family": {"k": [0, 0, 1], "R": [[0, 0, 0], ["1", 0, 0], [0, 0, 0], [0, 0, 0]]}},
      "R entry"),
+    ({"zitter": {"momentum": [0, 0, True]}}, "momentum entry"),
 ])
 def test_non_real_values_are_config_errors(tmp_path, config, name):
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(config))
+    path.write_text(config if isinstance(config, str) else yaml.safe_dump(config))
     for argv in (["verify", "wca"], ["zitter"], ["poynting"]):
         code, err = run_main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
         assert_one_config_error(code, err)
         assert err[0].startswith(f"config error: {name} must be a real number"), err[0]
     assert not (tmp_path / "out").exists()
+    # the same values given to RunConfig directly, sections flattened
+    flat = {}
+    for key, val in yaml.safe_load(path.read_text()).items():
+        flat.update(val if isinstance(val, dict) else {key: val})
+    for suite in ("wca", "zitter", "poynting"):
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            RunConfig(suite=suite, **flat)
+
+
+@pytest.mark.parametrize("plain, dotted", [
+    ("tolerance: 1e-9\n", "tolerance: 1.0e-9\n"),
+    ("family:\n  k: [0, 0, 1e-3]\n", "family:\n  k: [0, 0, 1.0e-3]\n"),
+    ("family:\n  coupling: -25E-2\n", "family:\n  coupling: -0.25\n"),
+])
+def test_exponent_floats_without_a_dot_are_numbers(tmp_path, plain, dotted):
+    # YAML 1.1 reads 1e-9 as a string; a config reads it as the float it means
+    bodies, cfgs = [], []
+    for i, text in enumerate((plain, dotted)):
+        path, out = tmp_path / f"cfg{i}.yaml", tmp_path / f"r{i}.json"
+        path.write_text(text)
+        assert run_main(["verify", "wca", "--trials", "2", "--config", str(path),
+                         "--out", str(out)])[0] == EXIT_PASS
+        bodies.append(out.read_bytes())
+        cfgs.append(config_from_file(str(path), fallback_suite="wca"))
+    assert bodies[0] == bodies[1]
+    assert cfgs[0] == cfgs[1]
+    # the loader is the config's own: safe_load still follows YAML 1.1
+    assert yaml.safe_load(plain) != yaml.safe_load(dotted)
 
 
 @pytest.mark.parametrize("pair", [[1, 3, 4], [1], []])
@@ -547,33 +579,30 @@ def test_zitter_suite_and_poynting_suite():
 
 def _single_family_items(cfg, fam, rng):
     """One trial's items through the single-family functions."""
-    ctx, tol = fam.ctx, cfg.tol
-    if cfg.suite == "wca":
-        return wca_conditions(fam, tol).items
-    if cfg.suite == "exact":
-        return exact_conditions(fam, tol).items
-    if cfg.suite == "su3":
-        return zca_conditions(fam, tol).items
-    if cfg.suite == "zca":
-        b, e = build_fields(fam)
-        return (zca_conditions(fam, tol).items + maxwell_type_residuals(b, e, ctx, tol).items
-                + property_battery(b, e, ctx, tol).items)
+    ctx = fam.ctx
     a, phi = build_potentials(fam)
-    if cfg.suite == "full":
-        return full_ym_residuals(a, phi, ctx, tol).items
-    gens = ctx.generators
-    herm = sum((float(c) * g for c, g in
-                zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
-               start=0.0 * gens.identity)
-    u = unitary_exponential(herm)
-    ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
-    before = full_ym_residuals(a, phi, ctx, tol)
-    after = full_ym_residuals(ac, pc, ctx, tol)
-    drift = max(abs(x.residual - y.residual) for x, y in zip(before.items, after.items))
-    conj_wca = report_from_fields("wca", condition_fields("wca", ac, pc, ctx), tol,
-                                  max(1.0, a.norm))
-    return [ResidualItem("residual_norm_invariance", drift, tol),
-            ResidualItem("conjugated_wca", max(it.residual for it in conj_wca.items), tol)]
+    if cfg.suite in ("wca", "exact", "su3"):
+        cols = condition_residuals("zca" if cfg.suite == "su3" else cfg.suite, fam)
+    elif cfg.suite == "zca":
+        b, e = build_fields(fam)
+        cols = (condition_residuals("zca", fam) + maxwell_type_residuals(b, e, ctx)
+                + property_battery(b, e, ctx))
+    elif cfg.suite == "full":
+        cols = full_ym_residuals(a, phi, ctx)
+    else:  # gauge
+        gens = ctx.generators
+        herm = sum((float(c) * g for c, g in
+                    zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
+                   start=0.0 * gens.identity)
+        u = unitary_exponential(herm)
+        ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
+        before = full_ym_residuals(a, phi, ctx)
+        after = full_ym_residuals(ac, pc, ctx)
+        drift = max(abs(x - y) for (_, x), (_, y) in zip(before, after))
+        conj_wca = named_residuals(condition_fields("wca", ac, pc, ctx), max(1.0, a.norm))
+        cols = [("residual_norm_invariance", drift),
+                ("conjugated_wca", max(r for _, r in conj_wca))]
+    return [ResidualItem(name, r, cfg.tol) for name, r in cols]
 
 
 def _single_trial_items(cfg, fam, rng):

@@ -15,19 +15,24 @@ from amwave.fields import (
     xz_family,
 )
 from amwave.residuals import (
+    ResidualItem,
     condition_fields,
-    exact_conditions,
+    condition_residuals,
     full_ym_residuals,
     maxwell_type_residuals,
     property_battery,
     w_term_fields,
     w_terms,
-    wca_conditions,
     ym_equation_fields,
-    zca_conditions,
 )
 
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
+TOL = 1e-12
+
+
+def failed(cols, tol=TOL):
+    """The (name, residual) columns a tolerance fails; a NaN fails."""
+    return [(name, r) for name, r in cols if not r <= tol]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -35,17 +40,16 @@ def test_wca_random_families_pass(kind):
     rng = np.random.default_rng(17)
     for _ in range(20):
         fam = random_family(make_generators(kind), rng, g=rng.uniform(0, 1))
-        rep = wca_conditions(fam)
-        assert rep.overall_pass, rep.failed()
+        cols = condition_residuals("wca", fam)
+        assert not failed(cols), failed(cols)
 
 
 def test_wca_non_coplanar_fails_div_m():
     rng = np.random.default_rng(23)
     fam = random_family(make_generators("su2_spin_half"), rng, coplanar=False)
-    rep = wca_conditions(fam)
-    by_name = {i.name: i for i in rep.items}
-    assert not by_name["wca4_div_m"].passed
-    assert by_name["wca4_div_m"].residual > 1e-6
+    by_name = dict(condition_residuals("wca", fam))
+    assert not by_name["wca4_div_m"] <= TOL
+    assert by_name["wca4_div_m"] > 1e-6
 
 
 def test_zero_family_trivially_passes():
@@ -53,30 +57,29 @@ def test_zero_family_trivially_passes():
                       k=np.array([0, 0, 1.0]))
     zero = np.zeros(3)
     fam = SolutionFamily(ctx=ctx, R=(zero, zero, zero, zero))
-    for rep in (wca_conditions(fam), zca_conditions(fam), exact_conditions(fam)):
-        assert rep.overall_pass
-        assert all(i.residual == 0.0 for i in rep.items)
+    for label in ("wca", "zca", "exact"):
+        cols = condition_residuals(label, fam)
+        assert not failed(cols)
+        assert all(r == 0.0 for _, r in cols)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_exact_conditions_dichotomy(kind):
+def test_exact_set_dichotomy(kind):
     rng = np.random.default_rng(29)
     fam = random_family(make_generators(kind), rng)
-    rep = exact_conditions(fam)
-    by_name = {i.name.split("_")[0]: i for i in rep.items}
+    by_name = {name.split("_")[0]: r for name, r in condition_residuals("exact", fam)}
     for idx in (1, 2, 4, 5, 6, 7):
-        assert by_name[f"exact{idx}"].passed
-    assert not by_name["exact3"].passed
-    assert not by_name["exact8"].passed
+        assert by_name[f"exact{idx}"] <= TOL
+    assert not by_name["exact3"] <= TOL
+    assert not by_name["exact8"] <= TOL
     # projecting out the commutators restores exactness
     ab = random_family(make_generators(kind), rng, abelian=True)
-    assert exact_conditions(ab).overall_pass
+    assert not failed(condition_residuals("exact", ab))
 
 
 def test_exact8_bracket_nonzero_on_xz():
-    rep = exact_conditions(xz_family())
-    item = {i.name: i for i in rep.items}["exact8_phi_n_bracket"]
-    assert item.residual > 1e-3
+    residual = dict(condition_residuals("exact", xz_family()))["exact8_phi_n_bracket"]
+    assert residual > 1e-3
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -84,7 +87,7 @@ def test_zca_conditions_pass(kind):
     rng = np.random.default_rng(31)
     for _ in range(10):
         fam = random_family(make_generators(kind), rng)
-        assert zca_conditions(fam).overall_pass
+        assert not failed(condition_residuals("zca", fam))
 
 
 def test_zca_s3_field_identically_zero():
@@ -97,8 +100,8 @@ def test_zca_s3_field_identically_zero():
 def test_zca_non_coplanar_fails_s1():
     rng = np.random.default_rng(37)
     fam = random_family(make_generators("su2_spin_one"), rng, coplanar=False)
-    rep = zca_conditions(fam)
-    assert not rep.items[0].passed  # zca1_div_m
+    name, residual = condition_residuals("zca", fam)[0]
+    assert name == "zca1_div_m" and not residual <= TOL
 
 
 def test_full_ym_residual_lives_at_third_harmonic():
@@ -119,14 +122,14 @@ def test_full_ym_exact_for_abelian_and_classical():
     rng = np.random.default_rng(43)
     fam = random_family(make_generators("su2_spin_one"), rng, abelian=True, g=0.7)
     a, phi = build_potentials(fam)
-    assert full_ym_residuals(a, phi, fam.ctx).overall_pass
+    assert not failed(full_ym_residuals(a, phi, fam.ctx))
     # classical limit: g = 0 and identity amplitude
     ctx = WaveContext(generators=make_generators("su2_spin_half"),
                       k=np.array([0.3, -0.1, 0.9]), g=0.0)
     zero = np.zeros(3)
     fam0 = SolutionFamily(ctx=ctx, R=(np.array([0.5, 0.2, -0.4]), zero, zero, zero))
     a0, phi0 = build_potentials(fam0)
-    assert full_ym_residuals(a0, phi0, ctx).overall_pass
+    assert not failed(full_ym_residuals(a0, phi0, ctx))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -135,7 +138,7 @@ def test_w_terms_vanish_on_solutions(kind):
     for _ in range(5):
         fam = random_family(make_generators(kind), rng, g=rng.uniform(0, 1))
         a, phi = build_potentials(fam)
-        assert w_terms(a, phi, fam.ctx).overall_pass
+        assert not failed(w_terms(a, phi, fam.ctx))
 
 
 def test_w_terms_identically_zero_at_g0():
@@ -149,10 +152,9 @@ def test_w4_detects_wrong_scalar_potential():
     fam = xz_family()
     a, phi = build_potentials(fam)
     doubled = 2.0 * phi
-    rep = w_terms(a, doubled, fam.ctx)
-    by_name = {i.name: i for i in rep.items}
-    assert not by_name["w4"].passed
-    assert by_name["w4"].residual > 1e-6
+    by_name = dict(w_terms(a, doubled, fam.ctx))
+    assert not by_name["w4"] <= TOL
+    assert by_name["w4"] > 1e-6
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -160,8 +162,8 @@ def test_property_battery(kind):
     rng = np.random.default_rng(53)
     fam = random_family(make_generators(kind), rng)
     b, e = build_fields(fam)
-    assert property_battery(b, e, fam.ctx).overall_pass
-    assert maxwell_type_residuals(b, e, fam.ctx).overall_pass
+    assert not failed(property_battery(b, e, fam.ctx))
+    assert not failed(maxwell_type_residuals(b, e, fam.ctx))
 
 
 def test_property_battery_classical_limit():
@@ -170,7 +172,7 @@ def test_property_battery_classical_limit():
     zero = np.zeros(3)
     fam = SolutionFamily(ctx=ctx, R=(np.array([1.0, 0.5, 0.0]), zero, zero, zero))
     b, e = build_fields(fam)
-    assert property_battery(b, e, ctx).overall_pass
+    assert not failed(property_battery(b, e, ctx))
 
 
 def test_b_dot_e_vanishes_per_order():
@@ -205,11 +207,10 @@ def test_exact_g2_pass_implies_full_pass():
     rng = np.random.default_rng(67)
     for _ in range(5):
         fam = random_family(make_generators("su2_spin_one"), rng, abelian=True)
-        rep = exact_conditions(fam)
-        by_name = {i.name.split("_")[0]: i for i in rep.items}
-        assert by_name["exact3"].passed and by_name["exact8"].passed
+        by_name = {name.split("_")[0]: r for name, r in condition_residuals("exact", fam)}
+        assert by_name["exact3"] <= TOL and by_name["exact8"] <= TOL
         a, phi = build_potentials(fam)
-        assert full_ym_residuals(a, phi, fam.ctx).overall_pass
+        assert not failed(full_ym_residuals(a, phi, fam.ctx))
 
 
 def test_fd_sampling_agrees_with_analytic_residuals():
@@ -284,17 +285,48 @@ def test_shared_brackets_agree_across_sets(kind, coplanar):
     for _ in range(10):
         fam = random_family(make_generators(kind), rng, coplanar=coplanar,
                             g=rng.uniform(0, 1))
-        res = {i.name: i.residual
-               for check in (wca_conditions, exact_conditions, zca_conditions)
-               for i in check(fam).items}
+        res = {name: r for label in ("wca", "exact", "zca")
+               for name, r in condition_residuals(label, fam)}
         for x, y in SHARED_BRACKETS:
             assert res[x] == res[y], (x, y, res[x], res[y])
 
 
+def _columns(fam):
+    """Every check's columns on a family, one wave or a stack."""
+    a, phi = build_potentials(fam)
+    b, e = build_fields(fam)
+    ctx = fam.ctx
+    return [condition_residuals(label, fam) for label in ("wca", "zca", "exact")] + [
+        full_ym_residuals(a, phi, ctx), maxwell_type_residuals(b, e, ctx),
+        w_terms(a, phi, ctx), property_battery(b, e, ctx)]
+
+
+def test_stacked_columns_equal_each_family_bits():
+    rng = np.random.default_rng(41)
+    spin_half = make_generators("su2_spin_half")
+    ctx = WaveContext(generators=spin_half, k=np.array([0.3, -0.2, 1.1]), g=0.7)
+    fams = [random_family(spin_half, rng, abelian=True, g=0.7),
+            random_family(spin_half, rng, coplanar=False, g=0.7),  # wca, zca fail
+            SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
+            random_family(spin_half, rng, g=0.7)]
+    stacked = _columns(SolutionFamily.stack(fams))
+    singles = [_columns(fam) for fam in fams]
+    for k, cols in enumerate(stacked):
+        for i, (name, r) in enumerate(cols):
+            assert isinstance(r, np.ndarray) and r.shape == (len(fams),), name
+            for t, single in enumerate(singles):
+                name_t, want = single[k][i]
+                assert name_t == name and isinstance(want, float), (name, t)
+                assert r[t] == want, (name, t, r[t], want)
+    # the all-zero family's residuals are exactly zero, the broken one fails
+    assert all(r[2] == 0.0 for cols in stacked for _, r in cols)
+    assert failed([(name, r[1]) for name, r in stacked[0]])
+
+
 def test_report_serialization():
     fam = xz_family()
-    rep = wca_conditions(fam)
-    d = rep.as_dict()
-    assert d["overall_pass"] is True
-    assert len(d["items"]) == 6
-    assert isinstance(d["items"][0]["residual"], float)
+    items = [ResidualItem(name, r, TOL).as_dict()
+             for name, r in condition_residuals("wca", fam)]
+    assert all(d["pass"] is True for d in items)
+    assert len(items) == 6
+    assert all(type(d["residual"]) is float for d in items)
