@@ -9,9 +9,9 @@ timestamps for the same reason.
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
 amplitudes overflow).  Every suite runs once per generator group, in
-one thread: the trials of one generator kind draw their families (zitter
-trials draw none), and the suite takes them as one ``SolutionFamily``
-stacked on a leading trial axis.
+one thread, on the group's families drawn straight into one stacked
+``SolutionFamily`` (zitter trials draw none).  ``write_report`` writes
+the bytes of ``json.dumps(report, indent=2)``, each item from a template.
 """
 
 from __future__ import annotations
@@ -20,12 +20,14 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import sys
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .fields import (
     WaveContext,
     build_fields,
     build_potentials,
-    random_family,
+    random_families,
 )
 from .poynting import (
     amw_flux,
@@ -273,18 +275,17 @@ def _trial_kind(cfg: RunConfig, i: int) -> str:
     return cfg.generator
 
 
-def _group_families(cfg: RunConfig, kind: str, rngs) -> tuple[SolutionFamily, ...]:
-    """The families of one generator group's trials: the family the config
-    fixes, built once, or one drawn from each trial's generator.  The wave
-    context and a fixed family are built even for no trials, which checks
-    the config's k, units and R."""
+def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
+    """The families of one generator group's trials, stacked: the config's
+    fixed family, built once, or one drawn from each trial's generator.
+    None for no trials, after a check of the config's units, k and R."""
     gens = make_generators(kind, hbar=cfg.hbar)
+    if cfg.R is None and rngs:
+        return random_families(gens, rngs, k=cfg.k, c=cfg.c, g=cfg.coupling)
     k = cfg.k if cfg.k is not None else (0.0, 0.0, 1.0)
-    ctx = WaveContext(generators=gens, k=np.array(k), c=cfg.c, g=cfg.coupling)
-    if cfg.R is not None:
-        return (SolutionFamily(ctx=ctx, R=tuple(np.array(r) for r in cfg.R)),) * len(rngs)
-    k = None if cfg.k is None else np.array(cfg.k)
-    return tuple(random_family(gens, rng, k=k, c=cfg.c, g=cfg.coupling) for rng in rngs)
+    ctx = WaveContext(generators=gens, k=k, c=cfg.c, g=cfg.coupling)
+    fams = [SolutionFamily(ctx=ctx, R=cfg.R)] * len(rngs) if cfg.R is not None else ()
+    return SolutionFamily.stack(fams) if fams else None
 
 
 # --- suites: the columns of a group of trials ---------------------------------------
@@ -357,21 +358,20 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     """Per trial: the flux quadrature at a random r against the closed form,
     the mixed block at the origin, and the g = 0 wave on a random r0
     against the classical flux; each trial draws r, then r0."""
+    r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
+    ctx = fams.ctx
+    fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
+                           R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
+    a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
     rows = []
-    gens, c = fams.ctx.generators, fams.ctx.c
-    for t, rng in enumerate(rngs):
-        ctx = WaveContext(generators=gens, k=fams.ctx.k[t], c=c, g=fams.ctx.g)
-        fam = SolutionFamily(ctx=ctx, R=tuple(r[t] for r in fams.R))
+    for t in range(len(rngs)):
+        fam, fam0 = fams.trial(t), fams0.trial(t)
         closed = amw_flux(fam).vector
-        at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
+        at_r, at_origin = flux_averages(fam, cfg.samples, (r[t], None))
         scale = max(1.0, operator_norm(closed))
-        ctx0 = WaveContext(generators=gens, k=ctx.k, c=c, g=0.0)
-        r0 = rng.uniform(-1.0, 1.0, 3)
-        fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + tuple(np.zeros(3) for _ in gens.generators))
-        a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
         rows.append((operator_norm(at_r["total"] - closed) / scale,
                      operator_norm(at_origin["mixed"]) / scale,
-                     operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector)))
+                     operator_norm(amw_flux(fam0).vector - em_flux(a01[t], fam0.ctx).vector)))
     quad, mixed, abelian = zip(*rows)
     return [("quadrature_vs_closed", quad), ("mixed_block_average", mixed, 1e-10),
             ("abelian_equals_em", abelian, 1e-10)]
@@ -413,11 +413,11 @@ def _su3_constants(tol: float) -> list[ResidualItem]:
 def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
     """Every trial's items, each named trialNNN/<item>, in trial order.
 
-    The trials of each generator kind run as one group: each trial draws
-    its wave family (zitter trials draw none) from its own generator, and
-    the suite runs once on the group's families, stacked.  Whatever a
-    suite draws comes from the same per-trial generators after the family,
-    so grouping changes no value."""
+    The trials of each generator kind run as one group: the group's
+    families are drawn as one stack (``_group_families``), each trial from
+    its own generator (zitter trials draw none), and the suite runs once
+    on that stack.  Whatever a suite draws comes from the same per-trial
+    generators after the family, so grouping changes no value."""
     rngs = [np.random.default_rng(s)
             for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
     groups: dict[str, list[int]] = {}
@@ -426,8 +426,7 @@ def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
     per_trial = [[] for _ in rngs]
     for kind, idx in groups.items():
         group = [rngs[i] for i in idx]
-        fams = (None if cfg.suite == "zitter"
-                else SolutionFamily.stack(_group_families(cfg, kind, group)))
+        fams = None if cfg.suite == "zitter" else _group_families(cfg, kind, group)
         for name, residuals, *given in _TRIALS[cfg.suite](cfg, fams, group):
             tol = given[0] if given else cfg.tol
             for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
@@ -475,7 +474,18 @@ def _write(path: str | None, emit):
 
 
 def write_report(report: dict, path: str | None):
-    _write(path, lambda fh: fh.write(json.dumps(report, indent=2) + "\n"))
+    """Write ``json.dumps(report, indent=2)`` and a newline, byte for byte,
+    with each item from one template: json's indenting encoder is slower."""
+    def num(x: float) -> str:
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity
+    items = ",".join(f'\n    {{\n      "name": {encode_basestring_ascii(it["name"])},\n'
+                     f'      "residual": {num(it["residual"])},\n'
+                     f'      "tolerance": {num(it["tolerance"])},\n'
+                     f'      "pass": {"true" if it["pass"] else "false"}\n    }}'
+                     for it in report["items"])
+    body = json.dumps({**report, "items": []}, indent=2).replace(
+        '\n  "items": []', f'\n  "items": [{items}\n  ]' if items else '\n  "items": []', 1)
+    _write(path, lambda fh: fh.write(body + "\n"))
 
 
 # --- time series -----------------------------------------------------------------
@@ -665,7 +675,7 @@ def _cmd_zitter(args) -> int:
 
 def _cmd_poynting(args) -> int:
     cfg = _collect_config(args, "poynting")
-    fam, = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)])
+    fam = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)]).trial(0)
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
     closed = amw_flux(fam).vector

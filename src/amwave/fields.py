@@ -18,7 +18,7 @@ harmonic orders, which is what turns the nonlinear gauge-field equations
 into finite per-order operator identities.
 
 A field lives on a ``WaveContext``: one wave, or the waves of T trials
-stacked on a leading axis (``WaveContext.stack``).  A stack puts a trial
+stacked on a leading axis.  A stack puts a trial
 axis in front of every amplitude, so one evaluation of an expression
 serves all T trials; one wave is the same code with an empty trial axis,
 and each trial of a stack gets the bits its own single-wave field would
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -54,59 +54,39 @@ MERGE_DROP = 1e-14
 @dataclass(frozen=True, eq=False)
 class WaveContext:
     """Wave vector, frequency, coupling and generator set of one wave, or of
-    T waves on a leading trial axis (``stack``): then ``k`` is (T, 3) and
-    ``knorm``, ``khat``, ``k_lift`` and ``omega`` hold each wave's own value."""
+    T waves on a leading trial axis: then ``k`` is (T, 3) and ``knorm``,
+    ``khat``, ``k_lift`` and ``omega`` hold each wave's own value."""
 
     generators: GeneratorSet
     k: np.ndarray
     omega: float | np.ndarray | None = None
     c: float = 1.0
     g: float = 0.1
+    knorm: float | np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
-        if k.shape != (3,) or not np.all(np.isfinite(k)):
-            raise ValueError("k must be a finite real 3-vector")
-        object.__setattr__(self, "k", readonly(k))
-        knorm = self.knorm
-        if knorm <= 0.0:
+        if k.ndim not in (1, 2) or k.shape[-1] != 3 or not k.size or not np.isfinite(k).all():
+            raise ValueError("k must be a finite real 3-vector for each wave")
+        knorm = np.sqrt(_dots(k, k))
+        if not (knorm > 0.0).all():
             raise ValueError("|k| must be positive")
         if not 0.0 < self.c < np.inf:
             raise ValueError("c must be positive and finite")
         if not np.isfinite(self.g):
             raise ValueError("coupling g must be finite")
-        omega = self.c * knorm if self.omega is None else float(self.omega)
-        if abs(omega - self.c * knorm) > 1e-12 * omega:
+        omega = (self.c * knorm if self.omega is None
+                 else np.array(self.omega, dtype=float).reshape(knorm.shape))
+        if not (abs(omega - self.c * knorm) <= 1e-12 * self.c * knorm).all():  # NaN fails
             raise ValueError("dispersion omega = c*|k| violated")
-        object.__setattr__(self, "omega", omega)
-
-    @classmethod
-    def stack(cls, waves) -> "WaveContext":
-        """The waves of T trials on one leading axis.  They must share one
-        generator set, c and g; ``k``, ``knorm`` and ``omega`` are each
-        wave's own, so a stack computes with exactly the numbers its waves
-        hold."""
-        waves = tuple(waves)
-        if not waves:
-            raise ValueError("a wave stack needs at least one wave")
-        first = waves[0]
-        if any(w.generators is not first.generators or w.c != first.c or w.g != first.g
-               for w in waves):
-            raise ValueError("stacked waves must share generators, c and g")
-        ctx = _unchecked(cls, generators=first.generators, c=first.c, g=first.g,
-                         k=readonly(np.array([w.k for w in waves])),
-                         omega=readonly(np.array([w.omega for w in waves])))
-        ctx.__dict__["knorm"] = readonly(np.array([w.knorm for w in waves]))
-        return ctx
+        object.__setattr__(self, "k", readonly(k))
+        object.__setattr__(self, "knorm", float(knorm) if k.ndim == 1 else readonly(knorm))
+        object.__setattr__(self, "omega", float(omega) if k.ndim == 1 else readonly(omega))
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
         """() on one wave, (T,) on a stack of T."""
         return self.k.shape[:-1]
-
-    @functools.cached_property
-    def knorm(self) -> float:
-        return float(np.linalg.norm(self.k))
 
     @functools.cached_property
     def khat(self) -> np.ndarray:
@@ -125,6 +105,13 @@ class WaveContext:
     @property
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis as one (1, 3) @ (3, 1) product per vector,
+    which gives each vector of a stack the bits that ``@`` and
+    ``np.linalg.norm`` give it alone; einsum and (T, 3) @ (3,) need not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _unchecked(cls, **values):
@@ -195,10 +182,7 @@ class HarmonicField:
 
     def eval_at(self, r, t: float) -> np.ndarray:
         """The field's value at (r, t), read-only; one per trial on a stack."""
-        # k . r as one (1, 3) @ (3, 1) product per trial: a (T, 3) @ (3,)
-        # product rounds differently from the single wave's k @ r
-        kr = (self.ctx.k[..., None, :] @ np.asarray(r, float)[:, None])[..., 0, 0]
-        phase = kr - self.ctx.omega * t
+        phase = _dots(self.ctx.k, np.asarray(r, float)) - self.ctx.omega * t
         out = np.zeros(self.amps.shape[1:], dtype=complex)
         for m, amp in zip(self.orders, self.amps):
             out += _per_trial(np.exp(1j * m * phase), amp) * amp
@@ -379,40 +363,23 @@ def laplacian(f: HarmonicField) -> HarmonicField:
 COPLANARITY_TOL = 1e-12
 
 
-def tau_amplitude(gens: GeneratorSet, coeffs) -> np.ndarray:
-    """tau = R_0 (x) identity + sum_l R_l (x) G_l, shape (..., 3, d, d) and
-    read-only, for coefficient vectors R_l of shape (..., 3).  The basis
-    terms are added one at a time; a tau that overflows raises
-    NonFiniteValue."""
-    if len(coeffs) != gens.n_coeffs:
-        raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(coeffs)}")
-    coeffs = [np.asarray(r, dtype=float) for r in coeffs]
-    out = np.zeros(coeffs[0].shape + (gens.dim, gens.dim), dtype=complex)
-    for r, b in zip(coeffs, gens.basis):
-        out += np.einsum("...i,ab->...iab", r, b)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteValue("amplitude tau is not finite")
-    return readonly(out)
-
-
 @dataclass(frozen=True, eq=False)
 class SolutionFamily:
-    """Constant coefficient vectors R_0..R_n plus the wave context; ``tau``
-    is batch + (3, d, d), ``phi_amplitude`` batch + (d, d) and ``eta``
-    batch + (3, d, d), with batch = ``ctx.batch_shape``."""
+    """Constant coefficient vectors R_0..R_n, each batch + (3,), plus the
+    wave context; ``tau`` is batch + (3, d, d), ``phi_amplitude`` batch +
+    (d, d) and ``eta`` batch + (3, d, d), with batch = ``ctx.batch_shape``."""
 
     ctx: WaveContext
     R: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        gens = self.ctx.generators
-        vecs = tuple(np.array(r, dtype=float) for r in self.R)
+        gens, shape = self.ctx.generators, self.ctx.batch_shape + (3,)
+        vecs = tuple(readonly(np.array(r, dtype=float)) for r in self.R)
         if len(vecs) != gens.n_coeffs:
             raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(vecs)}")
-        for v in vecs:
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError("coefficient vectors must be finite 3-vectors")
-            v.flags.writeable = False
+        stack = np.stack(vecs, axis=-2) if all(v.shape == shape for v in vecs) else None
+        if stack is None or not np.isfinite(stack).all():
+            raise ValueError("coefficient vectors must be finite 3-vectors")
         object.__setattr__(self, "R", vecs)
         # the vectors of noncommuting generators must be coplanar with k, so
         # that the self-interaction amplitude stays divergence free
@@ -423,36 +390,54 @@ class SolutionFamily:
         # each vector is divided by its largest |component| first, so the
         # test is scale-free and neither |R|^2 nor the bound overflows for
         # large coefficients; a zero vector stays zero
-        stack = np.stack(vecs)
-        peak = np.abs(stack).max(axis=1, keepdims=True)
+        peak = np.abs(stack).max(axis=-1, keepdims=True)
         stack = stack / np.where(peak > 0.0, peak, 1.0)
-        lengths = np.sqrt(np.einsum("ij,ij->i", stack, stack))
-        # np.cross's own products and differences, without its argument
-        # handling, which cost more than the rest of this check
-        a, b = stack[l], stack[m]
-        normal = np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                           a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                           a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=-1)
-        triple = normal @ self.ctx.k
-        bound = COPLANARITY_TOL * self.ctx.knorm * lengths[l] * lengths[m]
-        bad = np.flatnonzero(np.abs(triple) > bound)
+        lengths = np.sqrt(np.einsum("...ij,...ij->...i", stack, stack))
+        # R_l x R_m by fancy indexing: np.cross's argument handling costs
+        # more than the rest of this check
+        i, j, c1, c2 = l[:, None], m[:, None], [1, 2, 0], [2, 0, 1]
+        normal = stack[..., i, c1] * stack[..., j, c2] - stack[..., i, c2] * stack[..., j, c1]
+        triple = (normal @ self.ctx.k[..., :, None])[..., 0]
+        bound = (COPLANARITY_TOL * np.asarray(self.ctx.knorm)[..., None]
+                 * lengths[..., l] * lengths[..., m])
+        bad = np.flatnonzero((np.abs(triple) > bound).reshape(-1, len(l)).any(axis=0))
         if bad.size:
             raise ValueError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
                              "are not coplanar with k")
 
     @classmethod
     def stack(cls, families) -> "SolutionFamily":
-        """The families of T trials on one leading axis: ``ctx`` is their
-        ``WaveContext.stack`` and each R_l is (T, 3), so ``build_potentials``
-        and ``build_fields`` take a stack as they take one family."""
+        """The families of T trials, which share one generator set, c and g,
+        on one leading axis: each R_l is (T, 3), ``ctx`` holds each family's
+        own ``k`` and ``omega``, and ``build_fields`` takes it as one family."""
         families = tuple(families)
-        ctx = WaveContext.stack(f.ctx for f in families)
+        ctxs = [f.ctx for f in families]
+        if len({(c.generators, c.c, c.g) for c in ctxs}) != 1:
+            raise ValueError("a stack needs families that share generators, c and g")
+        ctx = WaveContext(generators=ctxs[0].generators, k=[c.k for c in ctxs],
+                          omega=[c.omega for c in ctxs], c=ctxs[0].c, g=ctxs[0].g)
         return _unchecked(cls, ctx=ctx, R=tuple(readonly(np.array(r))
                                                 for r in zip(*(f.R for f in families))))
 
+    def trial(self, t: int) -> "SolutionFamily":
+        """Trial t of a stack: a view of its checked numbers, not checked again."""
+        ctx = self.ctx
+        wave = _unchecked(WaveContext, generators=ctx.generators, k=ctx.k[t], c=ctx.c, g=ctx.g,
+                          omega=float(ctx.omega[t]), knorm=float(ctx.knorm[t]))
+        return _unchecked(SolutionFamily, ctx=wave, R=tuple(r[t] for r in self.R))
+
     @functools.cached_property
     def tau(self) -> np.ndarray:
-        return tau_amplitude(self.ctx.generators, self.R)
+        """tau = R_0 (x) identity + sum_l R_l (x) G_l, read-only, the basis
+        terms added one at a time; a tau that overflows raises
+        NonFiniteValue."""
+        gens = self.ctx.generators
+        out = np.zeros(self.R[0].shape + (gens.dim, gens.dim), dtype=complex)
+        for r, b in zip(self.R, gens.basis):
+            out += np.einsum("...i,ab->...iab", r, b)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteValue("amplitude tau is not finite")
+        return readonly(out)
 
     @functools.cached_property
     def phi_amplitude(self) -> np.ndarray:
@@ -494,48 +479,53 @@ def fields_from_potentials(a: HarmonicField, phi: HarmonicField,
     return b, e
 
 
-def random_family(gens: GeneratorSet, rng: np.random.Generator, *,
-                  knorm: float = 1.0, k: np.ndarray | None = None,
-                  c: float = 1.0, g: float = 0.1,
-                  abelian: bool = False, coplanar: bool = True) -> SolutionFamily:
-    """Draw a random family with the coplanarity constraint built in.
+def random_families(gens: GeneratorSet, rngs: Sequence[np.random.Generator], *,
+                    k: Sequence[float] | None = None, c: float = 1.0,
+                    g: float = 0.1) -> SolutionFamily:
+    """One random family per generator in ``rngs``, stacked.
 
-    An orthonormal pair {khat, u} is sampled and every constrained
-    coefficient vector is drawn inside their plane, so k.(R_l x R_m) = 0
-    holds exactly by construction; R_0 is unconstrained in 3-space.  With
-    abelian=True all generator coefficients are parallel (R_l = n_l * R),
-    which kills every commutator in the wave.  coplanar=False deliberately
-    pushes one vector out of the plane to produce an invalid family; the
-    constructor is bypassed for that case so callers can probe failures.
-    """
-    if k is None:
-        kvec = rng.normal(size=3)
-        kvec *= knorm / np.linalg.norm(kvec)
-    else:
-        kvec = np.array(k, dtype=float)
-    khat = kvec / np.linalg.norm(kvec)
-    u = rng.normal(size=3)
-    u -= (u @ khat) * khat
-    u /= np.linalg.norm(u)
-    ctx = WaveContext(generators=gens, k=kvec, c=c, g=g)
-
+    Trial t draws from ``rngs[t]``: a unit k from normal(3) unless ``k``
+    fixes it, u from normal(3), then R_0 and the pairs (a_l, b_l) from
+    uniform(-1, 1, 3 + 2n).  With u made a unit vector orthogonal to k,
+    every R_l = a_l khat + b_l u satisfies k.(R_l x R_m) = 0.  The
+    arithmetic runs once on the stack; each trial gets its own bits."""
     n = len(gens.generators)
-    r0 = rng.uniform(-1.0, 1.0, size=3)
+    gauss = np.array([rng.normal(size=3 if k is not None else 6) for rng in rngs])
+    coeffs = np.array([rng.uniform(-1.0, 1.0, 3 + 2 * n) for rng in rngs])
+    if k is None:
+        kvec = gauss[:, :3] * (1.0 / np.sqrt(_dots(gauss[:, :3], gauss[:, :3])))[:, None]
+    else:
+        kvec = [np.array(k, dtype=float)] * len(rngs)
+    ctx = WaveContext(generators=gens, k=kvec, c=c, g=g)
+    khat, u = ctx.khat, gauss[:, -3:]
+    u = u - _dots(u, khat)[:, None] * khat
+    u = u / np.sqrt(_dots(u, u))[:, None]
+    return SolutionFamily(ctx=ctx, R=(coeffs[:, :3],) + tuple(
+        coeffs[:, 3 + 2 * l, None] * khat + coeffs[:, 4 + 2 * l, None] * u for l in range(n)))
+
+
+def random_family(gens: GeneratorSet, rng: np.random.Generator, *,
+                  k: Sequence[float] | None = None, c: float = 1.0, g: float = 0.1,
+                  abelian: bool = False, coplanar: bool = True) -> SolutionFamily:
+    """One family, drawn as ``random_families`` draws each trial.
+
+    abelian=True then draws a direction n (normal) and R (uniform): the
+    parallel R_l = n_l * R kill every commutator in the wave.
+    coplanar=False then pushes R_2 (R_1 for one generator) out of the plane
+    of k and R_1: an invalid family, unchecked so callers can probe failures.
+    """
+    fam = random_families(gens, [rng], k=k, c=c, g=g).trial(0)
     if abelian:
-        direction = rng.normal(size=n)
+        direction = rng.normal(size=len(gens.generators))
         direction /= np.linalg.norm(direction)
         rvec = rng.uniform(-1.0, 1.0, size=3)
-        coeffs = [r0] + [direction[l] * rvec for l in range(n)]
-    else:
-        coeffs = [r0]
-        for _ in range(n):
-            coeffs.append(rng.uniform(-1.0, 1.0) * khat + rng.uniform(-1.0, 1.0) * u)
-    if not coplanar:
-        normal = np.cross(khat, u)
-        idx = min(2, n)
-        coeffs[idx] = coeffs[idx] + rng.uniform(0.5, 1.0) * normal
-        return _unchecked(SolutionFamily, ctx=ctx, R=tuple(np.asarray(v, float) for v in coeffs))
-    return SolutionFamily(ctx=ctx, R=tuple(coeffs))
+        fam = SolutionFamily(ctx=fam.ctx, R=fam.R[:1] + tuple(d * rvec for d in direction))
+    if coplanar:
+        return fam
+    normal = np.cross(fam.ctx.khat, fam.R[1])
+    coeffs, idx = list(fam.R), min(2, len(fam.R) - 1)
+    coeffs[idx] = coeffs[idx] + rng.uniform(0.5, 1.0) * normal / np.linalg.norm(normal)
+    return _unchecked(SolutionFamily, ctx=fam.ctx, R=tuple(coeffs))
 
 
 def xz_family(gens: GeneratorSet | None = None, *, knorm: float = 1.0,

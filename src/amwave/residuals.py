@@ -15,7 +15,7 @@ from ``named_residuals``: ``condition_residuals`` for a condition set,
 ``full_ym_residuals``, ``maxwell_type_residuals``, ``w_terms`` and
 ``property_battery`` for the other sets, each scaled by its own rule.
 The caller holds a column to its tolerance (``ResidualItem``).  On fields
-of a stack of waves (``fields.WaveContext.stack``) a column holds one
+of a stack of waves (``fields.SolutionFamily.stack``) a column holds one
 residual per trial.
 """
 

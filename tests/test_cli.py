@@ -26,6 +26,7 @@ from amwave.cli import (
     config_from_file,
     main,
     run_suite,
+    write_report,
     zitter_timeseries,
 )
 from amwave.fields import (
@@ -487,6 +488,32 @@ def test_written_report_has_default_file_mode(tmp_path):
     plain.write_text("")
     assert main(["verify", "wca", "--trials", "1", "--out", str(report)]) == EXIT_PASS
     assert report.stat().st_mode == plain.stat().st_mode
+
+
+ODD_NUMBERS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.2e-308,
+               1e-12, 0.1, 1e16, 1.7976931348623157e308, 123456789.0)
+
+
+def _report(kind: str) -> dict:
+    if kind in ("exact", "su3"):  # a failing report and one with constant items
+        return run_suite(RunConfig(suite=kind, trials=3, seed=2))
+    report = run_suite(RunConfig(suite="wca", trials=1, seed=1))
+    if kind == "empty":
+        return {**report, "items": []}
+    names = ["trial000/a", 'q"uote\\', "tab\tnew\nline", "caf\u00e9 \u03c4 \U0001d6d1", ""]
+    return {**report, "items": [
+        {"name": names[i % len(names)], "residual": r, "tolerance": tol, "pass": r <= tol}
+        for i, (r, tol) in enumerate((r, tol) for r in ODD_NUMBERS for tol in ODD_NUMBERS)]}
+
+
+@pytest.mark.parametrize("kind", ["exact", "su3", "odd numbers", "empty"])
+def test_report_writer_writes_the_json_dumps_bytes(tmp_path, kind):
+    report = _report(kind)
+    out = tmp_path / "r.json"
+    write_report(report, str(out))
+    assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+    if kind == "exact":
+        assert not report["summary"]["overall_pass"]
 
 
 def test_zitter_timeseries_zero_theta(tmp_path):

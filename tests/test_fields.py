@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amwave.algebra import NonFiniteValue, cross, make_generators, numeric_lift
+from amwave.algebra import (
+    NonFiniteValue,
+    cross,
+    custom_generators,
+    make_generators,
+    numeric_lift,
+)
 from amwave.algebra import operator_norm as norm
 from amwave.fields import (
     SolutionFamily,
@@ -29,6 +35,7 @@ from amwave.fields import (
     laplacian,
     ncross,
     ndot,
+    random_families,
     random_family,
     vcross,
     xz_family,
@@ -57,6 +64,10 @@ def test_wave_context_dispersion():
     assert ctx.omega == pytest.approx(1.0)
     with pytest.raises(ValueError):
         WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 2.0]), c=0.5, omega=1.7)
+    for k, omega in (([0, 0, 2.0], np.nan), ([0, 0, 2.0], np.inf),
+                     ([[0, 0, 2.0]] * 2, [1.0, 1.7]), ([[0, 0, 2.0]] * 2, [1.0, np.nan])):
+        with pytest.raises(ValueError, match="dispersion"):
+            WaveContext(generators=SPIN_HALF, k=k, c=0.5, omega=omega)
     with pytest.raises(ValueError):
         WaveContext(generators=SPIN_HALF, k=np.zeros(3))
 
@@ -366,6 +377,90 @@ def test_random_family_constraints(kind):
     assert norm(cross(ab.tau, ab.tau)) <= 1e-13
 
 
+def _family_one_draw_at_a_time(gens, rng, k, c, g):
+    """A random family as drawn one scalar at a time, with numpy's own norm
+    and dot on each vector: the reference for ``random_families``."""
+    if k is None:
+        kvec = rng.normal(size=3)
+        kvec *= 1.0 / np.linalg.norm(kvec)
+    else:
+        kvec = np.array(k, dtype=float)
+    khat = kvec / np.linalg.norm(kvec)
+    u = rng.normal(size=3)
+    u -= (u @ khat) * khat
+    u /= np.linalg.norm(u)
+    coeffs = [rng.uniform(-1.0, 1.0, size=3)]
+    for _ in gens.generators:
+        coeffs.append(rng.uniform(-1.0, 1.0) * khat + rng.uniform(-1.0, 1.0) * u)
+    return SolutionFamily(ctx=WaveContext(generators=gens, k=kvec, c=c, g=g), R=tuple(coeffs))
+
+
+GROUP_KINDS = {kind: make_generators(kind) for kind in ("identity", *ALL_KINDS)}
+GROUP_KINDS["custom"] = custom_generators([[[0, 0.5], [0.5, 0]], [[0, -0.5j], [0.5j, 0]]])
+
+
+@pytest.mark.parametrize("kind", sorted(GROUP_KINDS))
+@pytest.mark.parametrize("k, c, g", [(None, 1.0, 0.1), (None, 2.5, 0.0),
+                                     ((0.0, 0.0, 1.0), 1.0, 0.1),
+                                     ((0.3, -1.7, 0.4), 0.5, 0.0)])
+@pytest.mark.parametrize("trials", [1, 2, 7])
+def test_group_draw_equals_a_stack_of_single_draws(kind, k, c, g, trials):
+    gens = GROUP_KINDS[kind]
+
+    def rngs():
+        return [np.random.default_rng(s) for s in np.random.SeedSequence(trials).spawn(trials)]
+    group_rngs, single_rngs, loop_rngs = rngs(), rngs(), rngs()
+    group = random_families(gens, group_rngs, k=k, c=c, g=g)
+    singles = [random_family(gens, rng, k=k, c=c, g=g) for rng in single_rngs]
+    loop = [_family_one_draw_at_a_time(gens, rng, k, c, g) for rng in loop_rngs]
+    for ref in (SolutionFamily.stack(singles), SolutionFamily.stack(loop)):
+        assert group.ctx.batch_shape == ref.ctx.batch_shape == (trials,)
+        for name in ("k", "knorm", "omega", "khat"):
+            assert np.array_equal(getattr(group.ctx, name), getattr(ref.ctx, name)), name
+        assert len(group.R) == len(ref.R) == gens.n_coeffs
+        for got, want in zip(group.R, ref.R):
+            assert np.array_equal(got, want)
+        assert np.array_equal(group.tau, ref.tau)
+    assert np.array_equal(group.ctx.knorm, [np.linalg.norm(v) for v in group.ctx.k])
+    # the suites draw from the same generators after the family
+    for a, b, l in zip(group_rngs, single_rngs, loop_rngs):
+        assert a.bit_generator.state == b.bit_generator.state == l.bit_generator.state
+    # trial t of the stack holds the single family's numbers
+    for t, single in enumerate(singles):
+        view = group.trial(t)
+        assert view.ctx.knorm == single.ctx.knorm and view.ctx.omega == single.ctx.omega
+        assert type(view.ctx.knorm) is type(view.ctx.omega) is float
+        assert np.array_equal(view.ctx.k, single.ctx.k)
+        assert all(np.array_equal(x, y) for x, y in zip(view.R, single.R))
+
+
+def test_group_coplanarity_check_names_the_first_offending_pair():
+    gens = make_generators("su3_gellmann")
+    rng = np.random.default_rng(4)
+    fams = [random_family(gens, rng), random_family(gens, rng, coplanar=False),
+            random_family(gens, rng)]
+    stack = SolutionFamily.stack(fams)  # stacks skip the check their families passed
+    with pytest.raises(ValueError, match=r"R_1, R_2 are not coplanar"):
+        SolutionFamily(ctx=stack.ctx, R=stack.R)
+    good = SolutionFamily.stack([fams[0], fams[2]])
+    SolutionFamily(ctx=good.ctx, R=good.R)
+    # k = z, one trial with R_1 = x and R_3 = y; commuting G_3, G_8 may leave the plane
+    ctx = WaveContext(generators=gens, k=[[0.0, 0.0, 1.0]] * 3)
+    R = np.zeros((9, 3, 3))
+    R[3, :], R[8, :] = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    SolutionFamily(ctx=ctx, R=tuple(R))
+    R[1, 1], R[3, 1] = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match=r"R_1, R_3 are not coplanar"):
+        SolutionFamily(ctx=ctx, R=tuple(R))
+
+
+@pytest.mark.parametrize("k", [np.zeros((0, 3)), np.zeros((2, 3, 3)), [[0, 0, 1.0], [0, 0, 0]],
+                               [[0, 0, 1.0], [0, np.inf, 1.0]], [[0, 0, 1.0, 0]]])
+def test_wave_stack_checks_every_wave(k):
+    with pytest.raises(ValueError, match="finite|positive"):
+        WaveContext(generators=SPIN_HALF, k=k)
+
+
 # --- finite-difference oracle --------------------------------------------------
 
 def test_fd_oracle_accuracy_and_order():
@@ -493,7 +588,7 @@ def test_batch_gives_each_trial_its_single_wave_field():
 
 def test_wave_batch_stacks_each_wave_and_checks_them():
     fams = [random_family(SPIN_HALF, np.random.default_rng(i)) for i in range(3)]
-    stack = SolutionFamily.stack(fams)
+    stack = SolutionFamily.stack(f for f in fams)  # any iterable
     ctx = stack.ctx
     assert ctx.batch_shape == (3,)
     assert [r.shape for r in stack.R] == [(3, 3)] * 4

@@ -4,8 +4,7 @@ Prints one line per configuration, ``<sha256>  <label>``, for 93 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
-  the su3_gellmann generator.  The hashed body is exactly what
-  ``amwave verify --out`` writes.
+  the su3_gellmann generator.
 - 45 report bodies of edge cases for the condition suites (wca, zca,
   exact, full, gauge) and boost: a fixed spin-1/2 family with k = z; an
   all-zero R, whose fields are empty; a family with every R along x, so
@@ -30,9 +29,11 @@ Prints one line per configuration, ``<sha256>  <label>``, for 93 runs:
 - 3 ``amwave poynting --seed 2`` CSV bodies: the default generator,
   su3_gellmann and su2_spin_one.
 
-The CSV bodies are exactly what the command writes with ``--out``.  A
-refactor that promises byte-identical output runs this against the old
-and the new source tree and compares the output:
+Every hashed body is the bytes the program writes to a file: a report
+as ``write_report`` writes it for ``amwave verify --out``, a CSV as the
+command writes it with ``--out``.  A refactor that promises
+byte-identical output runs this against the old and the new source tree
+and compares the output:
 
     PYTHONPATH=src python tools/report_hashes.py > new.txt
     PYTHONPATH=/path/to/old/checkout/src python tools/report_hashes.py > old.txt
@@ -44,12 +45,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import os
 import sys
 import tempfile
 
-from amwave.cli import SUITES, RunConfig, main as cli_main, run_suite
+from amwave.cli import SUITES, RunConfig, main as cli_main, run_suite, write_report
 
 ZITTER_PAIRS = ("1,3", "1,4", "2,3", "2,4")
 ZITTER_MOMENTA = ("0,0,0.8", "0.3,-0.4,0.9")
@@ -124,23 +124,34 @@ def exports():
                ["poynting", "--seed", "2", "--generator", generator])
 
 
+def written(write) -> bytes:
+    """The bytes ``write(path)`` puts in a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        write(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def report_body(cfg: RunConfig) -> bytes:
+    """The bytes ``amwave verify --out FILE`` writes for ``cfg``."""
+    return written(lambda path: write_report(run_suite(cfg), path))
+
+
 def export_body(argv: list[str]) -> bytes:
     """The bytes ``amwave <argv> --out FILE`` writes; the verdict on stderr
     is dropped."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "out.csv")
+    def write(path):
         with contextlib.redirect_stderr(io.StringIO()):
             cli_main([*argv, "--out", path])
-        with open(path, "rb") as fh:
-            return fh.read()
+    return written(write)
 
 
 def main() -> int:
     import amwave
     print(f"# amwave from {amwave.__file__}", file=sys.stderr)
     for label, cfg in configs():
-        body = json.dumps(run_suite(cfg), indent=2) + "\n"
-        print(f"{hashlib.sha256(body.encode()).hexdigest()}  {label}")
+        print(f"{hashlib.sha256(report_body(cfg)).hexdigest()}  {label}")
     for label, argv in exports():
         print(f"{hashlib.sha256(export_body(argv)).hexdigest()}  {label}")
     return 0
