@@ -21,7 +21,6 @@ from .fields import (
     build_fields,
     build_potentials,
     field,
-    fields_from_potentials,
     random_family,
     xz_family,
 )

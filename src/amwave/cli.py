@@ -32,13 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import NonFiniteValue, make_generators, operator_norm, structure_constants
-from .fields import (
-    SolutionFamily,
-    WaveContext,
-    build_fields,
-    build_potentials,
-    random_families,
-)
+from .fields import SolutionFamily, WaveContext, random_families
 from .poynting import (
     amw_flux,
     em_flux,
@@ -54,13 +48,11 @@ from .relativity import (
 )
 from .residuals import (
     ResidualItem,
-    condition_fields,
-    condition_residuals,
+    Terms,
+    equation_fields,
+    equation_residuals,
     field_scale,
-    full_ym_residuals,
-    maxwell_type_residuals,
     named_residuals,
-    property_battery,
 )
 from .zitter import (
     SERIES_BLOCK,
@@ -176,7 +168,7 @@ class RunConfig:
         # the program's own constructors hold the rules; building what the
         # run will build turns a bad value into a config error up front
         try:
-            DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c).check_polar()
+            DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c).states
             axis = boost_matrix(self.velocity * self.c, c=self.c, axis=self.boost_axis).axis
             SuperpositionSpec(self.theta, self.pair)
             if self.suite != "zitter":
@@ -290,25 +282,14 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
 
 # --- suites: the columns of a group of trials ---------------------------------------
 #
-# A suite maps (cfg, fams, rngs) for the trials of one generator kind to
-# columns (item name, one residual per trial[, tolerance]); a column
-# without a tolerance is held to cfg.tol.  ``fams`` is the group's stacked
-# SolutionFamily (None for zitter, which draws no family) and ``rngs`` the
-# trials' generators, each already past its family draw.
-
-
-def _conditions(label: str):
-    return lambda cfg, fams, rngs: condition_residuals(label, fams)
-
-
-def _zca_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    b, e = build_fields(fams)
-    return (condition_residuals("zca", fams) + maxwell_type_residuals(b, e, fams.ctx)
-            + property_battery(b, e, fams.ctx))
-
-
-def _full_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    return full_ym_residuals(*build_potentials(fams), fams.ctx)
+# A suite gives, for the trials of one generator kind, columns (item name,
+# one residual per trial[, tolerance]); a column without a tolerance is
+# held to cfg.tol.  A suite is either a list of ``residuals.EQUATIONS``
+# rows, evaluated on one ``Terms`` of the group's stacked family so the
+# rows share its products, or a function of (cfg, fams, rngs).  ``fams``
+# is the group's stacked SolutionFamily (None for zitter, which draws no
+# family) and ``rngs`` the trials' generators, each already past its
+# family draw.
 
 
 def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
@@ -322,11 +303,11 @@ def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     for c, g in zip(coeffs.T, gens.generators):
         herm = herm + g * c[:, None, None]
     u = unitary_exponential(herm)
-    a, phi = build_potentials(fams)
-    ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
-    before, after = full_ym_residuals(a, phi, ctx), full_ym_residuals(ac, pc, ctx)
+    terms = Terms.of(fams)
+    conj = Terms(gauge_conjugate(terms.a, u), gauge_conjugate(terms.phi, u), ctx)
+    before, after = equation_residuals("full", terms), equation_residuals("full", conj)
     drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
-    conj_wca = named_residuals(condition_fields("wca", ac, pc, ctx), field_scale(a))
+    conj_wca = named_residuals(equation_fields("wca", conj), field_scale(terms.a))
     return [("residual_norm_invariance", drift),
             ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
 
@@ -378,10 +359,10 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
 
 
 _TRIALS = {
-    "wca": _conditions("wca"),
-    "zca": _zca_residuals,
-    "exact": _conditions("exact"),
-    "full": _full_residuals,
+    "wca": ["wca"],
+    "zca": ["zca", "maxwell", "battery"],
+    "exact": ["exact"],
+    "full": ["full"],
     # the boosted-frame checks at +velocity and -velocity, the group's
     # fields built once for both
     "boost": lambda cfg, fams, rngs: boost_columns(
@@ -389,7 +370,7 @@ _TRIALS = {
     "gauge": _gauge_residuals,
     "zitter": _zitter_residuals,
     "poynting": _poynting_residuals,
-    "su3": _conditions("zca"),
+    "su3": ["zca"],
 }
 
 
@@ -427,7 +408,13 @@ def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
     for kind, idx in groups.items():
         group = [rngs[i] for i in idx]
         fams = None if cfg.suite == "zitter" else _group_families(cfg, kind, group)
-        for name, residuals, *given in _TRIALS[cfg.suite](cfg, fams, group):
+        suite = _TRIALS[cfg.suite]
+        if callable(suite):
+            cols = suite(cfg, fams, group)
+        else:
+            terms = Terms.of(fams)
+            cols = [col for label in suite for col in equation_residuals(label, terms)]
+        for name, residuals, *given in cols:
             tol = given[0] if given else cfg.tol
             for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
                 per_trial[i].append(ResidualItem(f"trial{i:03d}/{name}", r, tol))

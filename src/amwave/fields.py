@@ -467,18 +467,6 @@ def build_fields(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     return b, -1.0 * ncross(ctx.khat, b)
 
 
-def fields_from_potentials(a: HarmonicField, phi: HarmonicField,
-                           ctx: WaveContext) -> tuple[HarmonicField, HarmonicField]:
-    """Field strengths from arbitrary potentials via the defining relations.
-
-    B = curl A - i g (A x A);  E = -(1/c) dA/dt - grad phi - i g [phi, A].
-    For a solution family this reproduces build_fields termwise.
-    """
-    b = curl(a) - (1j * ctx.g) * vcross(a, a)
-    e = (-1.0 / ctx.c) * dt(a) - grad(phi) - (1j * ctx.g) * comm_sv(phi, a)
-    return b, e
-
-
 def random_families(gens: GeneratorSet, rngs: Sequence[np.random.Generator], *,
                     k: Sequence[float] | None = None, c: float = 1.0,
                     g: float = 0.1) -> SolutionFamily:

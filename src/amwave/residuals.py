@@ -1,29 +1,36 @@
-"""Residual evaluation for every equation set and condition list.
+"""One table of equations, read by one evaluator.
 
-Each evaluator turns an equation into a harmonic residual field by exact
-termwise algebra (no grid); the reported number is the field's sup norm
-over harmonics and components, relative to max(1, |amplitude scale|), so
-a vanishing equation yields a residual at machine precision and the zero
-family passes trivially.
+Every check behind the condition suites is a per-harmonic operator
+identity of the paper.  ``EQUATIONS`` holds each set of them as a row:
+the full gauge-field equations (``full``), the six weak-coupling
+(``wca``), eight exact (``exact``) and six zero-coupling (``zca``)
+conditions, the Maxwell-type equations (``maxwell``), the w-terms
+(``w``) and the transversality battery (``battery``).  A row holds its
+scale rule, the terms whose largest amplitude norm scales its residuals
+(``a``, or ``b, e``), and its ``(item name, expression, unit factor)``
+entries; each expression is defined once in ``BRACKETS``.
 
-The g- and g^2-graded conditions are reported with their coupling factors
-stripped, so pass/fail reflects the operator bracket itself rather than
-the smallness of g.  Low-level ``*_fields`` functions return the named
-residual fields for callers that need amplitudes (scaling tests, gauge
-conjugation).  Every check returns columns, ``(name, residual)`` pairs
-from ``named_residuals``: ``condition_residuals`` for a condition set,
-``full_ym_residuals``, ``maxwell_type_residuals``, ``w_terms`` and
-``property_battery`` for the other sets, each scaled by its own rule.
-The caller holds a column to its tolerance (``ResidualItem``).  On fields
-of a stack of waves (``fields.SolutionFamily.stack``) a column holds one
-residual per trial.
+``equation_fields(label, terms)`` evaluates a row into named residual
+fields by exact termwise algebra (no grid), and ``equation_residuals``
+turns them into columns, ``(name, residual)`` pairs: the field's sup
+norm over harmonics and components relative to max(1, scale), so a
+vanishing equation reads machine precision and the zero family passes
+trivially.  ``terms`` is a ``Terms``, a wave's potentials and context
+with the products the expressions share, each built once, when an
+expression first reads it.  On a stack of waves
+(``fields.SolutionFamily.stack``) a column holds one residual per trial.
+
+The g- and g^2-graded conditions carry no coupling factor, so pass/fail
+reflects the operator bracket itself rather than the smallness of g; the
+full equations and the w-terms keep their explicit i*g.  The caller holds
+a column to its tolerance (``ResidualItem``).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +38,13 @@ from .fields import (
     HarmonicField,
     SolutionFamily,
     WaveContext,
+    build_fields,
     build_potentials,
     comm_ss,
     comm_sv,
     curl,
     div,
     dt,
-    fields_from_potentials,
     grad,
     laplacian,
     ncross,
@@ -77,157 +84,6 @@ def named_residuals(named_fields, scale) -> list[tuple[str, float | np.ndarray]]
     return [(name, f.norm / scale) for name, f in named_fields]
 
 
-# --- full gauge-field equations ------------------------------------------------
-
-def ym_equation_fields(a: HarmonicField, phi: HarmonicField,
-                       ctx: WaveContext):
-    """The four full field equations, self-interaction terms included."""
-    b, e = fields_from_potentials(a, phi, ctx)
-    ig = 1j * ctx.g
-    inv_c = 1.0 / ctx.c
-    return [
-        ("div_E", div(e) + ig * (vdot(a, e) - vdot(e, a))),
-        ("faraday", (-inv_c) * dt(b) - curl(e)
-         + ig * (comm_sv(phi, b) - vcross(a, e) - vcross(e, a))),
-        ("div_B", div(b) + ig * (vdot(a, b) - vdot(b, a))),
-        ("ampere", (-inv_c) * dt(e) + curl(b)
-         + ig * (comm_sv(phi, e) + vcross(a, b) + vcross(b, a))),
-    ]
-
-
-def full_ym_residuals(a: HarmonicField, phi: HarmonicField, ctx: WaveContext):
-    return named_residuals(ym_equation_fields(a, phi, ctx), field_scale(a))
-
-
-def maxwell_type_fields(b: HarmonicField, e: HarmonicField,
-                        ctx: WaveContext):
-    """The four field equations with every self-interaction term dropped."""
-    inv_c = 1.0 / ctx.c
-    return [
-        ("div_E", div(e)),
-        ("faraday", curl(e) + inv_c * dt(b)),
-        ("div_B", div(b)),
-        ("ampere", curl(b) - inv_c * dt(e)),
-    ]
-
-
-def maxwell_type_residuals(b: HarmonicField, e: HarmonicField, ctx: WaveContext):
-    return named_residuals(maxwell_type_fields(b, e, ctx), field_scale(b, e))
-
-
-# --- graded condition sets ------------------------------------------------------
-
-# The operator brackets the condition sets are made of, each defined once.
-# ``w`` carries the potentials a and phi, kn = |k|, and the two products
-# every set uses, m = A x A and n = [phi, A].
-BRACKETS = {
-    "scalar_wave": lambda w: (1j * w.kn) * div(w.a) - laplacian(w.phi),
-    "phi_diva": lambda w: comm_ss(w.phi, div(w.a)),
-    "a_n_bracket": lambda w: vdot(w.a, w.n) - vdot(w.n, w.a),
-    "induction": lambda w: 2.0 * w.kn * w.m + 1j * curl(w.n),
-    "div_m": lambda w: div(w.m),
-    "div_n": lambda w: div(w.n),
-    "vector_wave": lambda w: (grad(div(w.a)) - laplacian(w.a) - square(w.kn) * w.a
-                              - (1j * w.kn) * grad(w.phi)),
-    "ampere_bracket": lambda w: ((1j * w.kn) * w.n - vcross(w.a, curl(w.a))
-                                 - vcross(curl(w.a), w.a) + curl(w.m)
-                                 + comm_sv(w.phi, grad(w.phi))),
-    "n_curl_m": lambda w: (2j * w.kn) * w.n + curl(w.m),
-    "phi_n_bracket": lambda w: (comm_sv(w.phi, w.n) + vcross(w.a, w.m)
-                                + vcross(w.m, w.a)),
-}
-
-# Each set lists (item name, bracket, unit factor).  The factors are +-1 or
-# +-i, which are exact in floating point, so a bracket's residual is the
-# same number in every set that lists it.
-CONDITION_SETS = {
-    # the six conditions left after discarding the g^2 self-interactions
-    "wca": (
-        ("wca1_scalar_wave", "scalar_wave", 1),
-        ("wca2_phi_diva", "phi_diva", 1),
-        ("wca3_induction", "induction", 1),
-        ("wca4_div_m", "div_m", 1),
-        ("wca5_vector_wave", "vector_wave", 1),
-        ("wca6_ampere_bracket", "ampere_bracket", 1),
-    ),
-    # all eight conditions of the unapproximated equations: items 1 and 6
-    # are coupling-free, 2, 4, 5 and 7 carry g and 3 and 8 g^2 (factors
-    # stripped, see module doc); only 3 and 8 obstruct generic
-    # noncommuting amplitudes
-    "exact": (
-        ("exact1_scalar_wave", "scalar_wave", 1),
-        ("exact2_phi_diva", "phi_diva", 1),
-        ("exact3_a_n_bracket", "a_n_bracket", 1),
-        ("exact4_induction", "induction", 1),
-        ("exact5_div_m", "div_m", 1),
-        ("exact6_vector_wave", "vector_wave", 1),
-        ("exact7_ampere_bracket", "ampere_bracket", -1j),
-        ("exact8_phi_n_bracket", "phi_n_bracket", 1),
-    ),
-    # the six spatial conditions of the zero-coupling (Maxwell-type) system
-    "zca": (
-        ("zca1_div_m", "div_m", 1),
-        ("zca2_curl_n", "induction", -1j),
-        ("zca3_scalar_wave", "scalar_wave", 1),
-        ("zca4_div_n", "div_n", 1),
-        ("zca5_vector_wave", "vector_wave", -1),
-        ("zca6_n_curl_m", "n_curl_m", 1),
-    ),
-}
-
-
-def condition_fields(label: str, a: HarmonicField,
-                     phi: HarmonicField, ctx: WaveContext):
-    """The named residual fields of one condition set; only the brackets
-    the set lists are evaluated."""
-    w = SimpleNamespace(a=a, phi=phi, kn=ctx.knorm, m=vcross(a, a), n=comm_sv(phi, a))
-    out = []
-    for name, bracket, factor in CONDITION_SETS[label]:
-        res = BRACKETS[bracket](w)
-        out.append((name, res if factor == 1 else factor * res))
-    return out
-
-
-def condition_residuals(label: str, fam: SolutionFamily):
-    """(name, residual) for each item of a condition set on a family's
-    potentials; on a stacked family, one residual per trial."""
-    a, phi = build_potentials(fam)
-    return named_residuals(condition_fields(label, a, phi, fam.ctx), field_scale(a))
-
-
-# condition_residuals("zca", ...) under the name perfbench/probes.py times
-def zca_conditions(fam: SolutionFamily):
-    return condition_residuals("zca", fam)
-
-
-# --- difference terms between the two approximations ----------------------------
-
-def w_term_fields(a: HarmonicField, phi: HarmonicField,
-                  ctx: WaveContext):
-    """The four terms separating the approximated equation sets.
-
-    These carry their explicit i*g factors (so they vanish identically at
-    g = 0) and vanish on every solution family.
-    """
-    ig = 1j * ctx.g
-    at = (1.0 / ctx.c) * dt(a)
-    gp = grad(phi)
-    return [
-        ("w1", (-ig) * (vdot(a, at) - vdot(at, a) + vdot(a, gp) - vdot(gp, a))),
-        ("w2", ig * (vcross(a, at) + vcross(at, a) + comm_sv(phi, curl(a))
-                     + vcross(gp, a) + vcross(a, gp))),
-        ("w3", (-ig) * div(vcross(a, a))),
-        ("w4", (-ig) * (comm_sv(phi, at) + comm_sv(phi, gp)
-                        - vcross(a, curl(a)) - vcross(curl(a), a))),
-    ]
-
-
-def w_terms(a: HarmonicField, phi: HarmonicField, ctx: WaveContext):
-    return named_residuals(w_term_fields(a, phi, ctx), field_scale(a))
-
-
-# --- transversality / orthogonality battery --------------------------------------
-
 def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField:
     """Componentwise projection of every amplitude orthogonal to a unit
     vector (one per trial on a stack)."""
@@ -237,20 +93,161 @@ def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField
     return v.with_amps(perp)
 
 
-def property_battery_fields(b: HarmonicField, e: HarmonicField,
-                            ctx: WaveContext):
-    khat = ctx.khat
-    return [
-        ("khat_dot_B", ndot(khat, b)),
-        ("khat_dot_E", ndot(khat, e)),
-        ("B_dot_E", vdot(b, e)),
-        ("B_minus_khat_cross_E", b - ncross(khat, e)),
-        ("E_minus_B_cross_khat", e + ncross(khat, b)),
-        ("B_cross_B", vcross(b, b)),
-        ("E_cross_E", vcross(e, e)),
-        ("ExB_perpendicular_part", perpendicular_part(vcross(e, b), khat)),
-    ]
+class Terms:
+    """A wave's potentials ``a``, ``phi`` and context, and the products the
+    expressions share, each built when an expression first reads it.
+
+    ``bp``, ``ep`` are the fields of the potentials by the defining
+    relations B = curl A - i g A x A, E = -dA/dt / c - grad phi - i g [phi, A];
+    ``b``, ``e`` are the closed-form fields of a family (``build_fields``),
+    so only ``Terms.of(fam)`` has them.
+    """
+
+    def __init__(self, a: HarmonicField, phi: HarmonicField, ctx: WaveContext,
+                 fam: SolutionFamily | None = None):
+        self.a, self.phi, self.ctx, self.fam = a, phi, ctx, fam
+        self.kn, self.ig, self.inv_c = ctx.knorm, 1j * ctx.g, 1.0 / ctx.c
+
+    @classmethod
+    def of(cls, fam: SolutionFamily) -> "Terms":
+        return cls(*build_potentials(fam), fam.ctx, fam)
+
+    m = functools.cached_property(lambda w: vcross(w.a, w.a))     # A x A
+    n = functools.cached_property(lambda w: comm_sv(w.phi, w.a))  # [phi, A]
+    at = functools.cached_property(lambda w: w.inv_c * dt(w.a))   # dA/dt / c
+    gp = functools.cached_property(lambda w: grad(w.phi))
+    ca = functools.cached_property(lambda w: curl(w.a))
+    bp = functools.cached_property(lambda w: w.ca - w.ig * w.m)
+    ep = functools.cached_property(lambda w: -w.at - w.gp - w.ig * w.n)
+    fields = functools.cached_property(lambda w: build_fields(w.fam))
+    b = property(lambda w: w.fields[0])
+    e = property(lambda w: w.fields[1])
 
 
-def property_battery(b: HarmonicField, e: HarmonicField, ctx: WaveContext):
-    return named_residuals(property_battery_fields(b, e, ctx), field_scale(b, e))
+# Every expression of the table, each defined once; ``w`` is a Terms.
+BRACKETS = {
+    # the full field equations, self-interaction terms included
+    "ym_div_E": lambda w: div(w.ep) + w.ig * (vdot(w.a, w.ep) - vdot(w.ep, w.a)),
+    "ym_faraday": lambda w: ((-w.inv_c) * dt(w.bp) - curl(w.ep)
+                             + w.ig * (comm_sv(w.phi, w.bp) - vcross(w.a, w.ep)
+                                       - vcross(w.ep, w.a))),
+    "ym_div_B": lambda w: div(w.bp) + w.ig * (vdot(w.a, w.bp) - vdot(w.bp, w.a)),
+    "ym_ampere": lambda w: ((-w.inv_c) * dt(w.ep) + curl(w.bp)
+                            + w.ig * (comm_sv(w.phi, w.ep) + vcross(w.a, w.bp)
+                                      + vcross(w.bp, w.a))),
+    # the operator brackets of the graded condition sets
+    "scalar_wave": lambda w: (1j * w.kn) * div(w.a) - laplacian(w.phi),
+    "phi_diva": lambda w: comm_ss(w.phi, div(w.a)),
+    "a_n_bracket": lambda w: vdot(w.a, w.n) - vdot(w.n, w.a),
+    "induction": lambda w: 2.0 * w.kn * w.m + 1j * curl(w.n),
+    "div_m": lambda w: div(w.m),
+    "div_n": lambda w: div(w.n),
+    "vector_wave": lambda w: (grad(div(w.a)) - laplacian(w.a) - square(w.kn) * w.a
+                              - (1j * w.kn) * w.gp),
+    "ampere_bracket": lambda w: ((1j * w.kn) * w.n - vcross(w.a, w.ca)
+                                 - vcross(w.ca, w.a) + curl(w.m)
+                                 + comm_sv(w.phi, w.gp)),
+    "n_curl_m": lambda w: (2j * w.kn) * w.n + curl(w.m),
+    "phi_n_bracket": lambda w: (comm_sv(w.phi, w.n) + vcross(w.a, w.m)
+                                + vcross(w.m, w.a)),
+    # the field equations with every self-interaction term dropped
+    "div_E": lambda w: div(w.e),
+    "faraday": lambda w: curl(w.e) + w.inv_c * dt(w.b),
+    "div_B": lambda w: div(w.b),
+    "ampere": lambda w: curl(w.b) - w.inv_c * dt(w.e),
+    # the terms separating the approximated equation sets; they carry
+    # their i*g, so they vanish identically at g = 0
+    "w1": lambda w: (-w.ig) * (vdot(w.a, w.at) - vdot(w.at, w.a)
+                               + vdot(w.a, w.gp) - vdot(w.gp, w.a)),
+    "w2": lambda w: w.ig * (vcross(w.a, w.at) + vcross(w.at, w.a) + comm_sv(w.phi, w.ca)
+                            + vcross(w.gp, w.a) + vcross(w.a, w.gp)),
+    "w3": lambda w: (-w.ig) * div(w.m),
+    "w4": lambda w: (-w.ig) * (comm_sv(w.phi, w.at) + comm_sv(w.phi, w.gp)
+                               - vcross(w.a, w.ca) - vcross(w.ca, w.a)),
+    # transversality and orthogonality of the closed-form fields
+    "khat_dot_B": lambda w: ndot(w.ctx.khat, w.b),
+    "khat_dot_E": lambda w: ndot(w.ctx.khat, w.e),
+    "B_dot_E": lambda w: vdot(w.b, w.e),
+    "B_minus_khat_cross_E": lambda w: w.b - ncross(w.ctx.khat, w.e),
+    "E_minus_B_cross_khat": lambda w: w.e + ncross(w.ctx.khat, w.b),
+    "B_cross_B": lambda w: vcross(w.b, w.b),
+    "E_cross_E": lambda w: vcross(w.e, w.e),
+    "ExB_perpendicular_part": lambda w: perpendicular_part(vcross(w.e, w.b), w.ctx.khat),
+}
+
+
+class EquationSet(NamedTuple):
+    scale: tuple[str, ...]  # the terms whose largest norm scales a residual
+    items: tuple[tuple[str, str, complex], ...]  # (name, expression, unit factor)
+
+
+def _own(*names):
+    """Items that are their own expressions, with unit factor 1."""
+    return tuple((name, name, 1) for name in names)
+
+
+# The unit factors are +-1 or +-i, which are exact in floating point, so an
+# expression's residual is the same number in every set that lists it.
+EQUATIONS = {
+    "full": EquationSet(("a",), (("div_E", "ym_div_E", 1), ("faraday", "ym_faraday", 1),
+                                 ("div_B", "ym_div_B", 1), ("ampere", "ym_ampere", 1))),
+    # the six conditions left after discarding the g^2 self-interactions
+    "wca": EquationSet(("a",), (
+        ("wca1_scalar_wave", "scalar_wave", 1),
+        ("wca2_phi_diva", "phi_diva", 1),
+        ("wca3_induction", "induction", 1),
+        ("wca4_div_m", "div_m", 1),
+        ("wca5_vector_wave", "vector_wave", 1),
+        ("wca6_ampere_bracket", "ampere_bracket", 1),
+    )),
+    # all eight conditions of the unapproximated equations: items 1 and 6
+    # are coupling-free, 2, 4, 5 and 7 carry g and 3 and 8 g^2 (factors
+    # stripped, see module doc); only 3 and 8 obstruct generic
+    # noncommuting amplitudes
+    "exact": EquationSet(("a",), (
+        ("exact1_scalar_wave", "scalar_wave", 1),
+        ("exact2_phi_diva", "phi_diva", 1),
+        ("exact3_a_n_bracket", "a_n_bracket", 1),
+        ("exact4_induction", "induction", 1),
+        ("exact5_div_m", "div_m", 1),
+        ("exact6_vector_wave", "vector_wave", 1),
+        ("exact7_ampere_bracket", "ampere_bracket", -1j),
+        ("exact8_phi_n_bracket", "phi_n_bracket", 1),
+    )),
+    # the six spatial conditions of the zero-coupling (Maxwell-type) system
+    "zca": EquationSet(("a",), (
+        ("zca1_div_m", "div_m", 1),
+        ("zca2_curl_n", "induction", -1j),
+        ("zca3_scalar_wave", "scalar_wave", 1),
+        ("zca4_div_n", "div_n", 1),
+        ("zca5_vector_wave", "vector_wave", -1),
+        ("zca6_n_curl_m", "n_curl_m", 1),
+    )),
+    "maxwell": EquationSet(("b", "e"), _own("div_E", "faraday", "div_B", "ampere")),
+    "w": EquationSet(("a",), _own("w1", "w2", "w3", "w4")),
+    "battery": EquationSet(("b", "e"), _own(
+        "khat_dot_B", "khat_dot_E", "B_dot_E", "B_minus_khat_cross_E",
+        "E_minus_B_cross_khat", "B_cross_B", "E_cross_E", "ExB_perpendicular_part")),
+}
+
+
+def equation_fields(label: str, terms: Terms) -> list[tuple[str, HarmonicField]]:
+    """The named residual fields of one set; only the expressions the set
+    lists are evaluated, and only the products they read are built."""
+    out = []
+    for name, expr, factor in EQUATIONS[label].items:
+        res = BRACKETS[expr](terms)
+        out.append((name, res if factor == 1 else factor * res))
+    return out
+
+
+def equation_residuals(label: str, terms: Terms):
+    """(name, residual) for each item of one set, scaled by the set's rule;
+    on a stacked family, one residual per trial."""
+    scale = field_scale(*(getattr(terms, t) for t in EQUATIONS[label].scale))
+    return named_residuals(equation_fields(label, terms), scale)
+
+
+# the zca set on a family, under the name perfbench/probes.py times
+def zca_conditions(fam: SolutionFamily):
+    return equation_residuals("zca", Terms.of(fam))

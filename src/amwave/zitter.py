@@ -40,7 +40,8 @@ SERIES_BLOCK = 128
 
 
 class PolarSingularity(ValueError):
-    """Momentum too close to the -z ray for the closed-form eigenvectors."""
+    """A momentum the closed-form eigenstates cannot take: too close to the
+    -z ray, too small, or too large for |p| to be finite."""
 
 
 _ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -106,8 +107,10 @@ class DiracContext:
 
     def check_polar(self):
         """Raises PolarSingularity where the closed-form eigenstates are
-        undefined: p + p_z = 0, or |p| so small that E - m c^2 rounds to 0
-        (the states divide by its square root)."""
+        undefined: |p| overflows, p + p_z = 0, or |p| so small that
+        E - m c^2 rounds to 0 (the states divide by its square root)."""
+        if not np.isfinite(self.pnorm):
+            raise PolarSingularity("|p| overflowed to inf; pick a smaller momentum")
         if self.pnorm == 0.0 or self.pnorm + self.p[2] <= POLAR_EPS * self.pnorm:
             raise PolarSingularity(
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
@@ -143,7 +146,9 @@ class DiracContext:
     @functools.cached_property
     def states(self) -> tuple[DiracState, ...]:
         """The four closed-form eigenstates; see ``eigenstates``.  A polar
-        momentum raises on every access, since nothing is cached then."""
+        momentum raises on every access, since nothing is cached then, and
+        so does a small |p| (below about 1e-2 m c) at which u_minus =
+        sqrt(E - m c^2) cancels so far that the states miss unit norm."""
         self.check_polar()
         p, pz = self.pnorm, self.p[2]
         pp, pm = self.p_plus, self.p_minus
@@ -156,12 +161,15 @@ class DiracContext:
             top = np.array([p + pz, pp]) if not flip else np.array([-pm, p + pz])
             return norm * np.concatenate([u * top, lower_sign * (cp / u) * top])
 
-        return (
-            DiracState(spinor(up, +1.0, False), +1, +hb2),
-            DiracState(spinor(up, -1.0, True), +1, -hb2),
-            DiracState(spinor(um, -1.0, False), -1, +hb2),
-            DiracState(spinor(um, +1.0, True), -1, -hb2),
-        )
+        try:
+            return (
+                DiracState(spinor(up, +1.0, False), +1, +hb2),
+                DiracState(spinor(up, -1.0, True), +1, -hb2),
+                DiracState(spinor(um, -1.0, False), -1, +hb2),
+                DiracState(spinor(um, +1.0, True), -1, -hb2),
+            )
+        except ValueError as exc:
+            raise PolarSingularity(f"|p| = {p:.3g} is too small: E - m c^2 cancels") from exc
 
 
 def hamiltonian(ctx: DiracContext) -> np.ndarray:

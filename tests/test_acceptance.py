@@ -22,12 +22,7 @@ from amwave.fields import (
 )
 from amwave.poynting import amw_flux, em_flux, flux_quadrature, flux_quadrature_blocks
 from amwave.relativity import boost_matrix, boosted_residuals
-from amwave.residuals import (
-    condition_residuals,
-    maxwell_type_residuals,
-    property_battery,
-    w_terms,
-)
+from amwave.residuals import Terms, equation_residuals
 from amwave.zitter import (
     DiracContext,
     SuperpositionSpec,
@@ -64,7 +59,7 @@ def test_criterion_01_wca_soundness():
     fams = _families(100)
     worst = 0.0
     for fam in fams:
-        cols = condition_residuals("wca", fam)
+        cols = equation_residuals("wca", Terms.of(fam))
         worst = max(worst, max(r for _, r in cols))
         assert all(r <= 1e-12 for _, r in cols)
     elapsed = time.perf_counter() - start
@@ -76,8 +71,8 @@ def test_criterion_01_wca_soundness():
 def test_criterion_02_zca_soundness():
     worst = 0.0
     for fam in _families(100):
-        b, e = build_fields(fam)
-        cols = condition_residuals("zca", fam) + maxwell_type_residuals(b, e, fam.ctx)
+        terms = Terms.of(fam)
+        cols = equation_residuals("zca", terms) + equation_residuals("maxwell", terms)
         worst = max(worst, max(r for _, r in cols))
         assert all(r <= 1e-12 for _, r in cols)
     _line(2, worst <= 1e-12,
@@ -87,7 +82,7 @@ def test_criterion_02_zca_soundness():
 def test_criterion_03_exactness_boundary():
     nonzero = 0
     for fam in _families(100):
-        by = {name.split("_")[0]: r for name, r in condition_residuals("exact", fam)}
+        by = {name.split("_")[0]: r for name, r in equation_residuals("exact", Terms.of(fam))}
         if by["exact3"] > 1e-6 and by["exact8"] > 1e-6:
             nonzero += 1
     rng = np.random.default_rng(SEED)
@@ -96,7 +91,7 @@ def test_criterion_03_exactness_boundary():
         for _ in range(10):
             fam = random_family(make_generators(kind), rng, abelian=True)
             abelian_ok = abelian_ok and all(
-                r <= 1e-12 for _, r in condition_residuals("exact", fam))
+                r <= 1e-12 for _, r in equation_residuals("exact", Terms.of(fam)))
     ok = nonzero >= 95 and abelian_ok
     _line(3, ok, f"coupling-squared brackets nonzero on {nonzero}/100 generic "
                  f"families; parallel-coefficient subfamily exact: {abelian_ok}")
@@ -105,8 +100,7 @@ def test_criterion_03_exactness_boundary():
 def test_criterion_04_w_terms_vanish():
     worst = 0.0
     for fam in _families(100):
-        a, phi = build_potentials(fam)
-        cols = w_terms(a, phi, fam.ctx)
+        cols = equation_residuals("w", Terms.of(fam))
         worst = max(worst, max(r for _, r in cols))
         assert all(r <= 1e-12 for _, r in cols)
     _line(4, worst <= 1e-12, f"W1..W4 vanish on all families, worst {worst:.2e}")
@@ -115,8 +109,7 @@ def test_criterion_04_w_terms_vanish():
 def test_criterion_05_property_battery():
     worst = 0.0
     for fam in _families(100):
-        b, e = build_fields(fam)
-        cols = property_battery(b, e, fam.ctx)
+        cols = equation_residuals("battery", Terms.of(fam))
         worst = max(worst, max(r for _, r in cols))
         assert all(r <= 1e-12 for _, r in cols)
     _line(5, worst <= 1e-12,
@@ -165,7 +158,7 @@ def test_criterion_07_su3():
     worst_zca = 0.0
     for _ in range(10):
         fam = random_family(make_generators("su3_gellmann"), rng)
-        cols = condition_residuals("zca", fam)
+        cols = equation_residuals("zca", Terms.of(fam))
         worst_zca = max(worst_zca, max(r for _, r in cols))
         assert all(r <= 1e-12 for _, r in cols)
     ok = worst_f <= 1e-12 and worst_zca <= 1e-12

@@ -29,23 +29,15 @@ from amwave.cli import (
     write_report,
     zitter_timeseries,
 )
-from amwave.fields import (
-    SolutionFamily,
-    WaveContext,
-    build_fields,
-    build_potentials,
-    random_family,
-)
+from amwave.fields import SolutionFamily, WaveContext, random_family
 from amwave.poynting import amw_flux, em_flux, flux_averages
 from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import (
     ResidualItem,
-    condition_fields,
-    condition_residuals,
-    full_ym_residuals,
-    maxwell_type_residuals,
+    Terms,
+    equation_fields,
+    equation_residuals,
     named_residuals,
-    property_battery,
 )
 from amwave.zitter import (
     DiracContext,
@@ -110,13 +102,22 @@ def assert_one_config_error(code, err):
 @pytest.mark.parametrize("flag", ["--velocity=1", "--velocity=-1.5", "--pair=1,2",
                                   "--pair=3,4", "--momentum=0,0,0",
                                   "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12",
-                                  "--momentum=0,0,7e-34",
+                                  "--momentum=0,0,7e-34", "--momentum=0,0,1e-3",
+                                  "--momentum=1e200,0,1e200",
                                   "--momentum=nan,0,0.8", "--theta=inf",
                                   "--samples=4"])
 def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
     code, err = run_main([*command, flag, "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
     assert not (tmp_path / "out").exists()
+
+
+def test_momentum_errors_name_their_cause():
+    for flag, cause in (("--momentum=0,0,1e-3", "is too small"),
+                        ("--momentum=1e200,0,1e200", "overflowed")):
+        code, err = run_main(["zitter", "--steps", "4", flag])
+        assert_one_config_error(code, err)
+        assert cause in err[0], err
 
 
 @pytest.mark.parametrize("argv", [["zitter", "--pair", "1"],
@@ -605,28 +606,27 @@ def test_zitter_suite_and_poynting_suite():
 
 
 def _single_family_items(cfg, fam, rng):
-    """One trial's items through the single-family functions."""
+    """One trial's items, each suite evaluated on one unstacked family."""
     ctx = fam.ctx
-    a, phi = build_potentials(fam)
+    terms = Terms.of(fam)
     if cfg.suite in ("wca", "exact", "su3"):
-        cols = condition_residuals("zca" if cfg.suite == "su3" else cfg.suite, fam)
+        cols = equation_residuals("zca" if cfg.suite == "su3" else cfg.suite, terms)
     elif cfg.suite == "zca":
-        b, e = build_fields(fam)
-        cols = (condition_residuals("zca", fam) + maxwell_type_residuals(b, e, ctx)
-                + property_battery(b, e, ctx))
+        cols = [col for label in ("zca", "maxwell", "battery")
+                for col in equation_residuals(label, terms)]
     elif cfg.suite == "full":
-        cols = full_ym_residuals(a, phi, ctx)
+        cols = equation_residuals("full", terms)
     else:  # gauge
         gens = ctx.generators
         herm = sum((float(c) * g for c, g in
                     zip(rng.uniform(-1.0, 1.0, len(gens.generators)), gens.generators)),
                    start=0.0 * gens.identity)
         u = unitary_exponential(herm)
-        ac, pc = gauge_conjugate(a, u), gauge_conjugate(phi, u)
-        before = full_ym_residuals(a, phi, ctx)
-        after = full_ym_residuals(ac, pc, ctx)
+        conj = Terms(gauge_conjugate(terms.a, u), gauge_conjugate(terms.phi, u), ctx)
+        before = equation_residuals("full", terms)
+        after = equation_residuals("full", conj)
         drift = max(abs(x - y) for (_, x), (_, y) in zip(before, after))
-        conj_wca = named_residuals(condition_fields("wca", ac, pc, ctx), max(1.0, a.norm))
+        conj_wca = named_residuals(equation_fields("wca", conj), max(1.0, terms.a.norm))
         cols = [("residual_norm_invariance", drift),
                 ("conjugated_wca", max(r for _, r in conj_wca))]
     return [ResidualItem(name, r, cfg.tol) for name, r in cols]

@@ -30,7 +30,6 @@ from amwave.fields import (
     fd_grad,
     fd_laplacian,
     field,
-    fields_from_potentials,
     grad,
     laplacian,
     ncross,
@@ -41,14 +40,7 @@ from amwave.fields import (
     xz_family,
 )
 from amwave.relativity import gauge_conjugate, unitary_exponential
-from amwave.residuals import (
-    condition_fields,
-    maxwell_type_fields,
-    perpendicular_part,
-    property_battery_fields,
-    w_term_fields,
-    ym_equation_fields,
-)
+from amwave.residuals import EQUATIONS, Terms, equation_fields, perpendicular_part
 
 SPIN_HALF = make_generators("su2_spin_half")
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
@@ -138,17 +130,16 @@ def test_fields_from_potentials_matches_closed_form(kind):
     rng = np.random.default_rng(11)
     for _ in range(5):
         fam = random_family(make_generators(kind), rng, g=rng.uniform(0, 0.5))
-        a, phi = build_potentials(fam)
-        b1, e1 = build_fields(fam)
-        b2, e2 = fields_from_potentials(a, phi, fam.ctx)
-        assert (b1 - b2).norm <= 1e-12
-        assert (e1 - e2).norm <= 1e-12
+        terms = Terms.of(fam)
+        assert (terms.b - terms.bp).norm <= 1e-12
+        assert (terms.e - terms.ep).norm <= 1e-12
 
 
 def test_fields_from_potentials_abelian_reduction():
     fam = xz_family(SPIN_HALF, g=0.0)
     a, phi = build_potentials(fam)
-    b, e = fields_from_potentials(a, phi, fam.ctx)
+    terms = Terms(a, phi, fam.ctx)
+    b, e = terms.bp, terms.ep
     assert (b - curl(a)).norm <= 1e-14
     want_e = (-1.0 / fam.ctx.c) * dt(a) - grad(phi)
     assert (e - want_e).norm <= 1e-14
@@ -509,8 +500,8 @@ def test_fields_vs_oracle_at_random_points():
     # evaluated potentials themselves
     rng = np.random.default_rng(31)
     fam = random_family(make_generators("su2_spin_half"), rng, g=0.2)
-    a, phi = build_potentials(fam)
-    b, e = fields_from_potentials(a, phi, fam.ctx)
+    terms = Terms.of(fam)
+    a, phi, b, e = terms.a, terms.phi, terms.bp, terms.ep
     ctx = fam.ctx
     h = 1e-3 * 2 * np.pi / ctx.knorm
     for _ in range(10):
@@ -553,10 +544,8 @@ def _expressions(fam, u):
              ("laplacian", laplacian(b)), ("ndot", ndot(ctx.khat, b)),
              ("perp", perpendicular_part(vcross(e, b), ctx.khat)),
              ("rotated_a", gauge_conjugate(a, u)), ("rotated_phi", gauge_conjugate(phi, u))]
-    for label in ("wca", "zca", "exact"):
-        named += condition_fields(label, a, phi, ctx)
-    return (named + ym_equation_fields(a, phi, ctx) + w_term_fields(a, phi, ctx)
-            + maxwell_type_fields(b, e, ctx) + property_battery_fields(b, e, ctx))
+    terms = Terms.of(fam)
+    return named + [col for label in EQUATIONS for col in equation_fields(label, terms)]
 
 
 def test_batch_gives_each_trial_its_single_wave_field():

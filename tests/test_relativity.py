@@ -26,7 +26,13 @@ from amwave.relativity import (
     tensor_equation_defects,
     unitary_exponential,
 )
-from amwave.residuals import condition_fields, field_scale, full_ym_residuals, named_residuals
+from amwave.residuals import (
+    Terms,
+    equation_fields,
+    equation_residuals,
+    field_scale,
+    named_residuals,
+)
 
 SPIN_HALF = make_generators("su2_spin_half")
 
@@ -251,9 +257,9 @@ def test_gauge_conjugate_preserves_residual_norms():
     fam = xz_family(SPIN_HALF)
     a, phi = build_potentials(fam)
     u = unitary_exponential(SPIN_HALF.generators[2], angle=1.3)
-    before = full_ym_residuals(a, phi, fam.ctx)
-    after = full_ym_residuals(gauge_conjugate(a, u), gauge_conjugate(phi, u),
-                              fam.ctx)
+    before = equation_residuals("full", Terms(a, phi, fam.ctx))
+    after = equation_residuals("full", Terms(gauge_conjugate(a, u), gauge_conjugate(phi, u),
+                                             fam.ctx))
     assert [name for name, _ in before] == [name for name, _ in after]
     for (_, x), (_, y) in zip(before, after):
         assert abs(x - y) <= 1e-12
@@ -267,8 +273,8 @@ def test_gauge_conjugate_solution_still_solves():
                                              fam.ctx.generators.generators)),
                start=0.0 * fam.ctx.generators.identity)
     u = unitary_exponential(herm)
-    fields = condition_fields("wca", gauge_conjugate(a, u),
-                              gauge_conjugate(phi, u), fam.ctx)
+    fields = equation_fields("wca", Terms(gauge_conjugate(a, u),
+                                          gauge_conjugate(phi, u), fam.ctx))
     cols = named_residuals(fields, field_scale(a))
     assert len(cols) == 6 and all(r <= 1e-12 for _, r in cols)
 

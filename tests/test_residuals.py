@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from amwave.algebra import make_generators, operator_norm as norm
+from amwave.cli import _TRIALS
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -15,15 +16,12 @@ from amwave.fields import (
     xz_family,
 )
 from amwave.residuals import (
+    BRACKETS,
+    EQUATIONS,
     ResidualItem,
-    condition_fields,
-    condition_residuals,
-    full_ym_residuals,
-    maxwell_type_residuals,
-    property_battery,
-    w_term_fields,
-    w_terms,
-    ym_equation_fields,
+    Terms,
+    equation_fields,
+    equation_residuals,
 )
 
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
@@ -35,19 +33,24 @@ def failed(cols, tol=TOL):
     return [(name, r) for name, r in cols if not r <= tol]
 
 
+def residuals(label, fam):
+    """One set's columns on a family's potentials and closed-form fields."""
+    return equation_residuals(label, Terms.of(fam))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_wca_random_families_pass(kind):
     rng = np.random.default_rng(17)
     for _ in range(20):
         fam = random_family(make_generators(kind), rng, g=rng.uniform(0, 1))
-        cols = condition_residuals("wca", fam)
+        cols = residuals("wca", fam)
         assert not failed(cols), failed(cols)
 
 
 def test_wca_non_coplanar_fails_div_m():
     rng = np.random.default_rng(23)
     fam = random_family(make_generators("su2_spin_half"), rng, coplanar=False)
-    by_name = dict(condition_residuals("wca", fam))
+    by_name = dict(residuals("wca", fam))
     assert not by_name["wca4_div_m"] <= TOL
     assert by_name["wca4_div_m"] > 1e-6
 
@@ -58,7 +61,7 @@ def test_zero_family_trivially_passes():
     zero = np.zeros(3)
     fam = SolutionFamily(ctx=ctx, R=(zero, zero, zero, zero))
     for label in ("wca", "zca", "exact"):
-        cols = condition_residuals(label, fam)
+        cols = residuals(label, fam)
         assert not failed(cols)
         assert all(r == 0.0 for _, r in cols)
 
@@ -67,18 +70,18 @@ def test_zero_family_trivially_passes():
 def test_exact_set_dichotomy(kind):
     rng = np.random.default_rng(29)
     fam = random_family(make_generators(kind), rng)
-    by_name = {name.split("_")[0]: r for name, r in condition_residuals("exact", fam)}
+    by_name = {name.split("_")[0]: r for name, r in residuals("exact", fam)}
     for idx in (1, 2, 4, 5, 6, 7):
         assert by_name[f"exact{idx}"] <= TOL
     assert not by_name["exact3"] <= TOL
     assert not by_name["exact8"] <= TOL
     # projecting out the commutators restores exactness
     ab = random_family(make_generators(kind), rng, abelian=True)
-    assert not failed(condition_residuals("exact", ab))
+    assert not failed(residuals("exact", ab))
 
 
 def test_exact8_bracket_nonzero_on_xz():
-    residual = dict(condition_residuals("exact", xz_family()))["exact8_phi_n_bracket"]
+    residual = dict(residuals("exact", xz_family()))["exact8_phi_n_bracket"]
     assert residual > 1e-3
 
 
@@ -87,28 +90,26 @@ def test_zca_conditions_pass(kind):
     rng = np.random.default_rng(31)
     for _ in range(10):
         fam = random_family(make_generators(kind), rng)
-        assert not failed(condition_residuals("zca", fam))
+        assert not failed(residuals("zca", fam))
 
 
 def test_zca_s3_field_identically_zero():
     fam = xz_family()
-    a, phi = build_potentials(fam)
-    fields = dict(condition_fields("zca", a, phi, fam.ctx))
+    fields = dict(equation_fields("zca", Terms.of(fam)))
     assert fields["zca3_scalar_wave"].norm <= 1e-14
 
 
 def test_zca_non_coplanar_fails_s1():
     rng = np.random.default_rng(37)
     fam = random_family(make_generators("su2_spin_one"), rng, coplanar=False)
-    name, residual = condition_residuals("zca", fam)[0]
+    name, residual = residuals("zca", fam)[0]
     assert name == "zca1_div_m" and not residual <= TOL
 
 
 def test_full_ym_residual_lives_at_third_harmonic():
     rng = np.random.default_rng(41)
     fam = random_family(make_generators("su2_spin_half"), rng, g=0.2)
-    a, phi = build_potentials(fam)
-    fields = dict(ym_equation_fields(a, phi, fam.ctx))
+    fields = dict(equation_fields("full", Terms.of(fam)))
     for name in ("div_E", "ampere"):
         field = fields[name]
         assert norm(field.amplitude(3)) > 1e-6
@@ -121,15 +122,13 @@ def test_full_ym_residual_lives_at_third_harmonic():
 def test_full_ym_exact_for_abelian_and_classical():
     rng = np.random.default_rng(43)
     fam = random_family(make_generators("su2_spin_one"), rng, abelian=True, g=0.7)
-    a, phi = build_potentials(fam)
-    assert not failed(full_ym_residuals(a, phi, fam.ctx))
+    assert not failed(residuals("full", fam))
     # classical limit: g = 0 and identity amplitude
     ctx = WaveContext(generators=make_generators("su2_spin_half"),
                       k=np.array([0.3, -0.1, 0.9]), g=0.0)
     zero = np.zeros(3)
     fam0 = SolutionFamily(ctx=ctx, R=(np.array([0.5, 0.2, -0.4]), zero, zero, zero))
-    a0, phi0 = build_potentials(fam0)
-    assert not failed(full_ym_residuals(a0, phi0, ctx))
+    assert not failed(residuals("full", fam0))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -137,14 +136,12 @@ def test_w_terms_vanish_on_solutions(kind):
     rng = np.random.default_rng(47)
     for _ in range(5):
         fam = random_family(make_generators(kind), rng, g=rng.uniform(0, 1))
-        a, phi = build_potentials(fam)
-        assert not failed(w_terms(a, phi, fam.ctx))
+        assert not failed(residuals("w", fam))
 
 
 def test_w_terms_identically_zero_at_g0():
     fam = xz_family(g=0.0)
-    a, phi = build_potentials(fam)
-    for _, field in w_term_fields(a, phi, fam.ctx):
+    for _, field in equation_fields("w", Terms.of(fam)):
         assert field.orders == () and field.norm == 0.0
 
 
@@ -152,7 +149,7 @@ def test_w4_detects_wrong_scalar_potential():
     fam = xz_family()
     a, phi = build_potentials(fam)
     doubled = 2.0 * phi
-    by_name = dict(w_terms(a, doubled, fam.ctx))
+    by_name = dict(equation_residuals("w", Terms(a, doubled, fam.ctx)))
     assert not by_name["w4"] <= TOL
     assert by_name["w4"] > 1e-6
 
@@ -161,9 +158,8 @@ def test_w4_detects_wrong_scalar_potential():
 def test_property_battery(kind):
     rng = np.random.default_rng(53)
     fam = random_family(make_generators(kind), rng)
-    b, e = build_fields(fam)
-    assert not failed(property_battery(b, e, fam.ctx))
-    assert not failed(maxwell_type_residuals(b, e, fam.ctx))
+    assert not failed(residuals("battery", fam))
+    assert not failed(residuals("maxwell", fam))
 
 
 def test_property_battery_classical_limit():
@@ -171,8 +167,7 @@ def test_property_battery_classical_limit():
                       k=np.array([0, 0, 1.0]), g=0.0)
     zero = np.zeros(3)
     fam = SolutionFamily(ctx=ctx, R=(np.array([1.0, 0.5, 0.0]), zero, zero, zero))
-    b, e = build_fields(fam)
-    assert not failed(property_battery(b, e, ctx))
+    assert not failed(residuals("battery", fam))
 
 
 def test_b_dot_e_vanishes_per_order():
@@ -193,11 +188,10 @@ def test_wca_equivalent_to_low_harmonic_full_ym():
         kind = ALL_KINDS[trial % 3]
         coplanar = trial % 5 != 4
         fam = random_family(make_generators(kind), rng, coplanar=coplanar, g=0.3)
-        a, phi = build_potentials(fam)
-        wca_pass = all(f.norm <= 1e-12 for _, f in
-                       condition_fields("wca", a, phi, fam.ctx))
+        terms = Terms.of(fam)
+        wca_pass = all(f.norm <= 1e-12 for _, f in equation_fields("wca", terms))
         low = 0.0
-        for _, field in ym_equation_fields(a, phi, fam.ctx):
+        for _, field in equation_fields("full", terms):
             for m in (1, 2):
                 low = max(low, norm(field.amplitude(m)))
         assert wca_pass == (low <= 1e-12), (trial, wca_pass, low)
@@ -207,10 +201,9 @@ def test_exact_g2_pass_implies_full_pass():
     rng = np.random.default_rng(67)
     for _ in range(5):
         fam = random_family(make_generators("su2_spin_one"), rng, abelian=True)
-        by_name = {name.split("_")[0]: r for name, r in condition_residuals("exact", fam)}
+        by_name = {name.split("_")[0]: r for name, r in residuals("exact", fam)}
         assert by_name["exact3"] <= TOL and by_name["exact8"] <= TOL
-        a, phi = build_potentials(fam)
-        assert not failed(full_ym_residuals(a, phi, fam.ctx))
+        assert not failed(residuals("full", fam))
 
 
 def test_fd_sampling_agrees_with_analytic_residuals():
@@ -251,8 +244,8 @@ def test_scaling_covariance():
     scaled = SolutionFamily(ctx=fam.ctx, R=tuple(2.0 * r for r in fam.R))
     a1, p1 = build_potentials(fam)
     a2, p2 = build_potentials(scaled)
-    f1 = dict(condition_fields("exact", a1, p1, fam.ctx))
-    f2 = dict(condition_fields("exact", a2, p2, fam.ctx))
+    f1 = dict(equation_fields("exact", Terms(a1, p1, fam.ctx)))
+    f2 = dict(equation_fields("exact", Terms(a2, p2, fam.ctx)))
     degree = {"exact1": 1, "exact6": 1, "exact2": 2, "exact4": 2, "exact5": 2,
               "exact7": 2, "exact3": 3, "exact8": 3}
     for name, deg in degree.items():
@@ -286,19 +279,35 @@ def test_shared_brackets_agree_across_sets(kind, coplanar):
         fam = random_family(make_generators(kind), rng, coplanar=coplanar,
                             g=rng.uniform(0, 1))
         res = {name: r for label in ("wca", "exact", "zca")
-               for name, r in condition_residuals(label, fam)}
+               for name, r in residuals(label, fam)}
         for x, y in SHARED_BRACKETS:
             assert res[x] == res[y], (x, y, res[x], res[y])
 
 
+def test_table_has_no_dead_or_dangling_rows():
+    listed = {expr for row in EQUATIONS.values() for _, expr, _ in row.items}
+    assert listed == set(BRACKETS)
+    named = {label for suite in _TRIALS.values() if not callable(suite) for label in suite}
+    assert named and named <= set(EQUATIONS)
+    assert {row.scale for row in EQUATIONS.values()} == {("a",), ("b", "e")}
+
+
+def test_rows_build_only_the_products_they_read():
+    terms = Terms.of(random_family(make_generators("su2_spin_half"),
+                                   np.random.default_rng(3)))
+    for label in ("wca", "exact", "zca"):
+        equation_residuals(label, terms)
+    assert "fields" not in vars(terms)  # no closed-form B, E for the conditions
+    assert {"bp", "ep"}.isdisjoint(vars(terms))
+    m = terms.m
+    equation_residuals("w", terms)
+    assert terms.m is m  # built once, shared by every row
+
+
 def _columns(fam):
-    """Every check's columns on a family, one wave or a stack."""
-    a, phi = build_potentials(fam)
-    b, e = build_fields(fam)
-    ctx = fam.ctx
-    return [condition_residuals(label, fam) for label in ("wca", "zca", "exact")] + [
-        full_ym_residuals(a, phi, ctx), maxwell_type_residuals(b, e, ctx),
-        w_terms(a, phi, ctx), property_battery(b, e, ctx)]
+    """Every set's columns on a family, one wave or a stack."""
+    terms = Terms.of(fam)
+    return [equation_residuals(label, terms) for label in EQUATIONS]
 
 
 def test_stacked_columns_equal_each_family_bits():
@@ -320,13 +329,13 @@ def test_stacked_columns_equal_each_family_bits():
                 assert r[t] == want, (name, t, r[t], want)
     # the all-zero family's residuals are exactly zero, the broken one fails
     assert all(r[2] == 0.0 for cols in stacked for _, r in cols)
-    assert failed([(name, r[1]) for name, r in stacked[0]])
+    assert failed([(name, r[1]) for name, r in dict(zip(EQUATIONS, stacked))["wca"]])
 
 
 def test_report_serialization():
     fam = xz_family()
     items = [ResidualItem(name, r, TOL).as_dict()
-             for name, r in condition_residuals("wca", fam)]
+             for name, r in residuals("wca", fam)]
     assert all(d["pass"] is True for d in items)
     assert len(items) == 6
     assert all(type(d["residual"]) is float for d in items)

@@ -103,6 +103,9 @@ def test_polar_singularity():
     # E - m c^2 rounds to zero, and the states divide by its square root
     with pytest.raises(PolarSingularity, match="too small"):
         eigenstates(DiracContext(p=np.array([0.0, 0.0, 7e-34])))
+    # E - m c^2 cancels, and the closed-form states miss unit norm
+    with pytest.raises(PolarSingularity, match="too small"):
+        eigenstates(DiracContext(p=np.array([0.0, 0.0, 1e-3])))
 
 
 def test_position_wobble_closed_form():
