@@ -314,25 +314,25 @@ def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
 
 def _zitter_residuals(cfg: RunConfig, _, rngs):
     """Each trial draws a momentum p, a mixing angle and a time t from its
-    own generator, in that order.  Z_r(t) is built once per trial and Z_s(t)
-    from it; the four expectations are taken on those two stacks."""
-    rows = []
-    for rng in rngs:
-        p = rng.uniform(-1.0, 1.0, 3)
-        p[2] = abs(p[2]) + 0.2  # stay clear of the -z polar singularity
-        ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
-        theta = rng.uniform(0.0, np.pi / 2.0)
-        t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
-        zr, zs = operator_stacks(ctx, [t])
-        mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
-                                in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
-        rows.append((np.abs(expectations(zr, mix13)[0] - position_closed_form(theta, ctx, t)).max(),
-                     np.abs(expectations(zs, mix14)[0] - spin_closed_form(theta, ctx, t)).max(),
-                     np.abs(expectations(zr, pure13)[0]).max(),
-                     np.abs(expectations(zs, mix13)[0]).max()))
-    pos, spin, pure, samehel = zip(*rows)
-    return [("position_vs_closed", pos), ("spin_vs_closed", spin),
-            ("pure_energy_zero", pure, 1e-14), ("same_helicity_spin_zero", samehel, 1e-14)]
+    own generator, in that order; t's range needs that trial's E_p.  The
+    group is one stacked DiracContext: Z_r(t) is built once per trial and
+    Z_s(t) from it, and the four expectations are taken on those two
+    stacks."""
+    p = np.array([rng.uniform(-1.0, 1.0, 3) for rng in rngs])
+    p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
+    ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+    theta = np.array([rng.uniform(0.0, np.pi / 2.0) for rng in rngs])
+    t = np.array([rng.uniform(0.0, hi) for rng, hi
+                  in zip(rngs, (4.0 * np.pi * ctx.hbar / ctx.energy).tolist())])
+    zr, zs = operator_stacks(ctx, t)
+    mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
+                            in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
+    return [("position_vs_closed",
+             np.abs(expectations(zr, mix13) - position_closed_form(theta, ctx, t)).max(axis=1)),
+            ("spin_vs_closed",
+             np.abs(expectations(zs, mix14) - spin_closed_form(theta, ctx, t)).max(axis=1)),
+            ("pure_energy_zero", np.abs(expectations(zr, pure13)).max(axis=1), 1e-14),
+            ("same_helicity_spin_zero", np.abs(expectations(zs, mix13)).max(axis=1), 1e-14)]
 
 
 def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
@@ -344,11 +344,11 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
                            R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
     a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
-    rows = []
+    weights, rows = {}, []  # the group's trials share their origin weights
     for t in range(len(rngs)):
         fam, fam0 = fams.trial(t), fams0.trial(t)
         closed = amw_flux(fam).vector
-        at_r, at_origin = flux_averages(fam, cfg.samples, (r[t], None))
+        at_r, at_origin = flux_averages(fam, cfg.samples, (r[t], None), weights)
         scale = max(1.0, operator_norm(closed))
         rows.append((operator_norm(at_r["total"] - closed) / scale,
                      operator_norm(at_origin["mixed"]) / scale,

@@ -117,11 +117,26 @@ def _trig(orders, phase: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
 
 
-def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.ndarray]]:
+def _trig_pair(orders_e, orders_b, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_E(phi) and c_B(phi): one table when the orders agree, as they do
+    for every generator-valued wave.  B then reads a copy, because numpy
+    takes ``x.T @ x`` as a symmetric product whose bits differ from
+    ``x.T @ y``."""
+    ce = _trig(orders_e, phase)
+    return ce, ce.copy() if orders_b == orders_e else _trig(orders_b, phase)
+
+
+def flux_averages(fam: SolutionFamily, samples: int, rs,
+                  weights: dict | None = None) -> list[dict[str, np.ndarray]]:
     """Trapezoid averages of (c/4 pi) Re E x Re B over one period at each
     position in ``rs`` (None is the origin), per block (keys as
     ``flux_quadrature_blocks``).  One table serves every position: each
     average is a (2H_E, 2H_B) weight matrix on it, with no sample axis.
+
+    The weights depend only on the exact k.r (its sign too, for a zero),
+    omega, period, N and the orders; ``weights``, a dict a caller may pass
+    to several calls, keeps them by that key, so positions and families
+    that share one reuse its cos/sin table.
 
     ``samples`` (N) must be >= 1; below 5 the average aliases (see below).
     """
@@ -129,6 +144,7 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
         raise ValueError(f"samples must be >= 1, got {samples}")
     ctx = fam.ctx
     table, orders_e, orders_b, masks = _flux_form(fam)
+    weights = {} if weights is None else weights
     # N nodes over one exact period; the endpoint repeats the first node, so
     # the trapezoid rule is their plain mean.  The integrand is a
     # trigonometric polynomial of degree m_E + m_B <= 4 in phi, and the
@@ -138,8 +154,13 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
     wt = ctx.omega * np.linspace(0.0, ctx.period, samples + 1)[:-1]
     out = []
     for r in rs:
-        phase = ctx.k @ (np.zeros(3) if r is None else np.asarray(r, dtype=float)) - wt
-        w = _trig(orders_e, phase).T @ _trig(orders_b, phase) / samples
+        kr = ctx.k @ (np.zeros(3) if r is None else np.asarray(r, dtype=float))
+        key = (float(kr), bool(np.signbit(kr)), float(ctx.omega), float(ctx.period),
+               samples, orders_e, orders_b)
+        if key not in weights:
+            ce, cb = _trig_pair(orders_e, orders_b, kr - wt)
+            weights[key] = ce.T @ cb / samples
+        w = weights[key]
         out.append({name: np.einsum("pq,pqiab->iab", w * mask, table)
                     for name, mask in masks.items()})
     return out
@@ -179,7 +200,7 @@ def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
     for start in range(0, len(ts), SERIES_BLOCK):
         block = slice(start, start + SERIES_BLOCK)
         phase = -ctx.omega * ts[block]
-        ce, cb = _trig(orders_e, phase), _trig(orders_b, phase)
+        ce, cb = _trig_pair(orders_e, orders_b, phase)
         for name, mask in masks.items():
             out[name][block] = np.einsum("tp,pq,tq->t", ce, s * mask, cb)
     return out

@@ -8,10 +8,14 @@ Hermitian Hamiltonian (exact and stable for any t), never by series.
 The Dirac matrices are read-only module constants.  Everything that depends
 only on the momentum (|p|, E_p, phat, H, eigh(H), H^-1 and the four
 eigenstates) is computed once per ``DiracContext`` and cached read-only on
-it.  A time series is one stacked contraction over a leading t axis,
-evaluated ``SERIES_BLOCK`` times at a time so its temporaries stay bounded;
-the one-time functions are one-row views of the same kernel and give the
-same bits.
+it.  A context holds one momentum, or the momenta of T trials on a leading
+axis; then each cached value is a per-trial stack, and the operator
+stacks, expectations and closed forms take one time (and one mixing
+angle) per trial.  Each trial of a stack gets the bits its own context
+would give it.  A time series on one context is one stacked contraction
+over a leading t axis, evaluated ``SERIES_BLOCK`` times at a time so its
+temporaries stay bounded; the one-time functions are one-row views of the
+same kernel and give the same bits.
 
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PAULI, readonly
+from .fields import _dots, _unchecked, square
 
 POLAR_EPS = 1e-10
 
@@ -53,9 +58,36 @@ BETA = readonly(np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]))
 SIGMA = readonly(np.stack([np.block([[s, _ZERO2], [_ZERO2, s]]) for s in PAULI]))
 
 
+def _value(x):
+    """x as a float for one electron, or read-only with one value per trial."""
+    return readonly(x) if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _col(x) -> np.ndarray:
+    """x, a number or one per trial, with a trailing axis to scale vectors."""
+    return np.asarray(x)[..., None]
+
+
+def _complex(re, im):
+    """re + i im, built exactly (re + 1j * im can flip the sign of a zero re)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return complex(out) if out.ndim == 0 else out
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """The diagonal matrices of the vectors on the last axis of x."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + (n * n,), dtype=x.dtype)
+    out[..., ::n + 1] = x  # the diagonal of a flattened n x n matrix
+    return out.reshape(x.shape + (n,))
+
+
 @dataclass(frozen=True, eq=False)
 class DiracContext:
-    """Mass, momentum and units for one plane-wave electron.
+    """Mass, momentum and units for one plane-wave electron, or for T
+    electrons on a leading trial axis: then ``p`` is (T, 3) and each
+    momentum-only quantity holds every electron's own value.
 
     The momentum-only quantities are cached properties; every cached array
     is read-only.
@@ -68,7 +100,8 @@ class DiracContext:
 
     def __post_init__(self):
         p = np.array(self.p, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
+        if (p.ndim not in (1, 2) or p.shape[-1:] != (3,) or p.size == 0
+                or not np.all(np.isfinite(p))):
             raise ValueError("p must be a finite real 3-vector")
         if not all(0.0 < x < np.inf for x in (self.mass, self.c, self.hbar)):
             raise ValueError("mass, c and hbar must be positive and finite")
@@ -76,100 +109,103 @@ class DiracContext:
         object.__setattr__(self, "p", p)
 
     @functools.cached_property
-    def pnorm(self) -> float:
-        return float(np.linalg.norm(self.p))
+    def pnorm(self) -> float | np.ndarray:
+        return _value(np.sqrt(_dots(self.p, self.p)))
 
     @functools.cached_property
     def phat(self) -> np.ndarray:
-        return readonly(self.p / self.pnorm)
+        return readonly(self.p / _col(self.pnorm))
 
     @functools.cached_property
-    def energy(self) -> float:
+    def energy(self) -> float | np.ndarray:
         """E_p = sqrt(p^2 c^2 + m^2 c^4)."""
-        return float(np.sqrt((self.pnorm * self.c) ** 2
-                             + (self.mass * self.c ** 2) ** 2))
+        return _value(np.sqrt(square(self.pnorm * self.c)
+                              + (self.mass * self.c ** 2) ** 2))
 
     @property
-    def p_plus(self) -> complex:
-        return complex(self.p[0], self.p[1])
+    def p_plus(self) -> complex | np.ndarray:
+        return _complex(self.p[..., 0], self.p[..., 1])
 
     @property
-    def p_minus(self) -> complex:
-        return complex(self.p[0], -self.p[1])
+    def p_minus(self) -> complex | np.ndarray:
+        return _complex(self.p[..., 0], -self.p[..., 1])
 
-    @property
-    def u_plus(self) -> float:
-        return float(np.sqrt(self.energy + self.mass * self.c ** 2))
+    @functools.cached_property
+    def u_plus(self) -> float | np.ndarray:
+        return _value(np.sqrt(self.energy + self.mass * self.c ** 2))
 
-    @property
-    def u_minus(self) -> float:
-        return float(np.sqrt(self.energy - self.mass * self.c ** 2))
+    @functools.cached_property
+    def u_minus(self) -> float | np.ndarray:
+        return _value(np.sqrt(self.energy - self.mass * self.c ** 2))
 
     def check_polar(self):
         """Raises PolarSingularity where the closed-form eigenstates are
-        undefined: |p| overflows, p + p_z = 0, or |p| so small that
-        E - m c^2 rounds to 0 (the states divide by its square root)."""
-        if not np.isfinite(self.pnorm):
+        undefined, for any trial of a stack: |p| overflows, p + p_z = 0, or
+        |p| so small that E - m c^2 rounds to 0 (the states divide by its
+        square root)."""
+        pn = self.pnorm
+        if not np.isfinite(pn).all():
             raise PolarSingularity("|p| overflowed to inf; pick a smaller momentum")
-        if self.pnorm == 0.0 or self.pnorm + self.p[2] <= POLAR_EPS * self.pnorm:
+        # |p| = 0 is caught too: then p + p_z = 0 <= 0
+        if (pn + self.p[..., 2] <= POLAR_EPS * pn).any():
             raise PolarSingularity(
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
-        if self.u_minus == 0.0:
+        if np.equal(self.u_minus, 0.0).any():
             raise PolarSingularity("|p| is too small: E - m c^2 rounds to zero")
 
     @functools.cached_property
     def hmat(self) -> np.ndarray:
-        """H = c alpha.p + beta m c^2 as a 4x4 array."""
-        return readonly(self.c * np.einsum("i,iab->ab", self.p, ALPHA)
+        """H = c alpha.p + beta m c^2 as a (4, 4) array, or (T, 4, 4)."""
+        return readonly(self.c * np.einsum("...i,iab->...ab", self.p, ALPHA)
                         + self.mass * self.c ** 2 * BETA)
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """eigh(H) as (w, v, v^H)."""
         w, v = np.linalg.eigh(self.hmat)
-        return readonly(w), readonly(v), readonly(v.conj().T)
+        return readonly(w), readonly(v), readonly(np.swapaxes(v.conj(), -1, -2))
 
     @functools.cached_property
     def hinv(self) -> np.ndarray:
         """H^-1 = v diag(1/w) v^H."""
         w, v, vh = self.spectrum
-        return readonly(v @ np.diag(1.0 / w) @ vh)
+        return readonly(v @ _diag(1.0 / w) @ vh)
 
     @functools.cached_property
     def position_prefactor(self) -> np.ndarray:
-        """(i hbar c / 2) [alpha_i - c p_i H^-1], shape (3, 4, 4)."""
+        """(i hbar c / 2) [alpha_i - c p_i H^-1], shape (3, 4, 4), or (T, 3, 4, 4)."""
+        cp = self.c * self.p[..., None, None]
         return readonly(np.stack([
-            (0.5j * self.hbar * self.c) * (ALPHA[i] - self.c * self.p[i] * self.hinv)
+            (0.5j * self.hbar * self.c) * (ALPHA[i] - cp[..., i, :, :] * self.hinv)
             for i in range(3)
-        ]))
+        ], axis=-3))
 
     @functools.cached_property
     def states(self) -> tuple[DiracState, ...]:
         """The four closed-form eigenstates; see ``eigenstates``.  A polar
         momentum raises on every access, since nothing is cached then, and
         so does a small |p| (below about 1e-2 m c) at which u_minus =
-        sqrt(E - m c^2) cancels so far that the states miss unit norm."""
+        sqrt(E - m c^2) cancels so far that the states miss unit norm; in a
+        stack, any trial's momentum does."""
         self.check_polar()
-        p, pz = self.pnorm, self.p[2]
-        pp, pm = self.p_plus, self.p_minus
-        up, um = self.u_plus, self.u_minus
-        cp = self.c * p
+        p, pz = self.pnorm, self.p[..., 2]
+        up, um, cp = self.u_plus, self.u_minus, self.c * p
+        # the four spinors on a leading axis: each is
+        # norm [u top, s (c p / u) top] with top = [p + p_z, p_+] or [-p_-, p + p_z]
+        top = np.array([[p + pz, self.p_plus], [-self.p_minus, p + pz]] * 2).swapaxes(1, -1)
+        u = np.array([up, up, um, um])
+        lower = np.array([cp / up, -(cp / up), -(cp / um), cp / um])
         norm = 1.0 / np.sqrt(4.0 * self.energy * p * (p + pz))
+        amps = readonly(_col(norm) * np.concatenate(
+            [_col(u) * top, _col(lower) * top], axis=-1))
+        off = _off_unit_norm(amps).any(axis=0)
+        if off.any():
+            first = np.asarray(p).reshape(-1)[np.flatnonzero(off)[0]]
+            raise PolarSingularity(f"|p| = {first:.3g} is too small: E - m c^2 cancels")
         hb2 = 0.5 * self.hbar
-
-        def spinor(u, lower_sign, flip):
-            top = np.array([p + pz, pp]) if not flip else np.array([-pm, p + pz])
-            return norm * np.concatenate([u * top, lower_sign * (cp / u) * top])
-
-        try:
-            return (
-                DiracState(spinor(up, +1.0, False), +1, +hb2),
-                DiracState(spinor(up, -1.0, True), +1, -hb2),
-                DiracState(spinor(um, -1.0, False), -1, +hb2),
-                DiracState(spinor(um, +1.0, True), -1, -hb2),
-            )
-        except ValueError as exc:
-            raise PolarSingularity(f"|p| = {p:.3g} is too small: E - m c^2 cancels") from exc
+        return tuple(_unchecked(DiracState, amplitudes=a, energy_sign=sign, helicity=hel)
+                     for a, (sign, hel) in
+                     zip(amps, ((+1, +hb2), (+1, -hb2), (-1, +hb2), (-1, -hb2))))
 
 
 def hamiltonian(ctx: DiracContext) -> np.ndarray:
@@ -178,7 +214,7 @@ def hamiltonian(ctx: DiracContext) -> np.ndarray:
 
 
 def _helicity(ctx: DiracContext) -> np.ndarray:
-    return 0.5 * ctx.hbar * np.einsum("i,iab->ab", ctx.phat, SIGMA)
+    return 0.5 * ctx.hbar * np.einsum("...i,iab->...ab", ctx.phat, SIGMA)
 
 
 def helicity_operator(ctx: DiracContext) -> np.ndarray:
@@ -186,9 +222,22 @@ def helicity_operator(ctx: DiracContext) -> np.ndarray:
     return readonly(_helicity(ctx))
 
 
+def _norms(amp: np.ndarray) -> np.ndarray:
+    """The norm of each spinor on the last axis of amp, with the bits
+    ``np.linalg.norm`` gives one spinor."""
+    return np.sqrt(_dots(amp.real, amp.real) + _dots(amp.imag, amp.imag))
+
+
+def _off_unit_norm(amp: np.ndarray) -> np.ndarray:
+    """For each spinor on the last axis of amp: does its norm miss 1 by
+    more than 1e-12?"""
+    return abs(_norms(amp) - 1.0) > 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class DiracState:
-    """Unit-norm momentum-space spinor with its energy and helicity labels."""
+    """Unit-norm momentum-space spinor with its energy and helicity labels;
+    the amplitudes are (4,), or (T, 4) for the same state of T trials."""
 
     amplitudes: np.ndarray
     energy_sign: int
@@ -196,9 +245,9 @@ class DiracState:
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (4,):
+        if amp.ndim not in (1, 2) or amp.shape[-1:] != (4,):
             raise ValueError("need 4 spinor amplitudes")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
+        if _off_unit_norm(amp).any():
             raise ValueError("state must be unit norm")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -222,6 +271,7 @@ class SuperpositionSpec:
     (1-based indices); ``coefficients`` optionally gives the full
     (c1, c2, c3, c4) split, with (c1, c2) weighting the positive-energy
     doublet and (c3, c4) the negative one (each doublet normalized).
+    On a stacked context, ``theta`` may hold one angle per trial.
     """
 
     theta: float
@@ -229,7 +279,7 @@ class SuperpositionSpec:
     coefficients: tuple[complex, complex, complex, complex] | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.theta):
+        if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta must be finite")
         if self.coefficients is None:
             a, b = self.pair
@@ -238,7 +288,7 @@ class SuperpositionSpec:
 
     def state_vector(self, ctx: DiracContext) -> np.ndarray:
         states = ctx.states
-        ct, st = np.cos(self.theta), np.sin(self.theta)
+        ct, st = _col(np.cos(self.theta)), _col(np.sin(self.theta))
         if self.coefficients is None:
             a, b = self.pair
             vec = ct * states[a - 1].amplitudes + st * states[b - 1].amplitudes
@@ -246,43 +296,48 @@ class SuperpositionSpec:
             c1, c2, c3, c4 = self.coefficients
             pos = c1 * states[0].amplitudes + c2 * states[1].amplitudes
             neg = c3 * states[2].amplitudes + c4 * states[3].amplitudes
-            npos, nneg = np.linalg.norm(pos), np.linalg.norm(neg)
-            vec = ct * (pos / npos if npos > 0 else pos) \
-                + st * (neg / nneg if nneg > 0 else neg)
+            npos, nneg = _col(_norms(pos)), _col(_norms(neg))
+            vec = ct * (pos / np.where(npos > 0, npos, 1.0)) \
+                + st * (neg / np.where(nneg > 0, nneg, 1.0))
         return vec
 
 
 def evolution_factor(ctx: DiracContext, t: float) -> np.ndarray:
-    """exp(-2iHt/hbar) via the spectral decomposition of H."""
+    """exp(-2iHt/hbar) via the spectral decomposition of H; on a stacked
+    context t may hold one time per trial."""
     w, v, vh = ctx.spectrum
-    return v @ np.diag(np.exp(-2j * w * t / ctx.hbar)) @ vh
+    return v @ _diag(np.exp(-2j * w * _col(t) / ctx.hbar)) @ vh
 
 
 # --- stacked time series --------------------------------------------------------
 
 def _position_stack(ctx: DiracContext, ts: np.ndarray) -> np.ndarray:
-    """Z_r(t) for every t in the 1-D array ts, shape (T, 3, 4, 4)."""
+    """Z_r(t) for every t in the 1-D array ts, shape (T, 3, 4, 4); on a
+    stacked context ts holds one time per trial."""
     w, v, vh = ctx.spectrum
-    diag = np.zeros((len(ts), 4, 4), dtype=complex)
-    diag[:, range(4), range(4)] = np.exp(-2j * w * ts[:, None] / ctx.hbar) - 1.0
+    diag = _diag(np.exp(-2j * w * ts[:, None] / ctx.hbar) - 1.0)
     # the one-time formula's operation order, so each row matches it bit for bit
     tail = ctx.hinv @ (v @ diag @ vh)
     return ctx.position_prefactor @ tail[:, None]
 
 
 def _cross_p(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """-Z x p for operator 3-vectors on axis 1 and a number 3-vector p."""
+    """-Z x p for operator 3-vectors on axis 1 and a number 3-vector p, or
+    a (T, 3) stack of them, one per row of zr."""
+    q = p[..., None, None]
     return np.stack([
-        -(zr[:, (i + 1) % 3] * p[(i + 2) % 3] - zr[:, (i + 2) % 3] * p[(i + 1) % 3])
+        -(zr[:, (i + 1) % 3] * q[..., (i + 2) % 3, :, :]
+          - zr[:, (i + 2) % 3] * q[..., (i + 1) % 3, :, :])
         for i in range(3)
     ], axis=1)
 
 
 def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi| op_ti |psi> for a (T, 3, 4, 4) stack of Hermitian operators,
-    real, shape (T, 3); each row's imaginary part is checked against that
-    row's own scale."""
-    vals = np.einsum("a,tiab,b->ti", psi.conj(), ops, psi)
+    """<psi| op_ti |psi> for a (T, 3, 4, 4) stack of Hermitian operators and
+    one state psi, or a (T, 4) stack of states, one per row; real, shape
+    (T, 3).  Each row's imaginary part is checked against that row's own
+    scale."""
+    vals = np.einsum("...a,...iab,...b->...i", psi.conj(), ops, psi)
     scale = np.fmax(1.0, np.abs(vals).max(axis=1))
     if np.any(np.abs(vals.imag).max(axis=1) > 1e-10 * scale):
         raise ValueError("expectation of a Hermitian operator came out complex")
@@ -308,8 +363,9 @@ def zitter_expectation_series(spec: SuperpositionSpec, ctx: DiracContext,
 
 def operator_stacks(ctx: DiracContext, ts) -> tuple[np.ndarray, np.ndarray]:
     """Z_r(t) and Z_s(t) = -Z_r(t) x p for every t in the 1-D array ts,
-    each (T, 3, 4, 4): Z_r is built once and Z_s from it.  The rows are
-    the stacks ``zitter_expectation_series`` contracts, bit for bit."""
+    each (T, 3, 4, 4): Z_r is built once and Z_s from it.  On a stacked
+    context ts holds one time per trial.  The rows are the stacks
+    ``zitter_expectation_series`` contracts, bit for bit."""
     zr = _position_stack(ctx, np.asarray(ts, dtype=float))
     return zr, _cross_p(zr, ctx.p)
 
@@ -346,40 +402,42 @@ def amplitude_frequency(theta: float, ctx: DiracContext) -> tuple[float, float]:
 
     A = sin(2 theta) (hbar c / 2 E_p)(m c^2 / E_p),  omega = 2 E_p / hbar,
 
-    for the equal-helicity positive/negative energy mix.
+    for the equal-helicity positive/negative energy mix; floats, or one
+    value per trial of a stacked context.
     """
     ep = ctx.energy
     a = np.sin(2.0 * theta) * (ctx.hbar * ctx.c / (2.0 * ep)) \
         * (ctx.mass * ctx.c ** 2 / ep)
     omega = 2.0 * ep / ctx.hbar
-    return float(a), float(omega)
+    return _value(a), _value(omega)
 
 
 def position_closed_form(theta: float, ctx: DiracContext, t) -> np.ndarray:
     """-phat A sin(omega t) for the (1, 3) mix; shape (3,), or (T, 3) for an
-    array of T times."""
+    array of T times, or for a stacked context with one theta and t per
+    trial."""
     a, omega = amplitude_frequency(theta, ctx)
-    return -ctx.phat * a * np.sin(omega * np.asarray(t, dtype=float))[..., None]
+    return -ctx.phat * _col(a) * _col(np.sin(omega * np.asarray(t, dtype=float)))
 
 
 def spin_closed_form(theta: float, ctx: DiracContext, t) -> np.ndarray:
-    """Spin wobble of the (1, 4) mix for general momentum; shape (3,), or
-    (T, 3) for an array of T times."""
-    px, py, pz = ctx.p
+    """Spin wobble of the (1, 4) mix for general momentum; shapes as in
+    ``position_closed_form``."""
+    px, py, pz = ctx.p.T  # numpy floats on one context, not 0-d arrays, for square
     p = ctx.pnorm
     ep = ctx.energy
     w = 2.0 * ep / ctx.hbar
     cw = np.cos(w * t) - 1.0
     sw = np.sin(w * t)
-    ex = -cw * (py ** 2 / (p + pz) + pz) + sw * (px * py / (p + pz))
-    ey = cw * (px * py / (p + pz)) - sw * (px ** 2 / (p + pz) + pz)
+    ex = -cw * (square(py) / (p + pz) + pz) + sw * (px * py / (p + pz))
+    ey = cw * (px * py / (p + pz)) - sw * (square(px) / (p + pz) + pz)
     ez = cw * px + sw * py
-    return -np.sin(2.0 * theta) * (ctx.hbar * ctx.c / (2.0 * ep)) \
+    return _col(-np.sin(2.0 * theta) * (ctx.hbar * ctx.c / (2.0 * ep))) \
         * np.stack([ex, ey, ez], axis=-1)
 
 
 def spin_closed_form_z(theta: float, ctx: DiracContext, t: float) -> np.ndarray:
-    """Spin wobble of the (1, 4) mix for momentum along +z,
+    """Spin wobble of the (1, 4) mix for one momentum along +z,
 
     sin(2 theta) (c hbar p / E_p) sin(E_p t / hbar)
         [cos(E_p t / hbar) yhat - sin(E_p t / hbar) xhat].
@@ -392,7 +450,8 @@ def spin_closed_form_z(theta: float, ctx: DiracContext, t: float) -> np.ndarray:
 
 
 def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
-    """<Psi_1| alpha |Psi_4> in closed form (a complex 3-vector)."""
+    """<Psi_1| alpha |Psi_4> in closed form (a complex 3-vector), for one
+    momentum."""
     px, py = ctx.p[0], ctx.p[1]
     p, pz = ctx.pnorm, ctx.p[2]
     pm = ctx.p_minus
@@ -407,7 +466,7 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
 
 def projectors(ctx: DiracContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energy projectors (1 +- H/E_p)/2 and helicity projectors (1 +- 2 Lambda/hbar)/2."""
-    h = ctx.hmat / ctx.energy
+    h = ctx.hmat / _col(_col(ctx.energy))
     lam = 2.0 * _helicity(ctx) / ctx.hbar
     eye = np.eye(4)
     return tuple(readonly(0.5 * m) for m in (eye + h, eye - h, eye + lam, eye - lam))

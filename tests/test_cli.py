@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import amwave
 from amwave.algebra import GeneratorSet, make_generators, operator_norm
 from amwave.cli import (
+    _TRIALS,
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
@@ -42,6 +43,8 @@ from amwave.residuals import (
 from amwave.zitter import (
     DiracContext,
     SuperpositionSpec,
+    expectations,
+    operator_stacks,
     position_closed_form,
     spin_closed_form,
     zitter_position_expectation,
@@ -685,6 +688,43 @@ def test_zitter_and_poynting_equal_a_loop_over_single_trials(suite, generator):
             got = [(it["name"], it["residual"], it["tolerance"])
                    for it in run_suite(cfg)["items"]]
             assert got == want, (seed, trials)
+
+
+def _zitter_columns_trial_by_trial(cfg, rngs):
+    """The zitter suite's columns from one DiracContext per trial, each
+    trial drawing p, theta and t in turn and contracting one-row stacks."""
+    rows = []
+    for rng in rngs:
+        p = rng.uniform(-1.0, 1.0, 3)
+        p[2] = abs(p[2]) + 0.2
+        ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+        theta = rng.uniform(0.0, np.pi / 2.0)
+        t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
+        zr, zs = operator_stacks(ctx, [t])
+        mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx)
+                                for angle, pair in ((theta, (1, 3)), (theta, (1, 4)),
+                                                    (0.0, (1, 3))))
+        rows.append((np.abs(expectations(zr, mix13)[0] - position_closed_form(theta, ctx, t)).max(),
+                     np.abs(expectations(zs, mix14)[0] - spin_closed_form(theta, ctx, t)).max(),
+                     np.abs(expectations(zr, pure13)[0]).max(),
+                     np.abs(expectations(zs, mix13)[0]).max()))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("units", [{}, {"hbar": 0.5, "c": 2.0}])
+@pytest.mark.parametrize("trials", (1, 2, 7))
+def test_zitter_group_columns_equal_a_trial_by_trial_loop(trials, units):
+    cfg = RunConfig(suite="zitter", trials=trials, **units)
+    for seed in (0, 5, 17):
+        def rngs():
+            return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
+        cols = _TRIALS["zitter"](cfg, None, rngs())
+        assert [(name, *tol) for name, _, *tol in cols] == [
+            ("position_vs_closed",), ("spin_vs_closed",),
+            ("pure_energy_zero", 1e-14), ("same_helicity_spin_zero", 1e-14)]
+        for (name, got, *_), want in zip(cols, _zitter_columns_trial_by_trial(cfg, rngs())):
+            assert got.shape == want.shape == (trials,), name
+            assert got.tobytes() == want.tobytes(), (name, seed)
 
 
 def test_importing_the_cli_does_not_import_yaml():

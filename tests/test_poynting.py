@@ -13,6 +13,8 @@ from amwave.fields import (
 )
 from amwave.poynting import (
     NonTransverseAmplitude,
+    _flux_form,
+    _trig,
     amw_flux,
     em_flux,
     flux_averages,
@@ -242,3 +244,42 @@ def test_averages_at_several_positions_match_single_calls():
         for key, val in blocks.items():
             np.testing.assert_array_equal(got[key], val)
     np.testing.assert_array_equal(at_r["total"], flux_quadrature(fam, 7, r))
+
+
+def two_table_averages(fam, samples, r):
+    """Reference ``flux_averages`` blocks at one position, with c_E and c_B
+    built as two separate cos/sin tables."""
+    ctx = fam.ctx
+    table, orders_e, orders_b, masks = _flux_form(fam)
+    wt = ctx.omega * np.linspace(0.0, ctx.period, samples + 1)[:-1]
+    phase = ctx.k @ (np.zeros(3) if r is None else r) - wt
+    w = _trig(orders_e, phase).T @ _trig(orders_b, phase) / samples
+    return {name: np.einsum("pq,pqiab->iab", w * mask, table) for name, mask in masks.items()}
+
+
+@pytest.mark.parametrize("samples", (5, 200, 10_000))
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_table_averages_equal_two_tables(kind, samples):
+    # E and B share one table here; x.T @ x would take numpy's symmetric
+    # product and change the bits, so B must read a distinct copy
+    rng = np.random.default_rng(37)
+    gens = make_generators(kind)
+    fams = [random_family(gens, rng, g=0.4) for _ in range(2)]
+    # a fixed k, so the two families share their origin weights
+    fams += [random_family(gens, rng, k=(0.0, 0.6, -0.8), g=0.4) for _ in range(2)]
+    weights = {}
+    for fam in fams:
+        _, orders_e, orders_b, _ = _flux_form(fam)
+        assert orders_e == orders_b == (1, 2)
+        rs = (rng.uniform(-1, 1, 3), None)
+        for kept in (None, weights):
+            for pos, got in zip(rs, flux_averages(fam, samples, rs, kept)):
+                want = two_table_averages(fam, samples, pos)
+                assert got.keys() == want.keys()
+                for key, val in want.items():
+                    assert got[key].tobytes() == val.tobytes(), (key, pos is None)
+    # one entry per distinct (k.r, omega, period, samples, orders): one per
+    # random r, and one per distinct omega and period at the origin, which
+    # the two fixed-k families share
+    origins = {(f.ctx.omega, f.ctx.period) for f in fams}
+    assert len(origins) < len(fams) and len(weights) == len(fams) + len(origins)

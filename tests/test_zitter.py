@@ -17,8 +17,10 @@ from amwave.zitter import (
     compton_wavelength_si,
     eigenstates,
     evolution_factor,
+    expectations,
     hamiltonian,
     helicity_operator,
+    operator_stacks,
     position_closed_form,
     projectors,
     spin_closed_form,
@@ -426,3 +428,127 @@ def test_constants_and_caches_are_read_only():
             arr[0] = 0.0
     assert np.array_equal(vh, v.conj().T)
     assert np.abs(ctx.hinv @ hamiltonian(ctx) - np.eye(4)).max() <= 1e-12
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same shape and the same bytes (so -0.0 != 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked_momenta(rng, trials):
+    """Momenta as the zitter suite draws them; row 0 lies on +z, so it has
+    exact zeros, as the default momentum does."""
+    p = rng.uniform(-1.0, 1.0, (trials, 3))
+    p[:, 2] = abs(p[:, 2]) + 0.2
+    p[0, :2] = 0.0
+    return p
+
+
+@pytest.mark.parametrize("units", [{}, {"hbar": 0.5, "c": 2.0}, {"mass": 1.7}])
+@pytest.mark.parametrize("trials", (1, 2, 7))
+def test_stacked_context_gives_each_trial_its_own_bits(trials, units):
+    rng = np.random.default_rng(trials)
+    p = stacked_momenta(rng, trials)
+    stack = DiracContext(p=p, **units)
+    assert stack.p.shape == (trials, 3) and stack.hmat.shape == (trials, 4, 4)
+    for t in range(trials):
+        one = DiracContext(p=p[t], **units)
+        for name in ("pnorm", "energy", "u_plus", "u_minus", "p_plus", "p_minus",
+                     "phat", "hmat", "hinv", "position_prefactor"):
+            assert same_bits(getattr(stack, name)[t], getattr(one, name)), name
+        for got, want in zip(stack.spectrum, one.spectrum):
+            assert same_bits(got[t], want)
+        for got, want in zip(stack.states, one.states):
+            assert same_bits(got.amplitudes[t], want.amplitudes)
+            assert (got.energy_sign, got.helicity) == (want.energy_sign, want.helicity)
+        assert same_bits(helicity_operator(stack)[t], helicity_operator(one))
+        for got, want in zip(projectors(stack), projectors(one)):
+            assert same_bits(got[t], want)
+
+
+@pytest.mark.parametrize("units", [{}, {"hbar": 0.5, "c": 2.0}])
+@pytest.mark.parametrize("trials", (1, 2, 7))
+def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units):
+    rng = np.random.default_rng(10 + trials)
+    p = stacked_momenta(rng, trials)
+    theta = rng.uniform(0.0, np.pi / 2.0, trials)
+    ts = rng.uniform(-2.0, 6.0, trials)
+    stack = DiracContext(p=p, **units)
+    zr, zs = operator_stacks(stack, ts)
+    assert zr.shape == zs.shape == (trials, 3, 4, 4)
+    # the last spec has no negative-energy part, so its doublet norm is 0
+    specs = [dict(pair=(1, 3)), dict(pair=(1, 4)), dict(pair=(2, 3)),
+             dict(coefficients=(0.6, 0.8j, 0.3, -0.1)), dict(coefficients=(0.6, 0.8, 0.0, 0.0))]
+    specs = [{"theta": theta, **kw} for kw in specs] + [{"theta": 0.0, "pair": (1, 3)}]
+    psis = [SuperpositionSpec(**kw).state_vector(stack) for kw in specs]
+
+    def at_trial(kw, t):  # trial t's spec: its own angle, or the shared one
+        return {**kw, "theta": kw["theta"][t]} if np.ndim(kw["theta"]) else kw
+
+    vals = [expectations(ops, psi) for ops in (zr, zs) for psi in psis]
+    position = position_closed_form(theta, stack, ts)
+    spin = spin_closed_form(theta, stack, ts)
+    evolution = evolution_factor(stack, ts)
+    for t in range(trials):
+        one = DiracContext(p=p[t], **units)
+        zr1, zs1 = operator_stacks(one, [ts[t]])
+        assert same_bits(zr[t], zr1[0]) and same_bits(zs[t], zs1[0])
+        psis1 = [SuperpositionSpec(**at_trial(kw, t)).state_vector(one) for kw in specs]
+        for psi, psi1 in zip(psis, psis1):
+            assert same_bits(psi[t], psi1)
+        vals1 = [expectations(ops, psi) for ops in (zr1, zs1) for psi in psis1]
+        for got, want in zip(vals, vals1):
+            assert same_bits(got[t], want[0])
+        assert same_bits(position[t], position_closed_form(theta[t], one, ts[t]))
+        assert same_bits(spin[t], spin_closed_form(theta[t], one, ts[t]))
+        assert same_bits(evolution[t], evolution_factor(one, ts[t]))
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 4)), np.zeros((2, 3, 1)), np.zeros((0, 3)),
+                                 np.zeros((3, 2)), 0.8,
+                                 [[0.0, 0.0, 0.8], [np.nan, 0.0, 0.8]],
+                                 [[0.0, 0.0, 0.8], [0.0, 0.0, np.inf]]])
+def test_stacked_context_rejects_bad_momenta(bad):
+    with pytest.raises(ValueError, match=r"^p must be a finite real 3-vector$"):
+        DiracContext(p=bad)
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0, -0.7], [0.0, 0.0, 0.0], [0.0, 0.0, 7e-34],
+                                 [0.0, 0.0, 1e-3], [1e200, 0.0, 1e200]])
+def test_polar_and_small_momentum_checks_apply_to_each_trial(row):
+    with np.errstate(over="ignore"), pytest.raises(PolarSingularity) as one:
+        DiracContext(p=np.array(row)).states
+    good = [0.3, -0.2, 0.8]
+    for p in ([good, row], [row, good, good], [good, row, row]):
+        with np.errstate(over="ignore"), pytest.raises(PolarSingularity) as stacked:
+            DiracContext(p=np.array(p)).states
+        assert str(stacked.value) == str(one.value)
+    with pytest.raises(ValueError, match="need 4 spinor amplitudes"):
+        zitter.DiracState(np.ones((2, 3)), +1, 0.5)
+
+
+def test_small_momentum_message_names_the_first_offending_trial():
+    stack = DiracContext(p=np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 5e-3], [0.0, 0.0, 1e-3]]))
+    with pytest.raises(PolarSingularity, match=r"^\|p\| = 0.005 is too small"):
+        stack.states
+
+
+def test_stacked_squares_keep_the_one_trial_bits():
+    # numpy's x * x and Python's x ** 2 differ in the last bit on about
+    # one value in a thousand; a stack must square as one context does, so
+    # it holds the momenta where |p|, p_x or p_y squares differently
+    rng = np.random.default_rng(41)
+    p = stacked_momenta(rng, 20_000)
+    pn = np.sqrt(np.einsum("ti,ti->t", p, p))
+    differ = [x * x != np.array([v ** 2 for v in x.tolist()]) for x in (pn, p[:, 0], p[:, 1])]
+    p = p[np.any(differ, axis=0)]
+    assert len(p) > 20
+    theta = rng.uniform(0.0, np.pi / 2.0, len(p))
+    ts = rng.uniform(0.0, 6.0, len(p))
+    stack = DiracContext(p=p)
+    spin = spin_closed_form(theta, stack, ts)
+    for t in range(len(p)):
+        one = DiracContext(p=p[t])
+        assert same_bits(stack.energy[t], one.energy)
+        assert same_bits(spin[t], spin_closed_form(theta[t], one, ts[t]))
