@@ -31,10 +31,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 
-# Levi-Civita symbol, used by the operator cross product.
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+# [n, z]: the n-th nonzero term eps_zjk of cross product component z, by (j, k).
+_J = np.array([[1, 0, 0], [2, 2, 1]])
+_K = np.array([[2, 2, 1], [1, 0, 0]])
+_E = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])[..., None, None]
 
 
 class NonFiniteValue(ValueError):
@@ -100,8 +100,11 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Operator cross product (u x v)_i = eps_ijk u_j v_k on (..., 3, d, d)
     component arrays, order preserved.  Note u x u is generally nonzero;
-    an ordinary 3-vector enters lifted by ``numeric_lift``."""
-    return np.einsum("ijk,...jab,...kbc->...iac", _EPS, u, v)
+    an ordinary 3-vector enters lifted by ``numeric_lift``.  Finite operands
+    get the dense eps contraction's bits: its two nonzero terms per component
+    are summed in its order and operand layout, into a C-ordered result."""
+    return np.ascontiguousarray(np.einsum("...nzab,...nzbc->...zac", u[..., _J, :, :] * _E,
+                                          v[..., _K, :, :]))
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ the bytes of ``json.dumps(report, indent=2)``, each item from a template.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -550,10 +549,9 @@ def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str],
 
 
 def write_timeseries(header: list[str], rows, path: str | None):
+    """Write the rows as ``csv.writer`` does: no cell needs quoting, no row is one blank."""
     def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in itertools.chain([header], rows))
     _write(path, emit)
 
 

@@ -131,10 +131,10 @@ def _compatible(a, b) -> bool:
 def square(x):
     """x ** 2 by Python's float power, for a float or each value of an
     array.  A stack must square its per-trial values exactly as one wave
-    squares its float, and numpy's square of an array rounds differently
-    from pow() on about one value in a thousand."""
+    squares its float, and numpy's square of an array (0-d too) rounds
+    differently from pow() on about one value in a thousand."""
     if np.ndim(x) == 0:
-        return x ** 2
+        return float(x) ** 2
     return np.array([v ** 2 for v in np.asarray(x).tolist()])
 
 
@@ -276,16 +276,20 @@ def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
     return _collect(ctx, kinds == {len(batch) + 3}, arrays.items())
 
 
-def _termwise(f: HarmonicField, vector: bool, op) -> HarmonicField:
-    return _collect(f.ctx, vector, ((m, op(m, a)) for m, a in zip(f.orders, f.amps)))
+def _termwise(f: HarmonicField, vector: bool, op, amps=None) -> HarmonicField:
+    """op(m, amps[h]) at each order m of f, as a field; amps defaults to f's."""
+    pairs = zip(f.orders, f.amps if amps is None else amps)
+    return _collect(f.ctx, vector, ((m, op(m, a)) for m, a in pairs))
 
 
 # --- products (order preserving; harmonic orders add) ------------------------
 
 def _product(f: HarmonicField, g: HarmonicField, vector: bool, op) -> HarmonicField:
-    return _collect(f.ctx, vector, ((m1 + m2, op(a1, a2))
-                                    for m1, a1 in zip(f.orders, f.amps)
-                                    for m2, a2 in zip(g.orders, g.amps)))
+    """op(f_m1, g_m2) at order m1 + m2 by one ``op`` call, in first-seen order."""
+    out = op(f.amps[:, None], g.amps[None, :])
+    return _collect(f.ctx, vector, ((m1 + m2, out[i, j])
+                                    for i, m1 in enumerate(f.orders)
+                                    for j, m2 in enumerate(g.orders)))
 
 
 def comm_ss(f: HarmonicField, g: HarmonicField) -> HarmonicField:
@@ -315,27 +319,23 @@ def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
 def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Dot of a constant numeric 3-vector (one per trial on a stack) with a
     vector field."""
-    nl = numeric_lift(n, v.ctx.dim)
-    return _termwise(v, False, lambda m, a: dot(nl, a))
+    return _collect(v.ctx, False, zip(v.orders, dot(numeric_lift(n, v.ctx.dim), v.amps)))
 
 
 def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Cross of a constant numeric 3-vector (one per trial on a stack) with
     a vector field."""
-    nl = numeric_lift(n, v.ctx.dim)
-    return _termwise(v, True, lambda m, a: cross(nl, a))
+    return v.with_amps(cross(numeric_lift(n, v.ctx.dim), v.amps))
 
 
 # --- exact differential operators --------------------------------------------
 
 def div(v: HarmonicField) -> HarmonicField:
-    kl = v.ctx.k_lift
-    return _termwise(v, False, lambda m, a: dot(kl, a) * (1j * m))
+    return _termwise(v, False, lambda m, a: a * (1j * m), dot(v.ctx.k_lift, v.amps))
 
 
 def curl(v: HarmonicField) -> HarmonicField:
-    kl = v.ctx.k_lift
-    return _termwise(v, True, lambda m, a: cross(kl, a) * (1j * m))
+    return _termwise(v, True, lambda m, a: a * (1j * m), cross(v.ctx.k_lift, v.amps))
 
 
 def grad(f: HarmonicField) -> HarmonicField:

@@ -103,8 +103,7 @@ def _flux_form(fam: SolutionFamily):
 
     b, e = build_fields(fam)
     u, v = basis(e), basis(b)
-    table = np.array([[cross(x, y) for y in v] for x in u]).reshape(
-        len(u), len(v), *u.shape[1:])
+    table = cross(u[:, None], v[None, :])
     me, mb = np.tile(e.orders, 2)[:, None], np.tile(b.orders, 2)[None, :]
     masks = {"first": (me == 1) & (mb == 1), "mixed": me != mb,
              "second": (me == 2) & (mb == 2), "total": np.ones(table.shape[:2], bool)}

@@ -160,6 +160,52 @@ def test_dim_mismatch():
         dot(u, v)
 
 
+# The dense contractions the kernels must match bit for bit: every term of
+# eps_ijk u_j v_k and delta_ij u_i v_j, the zero ones included.
+LEVI_CIVITA = np.zeros((3, 3, 3))
+LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
+LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
+DENSE = {
+    cross: lambda u, v: np.einsum("ijk,...jab,...kbc->...iac", LEVI_CIVITA, u, v),
+    dot: lambda u, v: np.einsum("ij,...iab,...jbc->...ac", np.eye(3), u, v),
+}
+# leading axes of u and v: none, a trial axis, and an order-pair grid
+LEADS = (((), ()), ((3,), (3,)), ((2, 1, 3), (1, 3, 3)))
+VIEWS = {
+    "plain": lambda x: x,
+    "transposed": lambda x: np.swapaxes(x, -1, -2),
+    "components reversed": lambda x: x[..., ::-1, :, :],
+    "columns reversed": lambda x: x[..., ::-1],
+}
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=st.sampled_from([cross, dot]), d=st.sampled_from([2, 3]),
+       leads=st.sampled_from(LEADS), views=st.tuples(*[st.sampled_from(sorted(VIEWS))] * 2),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0.0, 0.3, 0.9]),
+       decades=st.sampled_from([0, 150]))
+def test_kernels_have_the_dense_contraction_bits(kernel, d, leads, views, seed, zeros, decades):
+    # entries: exact zeros of either sign, the rest normal numbers scaled by
+    # up to 1e+-150, so that every product and sum stays finite
+    rng = np.random.default_rng(seed)
+
+    def operand(lead, view):
+        x = rng.normal(size=lead + (3, d, d, 2)) * 10.0 ** rng.uniform(-decades, decades,
+                                                                     lead + (3, d, d, 2))
+        x[rng.random(x.shape) < zeros] = 0.0
+        x = np.copysign(x, rng.normal(size=x.shape))
+        return VIEWS[view](x.view(complex)[..., 0])
+
+    u, v = (operand(lead, view) for lead, view in zip(leads, views))
+    got, want = kernel(u, v), DENSE[kernel](u, v)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("kind", ("identity", "su2_spin_half", "su2_spin_one",
                                   "su3_gellmann"))
 def test_generator_sets_are_shared_and_read_only(kind):

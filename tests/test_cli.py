@@ -28,6 +28,7 @@ from amwave.cli import (
     main,
     run_suite,
     write_report,
+    write_timeseries,
     zitter_timeseries,
 )
 from amwave.fields import SolutionFamily, WaveContext, random_family
@@ -518,6 +519,40 @@ def test_report_writer_writes_the_json_dumps_bytes(tmp_path, kind):
     assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
     if kind == "exact":
         assert not report["summary"]["overall_pass"]
+
+
+def test_timeseries_bytes_are_csv_writers(tmp_path):
+    header = ["t", "num_x", "closed_x", "abs_dev"]
+    rows = [[0.0, -0.0, "", ""], [1e-300, 5e-324, 1.7976931348623157e308, 0.1],
+            [float("nan"), float("inf"), -float("inf"), 1 / 3], [1e22, 123456789.0, -2.5e-7, ""]]
+    out, want = tmp_path / "mine.csv", tmp_path / "csv.csv"
+    write_timeseries(header, iter(rows), str(out))
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert out.read_bytes() == want.read_bytes()
+
+
+# k = z and R_1, R_3 in the x-z plane, so the family is valid, but so large
+# that a norm overflows: of the tau x tau products (1e150), or already of
+# the first harmonic (1e200).  Each run must name the order the dense cross
+# product named.  The zitter suite reads no family.
+@pytest.mark.parametrize("scale, order", [(1e150, 2), (1e200, 1)])
+@pytest.mark.parametrize("argv", [["verify", s] for s in SUITES if s != "zitter"]
+                         + [["poynting", "--steps", "4"]])
+def test_overflow_error_names_the_same_order_on_every_suite(tmp_path, argv, scale, order):
+    R = [[0, 0, 0], [scale, 0, 0], [0, 0, 0], [0, 0, scale]]
+    family = ({"generator": "su3_gellmann", "R": R + [[0, 0, 0]] * 5} if argv[-1] == "su3"
+              else {"generator": "su2_spin_half", "R": R})
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"family": {**family, "k": [0, 0, 1.0]}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, err = run_main([*argv, "--trials", "2", "--config", str(path),
+                              "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0] == f"config error: a value overflowed: amplitude of order {order} is not finite"
+    assert not (tmp_path / "out").exists()
 
 
 def test_zitter_timeseries_zero_theta(tmp_path):

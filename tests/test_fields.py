@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from amwave.algebra import (
     NonFiniteValue,
+    commutator,
     cross,
     custom_generators,
+    dot,
     make_generators,
     numeric_lift,
+    readonly,
 )
 from amwave.algebra import operator_norm as norm
 from amwave.fields import (
+    HarmonicField,
     SolutionFamily,
     WaveContext,
     build_fields,
@@ -36,7 +40,9 @@ from amwave.fields import (
     ndot,
     random_families,
     random_family,
+    square,
     vcross,
+    vdot,
     xz_family,
 )
 from amwave.relativity import gauge_conjugate, unitary_exponential
@@ -608,3 +614,83 @@ def test_stacked_eval_at_gives_each_trial_its_single_value(kind):
         for name, g, w in zip(("A", "phi", "B", "E"), got, want):
             assert g.shape == (len(fams),) + w.shape, (name, j)
             assert np.array_equal(g[j], w), (name, j)
+
+
+# Each product with its kernel on one order pair, and whether its factors
+# are vector fields.
+PRODUCTS = {
+    vcross: (cross, True, True),
+    vdot: (dot, True, True),
+    comm_sv: (lambda a, b: (np.einsum("...ab,...ibc->...iac", a, b)
+                            - np.einsum("...iab,...bc->...iac", b, a)), False, True),
+    comm_ss: (commutator, False, False),
+}
+
+
+def pair_loop(f, g, kernel):
+    """The product of f and g as one kernel call per order pair, each
+    order's terms summed in first-seen (m1, m2) order."""
+    acc = {}
+    for m1, a1 in zip(f.orders, f.amps):
+        for m2, a2 in zip(g.orders, g.amps):
+            amp = kernel(a1, a2)
+            acc[m1 + m2] = acc[m1 + m2] + amp if m1 + m2 in acc else amp
+    return field(f.ctx, acc)
+
+
+def random_field(ctx, orders, vector, rng):
+    shape = (len(orders),) + ctx.batch_shape + (3,) * vector + (ctx.dim, ctx.dim)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return field(ctx, dict(zip(orders, amps)))
+
+
+@pytest.mark.parametrize("kind", ["su2_spin_half", "su2_spin_one"])
+@pytest.mark.parametrize("product", PRODUCTS, ids=lambda p: p.__name__)
+def test_batched_product_equals_a_pair_loop_bit_for_bit(kind, product):
+    kernel, f_vector, g_vector = PRODUCTS[product]
+    rng = np.random.default_rng(61)
+    ctx = WaveContext(generators=make_generators(kind), k=rng.normal(size=(4, 3)), g=0.4)
+    f = random_field(ctx, (-1, 1, 2), f_vector, rng)
+    # trial 1 drops its order-2 amplitude of f, whose slot then holds zeros
+    amps = np.array(f.amps)
+    amps[2, 1] *= 1e-20
+    f = f.with_amps(amps)
+    assert f.orders == (-1, 1, 2) and not f.amps[2, 1].any()
+    # order 2 of f g sums three pair terms, so their order shows in its bits
+    for g in [random_field(ctx, (0, 1, 3), g_vector, rng)] + [f] * (f_vector == g_vector):
+        got, want = product(f, g), pair_loop(f, g, kernel)
+        assert got.orders == want.orders
+        assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+        assert np.array_equal(got.norm, want.norm)
+
+
+@pytest.mark.parametrize("product", PRODUCTS, ids=lambda p: p.__name__)
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_batched_product_names_the_pair_loops_non_finite_order(product, bad):
+    kernel, f_vector, g_vector = PRODUCTS[product]
+    rng = np.random.default_rng(62)
+    ctx = WaveContext(generators=SPIN_HALF, k=rng.normal(size=(2, 3)))
+
+    def spoiled(orders, vector, m):  # a field whose order-m amplitude holds a bad entry
+        f = random_field(ctx, orders, vector, rng)
+        amps = np.array(f.amps)
+        amps[orders.index(m), 1, ..., 0, 1] = bad
+        return HarmonicField(ctx, f.orders, readonly(amps), f.norm)
+
+    # f_1 and g_3 are bad, so the sums 2 (from -1 + 3), 0 and 4 are: 2 is
+    # the first seen, 0 the lowest
+    f, g = spoiled((-1, 1), f_vector, 1), spoiled((-1, 3), g_vector, 3)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteValue) as got:
+            product(f, g)
+        with pytest.raises(NonFiniteValue) as want:
+            pair_loop(f, g, kernel)
+    assert str(got.value) == str(want.value) == "amplitude of order 2 is not finite"
+
+
+def test_square_of_a_0d_array_is_its_float_square():
+    # numpy squares a 0-d array as x * x, not by pow(), and the two differ
+    # in the last bit on about one value in a thousand
+    values = np.random.default_rng(71).uniform(-1.0, 1.0, 20_000)
+    v = next(x for x in values if np.asarray(x) ** 2 != float(x) ** 2)
+    assert square(np.asarray(v)) == square(float(v)) == square(np.float64(v))

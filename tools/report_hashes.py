@@ -32,12 +32,19 @@ Prints one line per configuration, ``<sha256>  <label>``, for 93 runs:
 Every hashed body is the bytes the program writes to a file: a report
 as ``write_report`` writes it for ``amwave verify --out``, a CSV as the
 command writes it with ``--out``.  A refactor that promises
-byte-identical output runs this against the old and the new source tree
-and compares the output:
+byte-identical output compares the old and the new source tree in one
+command:
+
+    python tools/report_hashes.py --against /path/to/old/checkout/src
+
+It runs every configuration above under the ``src/`` beside this tool
+and under the old tree, each in its own interpreter, prints the label
+of each configuration whose hash differs (or that one tree did not
+run), and exits 1 on any difference or failed run, 0 when all 93 agree.
+Without ``--against`` it prints the hash lines of the tree on
+PYTHONPATH:
 
     PYTHONPATH=src python tools/report_hashes.py > new.txt
-    PYTHONPATH=/path/to/old/checkout/src python tools/report_hashes.py > old.txt
-    diff old.txt new.txt
 """
 
 from __future__ import annotations
@@ -46,10 +53,12 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
-from amwave.cli import SUITES, RunConfig, main as cli_main, run_suite, write_report
+NEW_SRC = Path(__file__).resolve().parent.parent / "src"
 
 ZITTER_PAIRS = ("1,3", "1,4", "2,3", "2,4")
 ZITTER_MOMENTA = ("0,0,0.8", "0.3,-0.4,0.9")
@@ -65,6 +74,7 @@ CONDITION_SUITES = ("wca", "zca", "exact", "full", "gauge")
 
 
 def configs():
+    from amwave.cli import SUITES, RunConfig
     for seed in (1, 42):
         for suite in SUITES:
             if suite == "poynting":
@@ -135,19 +145,50 @@ def written(write) -> bytes:
 
 def report_body(cfg: RunConfig) -> bytes:
     """The bytes ``amwave verify --out FILE`` writes for ``cfg``."""
+    from amwave.cli import run_suite, write_report
     return written(lambda path: write_report(run_suite(cfg), path))
 
 
 def export_body(argv: list[str]) -> bytes:
     """The bytes ``amwave <argv> --out FILE`` writes; the verdict on stderr
     is dropped."""
+    from amwave.cli import main as cli_main
+
     def write(path):
         with contextlib.redirect_stderr(io.StringIO()):
             cli_main([*argv, "--out", path])
     return written(write)
 
 
+def against(old_src: str) -> int:
+    """Print the labels whose hashes differ between ``old_src`` and
+    NEW_SRC; 1 on any difference or failed run."""
+    runs = [subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+            for src in (old_src, NEW_SRC)]
+    hashes, failed = [], False
+    for src, proc in zip((old_src, NEW_SRC), runs):
+        out = proc.communicate()[0]
+        if proc.returncode:
+            print(f"run under {src} failed with exit code {proc.returncode}")
+            failed = True
+        lines = (line.split("  ", 1) for line in out.splitlines())
+        hashes.append({label: digest for digest, label in lines})
+    old, new = hashes
+    labels = {**old, **new}
+    differ = [label for label in labels if old.get(label) != new.get(label)]
+    for label in differ:
+        print(label)
+    print(f"{len(differ)} of {len(labels)} differ", file=sys.stderr)
+    return 1 if differ or failed else 0
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
+        return against(sys.argv[2])
+    if len(sys.argv) > 1:
+        print("usage: report_hashes.py [--against OLD_SRC]", file=sys.stderr)
+        return 2
     import amwave
     print(f"# amwave from {amwave.__file__}", file=sys.stderr)
     for label, cfg in configs():
