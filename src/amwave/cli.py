@@ -24,9 +24,11 @@ import os
 import re
 import sys
 import tempfile
-from collections.abc import Sequence
-from dataclasses import dataclass, fields as dataclass_fields
+from collections.abc import Callable, Collection, Sequence
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +74,7 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 SUITES = ("wca", "zca", "exact", "full", "boost", "gauge", "zitter", "poynting", "su3")
+GENERATORS = ("both", "su2_spin_half", "su2_spin_one", "su3_gellmann")
 
 # Default per-item tolerances; analytic residuals are exact termwise algebra,
 # boosted-frame checks allow contraction roundoff, and the flux quadrature is
@@ -95,79 +98,125 @@ class ConfigError(ValueError):
     pass
 
 
-def _real(name: str, val):
-    """val, if it is a real number; a bool or a string is a ConfigError."""
-    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{name} must be a real number, got {val!r}")
-    return val
+# --- the options table -----------------------------------------------------------------
+#
+# Each option is one RunConfig field, whose metadata is its row.  The rows
+# build the flags, the config-file keys, the checks, the config echo, and
+# the commands that read each option: "verify SUITE" (boost and
+# su3-constants are verify boost and verify su3), "zitter" and "poynting".
+_VERIFY = frozenset(f"verify {s}" for s in SUITES)
+_EVERY = _VERIFY | {"zitter", "poynting"}
+_FAMILY = _VERIFY - {"verify zitter"} | {"poynting"}  # the commands that build a family
+
+
+class Option(NamedTuple):
+    """A row; the option's name, default and type are its field's (None only if the default is)."""
+
+    check: Callable | None  # (name, value) -> the value, checked and normalised
+    section: str | None = None  # its config-file section; None at the top level
+    key: str | None = None  # its key there, if not its name
+    flag: tuple = ()  # (flag, argparse type or choices[, help]), if it has one
+    reads: Collection[str] = _EVERY  # the commands whose output it can change
+
+
+def _option(default=MISSING, check=None, section=None, **row):
+    return field(default=default, metadata={"option": Option(check, section, **row)})
+
+
+def _such(holds, rule: str, check=lambda name, val: val):
+    """A check: the value passed through check, if holds(value), else a ConfigError."""
+    def checked(name: str, val):
+        if not holds(val := check(name, val)):
+            raise ConfigError(f"{name} must be {rule}, got {val!r}")
+        return val
+    return checked
+
+
+def _of(*types):
+    return lambda val: isinstance(val, types) and not isinstance(val, bool)
+
+
+# an integer beyond the float range is no number a run can compute with
+_real = _such(lambda v: _of(float, np.floating)(v) or _of(int, np.integer)(v)
+              and abs(v) <= sys.float_info.max, "a real number")
+_int = _such(_of(int, np.integer), "an integer")
+_PATH = _such(_of(str, os.PathLike), "a path")
+_PAIR = _such(lambda v: len(v) == 2, "two integers",
+              lambda name, val: tuple(_int("pair entry", v) for v in val))
+# a count above the largest array index could never be allocated
+_INDEX_MAX = int(np.iinfo(np.intp).max)
+_COUNT = _such(lambda v: v <= _INDEX_MAX, f"an integer <= {_INDEX_MAX}", _int)
+
+
+def _at_least(least: int, why: str = "", check=_COUNT):
+    return _such(lambda v: v >= least, f">= {least}{why}", check)
+
+
+def _vector(name: str, val) -> tuple:
+    return tuple(float(_real(f"{name} entry", v)) for v in val)
+
+
+def _comma(convert, n: int):
+    """The argparse type of a flag that takes n comma-separated values."""
+    def parse(text: str) -> tuple:
+        if len(parts := text.split(",")) != n:
+            raise argparse.ArgumentTypeError(f"expected {n} comma-separated values")
+        return tuple(map(convert, parts))
+    return parse
 
 
 @dataclass
 class RunConfig:
-    suite: str
-    trials: int = 100
-    seed: int = 42
-    tolerance: float | None = None
-    generator: str = "both"
-    hbar: float = 1.0
-    c: float = 1.0
-    coupling: float = 0.1
-    k: tuple[float, float, float] | None = None
-    R: tuple[tuple[float, float, float], ...] | None = None
-    velocity: float = 0.5
-    boost_axis: str = "z"
-    theta: float = float(np.pi / 4.0)
-    pair: tuple[int, int] = (1, 4)
-    momentum: tuple[float, float, float] = (0.0, 0.0, 0.8)
-    steps: int = 1000
-    t_max: float | None = None
-    samples: int = 10000
-    out: str | None = None
-    timeseries: str | None = None
+    suite: str = _option(check=_such(SUITES.__contains__, f"one of {SUITES}"))
+    trials: int = _option(100, _at_least(1), flag=("--trials", int), reads=_VERIFY)
+    seed: int = _option(42, _at_least(0, check=_int), flag=("--seed", int),
+                        reads=_VERIFY | {"poynting"})
+    tolerance: float | None = _option(None, _such(lambda v: 0.0 < v < np.inf,
+                                                  "positive and finite", _real),
+                                      flag=("--tol", float))
+    generator: str = _option("both", _such(GENERATORS.__contains__, f"one of {GENERATORS}"),
+                             "family", flag=("--generator", GENERATORS),
+                             reads=_FAMILY - {"verify su3"})  # su3 is always Gell-Mann
+    hbar: float = _option(1.0, _real, "family", reads=_EVERY - {"verify su3"})
+    c: float = _option(1.0, _real, "family")
+    coupling: float = _option(0.1, _real, "family", flag=("--coupling", float), reads=_FAMILY)
+    k: tuple[float, float, float] | None = _option(None, _vector, "family", reads=_FAMILY)
+    R: tuple[tuple[float, float, float], ...] | None = _option(
+        None, lambda name, val: tuple(_vector(name, v) for v in val), "family", reads=_FAMILY)
+    velocity: float = _option(0.5, _real, "boost", reads={"verify boost"},
+                              flag=("--velocity", float, "boost speed in units of c"))
+    # boost_matrix checks the axis, below, and takes 0, 1 and 2 as well
+    boost_axis: str = _option("z", None, "boost", key="axis", reads={"verify boost"})
+    theta: float = _option(float(np.pi / 4.0), _real, "zitter", flag=("--theta", float),
+                           reads={"zitter"})
+    pair: tuple[int, int] = _option((1, 4), _PAIR, "zitter", flag=("--pair", _comma(int, 2)),
+                                    reads={"zitter"})
+    momentum: tuple[float, float, float] = _option(
+        (0.0, 0.0, 0.8), _vector, "zitter", flag=("--momentum", _comma(float, 3), "px,py,pz"),
+        reads={"zitter"})
+    steps: int = _option(1000, _at_least(0), "zitter", flag=("--steps", int),
+                         reads={"zitter", "poynting"})
+    t_max: float | None = _option(None, _such(np.isfinite, "finite", _real), "zitter",
+                                  reads={"zitter"})
+    samples: int = _option(10000, _at_least(5, " (exact flux quadrature)"), "poynting",
+                           flag=("--samples", int), reads={"verify poynting", "poynting"})
+    out: str | None = _option(None, _PATH, "output", key="report",
+                              flag=("--out", str, "report / time-series output path"))
+    timeseries: str | None = _option(None, _PATH, "output", reads={"zitter", "poynting"},
+                                     flag=("--timeseries", str, "CSV time-series output path"))
 
     def __post_init__(self):
-        if self.suite not in SUITES:
-            raise ConfigError(f"unknown suite {self.suite!r}; pick one of {SUITES}")
-        try:
-            for name in ("k", "momentum"):
-                if getattr(self, name) is not None:
-                    setattr(self, name, tuple(float(_real(f"{name} entry", v))
-                                              for v in getattr(self, name)))
-            if self.R is not None:
-                self.R = tuple(tuple(float(_real("R entry", x)) for x in row) for row in self.R)
-            self.pair = tuple(self.pair)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
-        if len(self.pair) != 2:
-            raise ConfigError(f"pair must be two integers, got {self.pair!r}")
-        counts = [(name, getattr(self, name)) for name in ("trials", "seed", "steps", "samples")]
-        for name, val in counts + [("pair entry", v) for v in self.pair]:
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {val!r}")
-        for name in ("tolerance", "hbar", "c", "coupling", "velocity", "theta", "t_max"):
-            if getattr(self, name) is not None:
-                _real(name, getattr(self, name))
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.tolerance is not None and not 0.0 < self.tolerance < np.inf:
-            raise ConfigError("tolerance must be positive and finite")
-        if self.generator not in ("both", "su2_spin_half", "su2_spin_one",
-                                  "su3_gellmann"):
-            raise ConfigError(f"unknown generator kind {self.generator!r}")
-        if self.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if self.samples < 5:
-            raise ConfigError("samples must be >= 5 (exact flux quadrature)")
-        if self.t_max is not None and not np.isfinite(self.t_max):
-            raise ConfigError("t_max must be finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        for f in dataclass_fields(self):
+            val, check = getattr(self, f.name), f.metadata["option"].check
+            try:
+                if check and (val is not None or f.default is not None):
+                    setattr(self, f.name, check(f.name, val))
+            except TypeError as exc:  # k, momentum, pair or R is no sequence
+                raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
         # the program's own constructors hold the rules; building what the
         # run will build turns a bad value into a config error up front
         try:
-            DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c).states
+            self.dirac.states
             axis = boost_matrix(self.velocity * self.c, c=self.c, axis=self.boost_axis).axis
             SuperpositionSpec(self.theta, self.pair)
             if self.suite != "zitter":
@@ -178,32 +227,27 @@ class RunConfig:
         # the report names the axis one way, whether it was given as 2 or z
         self.boost_axis = "xyz"[axis]
 
+    @cached_property
+    def dirac(self) -> DiracContext:
+        """The Dirac context of momentum, hbar and c, built once for the check and the export."""
+        return DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c)
+
     @property
     def tol(self) -> float:
         return SUITE_TOL[self.suite] if self.tolerance is None else self.tolerance
 
     def canonical(self) -> dict:
-        # output paths are run metadata, not verification inputs; leaving
-        # them out keeps report bodies byte-identical across reruns
-        out = {}
-        for f in dataclass_fields(self):
-            if f.name in ("out", "timeseries"):
-                continue
-            val = getattr(self, f.name)
-            if isinstance(val, tuple):
-                val = list(list(v) if isinstance(v, tuple) else v for v in val)
-            out[f.name] = val
-        return out
+        """The options as JSON values, but for the output section: paths are
+        run metadata, so leaving them out keeps reruns byte-identical."""
+        def plain(val):
+            return [plain(v) for v in val] if isinstance(val, tuple) else val
+        return {f.name: plain(getattr(self, f.name)) for f in dataclass_fields(self)
+                if f.metadata["option"].section != "output"}
 
 
-_SECTION_KEYS = {
-    "family": ("generator", "hbar", "c", "coupling", "k", "R"),
-    "boost": ("velocity", "boost_axis"),
-    "zitter": ("theta", "pair", "momentum", "steps", "t_max"),
-    "poynting": ("samples",),
-    "output": ("out", "timeseries"),
-}
-_TOP_KEYS = ("suite", "trials", "seed", "tolerance")
+OPTIONS = {f.name: f.metadata["option"] for f in dataclass_fields(RunConfig)}
+# (section, key) -> option name; in its section an option's own name is a key too
+_KEYS = {(o.section, key): name for name, o in OPTIONS.items() for key in {name, o.key or name}}
 
 
 def config_from_file(path: str, overrides: dict | None = None,
@@ -229,31 +273,21 @@ def config_from_file(path: str, overrides: dict | None = None,
         raise ConfigError("config root must be a mapping")
     flat: dict = {}
     for key, val in raw.items():
-        if key in _TOP_KEYS:
-            flat[key] = val
-        elif key in _SECTION_KEYS:
+        if (None, key) in _KEYS:
+            flat[_KEYS[None, key]] = val
+        elif key in {o.section for o in OPTIONS.values()} - {None}:
             if not isinstance(val, dict):
                 raise ConfigError(f"section {key!r} must be a mapping")
             for sub, subval in val.items():
-                if sub == "axis" and key == "boost":
-                    sub = "boost_axis"
-                if sub == "report" and key == "output":
-                    sub = "out"
-                if sub not in _SECTION_KEYS[key]:
+                if (key, sub) not in _KEYS:
                     raise ConfigError(f"unknown key {key}.{sub}")
-                flat[sub] = subval
+                flat[_KEYS[key, sub]] = subval
         else:
             raise ConfigError(f"unknown top-level key {key!r}")
-    if overrides:
-        flat.update(overrides)
-    if "suite" not in flat:
-        if fallback_suite is None:
-            raise ConfigError("config must name a suite")
-        flat["suite"] = fallback_suite
-    try:
-        return RunConfig(**flat)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    flat.update(overrides or {})
+    if flat.setdefault("suite", fallback_suite) is None:
+        raise ConfigError("config must name a suite")
+    return RunConfig(**flat)  # every key is an option's name
 
 
 # --- trial plumbing ------------------------------------------------------------
@@ -514,7 +548,7 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.nda
     and the deviation are evaluated SERIES_BLOCK times at a time, so no
     temporary grows with the series.
     """
-    ctx = DiracContext(p=np.array(cfg.momentum), hbar=cfg.hbar, c=cfg.c)
+    ctx = cfg.dirac
     spec = SuperpositionSpec(cfg.theta, cfg.pair)
     spin_like = cfg.pair in ((1, 4), (2, 3))
     t_max = cfg.t_max if cfg.t_max is not None else np.pi * ctx.hbar / ctx.energy
@@ -555,82 +589,9 @@ def write_timeseries(header: list[str], rows, path: str | None):
     _write(path, emit)
 
 
-# --- argument parsing --------------------------------------------------------------
+# --- commands ------------------------------------------------------------------------
 
-def _momentum(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("momentum must be px,py,pz")
-    return tuple(float(p) for p in parts)
-
-
-def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("pair must be i,j")
-    return tuple(int(p) for p in parts)
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML config file")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, dest="tolerance")
-    p.add_argument("--out", help="report / time-series output path")
-    p.add_argument("--generator",
-                   choices=("both", "su2_spin_half", "su2_spin_one", "su3_gellmann"))
-    p.add_argument("--coupling", type=float)
-    p.add_argument("--velocity", type=float, help="boost speed in units of c")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--pair", type=_pair)
-    p.add_argument("--momentum", type=_momentum, help="px,py,pz")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--timeseries", help="CSV output path for time series")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as a ConfigError (one line, exit 2)."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="amwave",
-        description="verify operator-valued plane-wave solutions and their "
-                    "source model")
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a randomized verification suite")
-    verify.add_argument("suite", choices=SUITES)
-    _add_common(verify)
-    for name, suite, descr in (
-        ("zitter", None, "export a trembling-motion time series"),
-        ("poynting", None, "export the flux quadrature decomposition"),
-        ("boost", "boost", "verify boosted-frame field equations (verify boost)"),
-        ("su3-constants", "su3", "check the SU(3) structure constants (verify su3)"),
-    ):
-        p = sub.add_parser(name, help=descr)
-        p.set_defaults(suite=suite)
-        _add_common(p)
-    return parser
-
-
-def _collect_config(args: argparse.Namespace, suite: str) -> RunConfig:
-    overrides = {name: val for name, val in vars(args).items()
-                 if name not in ("command", "suite", "config") and val is not None}
-    if args.config:
-        cfg = config_from_file(args.config, overrides, fallback_suite=suite)
-        if cfg.suite != suite:
-            raise ConfigError(
-                f"config names suite {cfg.suite!r} but the command asked for {suite!r}")
-        return cfg
-    return RunConfig(suite=suite, **overrides)
-
-
-def _cmd_verify(args) -> int:
-    cfg = _collect_config(args, args.suite)
+def _cmd_verify(cfg: RunConfig) -> int:
     report = run_suite(cfg)
     write_report(report, cfg.out)
     failed = report["summary"]["failed"]
@@ -638,28 +599,24 @@ def _cmd_verify(args) -> int:
     if failed:
         names = [it["name"] for it in report["items"] if not it["pass"]]
         preview = ", ".join(names[:8]) + ("..." if len(names) > 8 else "")
-        print(f"FAIL {cfg.suite}: {failed}/{total} items failed ({preview})",
-              file=sys.stderr)
+        print(f"FAIL {cfg.suite}: {failed}/{total} items failed ({preview})", file=sys.stderr)
         return EXIT_FAIL
     print(f"PASS {cfg.suite}: {total} items", file=sys.stderr)
     return EXIT_PASS
 
 
-def _cmd_zitter(args) -> int:
-    cfg = _collect_config(args, "zitter")
+def _cmd_zitter(cfg: RunConfig) -> int:
     header, rows, dev = zitter_timeseries(cfg)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
     worst = float(dev.max()) if dev.size else 0.0  # a NaN deviation propagates
     if not worst <= cfg.tol:
         print(f"FAIL zitter: max |numeric - closed| = {worst:.3e}", file=sys.stderr)
         return EXIT_FAIL
-    print(f"PASS zitter: {len(rows)} samples, max deviation {worst:.3e}",
-          file=sys.stderr)
+    print(f"PASS zitter: {len(rows)} samples, max deviation {worst:.3e}", file=sys.stderr)
     return EXIT_PASS
 
 
-def _cmd_poynting(args) -> int:
-    cfg = _collect_config(args, "poynting")
+def _cmd_poynting(cfg: RunConfig) -> int:
     fam = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)]).trial(0)
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
@@ -671,13 +628,52 @@ def _cmd_poynting(args) -> int:
     return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
 
 
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "zitter": _cmd_zitter,
-    "poynting": _cmd_poynting,
-    "boost": _cmd_verify,
-    "su3-constants": _cmd_verify,
-}
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a ConfigError (one line, exit 2)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="amwave", description="verify operator-valued plane-wave "
+                                                "solutions and their source model")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, suite, run, descr in (
+        ("verify", None, _cmd_verify, "run a randomized verification suite"),
+        ("zitter", None, _cmd_zitter, "export a trembling-motion time series"),
+        ("poynting", None, _cmd_poynting, "export the flux quadrature decomposition"),
+        ("boost", "boost", _cmd_verify, "verify boosted-frame field equations (verify boost)"),
+        ("su3-constants", "su3", _cmd_verify, "check the SU(3) structure constants (verify su3)"),
+    ):
+        p = sub.add_parser(name, help=descr)
+        if name == "verify":
+            p.add_argument("suite", choices=SUITES)
+        p.set_defaults(suite=suite, run=run)
+        p.add_argument("--config", help="YAML config file")
+        for dest, opt in OPTIONS.items():
+            if opt.flag:
+                flag, parse, *help = opt.flag
+                kind = {"choices": parse} if isinstance(parse, tuple) else {"type": parse}
+                p.add_argument(flag, dest=dest, help=help[0] if help else None, **kind)
+    return parser
+
+
+def _collect_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, if any, under the flags given: all checked, then
+    a flag that the command does not read refused, so no flag is silently ignored."""
+    suite = args.suite or args.command  # an export runs as its suite
+    given = {name: val for name, val in vars(args).items()
+             if name in OPTIONS and name != "suite" and val is not None}
+    cfg = (config_from_file(args.config, given, fallback_suite=suite) if args.config
+           else RunConfig(suite=suite, **given))
+    if cfg.suite != suite:
+        raise ConfigError(f"config names suite {cfg.suite!r} but the command asked for {suite!r}")
+    command = f"verify {args.suite}" if args.suite else args.command
+    for name in given:
+        if command not in OPTIONS[name].reads:
+            raise ConfigError(f"{command} does not read {OPTIONS[name].flag[0]}")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -686,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow is reported once, by the checks on amplitudes and
         # residuals, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            return args.run(_collect_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

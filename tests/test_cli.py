@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -21,9 +23,11 @@ from amwave.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    OPTIONS,
     SUITES,
     ConfigError,
     RunConfig,
+    build_parser,
     config_from_file,
     main,
     run_suite,
@@ -109,7 +113,8 @@ def assert_one_config_error(code, err):
                                   "--momentum=0,0,7e-34", "--momentum=0,0,1e-3",
                                   "--momentum=1e200,0,1e200",
                                   "--momentum=nan,0,0.8", "--theta=inf",
-                                  "--samples=4"])
+                                  "--samples=4", f"--trials={10**29}", f"--steps={2**63}",
+                                  f"--samples={10**23}"])
 def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
     code, err = run_main([*command, flag, "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
@@ -204,14 +209,45 @@ _R = st.one_of(
     st.lists(st.lists(_FLOAT, min_size=3, max_size=3), min_size=3, max_size=5))
 
 
-# the config section of each count, and values for it: small integers, and
-# floats and bools, which are no counts
-_COUNT_SECTIONS = {"trials": None, "seed": None, "steps": "zitter", "samples": "poynting"}
+# counts, and values for them: small integers, and floats and bools,
+# which are no counts
+_COUNTS = ("samples", "seed", "steps", "trials")
 _COUNT = st.one_of(st.integers(0, 3), st.floats(-1.0, 50.0, allow_nan=False), st.booleans())
 # boost.axis values: the axis names and ints, and values equal to an int
 # (1.0, True) or none at all, which are no axis
 _AXES = ("x", "y", "z", 0, 1, 2)
 _AXIS = st.sampled_from(_AXES + (1.0, 2.5, True, "w"))
+_BY_FLAG = {o.flag[0]: name for name, o in OPTIONS.items() if o.flag}
+
+
+def flag_values(tmp_path):
+    """A valid value for every flag; the paths are in tmp_path."""
+    return {"--config": config_file(tmp_path / "empty.yaml", {}), "--trials": "1",
+            "--seed": "3", "--tol": "1e-9", "--out": str(tmp_path / "out"),
+            "--generator": "su2_spin_one", "--coupling": "0.2", "--velocity": "0.3",
+            "--theta": "0.4", "--pair": "1,3", "--momentum": "0,0,0.8", "--steps": "3",
+            "--samples": "7", "--timeseries": str(tmp_path / "series.csv")}
+
+
+def reader(command):
+    """The name the options table's ``reads`` column gives a command."""
+    return {"boost": "verify boost", "su3-constants": "verify su3"}.get(command[0],
+                                                                         " ".join(command))
+
+
+def as_flag(name, val):
+    text = ",".join(map(repr, val)) if isinstance(val, list) else repr(val)
+    return f"{OPTIONS[name].flag[0]}={text}"
+
+
+def config_file(path, values: dict):
+    """A YAML config holding each value under its option's section and key."""
+    config = {}
+    for name, val in values.items():
+        opt = OPTIONS[name]
+        (config.setdefault(opt.section, {}) if opt.section else config)[opt.key or name] = val
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
 
 
 @settings(max_examples=100, deadline=None,
@@ -224,32 +260,36 @@ _AXIS = st.sampled_from(_AXES + (1.0, 2.5, True, "w"))
        momentum=_VEC, k=st.none() | _VEC, R=st.none() | _R,
        coupling=st.sampled_from([0.1, 0.0, -2.0, float("nan"), float("inf")]),
        samples=st.integers(1, 48), in_yaml=st.booleans(),
-       count=st.none() | st.tuples(st.sampled_from(sorted(_COUNT_SECTIONS)), _COUNT),
-       axis=st.none() | _AXIS)
+       count=st.none() | st.tuples(st.sampled_from(_COUNTS), _COUNT),
+       axis=st.none() | _AXIS, unread=st.none() | st.sampled_from(sorted(_BY_FLAG)))
 def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
-                                coupling, samples, in_yaml, count, axis):
-    family = {key: val for key, val in (("k", k), ("R", R)) if val is not None}
-    config = {"family": family}
-    boost = {} if axis is None else {"axis": axis}
-    counts = {"trials": 1, "samples": samples, "steps": 4}
-    if in_yaml:
-        boost["velocity"] = velocity
-        config["zitter"] = {"pair": list(pair), "momentum": list(momentum)}
-    if boost:
-        config["boost"] = boost
+                                coupling, samples, in_yaml, count, axis, unread):
+    # each command gets only the flags it reads; the other values go in the
+    # config file, which takes every key
+    in_file = {name: val for name, val in (("k", k), ("R", R), ("boost_axis", axis))
+               if val is not None}
+    flagged = {"trials": 1, "samples": samples, "steps": 4, "coupling": coupling}
+    (in_file if in_yaml else flagged).update(
+        velocity=velocity, pair=list(pair), momentum=list(momentum))
     if count is not None:  # given in the config file, so no flag overrides it
         name, val = count
-        counts.pop(name, None)
-        section = _COUNT_SECTIONS[name]
-        (config.setdefault(section, {}) if section else config)[name] = val
-    flags = [f"--{name}={val}" for name, val in counts.items()] + [f"--coupling={coupling!r}"]
-    if not in_yaml:
-        flags += [f"--velocity={velocity!r}", "--pair={},{}".format(*pair),
-                  "--momentum=" + ",".join(repr(x) for x in momentum)]
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(config))
-    code, err = run_main([*command, *flags, "--config", str(path),
-                          "--out", str(tmp_path / "out")])
+        flagged.pop(name, None)
+        in_file[name] = val
+    for name in list(flagged):
+        if reader(command) not in OPTIONS[name].reads:
+            in_file[name] = flagged.pop(name)
+    flags = [as_flag(name, val) for name, val in flagged.items()]
+    # and, where drawn, one flag the command does not read, but not the
+    # count's, whose config-file value it would override
+    if unread is not None and (reader(command) in OPTIONS[_BY_FLAG[unread]].reads
+                               or count is not None and _BY_FLAG[unread] == count[0]):
+        unread = None
+    if unread is not None:
+        flags.append(f"{unread}={flag_values(tmp_path)[unread]}")
+    out, series = tmp_path / "out", tmp_path / "series.csv"
+    out.unlink(missing_ok=True)
+    config = config_file(tmp_path / "cfg.yaml", in_file)
+    code, err = run_main([*command, *flags, "--config", config, "--out", str(out)])
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
     assert not any("Traceback" in line for line in err)
     valid_axis = axis is None or (axis in _AXES and type(axis) in (int, str))
@@ -258,13 +298,107 @@ def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, 
     if count is not None and type(count[1]) is not int:
         assert_one_config_error(code, err)
         assert f"{count[0]} must be an integer" in err[0]
+    if unread is not None:
+        assert_one_config_error(code, err)
+        assert not out.exists() and not series.exists()
+
+
+# every command by the name the reads column gives it, and a changed value
+# for each option, valid for every command that does not read it
+_READERS = [["verify", s] for s in SUITES] + [["zitter"], ["poynting"]]
+_CHANGED = {"trials": 3, "seed": 8, "generator": "su2_spin_one", "hbar": 0.5,
+            "coupling": 0.3, "k": [0.0, 0.6, 0.8],
+            "R": [[0.2, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1]],
+            "velocity": 0.3, "boost_axis": "x", "theta": 0.3, "pair": [2, 3],
+            "momentum": [0.3, -0.4, 0.9], "steps": 7, "t_max": 2.0, "samples": 7}
+
+
+@pytest.mark.parametrize("command", _READERS, ids=" ".join)
+def test_an_option_a_command_does_not_read_leaves_its_output_unchanged(tmp_path, command):
+    # so a flag refused as unread could never have mattered
+    out, series = tmp_path / "out", tmp_path / "series.csv"
+    changed = {**_CHANGED, "timeseries": str(series)}
+
+    def output(values):
+        code, err = run_main([*command, "--config", config_file(tmp_path / "cfg.yaml", values),
+                              "--out", str(out)])
+        assert code != EXIT_USAGE, err
+        if command[0] != "verify":
+            return code, err, out.read_bytes()
+        report = read_json(out)
+        return code, err, report["items"], report["summary"]
+
+    base = {"trials": 2, "steps": 4, "samples": 6}
+    want = output(base)
+    unread = [name for name, opt in OPTIONS.items() if reader(command) not in opt.reads]
+    assert unread
+    for name in unread:
+        assert output({**base, name: changed[name]}) == want, name
+    assert not series.exists()
+
+
+def readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_lists_the_flags_each_command_reads(tmp_path):
+    text = readme().split("\n## CLI\n", 1)[1]
+    listed = re.findall(r"`(--[a-z]+)", text.split("Flags:", 1)[1].split("\n\n", 1)[0])
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        flags = [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert sorted(flags) == sorted(listed), name
+    # the table: each command runs with every flag its row names, and
+    # refuses each other flag as one it does not read
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("| `"):
+            cells = line.split("|")
+            for command in re.findall(r"`([^`]+)`", cells[1]):
+                rows[command] = re.findall(r"`(--[a-z]+)`", cells[2])
+    assert sorted(rows) == sorted([" ".join(c) for c in _READERS] + ["boost", "su3-constants"])
+    values = flag_values(tmp_path)
+    for command, reads in rows.items():
+        argv = command.split()
+        code, err = run_main([*argv, *(f"{f}={values[f]}" for f in reads)])
+        assert code != EXIT_USAGE, (command, err)
+        for flag in sorted(set(listed) - set(reads)):
+            code, err = run_main([*argv, f"{flag}={values[flag]}"])
+            assert_one_config_error(code, err)
+            assert err[0] == f"config error: {reader(argv)} does not read {flag}", err
+
+
+def test_readme_config_example_is_the_same_keyword_arguments(tmp_path):
+    example = readme().split("### Config file", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(example)
+    assert config_from_file(str(path)) == RunConfig(
+        suite="wca", trials=100, seed=42, tolerance=1e-12, generator="both", hbar=1.0, c=1.0,
+        coupling=0.1, k=(0.0, 0.0, 1.0), R=((0, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 1)),
+        velocity=0.5, boost_axis="z", theta=0.7853981633974483, pair=(1, 4),
+        momentum=(0.0, 0.0, 0.8), steps=1000, t_max=None, samples=10000,
+        out="out/report.json", timeseries="out/series.csv")
+
+
+def test_a_zitter_export_builds_one_dirac_context(monkeypatch, tmp_path):
+    built = []
+    post_init = DiracContext.__post_init__
+    monkeypatch.setattr(DiracContext, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert main(["zitter", "--steps", "4", "--out", str(tmp_path / "z.csv")]) == EXIT_PASS
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("config", [{"trials": 2.5}, {"trials": True}, {"seed": 1.5},
                                     {"seed": 2.0}, {"zitter": {"steps": 10.5}},
                                     {"poynting": {"samples": 7.5}},
                                     {"zitter": {"pair": [1.7, 3.2]}},
-                                    {"zitter": {"pair": [True, 3]}}])
+                                    {"zitter": {"pair": [True, 3]}},
+                                    # too many to allocate
+                                    {"trials": 10**29}, {"trials": 2**63},
+                                    {"zitter": {"steps": 10**23}},
+                                    {"poynting": {"samples": 10**23}}])
 def test_non_integer_counts_are_config_errors(tmp_path, config):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(config))
@@ -290,6 +424,10 @@ def test_non_integer_counts_are_config_errors(tmp_path, config):
     ({"family": {"k": [0, 0, 1], "R": [[0, 0, 0], ["1", 0, 0], [0, 0, 0], [0, 0, 0]]}},
      "R entry"),
     ({"zitter": {"momentum": [0, 0, True]}}, "momentum entry"),
+    ({"family": {"hbar": None}}, "hbar"),
+    # integers beyond the float range
+    ({"family": {"hbar": 10**400}}, "hbar"), ({"tolerance": -10**400}, "tolerance"),
+    ({"zitter": {"t_max": 10**400}}, "t_max"),
 ])
 def test_non_real_values_are_config_errors(tmp_path, config, name):
     path = tmp_path / "cfg.yaml"
@@ -306,6 +444,19 @@ def test_non_real_values_are_config_errors(tmp_path, config, name):
     for suite in ("wca", "zitter", "poynting"):
         with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
             RunConfig(suite=suite, **flat)
+
+
+@pytest.mark.parametrize("config, name", [({"output": {"report": 5}}, "out"),
+                                          ({"output": {"timeseries": 7}}, "timeseries"),
+                                          ({"output": {"report": [1]}}, "out")])
+def test_non_string_paths_are_config_errors(tmp_path, config, name):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for argv in (["verify", "wca"], ["zitter"], ["poynting"]):
+        code, err = run_main([*argv, "--config", str(path)])
+        assert_one_config_error(code, err)
+        assert err[0].startswith(f"config error: {name} must be a path"), err[0]
+    assert os.listdir(tmp_path) == ["cfg.yaml"]
 
 
 @pytest.mark.parametrize("plain, dotted", [
@@ -363,8 +514,8 @@ def test_overflowing_family_is_config_error(tmp_path, argv):
     path.write_text(yaml.safe_dump({"family": {
         "generator": "su2_spin_half", "k": [0, 0, 1],
         "R": [[0, 0, 0], [1e200, 0, 0], [0, 0, 0], [0, 0, 1e200]]}}))
-    code, err = run_main([*argv, "--samples", "20", "--config", str(path),
-                          "--out", str(tmp_path / "out")])
+    code, err = run_main([*argv, *(["--samples", "20"] if "poynting" in argv else []),
+                          "--config", str(path), "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
     assert "not finite" in err[0] or "must be finite" in err[0]
     assert not (tmp_path / "out").exists()
@@ -548,8 +699,8 @@ def test_overflow_error_names_the_same_order_on_every_suite(tmp_path, argv, scal
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"family": {**family, "k": [0, 0, 1.0]}}))
     with np.errstate(over="ignore", invalid="ignore"):
-        code, err = run_main([*argv, "--trials", "2", "--config", str(path),
-                              "--out", str(tmp_path / "out")])
+        code, err = run_main([*argv, *(["--trials", "2"] if argv[0] == "verify" else []),
+                              "--config", str(path), "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
     assert err[0] == f"config error: a value overflowed: amplitude of order {order} is not finite"
     assert not (tmp_path / "out").exists()
