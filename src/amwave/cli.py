@@ -26,7 +26,7 @@ import sys
 import tempfile
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -48,12 +48,12 @@ from .relativity import (
     unitary_exponential,
 )
 from .residuals import (
-    ResidualItem,
     Terms,
     equation_fields,
     equation_residuals,
     field_scale,
     named_residuals,
+    report_item,
 )
 from .zitter import (
     SERIES_BLOCK,
@@ -407,25 +407,25 @@ _TRIALS = {
 }
 
 
-def _su3_constants(tol: float) -> list[ResidualItem]:
+def _su3_constants(tol: float) -> list[dict]:
     """The structure-constant table checks that open the su3 report."""
     gens = make_generators("su3_gellmann")
     f, _ = structure_constants(gens)
-    items = [ResidualItem(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), tol)
+    items = [report_item(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), tol)
              for (a, b, c), want in SU3_F_VALUES.items()]
     anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
-    items.append(ResidualItem("f_antisymmetry", anti, tol))
+    items.append(report_item("f_antisymmetry", anti, tol))
     listed = np.zeros_like(f, dtype=bool)
     for (a, b, c) in SU3_F_VALUES:
         for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
             listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
     stray = float(np.abs(f[~listed]).max())
-    items.append(ResidualItem("f_unlisted_vanish", stray, tol))
+    items.append(report_item("f_unlisted_vanish", stray, tol))
     return items
 
 
-def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
-    """Every trial's items, each named trialNNN/<item>, in trial order.
+def _run_trials(cfg: RunConfig) -> list[dict]:
+    """Every trial's report items, each named trialNNN/<item>, in trial order.
 
     The trials of each generator kind run as one group: the group's
     families are drawn as one stack (``_group_families``), each trial from
@@ -448,24 +448,24 @@ def _run_trials(cfg: RunConfig) -> list[ResidualItem]:
             terms = Terms.of(fams)
             cols = [col for label in suite for col in equation_residuals(label, terms)]
         for name, residuals, *given in cols:
-            tol = given[0] if given else cfg.tol
+            tol = float(given[0] if given else cfg.tol)
             for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
-                per_trial[i].append(ResidualItem(f"trial{i:03d}/{name}", r, tol))
+                per_trial[i].append(report_item(f"trial{i:03d}/{name}", r, tol))
     return [it for items in per_trial for it in items]
 
 
 def run_suite(cfg: RunConfig) -> dict:
     items = _su3_constants(cfg.tol) if cfg.suite == "su3" else []
     items += _run_trials(cfg)
-    failed = [it for it in items if not it.passed]
+    failed = sum(not it["pass"] for it in items)
     return {
         "suite": cfg.suite,
         "config": cfg.canonical(),
         "rng": "numpy PCG64; trial i uses SeedSequence(seed).spawn(trials)[i]",
-        "items": [it.as_dict() for it in items],
+        "items": items,
         "summary": {
             "total": len(items),
-            "failed": len(failed),
+            "failed": failed,
             "overall_pass": not failed,
         },
     }
@@ -635,7 +635,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no per-call state, and
+    each parse_args makes a fresh Namespace."""
     parser = _Parser(prog="amwave", description="verify operator-valued plane-wave "
                                                 "solutions and their source model")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -688,6 +691,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except NonFiniteValue as exc:
         print(f"config error: a value overflowed: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size that passed its checks but cannot be allocated
+        print("config error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -23,13 +23,12 @@ expression first reads it.  On a stack of waves
 The g- and g^2-graded conditions carry no coupling factor, so pass/fail
 reflects the operator bracket itself rather than the smallness of g; the
 full equations and the w-terms keep their explicit i*g.  The caller holds
-a column to its tolerance (``ResidualItem``).
+a column to its tolerance (``report_item``).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,23 +53,14 @@ from .fields import (
     vdot,
 )
 
-@dataclass(frozen=True)
-class ResidualItem:
-    name: str
-    residual: float
-    tolerance: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
-                "tolerance": self.tolerance, "pass": self.passed}
+def report_item(name: str, residual, tolerance) -> dict:
+    """One item of a report, with Python floats.  A residual is a magnitude:
+    the item passes when |residual| <= tolerance, so a NaN or an infinite
+    residual fails."""
+    residual, tolerance = float(residual), float(tolerance)
+    return {"name": name, "residual": residual, "tolerance": tolerance,
+            "pass": abs(residual) <= tolerance}
 
 
 def field_scale(*fields: HarmonicField):

@@ -39,11 +39,11 @@ from amwave.fields import SolutionFamily, WaveContext, random_family
 from amwave.poynting import amw_flux, em_flux, flux_averages
 from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import (
-    ResidualItem,
     Terms,
     equation_fields,
     equation_residuals,
     named_residuals,
+    report_item,
 )
 from amwave.zitter import (
     DiracContext,
@@ -119,6 +119,45 @@ def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
     code, err = run_main([*command, flag, "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["zitter", "--steps", str(10**15)],
+                                  ["poynting", "--steps", str(10**15)],
+                                  ["verify", "poynting", "--trials", "1",
+                                   "--samples", str(10**15)]])
+def test_a_size_too_large_to_allocate_is_a_config_error(tmp_path, argv):
+    # each fails at its first allocation of the size, which asks for petabytes
+    code, err = run_main([*argv, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0].startswith("config error: out of memory: Unable to allocate"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_shared_parser_leaks_nothing_between_calls():
+    """Each call of main in one process gives the stdout, exit code and
+    stderr of the same argv parsed by a newly built parser."""
+    sequence = [["verify", "wca", "--tol", "1e-3"], ["verify", "wca"],
+                ["zitter", "--steps", "50"], ["verify", "wca", "--steps", "5"],
+                ["verify", "wca", "--trials", "0"],
+                ["verify", "poynting", "--trials", "2", "--samples", "20"]]
+    sequence.append(sequence[0])
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code, err = run_main(argv)
+        return out.getvalue(), code, err
+
+    shared = [run(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for _, code, _ in shared] == [EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_USAGE,
+                                               EXIT_USAGE, EXIT_PASS, EXIT_PASS]
+    tols = {it["tolerance"] for k in (0, 1) for it in json.loads(shared[k][0])["items"]}
+    assert tols == {1e-3, 1e-12}  # the second call's --tol is the default again
 
 
 def test_momentum_errors_name_their_cause():
@@ -818,7 +857,7 @@ def _single_family_items(cfg, fam, rng):
         conj_wca = named_residuals(equation_fields("wca", conj), max(1.0, terms.a.norm))
         cols = [("residual_norm_invariance", drift),
                 ("conjugated_wca", max(r for _, r in conj_wca))]
-    return [ResidualItem(name, r, cfg.tol) for name, r in cols]
+    return [report_item(name, r, cfg.tol) for name, r in cols]
 
 
 def _single_trial_items(cfg, fam, rng):
@@ -939,7 +978,7 @@ def test_batched_suites_equal_a_loop_over_single_families(suite, generator):
                 if kind == "both":
                     kind = ("su2_spin_half", "su2_spin_one")[i % 2]
                 fam = random_family(make_generators(kind), rng, c=cfg.c, g=cfg.coupling)
-                want += [(f"trial{i:03d}/{it.name}", it.residual, it.tolerance)
+                want += [(f"trial{i:03d}/{it['name']}", it["residual"], it["tolerance"])
                          for it in _single_family_items(cfg, fam, rng)]
             got = [(it["name"], it["residual"], it["tolerance"])
                    for it in run_suite(cfg)["items"] if it["name"].startswith("trial")]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,10 @@ from amwave.fields import (
 from amwave.residuals import (
     BRACKETS,
     EQUATIONS,
-    ResidualItem,
     Terms,
     equation_fields,
     equation_residuals,
+    report_item,
 )
 
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
@@ -334,8 +336,23 @@ def test_stacked_columns_equal_each_family_bits():
 
 def test_report_serialization():
     fam = xz_family()
-    items = [ResidualItem(name, r, TOL).as_dict()
-             for name, r in residuals("wca", fam)]
+    items = [report_item(name, r, TOL) for name, r in residuals("wca", fam)]
     assert all(d["pass"] is True for d in items)
     assert len(items) == 6
     assert all(type(d["residual"]) is float for d in items)
+
+
+def test_report_item_holds_the_residual_magnitude_to_the_tolerance():
+    def item(residual, tolerance=TOL):
+        it = report_item("x", residual, tolerance)
+        assert list(it) == ["name", "residual", "tolerance", "pass"]
+        assert type(it["residual"]) is float and type(it["tolerance"]) is float
+        return it
+    for bad in (np.nan, np.inf, -np.inf, 2 * TOL):
+        assert item(bad)["pass"] is False, bad
+    assert item(TOL)["pass"] is True  # equal to the tolerance passes
+    zero = item(-0.0)
+    assert zero["pass"] is True and math.copysign(1.0, zero["residual"]) == -1.0
+    it = item(np.float64(0.5 * TOL), np.float64(TOL))
+    assert it == {"name": "x", "residual": 0.5 * TOL, "tolerance": TOL, "pass": True}
+    assert type(it["pass"]) is bool
