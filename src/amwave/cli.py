@@ -380,12 +380,12 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     weights, rows = {}, []  # the group's trials share their origin weights
     for t in range(len(rngs)):
         fam, fam0 = fams.trial(t), fams0.trial(t)
-        closed = amw_flux(fam).vector
+        closed = amw_flux(fam)
         at_r, at_origin = flux_averages(fam, cfg.samples, (r[t], None), weights)
         scale = max(1.0, operator_norm(closed))
         rows.append((operator_norm(at_r["total"] - closed) / scale,
                      operator_norm(at_origin["mixed"]) / scale,
-                     operator_norm(amw_flux(fam0).vector - em_flux(a01[t], fam0.ctx).vector)))
+                     operator_norm(amw_flux(fam0) - em_flux(a01[t], fam0.ctx))))
     quad, mixed, abelian = zip(*rows)
     return [("quadrature_vs_closed", quad), ("mixed_block_average", mixed, 1e-10),
             ("abelian_equals_em", abelian, 1e-10)]
@@ -432,15 +432,18 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
     its own generator (zitter trials draw none), and the suite runs once
     on that stack.  Whatever a suite draws comes from the same per-trial
     generators after the family, so grouping changes no value."""
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
-    groups: dict[str, list[int]] = {}
-    for i in range(cfg.trials):
-        groups.setdefault(_trial_kind(cfg, i), []).append(i)
-    per_trial = [[] for _ in rngs]
-    for kind, idx in groups.items():
-        group = [rngs[i] for i in idx]
-        fams = None if cfg.suite == "zitter" else _group_families(cfg, kind, group)
+    # the first allocation sized by the trial count, so a count that memory
+    # cannot hold fails here at once; a trial's kind goes by its parity
+    every = np.arange(cfg.trials)
+    step = 1 if _trial_kind(cfg, 0) == _trial_kind(cfg, 1) else 2
+    per_trial = [[] for _ in range(cfg.trials)]
+    for first in range(min(step, cfg.trials)):
+        idx = every[first::step].tolist()
+        # SeedSequence(seed).spawn(trials)[i], without the other trials' children
+        group = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+                 for i in idx]
+        fams = (None if cfg.suite == "zitter"
+                else _group_families(cfg, _trial_kind(cfg, first), group))
         suite = _TRIALS[cfg.suite]
         if callable(suite):
             cols = suite(cfg, fams, group)
@@ -620,7 +623,7 @@ def _cmd_poynting(cfg: RunConfig) -> int:
     fam = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)]).trial(0)
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.out or cfg.timeseries)
-    closed = amw_flux(fam).vector
+    closed = amw_flux(fam)
     quad = flux_quadrature(fam, samples=cfg.samples)
     err = operator_norm(quad - closed) / max(1.0, operator_norm(closed))
     verdict = "PASS" if err <= cfg.tol else "FAIL"  # a NaN error fails

@@ -11,21 +11,19 @@ For the generator-valued waves the closed form is
     S = (c/8 pi) [ (k x tau).(k x tau) - g^2 (tau x tau).(tau x tau) ] khat,
 
 an operator along the propagation direction; the second block equals the
-g^2 hbar^2 (eta.eta) form of the spin-set convention.  The quadrature
-oracle averages the instantaneous flux over one exact period with the
-trapezoid rule (exact up to rounding from 5 nodes on), as one contraction of
-basis cross products with averaged phase weights, and splits it into the
-squared first-harmonic, mixed, and squared second-harmonic blocks (the mixed
-block averages to zero over a full period).
+g^2 hbar^2 (eta.eta) form of the spin-set convention; every flux is a
+(3, d, d) array.  The quadrature oracle averages the instantaneous flux
+over one exact period with the trapezoid rule (exact up to rounding from
+5 nodes on), as one contraction of basis cross products with averaged
+phase weights; ``flux_averages`` splits it into the squared first-harmonic,
+mixed, and squared second-harmonic blocks (the mixed one averages to zero).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import cross, dot, operator_norm
+from .algebra import cross, dot
 from .fields import SolutionFamily, build_fields
 from .zitter import SERIES_BLOCK
 
@@ -34,57 +32,25 @@ class NonTransverseAmplitude(ValueError):
     """Classical wave amplitude with a longitudinal component."""
 
 
-@dataclass(frozen=True, eq=False)
-class FluxResult:
-    """Flux direction (always khat here) and operator-valued magnitude, a
-    (d, d) array.
-
-    ``classical_magnitude`` is filled when the magnitude operator is a
-    multiple of the identity, as in the g = 0 Abelian reduction.
-    """
-
-    direction: np.ndarray
-    magnitude_operator: np.ndarray
-    classical_magnitude: float | None = None
-
-    @property
-    def vector(self) -> np.ndarray:
-        """direction (x) magnitude, shape (3, d, d)."""
-        return np.einsum("i,ab->iab", self.direction, self.magnitude_operator)
-
-
-def _classical_part(op: np.ndarray) -> float | None:
-    """Scalar s with op = s * identity, or None if off-identity content remains."""
-    d = op.shape[0]
-    s = complex(np.trace(op)) / d
-    rest = op - s * np.eye(d)
-    if (operator_norm(rest) <= 1e-12 * max(1.0, operator_norm(op))
-            and abs(s.imag) <= 1e-12 * max(1.0, abs(s))):
-        return float(s.real)
-    return None
-
-
-def em_flux(a01, ctx) -> FluxResult:
-    """Flux (c/8 pi) k^2 |A01|^2 khat of a classical transverse plane wave."""
+def em_flux(a01, ctx) -> np.ndarray:
+    """Flux (c/8 pi) k^2 |A01|^2 khat (x) 1, shape (3, d, d), of a classical plane wave."""
     a01 = np.asarray(a01, dtype=float)
     k, kn = ctx.k, ctx.knorm
     if abs(k @ a01) > 1e-12 * max(1.0, kn * np.sqrt(a01 @ a01)):
         raise NonTransverseAmplitude("amplitude must satisfy k . A01 = 0")
     mag = ctx.c / (8.0 * np.pi) * kn ** 2 * float(a01 @ a01)
-    return FluxResult(direction=ctx.khat,
-                      magnitude_operator=mag * np.eye(ctx.dim, dtype=complex),
-                      classical_magnitude=mag)
+    return np.einsum("i,ab->iab", ctx.khat, mag * np.eye(ctx.dim, dtype=complex))
 
 
-def amw_flux(fam: SolutionFamily) -> FluxResult:
-    """Closed-form time-averaged flux of a generator-valued wave family."""
+def amw_flux(fam: SolutionFamily) -> np.ndarray:
+    """Closed-form time-averaged flux of a generator-valued wave family,
+    shape (3, d, d): khat times the operator magnitude of the module doc."""
     ctx = fam.ctx
     tau = fam.tau
     kxt = cross(ctx.k_lift, tau)
     txt = cross(tau, tau)
     op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
-    return FluxResult(direction=ctx.khat, magnitude_operator=op,
-                      classical_magnitude=_classical_part(op))
+    return np.einsum("i,ab->iab", ctx.khat, op)
 
 
 def _flux_form(fam: SolutionFamily):
@@ -128,9 +94,12 @@ def _trig_pair(orders_e, orders_b, phase: np.ndarray) -> tuple[np.ndarray, np.nd
 def flux_averages(fam: SolutionFamily, samples: int, rs,
                   weights: dict | None = None) -> list[dict[str, np.ndarray]]:
     """Trapezoid averages of (c/4 pi) Re E x Re B over one period at each
-    position in ``rs`` (None is the origin), per block (keys as
-    ``flux_quadrature_blocks``).  One table serves every position: each
-    average is a (2H_E, 2H_B) weight matrix on it, with no sample axis.
+    position in ``rs`` (None is the origin), split into the harmonic
+    blocks, each (3, d, d): 'first' (squared first harmonic), 'mixed' (the
+    order-g cross terms, which average to zero), 'second' (squared second
+    harmonic) and 'total' (the whole average, as ``flux_quadrature``).
+    One table serves every position: each average is a (2H_E, 2H_B) weight
+    matrix on it, with no sample axis.
 
     The weights depend only on the exact k.r (its sign too, for a zero),
     omega, period, N and the orders; ``weights``, a dict a caller may pass
@@ -173,22 +142,9 @@ def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
     return flux_averages(fam, samples, (r,))[0]["total"]
 
 
-def flux_quadrature_blocks(fam: SolutionFamily, samples: int = 10_000,
-                           r=None) -> dict[str, np.ndarray]:
-    """Quadrature average split into the three harmonic blocks.
-
-    Keys: 'first' (squared first harmonic), 'mixed' (the order-g cross
-    terms, which average to zero), 'second' (squared second harmonic),
-    'total' (the whole average, as ``flux_quadrature``), each (3, d, d).
-    ``samples`` as in ``flux_quadrature``: exact from 5, aliased below,
-    < 1 raises.
-    """
-    return flux_averages(fam, samples, (r,))[0]
-
-
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
     """Instantaneous flux along khat at r = 0 and each time in ``ts``, per
-    harmonic block (keys as ``flux_quadrature_blocks``): the identity part
+    harmonic block (keys as ``flux_averages``): the identity part
     tr(.)/d of khat . (c/4 pi) Re E x Re B, as c_E(t)^T S c_B(t),
     evaluated SERIES_BLOCK times at a time so its temporaries stay bounded."""
     ctx = fam.ctx

@@ -2,13 +2,13 @@
 constant-gauge conjugation.
 
 Index bookkeeping follows the numeric convention that contravariant
-four-vectors and both tensor slots transform with the boost matrix C,
-while the covariant transformation uses its explicit inverse (C itself is
-symmetric for an axis boost, so no transposes hide anywhere).  A plane
-wave stays a plane wave under a boost: the per-harmonic tensor amplitudes
-transform with C on both indices and the wave four-vector with C once,
-which makes the boosted-frame equation check exact termwise algebra
-rather than a grid computation.
+four-vectors and both tensor slots transform with the boost matrix C (C
+is symmetric for an axis boost, so no transposes hide anywhere); indices
+are lowered with the diagonal metric.  A plane wave stays a plane wave
+under a boost: the per-harmonic tensor amplitudes transform with C on
+both indices and the wave four-vector with C once, which makes the
+boosted-frame equation check exact termwise algebra rather than a grid
+computation.
 """
 
 from __future__ import annotations
@@ -41,13 +41,12 @@ class NonUnitary(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BoostMatrix:
-    """Lorentz boost along one coordinate axis with its explicit inverse."""
+    """Lorentz boost along one coordinate axis: the (4, 4) matrix C and
+    the c it was built with."""
 
-    velocity: float
     c: float
     axis: int
     matrix: np.ndarray
-    inverse: np.ndarray
 
 
 def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostMatrix:
@@ -78,9 +77,7 @@ def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostM
         # swap the boosted spatial coordinate with z
         i, j = 1 + axis, 3
         perm[[i, j]] = perm[[j, i]]
-    mat = perm @ axis_boost(beta) @ perm.T
-    inv = perm @ axis_boost(-beta) @ perm.T
-    return BoostMatrix(velocity=velocity, c=c, axis=axis, matrix=mat, inverse=inv)
+    return BoostMatrix(c=c, axis=axis, matrix=perm @ axis_boost(beta) @ perm.T)
 
 
 def assemble_tensor(b: np.ndarray, e: np.ndarray) -> np.ndarray:

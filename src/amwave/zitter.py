@@ -2,20 +2,20 @@
 position/spin trembling-motion operators with their closed forms.
 
 Everything is plain 4x4 matrix algebra at a fixed momentum.  The evolution
-factor exp(-2iHt/hbar) is computed by spectral decomposition of the
-Hermitian Hamiltonian (exact and stable for any t), never by series.
+factor exp(-2iHt/hbar) inside Z_r(t) is computed by spectral decomposition
+of the Hermitian Hamiltonian (exact and stable for any t), never by series.
 
 The Dirac matrices are read-only module constants.  Everything that depends
-only on the momentum (|p|, E_p, phat, H, eigh(H), H^-1 and the four
-eigenstates) is computed once per ``DiracContext`` and cached read-only on
-it.  A context holds one momentum, or the momenta of T trials on a leading
-axis; then each cached value is a per-trial stack, and the operator
-stacks, expectations and closed forms take one time (and one mixing
-angle) per trial.  Each trial of a stack gets the bits its own context
-would give it.  A time series on one context is one stacked contraction
-over a leading t axis, evaluated ``SERIES_BLOCK`` times at a time so its
-temporaries stay bounded; the one-time functions are one-row views of the
-same kernel and give the same bits.
+only on the momentum (|p|, E_p, phat, H as ``hmat``, eigh(H), H^-1 and the
+four eigenstates as ``states``) is computed once per ``DiracContext`` and
+cached read-only on it.  A context holds one momentum, or the momenta of T
+trials on a leading axis; then each cached value is a per-trial stack, and
+the operator stacks, expectations and closed forms take one time (and one
+mixing angle) per trial.  Each trial of a stack gets the bits its own
+context would give it.  Z_r(t) and Z_s(t) come from one stacked kernel
+over a leading t axis (``operator_stacks``); a time series contracts it
+``SERIES_BLOCK`` times at a time so its temporaries stay bounded
+(``zitter_expectation_series``), and one time is a one-row series.
 
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PAULI, readonly
-from .fields import _dots, _unchecked, square
+from .fields import _dots, square
 
 POLAR_EPS = 1e-10
 
@@ -181,12 +181,18 @@ class DiracContext:
         ], axis=-3))
 
     @functools.cached_property
-    def states(self) -> tuple[DiracState, ...]:
-        """The four closed-form eigenstates; see ``eigenstates``.  A polar
-        momentum raises on every access, since nothing is cached then, and
-        so does a small |p| (below about 1e-2 m c) at which u_minus =
-        sqrt(E - m c^2) cancels so far that the states miss unit norm; in a
-        stack, any trial's momentum does."""
+    def states(self) -> np.ndarray:
+        """The four closed-form common eigenstates of energy and helicity,
+        one read-only amplitude stack: (4, 4), or (4, T, 4) on a stack.
+
+        Ordered (+E,+), (+E,-), (-E,+), (-E,-), so state j has energy sign
+        +1 for j < 2 and helicity +hbar/2 for even j.  Each is normalized
+        to unit norm; the shared closed-form prefactor is
+        1/sqrt(4 E_p p (p + p_z)).  A polar momentum raises on every
+        access, since nothing is cached then, and so does a small |p|
+        (below about 1e-2 m c) at which u_minus = sqrt(E - m c^2) cancels
+        so far that the states miss unit norm; in a stack, any trial's
+        momentum does."""
         self.check_polar()
         p, pz = self.pnorm, self.p[..., 2]
         up, um, cp = self.u_plus, self.u_minus, self.c * p
@@ -202,24 +208,12 @@ class DiracContext:
         if off.any():
             first = np.asarray(p).reshape(-1)[np.flatnonzero(off)[0]]
             raise PolarSingularity(f"|p| = {first:.3g} is too small: E - m c^2 cancels")
-        hb2 = 0.5 * self.hbar
-        return tuple(_unchecked(DiracState, amplitudes=a, energy_sign=sign, helicity=hel)
-                     for a, (sign, hel) in
-                     zip(amps, ((+1, +hb2), (+1, -hb2), (-1, +hb2), (-1, -hb2))))
-
-
-def hamiltonian(ctx: DiracContext) -> np.ndarray:
-    """H = c alpha.p + beta m c^2, the context's cached read-only (4, 4) array."""
-    return ctx.hmat
-
-
-def _helicity(ctx: DiracContext) -> np.ndarray:
-    return 0.5 * ctx.hbar * np.einsum("...i,iab->...ab", ctx.phat, SIGMA)
+        return amps
 
 
 def helicity_operator(ctx: DiracContext) -> np.ndarray:
-    """Lambda = S.phat with S = (hbar/2) Sigma."""
-    return readonly(_helicity(ctx))
+    """Lambda = S.phat with S = (hbar/2) Sigma, read-only."""
+    return readonly(0.5 * ctx.hbar * np.einsum("...i,iab->...ab", ctx.phat, SIGMA))
 
 
 def _norms(amp: np.ndarray) -> np.ndarray:
@@ -232,35 +226,6 @@ def _off_unit_norm(amp: np.ndarray) -> np.ndarray:
     """For each spinor on the last axis of amp: does its norm miss 1 by
     more than 1e-12?"""
     return abs(_norms(amp) - 1.0) > 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class DiracState:
-    """Unit-norm momentum-space spinor with its energy and helicity labels;
-    the amplitudes are (4,), or (T, 4) for the same state of T trials."""
-
-    amplitudes: np.ndarray
-    energy_sign: int
-    helicity: float
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim not in (1, 2) or amp.shape[-1:] != (4,):
-            raise ValueError("need 4 spinor amplitudes")
-        if _off_unit_norm(amp).any():
-            raise ValueError("state must be unit norm")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
-
-
-def eigenstates(ctx: DiracContext) -> tuple[DiracState, ...]:
-    """The four closed-form common eigenstates of energy and helicity.
-
-    Ordered (+E,+), (+E,-), (-E,+), (-E,-).  Each is normalized to unit
-    norm; the shared closed-form prefactor is 1/sqrt(4 E_p p (p + p_z)).
-    Built once per context.
-    """
-    return ctx.states
 
 
 @dataclass(frozen=True)
@@ -291,22 +256,15 @@ class SuperpositionSpec:
         ct, st = _col(np.cos(self.theta)), _col(np.sin(self.theta))
         if self.coefficients is None:
             a, b = self.pair
-            vec = ct * states[a - 1].amplitudes + st * states[b - 1].amplitudes
+            vec = ct * states[a - 1] + st * states[b - 1]
         else:
             c1, c2, c3, c4 = self.coefficients
-            pos = c1 * states[0].amplitudes + c2 * states[1].amplitudes
-            neg = c3 * states[2].amplitudes + c4 * states[3].amplitudes
+            pos = c1 * states[0] + c2 * states[1]
+            neg = c3 * states[2] + c4 * states[3]
             npos, nneg = _col(_norms(pos)), _col(_norms(neg))
             vec = ct * (pos / np.where(npos > 0, npos, 1.0)) \
                 + st * (neg / np.where(nneg > 0, nneg, 1.0))
         return vec
-
-
-def evolution_factor(ctx: DiracContext, t: float) -> np.ndarray:
-    """exp(-2iHt/hbar) via the spectral decomposition of H; on a stacked
-    context t may hold one time per trial."""
-    w, v, vh = ctx.spectrum
-    return v @ _diag(np.exp(-2j * w * _col(t) / ctx.hbar)) @ vh
 
 
 # --- stacked time series --------------------------------------------------------
@@ -362,37 +320,23 @@ def zitter_expectation_series(spec: SuperpositionSpec, ctx: DiracContext,
 
 
 def operator_stacks(ctx: DiracContext, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Z_r(t) and Z_s(t) = -Z_r(t) x p for every t in the 1-D array ts,
-    each (T, 3, 4, 4): Z_r is built once and Z_s from it.  On a stacked
-    context ts holds one time per trial.  The rows are the stacks
-    ``zitter_expectation_series`` contracts, bit for bit."""
+    """The oscillating parts of the Heisenberg position operator,
+
+    Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1),
+
+    and of the spin, Z_s(t) = -Z_r(t) x p (p is a number vector here), for
+    every t in the 1-D array ts, each (T, 3, 4, 4): Z_r is built once and
+    Z_s from it.  On a stacked context ts holds one time per trial.  The
+    rows are the stacks ``zitter_expectation_series`` contracts, bit for
+    bit."""
     zr = _position_stack(ctx, np.asarray(ts, dtype=float))
     return zr, _cross_p(zr, ctx.p)
-
-
-def zitter_position_operator(ctx: DiracContext, t: float) -> np.ndarray:
-    """Oscillating part of the Heisenberg position operator,
-
-    (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1).
-    """
-    return readonly(_position_stack(ctx, np.array([t], dtype=float))[0])
-
-
-def zitter_spin_operator(ctx: DiracContext, t: float) -> np.ndarray:
-    """Oscillating part of the spin, -Z_r x p (p is a number vector here)."""
-    return readonly(operator_stacks(ctx, [t])[1][0])
 
 
 def zitter_position_expectation(spec: SuperpositionSpec, ctx: DiracContext,
                                 t: float) -> np.ndarray:
     """<Psi| Z_r(t) |Psi> by direct 4x4 algebra; a real length 3-vector."""
     return zitter_expectation_series(spec, ctx, [t])[0]
-
-
-def zitter_spin_expectation(spec: SuperpositionSpec, ctx: DiracContext,
-                            t: float) -> np.ndarray:
-    """<Psi| Z_s(t) |Psi> by direct 4x4 algebra; a real action 3-vector."""
-    return zitter_expectation_series(spec, ctx, [t], spin=True)[0]
 
 
 # --- closed forms -------------------------------------------------------------
@@ -467,7 +411,7 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
 def projectors(ctx: DiracContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energy projectors (1 +- H/E_p)/2 and helicity projectors (1 +- 2 Lambda/hbar)/2."""
     h = ctx.hmat / _col(_col(ctx.energy))
-    lam = 2.0 * _helicity(ctx) / ctx.hbar
+    lam = 2.0 * helicity_operator(ctx) / ctx.hbar
     eye = np.eye(4)
     return tuple(readonly(0.5 * m) for m in (eye + h, eye - h, eye + lam, eye - lam))
 

@@ -20,7 +20,7 @@ from amwave.fields import (
     fd_dt,
     random_family,
 )
-from amwave.poynting import amw_flux, em_flux, flux_quadrature, flux_quadrature_blocks
+from amwave.poynting import amw_flux, em_flux, flux_averages, flux_quadrature
 from amwave.relativity import boost_matrix, boosted_residuals
 from amwave.residuals import Terms, equation_residuals
 from amwave.zitter import (
@@ -31,8 +31,8 @@ from amwave.zitter import (
     position_closed_form,
     spin_closed_form,
     spin_closed_form_z,
+    zitter_expectation_series,
     zitter_position_expectation,
-    zitter_spin_expectation,
 )
 
 SEED = 20240801
@@ -199,14 +199,16 @@ def test_criterion_09_zitter_closed_forms():
         t = rng.uniform(0, 8.0)
         zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
         worst = max(worst, float(np.abs(zr - position_closed_form(theta, ctx, t)).max()))
-        zs = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
+        zs = zitter_expectation_series(SuperpositionSpec(theta, (1, 4)), ctx, [t],
+                                       spin=True)[0]
         worst = max(worst, float(np.abs(zs - spin_closed_form(theta, ctx, t)).max()))
         zero1 = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
-        zero2 = zitter_spin_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
+        zero2 = zitter_expectation_series(SuperpositionSpec(theta, (1, 3)), ctx, [t],
+                                          spin=True)[0]
         worst_zero = max(worst_zero, float(np.abs(zero1).max()),
                          float(np.abs(zero2).max()))
     ctxz = DiracContext(p=np.array([0, 0, 0.8]))
-    zz = zitter_spin_expectation(SuperpositionSpec(0.5, (1, 4)), ctxz, 1.1)
+    zz = zitter_expectation_series(SuperpositionSpec(0.5, (1, 4)), ctxz, [1.1], spin=True)[0]
     worst = max(worst, float(np.abs(zz - spin_closed_form_z(0.5, ctxz, 1.1)).max()))
     ok = worst <= 1e-12 and worst_zero <= 1e-14
     _line(9, ok, f"matrix vs closed forms {worst:.2e}; forbidden mixes "
@@ -230,10 +232,10 @@ def test_criterion_11_poynting():
     for kind in ("su2_spin_half", "su2_spin_one", "su3_gellmann"):
         fam = random_family(make_generators(kind), rng, g=0.3)
         closed = amw_flux(fam)
-        scale = max(1.0, operator_norm(closed.vector))
+        scale = max(1.0, operator_norm(closed))
         quad = flux_quadrature(fam, samples=10_000, r=rng.uniform(-1, 1, 3))
-        worst_quad = max(worst_quad, operator_norm(quad - closed.vector) / scale)
-        blocks = flux_quadrature_blocks(fam, samples=10_000)
+        worst_quad = max(worst_quad, operator_norm(quad - closed) / scale)
+        blocks = flux_averages(fam, 10_000, (None,))[0]
         worst_mixed = max(worst_mixed, operator_norm(blocks["mixed"]) / scale)
     from amwave.fields import SolutionFamily, WaveContext
     gens = make_generators("su2_spin_half")
@@ -242,7 +244,7 @@ def test_criterion_11_poynting():
     zero = np.zeros(3)
     fam0 = SolutionFamily(ctx=ctx0, R=(r0, zero, zero, zero))
     a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
-    abelian = operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector)
+    abelian = operator_norm(amw_flux(fam0) - em_flux(a01, ctx0))
     ok = worst_quad <= 1e-8 and abelian <= 1e-10 and worst_mixed <= 1e-10
     _line(11, ok, f"quadrature vs closed {worst_quad:.2e}, Abelian match "
                   f"{abelian:.2e}, mixed block {worst_mixed:.2e}")

@@ -52,8 +52,8 @@ from amwave.zitter import (
     operator_stacks,
     position_closed_form,
     spin_closed_form,
+    zitter_expectation_series,
     zitter_position_expectation,
-    zitter_spin_expectation,
 )
 
 
@@ -124,7 +124,8 @@ def test_bad_flag_values_are_config_errors(tmp_path, command, flag):
 @pytest.mark.parametrize("argv", [["zitter", "--steps", str(10**15)],
                                   ["poynting", "--steps", str(10**15)],
                                   ["verify", "poynting", "--trials", "1",
-                                   "--samples", str(10**15)]])
+                                   "--samples", str(10**15)],
+                                  ["verify", "wca", "--trials", str(10**15)]])
 def test_a_size_too_large_to_allocate_is_a_config_error(tmp_path, argv):
     # each fails at its first allocation of the size, which asks for petabytes
     code, err = run_main([*argv, "--out", str(tmp_path / "out")])
@@ -870,16 +871,18 @@ def _single_trial_items(cfg, fam, rng):
         theta = rng.uniform(0.0, np.pi / 2.0)
         t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
         zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
-        zs = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
+        zs = zitter_expectation_series(SuperpositionSpec(theta, (1, 4)), ctx, [t],
+                                       spin=True)[0]
         pure = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
-        samehel = zitter_spin_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
+        samehel = zitter_expectation_series(SuperpositionSpec(theta, (1, 3)), ctx, [t],
+                                            spin=True)[0]
         return [("position_vs_closed",
                  float(np.abs(zr - position_closed_form(theta, ctx, t)).max()), cfg.tol),
                 ("spin_vs_closed",
                  float(np.abs(zs - spin_closed_form(theta, ctx, t)).max()), cfg.tol),
                 ("pure_energy_zero", float(np.abs(pure).max()), 1e-14),
                 ("same_helicity_spin_zero", float(np.abs(samehel).max()), 1e-14)]
-    closed = amw_flux(fam).vector
+    closed = amw_flux(fam)
     at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
     scale = max(1.0, operator_norm(closed))
     n = len(fam.ctx.generators.generators)
@@ -890,7 +893,7 @@ def _single_trial_items(cfg, fam, rng):
     return [("quadrature_vs_closed", operator_norm(at_r["total"] - closed) / scale, cfg.tol),
             ("mixed_block_average", operator_norm(at_origin["mixed"]) / scale, 1e-10),
             ("abelian_equals_em",
-             operator_norm(amw_flux(fam0).vector - em_flux(a01, ctx0).vector), 1e-10)]
+             operator_norm(amw_flux(fam0) - em_flux(a01, ctx0)), 1e-10)]
 
 
 @pytest.mark.parametrize("generator", ["both", "su2_spin_one", "su3_gellmann"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amwave.algebra import make_generators, operator_norm as norm
+from amwave.algebra import commutator, cross, dot, make_generators, operator_norm as norm
 from amwave.cli import _TRIALS
 from amwave.fields import (
     SolutionFamily,
@@ -13,6 +13,8 @@ from amwave.fields import (
     fd_curl,
     fd_div,
     fd_dt,
+    fd_grad,
+    field,
     random_family,
     vcross,
     xz_family,
@@ -235,6 +237,77 @@ def test_fd_sampling_agrees_with_analytic_residuals():
         est = fd_div(m_bad, r, t, h).extrapolated
         want = analytic.eval_at(r, t)
         assert norm(est - want) / max(1.0, norm(want)) <= 1e-6
+
+
+class Pointwise:
+    """A function of (r, t) as an object the fd_* oracles can difference."""
+
+    def __init__(self, fn):
+        self.eval_at = fn
+
+
+def pointwise_ym(a, phi, ctx, h):
+    """The ym_* expressions and w3 as functions of (r, t), each built point
+    by point from eval_at values, the algebra kernels and the finite-
+    difference oracles, with none of the termwise field algebra."""
+    ig, inv_c = 1j * ctx.g, 1.0 / ctx.c
+
+    def d(oracle, f, r, t):
+        return oracle(f, r, t, h).extrapolated
+
+    bp = Pointwise(lambda r, t: d(fd_curl, a, r, t)
+                   - ig * cross(a.eval_at(r, t), a.eval_at(r, t)))
+    ep = Pointwise(lambda r, t: -inv_c * d(fd_dt, a, r, t) - d(fd_grad, phi, r, t)
+                   - ig * commutator(phi.eval_at(r, t), a.eval_at(r, t)))
+    m = Pointwise(lambda r, t: cross(a.eval_at(r, t), a.eval_at(r, t)))
+
+    def ym(r, t):
+        av, pv, bv, ev = (f.eval_at(r, t) for f in (a, phi, bp, ep))
+        return {
+            "ym_div_E": d(fd_div, ep, r, t) + ig * (dot(av, ev) - dot(ev, av)),
+            "ym_faraday": (-inv_c * d(fd_dt, bp, r, t) - d(fd_curl, ep, r, t)
+                           + ig * (commutator(pv, bv) - cross(av, ev) - cross(ev, av))),
+            "ym_div_B": d(fd_div, bp, r, t) + ig * (dot(av, bv) - dot(bv, av)),
+            "ym_ampere": (-inv_c * d(fd_dt, ep, r, t) + d(fd_curl, bp, r, t)
+                          + ig * (commutator(pv, ev) + cross(av, bv) + cross(bv, av))),
+            "w3": -ig * d(fd_div, m, r, t),
+        }
+    return ym
+
+
+@pytest.mark.parametrize("kind", ("su2_spin_half", "su3_gellmann"))
+def test_ym_and_w3_brackets_match_a_pointwise_finite_difference_oracle(kind):
+    # random first-harmonic potentials that solve nothing, so each term of
+    # every expression is O(1) and a wrong sign or operand shows
+    rng = np.random.default_rng(83)
+    gens = make_generators(kind)
+    d = gens.dim
+    ctx = WaveContext(generators=gens, k=rng.normal(size=3), c=1.3, g=0.7)
+
+    def unit_amplitude(*shape):  # each (d, d) block of Frobenius norm <= 1
+        z = rng.uniform(-1, 1, shape + (d, d)) + 1j * rng.uniform(-1, 1, shape + (d, d))
+        return z / norm(z)
+
+    a, phi = field(ctx, {1: unit_amplitude(3)}), field(ctx, {1: unit_amplitude()})
+    terms = Terms(a, phi, ctx)
+    # Each oracle is a Richardson-extrapolated central difference: on a
+    # harmonic whose phase moves at rate q along the step it is off by
+    # (q h)^4 / 480 relative, and rounding adds about eps / (q h) per
+    # differencing, eps / (q h)^2 when nested.  The phase rate of order m
+    # is at most m * kappa, kappa = max(|k|, omega), and the outer
+    # quotients act on orders up to 2.  With unit amplitudes no term
+    # exceeds 3 (2 kappa + 2 |g|)^2: two derivatives or couplings on at
+    # most two amplitudes, summed over three components.
+    kappa = max(ctx.knorm, ctx.omega)
+    h = 1e-2 / kappa
+    rel = (2.0 * kappa * h) ** 4 / 480.0 + np.finfo(float).eps / (kappa * h) ** 2
+    tol = rel * 3.0 * (2.0 * kappa + 2.0 * abs(ctx.g)) ** 2
+    oracle = pointwise_ym(a, phi, ctx, h)
+    for _ in range(3):
+        r, t = rng.uniform(-2, 2, 3), rng.uniform(0, 5)
+        for name, want in oracle(r, t).items():
+            got = BRACKETS[name](terms).eval_at(r, t)
+            assert norm(got - want) <= tol, (name, norm(got - want), tol)
 
 
 def test_scaling_covariance():

@@ -1,0 +1,56 @@
+"""The gate tools under tools/ import, enumerate and count without running
+any suite, so a rename in the package that breaks them fails here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from amwave.cli import RunConfig, _collect_config, build_parser
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def report_hashes():
+    return load("report_hashes")
+
+
+def test_report_hashes_lists_93_distinct_runs_that_all_build(report_hashes):
+    configs = list(report_hashes.configs())  # each RunConfig checks itself as it is built
+    exports = list(report_hashes.exports())
+    labels = [label for label, _ in configs + exports]
+    assert len(labels) == len(set(labels)) == 93
+    assert "93 runs" in report_hashes.__doc__
+    assert all(type(cfg) is RunConfig for _, cfg in configs)
+    for _, argv in exports:
+        cfg = _collect_config(build_parser().parse_args([*argv, "--out", "out.csv"]))
+        assert cfg.suite == argv[0]
+
+
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+x = 1  # a trailing comment
+TEXT = """a multi-line string
+that is code, not a docstring"""
+
+
+def f():
+    """A function docstring."""
+    return x
+'''
+
+
+def test_src_lines_counts_code_apart_from_docstrings_comments_and_blanks():
+    src_lines = load("src_lines")
+    # code: x = 1, the two lines of TEXT, def f() and return x
+    assert src_lines.counts(SAMPLE) == (12, 5)

@@ -15,10 +15,7 @@ from amwave.zitter import (
     amplitude_frequency,
     amplitude_frequency_si,
     compton_wavelength_si,
-    eigenstates,
-    evolution_factor,
     expectations,
-    hamiltonian,
     helicity_operator,
     operator_stacks,
     position_closed_form,
@@ -27,16 +24,21 @@ from amwave.zitter import (
     spin_closed_form_z,
     zitter_expectation_series,
     zitter_position_expectation,
-    zitter_position_operator,
-    zitter_spin_expectation,
-    zitter_spin_operator,
 )
+
+# (energy sign, helicity / hbar) of ctx.states, in their order
+LABELS = ((+1, +0.5), (+1, -0.5), (-1, +0.5), (-1, -0.5))
 
 
 def random_ctx(rng, **kw) -> DiracContext:
     p = rng.uniform(-1.0, 1.0, 3)
     p[2] = abs(p[2]) + 0.2
     return DiracContext(p=p, **kw)
+
+
+def spin_expectation(spec, ctx, t):
+    """<Psi| Z_s(t) |Psi> at one time: a one-row spin series."""
+    return zitter_expectation_series(spec, ctx, [t], spin=True)[0]
 
 
 def test_dirac_algebra():
@@ -56,41 +58,35 @@ def test_eigenstates_labels_and_orthonormality():
     rng = np.random.default_rng(2)
     for _ in range(10):
         ctx = random_ctx(rng)
-        h = hamiltonian(ctx)
+        h = ctx.hmat
         lam = helicity_operator(ctx)
-        states = eigenstates(ctx)
-        gram = np.array([[s.amplitudes.conj() @ t.amplitudes for t in states]
-                         for s in states])
-        assert np.abs(gram - np.eye(4)).max() <= 1e-12
-        signs = [(+1, +0.5), (+1, -0.5), (-1, +0.5), (-1, -0.5)]
-        for st, (es, hel) in zip(states, signs):
-            assert st.energy_sign == es and st.helicity == pytest.approx(hel)
-            assert np.linalg.norm(h @ st.amplitudes
-                                  - es * ctx.energy * st.amplitudes) <= 1e-12
-            assert np.linalg.norm(lam @ st.amplitudes
-                                  - hel * st.amplitudes) <= 1e-12
+        states = ctx.states
+        assert states.shape == (4, 4)
+        assert np.abs(states.conj() @ states.T - np.eye(4)).max() <= 1e-12
+        for st, (es, hel) in zip(states, LABELS):
+            assert np.linalg.norm(h @ st - es * ctx.energy * st) <= 1e-12
+            assert np.linalg.norm(lam @ st - hel * ctx.hbar * st) <= 1e-12
 
 
 def test_eigenstates_match_numerical_eigendecomposition():
     rng = np.random.default_rng(4)
     ctx = random_ctx(rng)
-    h = hamiltonian(ctx)
-    w, v = np.linalg.eigh(h)
-    for st in eigenstates(ctx):
-        target = st.energy_sign * ctx.energy
+    w, v = np.linalg.eigh(ctx.hmat)
+    for st, (es, _) in zip(ctx.states, LABELS):
+        target = es * ctx.energy
         idx = np.argmin(np.abs(w - target))
         assert abs(w[idx] - target) <= 1e-12
         # amplitude lies in the eigenspace: H psi = E psi already checked;
         # overlap with the numeric eigenspace is 1
         span = v[:, np.abs(w - target) < 1e-9]
-        proj = span @ (span.conj().T @ st.amplitudes)
-        assert np.linalg.norm(proj - st.amplitudes) <= 1e-12
+        proj = span @ (span.conj().T @ st)
+        assert np.linalg.norm(proj - st) <= 1e-12
 
 
 def test_eigenstates_axis_momentum():
     p = 0.8
     ctx = DiracContext(p=np.array([0.0, 0.0, p]))
-    psi1 = eigenstates(ctx)[0].amplitudes
+    psi1 = ctx.states[0]
     up = ctx.u_plus
     want = np.array([up, 0.0, p / up, 0.0]) / np.sqrt(2.0 * ctx.energy)
     assert np.linalg.norm(psi1 - want) <= 1e-12
@@ -98,16 +94,16 @@ def test_eigenstates_axis_momentum():
 
 def test_polar_singularity():
     with pytest.raises(PolarSingularity):
-        eigenstates(DiracContext(p=np.array([0.0, 0.0, -0.7])))
+        DiracContext(p=np.array([0.0, 0.0, -0.7])).states
     with pytest.raises(PolarSingularity):
         SuperpositionSpec(0.3, (1, 3)).state_vector(
             DiracContext(p=np.array([0.0, 0.0, -0.7])))
     # E - m c^2 rounds to zero, and the states divide by its square root
     with pytest.raises(PolarSingularity, match="too small"):
-        eigenstates(DiracContext(p=np.array([0.0, 0.0, 7e-34])))
+        DiracContext(p=np.array([0.0, 0.0, 7e-34])).states
     # E - m c^2 cancels, and the closed-form states miss unit norm
     with pytest.raises(PolarSingularity, match="too small"):
-        eigenstates(DiracContext(p=np.array([0.0, 0.0, 1e-3])))
+        DiracContext(p=np.array([0.0, 0.0, 1e-3])).states
 
 
 def test_position_wobble_closed_form():
@@ -138,14 +134,14 @@ def test_spin_wobble_closed_form():
         ctx = random_ctx(rng)
         theta = rng.uniform(0, np.pi / 2)
         t = rng.uniform(0, 8.0)
-        got = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
+        got = spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
         assert np.abs(got - spin_closed_form(theta, ctx, t)).max() <= 1e-12
 
 
 def test_spin_wobble_axis_case():
     ctx = DiracContext(p=np.array([0.0, 0.0, 0.8]))
     for theta, t in ((0.4, 0.9), (1.1, 2.6)):
-        got = zitter_spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
+        got = spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
         assert np.abs(got - spin_closed_form_z(theta, ctx, t)).max() <= 1e-12
         assert np.abs(spin_closed_form(theta, ctx, t)
                       - spin_closed_form_z(theta, ctx, t)).max() <= 1e-12
@@ -155,7 +151,7 @@ def test_spin_wobble_needs_opposite_helicity():
     rng = np.random.default_rng(11)
     ctx = random_ctx(rng)
     for t in (0.4, 2.2):
-        z = zitter_spin_expectation(SuperpositionSpec(0.7, (1, 3)), ctx, t)
+        z = spin_expectation(SuperpositionSpec(0.7, (1, 3)), ctx, t)
         assert np.abs(z).max() <= 1e-14
 
 
@@ -164,8 +160,7 @@ def test_operator_identity_spin_from_position():
     for _ in range(5):
         ctx = random_ctx(rng)
         t = rng.uniform(0, 5)
-        zr = zitter_position_operator(ctx, t)
-        zs = zitter_spin_operator(ctx, t)
+        (zr,), (zs,) = operator_stacks(ctx, [t])
         p = ctx.p
         manual = np.stack([
             -(zr[1] * p[2] - zr[2] * p[1]),
@@ -184,13 +179,11 @@ def test_spin_evolution_derivative():
     p = ctx.p
 
     def s_of_t(t):
+        zr = operator_stacks(ctx, [t])[0][0]
         return s0 - np.stack([
-            zitter_position_operator(ctx, t)[1] * p[2]
-            - zitter_position_operator(ctx, t)[2] * p[1],
-            zitter_position_operator(ctx, t)[2] * p[0]
-            - zitter_position_operator(ctx, t)[0] * p[2],
-            zitter_position_operator(ctx, t)[0] * p[1]
-            - zitter_position_operator(ctx, t)[1] * p[0],
+            zr[1] * p[2] - zr[2] * p[1],
+            zr[2] * p[0] - zr[0] * p[2],
+            zr[0] * p[1] - zr[1] * p[0],
         ])
 
     want = -ctx.c * np.stack([
@@ -211,9 +204,8 @@ def test_helicity_commutes_and_spin_identities():
     rng = np.random.default_rng(14)
     for _ in range(20):
         ctx = random_ctx(rng)
-        h = hamiltonian(ctx)
         lam = helicity_operator(ctx)
-        assert operator_norm(commutator(h, lam)) <= 1e-12
+        assert operator_norm(commutator(ctx.hmat, lam)) <= 1e-12
         # [S_i, alpha.p] = -i hbar (alpha x p)_i
         adotp = np.einsum("i,iab->ab", ctx.p, ALPHA)
         for i in range(3):
@@ -234,8 +226,8 @@ def test_periodicity():
         zr1 = zitter_position_expectation(spec_r, ctx, t)
         zr2 = zitter_position_expectation(spec_r, ctx, t + period)
         assert np.abs(zr1 - zr2).max() <= 1e-12
-        zs1 = zitter_spin_expectation(spec_s, ctx, t)
-        zs2 = zitter_spin_expectation(spec_s, ctx, t + period)
+        zs1 = spin_expectation(spec_s, ctx, t)
+        zs2 = spin_expectation(spec_s, ctx, t + period)
         assert np.abs(zs1 - zs2).max() <= 1e-12
 
 
@@ -245,17 +237,16 @@ def test_projector_properties():
     pp, pm, sp, sm = projectors(ctx)
     for proj in (pp, pm, sp, sm):
         assert operator_norm(proj @ proj - proj) <= 1e-12
-    states = eigenstates(ctx)
+    states = ctx.states
     table = [(pp, (1, 1, 0, 0)), (pm, (0, 0, 1, 1)),
              (sp, (1, 0, 1, 0)), (sm, (0, 1, 0, 1))]
     for proj, keep in table:
         for st, k in zip(states, keep):
-            got = proj @ st.amplitudes
-            want = k * st.amplitudes
+            got = proj @ st
+            want = k * st
             assert np.linalg.norm(got - want) <= 1e-12
     # the sandwiched oscillation generator vanishes between like projectors
-    h = hamiltonian(ctx)
-    hinv = np.linalg.inv(h)
+    hinv = np.linalg.inv(ctx.hmat)
     for i in range(3):
         gen = ALPHA[i] - ctx.c * ctx.p[i] * hinv
         assert operator_norm(pp @ gen @ pp) <= 1e-12
@@ -266,17 +257,9 @@ def test_alpha_matrix_element_closed_form():
     rng = np.random.default_rng(17)
     for _ in range(20):
         ctx = random_ctx(rng)
-        s1, _, _, s4 = eigenstates(ctx)
-        got = np.array([s1.amplitudes.conj() @ ALPHA[i] @ s4.amplitudes
-                        for i in range(3)])
+        s1, _, _, s4 = ctx.states
+        got = np.array([s1.conj() @ ALPHA[i] @ s4 for i in range(3)])
         assert np.abs(got - alpha_matrix_element_14(ctx)).max() <= 1e-12
-
-
-def test_evolution_factor_unitary():
-    rng = np.random.default_rng(18)
-    ctx = random_ctx(rng)
-    u = evolution_factor(ctx, 2.7)
-    assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
 
 
 def test_amplitude_frequency_bounds_and_si():
@@ -296,7 +279,7 @@ def test_amplitude_frequency_bounds_and_si():
 
 def reference_position_operator(ctx, t):
     """Z_r(t) by the one-time formula, one 4x4 product at a time."""
-    w, v = np.linalg.eigh(hamiltonian(ctx))
+    w, v = np.linalg.eigh(ctx.hmat)
     hinv = v @ np.diag(1.0 / w) @ v.conj().T
     phase = v @ np.diag(np.exp(-2j * w * t / ctx.hbar) - 1.0) @ v.conj().T
     tail = hinv @ phase
@@ -332,7 +315,7 @@ def test_stacked_series_matches_per_time_evaluation_bitwise(steps):
             for spin in (False, True):
                 got = zitter_expectation_series(spec, ctx, ts, spin=spin)
                 assert got.shape == (steps, 3)
-                one = zitter_spin_expectation if spin else zitter_position_expectation
+                one = spin_expectation if spin else zitter_position_expectation
                 want = np.array([one(spec, ctx, t) for t in ts]).reshape(steps, 3)
                 assert np.array_equal(got, want)
                 ref = np.array([reference_expectation(spec, ctx, t, spin)
@@ -362,11 +345,11 @@ def test_one_time_operators_match_reference_bitwise():
     for ctx in series_contexts():
         for t in (0.0, rng.uniform(0.0, 6.0), -rng.uniform(0.0, 2.0)):
             zr = reference_position_operator(ctx, t)
-            assert np.array_equal(zitter_position_operator(ctx, t), zr)
             p = ctx.p
             zs = np.stack([-(zr[(i + 1) % 3] * p[(i + 2) % 3]
                              - zr[(i + 2) % 3] * p[(i + 1) % 3]) for i in range(3)])
-            assert np.array_equal(zitter_spin_operator(ctx, t), zs)
+            got_r, got_s = operator_stacks(ctx, [t])
+            assert np.array_equal(got_r[0], zr) and np.array_equal(got_s[0], zs)
 
 
 def test_series_is_evaluated_in_fixed_blocks(monkeypatch):
@@ -419,15 +402,14 @@ def test_constants_and_caches_are_read_only():
     ctx = DiracContext(p=np.array([0.2, -0.1, 0.7]))
     w, v, vh = ctx.spectrum
     assert ctx.hinv is ctx.hinv and ctx.spectrum is ctx.spectrum
-    assert eigenstates(ctx) is eigenstates(ctx)
+    assert ctx.states is ctx.states
     for arr in (ALPHA, BETA, SIGMA, ctx.hmat, w, v, vh, ctx.hinv,
-                ctx.phat, ctx.position_prefactor, eigenstates(ctx)[0].amplitudes,
-                hamiltonian(ctx), helicity_operator(ctx), *projectors(ctx),
-                zitter_position_operator(ctx, 0.3), zitter_spin_operator(ctx, 0.3)):
+                ctx.phat, ctx.position_prefactor, ctx.states, ctx.states[0],
+                helicity_operator(ctx), *projectors(ctx)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     assert np.array_equal(vh, v.conj().T)
-    assert np.abs(ctx.hinv @ hamiltonian(ctx) - np.eye(4)).max() <= 1e-12
+    assert np.abs(ctx.hinv @ ctx.hmat - np.eye(4)).max() <= 1e-12
 
 
 def same_bits(a, b) -> bool:
@@ -459,9 +441,9 @@ def test_stacked_context_gives_each_trial_its_own_bits(trials, units):
             assert same_bits(getattr(stack, name)[t], getattr(one, name)), name
         for got, want in zip(stack.spectrum, one.spectrum):
             assert same_bits(got[t], want)
+        assert stack.states.shape == (4, trials, 4)
         for got, want in zip(stack.states, one.states):
-            assert same_bits(got.amplitudes[t], want.amplitudes)
-            assert (got.energy_sign, got.helicity) == (want.energy_sign, want.helicity)
+            assert same_bits(got[t], want)
         assert same_bits(helicity_operator(stack)[t], helicity_operator(one))
         for got, want in zip(projectors(stack), projectors(one)):
             assert same_bits(got[t], want)
@@ -489,7 +471,6 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
     vals = [expectations(ops, psi) for ops in (zr, zs) for psi in psis]
     position = position_closed_form(theta, stack, ts)
     spin = spin_closed_form(theta, stack, ts)
-    evolution = evolution_factor(stack, ts)
     for t in range(trials):
         one = DiracContext(p=p[t], **units)
         zr1, zs1 = operator_stacks(one, [ts[t]])
@@ -502,7 +483,6 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
             assert same_bits(got[t], want[0])
         assert same_bits(position[t], position_closed_form(theta[t], one, ts[t]))
         assert same_bits(spin[t], spin_closed_form(theta[t], one, ts[t]))
-        assert same_bits(evolution[t], evolution_factor(one, ts[t]))
 
 
 @pytest.mark.parametrize("bad", [np.zeros((2, 4)), np.zeros((2, 3, 1)), np.zeros((0, 3)),
@@ -524,8 +504,6 @@ def test_polar_and_small_momentum_checks_apply_to_each_trial(row):
         with np.errstate(over="ignore"), pytest.raises(PolarSingularity) as stacked:
             DiracContext(p=np.array(p)).states
         assert str(stacked.value) == str(one.value)
-    with pytest.raises(ValueError, match="need 4 spinor amplitudes"):
-        zitter.DiracState(np.ones((2, 3)), +1, 0.5)
 
 
 def test_small_momentum_message_names_the_first_offending_trial():
