@@ -24,7 +24,7 @@ import os
 import re
 import sys
 import tempfile
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -32,7 +32,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import NonFiniteValue, make_generators, operator_norm, structure_constants
+from .algebra import (
+    NonFiniteValue,
+    frobenius_norms,
+    make_generators,
+    operator_norm,
+    structure_constants,
+)
 from .fields import SolutionFamily, WaveContext, random_families
 from .poynting import (
     amw_flux,
@@ -233,6 +239,11 @@ class RunConfig:
         return DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c)
 
     @property
+    def csv_path(self) -> str | None:
+        """Where an export writes its CSV: ``timeseries`` if set, else ``out``."""
+        return self.out if self.timeseries is None else self.timeseries
+
+    @property
     def tol(self) -> float:
         return SUITE_TOL[self.suite] if self.tolerance is None else self.tolerance
 
@@ -369,25 +380,23 @@ def _zitter_residuals(cfg: RunConfig, _, rngs):
 
 
 def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    """Per trial: the flux quadrature at a random r against the closed form,
-    the mixed block at the origin, and the g = 0 wave on a random r0
-    against the classical flux; each trial draws r, then r0."""
+    """The flux quadrature at a random r against the closed form, the mixed
+    block at the origin, and the g = 0 wave on a random r0 against the
+    classical flux, each on the whole group at once; each trial draws r,
+    then r0."""
     r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
     ctx = fams.ctx
     fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
                            R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
     a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
-    weights, rows = {}, []  # the group's trials share their origin weights
-    for t in range(len(rngs)):
-        fam, fam0 = fams.trial(t), fams0.trial(t)
-        closed = amw_flux(fam)
-        at_r, at_origin = flux_averages(fam, cfg.samples, (r[t], None), weights)
-        scale = max(1.0, operator_norm(closed))
-        rows.append((operator_norm(at_r["total"] - closed) / scale,
-                     operator_norm(at_origin["mixed"]) / scale,
-                     operator_norm(amw_flux(fam0) - em_flux(a01[t], fam0.ctx))))
-    quad, mixed, abelian = zip(*rows)
-    return [("quadrature_vs_closed", quad), ("mixed_block_average", mixed, 1e-10),
+    closed = amw_flux(fams)
+    at_r, at_origin = flux_averages(fams, cfg.samples, (r, None))
+    # each trial's operator_norm; fmax, like max(1.0, norm), takes 1.0 for a NaN norm
+    scale, quad, mixed, abelian = (frobenius_norms(x).max(axis=-1) for x in (
+        closed, at_r["total"] - closed, at_origin["mixed"],
+        amw_flux(fams0) - em_flux(a01, fams0.ctx)))
+    scale = np.fmax(1.0, scale)
+    return [("quadrature_vs_closed", quad / scale), ("mixed_block_average", mixed / scale, 1e-10),
             ("abelian_equals_em", abelian, 1e-10)]
 
 
@@ -513,33 +522,18 @@ def write_report(report: dict, path: str | None):
 
 # --- time series -----------------------------------------------------------------
 
-class _Rows(Sequence):
+def _rows(columns, blank=()) -> Iterator[list]:
     """The rows of a time-series table, read from its numeric columns: a
-    row is a list of floats followed by ``blank`` cells.  Iterating makes
-    the rows SERIES_BLOCK at a time, so an export never holds more than
-    one block of them as Python lists.
-    """
-
-    def __init__(self, columns, blank=()):
-        self._cols, self._blank = columns, list(blank)
-
-    def __len__(self) -> int:
-        return len(self._cols[0])
-
-    def _rows(self, start: int, stop: int) -> list[list]:
-        rows = np.column_stack([c[start:stop] for c in self._cols]).tolist()
-        return [row + self._blank for row in rows] if self._blank else rows
-
-    def __getitem__(self, i: int) -> list:
-        i = range(len(self))[i]
-        return self._rows(i, i + 1)[0]
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(
-            self._rows(start, start + SERIES_BLOCK) for start in range(0, len(self), SERIES_BLOCK))
+    row is a list of floats followed by the ``blank`` cells.  They are made
+    SERIES_BLOCK at a time, so an export never holds more than one block of
+    them as Python lists."""
+    blank = list(blank)
+    for start in range(0, len(columns[0]), SERIES_BLOCK):
+        rows = np.column_stack([c[start:start + SERIES_BLOCK] for c in columns]).tolist()
+        yield from (row + blank for row in rows)
 
 
-def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.ndarray]:
+def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Iterator[list], np.ndarray]:
     """Rows of (t, numeric expectation, closed form, deviation), and the
     deviation column on its own.
 
@@ -561,16 +555,16 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Sequence[list], np.nda
     num = zitter_expectation_series(spec, ctx, ts, spin=spin_like)
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
     if closed_form is None:
-        return header, _Rows((ts, num), blank=("",) * 4), np.empty(0)
+        return header, _rows((ts, num), blank=("",) * 4), np.empty(0)
     closed, dev = np.empty_like(num), np.empty(cfg.steps)
     for start in range(0, cfg.steps, SERIES_BLOCK):
         block = slice(start, start + SERIES_BLOCK)
         closed[block] = closed_form(cfg.theta, ctx, ts[block])
         dev[block] = np.abs(num[block] - closed[block]).max(axis=1)
-    return header, _Rows((ts, num, closed, dev)), dev
+    return header, _rows((ts, num, closed, dev)), dev
 
 
-def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], Sequence[list]]:
+def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], Iterator[list]]:
     """Instantaneous flux blocks along khat plus the running average.
 
     Each block column is the identity part (trace over dimension) of
@@ -582,7 +576,7 @@ def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str],
     blocks = flux_block_series(fam, ts)
     running = np.cumsum(blocks["total"]) / np.arange(1, len(ts) + 1)
     cols = (ts, blocks["first"], blocks["mixed"], blocks["second"], running)
-    return ["t", "first", "mixed", "second", "running_avg"], _Rows(cols)
+    return ["t", "first", "mixed", "second", "running_avg"], _rows(cols)
 
 
 def write_timeseries(header: list[str], rows, path: str | None):
@@ -610,21 +604,21 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_zitter(cfg: RunConfig) -> int:
     header, rows, dev = zitter_timeseries(cfg)
-    write_timeseries(header, rows, cfg.out or cfg.timeseries)
+    write_timeseries(header, rows, cfg.csv_path)
     worst = float(dev.max()) if dev.size else 0.0  # a NaN deviation propagates
     if not worst <= cfg.tol:
         print(f"FAIL zitter: max |numeric - closed| = {worst:.3e}", file=sys.stderr)
         return EXIT_FAIL
-    print(f"PASS zitter: {len(rows)} samples, max deviation {worst:.3e}", file=sys.stderr)
+    print(f"PASS zitter: {cfg.steps} samples, max deviation {worst:.3e}", file=sys.stderr)
     return EXIT_PASS
 
 
 def _cmd_poynting(cfg: RunConfig) -> int:
     fam = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)]).trial(0)
-    header, rows = poynting_timeseries(cfg, fam)
-    write_timeseries(header, rows, cfg.out or cfg.timeseries)
-    closed = amw_flux(fam)
+    closed = amw_flux(fam)  # before the export, so an overflow writes no file
     quad = flux_quadrature(fam, samples=cfg.samples)
+    header, rows = poynting_timeseries(cfg, fam)
+    write_timeseries(header, rows, cfg.csv_path)
     err = operator_norm(quad - closed) / max(1.0, operator_norm(closed))
     verdict = "PASS" if err <= cfg.tol else "FAIL"  # a NaN error fails
     print(f"{verdict} poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
@@ -679,6 +673,8 @@ def _collect_config(args: argparse.Namespace) -> RunConfig:
     for name in given:
         if command not in OPTIONS[name].reads:
             raise ConfigError(f"{command} does not read {OPTIONS[name].flag[0]}")
+    if not args.suite and "out" in given and cfg.timeseries is not None:
+        raise ConfigError(f"{command} writes one CSV, but --out and timeseries both name it")
     return cfg
 
 
@@ -692,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteValue as exc:
+    except (NonFiniteValue, OverflowError) as exc:  # OverflowError: a float power
         print(f"config error: a value overflowed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a size that passed its checks but cannot be allocated

@@ -11,20 +11,24 @@ For the generator-valued waves the closed form is
     S = (c/8 pi) [ (k x tau).(k x tau) - g^2 (tau x tau).(tau x tau) ] khat,
 
 an operator along the propagation direction; the second block equals the
-g^2 hbar^2 (eta.eta) form of the spin-set convention; every flux is a
-(3, d, d) array.  The quadrature oracle averages the instantaneous flux
-over one exact period with the trapezoid rule (exact up to rounding from
-5 nodes on), as one contraction of basis cross products with averaged
-phase weights; ``flux_averages`` splits it into the squared first-harmonic,
-mixed, and squared second-harmonic blocks (the mixed one averages to zero).
+g^2 hbar^2 (eta.eta) form of the spin-set convention.  Every flux takes
+one family or a stack of T, as ``fields`` does, and is a batch + (3, d, d)
+array; each trial of a stack gets the bits its own family gives alone.
+The quadrature oracle averages the instantaneous flux over one exact
+period with the trapezoid rule (exact up to rounding from 5 nodes on), as
+one contraction of basis cross products with averaged phase weights;
+``flux_averages`` splits it into the squared first-harmonic, mixed, and
+squared second-harmonic blocks (the mixed one averages to zero).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import cross, dot
-from .fields import SolutionFamily, build_fields
+from .fields import SolutionFamily, _dots, build_fields, square
 from .zitter import SERIES_BLOCK
 
 
@@ -33,24 +37,25 @@ class NonTransverseAmplitude(ValueError):
 
 
 def em_flux(a01, ctx) -> np.ndarray:
-    """Flux (c/8 pi) k^2 |A01|^2 khat (x) 1, shape (3, d, d), of a classical plane wave."""
+    """Flux (c/8 pi) k^2 |A01|^2 khat (x) 1 of a classical plane wave, or of
+    each wave of a stacked context, A01 then being (T, 3)."""
     a01 = np.asarray(a01, dtype=float)
-    k, kn = ctx.k, ctx.knorm
-    if abs(k @ a01) > 1e-12 * max(1.0, kn * np.sqrt(a01 @ a01)):
+    kn, a2 = ctx.knorm, _dots(a01, a01)
+    if np.any(abs(_dots(ctx.k, a01)) > 1e-12 * np.fmax(1.0, kn * np.sqrt(a2))):
         raise NonTransverseAmplitude("amplitude must satisfy k . A01 = 0")
-    mag = ctx.c / (8.0 * np.pi) * kn ** 2 * float(a01 @ a01)
-    return np.einsum("i,ab->iab", ctx.khat, mag * np.eye(ctx.dim, dtype=complex))
+    mag = ctx.c / (8.0 * np.pi) * square(kn) * a2
+    return np.einsum("...i,...ab->...iab", ctx.khat,
+                     np.asarray(mag)[..., None, None] * np.eye(ctx.dim, dtype=complex))
 
 
 def amw_flux(fam: SolutionFamily) -> np.ndarray:
-    """Closed-form time-averaged flux of a generator-valued wave family,
-    shape (3, d, d): khat times the operator magnitude of the module doc."""
-    ctx = fam.ctx
-    tau = fam.tau
+    """Closed-form time-averaged flux of a generator-valued wave family:
+    khat times the operator magnitude of the module doc."""
+    ctx, tau = fam.ctx, fam.tau
     kxt = cross(ctx.k_lift, tau)
     txt = cross(tau, tau)
     op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
-    return np.einsum("i,ab->iab", ctx.khat, op)
+    return np.einsum("...i,...ab->...iab", ctx.khat, op)
 
 
 def _flux_form(fam: SolutionFamily):
@@ -59,11 +64,13 @@ def _flux_form(fam: SolutionFamily):
     Re F = sum_m cos(m phi) Herm(amp_m) + sin(m phi) Herm(i amp_m): a fixed
     Hermitian basis of 2H rows weighted by c(phi) = [cos(m phi) | sin(m phi)],
     so the flux is c_E^T X c_B with X_pq = (c/4 pi) U_p x V_q over the bases
-    U of E and V of B.  Returns X, the orders of E and of B (for ``_trig``)
-    and the masks over X of the blocks: 'first'/'second' pair equal orders
-    1/2, 'mixed' unequal ones (E and B hold orders 1 and 2 only), 'total' all.
+    U of E and V of B.  Returns X, shape (2H_E, 2H_B) + batch + (3, d, d),
+    the orders of E and of B (for ``_trig``) and the masks over X of the
+    blocks: 'first'/'second' pair equal orders 1/2, 'mixed' unequal ones
+    (E and B hold orders 1 and 2 only), 'total' all.  A trial of a stack
+    whose merge dropped an order has zero rows in its slot.
     """
-    def basis(f):  # (2H, 3, d, d): Herm(amp_m) for each order, then Herm(i amp_m)
+    def basis(f):  # (2H,) + batch + (3, d, d): Herm(amp_m) for each order, then Herm(i amp_m)
         a = np.concatenate([f.amps, 1j * f.amps])
         return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
@@ -91,20 +98,17 @@ def _trig_pair(orders_e, orders_b, phase: np.ndarray) -> tuple[np.ndarray, np.nd
     return ce, ce.copy() if orders_b == orders_e else _trig(orders_b, phase)
 
 
-def flux_averages(fam: SolutionFamily, samples: int, rs,
-                  weights: dict | None = None) -> list[dict[str, np.ndarray]]:
+def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.ndarray]]:
     """Trapezoid averages of (c/4 pi) Re E x Re B over one period at each
-    position in ``rs`` (None is the origin), split into the harmonic
-    blocks, each (3, d, d): 'first' (squared first harmonic), 'mixed' (the
-    order-g cross terms, which average to zero), 'second' (squared second
-    harmonic) and 'total' (the whole average, as ``flux_quadrature``).
-    One table serves every position: each average is a (2H_E, 2H_B) weight
-    matrix on it, with no sample axis.
-
-    The weights depend only on the exact k.r (its sign too, for a zero),
-    omega, period, N and the orders; ``weights``, a dict a caller may pass
-    to several calls, keeps them by that key, so positions and families
-    that share one reuse its cos/sin table.
+    position in ``rs`` (None is the origin; on a stack a position is (T, 3),
+    one per trial), split into the harmonic blocks: 'first' (squared first
+    harmonic), 'mixed' (the order-g cross terms, which average to zero),
+    'second' (squared second harmonic) and 'total' (the whole average, as
+    ``flux_quadrature``).  One basis table serves every position and
+    trial: each average is one (2H_E, 2H_B) weight matrix per trial on it,
+    with no sample axis.  A trial's weights depend only on its exact k.r
+    (its sign too, for a zero) and omega, and a call builds each distinct
+    cos/sin table once, for all the positions and trials that share it.
 
     ``samples`` (N) must be >= 1; below 5 the average aliases (see below).
     """
@@ -112,24 +116,27 @@ def flux_averages(fam: SolutionFamily, samples: int, rs,
         raise ValueError(f"samples must be >= 1, got {samples}")
     ctx = fam.ctx
     table, orders_e, orders_b, masks = _flux_form(fam)
-    weights = {} if weights is None else weights
-    # N nodes over one exact period; the endpoint repeats the first node, so
-    # the trapezoid rule is their plain mean.  The integrand is a
-    # trigonometric polynomial of degree m_E + m_B <= 4 in phi, and the
-    # N-point rule averages e^{i j phi} exactly unless N divides j, so it is
-    # exact up to rounding once N >= 5 (Trefethen & Weideman, SIAM Review
-    # 2014); fewer nodes alias, and RunConfig rejects them.
-    wt = ctx.omega * np.linspace(0.0, ctx.period, samples + 1)[:-1]
+    k, omegas = ctx.k.reshape(-1, 3), np.ravel(ctx.omega).tolist()
+
+    @functools.cache  # one cos/sin table per distinct (k.r, its sign bit, omega)
+    def weight(kr: float, negative: bool, omega: float) -> np.ndarray:
+        # N nodes over one exact period; the endpoint repeats the first node,
+        # so the trapezoid rule is their plain mean.  The integrand is a
+        # trigonometric polynomial of degree m_E + m_B <= 4 in phi, and the
+        # N-point rule averages e^{i j phi} exactly unless N divides j, so it
+        # is exact up to rounding once N >= 5 (Trefethen & Weideman, SIAM
+        # Review 2014); fewer nodes alias, and RunConfig rejects them.
+        wt = omega * np.linspace(0.0, 2.0 * np.pi / omega, samples + 1)[:-1]
+        ce, cb = _trig_pair(orders_e, orders_b, kr - wt)
+        return ce.T @ cb / samples
+
     out = []
     for r in rs:
-        kr = ctx.k @ (np.zeros(3) if r is None else np.asarray(r, dtype=float))
-        key = (float(kr), bool(np.signbit(kr)), float(ctx.omega), float(ctx.period),
-               samples, orders_e, orders_b)
-        if key not in weights:
-            ce, cb = _trig_pair(orders_e, orders_b, kr - wt)
-            weights[key] = ce.T @ cb / samples
-        w = weights[key]
-        out.append({name: np.einsum("pq,pqiab->iab", w * mask, table)
+        at = np.zeros_like(k) if r is None else np.asarray(r, dtype=float).reshape(-1, 3)
+        w = np.reshape([weight(kr, np.signbit(kr), om)
+                        for kr, om in zip(_dots(k, at).tolist(), omegas)],
+                       ctx.batch_shape + table.shape[:2])
+        out.append({name: np.einsum("...pq,pq...iab->...iab", w * mask, table)
                     for name, mask in masks.items()})
     return out
 

@@ -431,11 +431,7 @@ def compton_wavelength_si() -> float:
 def amplitude_frequency_si(theta: float = np.pi / 4.0,
                            p_si: float = 0.0) -> tuple[float, float]:
     """Wobble amplitude (m) and frequency (1/s) for an electron of momentum
-    p_si (kg m/s); evaluates the closed forms directly in SI floats."""
-    hbar = PLANCK_H_SI / (2.0 * np.pi)
-    c = LIGHT_SPEED_SI
-    m = ELECTRON_MASS_SI
-    ep = np.sqrt((p_si * c) ** 2 + (m * c ** 2) ** 2)
-    a = np.sin(2.0 * theta) * (hbar * c / (2.0 * ep)) * (m * c ** 2 / ep)
-    omega = 2.0 * ep / hbar
-    return float(a), float(omega)
+    p_si (kg m/s): ``amplitude_frequency`` on an SI context."""
+    ctx = DiracContext(p=(0.0, 0.0, p_si), mass=ELECTRON_MASS_SI, c=LIGHT_SPEED_SI,
+                       hbar=PLANCK_H_SI / (2.0 * np.pi))
+    return amplitude_frequency(theta, ctx)

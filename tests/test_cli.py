@@ -401,8 +401,12 @@ def test_readme_lists_the_flags_each_command_reads(tmp_path):
     values = flag_values(tmp_path)
     for command, reads in rows.items():
         argv = command.split()
-        code, err = run_main([*argv, *(f"{f}={values[f]}" for f in reads)])
-        assert code != EXIT_USAGE, (command, err)
+        # an export's --out and --timeseries name its one CSV, so they run apart
+        together = ([[f for f in reads if f != "--out"], ["--out"]] if "--timeseries" in reads
+                    else [reads])
+        for given in together:
+            code, err = run_main([*argv, *(f"{f}={values[f]}" for f in given)])
+            assert code != EXIT_USAGE, (command, err)
         for flag in sorted(set(listed) - set(reads)):
             code, err = run_main([*argv, f"{flag}={values[flag]}"])
             assert_one_config_error(code, err)
@@ -559,6 +563,48 @@ def test_overflowing_family_is_config_error(tmp_path, argv):
     assert_one_config_error(code, err)
     assert "not finite" in err[0] or "must be finite" in err[0]
     assert not (tmp_path / "out").exists()
+
+
+# a Python float power that overflows raises OverflowError: g ** 2 in the
+# closed-form flux, and c ** 2 in the Dirac energy every config builds
+@pytest.mark.parametrize("argv, family", [
+    (["verify", "poynting", "--trials", "2", "--samples", "5", "--coupling", "2e154"], {}),
+    (["poynting", "--coupling", "2e154"], {}),
+    (["verify", "wca", "--trials", "2"], {"c": 1e160}),
+    (["zitter", "--steps", "4"], {"c": 1e160}),
+    (["poynting", "--steps", "4"], {"c": 1e160}),
+])
+def test_a_float_power_that_overflows_is_config_error(tmp_path, argv, family):
+    config = config_file(tmp_path / "cfg.yaml", family)
+    code, err = run_main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0].startswith("config error: a value overflowed: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["zitter"], ["poynting"]])
+def test_an_export_writes_timeseries_when_set_else_out(tmp_path, command):
+    argv = [*command, "--steps", "4"]
+    out, series = tmp_path / "report.json", tmp_path / "series.csv"
+    # the README's config: output.report and output.timeseries
+    config = config_file(tmp_path / "cfg.yaml", {"out": str(out), "timeseries": str(series)})
+    assert main([*argv, "--config", config]) == EXIT_PASS
+    assert series.exists() and not out.exists()
+    body = series.read_bytes()
+    series.unlink()
+    assert main([*argv, "--timeseries", str(series)]) == EXIT_PASS
+    assert series.read_bytes() == body
+    assert main([*argv, "--out", str(out)]) == EXIT_PASS
+    assert out.read_bytes() == body
+    out.unlink()
+    # --out while timeseries is set, by flag or in the config, names a second CSV
+    for given in (["--timeseries", str(series)], ["--config", config]):
+        series.unlink(missing_ok=True)
+        code, err = run_main([*argv, "--out", str(out), *given])
+        assert_one_config_error(code, err)
+        assert err[0] == (f"config error: {command[0]} writes one CSV, "
+                          "but --out and timeseries both name it")
+        assert not out.exists() and not series.exists()
 
 
 def test_wca_suite_all_pass():

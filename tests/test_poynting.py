@@ -15,6 +15,7 @@ from amwave.poynting import (
     NonTransverseAmplitude,
     _flux_form,
     _trig,
+    _trig_pair,
     amw_flux,
     em_flux,
     flux_averages,
@@ -184,7 +185,7 @@ def test_timeseries_matches_sample_loop(kind):
     fam = random_family(make_generators(kind), rng, g=0.4)
     cfg = RunConfig(suite="poynting", steps=33, samples=5)
     header, rows = poynting_timeseries(cfg, fam)
-    got = dict(zip(header, np.array(rows).T))
+    got = dict(zip(header, np.array(list(rows)).T))
     ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
     khat, d = fam.ctx.khat, fam.ctx.dim
     want = {key: np.einsum("i,tiaa->t", khat, val).real / d
@@ -220,10 +221,11 @@ def test_last_running_average_is_the_closed_form(kind, steps):
     rng = np.random.default_rng(29)
     fam = random_family(make_generators(kind), rng, g=0.4)
     _, rows = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
+    last = list(rows)[-1]
     closed = amw_flux(fam)
     want = np.einsum("i,iaa->", fam.ctx.khat, closed).real / fam.ctx.dim
-    assert rows[-1][-1] == pytest.approx(want, rel=1e-13, abs=0.0)
-    assert rows[-1][0] < fam.ctx.period
+    assert last[-1] == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert last[0] < fam.ctx.period
 
 
 @pytest.mark.parametrize("samples", (0, -1))
@@ -267,21 +269,70 @@ def test_shared_table_averages_equal_two_tables(kind, samples):
     rng = np.random.default_rng(37)
     gens = make_generators(kind)
     fams = [random_family(gens, rng, g=0.4) for _ in range(2)]
-    # a fixed k, so the two families share their origin weights
     fams += [random_family(gens, rng, k=(0.0, 0.6, -0.8), g=0.4) for _ in range(2)]
-    weights = {}
     for fam in fams:
         _, orders_e, orders_b, _ = _flux_form(fam)
         assert orders_e == orders_b == (1, 2)
         rs = (rng.uniform(-1, 1, 3), None)
-        for kept in (None, weights):
-            for pos, got in zip(rs, flux_averages(fam, samples, rs, kept)):
-                want = two_table_averages(fam, samples, pos)
+        for pos, got in zip(rs, flux_averages(fam, samples, rs)):
+            want = two_table_averages(fam, samples, pos)
+            assert got.keys() == want.keys()
+            for key, val in want.items():
+                assert got[key].tobytes() == val.tobytes(), (key, pos is None)
+
+
+def test_a_call_builds_each_distinct_table_once(monkeypatch):
+    # the two fixed-k families share omega, hence their origin table
+    rng = np.random.default_rng(41)
+    gens = make_generators("su2_spin_one")
+    fams = SolutionFamily.stack(random_family(gens, rng, k=(0.0, 0.6, -0.8), g=0.4)
+                                for _ in range(2))
+    built = []
+    monkeypatch.setattr("amwave.poynting._trig_pair",
+                        lambda *args, pair=_trig_pair: built.append(1) or pair(*args))
+    flux_averages(fams, 7, (rng.uniform(-1, 1, (2, 3)), None, None))
+    assert len(built) == 3
+
+
+def mixed_stack(kind, seed):
+    """[generic, abelian, generic] families of one generator kind: the
+    abelian family's tau x tau vanishes, so alone it has no second harmonic
+    while the stack holds that slot, zeroed for it."""
+    rng = np.random.default_rng(seed)
+    gens = make_generators(kind)
+    fams = [random_family(gens, rng, g=0.4, abelian=abelian) for abelian in (False, True, False)]
+    assert build_fields(fams[1])[0].orders == (1,)
+    stack = SolutionFamily.stack(fams)
+    assert build_fields(stack)[0].orders == (1, 2)
+    return fams, stack, rng
+
+
+@pytest.mark.parametrize("samples", (5, 200))
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_fluxes_give_each_trial_its_own_bytes(kind, samples):
+    for seed in range(4):
+        fams, stack, rng = mixed_stack(kind, seed)
+        r = rng.uniform(-1, 1, (3, 3))
+        at_r, at_origin = flux_averages(stack, samples, (r, None))
+        closed = amw_flux(stack)
+        r0 = rng.uniform(-1, 1, (3, 3))
+        a01 = -np.cross(stack.ctx.khat, np.cross(stack.ctx.khat, r0))
+        em = em_flux(a01, stack.ctx)
+        for t, fam in enumerate(fams):
+            for got, pos in ((at_r, r[t]), (at_origin, None)):
+                want = flux_averages(fam, samples, (pos,))[0]
                 assert got.keys() == want.keys()
                 for key, val in want.items():
-                    assert got[key].tobytes() == val.tobytes(), (key, pos is None)
-    # one entry per distinct (k.r, omega, period, samples, orders): one per
-    # random r, and one per distinct omega and period at the origin, which
-    # the two fixed-k families share
-    origins = {(f.ctx.omega, f.ctx.period) for f in fams}
-    assert len(origins) < len(fams) and len(weights) == len(fams) + len(origins)
+                    assert got[key][t].tobytes() == val.tobytes(), (seed, t, key, pos is None)
+            assert closed[t].tobytes() == amw_flux(fam).tobytes(), (seed, t)
+            assert em[t].tobytes() == em_flux(a01[t], fam.ctx).tobytes(), (seed, t)
+
+
+def test_stacked_em_flux_refuses_a_longitudinal_trial():
+    fams, stack, _ = mixed_stack("su2_spin_half", 43)
+    khat = stack.ctx.khat
+    a01 = -np.cross(khat, np.cross(khat, [1.0, 0.0, 0.0]))
+    em_flux(a01, stack.ctx)
+    a01[1] = khat[1]
+    with pytest.raises(NonTransverseAmplitude):
+        em_flux(a01, stack.ctx)

@@ -6,6 +6,9 @@ from amwave.algebra import commutator, operator_norm
 from amwave.zitter import (
     ALPHA,
     BETA,
+    ELECTRON_MASS_SI,
+    LIGHT_SPEED_SI,
+    PLANCK_H_SI,
     SERIES_BLOCK,
     SIGMA,
     DiracContext,
@@ -273,6 +276,18 @@ def test_amplitude_frequency_bounds_and_si():
     assert a_si == pytest.approx(1.9308e-13, rel=5e-4)
     assert a_si == pytest.approx(lam / (4 * np.pi), rel=1e-12)
     assert omega_si == pytest.approx(1.55269e21, rel=5e-5)
+
+
+def test_si_amplitude_frequency_is_the_closed_form_in_si_floats():
+    # the reference: the closed form written out in SI floats
+    hbar, c, m = PLANCK_H_SI / (2.0 * np.pi), LIGHT_SPEED_SI, ELECTRON_MASS_SI
+    rng = np.random.default_rng(47)
+    for theta, p_si in zip(rng.uniform(0.0, np.pi / 2.0, 500),
+                           rng.uniform(-1e-21, 1e-21, 500) * 10.0 ** rng.uniform(-3, 1, 500)):
+        ep = np.sqrt((p_si * c) ** 2 + (m * c ** 2) ** 2)
+        want = (float(np.sin(2.0 * theta) * (hbar * c / (2.0 * ep)) * (m * c ** 2 / ep)),
+                float(2.0 * ep / hbar))
+        assert amplitude_frequency_si(theta, p_si) == want, (theta, p_si)
 
 
 # --- stacked time series ------------------------------------------------------

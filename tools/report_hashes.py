@@ -1,6 +1,6 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 93 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 95 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
@@ -19,10 +19,12 @@ Prints one line per configuration, ``<sha256>  <label>``, for 93 runs:
 - 3 report bodies for generators no other run gives these suites: gauge
   at seed 7 with su3_gellmann (10 trials), and poynting at seed 7 with
   su2_spin_one and with su3_gellmann (3 trials, 200 samples).
-- 5 report bodies of edge cases for zitter and poynting: both at seed 11
+- 7 report bodies of edge cases for zitter and poynting: both at seed 11
   with 1 and with 3 trials, where one generator group holds a single
-  trial (poynting at 200 samples), and poynting at seed 3 with the fixed
-  spin-1/2 family (4 trials, 200 samples).
+  trial (poynting at 200 samples), and poynting at 200 samples: at seed 3
+  with the fixed spin-1/2 family (4 trials), at seed 5 with 25 trials
+  (generator groups of 13 and 12) and at seed 5 with zero coupling (10
+  trials), where every trial drops its second harmonic.
 - 8 ``amwave zitter`` CSV bodies: pairs (1,3), (1,4), (2,3) and (2,4),
   each at the default momentum 0,0,0.8 (exact zeros in p) and at the
   off-axis momentum 0.3,-0.4,0.9.
@@ -40,7 +42,7 @@ command:
 It runs every configuration above under the ``src/`` beside this tool
 and under the old tree, each in its own interpreter, prints the label
 of each configuration whose hash differs (or that one tree did not
-run), and exits 1 on any difference or failed run, 0 when all 93 agree.
+run), and exits 1 on any difference or failed run, 0 when all 95 agree.
 Without ``--against`` it prints the hash lines of the tree on
 PYTHONPATH:
 
@@ -121,6 +123,10 @@ def configs():
     yield "poynting seed=3 fixed R", RunConfig(
         suite="poynting", seed=3, trials=4, samples=200, generator="su2_spin_half",
         k=(0.0, 0.0, 1.0), R=FIXED_R["fixed R"])
+    yield "poynting seed=5 trials=25", RunConfig(
+        suite="poynting", seed=5, trials=25, samples=200)
+    yield "poynting seed=5 coupling=0", RunConfig(
+        suite="poynting", seed=5, trials=10, samples=200, coupling=0.0)
 
 
 def exports():
