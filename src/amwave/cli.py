@@ -8,10 +8,13 @@ timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
-amplitudes overflow).  Every suite runs once per generator group, in
-one thread, on the group's families drawn straight into one stacked
-``SolutionFamily`` (zitter trials draw none).  ``write_report`` writes
-the bytes of ``json.dumps(report, indent=2)``, each item from a template.
+amplitudes overflow).  Each suite is one row of ``SUITE_TABLE``: its
+columns, its default tolerance, its fixed generator kind if it has one,
+whether its trials draw a family, and the items that open its report.
+Every suite runs once per generator group (``RunConfig.kinds``), in one
+thread, on the group's families drawn straight into one stacked
+``SolutionFamily``.  ``write_report`` writes the bytes of
+``json.dumps(report, indent=2)``, each item from a template.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 import tempfile
 from collections.abc import Callable, Collection, Iterator
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -79,18 +82,7 @@ EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
-SUITES = ("wca", "zca", "exact", "full", "boost", "gauge", "zitter", "poynting", "su3")
 GENERATORS = ("both", "su2_spin_half", "su2_spin_one", "su3_gellmann")
-
-# Default per-item tolerances; analytic residuals are exact termwise algebra,
-# boosted-frame checks allow contraction roundoff, and the flux quadrature is
-# exact for samples >= 5, leaving sum rounding of ~eps*sqrt(samples): 2e-14
-# at 10,000 samples, where the worst of 120 seeded trials was 1.1e-15.
-SUITE_TOL = {
-    "wca": 1e-12, "zca": 1e-12, "exact": 1e-12, "full": 1e-12,
-    "gauge": 1e-12, "su3": 1e-12, "zitter": 1e-12,
-    "boost": 1e-10, "poynting": 1e-12,
-}
 
 SU3_F_VALUES = {
     (1, 2, 3): 1.0,
@@ -104,6 +96,136 @@ class ConfigError(ValueError):
     pass
 
 
+# --- the suite table ---------------------------------------------------------------
+#
+# A suite gives, for the trials of one generator group, columns (item name,
+# one residual per trial[, tolerance]); a column without a tolerance is
+# held to cfg.tol.  Its columns are a function of (cfg, fams, rngs):
+# ``fams`` is the group's stacked SolutionFamily (None for a suite whose
+# trials draw no family) and ``rngs`` the trials' generators, each already
+# past its family draw.
+
+
+def _table(labels: tuple[str, ...], cfg: RunConfig, fams: SolutionFamily, rngs):
+    """The columns of ``residuals.EQUATIONS`` rows, evaluated on one
+    ``Terms`` of the group's stacked family, so the rows share its products."""
+    terms = Terms.of(fams)
+    return [col for label in labels for col in equation_residuals(label, terms)]
+
+
+def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
+    """Full-equation residuals before and after a random constant gauge
+    rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
+    right after its family, and the wca conditions on the rotated wave."""
+    ctx = fams.ctx
+    gens = ctx.generators
+    coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
+    herm = np.zeros((gens.dim, gens.dim), dtype=complex)
+    for c, g in zip(coeffs.T, gens.generators):
+        herm = herm + g * c[:, None, None]
+    u = unitary_exponential(herm)
+    terms = Terms.of(fams)
+    conj = Terms(gauge_conjugate(terms.a, u), gauge_conjugate(terms.phi, u), ctx)
+    before, after = equation_residuals("full", terms), equation_residuals("full", conj)
+    drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
+    conj_wca = named_residuals(equation_fields("wca", conj), field_scale(terms.a))
+    return [("residual_norm_invariance", drift),
+            ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
+
+
+def _zitter_residuals(cfg: RunConfig, _, rngs):
+    """Each trial draws a momentum p, a mixing angle and a time t from its
+    own generator, in that order; t's range needs that trial's E_p.  The
+    group is one stacked DiracContext: Z_r(t) is built once per trial and
+    Z_s(t) from it, and the four expectations are taken on those two
+    stacks."""
+    p = np.array([rng.uniform(-1.0, 1.0, 3) for rng in rngs])
+    p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
+    ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
+    theta = np.array([rng.uniform(0.0, np.pi / 2.0) for rng in rngs])
+    t = np.array([rng.uniform(0.0, hi) for rng, hi
+                  in zip(rngs, (4.0 * np.pi * ctx.hbar / ctx.energy).tolist())])
+    zr, zs = operator_stacks(ctx, t)
+    mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
+                            in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
+    devs = [("position_vs_closed", expectations(zr, mix13) - position_closed_form(theta, ctx, t)),
+            ("spin_vs_closed", expectations(zs, mix14) - spin_closed_form(theta, ctx, t)),
+            ("pure_energy_zero", expectations(zr, pure13), 1e-14),
+            ("same_helicity_spin_zero", expectations(zs, mix13), 1e-14)]
+    # relative to max(1, the wobble's size), as every residual is
+    scale = np.maximum(1.0, ctx.wobble_scale)
+    return [(name, np.abs(dev).max(axis=1) / scale, *tol) for name, dev, *tol in devs]
+
+
+def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
+    """The flux quadrature at a random r against the closed form, the mixed
+    block at the origin, and the g = 0 wave on a random r0 against the
+    classical flux, each on the whole group at once; each trial draws r,
+    then r0."""
+    r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
+    ctx = fams.ctx
+    fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
+                           R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
+    a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
+    closed = amw_flux(fams)
+    at_r, at_origin = flux_averages(fams, cfg.samples, (r, None))
+    # each trial's operator_norm; fmax, like max(1.0, norm), takes 1.0 for a NaN norm
+    scale, quad, mixed, abelian = (frobenius_norms(x).max(axis=-1) for x in (
+        closed, at_r["total"] - closed, at_origin["mixed"],
+        amw_flux(fams0) - em_flux(a01, fams0.ctx)))
+    scale = np.fmax(1.0, scale)
+    return [("quadrature_vs_closed", quad / scale), ("mixed_block_average", mixed / scale, 1e-10),
+            ("abelian_equals_em", abelian, 1e-10)]
+
+
+def _su3_constants(tol: float) -> list[dict]:
+    """The structure-constant table checks that open the su3 report."""
+    gens = make_generators("su3_gellmann")
+    f, _ = structure_constants(gens)
+    items = [report_item(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), tol)
+             for (a, b, c), want in SU3_F_VALUES.items()]
+    anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
+    items.append(report_item("f_antisymmetry", anti, tol))
+    listed = np.zeros_like(f, dtype=bool)
+    for (a, b, c) in SU3_F_VALUES:
+        for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
+            listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
+    stray = float(np.abs(f[~listed]).max())
+    items.append(report_item("f_unlisted_vanish", stray, tol))
+    return items
+
+
+class Suite(NamedTuple):
+    """A row of the suite table."""
+
+    columns: Callable  # (cfg, fams, rngs) -> the columns of one generator group
+    tol: float  # the tolerance of a column that names none, unless the run sets one
+    generator: str | None = None  # the generator kind of every trial, if fixed
+    family: bool = True  # whether each trial draws a family
+    opening: Callable = lambda tol: []  # tol -> the items that open the report
+
+
+# Analytic residuals are exact termwise algebra, boosted-frame checks allow
+# contraction roundoff, and the flux quadrature is exact for samples >= 5,
+# leaving sum rounding of ~eps*sqrt(samples): 2e-14 at 10,000 samples,
+# where the worst of 120 seeded trials was 1.1e-15.
+SUITE_TABLE = {
+    "wca": Suite(partial(_table, ("wca",)), 1e-12),
+    "zca": Suite(partial(_table, ("zca", "maxwell", "battery")), 1e-12),
+    "exact": Suite(partial(_table, ("exact",)), 1e-12),
+    "full": Suite(partial(_table, ("full",)), 1e-12),
+    # the boosted-frame checks at +velocity and -velocity, the group's
+    # fields built once for both
+    "boost": Suite(lambda cfg, fams, rngs: boost_columns(
+        fams, (cfg.velocity, -cfg.velocity), axis=cfg.boost_axis, tol=cfg.tol), 1e-10),
+    "gauge": Suite(_gauge_residuals, 1e-12),
+    "zitter": Suite(_zitter_residuals, 1e-12, family=False),
+    "poynting": Suite(_poynting_residuals, 1e-12),
+    "su3": Suite(partial(_table, ("zca",)), 1e-12, "su3_gellmann", opening=_su3_constants),
+}
+SUITES = tuple(SUITE_TABLE)
+
+
 # --- the options table -----------------------------------------------------------------
 #
 # Each option is one RunConfig field, whose metadata is its row.  The rows
@@ -112,7 +234,9 @@ class ConfigError(ValueError):
 # su3-constants are verify boost and verify su3), "zitter" and "poynting".
 _VERIFY = frozenset(f"verify {s}" for s in SUITES)
 _EVERY = _VERIFY | {"zitter", "poynting"}
-_FAMILY = _VERIFY - {"verify zitter"} | {"poynting"}  # the commands that build a family
+# the commands that build a family, and those whose family has a fixed generator
+_FAMILY = frozenset(f"verify {s}" for s, row in SUITE_TABLE.items() if row.family) | {"poynting"}
+_FIXED = frozenset(f"verify {s}" for s, row in SUITE_TABLE.items() if row.generator)
 
 
 class Option(NamedTuple):
@@ -182,8 +306,9 @@ class RunConfig:
                                       flag=("--tol", float))
     generator: str = _option("both", _such(GENERATORS.__contains__, f"one of {GENERATORS}"),
                              "family", flag=("--generator", GENERATORS),
-                             reads=_FAMILY - {"verify su3"})  # su3 is always Gell-Mann
-    hbar: float = _option(1.0, _real, "family", reads=_EVERY - {"verify su3"})
+                             reads=_FAMILY - _FIXED)
+    # the fixed generator, Gell-Mann's, does not scale with hbar
+    hbar: float = _option(1.0, _real, "family", reads=_EVERY - _FIXED)
     c: float = _option(1.0, _real, "family")
     coupling: float = _option(0.1, _real, "family", flag=("--coupling", float), reads=_FAMILY)
     k: tuple[float, float, float] | None = _option(None, _vector, "family", reads=_FAMILY)
@@ -225,8 +350,11 @@ class RunConfig:
             self.dirac.states
             axis = boost_matrix(self.velocity * self.c, c=self.c, axis=self.boost_axis).axis
             SuperpositionSpec(self.theta, self.pair)
-            if self.suite != "zitter":
-                for kind in {_trial_kind(self, i) for i in range(min(self.trials, 2))}:
+            if self.t_max is not None and not np.isfinite(
+                    2.0 * self.dirac.energy * self.t_max / self.hbar):
+                raise ValueError(f"t_max = {self.t_max!r} overflows the phase 2 E_p t / hbar")
+            if SUITE_TABLE[self.suite].family:
+                for kind in self.kinds[:self.trials]:
                     _group_families(self, kind, ())
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -245,7 +373,13 @@ class RunConfig:
 
     @property
     def tol(self) -> float:
-        return SUITE_TOL[self.suite] if self.tolerance is None else self.tolerance
+        return SUITE_TABLE[self.suite].tol if self.tolerance is None else self.tolerance
+
+    @property
+    def kinds(self) -> list[str]:
+        """The generator kind of each group of trials: trial i is in group i % len(kinds)."""
+        kind = SUITE_TABLE[self.suite].generator or self.generator
+        return ["su2_spin_half", "su2_spin_one"] if kind == "both" else [kind]
 
     def canonical(self) -> dict:
         """The options as JSON values, but for the output section: paths are
@@ -303,14 +437,6 @@ def config_from_file(path: str, overrides: dict | None = None,
 
 # --- trial plumbing ------------------------------------------------------------
 
-def _trial_kind(cfg: RunConfig, i: int) -> str:
-    if cfg.suite == "su3":
-        return "su3_gellmann"
-    if cfg.generator == "both":
-        return "su2_spin_half" if i % 2 == 0 else "su2_spin_one"
-    return cfg.generator
-
-
 def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
     """The families of one generator group's trials, stacked: the config's
     fixed family, built once, or one drawn from each trial's generator.
@@ -324,142 +450,27 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
     return SolutionFamily.stack(fams) if fams else None
 
 
-# --- suites: the columns of a group of trials ---------------------------------------
-#
-# A suite gives, for the trials of one generator kind, columns (item name,
-# one residual per trial[, tolerance]); a column without a tolerance is
-# held to cfg.tol.  A suite is either a list of ``residuals.EQUATIONS``
-# rows, evaluated on one ``Terms`` of the group's stacked family so the
-# rows share its products, or a function of (cfg, fams, rngs).  ``fams``
-# is the group's stacked SolutionFamily (None for zitter, which draws no
-# family) and ``rngs`` the trials' generators, each already past its
-# family draw.
-
-
-def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    """Full-equation residuals before and after a random constant gauge
-    rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
-    right after its family, and the wca conditions on the rotated wave."""
-    ctx = fams.ctx
-    gens = ctx.generators
-    coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
-    herm = np.zeros((gens.dim, gens.dim), dtype=complex)
-    for c, g in zip(coeffs.T, gens.generators):
-        herm = herm + g * c[:, None, None]
-    u = unitary_exponential(herm)
-    terms = Terms.of(fams)
-    conj = Terms(gauge_conjugate(terms.a, u), gauge_conjugate(terms.phi, u), ctx)
-    before, after = equation_residuals("full", terms), equation_residuals("full", conj)
-    drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
-    conj_wca = named_residuals(equation_fields("wca", conj), field_scale(terms.a))
-    return [("residual_norm_invariance", drift),
-            ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
-
-
-def _zitter_residuals(cfg: RunConfig, _, rngs):
-    """Each trial draws a momentum p, a mixing angle and a time t from its
-    own generator, in that order; t's range needs that trial's E_p.  The
-    group is one stacked DiracContext: Z_r(t) is built once per trial and
-    Z_s(t) from it, and the four expectations are taken on those two
-    stacks."""
-    p = np.array([rng.uniform(-1.0, 1.0, 3) for rng in rngs])
-    p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
-    ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
-    theta = np.array([rng.uniform(0.0, np.pi / 2.0) for rng in rngs])
-    t = np.array([rng.uniform(0.0, hi) for rng, hi
-                  in zip(rngs, (4.0 * np.pi * ctx.hbar / ctx.energy).tolist())])
-    zr, zs = operator_stacks(ctx, t)
-    mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
-                            in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
-    return [("position_vs_closed",
-             np.abs(expectations(zr, mix13) - position_closed_form(theta, ctx, t)).max(axis=1)),
-            ("spin_vs_closed",
-             np.abs(expectations(zs, mix14) - spin_closed_form(theta, ctx, t)).max(axis=1)),
-            ("pure_energy_zero", np.abs(expectations(zr, pure13)).max(axis=1), 1e-14),
-            ("same_helicity_spin_zero", np.abs(expectations(zs, mix13)).max(axis=1), 1e-14)]
-
-
-def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    """The flux quadrature at a random r against the closed form, the mixed
-    block at the origin, and the g = 0 wave on a random r0 against the
-    classical flux, each on the whole group at once; each trial draws r,
-    then r0."""
-    r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
-    ctx = fams.ctx
-    fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
-                           R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
-    a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
-    closed = amw_flux(fams)
-    at_r, at_origin = flux_averages(fams, cfg.samples, (r, None))
-    # each trial's operator_norm; fmax, like max(1.0, norm), takes 1.0 for a NaN norm
-    scale, quad, mixed, abelian = (frobenius_norms(x).max(axis=-1) for x in (
-        closed, at_r["total"] - closed, at_origin["mixed"],
-        amw_flux(fams0) - em_flux(a01, fams0.ctx)))
-    scale = np.fmax(1.0, scale)
-    return [("quadrature_vs_closed", quad / scale), ("mixed_block_average", mixed / scale, 1e-10),
-            ("abelian_equals_em", abelian, 1e-10)]
-
-
-_TRIALS = {
-    "wca": ["wca"],
-    "zca": ["zca", "maxwell", "battery"],
-    "exact": ["exact"],
-    "full": ["full"],
-    # the boosted-frame checks at +velocity and -velocity, the group's
-    # fields built once for both
-    "boost": lambda cfg, fams, rngs: boost_columns(
-        fams, (cfg.velocity, -cfg.velocity), axis=cfg.boost_axis, tol=cfg.tol),
-    "gauge": _gauge_residuals,
-    "zitter": _zitter_residuals,
-    "poynting": _poynting_residuals,
-    "su3": ["zca"],
-}
-
-
-def _su3_constants(tol: float) -> list[dict]:
-    """The structure-constant table checks that open the su3 report."""
-    gens = make_generators("su3_gellmann")
-    f, _ = structure_constants(gens)
-    items = [report_item(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), tol)
-             for (a, b, c), want in SU3_F_VALUES.items()]
-    anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
-    items.append(report_item("f_antisymmetry", anti, tol))
-    listed = np.zeros_like(f, dtype=bool)
-    for (a, b, c) in SU3_F_VALUES:
-        for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
-            listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
-    stray = float(np.abs(f[~listed]).max())
-    items.append(report_item("f_unlisted_vanish", stray, tol))
-    return items
-
-
 def _run_trials(cfg: RunConfig) -> list[dict]:
     """Every trial's report items, each named trialNNN/<item>, in trial order.
 
-    The trials of each generator kind run as one group: the group's
-    families are drawn as one stack (``_group_families``), each trial from
-    its own generator (zitter trials draw none), and the suite runs once
-    on that stack.  Whatever a suite draws comes from the same per-trial
-    generators after the family, so grouping changes no value."""
+    The trials of each generator kind (``cfg.kinds``) run as one group:
+    the group's families are drawn as one stack (``_group_families``), each
+    trial from its own generator, unless the suite's trials draw none, and
+    the suite's columns are computed once on that stack.  Whatever a suite
+    draws comes from the same per-trial generators after the family, so
+    grouping changes no value."""
+    suite, kinds = SUITE_TABLE[cfg.suite], cfg.kinds
     # the first allocation sized by the trial count, so a count that memory
-    # cannot hold fails here at once; a trial's kind goes by its parity
+    # cannot hold fails here at once
     every = np.arange(cfg.trials)
-    step = 1 if _trial_kind(cfg, 0) == _trial_kind(cfg, 1) else 2
     per_trial = [[] for _ in range(cfg.trials)]
-    for first in range(min(step, cfg.trials)):
-        idx = every[first::step].tolist()
+    for first, kind in enumerate(kinds[:cfg.trials]):
+        idx = every[first::len(kinds)].tolist()
         # SeedSequence(seed).spawn(trials)[i], without the other trials' children
         group = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
                  for i in idx]
-        fams = (None if cfg.suite == "zitter"
-                else _group_families(cfg, _trial_kind(cfg, first), group))
-        suite = _TRIALS[cfg.suite]
-        if callable(suite):
-            cols = suite(cfg, fams, group)
-        else:
-            terms = Terms.of(fams)
-            cols = [col for label in suite for col in equation_residuals(label, terms)]
-        for name, residuals, *given in cols:
+        fams = _group_families(cfg, kind, group) if suite.family else None
+        for name, residuals, *given in suite.columns(cfg, fams, group):
             tol = float(given[0] if given else cfg.tol)
             for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
                 per_trial[i].append(report_item(f"trial{i:03d}/{name}", r, tol))
@@ -467,8 +478,7 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
 
 
 def run_suite(cfg: RunConfig) -> dict:
-    items = _su3_constants(cfg.tol) if cfg.suite == "su3" else []
-    items += _run_trials(cfg)
+    items = SUITE_TABLE[cfg.suite].opening(cfg.tol) + _run_trials(cfg)
     failed = sum(not it["pass"] for it in items)
     return {
         "suite": cfg.suite,
@@ -605,16 +615,18 @@ def _cmd_verify(cfg: RunConfig) -> int:
 def _cmd_zitter(cfg: RunConfig) -> int:
     header, rows, dev = zitter_timeseries(cfg)
     write_timeseries(header, rows, cfg.csv_path)
-    worst = float(dev.max()) if dev.size else 0.0  # a NaN deviation propagates
-    if not worst <= cfg.tol:
-        print(f"FAIL zitter: max |numeric - closed| = {worst:.3e}", file=sys.stderr)
+    # relative to max(1, hbar c / 2 E_p), as the suite's residuals are
+    worst = float(dev.max()) / max(1.0, cfg.dirac.wobble_scale) if dev.size else 0.0
+    if not worst <= cfg.tol:  # a NaN deviation fails
+        print(f"FAIL zitter: max |numeric - closed| = {worst:.3e} relative to "
+              "max(1, hbar c / 2 E_p)", file=sys.stderr)
         return EXIT_FAIL
-    print(f"PASS zitter: {cfg.steps} samples, max deviation {worst:.3e}", file=sys.stderr)
+    print(f"PASS zitter: {cfg.steps} samples, max relative deviation {worst:.3e}", file=sys.stderr)
     return EXIT_PASS
 
 
 def _cmd_poynting(cfg: RunConfig) -> int:
-    fam = _group_families(cfg, _trial_kind(cfg, 0), [np.random.default_rng(cfg.seed)]).trial(0)
+    fam = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)]).trial(0)
     closed = amw_flux(fam)  # before the export, so an overflow writes no file
     quad = flux_quadrature(fam, samples=cfg.samples)
     header, rows = poynting_timeseries(cfg, fam)

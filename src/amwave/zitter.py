@@ -6,9 +6,10 @@ factor exp(-2iHt/hbar) inside Z_r(t) is computed by spectral decomposition
 of the Hermitian Hamiltonian (exact and stable for any t), never by series.
 
 The Dirac matrices are read-only module constants.  Everything that depends
-only on the momentum (|p|, E_p, phat, H as ``hmat``, eigh(H), H^-1 and the
-four eigenstates as ``states``) is computed once per ``DiracContext`` and
-cached read-only on it.  A context holds one momentum, or the momenta of T
+only on the momentum (|p|, E_p, phat, H as ``hmat``, eigh(H), H^-1, the
+four eigenstates as ``states`` and the wobble's size hbar c / 2 E_p as
+``wobble_scale``) is computed once per ``DiracContext`` and cached
+read-only on it.  A context holds one momentum, or the momenta of T
 trials on a leading axis; then each cached value is a per-trial stack, and
 the operator stacks, expectations and closed forms take one time (and one
 mixing angle) per trial.  Each trial of a stack gets the bits its own
@@ -16,6 +17,8 @@ context would give it.  Z_r(t) and Z_s(t) come from one stacked kernel
 over a leading t axis (``operator_stacks``); a time series contracts it
 ``SERIES_BLOCK`` times at a time so its temporaries stay bounded
 (``zitter_expectation_series``), and one time is a one-row series.
+``expectations`` holds each row's imaginary part to max(1, the row's
+operator norm), so a zero expectation of a large operator is accepted.
 
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
@@ -32,7 +35,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, readonly
+from .algebra import PAULI, frobenius_norms, readonly
 from .fields import _dots, square
 
 POLAR_EPS = 1e-10
@@ -121,6 +124,11 @@ class DiracContext:
         """E_p = sqrt(p^2 c^2 + m^2 c^4)."""
         return _value(np.sqrt(square(self.pnorm * self.c)
                               + (self.mass * self.c ** 2) ** 2))
+
+    @functools.cached_property
+    def wobble_scale(self) -> float | np.ndarray:
+        """hbar c / 2 E_p, the prefactor both wobble closed forms share."""
+        return _value(self.hbar * self.c / (2.0 * self.energy))
 
     @property
     def p_plus(self) -> complex | np.ndarray:
@@ -293,10 +301,11 @@ def _cross_p(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
 def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """<psi| op_ti |psi> for a (T, 3, 4, 4) stack of Hermitian operators and
     one state psi, or a (T, 4) stack of states, one per row; real, shape
-    (T, 3).  Each row's imaginary part is checked against that row's own
-    scale."""
+    (T, 3).  Each row's imaginary part is checked against max(1, that
+    row's operator norm): the norm bounds the expectation of a unit state,
+    so an expectation that is zero is held to the size of its operator."""
     vals = np.einsum("...a,...iab,...b->...i", psi.conj(), ops, psi)
-    scale = np.fmax(1.0, np.abs(vals).max(axis=1))
+    scale = np.fmax(1.0, frobenius_norms(ops).max(axis=1))
     if np.any(np.abs(vals.imag).max(axis=1) > 1e-10 * scale):
         raise ValueError("expectation of a Hermitian operator came out complex")
     return vals.real
@@ -350,8 +359,7 @@ def amplitude_frequency(theta: float, ctx: DiracContext) -> tuple[float, float]:
     value per trial of a stacked context.
     """
     ep = ctx.energy
-    a = np.sin(2.0 * theta) * (ctx.hbar * ctx.c / (2.0 * ep)) \
-        * (ctx.mass * ctx.c ** 2 / ep)
+    a = np.sin(2.0 * theta) * ctx.wobble_scale * (ctx.mass * ctx.c ** 2 / ep)
     omega = 2.0 * ep / ctx.hbar
     return _value(a), _value(omega)
 
@@ -376,8 +384,7 @@ def spin_closed_form(theta: float, ctx: DiracContext, t) -> np.ndarray:
     ex = -cw * (square(py) / (p + pz) + pz) + sw * (px * py / (p + pz))
     ey = cw * (px * py / (p + pz)) - sw * (square(px) / (p + pz) + pz)
     ez = cw * px + sw * py
-    return _col(-np.sin(2.0 * theta) * (ctx.hbar * ctx.c / (2.0 * ep))) \
-        * np.stack([ex, ey, ez], axis=-1)
+    return _col(-np.sin(2.0 * theta) * ctx.wobble_scale) * np.stack([ex, ey, ez], axis=-1)
 
 
 def spin_closed_form_z(theta: float, ctx: DiracContext, t: float) -> np.ndarray:

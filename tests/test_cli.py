@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import amwave
 from amwave.algebra import GeneratorSet, make_generators, operator_norm
 from amwave.cli import (
-    _TRIALS,
+    SUITE_TABLE,
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
@@ -834,6 +834,45 @@ def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("FAIL zitter: max |numeric - closed| = nan")
 
 
+# hbar scales the wobble, whose size is hbar c / 2 E_p; the residuals and
+# the export's deviation are relative to max(1, that scale)
+@pytest.mark.parametrize("argv, hbar", [
+    (["verify", "zitter", "--trials", "20"], 1e3),
+    (["verify", "zitter", "--trials", "20"], 1e6),  # expectations raised "came out complex"
+    (["zitter", "--steps", "200"], 1e4),
+])
+def test_zitter_passes_at_a_large_hbar(tmp_path, argv, hbar):
+    config = config_file(tmp_path / "cfg.yaml", {"hbar": hbar})
+    code, err = run_main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert code == EXIT_PASS, err
+
+
+@pytest.mark.parametrize("closed, item, pair", [
+    ("position_closed_form", "position_vs_closed", "1,3"),
+    ("spin_closed_form", "spin_vs_closed", "1,4")])
+def test_a_closed_form_off_by_1e_9_fails_at_a_large_hbar(tmp_path, monkeypatch, closed, item,
+                                                         pair):
+    exact = getattr(amwave.cli, closed)
+    monkeypatch.setattr(f"amwave.cli.{closed}", lambda *args: exact(*args) * (1.0 + 1e-9))
+    items = run_suite(RunConfig(suite="zitter", trials=20, hbar=1e3))["items"]
+    assert {it["name"].split("/")[1] for it in items if not it["pass"]} == {item}
+    assert sum(not it["pass"] for it in items) == 20
+    config = config_file(tmp_path / "cfg.yaml", {"hbar": 1e4})
+    code, err = run_main(["zitter", "--pair", pair, "--steps", "200", "--config", config,
+                          "--out", str(tmp_path / "out")])
+    assert code == EXIT_FAIL and err[0].startswith("FAIL zitter:"), err
+
+
+@pytest.mark.parametrize("values", [{"t_max": 1e308}, {"t_max": -1e308},
+                                    {"t_max": 1e300, "hbar": 1e-10}])
+def test_a_t_max_whose_phase_overflows_is_config_error(tmp_path, values):
+    config = config_file(tmp_path / "cfg.yaml", values)
+    code, err = run_main(["zitter", "--config", config, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert "t_max" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_zitter_header_only_when_steps_zero(tmp_path):
     out = tmp_path / "z.csv"
     assert main(["zitter", "--steps", "0", "--out", str(out)]) == EXIT_PASS
@@ -992,7 +1031,7 @@ def test_zitter_group_columns_equal_a_trial_by_trial_loop(trials, units):
     for seed in (0, 5, 17):
         def rngs():
             return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
-        cols = _TRIALS["zitter"](cfg, None, rngs())
+        cols = SUITE_TABLE["zitter"].columns(cfg, None, rngs())
         assert [(name, *tol) for name, _, *tol in cols] == [
             ("position_vs_closed",), ("spin_vs_closed",),
             ("pure_energy_zero", 1e-14), ("same_helicity_spin_zero", 1e-14)]

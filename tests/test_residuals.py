@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from amwave.algebra import commutator, cross, dot, make_generators, operator_norm as norm
-from amwave.cli import _TRIALS
+from amwave.cli import SUITE_TABLE, _table
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -247,9 +247,9 @@ class Pointwise:
 
 
 def pointwise_ym(a, phi, ctx, h):
-    """The ym_* expressions and w3 as functions of (r, t), each built point
-    by point from eval_at values, the algebra kernels and the finite-
-    difference oracles, with none of the termwise field algebra."""
+    """The ym_* expressions, w3 and phi_n_bracket as functions of (r, t),
+    each built point by point from eval_at values, the algebra kernels and
+    the finite-difference oracles, with none of the termwise field algebra."""
     ig, inv_c = 1j * ctx.g, 1.0 / ctx.c
 
     def d(oracle, f, r, t):
@@ -263,6 +263,7 @@ def pointwise_ym(a, phi, ctx, h):
 
     def ym(r, t):
         av, pv, bv, ev = (f.eval_at(r, t) for f in (a, phi, bp, ep))
+        nv, mv = commutator(pv, av), cross(av, av)
         return {
             "ym_div_E": d(fd_div, ep, r, t) + ig * (dot(av, ev) - dot(ev, av)),
             "ym_faraday": (-inv_c * d(fd_dt, bp, r, t) - d(fd_curl, ep, r, t)
@@ -271,6 +272,7 @@ def pointwise_ym(a, phi, ctx, h):
             "ym_ampere": (-inv_c * d(fd_dt, ep, r, t) + d(fd_curl, bp, r, t)
                           + ig * (commutator(pv, ev) + cross(av, bv) + cross(bv, av))),
             "w3": -ig * d(fd_div, m, r, t),
+            "phi_n_bracket": commutator(pv, nv) + cross(av, mv) + cross(mv, av),
         }
     return ym
 
@@ -308,6 +310,35 @@ def test_ym_and_w3_brackets_match_a_pointwise_finite_difference_oracle(kind):
         for name, want in oracle(r, t).items():
             got = BRACKETS[name](terms).eval_at(r, t)
             assert norm(got - want) <= tol, (name, norm(got - want), tol)
+
+
+@pytest.mark.parametrize("kind", ("su2_spin_half", "su3_gellmann"))
+def test_exb_perpendicular_part_matches_a_pointwise_oracle(kind):
+    # a random two-harmonic pair in place of a family's closed-form B and
+    # E: no solution's fields, so E x B differs from E x E or B x E
+    rng = np.random.default_rng(89)
+    gens = make_generators(kind)
+    d = gens.dim
+    ctx = WaveContext(generators=gens, k=rng.normal(size=3), c=1.3, g=0.7)
+
+    def unit_amplitude():
+        z = rng.uniform(-1, 1, (3, d, d)) + 1j * rng.uniform(-1, 1, (3, d, d))
+        return z / norm(z)
+
+    b, e = (field(ctx, {1: unit_amplitude(), 2: unit_amplitude()}) for _ in range(2))
+    terms = Terms(b, e, ctx)  # the potentials are not read
+    terms.fields = (b, e)
+    got = BRACKETS["ExB_perpendicular_part"](terms)
+    khat = ctx.khat
+    for _ in range(3):
+        r, t = rng.uniform(-2, 2, 3), rng.uniform(0, 5)
+        exb = cross(e.eval_at(r, t), b.eval_at(r, t))
+        along = sum(khat[i] * exb[i] for i in range(3))
+        want = np.stack([exb[i] - khat[i] * along for i in range(3)])
+        assert norm(want) > 0.1
+        # rounding of products of unit amplitudes over four order pairs: the
+        # worst of 20 seeds per kind was 1.5e-15
+        assert norm(got.eval_at(r, t) - want) <= 1e-13
 
 
 def test_scaling_covariance():
@@ -362,7 +393,8 @@ def test_shared_brackets_agree_across_sets(kind, coplanar):
 def test_table_has_no_dead_or_dangling_rows():
     listed = {expr for row in EQUATIONS.values() for _, expr, _ in row.items}
     assert listed == set(BRACKETS)
-    named = {label for suite in _TRIALS.values() if not callable(suite) for label in suite}
+    named = {label for row in SUITE_TABLE.values() if getattr(row.columns, "func", None) is _table
+             for label in row.columns.args[0]}
     assert named and named <= set(EQUATIONS)
     assert {row.scale for row in EQUATIONS.values()} == {("a",), ("b", "e")}
 

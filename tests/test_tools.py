@@ -23,12 +23,12 @@ def report_hashes():
     return load("report_hashes")
 
 
-def test_report_hashes_lists_95_distinct_runs_that_all_build(report_hashes):
+def test_report_hashes_lists_96_distinct_runs_that_all_build(report_hashes):
     configs = list(report_hashes.configs())  # each RunConfig checks itself as it is built
     exports = list(report_hashes.exports())
     labels = [label for label, _ in configs + exports]
-    assert len(labels) == len(set(labels)) == 95
-    assert "95 runs" in report_hashes.__doc__
+    assert len(labels) == len(set(labels)) == 96
+    assert "96 runs" in report_hashes.__doc__
     assert all(type(cfg) is RunConfig for _, cfg in configs)
     for _, argv in exports:
         cfg = _collect_config(build_parser().parse_args([*argv, "--out", "out.csv"]))

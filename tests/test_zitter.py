@@ -411,6 +411,15 @@ def test_imaginary_expectation_is_rejected_per_row():
         zitter.expectations(np.stack([loud, quiet]), psi)
 
 
+def test_a_zero_expectation_is_held_to_its_operators_size():
+    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    op = np.zeros((4, 4), dtype=complex)
+    op[0, 1] = op[1, 0] = 1e6
+    op[0, 0] = 1e-8j  # the rounding of a Hermitian operator of norm 1e6
+    vals = zitter.expectations(np.broadcast_to(op, (1, 3, 4, 4)), psi)
+    assert np.array_equal(vals, np.zeros((1, 3)))
+
+
 def test_constants_and_caches_are_read_only():
     assert all(type(m) is np.ndarray for m in (ALPHA, BETA, SIGMA))
     assert ALPHA.shape == SIGMA.shape == (3, 4, 4) and BETA.shape == (4, 4)

@@ -1,6 +1,6 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 95 runs:
+Prints one line per configuration, ``<sha256>  <label>``, for 96 runs:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
@@ -16,6 +16,9 @@ Prints one line per configuration, ``<sha256>  <label>``, for 95 runs:
 - 6 report bodies away from hbar = c = 1: wca, zca, gauge, boost and
   zitter at seed 13 with 10 trials, and poynting (3 trials, 200
   samples), all at hbar = 0.5 and c = 2.
+- 1 zitter report body at seed 13 with 10 trials and hbar = 1000, the
+  only run whose wobble scale hbar c / 2 E_p exceeds 1, so its residuals
+  are divided by that scale.
 - 3 report bodies for generators no other run gives these suites: gauge
   at seed 7 with su3_gellmann (10 trials), and poynting at seed 7 with
   su2_spin_one and with su3_gellmann (3 trials, 200 samples).
@@ -42,7 +45,7 @@ command:
 It runs every configuration above under the ``src/`` beside this tool
 and under the old tree, each in its own interpreter, prints the label
 of each configuration whose hash differs (or that one tree did not
-run), and exits 1 on any difference or failed run, 0 when all 95 agree.
+run), and exits 1 on any difference or failed run, 0 when all 96 agree.
 Without ``--against`` it prints the hash lines of the tree on
 PYTHONPATH:
 
@@ -110,6 +113,7 @@ def configs():
             suite=suite, seed=13, trials=10, hbar=0.5, c=2.0)
     yield "poynting seed=13 hbar=0.5 c=2", RunConfig(
         suite="poynting", seed=13, trials=3, samples=200, hbar=0.5, c=2.0)
+    yield "zitter seed=13 hbar=1000", RunConfig(suite="zitter", seed=13, trials=10, hbar=1000.0)
     yield "gauge seed=7 su3_gellmann", RunConfig(
         suite="gauge", seed=7, trials=10, generator="su3_gellmann")
     for generator in ("su2_spin_one", "su3_gellmann"):
