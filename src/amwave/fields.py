@@ -40,10 +40,12 @@ from .algebra import (
     commutator,
     cross,
     dot,
+    dots,
     frobenius_norms,
     make_generators,
     numeric_lift,
     readonly,
+    square,
 )
 
 # Amplitudes this much smaller than the largest term are dropped when
@@ -68,7 +70,7 @@ class WaveContext:
         k = np.array(self.k, dtype=float)
         if k.ndim not in (1, 2) or k.shape[-1] != 3 or not k.size or not np.isfinite(k).all():
             raise ValueError("k must be a finite real 3-vector for each wave")
-        knorm = np.sqrt(_dots(k, k))
+        knorm = np.sqrt(dots(k, k))
         if not (knorm > 0.0).all():
             raise ValueError("|k| must be positive")
         if not 0.0 < self.c < np.inf:
@@ -107,13 +109,6 @@ class WaveContext:
         return 2.0 * np.pi / self.omega
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a . b over the last axis as one (1, 3) @ (3, 1) product per vector,
-    which gives each vector of a stack the bits that ``@`` and
-    ``np.linalg.norm`` give it alone; einsum and (T, 3) @ (3,) need not."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _unchecked(cls, **values):
     """An instance of the frozen dataclass ``cls`` holding ``values``,
     built without running its checks."""
@@ -126,16 +121,6 @@ def _unchecked(cls, **values):
 def _compatible(a, b) -> bool:
     return (a is b) or (np.array_equal(a.k, b.k) and np.array_equal(a.omega, b.omega)
                         and a.c == b.c and a.g == b.g and a.dim == b.dim)
-
-
-def square(x):
-    """x ** 2 by Python's float power, for a float or each value of an
-    array.  A stack must square its per-trial values exactly as one wave
-    squares its float, and numpy's square of an array (0-d too) rounds
-    differently from pow() on about one value in a thousand."""
-    if np.ndim(x) == 0:
-        return float(x) ** 2
-    return np.array([v ** 2 for v in np.asarray(x).tolist()])
 
 
 def _per_trial(x, a: np.ndarray):
@@ -182,7 +167,7 @@ class HarmonicField:
 
     def eval_at(self, r, t: float) -> np.ndarray:
         """The field's value at (r, t), read-only; one per trial on a stack."""
-        phase = _dots(self.ctx.k, np.asarray(r, float)) - self.ctx.omega * t
+        phase = dots(self.ctx.k, np.asarray(r, float)) - self.ctx.omega * t
         out = np.zeros(self.amps.shape[1:], dtype=complex)
         for m, amp in zip(self.orders, self.amps):
             out += _per_trial(np.exp(1j * m * phase), amp) * amp
@@ -481,13 +466,13 @@ def random_families(gens: GeneratorSet, rngs: Sequence[np.random.Generator], *,
     gauss = np.array([rng.normal(size=3 if k is not None else 6) for rng in rngs])
     coeffs = np.array([rng.uniform(-1.0, 1.0, 3 + 2 * n) for rng in rngs])
     if k is None:
-        kvec = gauss[:, :3] * (1.0 / np.sqrt(_dots(gauss[:, :3], gauss[:, :3])))[:, None]
+        kvec = gauss[:, :3] * (1.0 / np.sqrt(dots(gauss[:, :3], gauss[:, :3])))[:, None]
     else:
         kvec = [np.array(k, dtype=float)] * len(rngs)
     ctx = WaveContext(generators=gens, k=kvec, c=c, g=g)
     khat, u = ctx.khat, gauss[:, -3:]
-    u = u - _dots(u, khat)[:, None] * khat
-    u = u / np.sqrt(_dots(u, u))[:, None]
+    u = u - dots(u, khat)[:, None] * khat
+    u = u / np.sqrt(dots(u, u))[:, None]
     return SolutionFamily(ctx=ctx, R=(coeffs[:, :3],) + tuple(
         coeffs[:, 3 + 2 * l, None] * khat + coeffs[:, 4 + 2 * l, None] * u for l in range(n)))
 

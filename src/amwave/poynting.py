@@ -27,9 +27,8 @@ import functools
 
 import numpy as np
 
-from .algebra import cross, dot
-from .fields import SolutionFamily, _dots, build_fields, square
-from .zitter import SERIES_BLOCK
+from .algebra import SERIES_BLOCK, cross, dot, dots, square
+from .fields import SolutionFamily, build_fields
 
 
 class NonTransverseAmplitude(ValueError):
@@ -40,8 +39,8 @@ def em_flux(a01, ctx) -> np.ndarray:
     """Flux (c/8 pi) k^2 |A01|^2 khat (x) 1 of a classical plane wave, or of
     each wave of a stacked context, A01 then being (T, 3)."""
     a01 = np.asarray(a01, dtype=float)
-    kn, a2 = ctx.knorm, _dots(a01, a01)
-    if np.any(abs(_dots(ctx.k, a01)) > 1e-12 * np.fmax(1.0, kn * np.sqrt(a2))):
+    kn, a2 = ctx.knorm, dots(a01, a01)
+    if np.any(abs(dots(ctx.k, a01)) > 1e-12 * np.fmax(1.0, kn * np.sqrt(a2))):
         raise NonTransverseAmplitude("amplitude must satisfy k . A01 = 0")
     mag = ctx.c / (8.0 * np.pi) * square(kn) * a2
     return np.einsum("...i,...ab->...iab", ctx.khat,
@@ -134,7 +133,7 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
     for r in rs:
         at = np.zeros_like(k) if r is None else np.asarray(r, dtype=float).reshape(-1, 3)
         w = np.reshape([weight(kr, np.signbit(kr), om)
-                        for kr, om in zip(_dots(k, at).tolist(), omegas)],
+                        for kr, om in zip(dots(k, at).tolist(), omegas)],
                        ctx.batch_shape + table.shape[:2])
         out.append({name: np.einsum("...pq,pq...iab->...iab", w * mask, table)
                     for name, mask in masks.items()})

@@ -1,8 +1,9 @@
 """Field-strength tensors, axis boosts, boosted-frame residuals, and
 constant-gauge conjugation.
 
-Index bookkeeping follows the numeric convention that contravariant
-four-vectors and both tensor slots transform with the boost matrix C (C
+A boost is its (4, 4) matrix C, a plain read-only array from
+``boost_matrix``.  Index bookkeeping follows the numeric convention that
+contravariant four-vectors and both tensor slots transform with C (C
 is symmetric for an axis boost, so no transposes hide anywhere); indices
 are lowered with the diagonal metric.  A plane wave stays a plane wave
 under a boost: the per-harmonic tensor amplitudes transform with C on
@@ -13,18 +14,10 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebra import frobenius_norms, readonly
-from .fields import (
-    HarmonicField,
-    SolutionFamily,
-    WaveContext,
-    build_fields,
-    square,
-)
+from .algebra import diag, frobenius_norms, readonly, square, sup_norms
+from .fields import HarmonicField, SolutionFamily, WaveContext, build_fields
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -39,45 +32,30 @@ class NonUnitary(ValueError):
     """Gauge conjugation with a matrix that is not unitary."""
 
 
-@dataclass(frozen=True, eq=False)
-class BoostMatrix:
-    """Lorentz boost along one coordinate axis: the (4, 4) matrix C and
-    the c it was built with."""
-
-    c: float
-    axis: int
-    matrix: np.ndarray
-
-
-def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> BoostMatrix:
-    """Boost with speed ``velocity`` along a coordinate axis.
-
-    The canonical matrix is written for the z axis; other axes are obtained
-    by permuting the spatial coordinates.  ``axis`` is 'x', 'y', 'z' or an
-    int 0, 1, 2; a bool or a float is no axis.
-    """
+def boost_axis(axis: int | str) -> int:
+    """The coordinate axis 0, 1 or 2 named by ``axis``: 'x', 'y', 'z' or
+    an int 0, 1, 2; a bool or a float is no axis."""
     if isinstance(axis, str):
         axis = BOOST_AXES.get(axis, axis)
     if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
             or axis not in (0, 1, 2)):
         raise ValueError(f"axis must be 0, 1, 2 (or 'x', 'y', 'z'), got {axis!r}")
+    return int(axis)
+
+
+def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> np.ndarray:
+    """The (4, 4) matrix C of the boost with speed ``velocity`` along a
+    coordinate axis (``boost_axis``), read-only: gamma at (0, 0) and
+    (i, i) and -gamma beta at (0, i) and (i, 0), for i = 1 + axis."""
+    i = 1 + boost_axis(axis)
     beta = velocity / c
     if not abs(beta) < 1.0:
         raise SuperluminalBoost(f"|v| = {abs(velocity)} >= c = {c}")
     gamma = 1.0 / np.sqrt(1.0 - beta * beta)
-
-    def axis_boost(b):
-        m = np.eye(4)
-        m[0, 0] = m[3, 3] = gamma
-        m[0, 3] = m[3, 0] = -gamma * b
-        return m
-
-    perm = np.eye(4)
-    if axis != 2:
-        # swap the boosted spatial coordinate with z
-        i, j = 1 + axis, 3
-        perm[[i, j]] = perm[[j, i]]
-    return BoostMatrix(c=c, axis=axis, matrix=perm @ axis_boost(beta) @ perm.T)
+    m = np.eye(4)
+    m[0, 0] = m[i, i] = gamma
+    m[0, i] = m[i, 0] = -gamma * beta
+    return readonly(m)
 
 
 def assemble_tensor(b: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -99,18 +77,17 @@ def assemble_tensor(b: np.ndarray, e: np.ndarray) -> np.ndarray:
     return readonly(f)
 
 
-def boost_tensor(f: np.ndarray, boost: BoostMatrix) -> np.ndarray:
-    """F'^{mu nu} = C_mu_alpha C_nu_beta F^{alpha beta}, read-only
-    (..., 4, 4, d, d)."""
-    c = boost.matrix
-    return readonly(np.einsum("ma,nb,...abij->...mnij", c, c, f))
+def boost_tensor(f: np.ndarray, boost: np.ndarray) -> np.ndarray:
+    """F'^{mu nu} = C_mu_alpha C_nu_beta F^{alpha beta} for the boost
+    matrix C, read-only (..., 4, 4, d, d)."""
+    return readonly(np.einsum("ma,nb,...abij->...mnij", boost, boost, f))
 
 
-def boost_wavevector(kmu: np.ndarray, boost: BoostMatrix) -> np.ndarray:
-    """Apply the boost to a contravariant four-vector (omega/c, k), or to
-    each of a (..., 4) stack of them."""
+def boost_wavevector(kmu: np.ndarray, boost: np.ndarray) -> np.ndarray:
+    """Apply the boost matrix to a contravariant four-vector (omega/c, k),
+    or to each of a (..., 4) stack of them."""
     kmu = np.asarray(kmu, dtype=float)
-    return (boost.matrix @ kmu[..., None])[..., 0]
+    return (boost @ kmu[..., None])[..., 0]
 
 
 def null_defect(kmu: np.ndarray, c: float = 1.0):
@@ -132,13 +109,6 @@ def harmonic_tensors(fam: SolutionFamily) -> list[tuple[int, np.ndarray]]:
             for m in sorted(set(b.orders) | set(e.orders))]
 
 
-def _sup_norm(arr: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    """The largest Frobenius norm of the (d, d) blocks of each trial of
-    ``arr``, shape batch + (..., d, d)."""
-    norms = frobenius_norms(arr)
-    return norms.reshape(batch + (-1,)).max(axis=-1)
-
-
 def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sup norms of the first-form equations on per-harmonic amplitudes.
 
@@ -157,20 +127,20 @@ def tensor_equation_defects(tensors, kmu: np.ndarray) -> tuple[np.ndarray, np.nd
     bianchi_defect = np.zeros(batch)
     for m, f in tensors:
         dive = 1j * m * np.einsum("...m,...mnab->...nab", u, f)
-        div_defect = np.maximum(div_defect, _sup_norm(dive, batch))
+        div_defect = np.maximum(div_defect, sup_norms(dive, batch))
         low = np.einsum("m,n,...mnab->...mnab", g, g, f)
         for mu in range(4):
             cyc = abs(m) * (np.einsum("...,...ngab->...ngab", u[..., mu], low)
                             + np.einsum("...n,...gab->...ngab", u, low[..., mu, :, :])
                             + np.einsum("...g,...nab->...ngab", u, low[..., mu, :, :, :]))
-            bianchi_defect = np.maximum(bianchi_defect, _sup_norm(cyc, batch))
+            bianchi_defect = np.maximum(bianchi_defect, sup_norms(cyc, batch))
     return div_defect, bianchi_defect
 
 
-def _boosted_items(ctx: WaveContext, tensors, boost: BoostMatrix, tol: float):
+def _boosted_items(ctx: WaveContext, tensors, boost: np.ndarray, tol: float):
     """(item, residual per trial, tolerance) for the tensor equations of the
     per-harmonic tensors and the wave four-vectors of ``ctx``, seen in the
-    boosted frame."""
+    frame of the boost matrix ``boost``."""
     kmu = np.concatenate([np.expand_dims(ctx.omega / ctx.c, -1), ctx.k], axis=-1)
     kmu_prime = boost_wavevector(kmu, boost)
     batch = kmu_prime.shape[:-1]
@@ -178,13 +148,13 @@ def _boosted_items(ctx: WaveContext, tensors, boost: BoostMatrix, tol: float):
     top = np.zeros(batch)  # stays 0 with no harmonics, when R = 0
     antisymmetry = np.zeros(batch)
     for _, f in boosted:
-        top = np.maximum(top, _sup_norm(f, batch))
-        antisymmetry = np.maximum(antisymmetry, _sup_norm(f + f.swapaxes(-4, -3), batch))
+        top = np.maximum(top, sup_norms(f, batch))
+        antisymmetry = np.maximum(antisymmetry, sup_norms(f + f.swapaxes(-4, -3), batch))
     scale = np.maximum(1.0, top * np.abs(kmu_prime).max(axis=-1))
     div_defect, bianchi_defect = tensor_equation_defects(boosted, kmu_prime)
     return [("tensor_divergence", div_defect / scale, tol),
             ("bianchi_cycle", bianchi_defect / scale, tol),
-            ("null_wavevector", null_defect(kmu_prime, boost.c), 1e-12),
+            ("null_wavevector", null_defect(kmu_prime, ctx.c), 1e-12),
             ("tensor_antisymmetry", antisymmetry / scale, 1e-12)]
 
 
@@ -196,13 +166,13 @@ def boost_columns(fams: SolutionFamily, speeds, axis: int | str = 2,
     The fields and per-harmonic tensors are built once and boosted with
     velocity s*c for each speed s (in units of c) in ``speeds``.  Returns
     (name, residual per trial, tolerance) columns named
-    ``v=<s:+g>c/<item>``: the divergence and cyclic equations held to
+    ``v=<s:+>c/<item>`` (the shortest repr of s): the divergence and cyclic equations held to
     ``tol``, the null wave four-vector and the tensor antisymmetry to
     1e-12.  Raises SuperluminalBoost for |s| >= 1.
     """
     ctx = fams.ctx
     tensors = harmonic_tensors(fams)
-    return [(f"v={s:+g}c/{name}", r, item_tol) for s in speeds
+    return [(f"v={s:+}c/{name}", r, item_tol) for s in speeds
             for name, r, item_tol in _boosted_items(
                 ctx, tensors, boost_matrix(s * ctx.c, c=ctx.c, axis=axis), tol)]
 
@@ -260,7 +230,4 @@ def unitary_exponential(hermitian: np.ndarray, angle: float = 1.0) -> np.ndarray
     if np.any(frobenius_norms(h - hd) > 1e-12 * np.maximum(1.0, frobenius_norms(h))):
         raise ValueError("generator of a unitary must be Hermitian")
     w, v = np.linalg.eigh(h)
-    diag = np.zeros(v.shape, dtype=complex)
-    idx = np.arange(h.shape[-1])
-    diag[..., idx, idx] = np.exp(1j * angle * w)
-    return v @ diag @ v.conj().swapaxes(-1, -2)
+    return v @ diag(np.exp(1j * angle * w)) @ v.conj().swapaxes(-1, -2)

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .algebra import square
 from .fields import (
     HarmonicField,
     SolutionFamily,
@@ -48,7 +49,6 @@ from .fields import (
     laplacian,
     ncross,
     ndot,
-    square,
     vcross,
     vdot,
 )

@@ -20,6 +20,9 @@ over a leading t axis (``operator_stacks``); a time series contracts it
 ``expectations`` holds each row's imaginary part to max(1, the row's
 operator norm), so a zero expectation of a large operator is accepted.
 
+The module stands on ``algebra`` alone: the norms, ``dots``, ``square``,
+``diag`` and ``SERIES_BLOCK`` it shares with the other modules live there.
+
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
 never enter a time grid.
@@ -35,16 +38,9 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, frobenius_norms, readonly
-from .fields import _dots, square
+from .algebra import PAULI, SERIES_BLOCK, diag, dots, frobenius_norms, readonly, square, sup_norms
 
 POLAR_EPS = 1e-10
-
-# Rows of a time series evaluated per stacked contraction: a few KB of
-# temporaries per row, so a block needs well under 1 MB whatever the series
-# length.  A 2000-step export ran no faster at 256 or 512 rows, and its
-# peak RSS was 0.5 MB higher than at 128.
-SERIES_BLOCK = 128
 
 
 class PolarSingularity(ValueError):
@@ -78,14 +74,6 @@ def _complex(re, im):
     return complex(out) if out.ndim == 0 else out
 
 
-def _diag(x: np.ndarray) -> np.ndarray:
-    """The diagonal matrices of the vectors on the last axis of x."""
-    n = x.shape[-1]
-    out = np.zeros(x.shape[:-1] + (n * n,), dtype=x.dtype)
-    out[..., ::n + 1] = x  # the diagonal of a flattened n x n matrix
-    return out.reshape(x.shape + (n,))
-
-
 @dataclass(frozen=True, eq=False)
 class DiracContext:
     """Mass, momentum and units for one plane-wave electron, or for T
@@ -113,7 +101,7 @@ class DiracContext:
 
     @functools.cached_property
     def pnorm(self) -> float | np.ndarray:
-        return _value(np.sqrt(_dots(self.p, self.p)))
+        return _value(np.sqrt(dots(self.p, self.p)))
 
     @functools.cached_property
     def phat(self) -> np.ndarray:
@@ -177,7 +165,7 @@ class DiracContext:
     def hinv(self) -> np.ndarray:
         """H^-1 = v diag(1/w) v^H."""
         w, v, vh = self.spectrum
-        return readonly(v @ _diag(1.0 / w) @ vh)
+        return readonly(v @ diag(1.0 / w) @ vh)
 
     @functools.cached_property
     def position_prefactor(self) -> np.ndarray:
@@ -224,16 +212,10 @@ def helicity_operator(ctx: DiracContext) -> np.ndarray:
     return readonly(0.5 * ctx.hbar * np.einsum("...i,iab->...ab", ctx.phat, SIGMA))
 
 
-def _norms(amp: np.ndarray) -> np.ndarray:
-    """The norm of each spinor on the last axis of amp, with the bits
-    ``np.linalg.norm`` gives one spinor."""
-    return np.sqrt(_dots(amp.real, amp.real) + _dots(amp.imag, amp.imag))
-
-
 def _off_unit_norm(amp: np.ndarray) -> np.ndarray:
-    """For each spinor on the last axis of amp: does its norm miss 1 by
-    more than 1e-12?"""
-    return abs(_norms(amp) - 1.0) > 1e-12
+    """For each spinor on the last axis of amp, read as a 1 x 4 matrix:
+    does its norm miss 1 by more than 1e-12?"""
+    return abs(frobenius_norms(amp[..., None, :]) - 1.0) > 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,7 +251,7 @@ class SuperpositionSpec:
             c1, c2, c3, c4 = self.coefficients
             pos = c1 * states[0] + c2 * states[1]
             neg = c3 * states[2] + c4 * states[3]
-            npos, nneg = _col(_norms(pos)), _col(_norms(neg))
+            npos, nneg = (_col(frobenius_norms(x[..., None, :])) for x in (pos, neg))
             vec = ct * (pos / np.where(npos > 0, npos, 1.0)) \
                 + st * (neg / np.where(nneg > 0, nneg, 1.0))
         return vec
@@ -281,9 +263,9 @@ def _position_stack(ctx: DiracContext, ts: np.ndarray) -> np.ndarray:
     """Z_r(t) for every t in the 1-D array ts, shape (T, 3, 4, 4); on a
     stacked context ts holds one time per trial."""
     w, v, vh = ctx.spectrum
-    diag = _diag(np.exp(-2j * w * ts[:, None] / ctx.hbar) - 1.0)
+    phases = diag(np.exp(-2j * w * ts[:, None] / ctx.hbar) - 1.0)
     # the one-time formula's operation order, so each row matches it bit for bit
-    tail = ctx.hinv @ (v @ diag @ vh)
+    tail = ctx.hinv @ (v @ phases @ vh)
     return ctx.position_prefactor @ tail[:, None]
 
 
@@ -305,7 +287,7 @@ def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     row's operator norm): the norm bounds the expectation of a unit state,
     so an expectation that is zero is held to the size of its operator."""
     vals = np.einsum("...a,...iab,...b->...i", psi.conj(), ops, psi)
-    scale = np.fmax(1.0, frobenius_norms(ops).max(axis=1))
+    scale = np.fmax(1.0, sup_norms(ops, ops.shape[:1]))
     if np.any(np.abs(vals.imag).max(axis=1) > 1e-10 * scale):
         raise ValueError("expectation of a Hermitian operator came out complex")
     return vals.real

@@ -180,8 +180,8 @@ def test_criterion_08_lorentz():
                 assert all(r <= tol for _, r, tol in cols)
     v1, v2 = 0.3, 0.9
     vsum = (v1 + v2) / (1 + v1 * v2)
-    comp = np.abs(boost_matrix(v1).matrix @ boost_matrix(v2).matrix
-                  - boost_matrix(vsum).matrix).max()
+    comp = np.abs(boost_matrix(v1) @ boost_matrix(v2)
+                  - boost_matrix(vsum)).max()
     ok = worst_eq <= 1e-10 and worst_null <= 1e-12 and comp <= 1e-12
     _line(8, ok, f"boosted equations {worst_eq:.2e}, null defect "
                  f"{worst_null:.2e}, velocity addition {comp:.2e}")

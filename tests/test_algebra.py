@@ -11,12 +11,15 @@ from amwave.algebra import (
     commutator,
     cross,
     custom_generators,
+    diag,
     dot,
+    dots,
     frobenius_norms,
     make_generators,
     numeric_lift,
     operator_norm,
     structure_constants,
+    sup_norms,
 )
 
 SU2_KINDS = ("su2_spin_half", "su2_spin_one")
@@ -269,6 +272,35 @@ def test_stacked_norms_equal_operator_norm_bit_for_bit(d):
         for view in (stack.swapaxes(-1, -2), stack[..., ::-1, :], stack[..., ::-1].mT):
             got = frobenius_norms(view)
             assert all(got[i] == np.linalg.norm(view[i]) for i in np.ndindex(got.shape))
+
+
+def test_sup_norms_take_each_trials_largest_block_norm():
+    rng = np.random.default_rng(11)
+    for shape in ((5, 3, 2, 2), (4, 2, 3, 3, 3), (1, 1, 4, 4)):
+        arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = [max(operator_norm(m) for m in trial.reshape((-1,) + shape[-2:]))
+                for trial in arr]
+        got = sup_norms(arr, shape[:1])
+        assert got.shape == shape[:1] and got.tolist() == want
+    # no batch: the largest norm of them all
+    assert sup_norms(arr[0], ()) == operator_norm(arr[0])
+
+
+def test_diag_builds_each_vectors_diagonal_matrix():
+    x = np.arange(12.0).reshape(2, 2, 3) - 1j
+    got = diag(x)
+    assert got.shape == (2, 2, 3, 3) and got.dtype == x.dtype
+    for i in np.ndindex(2, 2):
+        assert np.array_equal(got[i], np.diag(x[i]))
+
+
+def test_dots_give_each_vector_of_a_stack_its_own_bits():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(2, 200, 3)) * 10.0 ** rng.uniform(-5, 5, size=(2, 200, 1))
+    got = dots(a, b)
+    assert got.shape == (200,)
+    assert got.tolist() == [float(u @ v) for u, v in zip(a, b)]
+    assert [float(np.sqrt(x)) for x in dots(a, a)] == [float(np.linalg.norm(u)) for u in a]
 
 
 SU3_F = {

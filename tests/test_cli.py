@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -582,6 +583,44 @@ def test_a_float_power_that_overflows_is_config_error(tmp_path, argv, family):
     assert not (tmp_path / "out").exists()
 
 
+# the flux is finite, about g^2, but the squares in its norm overflow
+@pytest.mark.parametrize("argv", [
+    ["verify", "poynting", "--trials", "2", "--samples", "5", "--coupling", "1e90"],
+    ["poynting", "--coupling", "1e90"],
+])
+def test_a_flux_whose_norm_overflows_is_config_error(tmp_path, argv):
+    code, err = run_main([*argv, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0] == "config error: a value overflowed: the norm of a flux is not finite"
+    assert not (tmp_path / "out").exists()
+
+
+def _abelian_items(tmp_path) -> list[dict]:
+    config = config_file(tmp_path / "cfg.yaml", {"k": [0.0, 0.0, 1.0e6]})
+    out = tmp_path / "rep.json"
+    main(["verify", "poynting", "--trials", "4", "--samples", "5", "--config", config,
+          "--out", str(out)])
+    return [it for it in read_json(out)["items"] if it["name"].endswith("/abelian_equals_em")]
+
+
+def test_abelian_equals_em_is_relative_to_the_flux(tmp_path, monkeypatch):
+    # at |k| = 1e6 the two fluxes are about 4e10 and agree to rounding
+    items = _abelian_items(tmp_path)
+    assert len(items) == 4 and all(it["pass"] for it in items), items
+    # a relative error of 1e-9 in the classical flux still fails
+    monkeypatch.setattr("amwave.cli.em_flux", lambda a01, ctx: (1 + 1e-9) * em_flux(a01, ctx))
+    items = _abelian_items(tmp_path)
+    assert len(items) == 4 and not any(it["pass"] for it in items), items
+
+
+@pytest.mark.parametrize("velocity", ["0.9999999999999999", "0.1234567"])
+def test_boost_item_names_keep_the_speed_exactly(tmp_path, velocity):
+    out = tmp_path / "b.json"
+    main(["verify", "boost", "--trials", "1", "--velocity", velocity, "--out", str(out)])
+    speeds = {it["name"].split("/")[1] for it in read_json(out)["items"]}
+    assert speeds == {f"v=+{velocity}c", f"v=-{velocity}c"}
+
+
 @pytest.mark.parametrize("command", [["zitter"], ["poynting"]])
 def test_an_export_writes_timeseries_when_set_else_out(tmp_path, command):
     argv = [*command, "--steps", "4"]
@@ -1048,6 +1087,27 @@ def test_importing_the_cli_does_not_import_yaml():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# the module layers: zitter stands on algebra alone, and poynting needs no zitter
+@pytest.mark.parametrize("module, absent", [("zitter", "amwave.fields"),
+                                            ("poynting", "amwave.zitter")])
+def test_a_module_loads_only_the_layers_it_stands_on(module, absent):
+    src = str(Path(amwave.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import amwave.{module}; "
+            f"print({absent!r} in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_no_module_imports_another_modules_private_name():
+    package = Path(amwave.__file__).resolve().parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)
 
 
 @pytest.mark.parametrize("suite, generator", [

@@ -14,6 +14,7 @@ from amwave.algebra import (
     make_generators,
     numeric_lift,
     readonly,
+    square,
 )
 from amwave.algebra import operator_norm as norm
 from amwave.fields import (
@@ -40,7 +41,6 @@ from amwave.fields import (
     ndot,
     random_families,
     random_family,
-    square,
     vcross,
     vdot,
     xz_family,

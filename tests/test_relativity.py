@@ -15,6 +15,7 @@ from amwave.relativity import (
     NonUnitary,
     SuperluminalBoost,
     assemble_tensor,
+    boost_axis,
     boost_columns,
     boost_matrix,
     boost_tensor,
@@ -87,18 +88,18 @@ def test_assemble_xz_first_harmonic():
 
 def test_boost_identity_and_inverse():
     b = boost_matrix(0.0)
-    np.testing.assert_allclose(b.matrix, np.eye(4))
+    np.testing.assert_allclose(b, np.eye(4))
     # the inverse of a boost is the boost at the opposite velocity
     for v in (0.4, 0.6):
         fwd, back = boost_matrix(v), boost_matrix(-v)
-        np.testing.assert_allclose(fwd.matrix @ back.matrix, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(fwd @ back, np.eye(4), atol=1e-14)
 
 
 def test_velocity_addition():
     v1, v2 = 0.35, 0.6
     vsum = (v1 + v2) / (1.0 + v1 * v2)
-    lhs = boost_matrix(v1).matrix @ boost_matrix(v2).matrix
-    np.testing.assert_allclose(lhs, boost_matrix(vsum).matrix, atol=1e-12)
+    lhs = boost_matrix(v1) @ boost_matrix(v2)
+    np.testing.assert_allclose(lhs, boost_matrix(vsum), atol=1e-12)
 
 
 def test_interval_invariance():
@@ -107,7 +108,7 @@ def test_interval_invariance():
         b = boost_matrix(rng.uniform(-0.95, 0.95), axis=axis)
         for _ in range(5):
             x = rng.uniform(-3, 3, 4)
-            xp = b.matrix @ x
+            xp = b @ x
             assert abs(xp @ METRIC @ xp - x @ METRIC @ x) <= 1e-12 * (x @ x)
 
 
@@ -116,6 +117,26 @@ def test_boost_axis_rejects_non_axes(axis):
     # 1.0 == 1 and True == 1, so a membership test alone lets them through
     with pytest.raises(ValueError, match="axis must be"):
         boost_matrix(0.5, axis=axis)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_boost_matrix_is_the_axis_boost_written_out(axis):
+    v = 0.6
+    gamma = 1.0 / np.sqrt(1.0 - v * v)
+    i = 1 + axis
+    want = np.eye(4)
+    want[0, 0] = want[i, i] = gamma
+    want[0, i] = want[i, 0] = -gamma * v
+    for name in (axis, "xyz"[axis], np.int64(axis)):
+        assert boost_axis(name) == axis and type(boost_axis(name)) is int
+        got = boost_matrix(v, axis=name)
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
+@pytest.mark.parametrize("axis", [3, -1, "X", "2"])
+def test_boost_axis_names_only_the_three_axes(axis):
+    with pytest.raises(ValueError, match="axis must be"):
+        boost_axis(axis)
 
 
 def test_superluminal_raises():
@@ -286,6 +307,20 @@ def test_gauge_conjugate_tensor_antisymmetry():
     fc = gauge_conjugate(f, u)
     assert _antisymmetry_defect(fc) <= 1e-14
     assert abs(_norm(fc) - _norm(f)) <= 1e-12  # unitary invariance
+
+
+def test_unitary_exponential_is_exp_i_angle_h():
+    # exp(i a s) = cos(a) 1 + i sin(a) s for each Pauli matrix s, since s^2 = 1
+    pauli = 2.0 * SPIN_HALF.generators
+    angles = np.array([0.3, -1.1, 2.5])
+    want = (np.cos(angles)[:, None, None] * np.eye(2)
+            + 1j * np.sin(angles)[:, None, None] * pauli)
+    for a, s, w in zip(angles, pauli, want):
+        assert float(np.abs(unitary_exponential(s, a) - w).max()) <= 1e-14
+    # a stack of generators at one angle: each its own exponential
+    stack = unitary_exponential(pauli, 0.3)
+    assert float(np.abs(stack - (np.cos(0.3) * np.eye(2) + 1j * np.sin(0.3) * pauli)).max()) \
+        <= 1e-14
 
 
 def test_nonunitary_rejected():

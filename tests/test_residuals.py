@@ -14,6 +14,7 @@ from amwave.fields import (
     fd_div,
     fd_dt,
     fd_grad,
+    fd_laplacian,
     field,
     random_family,
     vcross,
@@ -305,6 +306,73 @@ def test_ym_and_w3_brackets_match_a_pointwise_finite_difference_oracle(kind):
     rel = (2.0 * kappa * h) ** 4 / 480.0 + np.finfo(float).eps / (kappa * h) ** 2
     tol = rel * 3.0 * (2.0 * kappa + 2.0 * abs(ctx.g)) ** 2
     oracle = pointwise_ym(a, phi, ctx, h)
+    for _ in range(3):
+        r, t = rng.uniform(-2, 2, 3), rng.uniform(0, 5)
+        for name, want in oracle(r, t).items():
+            got = BRACKETS[name](terms).eval_at(r, t)
+            assert norm(got - want) <= tol, (name, norm(got - want), tol)
+
+
+def pointwise_conditions(a, phi, ctx, h):
+    """The brackets of the condition sets but phi_n_bracket (which
+    ``pointwise_ym`` builds) as functions of (r, t), from eval_at values,
+    the algebra kernels and the finite-difference oracles alone."""
+    kn = ctx.knorm
+
+    def d(oracle, f, r, t):
+        return oracle(f, r, t, h).extrapolated
+
+    m = Pointwise(lambda r, t: cross(a.eval_at(r, t), a.eval_at(r, t)))
+    n = Pointwise(lambda r, t: commutator(phi.eval_at(r, t), a.eval_at(r, t)))
+    diva = Pointwise(lambda r, t: d(fd_div, a, r, t))
+
+    def brackets(r, t):
+        av, pv, mv, nv, dv = (f.eval_at(r, t) for f in (a, phi, m, n, diva))
+        ca, gp, cm = d(fd_curl, a, r, t), d(fd_grad, phi, r, t), d(fd_curl, m, r, t)
+        return {
+            "scalar_wave": 1j * kn * dv - d(fd_laplacian, phi, r, t),
+            "phi_diva": commutator(pv, dv),
+            "a_n_bracket": dot(av, nv) - dot(nv, av),
+            "induction": 2.0 * kn * mv + 1j * d(fd_curl, n, r, t),
+            "div_m": d(fd_div, m, r, t),
+            "div_n": d(fd_div, n, r, t),
+            "vector_wave": (d(fd_grad, diva, r, t) - d(fd_laplacian, a, r, t)
+                            - kn ** 2 * av - 1j * kn * gp),
+            "ampere_bracket": (1j * kn * nv - cross(av, ca) - cross(ca, av) + cm
+                               + commutator(pv, gp)),
+            "n_curl_m": 2j * kn * nv + cm,
+        }
+    return brackets
+
+
+@pytest.mark.parametrize("kind", ("su2_spin_half", "su3_gellmann"))
+def test_condition_brackets_match_a_pointwise_finite_difference_oracle(kind):
+    # On solution families some terms vanish on their own (the a . n
+    # bracket of an abelian family; [phi, grad phi] of a one-harmonic
+    # phi), so a flipped sign there passes every suite test.  Random
+    # potentials that solve nothing, phi with orders 1 and 2, keep every
+    # term O(1).
+    rng = np.random.default_rng(97)
+    gens = make_generators(kind)
+    d = gens.dim
+    ctx = WaveContext(generators=gens, k=rng.normal(size=3), c=1.3, g=0.7)
+
+    def unit_amplitude(*shape):
+        z = rng.uniform(-1, 1, shape + (d, d)) + 1j * rng.uniform(-1, 1, shape + (d, d))
+        return z / norm(z)
+
+    a = field(ctx, {1: unit_amplitude(3)})
+    phi = field(ctx, {1: unit_amplitude(), 2: unit_amplitude()})
+    terms = Terms(a, phi, ctx)
+    # The error terms of the ym test, with phase rates up to 3 kappa: the
+    # differenced fields hold orders up to 3 (n = [phi, A]).  No term
+    # exceeds 3 * 2 * (3 kappa)^2: two derivatives on at most two
+    # amplitudes, phi's two of norm <= 1 each, over three components.
+    kappa = max(ctx.knorm, ctx.omega)
+    h = 1e-2 / kappa
+    rel = (3.0 * kappa * h) ** 4 / 480.0 + np.finfo(float).eps / (kappa * h) ** 2
+    tol = rel * 3.0 * 2.0 * (3.0 * kappa) ** 2
+    oracle = pointwise_conditions(a, phi, ctx, h)
     for _ in range(3):
         r, t = rng.uniform(-2, 2, 3), rng.uniform(0, 5)
         for name, want in oracle(r, t).items():

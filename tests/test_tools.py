@@ -54,3 +54,13 @@ def test_src_lines_counts_code_apart_from_docstrings_comments_and_blanks():
     src_lines = load("src_lines")
     # code: x = 1, the two lines of TEXT, def f() and return x
     assert src_lines.counts(SAMPLE) == (12, 5)
+
+
+def test_every_mutant_names_text_that_occurs_once():
+    mutants = load("mutants")
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(names) == len(set(names)) and set(mutants.EQUIVALENT) <= set(names)
+    for m in mutants.MUTANTS:
+        text = (mutants.SRC / "amwave" / m.file).read_text()
+        assert text.count(m.old) == 1, m.name
+        assert m.new != m.old, m.name
