@@ -112,7 +112,7 @@ def test_interval_invariance():
             assert abs(xp @ METRIC @ xp - x @ METRIC @ x) <= 1e-12 * (x @ x)
 
 
-@pytest.mark.parametrize("axis", [1.0, 2.5, True, False, "w", None, [1]])
+@pytest.mark.parametrize("axis", [1.0, 2.5, True, False, "w", None, [1], 3, -1, "X", "2"])
 def test_boost_axis_rejects_non_axes(axis):
     # 1.0 == 1 and True == 1, so a membership test alone lets them through
     with pytest.raises(ValueError, match="axis must be"):
@@ -131,12 +131,6 @@ def test_boost_matrix_is_the_axis_boost_written_out(axis):
         assert boost_axis(name) == axis and type(boost_axis(name)) is int
         got = boost_matrix(v, axis=name)
         assert np.array_equal(got, want) and not got.flags.writeable
-
-
-@pytest.mark.parametrize("axis", [3, -1, "X", "2"])
-def test_boost_axis_names_only_the_three_axes(axis):
-    with pytest.raises(ValueError, match="axis must be"):
-        boost_axis(axis)
 
 
 def test_superluminal_raises():

@@ -8,8 +8,7 @@ against the copy with ``-x -q`` and prints whether they killed it (any
 failure, error or timeout; the first failing test is named) or it
 survived.  The score comes last.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py NAME ...   # only these
+    python tools/mutants.py
 
 It exits 1 if a mutant survives that ``EQUIVALENT`` does not list with
 the reason no test can tell it apart, and 2 if the unmutated copy fails
@@ -140,28 +139,23 @@ def tier1(mutant: Mutant | None) -> str | None:
         return failures[0] if failures else f"pytest exit code {run.returncode}"
 
 
-def main(argv: list[str]) -> int:
-    by_name = {m.name: m for m in MUTANTS}
-    if unknown := [name for name in argv if name not in by_name]:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     if (failure := tier1(None)) is not None:
         print(f"tier-1 fails on the unmutated copy ({failure}); no score", file=sys.stderr)
         return 2
-    chosen = [by_name[name] for name in argv] if argv else list(MUTANTS)
     survivors = []
-    for m in chosen:
+    for m in MUTANTS:
         if (failure := tier1(m)) is not None:
             print(f"killed    {m.name}  by {failure}", flush=True)
             continue
         note = f"  (equivalent: {EQUIVALENT[m.name]})" if m.name in EQUIVALENT else ""
         print(f"survived  {m.name}{note}", flush=True)
         survivors.append(m.name)
-    killed = len(chosen) - len(survivors)
-    print(f"score: {killed} of {len(chosen)} killed, "
+    killed = len(MUTANTS) - len(survivors)
+    print(f"score: {killed} of {len(MUTANTS)} killed, "
           f"{sum(n in EQUIVALENT for n in survivors)} survivor(s) listed as equivalent")
     return 1 if set(survivors) - set(EQUIVALENT) else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
