@@ -52,35 +52,44 @@ from .algebra import (
 # merging, so residual fields with no content normalize to the empty field.
 MERGE_DROP = 1e-14
 
+# below this |k| the square |k|^2 is subnormal, so it loses digits or reads 0
+SMALL_KNORM = np.sqrt(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class WaveContext:
-    """Wave vector, frequency, coupling and generator set of one wave, or of
-    T waves on a leading trial axis: then ``k`` is (T, 3) and ``knorm``,
-    ``khat``, ``k_lift`` and ``omega`` hold each wave's own value."""
+    """Wave vector, coupling and generator set of one wave, or of T waves
+    on a leading trial axis: then ``k`` is (T, 3) and ``knorm``, ``khat``,
+    ``k_lift`` and ``omega`` hold each wave's own value.  The frequency is
+    the dispersion's, omega = c |k|; one that overflows raises
+    NonFiniteValue."""
 
     generators: GeneratorSet
     k: np.ndarray
-    omega: float | np.ndarray | None = None
     c: float = 1.0
     g: float = 0.1
     knorm: float | np.ndarray = dataclass_field(init=False, repr=False)
+    omega: float | np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
         if k.ndim not in (1, 2) or k.shape[-1] != 3 or not k.size or not np.isfinite(k).all():
             raise ValueError("k must be a finite real 3-vector for each wave")
         knorm = np.sqrt(dots(k, k))
+        small = knorm < SMALL_KNORM
+        if small.any():  # |k|^2 below the normal range: taken on k / max |k_i|
+            peak = np.abs(k).max(axis=-1)
+            unit = k / np.expand_dims(np.where(peak > 0.0, peak, 1.0), -1)
+            knorm = np.where(small, peak * np.sqrt(dots(unit, unit)), knorm)
         if not (knorm > 0.0).all():
             raise ValueError("|k| must be positive")
         if not 0.0 < self.c < np.inf:
             raise ValueError("c must be positive and finite")
         if not np.isfinite(self.g):
             raise ValueError("coupling g must be finite")
-        omega = (self.c * knorm if self.omega is None
-                 else np.array(self.omega, dtype=float).reshape(knorm.shape))
-        if not (abs(omega - self.c * knorm) <= 1e-12 * self.c * knorm).all():  # NaN fails
-            raise ValueError("dispersion omega = c*|k| violated")
+        omega = self.c * knorm
+        if not np.isfinite(omega).all():
+            raise NonFiniteValue("the frequency omega = c*|k| is not finite")
         object.__setattr__(self, "k", readonly(k))
         object.__setattr__(self, "knorm", float(knorm) if k.ndim == 1 else readonly(knorm))
         object.__setattr__(self, "omega", float(omega) if k.ndim == 1 else readonly(omega))
@@ -400,7 +409,7 @@ class SolutionFamily:
         if len({(c.generators, c.c, c.g) for c in ctxs}) != 1:
             raise ValueError("a stack needs families that share generators, c and g")
         ctx = WaveContext(generators=ctxs[0].generators, k=[c.k for c in ctxs],
-                          omega=[c.omega for c in ctxs], c=ctxs[0].c, g=ctxs[0].g)
+                          c=ctxs[0].c, g=ctxs[0].g)
         return _unchecked(cls, ctx=ctx, R=tuple(readonly(np.array(r))
                                                 for r in zip(*(f.R for f in families))))
 

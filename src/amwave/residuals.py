@@ -89,18 +89,27 @@ class Terms:
 
     ``bp``, ``ep`` are the fields of the potentials by the defining
     relations B = curl A - i g A x A, E = -dA/dt / c - grad phi - i g [phi, A];
-    ``b``, ``e`` are the closed-form fields of a family (``build_fields``),
-    so only ``Terms.of(fam)`` has them.
+    ``b``, ``e`` are the closed-form fields: ``fields`` when given, else
+    the family's (``build_fields``), so ``Terms.of(fam)`` and
+    ``Terms.of_fields(b, e)`` have them.
     """
 
-    def __init__(self, a: HarmonicField, phi: HarmonicField, ctx: WaveContext,
-                 fam: SolutionFamily | None = None):
-        self.a, self.phi, self.ctx, self.fam = a, phi, ctx, fam
+    def __init__(self, a: HarmonicField | None, phi: HarmonicField | None, ctx: WaveContext,
+                 fam: SolutionFamily | None = None,
+                 fields: tuple[HarmonicField, HarmonicField] | None = None):
+        self.a, self.phi, self.ctx, self.fam, self.given = a, phi, ctx, fam, fields
         self.kn, self.ig, self.inv_c = ctx.knorm, 1j * ctx.g, 1.0 / ctx.c
 
     @classmethod
     def of(cls, fam: SolutionFamily) -> "Terms":
         return cls(*build_potentials(fam), fam.ctx, fam)
+
+    @classmethod
+    def of_fields(cls, b: HarmonicField, e: HarmonicField) -> "Terms":
+        """A wave known by its closed-form fields alone, such as a boosted
+        one: it has no potentials, so only the rows that read ``b`` and
+        ``e`` (``maxwell``, ``battery``) evaluate on it."""
+        return cls(None, None, b.ctx, fields=(b, e))
 
     m = functools.cached_property(lambda w: vcross(w.a, w.a))     # A x A
     n = functools.cached_property(lambda w: comm_sv(w.phi, w.a))  # [phi, A]
@@ -109,7 +118,8 @@ class Terms:
     ca = functools.cached_property(lambda w: curl(w.a))
     bp = functools.cached_property(lambda w: w.ca - w.ig * w.m)
     ep = functools.cached_property(lambda w: -w.at - w.gp - w.ig * w.n)
-    fields = functools.cached_property(lambda w: build_fields(w.fam))
+    fields = functools.cached_property(
+        lambda w: build_fields(w.fam) if w.given is None else w.given)
     b = property(lambda w: w.fields[0])
     e = property(lambda w: w.fields[1])
 

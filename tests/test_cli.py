@@ -583,6 +583,36 @@ def test_a_float_power_that_overflows_is_config_error(tmp_path, argv, family):
     assert not (tmp_path / "out").exists()
 
 
+# a |k| so large that the maxwell row overflows (the boosted row and the
+# zca suite's, from about 1e77), that omega = c |k| does at rest, or, with
+# small amplitudes, only the boosted wave's omega at a speed near c
+@pytest.mark.parametrize("argv, family, message", [
+    (["verify", "boost"], {"k": [0, 0.6, 1.0e80]}, "amplitude of order 1 is not finite"),
+    (["verify", "zca"], {"k": [0, 0.6, 1.0e80]}, "amplitude of order 1 is not finite"),
+    (["verify", "boost", "--velocity", "-0.9999999999999999"], {"k": [0, 0, 1.0e150]},
+     "amplitude of order 1 is not finite"),
+    (["verify", "boost", "--velocity", "-0.9999999999999999"],
+     {"k": [0, 0, 1.0e150], "R": [[0, 0, 0], [1e-20, 0, 0], [0, 0, 0], [0, 0, 1e-20]]},
+     "the frequency omega = c*|k| is not finite"),
+    (["verify", "boost"], {"k": [0, 0, 1.0e160]}, "the frequency omega = c*|k| is not finite"),
+])
+def test_a_large_k_is_one_config_error(tmp_path, argv, family, message):
+    config = config_file(tmp_path / "cfg.yaml", {"generator": "su2_spin_half", **family})
+    code, err = run_main([*argv, "--trials", "2", "--config", config,
+                          "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0].endswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_tiny_k_boosts_near_c(tmp_path):
+    # the boosted |k'| = 7e-163 squares to 0: |k'| is taken on k' / max |k'_i|
+    config = config_file(tmp_path / "cfg.yaml", {"k": [0, 0, 1.0e-154]})
+    code, err = run_main(["verify", "boost", "--velocity", "0.9999999999999999",
+                          "--trials", "2", "--config", config, "--out", str(tmp_path / "out")])
+    assert (code, err) == (EXIT_PASS, ["PASS boost: 16 items"])
+
+
 # the flux is finite, about g^2, but the squares in its norm overflow
 @pytest.mark.parametrize("argv", [
     ["verify", "poynting", "--trials", "2", "--samples", "5", "--coupling", "1e90"],
@@ -987,7 +1017,9 @@ def _single_family_items(cfg, fam, rng):
 
 def _single_trial_items(cfg, fam, rng):
     """One zitter or poynting trial's (name, residual, tolerance) items
-    through the single-trial functions, in the trial's draw order."""
+    through the single-trial functions, in the trial's draw order, each
+    relative to max(1, its scale): the wobble's size hbar c / 2 E_p, the
+    closed-form flux's norm, or the g = 0 flux's norm."""
     if cfg.suite == "zitter":
         p = rng.uniform(-1.0, 1.0, 3)
         p[2] = abs(p[2]) + 0.2
@@ -1000,12 +1032,13 @@ def _single_trial_items(cfg, fam, rng):
         pure = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
         samehel = zitter_expectation_series(SuperpositionSpec(theta, (1, 3)), ctx, [t],
                                             spin=True)[0]
+        scale = max(1.0, ctx.hbar * ctx.c / (2.0 * ctx.energy))
         return [("position_vs_closed",
-                 float(np.abs(zr - position_closed_form(theta, ctx, t)).max()), cfg.tol),
+                 float(np.abs(zr - position_closed_form(theta, ctx, t)).max()) / scale, cfg.tol),
                 ("spin_vs_closed",
-                 float(np.abs(zs - spin_closed_form(theta, ctx, t)).max()), cfg.tol),
-                ("pure_energy_zero", float(np.abs(pure).max()), 1e-14),
-                ("same_helicity_spin_zero", float(np.abs(samehel).max()), 1e-14)]
+                 float(np.abs(zs - spin_closed_form(theta, ctx, t)).max()) / scale, cfg.tol),
+                ("pure_energy_zero", float(np.abs(pure).max()) / scale, 1e-14),
+                ("same_helicity_spin_zero", float(np.abs(samehel).max()) / scale, 1e-14)]
     closed = amw_flux(fam)
     at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
     scale = max(1.0, operator_norm(closed))
@@ -1014,32 +1047,37 @@ def _single_trial_items(cfg, fam, rng):
     r0 = rng.uniform(-1.0, 1.0, 3)
     fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + (np.zeros(3),) * n)
     a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
+    flux0 = amw_flux(fam0)
     return [("quadrature_vs_closed", operator_norm(at_r["total"] - closed) / scale, cfg.tol),
             ("mixed_block_average", operator_norm(at_origin["mixed"]) / scale, 1e-10),
-            ("abelian_equals_em",
-             operator_norm(amw_flux(fam0) - em_flux(a01, ctx0)), 1e-10)]
+            ("abelian_equals_em", operator_norm(flux0 - em_flux(a01, ctx0))
+             / max(1.0, operator_norm(flux0)), 1e-10)]
 
 
 @pytest.mark.parametrize("generator", ["both", "su2_spin_one", "su3_gellmann"])
 @pytest.mark.parametrize("suite", ["zitter", "poynting"])
 def test_zitter_and_poynting_equal_a_loop_over_single_trials(suite, generator):
-    for seed in (0, 17):
-        for trials in (1, 2, 3):
-            cfg = RunConfig(suite=suite, trials=trials, seed=seed, generator=generator,
-                            samples=64)
-            want = []
-            rngs = [np.random.default_rng(s)
-                    for s in np.random.SeedSequence(seed).spawn(trials)]
-            for i, rng in enumerate(rngs):
-                kind = generator if generator != "both" else (
-                    "su2_spin_half", "su2_spin_one")[i % 2]
-                fam = None if suite == "zitter" else random_family(
-                    make_generators(kind), rng, c=cfg.c, g=cfg.coupling)
-                want += [(f"trial{i:03d}/{name}", r, tol)
-                         for name, r, tol in _single_trial_items(cfg, fam, rng)]
-            got = [(it["name"], it["residual"], it["tolerance"])
-                   for it in run_suite(cfg)["items"]]
-            assert got == want, (seed, trials)
+    # the defaults, where every scale is 1, and a run whose scales exceed 1:
+    # hbar = 1000 for the wobble, |k| = 10 for both fluxes
+    for units in ({}, {"hbar": 1000.0} if suite == "zitter" else {"k": (0.0, 6.0, -8.0)}):
+        for seed in (0, 17):
+            for trials in (1, 2, 3):
+                cfg = RunConfig(suite=suite, trials=trials, seed=seed, generator=generator,
+                                samples=64, **units)
+                want = []
+                rngs = [np.random.default_rng(s)
+                        for s in np.random.SeedSequence(seed).spawn(trials)]
+                for i, rng in enumerate(rngs):
+                    kind = generator if generator != "both" else (
+                        "su2_spin_half", "su2_spin_one")[i % 2]
+                    fam = None if suite == "zitter" else random_family(
+                        make_generators(kind, hbar=cfg.hbar), rng, k=cfg.k, c=cfg.c,
+                        g=cfg.coupling)
+                    want += [(f"trial{i:03d}/{name}", r, tol)
+                             for name, r, tol in _single_trial_items(cfg, fam, rng)]
+                got = [(it["name"], it["residual"], it["tolerance"])
+                       for it in run_suite(cfg)["items"]]
+                assert got == want, (units, seed, trials)
 
 
 def _zitter_columns_trial_by_trial(cfg, rngs):

@@ -60,14 +60,21 @@ def vec(coeff, m):
 def test_wave_context_dispersion():
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 2.0]), c=0.5)
     assert ctx.omega == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 2.0]), c=0.5, omega=1.7)
-    for k, omega in (([0, 0, 2.0], np.nan), ([0, 0, 2.0], np.inf),
-                     ([[0, 0, 2.0]] * 2, [1.0, 1.7]), ([[0, 0, 2.0]] * 2, [1.0, np.nan])):
-        with pytest.raises(ValueError, match="dispersion"):
-            WaveContext(generators=SPIN_HALF, k=k, c=0.5, omega=omega)
-    with pytest.raises(ValueError):
+    stack = WaveContext(generators=SPIN_HALF, k=[[0, 0, 2.0], [3.0, 0, -4.0]], c=0.5)
+    assert stack.omega.tolist() == [1.0, 2.5] and not stack.omega.flags.writeable
+    # omega = c |k| overflows: |k| itself, or c times it
+    for k, c in (([0, 0, 1e160], 1.0), ([[0, 0, 1.0], [1e155, 0, 0]], 1.0),
+                 ([0, 0, 1e10], 1e300)):
+        with pytest.raises(NonFiniteValue, match="omega = c\\*\\|k\\| is not finite"), \
+                np.errstate(over="ignore"):
+            WaveContext(generators=SPIN_HALF, k=k, c=c)
+    with pytest.raises(ValueError, match="positive"):
         WaveContext(generators=SPIN_HALF, k=np.zeros(3))
+    # a |k| whose square is subnormal keeps its digits (1e-161 squares to
+    # 1e-322, whose root is 9.94e-162), and one whose square is 0 is no zero
+    assert WaveContext(generators=SPIN_HALF, k=[0, 0, -1e-161]).knorm == 1e-161
+    stack = WaveContext(generators=SPIN_HALF, k=[[0, 0, 1.0], [0, 3e-200, 4e-200]])
+    assert stack.knorm.tolist() == stack.omega.tolist() == [1.0, 5e-200]
 
 
 def test_build_potentials_xz():

@@ -394,8 +394,7 @@ def test_exb_perpendicular_part_matches_a_pointwise_oracle(kind):
         return z / norm(z)
 
     b, e = (field(ctx, {1: unit_amplitude(), 2: unit_amplitude()}) for _ in range(2))
-    terms = Terms(b, e, ctx)  # the potentials are not read
-    terms.fields = (b, e)
+    terms = Terms.of_fields(b, e)
     got = BRACKETS["ExB_perpendicular_part"](terms)
     khat = ctx.khat
     for _ in range(3):

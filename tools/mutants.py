@@ -89,6 +89,15 @@ MUTANTS = (
     Mutant("boost_names", "relativity.py", 'f"v={s:+}c/{name}"', 'f"v={s:+g}c/{name}"'),
     Mutant("unitary_exponential", "relativity.py", "diag(np.exp(1j * angle * w))",
            "diag(np.exp(-1j * angle * w))"),
+    # the boosted fields and wave of the boost suite
+    Mutant("boost_e_sign", "relativity.py", "+ gamma_beta * ncross(n, b)",
+           "- gamma_beta * ncross(n, b)"),
+    Mutant("boost_b_gamma", "relativity.py", "b + (gamma - 1.0) * perpendicular_part(b, n)",
+           "b + gamma * perpendicular_part(b, n)"),
+    Mutant("boost_e_perp", "relativity.py", "e + (gamma - 1.0) * perpendicular_part(e, n) + ",
+           "e + "),
+    Mutant("boost_wave", "relativity.py", "boost_wavevector(kmu, boost)[..., 1:]",
+           "boost_wavevector(kmu, boost @ boost)[..., 1:]"),
     # the Poynting residuals' scales
     Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian / scale0, 1e-10)',
            '("abelian_equals_em", abelian, 1e-10)'),
