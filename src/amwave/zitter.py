@@ -13,15 +13,15 @@ read-only on it.  A context holds one momentum, or the momenta of T
 trials on a leading axis; then each cached value is a per-trial stack, and
 the operator stacks, expectations and closed forms take one time (and one
 mixing angle) per trial.  Each trial of a stack gets the bits its own
-context would give it.  Z_r(t) and Z_s(t) come from one stacked kernel
-over a leading t axis (``operator_stacks``); a time series contracts it
-``SERIES_BLOCK`` times at a time so its temporaries stay bounded
-(``zitter_expectation_series``), and one time is a one-row series.
-``expectations`` holds each row's imaginary part to max(1, the row's
-operator norm), so a zero expectation of a large operator is accepted.
+context would give it.  Z_r(t) is one stacked kernel over a leading t
+axis (``position_stack``), Z_s(t) is built from it (``spin_stack``), and
+``expectations`` contracts either with a state; one time is a one-row
+stack.  ``expectations`` holds each row's imaginary part to max(1, the
+row's operator norm), so a zero expectation of a large operator is
+accepted.
 
-The module stands on ``algebra`` alone: the norms, ``dots``, ``square``,
-``diag`` and ``SERIES_BLOCK`` it shares with the other modules live there.
+The module stands on ``algebra`` alone: the norms, ``dots``, ``square``
+and ``diag`` it shares with the other modules live there.
 
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
@@ -38,14 +38,15 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, SERIES_BLOCK, diag, dots, frobenius_norms, readonly, square, sup_norms
+from .algebra import PAULI, diag, dots, frobenius_norms, readonly, square, sup_norms
 
 POLAR_EPS = 1e-10
 
 
 class PolarSingularity(ValueError):
     """A momentum the closed-form eigenstates cannot take: too close to the
-    -z ray, too small, or too large for |p| to be finite."""
+    -z ray, too small, or too large for |p| or the states' normalisation
+    to be finite."""
 
 
 _ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -187,8 +188,9 @@ class DiracContext:
         1/sqrt(4 E_p p (p + p_z)).  A polar momentum raises on every
         access, since nothing is cached then, and so does a small |p|
         (below about 1e-2 m c) at which u_minus = sqrt(E - m c^2) cancels
-        so far that the states miss unit norm; in a stack, any trial's
-        momentum does."""
+        so far that the states miss unit norm, or a large one (from about
+        2.8e102 m c along +z) at which 4 E_p p (p + p_z) overflows; in a
+        stack, any trial's momentum does."""
         self.check_polar()
         p, pz = self.pnorm, self.p[..., 2]
         up, um, cp = self.u_plus, self.u_minus, self.c * p
@@ -198,6 +200,8 @@ class DiracContext:
         u = np.array([up, up, um, um])
         lower = np.array([cp / up, -(cp / up), -(cp / um), cp / um])
         norm = 1.0 / np.sqrt(4.0 * self.energy * p * (p + pz))
+        if np.equal(norm, 0.0).any():  # 1 / sqrt(inf): the product overflowed
+            raise PolarSingularity("the states' normalisation 4 E_p |p| (|p| + p_z) overflows")
         amps = readonly(_col(norm) * np.concatenate(
             [_col(u) * top, _col(lower) * top], axis=-1))
         off = _off_unit_norm(amps).any(axis=0)
@@ -234,8 +238,10 @@ class SuperpositionSpec:
     coefficients: tuple[complex, complex, complex, complex] | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("theta must be finite")
+        # sin(2 theta) needs 2 theta finite; doubling is exact, so it is iff
+        # |theta| <= max / 2, which a NaN fails too
+        if not np.all(np.abs(self.theta) <= np.finfo(float).max / 2.0):
+            raise ValueError("theta must be finite, and so must 2 theta")
         if self.coefficients is None:
             a, b = self.pair
             if a not in (1, 2) or b not in (3, 4):
@@ -257,11 +263,18 @@ class SuperpositionSpec:
         return vec
 
 
-# --- stacked time series --------------------------------------------------------
+# --- operator stacks ------------------------------------------------------------
 
-def _position_stack(ctx: DiracContext, ts: np.ndarray) -> np.ndarray:
-    """Z_r(t) for every t in the 1-D array ts, shape (T, 3, 4, 4); on a
+def position_stack(ctx: DiracContext, ts) -> np.ndarray:
+    """The oscillating part of the Heisenberg position operator,
+
+    Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1),
+
+    for every t in the finite 1-D array ts, shape (T, 3, 4, 4); on a
     stacked context ts holds one time per trial."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValueError("times must be a finite 1-D array")
     w, v, vh = ctx.spectrum
     phases = diag(np.exp(-2j * w * ts[:, None] / ctx.hbar) - 1.0)
     # the one-time formula's operation order, so each row matches it bit for bit
@@ -269,9 +282,9 @@ def _position_stack(ctx: DiracContext, ts: np.ndarray) -> np.ndarray:
     return ctx.position_prefactor @ tail[:, None]
 
 
-def _cross_p(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """-Z x p for operator 3-vectors on axis 1 and a number 3-vector p, or
-    a (T, 3) stack of them, one per row of zr."""
+def spin_stack(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Z_s(t) = -Z_r(t) x p from a (T, 3, 4, 4) stack zr of Z_r(t) and the
+    number 3-vector p, or a (T, 3) stack of them, one per row of zr."""
     q = p[..., None, None]
     return np.stack([
         -(zr[:, (i + 1) % 3] * q[..., (i + 2) % 3, :, :]
@@ -293,41 +306,10 @@ def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def zitter_expectation_series(spec: SuperpositionSpec, ctx: DiracContext,
-                              ts, spin: bool = False) -> np.ndarray:
-    """<Psi| Z_r(t) |Psi>, or <Psi| Z_s(t) |Psi> with ``spin``, for every t
-    in ``ts``: a real (T, 3) array, evaluated in blocks of SERIES_BLOCK
-    times."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
-        raise ValueError("times must be a finite 1-D array")
-    psi = spec.state_vector(ctx)
-    out = np.empty((len(ts), 3))
-    for start in range(0, len(ts), SERIES_BLOCK):
-        block = slice(start, start + SERIES_BLOCK)
-        ops = _position_stack(ctx, ts[block])
-        out[block] = expectations(_cross_p(ops, ctx.p) if spin else ops, psi)
-    return out
-
-
-def operator_stacks(ctx: DiracContext, ts) -> tuple[np.ndarray, np.ndarray]:
-    """The oscillating parts of the Heisenberg position operator,
-
-    Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1),
-
-    and of the spin, Z_s(t) = -Z_r(t) x p (p is a number vector here), for
-    every t in the 1-D array ts, each (T, 3, 4, 4): Z_r is built once and
-    Z_s from it.  On a stacked context ts holds one time per trial.  The
-    rows are the stacks ``zitter_expectation_series`` contracts, bit for
-    bit."""
-    zr = _position_stack(ctx, np.asarray(ts, dtype=float))
-    return zr, _cross_p(zr, ctx.p)
-
-
 def zitter_position_expectation(spec: SuperpositionSpec, ctx: DiracContext,
                                 t: float) -> np.ndarray:
     """<Psi| Z_r(t) |Psi> by direct 4x4 algebra; a real length 3-vector."""
-    return zitter_expectation_series(spec, ctx, [t])[0]
+    return expectations(position_stack(ctx, [t]), spec.state_vector(ctx))[0]
 
 
 # --- closed forms -------------------------------------------------------------

@@ -28,10 +28,12 @@ from amwave.zitter import (
     SuperpositionSpec,
     amplitude_frequency_si,
     compton_wavelength_si,
+    expectations,
     position_closed_form,
+    position_stack,
     spin_closed_form,
     spin_closed_form_z,
-    zitter_expectation_series,
+    spin_stack,
     zitter_position_expectation,
 )
 
@@ -184,6 +186,11 @@ def test_criterion_08_lorentz():
     _line(8, ok, f"boosted Maxwell equations {worst:.2e}, velocity addition {comp:.2e}")
 
 
+def spin_expectation(spec, ctx, t):
+    """<Psi| Z_s(t) |Psi> at one time, from one-row stacks."""
+    return expectations(spin_stack(position_stack(ctx, [t]), ctx.p), spec.state_vector(ctx))[0]
+
+
 def test_criterion_09_zitter_closed_forms():
     rng = np.random.default_rng(SEED + 9)
     worst = 0.0
@@ -196,16 +203,14 @@ def test_criterion_09_zitter_closed_forms():
         t = rng.uniform(0, 8.0)
         zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
         worst = max(worst, float(np.abs(zr - position_closed_form(theta, ctx, t)).max()))
-        zs = zitter_expectation_series(SuperpositionSpec(theta, (1, 4)), ctx, [t],
-                                       spin=True)[0]
+        zs = spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
         worst = max(worst, float(np.abs(zs - spin_closed_form(theta, ctx, t)).max()))
         zero1 = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
-        zero2 = zitter_expectation_series(SuperpositionSpec(theta, (1, 3)), ctx, [t],
-                                          spin=True)[0]
+        zero2 = spin_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
         worst_zero = max(worst_zero, float(np.abs(zero1).max()),
                          float(np.abs(zero2).max()))
     ctxz = DiracContext(p=np.array([0, 0, 0.8]))
-    zz = zitter_expectation_series(SuperpositionSpec(0.5, (1, 4)), ctxz, [1.1], spin=True)[0]
+    zz = spin_expectation(SuperpositionSpec(0.5, (1, 4)), ctxz, 1.1)
     worst = max(worst, float(np.abs(zz - spin_closed_form_z(0.5, ctxz, 1.1)).max()))
     ok = worst <= 1e-12 and worst_zero <= 1e-14
     _line(9, ok, f"matrix vs closed forms {worst:.2e}; forbidden mixes "

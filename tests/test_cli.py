@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import amwave
-from amwave.algebra import GeneratorSet, make_generators, operator_norm
+from amwave.algebra import SERIES_BLOCK, GeneratorSet, make_generators, operator_norm
 from amwave.cli import (
     SUITE_TABLE,
     EXIT_FAIL,
@@ -50,10 +50,10 @@ from amwave.zitter import (
     DiracContext,
     SuperpositionSpec,
     expectations,
-    operator_stacks,
     position_closed_form,
+    position_stack,
     spin_closed_form,
-    zitter_expectation_series,
+    spin_stack,
     zitter_position_expectation,
 )
 
@@ -162,12 +162,32 @@ def test_the_shared_parser_leaks_nothing_between_calls():
     assert tols == {1e-3, 1e-12}  # the second call's --tol is the default again
 
 
-def test_momentum_errors_name_their_cause():
+def test_momentum_errors_name_their_cause(tmp_path):
     for flag, cause in (("--momentum=0,0,1e-3", "is too small"),
-                        ("--momentum=1e200,0,1e200", "overflowed")):
+                        ("--momentum=1e200,0,1e200", "overflowed"),
+                        # from about |p| = 2.83e102 along +z
+                        ("--momentum=0,0,1e120",
+                         "the states' normalisation 4 E_p |p| (|p| + p_z) overflows")):
         code, err = run_main(["zitter", "--steps", "4", flag])
         assert_one_config_error(code, err)
         assert cause in err[0], err
+    code, err = run_main(["zitter", "--steps", "4", "--momentum=0,0,1e100",
+                          "--out", str(tmp_path / "z.csv")])
+    assert code == EXIT_PASS, err
+
+
+@pytest.mark.parametrize("theta", [9e307, -9e307, 1.7976931348623157e308])
+def test_a_theta_whose_double_overflows_is_a_config_error(tmp_path, theta):
+    # sin(2 theta) needs 2 theta finite: |theta| <= 8.988e307
+    config = config_file(tmp_path / "cfg.yaml", {"theta": theta})
+    for argv in ([f"--theta={theta!r}"], ["--config", config]):
+        code, err = run_main(["zitter", "--steps", "3", *argv, "--out", str(tmp_path / "z.csv")])
+        assert_one_config_error(code, err)
+        assert err[0] == "config error: theta must be finite, and so must 2 theta", err
+    assert not (tmp_path / "z.csv").exists()
+    code, err = run_main(["zitter", "--steps", "3", "--theta", "8.9e307",
+                          "--out", str(tmp_path / "z.csv")])
+    assert code == EXIT_PASS, err
 
 
 @pytest.mark.parametrize("argv", [["zitter", "--pair", "1"],
@@ -894,13 +914,84 @@ def test_zitter_pairs_without_closed_form_leave_columns_blank(tmp_path, pair):
 
 
 def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
-    def nan_series(spec, ctx, ts, spin=False):
-        return np.full((len(ts), 3), np.nan)
+    def nan_expectations(ops, psi):
+        return np.full(ops.shape[:2], np.nan)
 
-    monkeypatch.setattr("amwave.cli.zitter_expectation_series", nan_series)
+    monkeypatch.setattr("amwave.cli.expectations", nan_expectations)
     out = tmp_path / "z.csv"
     assert main(["zitter", "--pair", "1,3", "--steps", "3", "--out", str(out)]) == EXIT_FAIL
     assert capsys.readouterr().err.startswith("FAIL zitter: max |numeric - closed| = nan")
+
+
+def zitter_rows_one_time_at_a_time(cfg):
+    """The CSV body an export should write, each row from one-row stacks."""
+    ctx = cfg.dirac
+    psi = SuperpositionSpec(cfg.theta, cfg.pair).state_vector(ctx)
+    closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
+    lines = []
+    for t in np.linspace(0.0, np.pi * ctx.hbar / ctx.energy, cfg.steps):
+        zr = position_stack(ctx, [t])
+        op = spin_stack(zr, ctx.p) if cfg.pair in ((1, 4), (2, 3)) else zr
+        num = expectations(op, psi)[0].tolist()
+        if closed_form is None:
+            cells = [t, *num, "", "", "", ""]
+        else:
+            closed = closed_form(cfg.theta, ctx, t)
+            cells = [t, *num, *closed.tolist(), float(np.abs(num - closed).max())]
+        lines.append(",".join(map(str, cells)) + "\r\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("momentum", ["0,0,0.8", "0.3,-0.4,0.9"])
+@pytest.mark.parametrize("pair", ["1,3", "1,4", "2,3"])
+def test_zitter_export_rows_equal_a_per_time_evaluation_bitwise(tmp_path, pair, momentum):
+    # three blocks, the last one short, so rows on both sides of each boundary
+    steps = 2 * SERIES_BLOCK + 3
+    out = tmp_path / "z.csv"
+    assert main(["zitter", "--pair", pair, "--momentum", momentum, "--theta", "0.5",
+                 "--steps", str(steps), "--out", str(out)]) == EXIT_PASS
+    _, body = out.read_bytes().decode().split("\r\n", 1)
+    cfg = RunConfig(suite="zitter", theta=0.5, pair=tuple(map(int, pair.split(","))),
+                    momentum=tuple(map(float, momentum.split(","))), steps=steps)
+    assert body == zitter_rows_one_time_at_a_time(cfg)
+
+
+def test_zitter_export_is_evaluated_in_fixed_blocks(monkeypatch):
+    sizes, spins = [], []
+    stack, spin = amwave.cli.position_stack, amwave.cli.spin_stack
+    monkeypatch.setattr("amwave.cli.position_stack",
+                        lambda ctx, ts: sizes.append(len(ts)) or stack(ctx, ts))
+    monkeypatch.setattr("amwave.cli.spin_stack",
+                        lambda zr, p: spins.append(len(zr)) or spin(zr, p))
+    steps = 2 * SERIES_BLOCK + 3
+    for pair in ((1, 3), (1, 4)):
+        cfg = RunConfig(suite="zitter", pair=pair, steps=steps)
+        sizes.clear()
+        spins.clear()
+        _, rows, dev = zitter_timeseries(cfg)
+        whole = (list(rows), dev)
+        assert sizes == [SERIES_BLOCK, SERIES_BLOCK, 3]
+        # a position pair never builds Z_s(t)
+        assert spins == ([] if pair == (1, 3) else sizes)
+        # the block length changes no value
+        sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr("amwave.cli.SERIES_BLOCK", 7)
+            _, rows, dev = zitter_timeseries(cfg)
+            assert list(rows) == whole[0] and np.array_equal(dev, whole[1])
+        assert sizes == [min(7, steps - start) for start in range(0, steps, 7)]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["--pair", "2,4", "--steps", "5"], "5 samples, nothing compared: pair 2,4 has no closed form"),
+    (["--pair", "2,3", "--steps", "5"], "5 samples, nothing compared: pair 2,3 has no closed form"),
+    (["--steps", "0"], "0 samples, nothing compared"),
+    (["--pair", "2,4", "--steps", "0"], "0 samples, nothing compared"),
+])
+def test_zitter_verdict_says_when_nothing_was_compared(tmp_path, argv, says):
+    code, err = run_main(["zitter", *argv, "--out", str(tmp_path / "z.csv")])
+    assert code == EXIT_PASS
+    assert err == [f"PASS zitter: {says}"]
 
 
 # hbar scales the wobble, whose size is hbar c / 2 E_p; the residuals and
@@ -1015,6 +1106,11 @@ def _single_family_items(cfg, fam, rng):
     return [report_item(name, r, cfg.tol) for name, r in cols]
 
 
+def spin_expectation(spec, ctx, t):
+    """<Psi| Z_s(t) |Psi> at one time, from one-row stacks."""
+    return expectations(spin_stack(position_stack(ctx, [t]), ctx.p), spec.state_vector(ctx))[0]
+
+
 def _single_trial_items(cfg, fam, rng):
     """One zitter or poynting trial's (name, residual, tolerance) items
     through the single-trial functions, in the trial's draw order, each
@@ -1027,11 +1123,9 @@ def _single_trial_items(cfg, fam, rng):
         theta = rng.uniform(0.0, np.pi / 2.0)
         t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
         zr = zitter_position_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
-        zs = zitter_expectation_series(SuperpositionSpec(theta, (1, 4)), ctx, [t],
-                                       spin=True)[0]
+        zs = spin_expectation(SuperpositionSpec(theta, (1, 4)), ctx, t)
         pure = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
-        samehel = zitter_expectation_series(SuperpositionSpec(theta, (1, 3)), ctx, [t],
-                                            spin=True)[0]
+        samehel = spin_expectation(SuperpositionSpec(theta, (1, 3)), ctx, t)
         scale = max(1.0, ctx.hbar * ctx.c / (2.0 * ctx.energy))
         return [("position_vs_closed",
                  float(np.abs(zr - position_closed_form(theta, ctx, t)).max()) / scale, cfg.tol),
@@ -1090,7 +1184,8 @@ def _zitter_columns_trial_by_trial(cfg, rngs):
         ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
         theta = rng.uniform(0.0, np.pi / 2.0)
         t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
-        zr, zs = operator_stacks(ctx, [t])
+        zr = position_stack(ctx, [t])
+        zs = spin_stack(zr, ctx.p)
         mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx)
                                 for angle, pair in ((theta, (1, 3)), (theta, (1, 4)),
                                                     (0.0, (1, 3))))

@@ -9,7 +9,6 @@ from amwave.zitter import (
     ELECTRON_MASS_SI,
     LIGHT_SPEED_SI,
     PLANCK_H_SI,
-    SERIES_BLOCK,
     SIGMA,
     DiracContext,
     PolarSingularity,
@@ -20,12 +19,12 @@ from amwave.zitter import (
     compton_wavelength_si,
     expectations,
     helicity_operator,
-    operator_stacks,
     position_closed_form,
+    position_stack,
     projectors,
     spin_closed_form,
     spin_closed_form_z,
-    zitter_expectation_series,
+    spin_stack,
     zitter_position_expectation,
 )
 
@@ -40,8 +39,8 @@ def random_ctx(rng, **kw) -> DiracContext:
 
 
 def spin_expectation(spec, ctx, t):
-    """<Psi| Z_s(t) |Psi> at one time: a one-row spin series."""
-    return zitter_expectation_series(spec, ctx, [t], spin=True)[0]
+    """<Psi| Z_s(t) |Psi> at one time, from one-row stacks."""
+    return expectations(spin_stack(position_stack(ctx, [t]), ctx.p), spec.state_vector(ctx))[0]
 
 
 def test_dirac_algebra():
@@ -163,7 +162,8 @@ def test_operator_identity_spin_from_position():
     for _ in range(5):
         ctx = random_ctx(rng)
         t = rng.uniform(0, 5)
-        (zr,), (zs,) = operator_stacks(ctx, [t])
+        (zr,) = zrs = position_stack(ctx, [t])
+        (zs,) = spin_stack(zrs, ctx.p)
         p = ctx.p
         manual = np.stack([
             -(zr[1] * p[2] - zr[2] * p[1]),
@@ -182,7 +182,7 @@ def test_spin_evolution_derivative():
     p = ctx.p
 
     def s_of_t(t):
-        zr = operator_stacks(ctx, [t])[0][0]
+        (zr,) = position_stack(ctx, [t])
         return s0 - np.stack([
             zr[1] * p[2] - zr[2] * p[1],
             zr[2] * p[0] - zr[0] * p[2],
@@ -326,9 +326,12 @@ def series_contexts():
 def test_stacked_series_matches_per_time_evaluation_bitwise(steps):
     for ctx in series_contexts():
         ts = np.linspace(0.0, 3.0 * np.pi * ctx.hbar / ctx.energy, steps)
-        for spec in SPECS:
+        zr = position_stack(ctx, ts)
+        assert zr.shape == (steps, 3, 4, 4)
+        # expectations takes no empty stack, and an export of 0 steps makes no call
+        for spec in SPECS if steps else ():
             for spin in (False, True):
-                got = zitter_expectation_series(spec, ctx, ts, spin=spin)
+                got = expectations(spin_stack(zr, ctx.p) if spin else zr, spec.state_vector(ctx))
                 assert got.shape == (steps, 3)
                 one = spin_expectation if spin else zitter_position_expectation
                 want = np.array([one(spec, ctx, t) for t in ts]).reshape(steps, 3)
@@ -345,16 +348,6 @@ def test_stacked_series_matches_per_time_evaluation_bitwise(steps):
                 assert np.array_equal(spin[row], spin_closed_form(theta, ctx, t))
 
 
-def test_stacked_series_crosses_a_block_boundary_bitwise():
-    ctx = DiracContext(p=np.array([0.3, -0.4, 0.9]))
-    ts = np.linspace(0.0, 4.0, SERIES_BLOCK + 1)
-    for spec, spin in ((SuperpositionSpec(0.5, (1, 3)), False),
-                       (SuperpositionSpec(0.5, (1, 4)), True)):
-        got = zitter_expectation_series(spec, ctx, ts, spin=spin)
-        want = np.array([reference_expectation(spec, ctx, t, spin) for t in ts])
-        assert np.array_equal(got, want)
-
-
 def test_one_time_operators_match_reference_bitwise():
     rng = np.random.default_rng(31)
     for ctx in series_contexts():
@@ -363,40 +356,21 @@ def test_one_time_operators_match_reference_bitwise():
             p = ctx.p
             zs = np.stack([-(zr[(i + 1) % 3] * p[(i + 2) % 3]
                              - zr[(i + 2) % 3] * p[(i + 1) % 3]) for i in range(3)])
-            got_r, got_s = operator_stacks(ctx, [t])
+            got_r = position_stack(ctx, [t])
+            got_s = spin_stack(got_r, p)
             assert np.array_equal(got_r[0], zr) and np.array_equal(got_s[0], zs)
-
-
-def test_series_is_evaluated_in_fixed_blocks(monkeypatch):
-    sizes = []
-    stack = zitter._position_stack
-
-    def spy(ctx, ts):
-        sizes.append(len(ts))
-        return stack(ctx, ts)
-
-    monkeypatch.setattr(zitter, "_position_stack", spy)
-    ctx = DiracContext(p=np.array([0.0, 0.0, 0.8]))
-    spec = SuperpositionSpec(0.4, (1, 3))
-    ts = np.linspace(0.0, 1.0, 2 * SERIES_BLOCK + 3)
-    whole = zitter_expectation_series(spec, ctx, ts)
-    assert sizes == [SERIES_BLOCK, SERIES_BLOCK, 3]
-    # the block length changes no value
-    monkeypatch.setattr(zitter, "SERIES_BLOCK", 7)
-    sizes.clear()
-    assert np.array_equal(zitter_expectation_series(spec, ctx, ts), whole)
-    assert sizes == [min(7, len(ts) - start) for start in range(0, len(ts), 7)]
 
 
 def test_series_rejects_non_finite_times():
     ctx = DiracContext(p=np.array([0.0, 0.0, 0.8]))
     spec = SuperpositionSpec(0.4, (1, 3))
-    with pytest.raises(ValueError, match="finite"):
-        zitter_expectation_series(spec, ctx, [0.0, np.nan])
+    for ts in ([0.0, np.nan], [[0.0, 1.0]], 0.5):
+        with pytest.raises(ValueError, match="^times must be a finite 1-D array$"):
+            position_stack(ctx, ts)
     with pytest.raises(ValueError, match="finite"):
         zitter_position_expectation(spec, ctx, np.inf)
     with pytest.raises(PolarSingularity):
-        zitter_expectation_series(spec, DiracContext(p=np.array([0.0, 0.0, -0.7])), [0.0])
+        zitter_position_expectation(spec, DiracContext(p=np.array([0.0, 0.0, -0.7])), 0.0)
 
 
 def test_imaginary_expectation_is_rejected_per_row():
@@ -481,7 +455,8 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
     theta = rng.uniform(0.0, np.pi / 2.0, trials)
     ts = rng.uniform(-2.0, 6.0, trials)
     stack = DiracContext(p=p, **units)
-    zr, zs = operator_stacks(stack, ts)
+    zr = position_stack(stack, ts)
+    zs = spin_stack(zr, stack.p)
     assert zr.shape == zs.shape == (trials, 3, 4, 4)
     # the last spec has no negative-energy part, so its doublet norm is 0
     specs = [dict(pair=(1, 3)), dict(pair=(1, 4)), dict(pair=(2, 3)),
@@ -497,7 +472,8 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
     spin = spin_closed_form(theta, stack, ts)
     for t in range(trials):
         one = DiracContext(p=p[t], **units)
-        zr1, zs1 = operator_stacks(one, [ts[t]])
+        zr1 = position_stack(one, [ts[t]])
+        zs1 = spin_stack(zr1, one.p)
         assert same_bits(zr[t], zr1[0]) and same_bits(zs[t], zs1[0])
         psis1 = [SuperpositionSpec(**at_trial(kw, t)).state_vector(one) for kw in specs]
         for psi, psi1 in zip(psis, psis1):
@@ -519,7 +495,7 @@ def test_stacked_context_rejects_bad_momenta(bad):
 
 
 @pytest.mark.parametrize("row", [[0.0, 0.0, -0.7], [0.0, 0.0, 0.0], [0.0, 0.0, 7e-34],
-                                 [0.0, 0.0, 1e-3], [1e200, 0.0, 1e200]])
+                                 [0.0, 0.0, 1e-3], [0.0, 0.0, 1e120], [1e200, 0.0, 1e200]])
 def test_polar_and_small_momentum_checks_apply_to_each_trial(row):
     with np.errstate(over="ignore"), pytest.raises(PolarSingularity) as one:
         DiracContext(p=np.array(row)).states

@@ -98,6 +98,10 @@ MUTANTS = (
            "e + "),
     Mutant("boost_wave", "relativity.py", "boost_wavevector(kmu, boost)[..., 1:]",
            "boost_wavevector(kmu, boost @ boost)[..., 1:]"),
+    # the Dirac kernels every zitter check and export runs through
+    Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
+           "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
+    Mutant("spin_stack", "zitter.py", "-(zr[:, (i + 1) % 3] * q", "(zr[:, (i + 1) % 3] * q"),
     # the Poynting residuals' scales
     Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian / scale0, 1e-10)',
            '("abelian_equals_em", abelian, 1e-10)'),
