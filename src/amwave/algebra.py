@@ -31,8 +31,9 @@ trial gets alone.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -98,8 +99,9 @@ def operator_norm(arr: np.ndarray) -> float:
 
 def sup_norms(arr: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     """The largest Frobenius norm of the (d, d) blocks of each trial of
-    ``arr``, shape batch + (..., d, d): one value per trial, shape batch."""
-    return frobenius_norms(arr).reshape(batch + (-1,)).max(axis=-1)
+    ``arr`` (batch + (..., d, d)), 0 if it has none: shape batch."""
+    blocks = math.prod(arr.shape[len(batch):-2])
+    return frobenius_norms(arr).reshape(batch + (blocks,)).max(axis=-1, initial=0.0)
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,12 +129,6 @@ def diag(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape + (n,))
 
 
-def numeric_lift(v: Sequence[float], dim: int) -> np.ndarray:
-    """Components, shape (..., 3, d, d), of the operator vector v (x) identity
-    for each real 3-vector in v (shape (..., 3))."""
-    return np.einsum("...i,ab->...iab", np.asarray(v, dtype=complex), np.eye(dim))
-
-
 # The kernels take stacks: leading axes (a trial axis) broadcast, and
 # operands of different dimension raise numpy's ValueError.
 
@@ -144,7 +140,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Operator cross product (u x v)_i = eps_ijk u_j v_k on (..., 3, d, d)
     component arrays, order preserved.  Note u x u is generally nonzero;
-    an ordinary 3-vector enters lifted by ``numeric_lift``.  Finite operands
+    a real 3-vector times an operator vector is ``real_cross``.  Finite operands
     get the dense eps contraction's bits: its two nonzero terms per component
     are summed in its order and operand layout, into a C-ordered result."""
     return np.ascontiguousarray(np.einsum("...nzab,...nzbc->...zac", u[..., _J, :, :] * _E,
@@ -155,6 +151,25 @@ def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ordered dot product sum_i u_i v_i on (..., 3, d, d) component arrays
     (matrix products, not symmetrized)."""
     return np.einsum("...iab,...ibc->...ac", u, v)
+
+
+# A real 3-vector n (..., 3) acts on operator vectors (..., 3, d, d) as
+# n (x) identity, whose zeros add only +-0: so these elementwise products
+# give finite operands the bits of ``cross`` and ``dot`` on n so lifted
+# (up to the sign of a zero), without the d x d matrix products.
+
+def real_cross(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """n x v; n's leading axes broadcast against v's."""
+    n = np.asarray(n, dtype=float)[..., None, None]
+    i, j = [1, 2, 0], [2, 0, 1]
+    return n[..., i, :, :] * v[..., j, :, :] - n[..., j, :, :] * v[..., i, :, :]
+
+
+def real_dot(n: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """n . v, summed in index order; n's leading axes broadcast against v's."""
+    n = np.asarray(n, dtype=float)[..., None, None]
+    return (n[..., 0, :, :] * v[..., 0, :, :] + n[..., 1, :, :] * v[..., 1, :, :]
+            + n[..., 2, :, :] * v[..., 2, :, :])
 
 
 # --- generator sets ---------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -487,8 +486,10 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
         fams = _group_families(cfg, kind, group) if suite.family else None
         for name, residuals, *given in suite.columns(cfg, fams, group):
             tol = float(given[0] if given else cfg.tol)
-            for i, r in zip(idx, np.asarray(residuals, dtype=float).tolist()):
-                per_trial[i].append(report_item(f"trial{i:03d}/{name}", r, tol))
+            res = np.asarray(residuals, dtype=float)
+            for i, r, ok in zip(idx, res.tolist(), (np.abs(res) <= tol).tolist()):
+                per_trial[i].append({"name": f"trial{i:03d}/{name}", "residual": r,
+                                     "tolerance": tol, "pass": ok})
     return [it for items in per_trial for it in items]
 
 
@@ -532,16 +533,20 @@ def _write(path: str | None, emit):
 
 def write_report(report: dict, path: str | None):
     """Write ``json.dumps(report, indent=2)`` and a newline, byte for byte,
-    with each item from one template: json's indenting encoder is slower."""
-    def num(x: float) -> str:
-        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity
-    items = ",".join(f'\n    {{\n      "name": {encode_basestring_ascii(it["name"])},\n'
-                     f'      "residual": {num(it["residual"])},\n'
-                     f'      "tolerance": {num(it["tolerance"])},\n'
-                     f'      "pass": {"true" if it["pass"] else "false"}\n    }}'
-                     for it in report["items"])
+    with each item from one template: json's indenting encoder is slower.
+    One compact json call encodes every residual (no float's text holds
+    ", "), and each tolerance object is encoded once: a column shares one."""
+    items = report["items"]
+    residuals = json.dumps([it["residual"] for it in items])[1:-1].split(", ")
+    tols = {id(it["tolerance"]): it["tolerance"] for it in items}
+    tol_text = {key: json.dumps(tol) for key, tol in tols.items()}
+    text = ",".join(f'\n    {{\n      "name": {encode_basestring_ascii(it["name"])},\n'
+                    f'      "residual": {r},\n'
+                    f'      "tolerance": {tol_text[id(it["tolerance"])]},\n'
+                    f'      "pass": {"true" if it["pass"] else "false"}\n    }}'
+                    for it, r in zip(items, residuals))
     body = json.dumps({**report, "items": []}, indent=2).replace(
-        '\n  "items": []', f'\n  "items": [{items}\n  ]' if items else '\n  "items": []', 1)
+        '\n  "items": []', f'\n  "items": [{text}\n  ]' if items else '\n  "items": []', 1)
     _write(path, lambda fh: fh.write(body + "\n"))
 
 

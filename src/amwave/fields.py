@@ -17,6 +17,11 @@ Products of fields multiply amplitudes in the written order and add the
 harmonic orders, which is what turns the nonlinear gauge-field equations
 into finite per-order operator identities.
 
+The wave vector, or any real 3-vector n, acts on amplitudes as n (x) 1
+through ``algebra.real_cross`` and ``real_dot``.  A merge drops only the
+orders that are exactly zero in every trial, and a field takes its
+``norm`` only when it is read.
+
 A field lives on a ``WaveContext``: one wave, or the waves of T trials
 stacked on a leading axis.  A stack puts a trial
 axis in front of every amplitude, so one evaluation of an expression
@@ -43,14 +48,16 @@ from .algebra import (
     dots,
     frobenius_norms,
     make_generators,
-    numeric_lift,
     readonly,
+    real_cross,
+    real_dot,
     square,
+    sup_norms,
 )
 
-# Amplitudes this much smaller than the largest term are dropped when
-# merging, so residual fields with no content normalize to the empty field.
-MERGE_DROP = 1e-14
+# a (d, d) block whose 2 d^2 real parts all lie below SQRT_MAX / (2 d) in size
+# has a finite Frobenius norm: its squares sum to under half the float range
+SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 # below this |k| the square |k|^2 is subnormal, so it loses digits or reads 0
 SMALL_KNORM = np.sqrt(np.finfo(float).tiny)
@@ -59,8 +66,8 @@ SMALL_KNORM = np.sqrt(np.finfo(float).tiny)
 @dataclass(frozen=True, eq=False)
 class WaveContext:
     """Wave vector, coupling and generator set of one wave, or of T waves
-    on a leading trial axis: then ``k`` is (T, 3) and ``knorm``, ``khat``,
-    ``k_lift`` and ``omega`` hold each wave's own value.  The frequency is
+    on a leading trial axis: then ``k`` is (T, 3) and ``knorm``, ``khat``
+    and ``omega`` hold each wave's own value.  The frequency is
     the dispersion's, omega = c |k|; one that overflows raises
     NonFiniteValue."""
 
@@ -103,12 +110,6 @@ class WaveContext:
     def khat(self) -> np.ndarray:
         return readonly(self.k / np.expand_dims(self.knorm, -1))
 
-    @functools.cached_property
-    def k_lift(self) -> np.ndarray:
-        """k (x) identity, shape batch + (3, d, d), read-only: what ``div``
-        and ``curl`` multiply each amplitude by."""
-        return readonly(numeric_lift(self.k, self.dim))
-
     @property
     def dim(self) -> int:
         return self.generators.dim
@@ -133,8 +134,8 @@ def _compatible(a, b) -> bool:
 
 
 def _per_trial(x, a: np.ndarray):
-    """x, a scalar or one value per trial, shaped to broadcast against a
-    slot's amplitudes ``a`` (batch + ([3,] d, d))."""
+    """x, a scalar or one value per trial (per order and trial), shaped to
+    broadcast against a slot's amplitudes ``a`` (against all of them)."""
     if np.ndim(x) == 0:
         return x
     return np.reshape(x, np.shape(x) + (1,) * (a.ndim - np.ndim(x)))
@@ -148,17 +149,14 @@ class HarmonicField:
     complex array holding amp_m for each of them, shape (H,) + batch +
     (d, d) for a scalar field or (H,) + batch + (3, d, d) for a vector
     field, where batch is ``ctx.batch_shape``: () on one wave, (T,) on a
-    stack.  ``norm`` is the largest amplitude norm
-    (``algebra.operator_norm``): a float on one wave, one per trial on a
     stack.  On a stack each order is a slot shared by every trial; a trial
-    whose merge dropped that order holds zeros in it.  Build one with
-    ``field``; the operations below work on the raw arrays.
+    without that order holds zeros in it.  Build one with ``field``; the
+    operations below work on the raw arrays.
     """
 
     ctx: WaveContext
     orders: tuple[int, ...]
     amps: np.ndarray
-    norm: float | np.ndarray
 
     # numpy then defers to __rmul__, so one scalar per trial times a field
     # scales each trial's amplitudes
@@ -167,6 +165,14 @@ class HarmonicField:
     @property
     def is_vector(self) -> bool:
         return self.amps.ndim - len(self.ctx.batch_shape) == 4
+
+    @functools.cached_property
+    def norm(self) -> float | np.ndarray:
+        """The largest amplitude norm (``algebra.operator_norm``), 0 for no
+        orders: a float, or one per trial on a stack; ``_field`` keeps it finite."""
+        batch = self.ctx.batch_shape
+        top = sup_norms(np.moveaxis(self.amps, 0, len(batch)), batch)
+        return top if batch else float(top)
 
     def amplitude(self, m: int) -> np.ndarray:
         """amp_m, read-only; zeros for an order the field does not hold."""
@@ -183,8 +189,8 @@ class HarmonicField:
         return readonly(out)
 
     def with_amps(self, amps: np.ndarray) -> "HarmonicField":
-        """The field of the same kind with these amplitudes at ``orders``."""
-        return _collect(self.ctx, self.is_vector, zip(self.orders, amps))
+        """The field with ``amps``, a new array it takes, at ``orders``."""
+        return _field(self.ctx, self.orders, amps)
 
     def _require(self, other: "HarmonicField"):
         if other.is_vector != self.is_vector or not _compatible(self.ctx, other.ctx):
@@ -196,8 +202,6 @@ class HarmonicField:
                         [*zip(self.orders, self.amps), *zip(other.orders, other.amps)])
 
     def __sub__(self, other: "HarmonicField") -> "HarmonicField":
-        # one collect: negating an amplitude keeps its norm, so other's own
-        # collect would drop nothing and keep its orders
         self._require(other)
         return _collect(self.ctx, self.is_vector,
                         [*zip(self.orders, self.amps), *zip(other.orders, -other.amps)])
@@ -207,45 +211,42 @@ class HarmonicField:
 
     def __mul__(self, scalar) -> "HarmonicField":
         """Times a scalar, or on a stack times one scalar per trial."""
-        return _termwise(self, self.is_vector, lambda m, a: a * _per_trial(scalar, a))
+        return _termwise(self, lambda m: scalar)
 
     __rmul__ = __mul__
 
 
-def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
-    """The field sum_m amp_m of (order, amplitude array) pairs.
+def _field(ctx: WaveContext, orders, amps: np.ndarray, seen=None) -> HarmonicField:
+    """The field holding ``amps`` (H,) + batch + ([3,] d, d), a new array it
+    marks read-only, at the H sorted ``orders``, less each slot that is
+    exactly zero in every trial.  A non-finite amplitude norm raises
+    NonFiniteValue, naming the first such order in ``seen`` (default: sorted);
+    the norms are taken only if a component is NaN or reaches SQRT_MAX / (2 d)."""
+    amps = np.ascontiguousarray(amps)
+    # each order's largest real or imaginary part; NaN if one is NaN
+    peak = np.abs(amps.view(float)).max(axis=tuple(range(1, amps.ndim)), initial=0.0)
+    if not peak.max(initial=0.0) < SQRT_MAX / (2 * ctx.dim):
+        bad = ~np.isfinite(frobenius_norms(amps)).reshape(len(orders), -1).all(axis=1)
+        if bad.any():
+            m = next(m for m in (seen or orders) if bad[orders.index(m)])
+            raise NonFiniteValue(f"amplitude of order {m} is not finite")
+    if not peak.all():
+        amps = amps[peak > 0.0]
+        orders = [m for m, p in zip(orders, peak) if p > 0.0]
+    return HarmonicField(ctx, tuple(orders), readonly(amps))
 
-    Same-order amplitudes are summed in first-seen order into one slot per
-    order.  Per trial, an amplitude whose norm is at most MERGE_DROP times
-    that trial's largest is dropped: its slot is zeroed, which changes no
-    later sum since x + 0 == x, and a slot that no trial keeps is removed,
-    so on one wave exactly the orders above the cut remain.  A non-finite
-    norm raises NonFiniteValue, so a NaN or inf can never be dropped as
-    small.
-    """
+
+def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
+    """The field sum_m amp_m of (order, amplitude array) pairs, same-order
+    ones summed in first-seen order into one slot, which ``_field`` checks."""
     acc: dict[int, np.ndarray] = {}
     for m, amp in pairs:
         acc[m] = amp if m not in acc else acc[m] + amp
     orders = sorted(acc)
-    amps = (np.stack([acc[m] for m in orders]) if orders else
-            np.zeros((0,) + ctx.batch_shape + (3,) * vector + (ctx.dim, ctx.dim),
-                     dtype=complex))
-    norms = frobenius_norms(amps)  # (H,) + batch [+ (3,)]
-    if vector:
-        norms = norms.max(axis=-1)
-    bad = ~np.isfinite(norms)
-    if bad.any():
-        m = next(m for m in acc if bad[orders.index(m)].any())
-        raise NonFiniteValue(f"amplitude of order {m} is not finite")
-    top = norms.max(axis=0, initial=0.0)  # the largest norm, always kept
-    keep = norms > MERGE_DROP * top
-    if not keep.all():
-        held = keep.reshape(len(orders), -1).any(axis=1)
-        mask = keep.reshape(keep.shape + (1,) * (amps.ndim - keep.ndim))
-        amps = np.where(mask, amps, 0.0)[held]
-        orders = [m for m, h in zip(orders, held) if h]
-    amps.flags.writeable = False
-    return HarmonicField(ctx, tuple(orders), amps, float(top) if top.ndim == 0 else top)
+    if not orders:
+        shape = (0,) + ctx.batch_shape + (3,) * vector + (ctx.dim, ctx.dim)
+        return HarmonicField(ctx, (), readonly(np.zeros(shape, dtype=complex)))
+    return _field(ctx, orders, np.stack([acc[m] for m in orders]), list(acc))
 
 
 def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
@@ -270,10 +271,11 @@ def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
     return _collect(ctx, kinds == {len(batch) + 3}, arrays.items())
 
 
-def _termwise(f: HarmonicField, vector: bool, op, amps=None) -> HarmonicField:
-    """op(m, amps[h]) at each order m of f, as a field; amps defaults to f's."""
-    pairs = zip(f.orders, f.amps if amps is None else amps)
-    return _collect(f.ctx, vector, ((m, op(m, a)) for m, a in pairs))
+def _termwise(f: HarmonicField, factor, amps=None) -> HarmonicField:
+    """amps (f's by default) times factor(m) at each order m of f, as a
+    field: factor(m) is a scalar, or on a stack one value per trial."""
+    amps = f.amps if amps is None else amps
+    return _field(f.ctx, f.orders, amps * _per_trial([factor(m) for m in f.orders], amps))
 
 
 # --- products (order preserving; harmonic orders add) ------------------------
@@ -313,43 +315,44 @@ def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
 def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Dot of a constant numeric 3-vector (one per trial on a stack) with a
     vector field."""
-    return _collect(v.ctx, False, zip(v.orders, dot(numeric_lift(n, v.ctx.dim), v.amps)))
+    return _field(v.ctx, v.orders, real_dot(n, v.amps))
 
 
 def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Cross of a constant numeric 3-vector (one per trial on a stack) with
     a vector field."""
-    return v.with_amps(cross(numeric_lift(n, v.ctx.dim), v.amps))
+    return _field(v.ctx, v.orders, real_cross(n, v.amps))
 
 
 # --- exact differential operators --------------------------------------------
 
 def div(v: HarmonicField) -> HarmonicField:
-    return _termwise(v, False, lambda m, a: a * (1j * m), dot(v.ctx.k_lift, v.amps))
+    return _termwise(v, lambda m: 1j * m, real_dot(v.ctx.k, v.amps))
 
 
 def curl(v: HarmonicField) -> HarmonicField:
-    return _termwise(v, True, lambda m, a: a * (1j * m), cross(v.ctx.k_lift, v.amps))
+    return _termwise(v, lambda m: 1j * m, real_cross(v.ctx.k, v.amps))
 
 
 def grad(f: HarmonicField) -> HarmonicField:
     k = f.ctx.k
-    return _termwise(f, True, lambda m, a: np.einsum("...i,...ab->...iab", 1j * m * k, a))
+    mk = np.array([1j * m * k for m in f.orders]).reshape((len(f.orders),) + k.shape)
+    return _field(f.ctx, f.orders, np.einsum("...i,...ab->...iab", mk, f.amps))
 
 
 def dt(f: HarmonicField) -> HarmonicField:
     w = f.ctx.omega
-    return _termwise(f, f.is_vector, lambda m, a: a * _per_trial(-1j * m * w, a))
+    return _termwise(f, lambda m: -1j * m * w)
 
 
 def d2t(f: HarmonicField) -> HarmonicField:
     w = f.ctx.omega
-    return _termwise(f, f.is_vector, lambda m, a: a * _per_trial(-square(m * w), a))
+    return _termwise(f, lambda m: -square(m * w))
 
 
 def laplacian(f: HarmonicField) -> HarmonicField:
     k2 = square(f.ctx.knorm)
-    return _termwise(f, f.is_vector, lambda m, a: a * _per_trial(-(m ** 2) * k2, a))
+    return _termwise(f, lambda m: -(m ** 2) * k2)
 
 
 # --- solution families --------------------------------------------------------
@@ -436,7 +439,7 @@ class SolutionFamily:
     @functools.cached_property
     def phi_amplitude(self) -> np.ndarray:
         """phi = khat . tau, read-only."""
-        return readonly(dot(numeric_lift(self.ctx.khat, self.ctx.dim), self.tau))
+        return readonly(real_dot(self.ctx.khat, self.tau))
 
     @property
     def eta(self) -> np.ndarray:
@@ -456,7 +459,7 @@ def build_fields(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     second (equal to g*eta_scale*eta); E = -khat x B harmonic by harmonic.
     """
     ctx, tau = fam.ctx, fam.tau
-    b = field(ctx, {1: cross(ctx.k_lift, tau) * 1j,
+    b = field(ctx, {1: real_cross(ctx.k, tau) * 1j,
                     2: cross(tau, tau) * (-1j * ctx.g)})
     return b, -1.0 * ncross(ctx.khat, b)
 

@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .algebra import SERIES_BLOCK, cross, dot, dots, square
+from .algebra import SERIES_BLOCK, cross, dot, dots, real_cross, square
 from .fields import SolutionFamily, build_fields
 
 
@@ -51,7 +51,7 @@ def amw_flux(fam: SolutionFamily) -> np.ndarray:
     """Closed-form time-averaged flux of a generator-valued wave family:
     khat times the operator magnitude of the module doc."""
     ctx, tau = fam.ctx, fam.tau
-    kxt = cross(ctx.k_lift, tau)
+    kxt = real_cross(ctx.k, tau)
     txt = cross(tau, tau)
     op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
     return np.einsum("...i,...ab->...iab", ctx.khat, op)

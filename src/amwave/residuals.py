@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import square
+from .algebra import real_dot, square
 from .fields import (
     HarmonicField,
     SolutionFamily,
@@ -78,8 +78,7 @@ def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField
     """Componentwise projection of every amplitude orthogonal to a unit
     vector (one per trial on a stack)."""
     nhat = np.asarray(direction, dtype=float)
-    along = np.einsum("...i,h...iab->h...ab", nhat, v.amps)
-    perp = v.amps - np.einsum("...i,h...ab->h...iab", nhat, along)
+    perp = v.amps - np.einsum("...i,h...ab->h...iab", nhat, real_dot(nhat, v.amps))
     return v.with_amps(perp)
 
 

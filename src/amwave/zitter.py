@@ -38,7 +38,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, diag, dots, frobenius_norms, readonly, square, sup_norms
+from .algebra import PAULI, diag, dots, frobenius_norms, readonly, real_cross, square, sup_norms
 
 POLAR_EPS = 1e-10
 
@@ -284,13 +284,9 @@ def position_stack(ctx: DiracContext, ts) -> np.ndarray:
 
 def spin_stack(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Z_s(t) = -Z_r(t) x p from a (T, 3, 4, 4) stack zr of Z_r(t) and the
-    number 3-vector p, or a (T, 3) stack of them, one per row of zr."""
-    q = p[..., None, None]
-    return np.stack([
-        -(zr[:, (i + 1) % 3] * q[..., (i + 2) % 3, :, :]
-          - zr[:, (i + 2) % 3] * q[..., (i + 1) % 3, :, :])
-        for i in range(3)
-    ], axis=1)
+    number 3-vector p, or a (T, 3) stack of them, one per row of zr: the
+    operator vector p x Z_r(t)."""
+    return real_cross(p, zr)
 
 
 def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -16,11 +16,14 @@ from amwave.algebra import (
     dots,
     frobenius_norms,
     make_generators,
-    numeric_lift,
     operator_norm,
+    real_cross,
+    real_dot,
     structure_constants,
     sup_norms,
 )
+
+from support import numeric_lift
 
 SU2_KINDS = ("su2_spin_half", "su2_spin_one")
 
@@ -284,6 +287,33 @@ def test_sup_norms_take_each_trials_largest_block_norm():
         assert got.shape == shape[:1] and got.tolist() == want
     # no batch: the largest norm of them all
     assert sup_norms(arr[0], ()) == operator_norm(arr[0])
+    # an empty batch, and trials without blocks (a field with no orders)
+    assert sup_norms(np.zeros((0, 3, 2, 2), dtype=complex), (0,)).shape == (0,)
+    assert sup_norms(np.zeros((4, 0, 3, 2, 2), dtype=complex), (4,)).tolist() == [0.0] * 4
+
+
+# a real 3-vector k per wave, with operator vectors of one wave, of T
+# trials, and of a grid of orders by T trials
+REAL_LEADS = ((), (4,), (2, 4))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lead", REAL_LEADS, ids=lambda lead: f"lead{lead}")
+def test_real_kernels_have_the_bits_of_the_lifted_dense_kernels(d, lead):
+    # k has exact zeros and components from 1e-8 to 1e8; the bits agree up
+    # to the sign of a zero, which x + 0.0 clears and no norm can see
+    rng = np.random.default_rng(40 + d)
+    for _ in range(40):
+        k = rng.normal(size=lead[-1:] + (3,)) * 10.0 ** rng.uniform(-8, 8, lead[-1:] + (3,))
+        k[rng.random(k.shape) < 0.3] = 0.0
+        shape = lead + (3, d, d)
+        v = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(
+            -8, 8, shape)
+        v[rng.random(shape) < 0.2] = 0.0
+        for kernel, dense in ((real_cross, cross), (real_dot, dot)):
+            got, want = kernel(k, v), dense(numeric_lift(k, d), v)
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got + 0.0), _bits(want + 0.0)), kernel.__name__
 
 
 def test_diag_builds_each_vectors_diagonal_matrix():

@@ -11,13 +11,14 @@ from amwave.algebra import (
     cross,
     custom_generators,
     dot,
+    frobenius_norms,
     make_generators,
-    numeric_lift,
     readonly,
     square,
 )
 from amwave.algebra import operator_norm as norm
 from amwave.fields import (
+    SQRT_MAX,
     HarmonicField,
     SolutionFamily,
     WaveContext,
@@ -47,6 +48,8 @@ from amwave.fields import (
 )
 from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import EQUATIONS, Terms, equation_fields, perpendicular_part
+
+from support import diagonal_family, numeric_lift
 
 SPIN_HALF = make_generators("su2_spin_half")
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
@@ -345,11 +348,10 @@ def test_cached_context_and_family_values_are_read_only():
     ctx = fam.ctx
     assert ctx.knorm == float(np.linalg.norm(ctx.k))
     np.testing.assert_array_equal(ctx.khat, ctx.k / np.linalg.norm(ctx.k))
-    np.testing.assert_array_equal(ctx.k_lift, numeric_lift(ctx.k, ctx.dim))
     assert fam.tau is fam.tau and fam.phi_amplitude is fam.phi_amplitude
     assert ctx.khat is ctx.khat
     b, _ = build_fields(fam)
-    for arr in (fam.tau, fam.phi_amplitude, fam.eta, ctx.khat, ctx.k_lift, ctx.k,
+    for arr in (fam.tau, fam.phi_amplitude, fam.eta, ctx.khat, ctx.k,
                 b.amplitude(5), b.eval_at(ctx.k, 0.3)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -564,7 +566,7 @@ def _expressions(fam, u):
 def test_batch_gives_each_trial_its_single_wave_field():
     rng = np.random.default_rng(41)
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0.3, -0.2, 1.1]), g=0.7)
-    fams = [random_family(SPIN_HALF, rng, abelian=True, g=0.7),  # B drops m = 2
+    fams = [diagonal_family(SPIN_HALF, rng, g=0.7),  # B's m = 2 is an exact zero, dropped
             random_family(SPIN_HALF, rng, g=0.7),
             SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
             random_family(SPIN_HALF, rng, abelian=True, g=0.7)]
@@ -578,7 +580,7 @@ def test_batch_gives_each_trial_its_single_wave_field():
         for j, single in enumerate(singles):
             name_j, f = single[k]
             assert name_j == name
-            # a kept amplitude has a positive norm, a dropped one is zeroed
+            # a kept amplitude is nonzero, a dropped one holds zeros
             held = [i for i, amp in enumerate(fb.amps) if np.any(amp[j] != 0)]
             assert tuple(fb.orders[i] for i in held) == f.orders, (name, j)
             assert np.array_equal(fb.amps[held, j], f.amps), (name, j)
@@ -594,7 +596,7 @@ def test_wave_batch_stacks_each_wave_and_checks_them():
     ctx = stack.ctx
     assert ctx.batch_shape == (3,)
     assert [r.shape for r in stack.R] == [(3, 3)] * 4
-    for name in ("k", "knorm", "khat", "k_lift", "omega"):
+    for name in ("k", "knorm", "khat", "omega"):
         assert np.array_equal(getattr(ctx, name), [getattr(f.ctx, name) for f in fams])
         with pytest.raises(ValueError):
             getattr(ctx, name)[0] = 0.0
@@ -611,7 +613,7 @@ def test_stacked_eval_at_gives_each_trial_its_single_value(kind):
     gens = make_generators(kind)
     rng = np.random.default_rng(23)
     fams = [random_family(gens, rng, k=rng.normal(size=3)),
-            random_family(gens, rng, abelian=True),  # B holds no second harmonic
+            diagonal_family(gens, rng),  # B holds no second harmonic
             random_family(gens, rng, k=rng.normal(size=3), g=0.1)]
     stack = SolutionFamily.stack(fams)
     r, t = np.array([0.4, -1.3, 0.8]), 0.9
@@ -658,9 +660,9 @@ def test_batched_product_equals_a_pair_loop_bit_for_bit(kind, product):
     rng = np.random.default_rng(61)
     ctx = WaveContext(generators=make_generators(kind), k=rng.normal(size=(4, 3)), g=0.4)
     f = random_field(ctx, (-1, 1, 2), f_vector, rng)
-    # trial 1 drops its order-2 amplitude of f, whose slot then holds zeros
+    # trial 1 has no order-2 amplitude of f: its slot holds exact zeros
     amps = np.array(f.amps)
-    amps[2, 1] *= 1e-20
+    amps[2, 1] = 0.0
     f = f.with_amps(amps)
     assert f.orders == (-1, 1, 2) and not f.amps[2, 1].any()
     # order 2 of f g sums three pair terms, so their order shows in its bits
@@ -669,6 +671,38 @@ def test_batched_product_equals_a_pair_loop_bit_for_bit(kind, product):
         assert got.orders == want.orders
         assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
         assert np.array_equal(got.norm, want.norm)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_norm_is_each_trials_largest_amplitude_norm_taken_when_read(vector):
+    rng = np.random.default_rng(63)
+    stack = WaveContext(generators=SPIN_HALF, k=rng.normal(size=(4, 3)))
+    one = WaveContext(generators=SPIN_HALF, k=rng.normal(size=3))
+    for ctx in (stack, one):
+        f = random_field(ctx, (-1, 1, 2), vector, rng)
+        amps = np.array(f.amps)
+        amps[1, ..., 0, 0] *= 1e3  # the largest norm sits at order 1
+        f = f.with_amps(amps)
+        assert "norm" not in vars(f)  # no norm is taken until one is read
+        norms = frobenius_norms(f.amps).reshape((3,) + ctx.batch_shape + (-1,))
+        want = norms.max(axis=(0, -1))
+        assert np.array_equal(f.norm, want) and f.norm is f.norm
+        assert type(f.norm) is (float if ctx is one else np.ndarray)
+        # amplitudes in any layout, here a strided view of a larger array
+        g = f.with_amps(np.stack([f.amps, 0 * f.amps], axis=-1)[..., 0])
+        assert g.orders == f.orders and np.array_equal(g.amps, f.amps)
+        assert np.array_equal(g.norm, f.norm)
+        empty = f - f
+        assert empty.orders == () and np.array_equal(empty.norm, np.zeros(ctx.batch_shape))
+
+
+@pytest.mark.parametrize("kind", ["identity", "su2_spin_half", "su2_spin_one"])
+def test_components_below_the_overflow_guard_have_a_finite_norm(kind):
+    # _field takes no norm for these, so the one read later must be finite
+    ctx = WaveContext(generators=make_generators(kind), k=[0.0, 0.0, 1.0])
+    top = np.nextafter(SQRT_MAX / (2 * ctx.dim), 0.0)
+    f = field(ctx, {1: np.full((3, ctx.dim, ctx.dim), top * (1 - 1j))})
+    assert np.isfinite(f.norm) and f.norm > 1e153
 
 
 @pytest.mark.parametrize("product", PRODUCTS, ids=lambda p: p.__name__)
@@ -682,7 +716,7 @@ def test_batched_product_names_the_pair_loops_non_finite_order(product, bad):
         f = random_field(ctx, orders, vector, rng)
         amps = np.array(f.amps)
         amps[orders.index(m), 1, ..., 0, 1] = bad
-        return HarmonicField(ctx, f.orders, readonly(amps), f.norm)
+        return HarmonicField(ctx, f.orders, readonly(amps))
 
     # f_1 and g_3 are bad, so the sums 2 (from -1 + 3), 0 and 4 are: 2 is
     # the first seen, 0 the lowest

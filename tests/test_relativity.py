@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amwave.algebra import frobenius_norms, make_generators, numeric_lift, operator_norm
+from amwave.algebra import frobenius_norms, make_generators, operator_norm
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -32,6 +32,8 @@ from amwave.residuals import (
     field_scale,
     named_residuals,
 )
+
+from support import numeric_lift
 
 SPIN_HALF = make_generators("su2_spin_half")
 

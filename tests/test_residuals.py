@@ -52,6 +52,19 @@ def test_wca_random_families_pass(kind):
         assert not failed(cols), failed(cols)
 
 
+@pytest.mark.parametrize("kind", ["su2_spin_half", "su2_spin_one"])
+def test_true_families_pass_the_condition_rows_off_unit_wave_number(kind):
+    # at |k| = 1 a bracket with a wrong power of |k| reads the same
+    rng = np.random.default_rng(19)
+    for knorm in (0.4, 2.5):
+        for _ in range(5):
+            k = rng.normal(size=3)
+            fam = random_family(make_generators(kind), rng, k=knorm * k / np.linalg.norm(k))
+            for label in ("wca", "zca"):
+                cols = residuals(label, fam)
+                assert not failed(cols), (knorm, label, failed(cols))
+
+
 def test_wca_non_coplanar_fails_div_m():
     rng = np.random.default_rng(23)
     fam = random_family(make_generators("su2_spin_half"), rng, coplanar=False)

@@ -530,3 +530,9 @@ def test_stacked_squares_keep_the_one_trial_bits():
         one = DiracContext(p=p[t])
         assert same_bits(stack.energy[t], one.energy)
         assert same_bits(spin[t], spin_closed_form(theta[t], one, ts[t]))
+
+
+def test_an_empty_stack_has_no_expectations():
+    ctx = DiracContext(p=np.array([0.3, -0.2, 0.8]))
+    psi = SuperpositionSpec(np.pi / 4.0, (1, 3)).state_vector(ctx)
+    assert expectations(position_stack(ctx, []), psi).shape == (0, 3)

@@ -72,15 +72,29 @@ MUTANTS = (
            "w.e - ncross(w.ctx.khat, w.b)"),
     Mutant("bp", "residuals.py", "w.ca - w.ig * w.m", "w.ca + w.ig * w.m"),
     Mutant("ep", "residuals.py", "-w.at - w.gp - w.ig * w.n", "-w.at - w.gp + w.ig * w.n"),
+    # the power of |k| a bracket carries, which |k| = 1 cannot show
+    Mutant("vector_wave_k2", "residuals.py", "- square(w.kn) * w.a", "- w.kn * w.a"),
+    Mutant("induction_k", "residuals.py", "2.0 * w.kn * w.m", "2.0 * w.m"),
+    Mutant("ampere_bracket_k", "residuals.py", "(1j * w.kn) * w.n - vcross(w.a, w.ca)",
+           "1j * w.n - vcross(w.a, w.ca)"),
     # the array rules that algebra holds for every module
-    Mutant("sup_norms", "algebra.py", ".reshape(batch + (-1,)).max(axis=-1)",
-           ".reshape(batch + (-1,)).min(axis=-1)"),
+    Mutant("sup_norms", "algebra.py", ".reshape(batch + (blocks,)).max(axis=-1, initial=0.0)",
+           ".reshape(batch + (blocks,)).min(axis=-1, initial=np.inf)"),
     Mutant("dots", "algebra.py", "(a[..., None, :] @ b[..., :, None])",
            "(a[..., None, :] @ a[..., :, None])"),
     Mutant("square", "algebra.py", "return np.array([v ** 2 for v in np.asarray(x).tolist()])",
            "return np.square(np.asarray(x, dtype=float))"),
     Mutant("diag", "algebra.py", "out[..., ::n + 1] = x", "out[..., ::n] = x"),
     Mutant("series_block", "algebra.py", "SERIES_BLOCK = 128", "SERIES_BLOCK = 127"),
+    # a real 3-vector acting on an operator vector, and the overflow guard
+    # that lets a field take its norms only when they are read
+    Mutant("real_cross_sign", "algebra.py",
+           "return n[..., i, :, :] * v[..., j, :, :] - n[..., j, :, :] * v[..., i, :, :]",
+           "return (n[..., i, :, :] * v[..., j, :, :] - n[..., j, :, :] * v[..., i, :, :])"
+           " * np.array([1.0, 1.0, -1.0])[:, None, None]"),
+    Mutant("real_dot_term", "algebra.py",
+           "\n            + n[..., 2, :, :] * v[..., 2, :, :])", ")"),
+    Mutant("overflow_guard", "fields.py", "< SQRT_MAX / (2 * ctx.dim):", "< np.inf:"),
     # the boost as a plain matrix
     Mutant("boost_matrix", "relativity.py", "m[0, i] = m[i, 0] = -gamma * beta",
            "m[0, i] = m[i, 0] = gamma * beta"),
@@ -101,7 +115,7 @@ MUTANTS = (
     # the Dirac kernels every zitter check and export runs through
     Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
            "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
-    Mutant("spin_stack", "zitter.py", "-(zr[:, (i + 1) % 3] * q", "(zr[:, (i + 1) % 3] * q"),
+    Mutant("spin_stack", "zitter.py", "return real_cross(p, zr)", "return real_cross(-p, zr)"),
     # the Poynting residuals' scales
     Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian / scale0, 1e-10)',
            '("abelian_equals_em", abelian, 1e-10)'),
