@@ -1,10 +1,10 @@
 """Command-line harness: randomized verification suites, report files, and
 time-series export.
 
-Determinism: randomness comes from numpy's PCG64 generator; trial i of a
-run draws from ``default_rng(SeedSequence(seed).spawn(trials)[i])``, so a
-given (config, seed) produces bit-identical reports.  Reports carry no
-timestamps for the same reason.
+Determinism: trial i of a run draws from numpy's PCG64 generator
+``default_rng(SeedSequence(seed).spawn(trials)[i])``, seeded for every trial
+at once by ``seeding.spawn_states``, so a given (config, seed) gives
+bit-identical reports.  Reports carry no timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
@@ -65,6 +65,7 @@ from .residuals import (
     named_residuals,
     report_item,
 )
+from .seeding import seeded_generators, spawn_states
 from .zitter import (
     DiracContext,
     SuperpositionSpec,
@@ -133,18 +134,23 @@ def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
             ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
 
 
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)``'s own arithmetic on draws u of ``Generator.random``."""
+    return low + (high - low) * u
+
+
 def _zitter_residuals(cfg: RunConfig, _, rngs):
-    """Each trial draws a momentum p, a mixing angle and a time t from its
-    own generator, in that order; t's range needs that trial's E_p.  The
-    group is one stacked DiracContext: Z_r(t) is built once per trial and
-    Z_s(t) from it, and the four expectations are taken on those two
-    stacks."""
-    p = np.array([rng.uniform(-1.0, 1.0, 3) for rng in rngs])
+    """Each trial draws a momentum p, a mixing angle and a time t from one
+    ``random(5)`` call of its own generator, each mapped as ``uniform``
+    maps a draw; t's range needs that trial's E_p.  The group is one
+    stacked DiracContext: Z_r(t) is built once per trial and Z_s(t) from
+    it, and the four expectations are taken on those two stacks."""
+    u = np.array([rng.random(5) for rng in rngs])
+    p = _uniform(-1.0, 1.0, u[:, :3])
     p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
     ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
-    theta = np.array([rng.uniform(0.0, np.pi / 2.0) for rng in rngs])
-    t = np.array([rng.uniform(0.0, hi) for rng, hi
-                  in zip(rngs, (4.0 * np.pi * ctx.hbar / ctx.energy).tolist())])
+    theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
+    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
     zr = position_stack(ctx, t)
     zs = spin_stack(zr, ctx.p)
     mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
@@ -477,12 +483,12 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
     # the first allocation sized by the trial count, so a count that memory
     # cannot hold fails here at once
     every = np.arange(cfg.trials)
+    # every trial's seed words at once; a group's generators live while it runs
+    states = spawn_states(cfg.seed, every)
     per_trial = [[] for _ in range(cfg.trials)]
     for first, kind in enumerate(kinds[:cfg.trials]):
         idx = every[first::len(kinds)].tolist()
-        # SeedSequence(seed).spawn(trials)[i], without the other trials' children
-        group = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-                 for i in idx]
+        group = seeded_generators(states[first::len(kinds)])
         fams = _group_families(cfg, kind, group) if suite.family else None
         for name, residuals, *given in suite.columns(cfg, fams, group):
             tol = float(given[0] if given else cfg.tol)

@@ -1,8 +1,13 @@
-"""Reference constructions shared by the tests."""
+"""Reference constructions shared by the tests: dense operands, fixed and
+special families, and a finite-difference oracle that knows a field only
+through ``eval_at``."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from amwave.fields import SolutionFamily, random_family
+from amwave.algebra import make_generators
+from amwave.fields import SolutionFamily, WaveContext, dt, random_family
 
 
 def numeric_lift(v, dim: int) -> np.ndarray:
@@ -22,3 +27,89 @@ def diagonal_family(gens, rng, **kw) -> SolutionFamily:
     R = [fam.R[0]] + [np.zeros(3)] * (gens.n_coeffs - 1)
     R[3] = fam.R[3]
     return SolutionFamily(ctx=fam.ctx, R=tuple(R))
+
+
+def xz_family(gens=None, *, knorm: float = 1.0, c: float = 1.0, g: float = 0.1) -> SolutionFamily:
+    """k along z, R_1 = x, R_3 = z: the smallest family with noncommuting
+    amplitudes (tau = x S_x + z S_z, second harmonic along y S_y)."""
+    gens = gens or make_generators("su2_spin_half")
+    if len(gens.generators) != 3:
+        raise ValueError("xz_family needs a three-generator set")
+    ctx = WaveContext(generators=gens, k=np.array([0.0, 0.0, knorm]), c=c, g=g)
+    zero = np.zeros(3)
+    return SolutionFamily(ctx=ctx, R=(
+        zero, np.array([1.0, 0.0, 0.0]), zero, np.array([0.0, 0.0, 1.0])))
+
+
+def d2t(f):
+    """The second time derivative, termwise: -(m omega)^2 at order m."""
+    return dt(dt(f))
+
+
+# --- finite-difference oracle --------------------------------------------------
+
+@dataclass(frozen=True)
+class DerivativeEstimate:
+    """Central-difference estimates of one derivative at steps h and h/2.
+
+    ``at_h`` and ``at_half`` come from the plain second-order stencils
+    (error O(h^2), so halving the step divides the error by about four);
+    ``extrapolated`` is their Richardson combination (4*at_half - at_h)/3,
+    which cancels the leading error term.
+    """
+
+    at_h: np.ndarray
+    at_half: np.ndarray
+    extrapolated: np.ndarray
+
+
+def _richardson(est_h, est_half) -> DerivativeEstimate:
+    combined = (4.0 / 3.0) * est_half - (1.0 / 3.0) * est_h
+    return DerivativeEstimate(est_h, est_half, combined)
+
+
+def _fd_partial(f, r, t, axis: int, h: float):
+    e = np.zeros(3)
+    e[axis] = h
+    return (1.0 / (2.0 * h)) * (f.eval_at(r + e, t) - f.eval_at(r - e, t))
+
+
+def _fd_partial2(f, r, t, axis: int, h: float):
+    e = np.zeros(3)
+    e[axis] = h
+    return (1.0 / h ** 2) * (f.eval_at(r + e, t)
+                             - 2.0 * f.eval_at(r, t)
+                             + f.eval_at(r - e, t))
+
+
+def fd_div(v, r, t: float, h: float) -> DerivativeEstimate:
+    def stencil(step):
+        return sum(_fd_partial(v, r, t, axis, step)[axis] for axis in range(3))
+    return _richardson(stencil(h), stencil(h / 2.0))
+
+
+def fd_curl(v, r, t: float, h: float) -> DerivativeEstimate:
+    def stencil(step):
+        p = [_fd_partial(v, r, t, axis, step) for axis in range(3)]
+        return np.stack([p[1][2] - p[2][1], p[2][0] - p[0][2], p[0][1] - p[1][0]])
+    return _richardson(stencil(h), stencil(h / 2.0))
+
+
+def fd_grad(f, r, t: float, h: float) -> DerivativeEstimate:
+    def stencil(step):
+        return np.stack([_fd_partial(f, r, t, axis, step) for axis in range(3)])
+    return _richardson(stencil(h), stencil(h / 2.0))
+
+
+def fd_dt(f, r, t: float, h: float) -> DerivativeEstimate:
+    def stencil(step):
+        return (1.0 / (2.0 * step)) * (f.eval_at(r, t + step)
+                                       - f.eval_at(r, t - step))
+    return _richardson(stencil(h), stencil(h / 2.0))
+
+
+def fd_laplacian(f, r, t: float, h: float) -> DerivativeEstimate:
+    def stencil(step):
+        return sum((_fd_partial2(f, r, t, axis, step) for axis in (1, 2)),
+                   start=_fd_partial2(f, r, t, 0, step))
+    return _richardson(stencil(h), stencil(h / 2.0))

@@ -15,9 +15,6 @@ from amwave.fields import (
     curl,
     div,
     dt,
-    fd_curl,
-    fd_div,
-    fd_dt,
     random_family,
 )
 from amwave.poynting import amw_flux, em_flux, flux_averages, flux_quadrature
@@ -36,6 +33,8 @@ from amwave.zitter import (
     spin_stack,
     zitter_position_expectation,
 )
+
+from support import fd_curl, fd_div, fd_dt
 
 SEED = 20240801
 

@@ -1222,6 +1222,16 @@ def test_importing_the_cli_does_not_import_yaml():
     assert out.strip() == "False"
 
 
+def test_importing_the_cli_does_not_import_numpy_random():
+    # the trial streams import it when a run first seeds them
+    src = str(Path(amwave.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import amwave.cli; "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 # the module layers: zitter stands on algebra alone, and poynting needs no zitter
 @pytest.mark.parametrize("module, absent", [("zitter", "amwave.fields"),
                                             ("poynting", "amwave.zitter")])

@@ -27,14 +27,8 @@ from amwave.fields import (
     comm_ss,
     comm_sv,
     curl,
-    d2t,
     div,
     dt,
-    fd_curl,
-    fd_div,
-    fd_dt,
-    fd_grad,
-    fd_laplacian,
     field,
     grad,
     laplacian,
@@ -44,12 +38,21 @@ from amwave.fields import (
     random_family,
     vcross,
     vdot,
-    xz_family,
 )
 from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import EQUATIONS, Terms, equation_fields, perpendicular_part
 
-from support import diagonal_family, numeric_lift
+from support import (
+    d2t,
+    diagonal_family,
+    fd_curl,
+    fd_div,
+    fd_dt,
+    fd_grad,
+    fd_laplacian,
+    numeric_lift,
+    xz_family,
+)
 
 SPIN_HALF = make_generators("su2_spin_half")
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")

@@ -9,7 +9,6 @@ from amwave.fields import (
     build_fields,
     field,
     random_family,
-    xz_family,
 )
 from amwave.poynting import (
     NonTransverseAmplitude,
@@ -22,7 +21,7 @@ from amwave.poynting import (
     flux_quadrature,
 )
 
-from support import diagonal_family, numeric_lift
+from support import diagonal_family, numeric_lift, xz_family
 
 SPIN_HALF = make_generators("su2_spin_half")
 

@@ -10,7 +10,6 @@ from amwave.fields import (
     field,
     random_families,
     random_family,
-    xz_family,
 )
 from amwave.poynting import amw_flux, flux_averages, flux_quadrature
 from amwave.relativity import (
@@ -33,7 +32,7 @@ from amwave.residuals import (
     named_residuals,
 )
 
-from support import numeric_lift
+from support import numeric_lift, xz_family
 
 SPIN_HALF = make_generators("su2_spin_half")
 

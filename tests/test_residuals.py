@@ -10,15 +10,9 @@ from amwave.fields import (
     WaveContext,
     build_fields,
     build_potentials,
-    fd_curl,
-    fd_div,
-    fd_dt,
-    fd_grad,
-    fd_laplacian,
     field,
     random_family,
     vcross,
-    xz_family,
 )
 from amwave.residuals import (
     BRACKETS,
@@ -28,6 +22,8 @@ from amwave.residuals import (
     equation_residuals,
     report_item,
 )
+
+from support import fd_curl, fd_div, fd_dt, fd_grad, fd_laplacian, xz_family
 
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
 TOL = 1e-12

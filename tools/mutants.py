@@ -116,6 +116,17 @@ MUTANTS = (
     Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
            "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
     Mutant("spin_stack", "zitter.py", "return real_cross(p, zr)", "return real_cross(-p, zr)"),
+    # the trial streams: a seeding hash constant one bit off
+    # (test_seeding.py::test_spawned_streams_equal_numpys_children_word_for_word_and_draw_for_draw),
+    # and the zitter draw's angle and time columns swapped
+    # (test_cli.py::test_zitter_group_columns_equal_a_trial_by_trial_loop)
+    Mutant("seeding_constant", "seeding.py", "INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875",
+           "INIT_A, MULT_A = 0x43B0D7E5, 0x931E8874"),
+    Mutant("zitter_draw_columns", "cli.py",
+           "theta = _uniform(0.0, np.pi / 2.0, u[:, 3])\n"
+           "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])",
+           "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])\n"
+           "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 3])"),
     # the Poynting residuals' scales
     Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian / scale0, 1e-10)',
            '("abelian_equals_em", abelian, 1e-10)'),
