@@ -13,8 +13,9 @@ columns, its default tolerance, its fixed generator kind if it has one,
 whether its trials draw a family, and the items that open its report.
 Every suite runs once per generator group (``RunConfig.kinds``), in one
 thread, on the group's families drawn straight into one stacked
-``SolutionFamily``.  ``write_report`` writes the bytes of
-``json.dumps(report, indent=2)``, each item from a template.
+``SolutionFamily``, or all trials as one group if they draw none; boost and
+gauge evaluate their two frames or gauges as one stack.  ``write_report``
+writes the bytes of ``json.dumps(report, indent=2)``, each item from a template.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .algebra import (
     structure_constants,
     sup_norms,
 )
-from .fields import SolutionFamily, WaveContext, random_families
+from .fields import SolutionFamily, WaveContext, build_potentials, random_families, stack_fields
 from .poynting import (
     amw_flux,
     em_flux,
@@ -62,7 +63,6 @@ from .residuals import (
     equation_fields,
     equation_residuals,
     field_scale,
-    named_residuals,
     report_item,
 )
 from .seeding import seeded_generators, spawn_states
@@ -117,21 +117,21 @@ def _table(labels: tuple[str, ...], cfg: RunConfig, fams: SolutionFamily, rngs):
 def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     """Full-equation residuals before and after a random constant gauge
     rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
-    right after its family, and the wca conditions on the rotated wave."""
-    ctx = fams.ctx
-    gens = ctx.generators
+    right after its family, and the wca conditions on the rotated wave,
+    all on one ``Terms`` of the T original and the T rotated waves."""
+    ctx, gens, n = fams.ctx, fams.ctx.generators, len(rngs)
     coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
     herm = np.zeros((gens.dim, gens.dim), dtype=complex)
     for c, g in zip(coeffs.T, gens.generators):
         herm = herm + g * c[:, None, None]
     u = unitary_exponential(herm)
-    terms = Terms.of(fams)
-    conj = Terms(gauge_conjugate(terms.a, u), gauge_conjugate(terms.phi, u), ctx)
-    before, after = equation_residuals("full", terms), equation_residuals("full", conj)
-    drift = np.max([np.abs(x - y) for (_, x), (_, y) in zip(before, after)], axis=0)
-    conj_wca = named_residuals(equation_fields("wca", conj), field_scale(terms.a))
-    return [("residual_norm_invariance", drift),
-            ("conjugated_wca", np.max([r for _, r in conj_wca], axis=0))]
+    wave = WaveContext(generators=gens, k=np.tile(ctx.k, (2, 1)), c=ctx.c, g=ctx.g)
+    both = Terms(*(stack_fields(wave, (f, gauge_conjugate(f, u)))
+                   for f in build_potentials(fams)), wave)
+    drift = np.max([np.abs(r[:n] - r[n:]) for _, r in equation_residuals("full", both)], axis=0)
+    scale = field_scale(both.a)[:n]  # the unrotated potentials'
+    conj_wca = [f.norm[n:] / scale for _, f in equation_fields("wca", both)]
+    return [("residual_norm_invariance", drift), ("conjugated_wca", np.max(conj_wca, axis=0))]
 
 
 def _uniform(low, high, u):
@@ -397,7 +397,8 @@ class RunConfig:
 
     @property
     def kinds(self) -> list[str]:
-        """The generator kind of each group of trials: trial i is in group i % len(kinds)."""
+        """The generator kind of each group of trials: trial i is in group
+        i % len(kinds), or all trials in one if the suite draws no family."""
         kind = SUITE_TABLE[self.suite].generator or self.generator
         return ["su2_spin_half", "su2_spin_one"] if kind == "both" else [kind]
 
@@ -473,12 +474,12 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
 def _run_trials(cfg: RunConfig) -> list[dict]:
     """Every trial's report items, each named trialNNN/<item>, in trial order.
 
-    The trials of each generator kind (``cfg.kinds``) run as one group:
-    the group's families are drawn as one stack (``_group_families``), each
-    trial from its own generator, unless the suite's trials draw none, and
-    the suite's columns are computed once on that stack.  Whatever a suite
-    draws comes from the same per-trial generators after the family, so
-    grouping changes no value."""
+    The trials of each generator kind (``cfg.kinds``) run as one group, or
+    all trials if the suite's trials draw no family: the group's families
+    are drawn as one stack (``_group_families``), each trial from its own
+    generator, and the suite's columns are computed once on that stack.
+    Whatever a suite draws comes from the same per-trial generators after
+    the family, so grouping changes no value."""
     suite, kinds = SUITE_TABLE[cfg.suite], cfg.kinds
     # the first allocation sized by the trial count, so a count that memory
     # cannot hold fails here at once
@@ -486,9 +487,10 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
     # every trial's seed words at once; a group's generators live while it runs
     states = spawn_states(cfg.seed, every)
     per_trial = [[] for _ in range(cfg.trials)]
-    for first, kind in enumerate(kinds[:cfg.trials]):
-        idx = every[first::len(kinds)].tolist()
-        group = seeded_generators(states[first::len(kinds)])
+    step = len(kinds) if suite.family else 1
+    for first, kind in enumerate(kinds[:min(step, cfg.trials)]):
+        idx = every[first::step].tolist()
+        group = seeded_generators(states[first::step])
         fams = _group_families(cfg, kind, group) if suite.family else None
         for name, residuals, *given in suite.columns(cfg, fams, group):
             tol = float(given[0] if given else cfg.tol)

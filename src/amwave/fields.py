@@ -270,6 +270,16 @@ def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
     return _collect(ctx, kinds == {len(batch) + 3}, arrays.items())
 
 
+def stack_fields(ctx: WaveContext, parts: Sequence[HarmonicField]) -> HarmonicField:
+    """The fields ``parts``, each on one wave or a stack, as one field on the
+    stack ``ctx`` that holds their trials in order."""
+    vector = parts[0].is_vector
+    shape = (-1,) + (3,) * vector + (ctx.dim, ctx.dim)
+    orders = sorted({m for f in parts for m in f.orders})
+    return _collect(ctx, vector, [
+        (m, np.concatenate([f.amplitude(m).reshape(shape) for f in parts])) for m in orders])
+
+
 def _termwise(f: HarmonicField, factor, amps=None) -> HarmonicField:
     """amps (f's by default) times factor(m) at each order m of f, as a
     field: factor(m) is a scalar, or on a stack one value per trial."""

@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .algebra import diag, frobenius_norms, readonly
-from .fields import HarmonicField, SolutionFamily, WaveContext, build_fields, ncross
+from .fields import HarmonicField, SolutionFamily, WaveContext, build_fields, ncross, stack_fields
 from .residuals import Terms, equation_residuals, perpendicular_part
 
 BOOST_AXES = {"x": 0, "y": 1, "z": 2}
@@ -42,18 +42,19 @@ def boost_axis(axis: int | str) -> int:
     return int(axis)
 
 
-def boost_matrix(velocity: float, c: float = 1.0, axis: int | str = 2) -> np.ndarray:
+def boost_matrix(velocity, c: float = 1.0, axis: int | str = 2) -> np.ndarray:
     """The (4, 4) matrix C of the boost with speed ``velocity`` along a
     coordinate axis (``boost_axis``), read-only: gamma at (0, 0) and
-    (i, i) and -gamma beta at (0, i) and (i, 0), for i = 1 + axis."""
+    (i, i) and -gamma beta at (0, i) and (i, 0), for i = 1 + axis.  An
+    array of velocities gives the (..., 4, 4) stack of their matrices."""
     i = 1 + boost_axis(axis)
-    beta = velocity / c
-    if not abs(beta) < 1.0:
-        raise SuperluminalBoost(f"|v| = {abs(velocity)} >= c = {c}")
+    beta = np.asarray(velocity, dtype=float) / c
+    if not (abs(beta) < 1.0).all():
+        raise SuperluminalBoost(f"|v| = {np.max(np.abs(velocity))} >= c = {c}")
     gamma = 1.0 / np.sqrt(1.0 - beta * beta)
-    m = np.eye(4)
-    m[0, 0] = m[i, i] = gamma
-    m[0, i] = m[i, 0] = -gamma * beta
+    m = np.tile(np.eye(4), beta.shape + (1, 1))
+    m[..., 0, 0] = m[..., i, i] = gamma
+    m[..., 0, i] = m[..., i, 0] = -gamma * beta
     return readonly(m)
 
 
@@ -64,10 +65,11 @@ def boost_wavevector(kmu: np.ndarray, boost: np.ndarray) -> np.ndarray:
     return (boost @ kmu[..., None])[..., 0]
 
 
-def boosted_fields(b: HarmonicField, e: HarmonicField, velocity: float,
+def boosted_fields(b: HarmonicField, e: HarmonicField, velocity,
                    axis: int | str = 2) -> tuple[HarmonicField, HarmonicField]:
     """The fields b, e of a wave seen from a frame moving with ``velocity``
-    along a coordinate axis (``boost_axis``), on the boosted wave.
+    along a coordinate axis (``boost_axis``), on the boosted wave; on a
+    stack of waves ``velocity`` is one speed, or one per trial.
 
     Each harmonic transforms by the standard field transformation (Jackson,
     *Classical Electrodynamics*, eq. 11.149), with n the axis and _perp
@@ -82,7 +84,7 @@ def boosted_fields(b: HarmonicField, e: HarmonicField, velocity: float,
     """
     ctx, i = b.ctx, boost_axis(axis)
     boost = boost_matrix(velocity, c=ctx.c, axis=i)
-    gamma, gamma_beta, n = float(boost[0, 0]), -float(boost[0, 1 + i]), np.eye(3)[i]
+    gamma, gamma_beta, n = boost[..., 0, 0], -boost[..., 0, 1 + i], np.eye(3)[i]
     bp = b + (gamma - 1.0) * perpendicular_part(b, n) - gamma_beta * ncross(n, e)
     ep = e + (gamma - 1.0) * perpendicular_part(e, n) + gamma_beta * ncross(n, b)
     kmu = np.concatenate([np.expand_dims(ctx.knorm, -1), ctx.k], axis=-1)
@@ -91,27 +93,32 @@ def boosted_fields(b: HarmonicField, e: HarmonicField, velocity: float,
     return replace(bp, ctx=wave), replace(ep, ctx=wave)
 
 
-def boost_columns(fams: SolutionFamily, speeds, axis: int | str = 2):
-    """The ``maxwell`` row of a family, or of every trial of a stacked
-    family, in the frames moving with velocity s*c for each speed s (in
-    units of c) in ``speeds``.
+def _frames(fams: SolutionFamily, velocities, axis):
+    """The ``maxwell`` columns of a family, or a stack of T, at each of S
+    velocities, one list per velocity: its fields, built once and tiled
+    over the velocities, are boosted and checked as one stack of S T."""
+    ctx, s = fams.ctx, len(velocities)
+    wave = WaveContext(generators=ctx.generators, k=np.tile(ctx.k, (s, 1)), c=ctx.c, g=ctx.g)
+    b, e = (stack_fields(wave, [f] * s) for f in build_fields(fams))
+    cols = equation_residuals("maxwell", Terms.of_fields(*boosted_fields(
+        b, e, np.repeat(velocities, ctx.k.size // 3), axis)))
+    return [[(name, r.reshape((s,) + ctx.batch_shape)[j]) for name, r in cols] for j in range(s)]
 
-    The closed-form fields are built once and boosted for each speed
-    (``boosted_fields``).  Returns (name, residual per trial) columns named
+
+def boost_columns(fams: SolutionFamily, speeds, axis: int | str = 2):
+    """The ``maxwell`` row of a family, or of every trial of a stack, in the
+    frame moving with velocity s*c for each speed s (in units of c), all
+    as one stack: (name, residual per trial) columns named
     ``v=<s:+>c/<item>``, with the shortest repr of s.  Raises
-    SuperluminalBoost for |s| >= 1.
-    """
-    b, e = build_fields(fams)
-    return [(f"v={s:+}c/{name}", r) for s in speeds for name, r in equation_residuals(
-        "maxwell", Terms.of_fields(*boosted_fields(b, e, s * fams.ctx.c, axis)))]
+    SuperluminalBoost for |s| >= 1."""
+    return [(f"v={s:+}c/{name}", r) for s, cols in zip(
+        speeds, _frames(fams, [s * fams.ctx.c for s in speeds], axis)) for name, r in cols]
 
 
 def boosted_residuals(fam: SolutionFamily, velocity: float, axis: int | str = 2):
-    """The ``maxwell`` row of one family in the frame moving with
-    ``velocity``: the (name, residual) columns of ``boost_columns``,
-    unprefixed.  Raises SuperluminalBoost for |v| >= c."""
-    return equation_residuals(
-        "maxwell", Terms.of_fields(*boosted_fields(*build_fields(fam), velocity, axis)))
+    """``boost_columns`` for one family at one ``velocity``, unprefixed.
+    Raises SuperluminalBoost for |v| >= c."""
+    return _frames(fam, [velocity], axis)[0]
 
 
 # --- constant gauge conjugation ---------------------------------------------------

@@ -1253,6 +1253,40 @@ def test_no_module_imports_another_modules_private_name():
                 assert not private, (path.name, node.module, private)
 
 
+# the public names that no code of the package reads, each with its reason
+UNREAD_PUBLIC_NAMES = {
+    "zca_conditions": "perfbench/probes.py times it",
+    "boosted_residuals": "perfbench/probes.py times it: boost_columns for one family at "
+                         "one velocity",
+    "zitter_position_expectation": "perfbench/probes.py times it",
+    "random_family": "perfbench/probes.py draws its family with it, and tests draw abelian "
+                     "and non-coplanar families",
+    "spin_closed_form_z": "one of the paper's printed results",
+    "alpha_matrix_element_14": "one of the paper's printed results",
+    "compton_wavelength_si": "one of the paper's printed results",
+    "amplitude_frequency_si": "one of the paper's printed results",
+    "custom_generators": "the way in for a user's own generator set",
+    "projectors": "the Dirac energy and helicity projectors, which tests hold the spectral "
+                  "kernels to",
+}
+
+
+def test_every_public_name_is_read_in_the_package_or_listed():
+    """A public top-level name of the package is read somewhere in it other
+    than in its own definition, or it is listed with its reason."""
+    package = Path(amwave.__file__).resolve().parent
+    defined, read = {}, set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else {
+                n.id for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                if target is not None for n in ast.walk(target) if isinstance(n, ast.Name)}
+            defined.update((name, path.name) for name in own if not name.startswith("_"))
+            read |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)} - own
+    unread = {name for name in defined if name not in read}
+    assert unread == set(UNREAD_PUBLIC_NAMES), sorted(unread ^ set(UNREAD_PUBLIC_NAMES))
+
+
 @pytest.mark.parametrize("suite, generator", [
     (suite, generator) for suite in ("wca", "zca", "exact", "full", "gauge")
     for generator in ("both", "su2_spin_half", "su2_spin_one", "su3_gellmann")

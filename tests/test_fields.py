@@ -36,6 +36,7 @@ from amwave.fields import (
     ndot,
     random_families,
     random_family,
+    stack_fields,
     vcross,
     vdot,
 )
@@ -292,6 +293,24 @@ def test_empty_field_passes_through_the_algebra():
     u = unitary_exponential(sx, 0.3)
     assert gauge_conjugate(empty, u).orders == ()
     assert gauge_conjugate(ndot(ctx.khat, empty), u).amps.shape == (0, 2, 2)
+
+
+def test_stack_fields_holds_each_part_trial_by_trial():
+    """A wave and a stack of two, with different orders, on one stack of
+    three: each trial keeps its amplitudes, and a part without an order
+    holds zeros in its slot."""
+    sx, sy, _ = SPIN_HALF.generators
+    one = field(WaveContext(generators=SPIN_HALF, k=[0.0, 0.0, 1.0]), {1: sx, 2: sy})
+    two = field(WaveContext(generators=SPIN_HALF, k=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                {-1: np.stack([sy, sx])})
+    ctx = WaveContext(generators=SPIN_HALF, k=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    both = stack_fields(ctx, [one, two])
+    assert both.ctx is ctx and both.orders == (-1, 1, 2) and not both.amps.flags.writeable
+    zero = np.zeros((2, 2))
+    for m, want in ((-1, [zero, sy, sx]), (1, [sx, zero, zero]), (2, [sy, zero, zero])):
+        np.testing.assert_array_equal(both.amplitude(m), want)
+    np.testing.assert_array_equal(both.norm, [one.norm, *two.norm])
+    assert stack_fields(ctx, [0.0 * one, 0.0 * two]).orders == ()
 
 
 def test_field_orders_sorted_and_amps_read_only():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -250,13 +252,15 @@ def _mixed_batches(kind: str, c: float, g: float):
                                         ("su3_gellmann", 0.3, -1.7)])
 @pytest.mark.parametrize("axis", ["x", "y", 2])
 def test_batch_columns_equal_single_family_bits(kind, c, g, axis):
-    speed = 0.93
-    for singles, batch in _mixed_batches(kind, c, g):
-        cols = boost_columns(batch, (speed, -speed), axis=axis)
+    """Every speed of the one boosted stack, and every trial of it, gets
+    the bits of that family boosted alone at that speed."""
+    for speeds, (singles, batch) in itertools.product(
+            [(0.0,), (0.93, -0.93), (0.93, -0.93, 0.999999999)], _mixed_batches(kind, c, g)):
+        cols = boost_columns(batch, speeds, axis=axis)
         assert [name for name, _ in cols] == [
-            f"v={v:+g}c/{item}" for v in (speed, -speed) for item in MAXWELL]
+            f"v={v:+}c/{item}" for v in speeds for item in MAXWELL]
         for t, fam in enumerate(singles):
-            single = [float(r) for v in (speed, -speed)
+            single = [float(r) for v in speeds
                       for _, r in boosted_residuals(fam, v * c, axis=axis)]
             assert [float(r[t]) for _, r in cols] == single
         # the zero-R trial has no harmonics: every residual is exactly zero

@@ -96,8 +96,8 @@ MUTANTS = (
            "\n            + n[..., 2, :, :] * v[..., 2, :, :])", ")"),
     Mutant("overflow_guard", "fields.py", "< SQRT_MAX / (2 * ctx.dim):", "< np.inf:"),
     # the boost as a plain matrix
-    Mutant("boost_matrix", "relativity.py", "m[0, i] = m[i, 0] = -gamma * beta",
-           "m[0, i] = m[i, 0] = gamma * beta"),
+    Mutant("boost_matrix", "relativity.py", "m[..., 0, i] = m[..., i, 0] = -gamma * beta",
+           "m[..., 0, i] = m[..., i, 0] = gamma * beta"),
     Mutant("boost_axis", "relativity.py", "or axis not in (0, 1, 2)):",
            "or axis not in (0, 1, 2, 3)):"),
     Mutant("boost_names", "relativity.py", 'f"v={s:+}c/{name}"', 'f"v={s:+g}c/{name}"'),
@@ -112,6 +112,14 @@ MUTANTS = (
            "e + "),
     Mutant("boost_wave", "relativity.py", "boost_wavevector(kmu, boost)[..., 1:]",
            "boost_wavevector(kmu, boost @ boost)[..., 1:]"),
+    # each suite's variants on one stack: the speed blocks of the boost
+    # stack swapped as its columns are split
+    # (test_relativity.py::test_batch_columns_equal_single_family_bits),
+    # and the gauge suite's wca read from the unrotated half
+    # (test_cli.py::test_batched_suites_equal_a_loop_over_single_families)
+    Mutant("boost_frame_split", "relativity.py", "r.reshape((s,) + ctx.batch_shape)[j]",
+           "r.reshape((s,) + ctx.batch_shape)[s - 1 - j]"),
+    Mutant("gauge_rotated_half", "cli.py", "f.norm[n:] / scale", "f.norm[:n] / scale"),
     # the Dirac kernels every zitter check and export runs through
     Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
            "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
