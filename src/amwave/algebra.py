@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -260,8 +259,6 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    if kind == "identity":
-        return GeneratorSet(kind, 1, np.zeros((0, 1, 1)), hbar=hbar, eta_scale=hbar)
     if kind == "su2_spin_half":
         gs = GeneratorSet(kind, 2, [0.5 * hbar * s for s in PAULI], hbar=hbar, eta_scale=hbar)
     elif kind == "su2_spin_one":
@@ -279,22 +276,6 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
         raise UnsupportedGenerator(f"unsupported generator kind {kind!r}")
     _validate_su2(gs)
     return gs
-
-
-def custom_generators(matrices: Iterable[np.ndarray], hbar: float = 1.0,
-                      eta_scale: float | None = None) -> GeneratorSet:
-    """Wrap user-supplied Hermitian generators as a 'custom' set."""
-    gens = [np.array(m, dtype=complex) for m in matrices]
-    for g in gens:
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if not gens:
-        raise ValueError("custom set needs at least one generator")
-    dim = gens[0].shape[0]
-    if any(g.shape[0] != dim for g in gens):
-        raise DimMismatch("generator dimension mismatch")
-    return GeneratorSet("custom", dim, np.stack(gens), hbar=hbar,
-                        eta_scale=hbar if eta_scale is None else eta_scale)
 
 
 def _validate_su2(gs: GeneratorSet):

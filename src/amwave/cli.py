@@ -63,6 +63,7 @@ from .residuals import (
     equation_fields,
     equation_residuals,
     field_scale,
+    relative,
     report_item,
 )
 from .seeding import seeded_generators, spawn_states
@@ -129,9 +130,11 @@ def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     both = Terms(*(stack_fields(wave, (f, gauge_conjugate(f, u)))
                    for f in build_potentials(fams)), wave)
     drift = np.max([np.abs(r[:n] - r[n:]) for _, r in equation_residuals("full", both)], axis=0)
-    scale = field_scale(both.a)[:n]  # the unrotated potentials'
-    conj_wca = [f.norm[n:] / scale for _, f in equation_fields("wca", both)]
-    return [("residual_norm_invariance", drift), ("conjugated_wca", np.max(conj_wca, axis=0))]
+    # the rotated half's worst wca field, scaled as the unrotated potentials
+    # are: a division by a positive scale keeps the order of what it divides
+    conj_wca = np.max([f.norm[n:] for _, f in equation_fields("wca", both)], axis=0)
+    return [("residual_norm_invariance", drift),
+            ("conjugated_wca", relative(conj_wca, field_scale(both.a)[:n]))]
 
 
 def _uniform(low, high, u):
@@ -159,9 +162,9 @@ def _zitter_residuals(cfg: RunConfig, _, rngs):
             ("spin_vs_closed", expectations(zs, mix14) - spin_closed_form(theta, ctx, t)),
             ("pure_energy_zero", expectations(zr, pure13), 1e-14),
             ("same_helicity_spin_zero", expectations(zs, mix13), 1e-14)]
-    # relative to max(1, the wobble's size), as every residual is
-    scale = np.maximum(1.0, ctx.wobble_scale)
-    return [(name, np.abs(dev).max(axis=1) / scale, *tol) for name, dev, *tol in devs]
+    # relative to the wobble's size, as every residual is to its scale
+    return [(name, relative(np.abs(dev).max(axis=1), ctx.wobble_scale), *tol)
+            for name, dev, *tol in devs]
 
 
 def _flux_norms(flux: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -189,11 +192,12 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     at_r, at_origin = flux_averages(fams, cfg.samples, (r, None))
     batch = ctx.batch_shape
     # each trial's operator_norm
-    scale, scale0 = (np.maximum(1.0, _flux_norms(x, batch)) for x in (closed, closed0))
+    scale, scale0 = (_flux_norms(x, batch) for x in (closed, closed0))
     quad, mixed, abelian = (sup_norms(x, batch) for x in (
         at_r["total"] - closed, at_origin["mixed"], closed0 - em_flux(a01, fams0.ctx)))
-    return [("quadrature_vs_closed", quad / scale), ("mixed_block_average", mixed / scale, 1e-10),
-            ("abelian_equals_em", abelian / scale0, 1e-10)]
+    return [("quadrature_vs_closed", relative(quad, scale)),
+            ("mixed_block_average", relative(mixed, scale), 1e-10),
+            ("abelian_equals_em", relative(abelian, scale0), 1e-10)]
 
 
 def _su3_constants(tol: float) -> list[dict]:
@@ -651,8 +655,8 @@ def _cmd_zitter(cfg: RunConfig) -> int:
         why = ": pair {},{} has no closed form".format(*cfg.pair) if cfg.steps else ""
         print(f"PASS zitter: {cfg.steps} samples, nothing compared{why}", file=sys.stderr)
         return EXIT_PASS
-    # relative to max(1, hbar c / 2 E_p), as the suite's residuals are
-    worst = float(dev.max()) / max(1.0, cfg.dirac.wobble_scale)
+    # relative to hbar c / 2 E_p, as the suite's residuals are
+    worst = float(relative(dev.max(), cfg.dirac.wobble_scale))
     if not worst <= cfg.tol:  # a NaN deviation fails
         print(f"FAIL zitter: max |numeric - closed| = {worst:.3e} relative to "
               "max(1, hbar c / 2 E_p)", file=sys.stderr)
@@ -665,10 +669,10 @@ def _cmd_poynting(cfg: RunConfig) -> int:
     fam = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)]).trial(0)
     closed = amw_flux(fam)  # before the export, so an overflow writes no file
     quad = flux_quadrature(fam, samples=cfg.samples)
-    scale = max(1.0, float(_flux_norms(closed)))
+    scale = _flux_norms(closed)
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.csv_path)
-    err = operator_norm(quad - closed) / scale
+    err = float(relative(operator_norm(quad - closed), scale))
     verdict = "PASS" if err <= cfg.tol else "FAIL"  # a NaN error fails
     print(f"{verdict} poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
     return EXIT_PASS if verdict == "PASS" else EXIT_FAIL

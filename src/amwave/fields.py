@@ -494,24 +494,7 @@ def random_families(gens: GeneratorSet, rngs: Sequence[np.random.Generator], *,
 
 
 def random_family(gens: GeneratorSet, rng: np.random.Generator, *,
-                  k: Sequence[float] | None = None, c: float = 1.0, g: float = 0.1,
-                  abelian: bool = False, coplanar: bool = True) -> SolutionFamily:
-    """One family, drawn as ``random_families`` draws each trial.
-
-    abelian=True then draws a direction n (normal) and R (uniform): the
-    parallel R_l = n_l * R kill every commutator in the wave.
-    coplanar=False then pushes R_2 (R_1 for one generator) out of the plane
-    of k and R_1: an invalid family, unchecked so callers can probe failures.
-    """
-    fam = random_families(gens, [rng], k=k, c=c, g=g).trial(0)
-    if abelian:
-        direction = rng.normal(size=len(gens.generators))
-        direction /= np.linalg.norm(direction)
-        rvec = rng.uniform(-1.0, 1.0, size=3)
-        fam = SolutionFamily(ctx=fam.ctx, R=fam.R[:1] + tuple(d * rvec for d in direction))
-    if coplanar:
-        return fam
-    normal = np.cross(fam.ctx.khat, fam.R[1])
-    coeffs, idx = list(fam.R), min(2, len(fam.R) - 1)
-    coeffs[idx] = coeffs[idx] + rng.uniform(0.5, 1.0) * normal / np.linalg.norm(normal)
-    return _unchecked(SolutionFamily, ctx=fam.ctx, R=tuple(coeffs))
+                  k: Sequence[float] | None = None, c: float = 1.0,
+                  g: float = 0.1) -> SolutionFamily:
+    """One family, drawn as ``random_families`` draws each trial."""
+    return random_families(gens, [rng], k=k, c=c, g=g).trial(0)

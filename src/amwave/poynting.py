@@ -140,12 +140,11 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
     return out
 
 
-def flux_quadrature(fam: SolutionFamily, samples: int = 10_000,
-                    r=None) -> np.ndarray:
-    """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period,
-    shape (3, d, d), at r (default the origin) from ``samples`` nodes; exact up
-    to rounding for samples >= 5, aliased below that, and samples < 1 raises."""
-    return flux_averages(fam, samples, (r,))[0]["total"]
+def flux_quadrature(fam: SolutionFamily, samples: int = 10_000) -> np.ndarray:
+    """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period at
+    the origin, shape (3, d, d), from ``samples`` nodes; exact up to
+    rounding for samples >= 5, aliased below that, and samples < 1 raises."""
+    return flux_averages(fam, samples, (None,))[0]["total"]
 
 
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:

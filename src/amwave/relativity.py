@@ -132,31 +132,25 @@ def _check_unitary(um: np.ndarray, ud: np.ndarray):
                          f"(defect {float(np.max(defect)):.2e})")
 
 
-def gauge_conjugate(obj, u: np.ndarray):
-    """Conjugate every operator amplitude by a constant unitary, X -> U X U+.
-
-    ``obj`` is a harmonic field or a raw (..., d, d) array, such as one
-    operator or the (3, d, d) components of an operator vector.  For a harmonic field on a stack of
-    waves, u may also be a (T, d, d) stack, one unitary per trial.
-    Frobenius norms are unitarily invariant, so residual norms computed
-    before and after conjugation agree.
+def gauge_conjugate(f: HarmonicField, u: np.ndarray) -> HarmonicField:
+    """Conjugate every operator amplitude of a harmonic field by a constant
+    unitary, X -> U X U+; on a stack of waves, u may also be a (T, d, d)
+    stack, one unitary per trial.  Frobenius norms are unitarily invariant,
+    so residual norms computed before and after conjugation agree.
     """
     ud = u.conj().swapaxes(-1, -2)
     _check_unitary(u, ud)
-    if isinstance(obj, HarmonicField):
-        amps = (np.einsum("...ab,h...ibc,...cd->h...iad", u, obj.amps, ud) if obj.is_vector
-                else u @ obj.amps @ ud)
-        return obj.with_amps(amps)
-    return u @ obj @ ud
+    amps = (np.einsum("...ab,h...ibc,...cd->h...iad", u, f.amps, ud) if f.is_vector
+            else u @ f.amps @ ud)
+    return f.with_amps(amps)
 
 
-def unitary_exponential(hermitian: np.ndarray, angle: float = 1.0) -> np.ndarray:
-    """exp(i * angle * H) for a Hermitian (d, d) array, or for a (T, d, d)
-    stack of them the stack of their exponentials, via spectral
-    decomposition."""
+def unitary_exponential(hermitian: np.ndarray) -> np.ndarray:
+    """exp(iH) for a Hermitian (d, d) array H, or for a (T, d, d) stack of
+    them the stack of their exponentials, via spectral decomposition."""
     h = hermitian
     hd = h.conj().swapaxes(-1, -2)
     if np.any(frobenius_norms(h - hd) > 1e-12 * np.maximum(1.0, frobenius_norms(h))):
         raise ValueError("generator of a unitary must be Hermitian")
     w, v = np.linalg.eigh(h)
-    return v @ diag(np.exp(1j * angle * w)) @ v.conj().swapaxes(-1, -2)
+    return v @ diag(np.exp(1j * w)) @ v.conj().swapaxes(-1, -2)

@@ -13,11 +13,11 @@ entries; each expression is defined once in ``BRACKETS``.
 ``equation_fields(label, terms)`` evaluates a row into named residual
 fields by exact termwise algebra (no grid), and ``equation_residuals``
 turns them into columns, ``(name, residual)`` pairs: the field's sup
-norm over harmonics and components relative to max(1, scale), so a
-vanishing equation reads machine precision and the zero family passes
-trivially.  ``terms`` is a ``Terms``, a wave's potentials and context
-with the products the expressions share, each built once, when an
-expression first reads it.  On a stack of waves
+norm over harmonics and components ``relative`` to the scale, that is
+divided by max(1, scale), so a vanishing equation reads machine
+precision and the zero family passes trivially.  ``terms`` is a
+``Terms``, a wave's potentials and context with the products the
+expressions share, each built once, when an expression first reads it.  On a stack of waves
 (``fields.SolutionFamily.stack``) a column holds one residual per trial.
 
 The g- and g^2-graded conditions carry no coupling factor, so pass/fail
@@ -63,15 +63,16 @@ def report_item(name: str, residual, tolerance) -> dict:
             "pass": abs(residual) <= tolerance}
 
 
+def relative(norm, scale):
+    """norm / max(1, scale), a float or one value per trial: every residual
+    is relative to its scale, and absolute below a scale of 1."""
+    return norm / np.maximum(1.0, scale)
+
+
 def field_scale(*fields: HarmonicField):
-    """max(1, each field's largest amplitude norm), per trial on a stack."""
-    return functools.reduce(np.maximum, (f.norm for f in fields), 1.0)
-
-
-def named_residuals(named_fields, scale) -> list[tuple[str, float | np.ndarray]]:
-    """(name, norm / scale) for each named residual field: a float on one
-    wave, one value per trial on a stack."""
-    return [(name, f.norm / scale) for name, f in named_fields]
+    """Each field's largest amplitude norm, the largest of them, per trial
+    on a stack."""
+    return functools.reduce(np.maximum, (f.norm for f in fields))
 
 
 def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField:
@@ -244,7 +245,7 @@ def equation_residuals(label: str, terms: Terms):
     """(name, residual) for each item of one set, scaled by the set's rule;
     on a stacked family, one residual per trial."""
     scale = field_scale(*(getattr(terms, t) for t in EQUATIONS[label].scale))
-    return named_residuals(equation_fields(label, terms), scale)
+    return [(name, relative(f.norm, scale)) for name, f in equation_fields(label, terms)]
 
 
 # the zca set on a family, under the name perfbench/probes.py times

@@ -224,43 +224,27 @@ def _off_unit_norm(amp: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """cos(theta) |psi_+> + sin(theta) |psi_->, by state pair or coefficients.
-
-    ``pair`` picks one positive- and one negative-energy eigenstate
-    (1-based indices); ``coefficients`` optionally gives the full
-    (c1, c2, c3, c4) split, with (c1, c2) weighting the positive-energy
-    doublet and (c3, c4) the negative one (each doublet normalized).
+    """cos(theta) |psi_+> + sin(theta) |psi_->, for the state pair ``pair``:
+    one positive- and one negative-energy eigenstate (1-based indices).
     On a stacked context, ``theta`` may hold one angle per trial.
     """
 
     theta: float
     pair: tuple[int, int] = (1, 4)
-    coefficients: tuple[complex, complex, complex, complex] | None = None
 
     def __post_init__(self):
         # sin(2 theta) needs 2 theta finite; doubling is exact, so it is iff
         # |theta| <= max / 2, which a NaN fails too
         if not np.all(np.abs(self.theta) <= np.finfo(float).max / 2.0):
             raise ValueError("theta must be finite, and so must 2 theta")
-        if self.coefficients is None:
-            a, b = self.pair
-            if a not in (1, 2) or b not in (3, 4):
-                raise ValueError("pair must combine one of (1,2) with one of (3,4)")
+        a, b = self.pair
+        if a not in (1, 2) or b not in (3, 4):
+            raise ValueError("pair must combine one of (1,2) with one of (3,4)")
 
     def state_vector(self, ctx: DiracContext) -> np.ndarray:
-        states = ctx.states
+        a, b = self.pair
         ct, st = _col(np.cos(self.theta)), _col(np.sin(self.theta))
-        if self.coefficients is None:
-            a, b = self.pair
-            vec = ct * states[a - 1] + st * states[b - 1]
-        else:
-            c1, c2, c3, c4 = self.coefficients
-            pos = c1 * states[0] + c2 * states[1]
-            neg = c3 * states[2] + c4 * states[3]
-            npos, nneg = (_col(frobenius_norms(x[..., None, :])) for x in (pos, neg))
-            vec = ct * (pos / np.where(npos > 0, npos, 1.0)) \
-                + st * (neg / np.where(nneg > 0, nneg, 1.0))
-        return vec
+        return ct * ctx.states[a - 1] + st * ctx.states[b - 1]
 
 
 # --- operator stacks ------------------------------------------------------------

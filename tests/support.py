@@ -1,12 +1,18 @@
 """Reference constructions shared by the tests: dense operands, fixed and
-special families, and a finite-difference oracle that knows a field only
-through ``eval_at``."""
+special families, the generator set and Dirac states no command builds,
+and a finite-difference oracle that knows a field only through
+``eval_at``.
 
+The special families extend ``random_family``'s draw with more draws from
+the same generator, so a seeded test gets the same numbers in the same
+order whichever fixture it calls."""
+
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from amwave.algebra import make_generators
+from amwave.algebra import GeneratorSet, frobenius_norms, make_generators
 from amwave.fields import SolutionFamily, WaveContext, dt, random_family
 
 
@@ -27,6 +33,66 @@ def diagonal_family(gens, rng, **kw) -> SolutionFamily:
     R = [fam.R[0]] + [np.zeros(3)] * (gens.n_coeffs - 1)
     R[3] = fam.R[3]
     return SolutionFamily(ctx=fam.ctx, R=tuple(R))
+
+
+def abelian_family(gens, rng, **kw) -> SolutionFamily:
+    """A random family whose generator vectors are all parallel: after the
+    family's own draw, a direction n (normal) and a vector R (uniform), and
+    R_l = n_l R, which kill every commutator in the wave."""
+    fam = random_family(gens, rng, **kw)
+    direction = rng.normal(size=len(gens.generators))
+    direction /= np.linalg.norm(direction)
+    rvec = rng.uniform(-1.0, 1.0, size=3)
+    return SolutionFamily(ctx=fam.ctx, R=fam.R[:1] + tuple(d * rvec for d in direction))
+
+
+def noncoplanar_family(gens, rng, **kw) -> SolutionFamily:
+    """A random family with R_2 (R_1 for one generator) pushed out of the
+    plane of k and R_1 by a uniform draw: an invalid family, built without
+    the coplanarity check so tests can probe the failures it causes."""
+    fam = random_family(gens, rng, **kw)
+    normal = np.cross(fam.ctx.khat, fam.R[1])
+    coeffs, idx = list(fam.R), min(2, len(fam.R) - 1)
+    coeffs[idx] = coeffs[idx] + rng.uniform(0.5, 1.0) * normal / np.linalg.norm(normal)
+    bad = object.__new__(SolutionFamily)
+    object.__setattr__(bad, "ctx", fam.ctx)
+    object.__setattr__(bad, "R", tuple(coeffs))
+    return bad
+
+
+@functools.cache
+def identity_set(hbar: float = 1.0) -> GeneratorSet:
+    """The basis {identity} alone, d = 1 with no generators: the classical
+    (abelian) wave's set, built once per hbar as ``make_generators`` builds
+    the others."""
+    return GeneratorSet("identity", 1, np.zeros((0, 1, 1)), hbar=hbar, eta_scale=hbar)
+
+
+def generator_set(kind: str, hbar: float = 1.0) -> GeneratorSet:
+    """``make_generators(kind, hbar)``, or ``identity_set(hbar)`` for "identity"."""
+    return identity_set(hbar) if kind == "identity" else make_generators(kind, hbar=hbar)
+
+
+@dataclass(frozen=True)
+class DoubletSpec:
+    """cos(theta) |pos> + sin(theta) |neg> for a general split
+    (c1, c2, c3, c4) of ``ctx.states``: |pos> = c1 psi_1 + c2 psi_2 and
+    |neg> = c3 psi_3 + c4 psi_4, each normalized unless it is zero.  It
+    reads like a ``zitter.SuperpositionSpec``, which takes one state pair."""
+
+    theta: float
+    coefficients: tuple[complex, complex, complex, complex]
+
+    def state_vector(self, ctx) -> np.ndarray:
+        states = ctx.states
+        ct = np.asarray(np.cos(self.theta))[..., None]
+        st = np.asarray(np.sin(self.theta))[..., None]
+        c1, c2, c3, c4 = self.coefficients
+        pos = c1 * states[0] + c2 * states[1]
+        neg = c3 * states[2] + c4 * states[3]
+        npos, nneg = (frobenius_norms(x[..., None, :])[..., None] for x in (pos, neg))
+        return (ct * (pos / np.where(npos > 0, npos, 1.0))
+                + st * (neg / np.where(nneg > 0, nneg, 1.0)))
 
 
 def xz_family(gens=None, *, knorm: float = 1.0, c: float = 1.0, g: float = 0.1) -> SolutionFamily:

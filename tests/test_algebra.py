@@ -7,10 +7,10 @@ from amwave.algebra import (
     DimMismatch,
     NonFiniteValue,
     NonTracelessBasis,
+    GeneratorSet,
     UnsupportedGenerator,
     commutator,
     cross,
-    custom_generators,
     diag,
     dot,
     dots,
@@ -23,7 +23,7 @@ from amwave.algebra import (
     sup_norms,
 )
 
-from support import numeric_lift
+from support import generator_set, identity_set, numeric_lift
 
 SU2_KINDS = ("su2_spin_half", "su2_spin_one")
 
@@ -63,7 +63,7 @@ def test_spin_one_matrices():
 
 
 def test_identity_kind():
-    gens = make_generators("identity")
+    gens = identity_set()
     assert gens.dim == 1
     assert gens.generators.shape == (0, 1, 1)
     assert len(gens.basis) == 1
@@ -71,8 +71,10 @@ def test_identity_kind():
 
 
 def test_unsupported_kind():
-    with pytest.raises(UnsupportedGenerator):
-        make_generators("so5")
+    # make_generators builds the three sets a command names, and no other
+    for kind in ("so5", "identity", "custom"):
+        with pytest.raises(UnsupportedGenerator):
+            make_generators(kind)
 
 
 @pytest.mark.parametrize("kind", SU2_KINDS)
@@ -87,7 +89,7 @@ def test_su2_algebra(kind, hbar):
 
 def test_hermiticity_all_kinds():
     for kind in ("identity",) + SU2_KINDS + ("su3_gellmann",):
-        gens = make_generators(kind)
+        gens = generator_set(kind)
         for g in gens.basis:
             assert operator_norm(g - g.conj().T) <= 1e-12
 
@@ -215,9 +217,9 @@ def test_kernels_have_the_dense_contraction_bits(kernel, d, leads, views, seed, 
 @pytest.mark.parametrize("kind", ("identity", "su2_spin_half", "su2_spin_one",
                                   "su3_gellmann"))
 def test_generator_sets_are_shared_and_read_only(kind):
-    gens = make_generators(kind)
-    assert make_generators(kind) is gens
-    other = make_generators(kind, hbar=2.0)
+    gens = generator_set(kind)
+    assert generator_set(kind) is gens
+    other = generator_set(kind, hbar=2.0)
     assert other is not gens
     # sets compare and hash by identity
     assert (gens == other) is False and gens == gens
@@ -233,10 +235,10 @@ def test_generator_sets_are_shared_and_read_only(kind):
 @pytest.mark.parametrize("kind", ("identity", "su2_spin_half", "su2_spin_one",
                                   "su3_gellmann"))
 def test_noncommuting_pairs(kind):
-    gs = make_generators(kind).generators
+    gs = generator_set(kind).generators
     want = tuple((a + 1, b + 1) for a in range(len(gs)) for b in range(a + 1, len(gs))
                  if np.abs(gs[a] @ gs[b] - gs[b] @ gs[a]).max() > 1e-12)
-    assert make_generators(kind).noncommuting_pairs == want
+    assert generator_set(kind).noncommuting_pairs == want
     if kind.startswith("su2"):
         assert want == ((1, 2), (1, 3), (2, 3))
 
@@ -358,24 +360,25 @@ def test_su3_structure_constants():
     assert np.abs(f[~listed]).max() <= 1e-12
 
 
+# a set of the user's own (d, d) matrices, here d = 2, is checked as it is built
 @pytest.mark.parametrize("matrices, error, match", [
-    ([np.ones((2, 3))], ValueError, "square"),
+    ([np.ones((2, 3))], DimMismatch, "dimension"),
     ([np.array([[0.5, np.nan], [np.nan, -0.5]])], NonFiniteValue, "finite"),
     ([np.array([[0.0, 1.0], [0.0, 0.0]])], ValueError, "Hermitian"),
-    ([np.eye(2), np.eye(3)], DimMismatch, "dimension"),
-    ([], ValueError, "at least one"),
+    ([np.diag([1.0, 0.0, -1.0])], DimMismatch, "dimension"),
+    ([], DimMismatch, "dimension"),
 ], ids=("non-square", "nan", "non-hermitian", "mixed-dimension", "empty"))
 def test_custom_generators_reject_bad_input(matrices, error, match):
     with pytest.raises(error, match=match):
-        custom_generators(matrices)
+        GeneratorSet("custom", 2, matrices)
 
 
 def test_structure_constants_rejects_traced_basis():
-    bad = custom_generators([np.eye(2)])
+    bad = GeneratorSet("custom", 2, [np.eye(2)])
     with pytest.raises(NonTracelessBasis):
         structure_constants(bad)
     with pytest.raises(NonTracelessBasis):
-        structure_constants(make_generators("identity"))
+        structure_constants(identity_set())
 
 
 @settings(max_examples=60, deadline=None)

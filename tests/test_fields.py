@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from amwave.algebra import (
     NonFiniteValue,
     commutator,
+    GeneratorSet,
     cross,
-    custom_generators,
     dot,
     frobenius_norms,
     make_generators,
@@ -44,6 +44,7 @@ from amwave.relativity import gauge_conjugate, unitary_exponential
 from amwave.residuals import EQUATIONS, Terms, equation_fields, perpendicular_part
 
 from support import (
+    abelian_family,
     d2t,
     diagonal_family,
     fd_curl,
@@ -51,6 +52,8 @@ from support import (
     fd_dt,
     fd_grad,
     fd_laplacian,
+    generator_set,
+    noncoplanar_family,
     numeric_lift,
     xz_family,
 )
@@ -290,7 +293,7 @@ def test_empty_field_passes_through_the_algebra():
     assert empty.orders == () and empty.amps.shape == (0, 3, 2, 2) and empty.norm == 0.0
     perp = perpendicular_part(empty, ctx.khat)
     assert perp.orders == () and perp.is_vector
-    u = unitary_exponential(sx, 0.3)
+    u = unitary_exponential(0.3 * sx)
     assert gauge_conjugate(empty, u).orders == ()
     assert gauge_conjugate(ndot(ctx.khat, empty), u).amps.shape == (0, 2, 2)
 
@@ -352,7 +355,7 @@ def test_coplanarity_check_is_scale_free(scale):
 def test_coplanarity_names_the_first_offending_pair():
     gens = make_generators("su3_gellmann")
     rng = np.random.default_rng(4)
-    bad = random_family(gens, rng, coplanar=False)
+    bad = noncoplanar_family(gens, rng)
     with pytest.raises(ValueError, match=r"R_1, R_2 are not coplanar"):
         SolutionFamily(ctx=bad.ctx, R=bad.R)
     # commuting generators (G_3, G_8) may leave the plane
@@ -401,7 +404,7 @@ def test_random_family_constraints(kind):
     for l in range(1, n + 1):
         for mm in range(l + 1, n + 1):
             assert abs(k @ np.cross(fam.R[l], fam.R[mm])) <= 1e-12
-    ab = random_family(gens, rng, abelian=True)
+    ab = abelian_family(gens, rng)
     assert norm(cross(ab.tau, ab.tau)) <= 1e-13
 
 
@@ -423,8 +426,8 @@ def _family_one_draw_at_a_time(gens, rng, k, c, g):
     return SolutionFamily(ctx=WaveContext(generators=gens, k=kvec, c=c, g=g), R=tuple(coeffs))
 
 
-GROUP_KINDS = {kind: make_generators(kind) for kind in ("identity", *ALL_KINDS)}
-GROUP_KINDS["custom"] = custom_generators([[[0, 0.5], [0.5, 0]], [[0, -0.5j], [0.5j, 0]]])
+GROUP_KINDS = {kind: generator_set(kind) for kind in ("identity", *ALL_KINDS)}
+GROUP_KINDS["custom"] = GeneratorSet("custom", 2, [[[0, 0.5], [0.5, 0]], [[0, -0.5j], [0.5j, 0]]])
 
 
 @pytest.mark.parametrize("kind", sorted(GROUP_KINDS))
@@ -465,7 +468,7 @@ def test_group_draw_equals_a_stack_of_single_draws(kind, k, c, g, trials):
 def test_group_coplanarity_check_names_the_first_offending_pair():
     gens = make_generators("su3_gellmann")
     rng = np.random.default_rng(4)
-    fams = [random_family(gens, rng), random_family(gens, rng, coplanar=False),
+    fams = [random_family(gens, rng), noncoplanar_family(gens, rng),
             random_family(gens, rng)]
     stack = SolutionFamily.stack(fams)  # stacks skip the check their families passed
     with pytest.raises(ValueError, match=r"R_1, R_2 are not coplanar"):
@@ -591,8 +594,8 @@ def test_batch_gives_each_trial_its_single_wave_field():
     fams = [diagonal_family(SPIN_HALF, rng, g=0.7),  # B's m = 2 is an exact zero, dropped
             random_family(SPIN_HALF, rng, g=0.7),
             SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
-            random_family(SPIN_HALF, rng, abelian=True, g=0.7)]
-    us = [unitary_exponential(g, 0.4 + 0.3 * i)
+            abelian_family(SPIN_HALF, rng, g=0.7)]
+    us = [unitary_exponential((0.4 + 0.3 * i) * g)
           for i, g in enumerate([*SPIN_HALF.generators, SPIN_HALF.generators[0]])]
     batch = _expressions(SolutionFamily.stack(fams), np.stack(us))
     singles = [_expressions(fam, u) for fam, u in zip(fams, us)]
@@ -721,7 +724,7 @@ def test_norm_is_each_trials_largest_amplitude_norm_taken_when_read(vector):
 @pytest.mark.parametrize("kind", ["identity", "su2_spin_half", "su2_spin_one"])
 def test_components_below_the_overflow_guard_have_a_finite_norm(kind):
     # _field takes no norm for these, so the one read later must be finite
-    ctx = WaveContext(generators=make_generators(kind), k=[0.0, 0.0, 1.0])
+    ctx = WaveContext(generators=generator_set(kind), k=[0.0, 0.0, 1.0])
     top = np.nextafter(SQRT_MAX / (2 * ctx.dim), 0.0)
     f = field(ctx, {1: np.full((3, ctx.dim, ctx.dim), top * (1 - 1j))})
     assert np.isfinite(f.norm) and f.norm > 1e153

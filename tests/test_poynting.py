@@ -21,13 +21,13 @@ from amwave.poynting import (
     flux_quadrature,
 )
 
-from support import diagonal_family, numeric_lift, xz_family
+from support import diagonal_family, identity_set, numeric_lift, xz_family
 
 SPIN_HALF = make_generators("su2_spin_half")
 
 
 def identity_ctx(knorm=1.0, c=1.0):
-    return WaveContext(generators=make_generators("identity"),
+    return WaveContext(generators=identity_set(),
                        k=np.array([0.0, 0.0, knorm]), c=c, g=0.0)
 
 
@@ -76,7 +76,7 @@ def test_amw_quadrature_matches_closed_form(kind):
     rng = np.random.default_rng(5)
     fam = random_family(make_generators(kind), rng, g=0.3)
     closed = amw_flux(fam)
-    quad = flux_quadrature(fam, samples=10_000, r=rng.uniform(-1, 1, 3))
+    quad = flux_averages(fam, 10_000, (rng.uniform(-1, 1, 3),))[0]["total"]
     assert operator_norm(quad - closed) <= 1e-8
 
 
@@ -169,13 +169,11 @@ def test_contraction_matches_sample_loop(kind, samples):
     ts = np.linspace(0.0, fam.ctx.period, samples + 1)[:-1]
     want = {key: val.mean(axis=0) for key, val in loop_blocks(fam, ts, r).items()}
     scale = np.abs(want["total"]).max()
-    quad = flux_quadrature(fam, samples=samples, r=r)
-    assert np.abs(quad - want["total"]).max() <= 1e-13 * scale
     blocks = flux_averages(fam, samples, (r,))[0]
+    quad = blocks["total"]
     assert blocks.keys() == want.keys()
     for key, val in want.items():
         assert np.abs(blocks[key] - val).max() <= 1e-13 * scale, key
-    assert np.abs(blocks["total"] - quad).max() <= 1e-15 * scale
     parts = sum(blocks[key] for key in ("first", "mixed", "second"))
     assert np.abs(parts - quad).max() <= 1e-15 * scale
 
@@ -203,7 +201,7 @@ def test_five_samples_match_closed_form(kind):
     rng = np.random.default_rng(23)
     fam = random_family(make_generators(kind), rng, g=0.3)
     closed = amw_flux(fam)
-    quad = flux_quadrature(fam, samples=5, r=rng.uniform(-1, 1, 3))
+    quad = flux_averages(fam, 5, (rng.uniform(-1, 1, 3),))[0]["total"]
     assert operator_norm(quad - closed) / max(1.0, operator_norm(closed)) <= 1e-14
 
 
@@ -248,7 +246,7 @@ def test_averages_at_several_positions_match_single_calls():
         assert got.keys() == blocks.keys()
         for key, val in blocks.items():
             np.testing.assert_array_equal(got[key], val)
-    np.testing.assert_array_equal(at_r["total"], flux_quadrature(fam, 7, r))
+    np.testing.assert_array_equal(at_origin["total"], flux_quadrature(fam, 7))
 
 
 def two_table_averages(fam, samples, r):

@@ -20,10 +20,21 @@ from amwave.residuals import (
     Terms,
     equation_fields,
     equation_residuals,
+    field_scale,
+    relative,
     report_item,
 )
 
-from support import fd_curl, fd_div, fd_dt, fd_grad, fd_laplacian, xz_family
+from support import (
+    abelian_family,
+    fd_curl,
+    fd_div,
+    fd_dt,
+    fd_grad,
+    fd_laplacian,
+    noncoplanar_family,
+    xz_family,
+)
 
 ALL_KINDS = ("su2_spin_half", "su2_spin_one", "su3_gellmann")
 TOL = 1e-12
@@ -63,7 +74,7 @@ def test_true_families_pass_the_condition_rows_off_unit_wave_number(kind):
 
 def test_wca_non_coplanar_fails_div_m():
     rng = np.random.default_rng(23)
-    fam = random_family(make_generators("su2_spin_half"), rng, coplanar=False)
+    fam = noncoplanar_family(make_generators("su2_spin_half"), rng)
     by_name = dict(residuals("wca", fam))
     assert not by_name["wca4_div_m"] <= TOL
     assert by_name["wca4_div_m"] > 1e-6
@@ -90,7 +101,7 @@ def test_exact_set_dichotomy(kind):
     assert not by_name["exact3"] <= TOL
     assert not by_name["exact8"] <= TOL
     # projecting out the commutators restores exactness
-    ab = random_family(make_generators(kind), rng, abelian=True)
+    ab = abelian_family(make_generators(kind), rng)
     assert not failed(residuals("exact", ab))
 
 
@@ -115,7 +126,7 @@ def test_zca_s3_field_identically_zero():
 
 def test_zca_non_coplanar_fails_s1():
     rng = np.random.default_rng(37)
-    fam = random_family(make_generators("su2_spin_one"), rng, coplanar=False)
+    fam = noncoplanar_family(make_generators("su2_spin_one"), rng)
     name, residual = residuals("zca", fam)[0]
     assert name == "zca1_div_m" and not residual <= TOL
 
@@ -135,7 +146,7 @@ def test_full_ym_residual_lives_at_third_harmonic():
 
 def test_full_ym_exact_for_abelian_and_classical():
     rng = np.random.default_rng(43)
-    fam = random_family(make_generators("su2_spin_one"), rng, abelian=True, g=0.7)
+    fam = abelian_family(make_generators("su2_spin_one"), rng, g=0.7)
     assert not failed(residuals("full", fam))
     # classical limit: g = 0 and identity amplitude
     ctx = WaveContext(generators=make_generators("su2_spin_half"),
@@ -201,7 +212,8 @@ def test_wca_equivalent_to_low_harmonic_full_ym():
     for trial in range(25):
         kind = ALL_KINDS[trial % 3]
         coplanar = trial % 5 != 4
-        fam = random_family(make_generators(kind), rng, coplanar=coplanar, g=0.3)
+        draw = random_family if coplanar else noncoplanar_family
+        fam = draw(make_generators(kind), rng, g=0.3)
         terms = Terms.of(fam)
         wca_pass = all(f.norm <= 1e-12 for _, f in equation_fields("wca", terms))
         low = 0.0
@@ -214,7 +226,7 @@ def test_wca_equivalent_to_low_harmonic_full_ym():
 def test_exact_g2_pass_implies_full_pass():
     rng = np.random.default_rng(67)
     for _ in range(5):
-        fam = random_family(make_generators("su2_spin_one"), rng, abelian=True)
+        fam = abelian_family(make_generators("su2_spin_one"), rng)
         by_name = {name.split("_")[0]: r for name, r in residuals("exact", fam)}
         assert by_name["exact3"] <= TOL and by_name["exact8"] <= TOL
         assert not failed(residuals("full", fam))
@@ -237,7 +249,7 @@ def test_fd_sampling_agrees_with_analytic_residuals():
         assert norm(div_e) / scale <= 1e-6
         assert norm(faraday) / scale <= 1e-6
     # and a deliberately broken configuration yields matching nonzero values
-    bad = random_family(make_generators("su2_spin_half"), rng, coplanar=False)
+    bad = noncoplanar_family(make_generators("su2_spin_half"), rng)
     a_bad, _ = build_potentials(bad)
     m_bad = vcross(a_bad, a_bad)
     from amwave.fields import div as fdiv
@@ -458,8 +470,8 @@ SHARED_BRACKETS = (
 def test_shared_brackets_agree_across_sets(kind, coplanar):
     rng = np.random.default_rng(79)
     for _ in range(10):
-        fam = random_family(make_generators(kind), rng, coplanar=coplanar,
-                            g=rng.uniform(0, 1))
+        draw = random_family if coplanar else noncoplanar_family
+        fam = draw(make_generators(kind), rng, g=rng.uniform(0, 1))
         res = {name: r for label in ("wca", "exact", "zca")
                for name, r in residuals(label, fam)}
         for x, y in SHARED_BRACKETS:
@@ -497,8 +509,8 @@ def test_stacked_columns_equal_each_family_bits():
     rng = np.random.default_rng(41)
     spin_half = make_generators("su2_spin_half")
     ctx = WaveContext(generators=spin_half, k=np.array([0.3, -0.2, 1.1]), g=0.7)
-    fams = [random_family(spin_half, rng, abelian=True, g=0.7),
-            random_family(spin_half, rng, coplanar=False, g=0.7),  # wca, zca fail
+    fams = [abelian_family(spin_half, rng, g=0.7),
+            noncoplanar_family(spin_half, rng, g=0.7),  # wca, zca fail
             SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
             random_family(spin_half, rng, g=0.7)]
     stacked = _columns(SolutionFamily.stack(fams))
@@ -513,6 +525,21 @@ def test_stacked_columns_equal_each_family_bits():
     # the all-zero family's residuals are exactly zero, the broken one fails
     assert all(r[2] == 0.0 for cols in stacked for _, r in cols)
     assert failed([(name, r[1]) for name, r in dict(zip(EQUATIONS, stacked))["wca"]])
+
+
+def test_relative_is_absolute_below_a_scale_of_one_and_relative_above():
+    for scale in (0.0, 0.25, 1.0):
+        assert relative(0.5, scale) == 0.5
+    assert relative(0.5, 4.0) == 0.125
+    per_trial = relative(np.array([0.5, 0.5, 3.0]), np.array([0.5, 2.0, 3.0]))
+    np.testing.assert_array_equal(per_trial, [0.5, 0.25, 1.0])
+    assert np.isnan(relative(0.5, np.nan))  # a NaN scale fails the residual
+    # a row's scale is its terms' largest amplitude norm, not floored
+    fam = xz_family(knorm=0.25)
+    a, _ = build_potentials(fam)
+    b, e = build_fields(fam)
+    assert field_scale(a) == a.norm < 1.0
+    assert field_scale(b, e) == max(b.norm, e.norm)
 
 
 def test_report_serialization():

@@ -28,6 +28,8 @@ from amwave.zitter import (
     zitter_position_expectation,
 )
 
+from support import DoubletSpec
+
 # (energy sign, helicity / hbar) of ctx.states, in their order
 LABELS = ((+1, +0.5), (+1, -0.5), (-1, +0.5), (-1, -0.5))
 
@@ -125,7 +127,7 @@ def test_position_wobble_vanishes_for_pure_energy():
         z = zitter_position_expectation(SuperpositionSpec(0.0, (1, 3)), ctx, t)
         assert np.abs(z).max() <= 1e-14
         # superposition of the two positive-energy states only
-        spec = SuperpositionSpec(0.0, coefficients=(0.6, 0.8, 0.0, 0.0))
+        spec = DoubletSpec(0.0, (0.6, 0.8, 0.0, 0.0))
         z = zitter_position_expectation(spec, ctx, t)
         assert np.abs(z).max() <= 1e-14
 
@@ -312,7 +314,7 @@ def reference_expectation(spec, ctx, t, spin):
 
 
 SPECS = [SuperpositionSpec(0.6, pair) for pair in ((1, 3), (1, 4), (2, 3), (2, 4))] \
-    + [SuperpositionSpec(0.9, coefficients=(0.6, 0.8j, 0.3, -0.1))]
+    + [DoubletSpec(0.9, (0.6, 0.8j, 0.3, -0.1))]
 
 
 def series_contexts():
@@ -458,11 +460,15 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
     zr = position_stack(stack, ts)
     zs = spin_stack(zr, stack.p)
     assert zr.shape == zs.shape == (trials, 3, 4, 4)
-    # the last spec has no negative-energy part, so its doublet norm is 0
+    # the last split has no negative-energy part, so its doublet norm is 0
     specs = [dict(pair=(1, 3)), dict(pair=(1, 4)), dict(pair=(2, 3)),
              dict(coefficients=(0.6, 0.8j, 0.3, -0.1)), dict(coefficients=(0.6, 0.8, 0.0, 0.0))]
     specs = [{"theta": theta, **kw} for kw in specs] + [{"theta": 0.0, "pair": (1, 3)}]
-    psis = [SuperpositionSpec(**kw).state_vector(stack) for kw in specs]
+
+    def spec(kw):  # a state pair, or a general split of the two doublets
+        return (DoubletSpec if "coefficients" in kw else SuperpositionSpec)(**kw)
+
+    psis = [spec(kw).state_vector(stack) for kw in specs]
 
     def at_trial(kw, t):  # trial t's spec: its own angle, or the shared one
         return {**kw, "theta": kw["theta"][t]} if np.ndim(kw["theta"]) else kw
@@ -475,7 +481,7 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
         zr1 = position_stack(one, [ts[t]])
         zs1 = spin_stack(zr1, one.p)
         assert same_bits(zr[t], zr1[0]) and same_bits(zs[t], zs1[0])
-        psis1 = [SuperpositionSpec(**at_trial(kw, t)).state_vector(one) for kw in specs]
+        psis1 = [spec(at_trial(kw, t)).state_vector(one) for kw in specs]
         for psi, psi1 in zip(psis, psis1):
             assert same_bits(psi[t], psi1)
         vals1 = [expectations(ops, psi) for ops in (zr1, zs1) for psi in psis1]

@@ -101,8 +101,8 @@ MUTANTS = (
     Mutant("boost_axis", "relativity.py", "or axis not in (0, 1, 2)):",
            "or axis not in (0, 1, 2, 3)):"),
     Mutant("boost_names", "relativity.py", 'f"v={s:+}c/{name}"', 'f"v={s:+g}c/{name}"'),
-    Mutant("unitary_exponential", "relativity.py", "diag(np.exp(1j * angle * w))",
-           "diag(np.exp(-1j * angle * w))"),
+    Mutant("unitary_exponential", "relativity.py", "diag(np.exp(1j * w))",
+           "diag(np.exp(-1j * w))"),
     # the boosted fields and wave of the boost suite
     Mutant("boost_e_sign", "relativity.py", "+ gamma_beta * ncross(n, b)",
            "- gamma_beta * ncross(n, b)"),
@@ -119,7 +119,7 @@ MUTANTS = (
     # (test_cli.py::test_batched_suites_equal_a_loop_over_single_families)
     Mutant("boost_frame_split", "relativity.py", "r.reshape((s,) + ctx.batch_shape)[j]",
            "r.reshape((s,) + ctx.batch_shape)[s - 1 - j]"),
-    Mutant("gauge_rotated_half", "cli.py", "f.norm[n:] / scale", "f.norm[:n] / scale"),
+    Mutant("gauge_rotated_half", "cli.py", "f.norm[n:] for", "f.norm[:n] for"),
     # the Dirac kernels every zitter check and export runs through
     Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
            "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
@@ -136,8 +136,13 @@ MUTANTS = (
            "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])\n"
            "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 3])"),
     # the Poynting residuals' scales
-    Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian / scale0, 1e-10)',
+    Mutant("abelian_scale", "cli.py", '("abelian_equals_em", relative(abelian, scale0), 1e-10)',
            '("abelian_equals_em", abelian, 1e-10)'),
+    # the floor below which every residual is absolute, raised
+    # (test_residuals.py::test_relative_is_absolute_below_a_scale_of_one_and_relative_above,
+    # and, first in the run order, the suite tests whose scales lie below 2)
+    Mutant("relative_floor", "residuals.py", "return norm / np.maximum(1.0, scale)",
+           "return norm / np.maximum(2.0, scale)"),
     Mutant("flux_norm_check", "cli.py", "if not np.isfinite(norms).all():", "if False:"),
 )
 
