@@ -8,9 +8,13 @@ bit-identical reports.  Reports carry no timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
-amplitudes overflow).  Each suite is one row of ``SUITE_TABLE``: its
-columns, its default tolerance, its fixed generator kind if it has one,
-whether its trials draw a family, and the items that open its report.
+amplitudes overflow, or a scale that does).  Each suite is one row of
+``SUITE_TABLE``: its columns, its default tolerance, its fixed generator
+kind if it has one, whether its trials draw a family, and the columns
+that open its report.  Every column is (name, norm, scale[, tolerance]);
+one function, ``judge``, turns each into report items and gives both
+exports their verdicts: it refuses a scale that is not finite, divides
+(``residuals.relative``) and holds |residual| to the tolerance.
 Every suite runs once per generator group (``RunConfig.kinds``), in one
 thread, on the group's families drawn straight into one stacked
 ``SolutionFamily``, or all trials as one group if they draw none; boost and
@@ -58,14 +62,7 @@ from .relativity import (
     gauge_conjugate,
     unitary_exponential,
 )
-from .residuals import (
-    Terms,
-    equation_fields,
-    equation_residuals,
-    field_scale,
-    relative,
-    report_item,
-)
+from .residuals import Terms, equation_columns, relative
 from .seeding import seeded_generators, spawn_states
 from .zitter import (
     DiracContext,
@@ -101,18 +98,19 @@ class ConfigError(ValueError):
 # --- the suite table ---------------------------------------------------------------
 #
 # A suite gives, for the trials of one generator group, columns (item name,
-# one residual per trial[, tolerance]); a column without a tolerance is
-# held to cfg.tol.  Its columns are a function of (cfg, fams, rngs):
-# ``fams`` is the group's stacked SolutionFamily (None for a suite whose
-# trials draw no family) and ``rngs`` the trials' generators, each already
-# past its family draw.
+# norm, scale[, tolerance]), norm and scale one value per trial (or one
+# for all), which ``judge`` turns into report items; a column without a
+# tolerance is held to cfg.tol, and an absolute check has scale 1.0.  Its
+# columns are a function of (cfg, fams, rngs): ``fams`` is the group's
+# stacked SolutionFamily (None for a suite whose trials draw no family)
+# and ``rngs`` the trials' generators, each already past its family draw.
 
 
 def _table(labels: tuple[str, ...], cfg: RunConfig, fams: SolutionFamily, rngs):
     """The columns of ``residuals.EQUATIONS`` rows, evaluated on one
     ``Terms`` of the group's stacked family, so the rows share its products."""
     terms = Terms.of(fams)
-    return [col for label in labels for col in equation_residuals(label, terms)]
+    return [col for label in labels for col in equation_columns(label, terms)]
 
 
 def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
@@ -129,12 +127,14 @@ def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     wave = WaveContext(generators=gens, k=np.tile(ctx.k, (2, 1)), c=ctx.c, g=ctx.g)
     both = Terms(*(stack_fields(wave, (f, gauge_conjugate(f, u)))
                    for f in build_potentials(fams)), wave)
-    drift = np.max([np.abs(r[:n] - r[n:]) for _, r in equation_residuals("full", both)], axis=0)
-    # the rotated half's worst wca field, scaled as the unrotated potentials
+    # the drift compares two residuals, so it is absolute
+    full = [relative(norm, scale) for _, norm, scale in equation_columns("full", both)]
+    drift = np.max([np.abs(r[:n] - r[n:]) for r in full], axis=0)
+    # the rotated half's worst wca norm, scaled as the unrotated potentials
     # are: a division by a positive scale keeps the order of what it divides
-    conj_wca = np.max([f.norm[n:] for _, f in equation_fields("wca", both)], axis=0)
-    return [("residual_norm_invariance", drift),
-            ("conjugated_wca", relative(conj_wca, field_scale(both.a)[:n]))]
+    wca = equation_columns("wca", both)
+    return [("residual_norm_invariance", drift, 1.0),
+            ("conjugated_wca", np.max([norm[n:] for _, norm, _ in wca], axis=0), wca[0][2][:n])]
 
 
 def _uniform(low, high, u):
@@ -162,19 +162,8 @@ def _zitter_residuals(cfg: RunConfig, _, rngs):
             ("spin_vs_closed", expectations(zs, mix14) - spin_closed_form(theta, ctx, t)),
             ("pure_energy_zero", expectations(zr, pure13), 1e-14),
             ("same_helicity_spin_zero", expectations(zs, mix13), 1e-14)]
-    # relative to the wobble's size, as every residual is to its scale
-    return [(name, relative(np.abs(dev).max(axis=1), ctx.wobble_scale), *tol)
-            for name, dev, *tol in devs]
-
-
-def _flux_norms(flux: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Each trial's largest component norm of a flux.  Raises NonFiniteValue
-    if one is not finite: a finite flux above about 1e154 has squares, and so
-    a norm, that overflow."""
-    norms = sup_norms(flux, batch)
-    if not np.isfinite(norms).all():
-        raise NonFiniteValue("the norm of a flux is not finite")
-    return norms
+    # relative to the wobble's size
+    return [(name, np.abs(dev).max(axis=1), ctx.wobble_scale, *tol) for name, dev, *tol in devs]
 
 
 def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
@@ -182,7 +171,8 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     block at the origin, and the g = 0 wave on a random r0 against the
     classical flux, each on the whole group at once; each trial draws r,
     then r0.  The first two are relative to max(1, each trial's closed-form
-    flux norm), the last to max(1, its g = 0 flux norm)."""
+    flux norm), the last to max(1, its g = 0 flux norm); a finite flux above
+    about 1e154 has squares, and so a norm, that overflow."""
     r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
     ctx = fams.ctx
     fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
@@ -190,31 +180,27 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
     a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
     closed, closed0 = amw_flux(fams), amw_flux(fams0)
     at_r, at_origin = flux_averages(fams, cfg.samples, (r, None))
-    batch = ctx.batch_shape
     # each trial's operator_norm
-    scale, scale0 = (_flux_norms(x, batch) for x in (closed, closed0))
-    quad, mixed, abelian = (sup_norms(x, batch) for x in (
-        at_r["total"] - closed, at_origin["mixed"], closed0 - em_flux(a01, fams0.ctx)))
-    return [("quadrature_vs_closed", relative(quad, scale)),
-            ("mixed_block_average", relative(mixed, scale), 1e-10),
-            ("abelian_equals_em", relative(abelian, scale0), 1e-10)]
+    scale, scale0, quad, mixed, abelian = (sup_norms(x, ctx.batch_shape) for x in (
+        closed, closed0, at_r["total"] - closed, at_origin["mixed"],
+        closed0 - em_flux(a01, fams0.ctx)))
+    return [("quadrature_vs_closed", quad, scale),
+            ("mixed_block_average", mixed, scale, 1e-10),
+            ("abelian_equals_em", abelian, scale0, 1e-10)]
 
 
-def _su3_constants(tol: float) -> list[dict]:
-    """The structure-constant table checks that open the su3 report."""
+def _su3_constants() -> list[tuple]:
+    """The structure-constant table checks that open the su3 report, absolute."""
     gens = make_generators("su3_gellmann")
     f, _ = structure_constants(gens)
-    items = [report_item(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), tol)
-             for (a, b, c), want in SU3_F_VALUES.items()]
-    anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
-    items.append(report_item("f_antisymmetry", anti, tol))
+    cols = [(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), 1.0)
+            for (a, b, c), want in SU3_F_VALUES.items()]
+    cols.append(("f_antisymmetry", np.abs(f + np.transpose(f, (0, 2, 1))).max(), 1.0))
     listed = np.zeros_like(f, dtype=bool)
     for (a, b, c) in SU3_F_VALUES:
         for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
             listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
-    stray = float(np.abs(f[~listed]).max())
-    items.append(report_item("f_unlisted_vanish", stray, tol))
-    return items
+    return cols + [("f_unlisted_vanish", np.abs(f[~listed]).max(), 1.0)]
 
 
 class Suite(NamedTuple):
@@ -224,7 +210,7 @@ class Suite(NamedTuple):
     tol: float  # the tolerance of a column that names none, unless the run sets one
     generator: str | None = None  # the generator kind of every trial, if fixed
     family: bool = True  # whether each trial draws a family
-    opening: Callable = lambda tol: []  # tol -> the items that open the report
+    opening: Callable = lambda: []  # () -> the columns of the items that open the report
 
 
 # Analytic residuals are exact termwise algebra.  A boost scales amplitudes
@@ -289,8 +275,9 @@ def _of(*types):
     return lambda val: isinstance(val, types) and not isinstance(val, bool)
 
 
-# an integer beyond the float range is no number a run can compute with
-_real = _such(lambda v: _of(float, np.floating)(v) or _of(int, np.integer)(v)
+# NaN, an infinity and an integer beyond the float range are no numbers a
+# run can compute with
+_real = _such(lambda v: (_of(float, np.floating)(v) or _of(int, np.integer)(v))
               and abs(v) <= sys.float_info.max, "a real number")
 _int = _such(_of(int, np.integer), "an integer")
 _PATH = _such(_of(str, os.PathLike), "a path")
@@ -350,8 +337,7 @@ class RunConfig:
         reads={"zitter"})
     steps: int = _option(1000, _at_least(0), "zitter", flag=("--steps", int),
                          reads={"zitter", "poynting"})
-    t_max: float | None = _option(None, _such(np.isfinite, "finite", _real), "zitter",
-                                  reads={"zitter"})
+    t_max: float | None = _option(None, _real, "zitter", reads={"zitter"})
     samples: int = _option(10000, _at_least(5, " (exact flux quadrature)"), "poynting",
                            flag=("--samples", int), reads={"verify poynting", "poynting"})
     out: str | None = _option(None, _PATH, "output", key="report",
@@ -475,6 +461,21 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
     return SolutionFamily.stack(fams) if fams else None
 
 
+def judge(column, tol: float, prefixes=("",)) -> list[dict]:
+    """The report items of a column (name, norm, scale[, tolerance]), one
+    per prefix, named prefix + name: the residual relative(norm, scale),
+    which passes when |residual| <= the column's tolerance, else ``tol``, so
+    a NaN or an infinite residual fails.  Raises NonFiniteValue if a scale
+    is not finite, as any norm would pass against it."""
+    name, norm, scale, *given = column
+    if not np.isfinite(scale).all():
+        raise NonFiniteValue(f"the scale of {name} is not finite")
+    tol = float(given[0] if given else tol)
+    res = np.broadcast_to(np.asarray(relative(norm, scale), dtype=float), len(prefixes))
+    return [{"name": p + name, "residual": r, "tolerance": tol, "pass": ok}
+            for p, r, ok in zip(prefixes, res.tolist(), (np.abs(res) <= tol).tolist())]
+
+
 def _run_trials(cfg: RunConfig) -> list[dict]:
     """Every trial's report items, each named trialNNN/<item>, in trial order.
 
@@ -496,17 +497,16 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
         idx = every[first::step].tolist()
         group = seeded_generators(states[first::step])
         fams = _group_families(cfg, kind, group) if suite.family else None
-        for name, residuals, *given in suite.columns(cfg, fams, group):
-            tol = float(given[0] if given else cfg.tol)
-            res = np.asarray(residuals, dtype=float)
-            for i, r, ok in zip(idx, res.tolist(), (np.abs(res) <= tol).tolist()):
-                per_trial[i].append({"name": f"trial{i:03d}/{name}", "residual": r,
-                                     "tolerance": tol, "pass": ok})
+        prefixes = [f"trial{i:03d}/" for i in idx]
+        for column in suite.columns(cfg, fams, group):
+            for i, item in zip(idx, judge(column, cfg.tol, prefixes)):
+                per_trial[i].append(item)
     return [it for items in per_trial for it in items]
 
 
 def run_suite(cfg: RunConfig) -> dict:
-    items = SUITE_TABLE[cfg.suite].opening(cfg.tol) + _run_trials(cfg)
+    opening = [item for col in SUITE_TABLE[cfg.suite].opening() for item in judge(col, cfg.tol)]
+    items = opening + _run_trials(cfg)
     failed = sum(not it["pass"] for it in items)
     return {
         "suite": cfg.suite,
@@ -650,32 +650,34 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_zitter(cfg: RunConfig) -> int:
     header, rows, dev = zitter_timeseries(cfg)
+    # relative to hbar c / 2 E_p, as the suite's residuals are, and judged
+    # before the export, so a scale that overflows writes no file
+    worst, = judge(("abs_dev", dev.max(initial=0.0), cfg.dirac.wobble_scale), cfg.tol)
     write_timeseries(header, rows, cfg.csv_path)
     if not dev.size:  # no samples, or a pair without a closed form
         why = ": pair {},{} has no closed form".format(*cfg.pair) if cfg.steps else ""
         print(f"PASS zitter: {cfg.steps} samples, nothing compared{why}", file=sys.stderr)
         return EXIT_PASS
-    # relative to hbar c / 2 E_p, as the suite's residuals are
-    worst = float(relative(dev.max(), cfg.dirac.wobble_scale))
-    if not worst <= cfg.tol:  # a NaN deviation fails
-        print(f"FAIL zitter: max |numeric - closed| = {worst:.3e} relative to "
+    if not worst["pass"]:
+        print(f"FAIL zitter: max |numeric - closed| = {worst['residual']:.3e} relative to "
               "max(1, hbar c / 2 E_p)", file=sys.stderr)
         return EXIT_FAIL
-    print(f"PASS zitter: {cfg.steps} samples, max relative deviation {worst:.3e}", file=sys.stderr)
+    print(f"PASS zitter: {cfg.steps} samples, max relative deviation {worst['residual']:.3e}",
+          file=sys.stderr)
     return EXIT_PASS
 
 
 def _cmd_poynting(cfg: RunConfig) -> int:
     fam = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)]).trial(0)
-    closed = amw_flux(fam)  # before the export, so an overflow writes no file
+    closed = amw_flux(fam)  # judged before the export, so an overflow writes no file
     quad = flux_quadrature(fam, samples=cfg.samples)
-    scale = _flux_norms(closed)
+    err, = judge(("quadrature_vs_closed", operator_norm(quad - closed), operator_norm(closed)),
+                 cfg.tol)
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.csv_path)
-    err = float(relative(operator_norm(quad - closed), scale))
-    verdict = "PASS" if err <= cfg.tol else "FAIL"  # a NaN error fails
-    print(f"{verdict} poynting: quadrature vs closed = {err:.3e}", file=sys.stderr)
-    return EXIT_PASS if verdict == "PASS" else EXIT_FAIL
+    verdict = "PASS" if err["pass"] else "FAIL"
+    print(f"{verdict} poynting: quadrature vs closed = {err['residual']:.3e}", file=sys.stderr)
+    return EXIT_PASS if err["pass"] else EXIT_FAIL
 
 
 class _Parser(argparse.ArgumentParser):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import diag, frobenius_norms, readonly
 from .fields import HarmonicField, SolutionFamily, WaveContext, build_fields, ncross, stack_fields
-from .residuals import Terms, equation_residuals, perpendicular_part
+from .residuals import Terms, equation_columns, perpendicular_part
 
 BOOST_AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -100,19 +100,23 @@ def _frames(fams: SolutionFamily, velocities, axis):
     ctx, s = fams.ctx, len(velocities)
     wave = WaveContext(generators=ctx.generators, k=np.tile(ctx.k, (s, 1)), c=ctx.c, g=ctx.g)
     b, e = (stack_fields(wave, [f] * s) for f in build_fields(fams))
-    cols = equation_residuals("maxwell", Terms.of_fields(*boosted_fields(
+    cols = equation_columns("maxwell", Terms.of_fields(*boosted_fields(
         b, e, np.repeat(velocities, ctx.k.size // 3), axis)))
-    return [[(name, r.reshape((s,) + ctx.batch_shape)[j]) for name, r in cols] for j in range(s)]
+
+    def frame(x, j):  # the values of velocity j's block of the stack
+        return np.reshape(x, (s,) + ctx.batch_shape)[j]
+    return [[(name, frame(norm, j), frame(scale, j)) for name, norm, scale in cols]
+            for j in range(s)]
 
 
 def boost_columns(fams: SolutionFamily, speeds, axis: int | str = 2):
     """The ``maxwell`` row of a family, or of every trial of a stack, in the
     frame moving with velocity s*c for each speed s (in units of c), all
-    as one stack: (name, residual per trial) columns named
+    as one stack: (name, norm, scale) columns, one value per trial, named
     ``v=<s:+>c/<item>``, with the shortest repr of s.  Raises
     SuperluminalBoost for |s| >= 1."""
-    return [(f"v={s:+}c/{name}", r) for s, cols in zip(
-        speeds, _frames(fams, [s * fams.ctx.c for s in speeds], axis)) for name, r in cols]
+    return [(f"v={s:+}c/{name}", *col) for s, cols in zip(
+        speeds, _frames(fams, [s * fams.ctx.c for s in speeds], axis)) for name, *col in cols]
 
 
 def boosted_residuals(fam: SolutionFamily, velocity: float, axis: int | str = 2):

@@ -11,19 +11,23 @@ scale rule, the terms whose largest amplitude norm scales its residuals
 entries; each expression is defined once in ``BRACKETS``.
 
 ``equation_fields(label, terms)`` evaluates a row into named residual
-fields by exact termwise algebra (no grid), and ``equation_residuals``
-turns them into columns, ``(name, residual)`` pairs: the field's sup
-norm over harmonics and components ``relative`` to the scale, that is
-divided by max(1, scale), so a vanishing equation reads machine
-precision and the zero family passes trivially.  ``terms`` is a
+fields by exact termwise algebra (no grid), and ``equation_columns``
+turns them into columns, ``(name, norm, scale)``: the field's sup norm
+over harmonics and components, and the row's scale.  ``terms`` is a
 ``Terms``, a wave's potentials and context with the products the
-expressions share, each built once, when an expression first reads it.  On a stack of waves
-(``fields.SolutionFamily.stack``) a column holds one residual per trial.
+expressions share, each built once, when an expression first reads it.
+On a stack of waves (``fields.SolutionFamily.stack``) a column holds one
+norm and one scale per trial.
+
+Every check of the package, these rows and the suites' other columns,
+is judged one way (``cli.judge``): its residual is ``relative(norm,
+scale)``, the norm divided by max(1, scale), so a vanishing equation
+reads machine precision and the zero family passes trivially, and it
+passes when |residual| <= its tolerance.
 
 The g- and g^2-graded conditions carry no coupling factor, so pass/fail
 reflects the operator bracket itself rather than the smallness of g; the
-full equations and the w-terms keep their explicit i*g.  The caller holds
-a column to its tolerance (``report_item``).
+full equations and the w-terms keep their explicit i*g.
 """
 
 from __future__ import annotations
@@ -52,15 +56,6 @@ from .fields import (
     vcross,
     vdot,
 )
-
-
-def report_item(name: str, residual, tolerance) -> dict:
-    """One item of a report, with Python floats.  A residual is a magnitude:
-    the item passes when |residual| <= tolerance, so a NaN or an infinite
-    residual fails."""
-    residual, tolerance = float(residual), float(tolerance)
-    return {"name": name, "residual": residual, "tolerance": tolerance,
-            "pass": abs(residual) <= tolerance}
 
 
 def relative(norm, scale):
@@ -241,13 +236,13 @@ def equation_fields(label: str, terms: Terms) -> list[tuple[str, HarmonicField]]
     return out
 
 
-def equation_residuals(label: str, terms: Terms):
-    """(name, residual) for each item of one set, scaled by the set's rule;
-    on a stacked family, one residual per trial."""
+def equation_columns(label: str, terms: Terms):
+    """(name, norm, scale) for each item of one set, the scale by the set's
+    rule; on a stacked family, one norm and one scale per trial."""
     scale = field_scale(*(getattr(terms, t) for t in EQUATIONS[label].scale))
-    return [(name, relative(f.norm, scale)) for name, f in equation_fields(label, terms)]
+    return [(name, f.norm, scale) for name, f in equation_fields(label, terms)]
 
 
 # the zca set on a family, under the name perfbench/probes.py times
 def zca_conditions(fam: SolutionFamily):
-    return equation_residuals("zca", Terms.of(fam))
+    return equation_columns("zca", Terms.of(fam))

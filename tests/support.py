@@ -1,7 +1,7 @@
 """Reference constructions shared by the tests: dense operands, fixed and
 special families, the generator set and Dirac states no command builds,
-and a finite-difference oracle that knows a field only through
-``eval_at``.
+columns read as (name, residual) pairs, and a finite-difference oracle
+that knows a field only through ``eval_at``.
 
 The special families extend ``random_family``'s draw with more draws from
 the same generator, so a seeded test gets the same numbers in the same
@@ -14,6 +14,7 @@ import numpy as np
 
 from amwave.algebra import GeneratorSet, frobenius_norms, make_generators
 from amwave.fields import SolutionFamily, WaveContext, dt, random_family
+from amwave.residuals import equation_columns, relative
 
 
 def numeric_lift(v, dim: int) -> np.ndarray:
@@ -58,6 +59,17 @@ def noncoplanar_family(gens, rng, **kw) -> SolutionFamily:
     object.__setattr__(bad, "ctx", fam.ctx)
     object.__setattr__(bad, "R", tuple(coeffs))
     return bad
+
+
+def residuals_of(columns) -> list[tuple]:
+    """(name, residual) of each (name, norm, scale[, tol]) column, the
+    residual being relative(norm, scale), as ``cli.judge`` takes it."""
+    return [(name, relative(norm, scale)) for name, norm, scale, *_ in columns]
+
+
+def equation_residuals(label: str, terms) -> list[tuple]:
+    """(name, residual) of each item of one row of ``residuals.EQUATIONS``."""
+    return residuals_of(equation_columns(label, terms))
 
 
 @functools.cache

@@ -243,6 +243,16 @@ def test_noncommuting_pairs(kind):
         assert want == ((1, 2), (1, 3), (2, 3))
 
 
+@pytest.mark.parametrize("kind", SU2_KINDS)
+@pytest.mark.parametrize("hbar", [1e-100, 1e-7, 1e5, 1e10, 1e100])
+def test_su2_sets_build_with_every_pair_noncommuting_at_any_hbar(kind, hbar):
+    # [S_x, S_y] - i hbar S_z rounds to about eps hbar^2, 3e-6 at hbar = 1e5,
+    # and below hbar = 1e-6 every commutator is smaller than 1e-12: both
+    # checks hold only on the generators scaled to size 1
+    gens = make_generators(kind, hbar=hbar)
+    assert gens.noncommuting_pairs == ((1, 2), (1, 3), (2, 3))
+
+
 def test_operator_norm_is_numpy_norm_bit_for_bit():
     rng = np.random.default_rng(3)
     for d in (1, 2, 3, 4):

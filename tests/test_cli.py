@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -19,7 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import amwave
-from amwave.algebra import SERIES_BLOCK, GeneratorSet, make_generators, operator_norm
+from amwave.algebra import (
+    SERIES_BLOCK,
+    GeneratorSet,
+    NonFiniteValue,
+    make_generators,
+    operator_norm,
+)
 from amwave.cli import (
     SUITE_TABLE,
     EXIT_FAIL,
@@ -29,8 +36,10 @@ from amwave.cli import (
     SUITES,
     ConfigError,
     RunConfig,
+    _group_families,
     build_parser,
     config_from_file,
+    judge,
     main,
     run_suite,
     write_report,
@@ -40,12 +49,7 @@ from amwave.cli import (
 from amwave.fields import SolutionFamily, WaveContext, random_family
 from amwave.poynting import amw_flux, em_flux, flux_averages
 from amwave.relativity import gauge_conjugate, unitary_exponential
-from amwave.residuals import (
-    Terms,
-    equation_fields,
-    equation_residuals,
-    report_item,
-)
+from amwave.residuals import Terms, equation_fields, relative
 from amwave.zitter import (
     DiracContext,
     SuperpositionSpec,
@@ -56,6 +60,8 @@ from amwave.zitter import (
     spin_stack,
     zitter_position_expectation,
 )
+
+from support import equation_residuals
 
 
 def read_json(path):
@@ -75,8 +81,9 @@ def test_run_config_validation(capsys):
             RunConfig(suite="wca", tolerance=bad)
     with pytest.raises(ConfigError):
         RunConfig(suite="wca", seed=-1)
-    with pytest.raises(ConfigError, match="finite"):
-        RunConfig(suite="zitter", t_max=float("nan"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="^t_max must be a real number"):
+            RunConfig(suite="zitter", t_max=bad)
     for samples in (4, 2):
         with pytest.raises(ConfigError, match="samples must be >= 5"):
             RunConfig(suite="poynting", samples=samples)
@@ -358,7 +365,9 @@ def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, 
         assert_one_config_error(code, err)
     if count is not None and type(count[1]) is not int:
         assert_one_config_error(code, err)
-        assert f"{count[0]} must be an integer" in err[0]
+        # a non-finite coupling is refused before steps or samples is checked
+        assert (f"{count[0]} must be an integer" in err[0]
+                or not np.isfinite(coupling) and "coupling must be a real number" in err[0])
     if unread is not None:
         assert_one_config_error(code, err)
         assert not out.exists() and not series.exists()
@@ -633,7 +642,8 @@ def test_a_tiny_k_boosts_near_c(tmp_path):
     assert (code, err) == (EXIT_PASS, ["PASS boost: 16 items"])
 
 
-# the flux is finite, about g^2, but the squares in its norm overflow
+# the flux is finite, about g^2, but the squares in its norm, the scale of
+# its residuals, overflow
 @pytest.mark.parametrize("argv", [
     ["verify", "poynting", "--trials", "2", "--samples", "5", "--coupling", "1e90"],
     ["poynting", "--coupling", "1e90"],
@@ -641,7 +651,8 @@ def test_a_tiny_k_boosts_near_c(tmp_path):
 def test_a_flux_whose_norm_overflows_is_config_error(tmp_path, argv):
     code, err = run_main([*argv, "--out", str(tmp_path / "out")])
     assert_one_config_error(code, err)
-    assert err[0] == "config error: a value overflowed: the norm of a flux is not finite"
+    assert err[0] == ("config error: a value overflowed: "
+                      "the scale of quadrature_vs_closed is not finite")
     assert not (tmp_path / "out").exists()
 
 
@@ -1104,7 +1115,7 @@ def _single_family_items(cfg, fam, rng):
         scale = max(1.0, terms.a.norm)
         cols = [("residual_norm_invariance", drift),
                 ("conjugated_wca", max(f.norm / scale for _, f in equation_fields("wca", conj)))]
-    return [report_item(name, r, cfg.tol) for name, r in cols]
+    return [{"name": name, "residual": float(r), "tolerance": cfg.tol} for name, r in cols]
 
 
 def spin_expectation(spec, ctx, t):
@@ -1205,7 +1216,7 @@ def test_zitter_group_columns_equal_a_trial_by_trial_loop(trials, units):
         def rngs():
             return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trials)]
         cols = SUITE_TABLE["zitter"].columns(cfg, None, rngs())
-        assert [(name, *tol) for name, _, *tol in cols] == [
+        assert [(name, *tol) for name, _, _, *tol in cols] == [
             ("position_vs_closed",), ("spin_vs_closed",),
             ("pure_energy_zero", 1e-14), ("same_helicity_spin_zero", 1e-14)]
         for (name, got, *_), want in zip(cols, _zitter_columns_trial_by_trial(cfg, rngs())):
@@ -1347,3 +1358,97 @@ def test_batched_suites_equal_a_loop_over_single_families(suite, generator):
             got = [(it["name"], it["residual"], it["tolerance"])
                    for it in run_suite(cfg)["items"] if it["name"].startswith("trial")]
             assert got == want, (seed, trials)
+
+
+TOL = 1e-12
+
+
+def test_judge_holds_the_residual_magnitude_to_the_tolerance():
+    def item(norm, tolerance=TOL, scale=1.0):
+        it, = judge(("x", norm, scale), tolerance)
+        assert list(it) == ["name", "residual", "tolerance", "pass"]
+        assert type(it["residual"]) is float and type(it["tolerance"]) is float
+        return it
+    for bad in (np.nan, np.inf, -np.inf, 2 * TOL):
+        assert item(bad)["pass"] is False, bad
+    assert item(TOL)["pass"] is True  # equal to the tolerance passes
+    zero = item(-0.0)
+    assert zero["pass"] is True and math.copysign(1.0, zero["residual"]) == -1.0
+    it = item(np.float64(0.5 * TOL), np.float64(TOL))
+    assert it == {"name": "x", "residual": 0.5 * TOL, "tolerance": TOL, "pass": True}
+    assert type(it["pass"]) is bool
+    # the residual, not the norm, is held to the tolerance
+    assert item(2.0, 0.6, scale=4.0) == {"name": "x", "residual": 0.5, "tolerance": 0.6,
+                                         "pass": True}
+    assert item(0.5, 0.4, scale=0.25)["pass"] is False  # absolute below a scale of 1
+    # one item per prefix, the column's own tolerance over the default
+    assert judge(("y", np.array([1.0, 3.0]), np.array([0.5, 4.0]), 0.8), TOL, ("a/", "b/")) == [
+        {"name": "a/y", "residual": 1.0, "tolerance": 0.8, "pass": False},
+        {"name": "b/y", "residual": 0.75, "tolerance": 0.8, "pass": True}]
+    # a scale that is not finite would pass any norm
+    for scale in (np.inf, np.nan, np.array([1.0, np.inf])):
+        with pytest.raises(NonFiniteValue, match="^the scale of x is not finite$"):
+            judge(("x", np.array([0.0, 1.0]), scale), TOL, ("a/", "b/"))
+
+
+@pytest.mark.parametrize("generator", ["both", "su3_gellmann"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_column_is_name_norm_scale_and_the_report_is_its_relative_residual(
+        suite, generator):
+    cfg = RunConfig(suite=suite, trials=3, seed=4, generator=generator, samples=64)
+    row = SUITE_TABLE[suite]
+
+    def residuals(column, n):
+        assert len(column) in (3, 4) and type(column[0]) is str, column
+        name, norm, scale, *tol = column
+        assert {np.shape(norm), np.shape(scale)} <= {(), (n,)}, (name, norm, scale)
+        res = np.broadcast_to(relative(norm, scale), n).tolist()
+        return [(name, r.hex(), tol[0] if tol else cfg.tol) for r in res]
+    want = [(name, r, tol) for col in row.opening() for name, r, tol in residuals(col, 1)]
+    per_trial = [[] for _ in range(cfg.trials)]
+    step = len(cfg.kinds) if row.family else 1
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    for first, kind in enumerate(cfg.kinds[:step]):
+        idx = range(first, cfg.trials, step)
+        rngs = [np.random.default_rng(s) for s in seeds[first::step]]
+        fams = _group_families(cfg, kind, rngs) if row.family else None
+        for column in row.columns(cfg, fams, rngs):
+            for i, (name, r, tol) in zip(idx, residuals(column, len(idx))):
+                per_trial[i].append((f"trial{i:03d}/{name}", r, tol))
+    want += [it for items in per_trial for it in items]
+    got = [(it["name"], it["residual"].hex(), it["tolerance"]) for it in run_suite(cfg)["items"]]
+    assert got == want
+
+
+@pytest.mark.parametrize("family", [{"k": [float("nan"), 0, 1]},
+                                    {"R": [[0, 0, 0], [float("nan"), 0, 0], [0, 0, 0],
+                                           [0, 0, 1]]},
+                                    {"coupling": float("inf")}])
+@pytest.mark.parametrize("argv", [["verify", "zitter", "--trials", "2"],
+                                  ["zitter", "--steps", "4"]])
+def test_a_real_that_is_not_finite_is_refused_by_the_zitter_commands(tmp_path, argv, family):
+    # these commands build no family, but every key given is still checked
+    config = config_file(tmp_path / "cfg.yaml", family)
+    code, err = run_main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert "must be a real number" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_families_are_checked_and_run_at_any_hbar(tmp_path):
+    # k = z with R_1, R_2, R_3 = x, y, z is no family: at hbar = 1e-7 the
+    # spin commutators are below 1e-12, and their pairs still count
+    config = config_file(tmp_path / "cfg.yaml", {
+        "hbar": 1e-7, "generator": "su2_spin_half", "k": [0, 0, 1],
+        "R": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    for suite in ("wca", "exact"):
+        code, err = run_main(["verify", suite, "--trials", "2", "--config", config,
+                              "--out", str(tmp_path / "out")])
+        assert_one_config_error(code, err)
+        assert err[0].endswith("are not coplanar with k")
+        assert not (tmp_path / "out").exists()
+    # and at hbar = 1e6 the spin-1 set builds and its boosted waves pass
+    config = config_file(tmp_path / "big.yaml", {"hbar": 1e6})
+    code, err = run_main(["verify", "boost", "--generator", "su2_spin_one", "--trials", "4",
+                          "--config", config, "--out", str(tmp_path / "out")])
+    assert (code, err) == (EXIT_PASS, ["PASS boost: 32 items"])

@@ -29,13 +29,13 @@ from amwave.relativity import (
 )
 from amwave.residuals import (
     Terms,
+    equation_columns,
     equation_fields,
-    equation_residuals,
     field_scale,
     relative,
 )
 
-from support import numeric_lift, xz_family
+from support import equation_residuals, numeric_lift, residuals_of, xz_family
 
 SPIN_HALF = make_generators("su2_spin_half")
 
@@ -211,11 +211,11 @@ def test_boost_wavevector_doppler():
 def test_boosted_residuals_xz():
     fam = xz_family(SPIN_HALF)
     for v in (0.0, 0.5):
-        cols = boosted_residuals(fam, v)
+        cols = residuals_of(boosted_residuals(fam, v))
         assert [name for name, _ in cols] == list(MAXWELL)
         assert all(r <= 1e-15 for _, r in cols)
-    # at rest, the row the zca suite reads, bit for bit
-    assert boosted_residuals(fam, 0.0) == equation_residuals("maxwell", Terms.of(fam))
+    # at rest, the row the zca suite reads, norms and scales bit for bit
+    assert boosted_residuals(fam, 0.0) == equation_columns("maxwell", Terms.of(fam))
 
 
 @pytest.mark.parametrize("velocity", [0.3, -0.3, 0.9, -0.9])
@@ -225,7 +225,7 @@ def test_boosted_residuals_random_families(velocity):
         for _ in range(3):
             for axis in ("x", "y", "z"):
                 fam = random_family(make_generators(kind), rng)
-                cols = boosted_residuals(fam, velocity, axis=axis)
+                cols = residuals_of(boosted_residuals(fam, velocity, axis=axis))
                 # the worst of 720 such boosts was 1.2e-15
                 assert all(r <= 1e-14 for _, r in cols), (kind, velocity, cols)
 
@@ -257,12 +257,12 @@ def test_batch_columns_equal_single_family_bits(kind, c, g, axis):
     the bits of that family boosted alone at that speed."""
     for speeds, (singles, batch) in itertools.product(
             [(0.0,), (0.93, -0.93), (0.93, -0.93, 0.999999999)], _mixed_batches(kind, c, g)):
-        cols = boost_columns(batch, speeds, axis=axis)
+        cols = residuals_of(boost_columns(batch, speeds, axis=axis))
         assert [name for name, _ in cols] == [
             f"v={v:+}c/{item}" for v in speeds for item in MAXWELL]
         for t, fam in enumerate(singles):
             single = [float(r) for v in speeds
-                      for _, r in boosted_residuals(fam, v * c, axis=axis)]
+                      for _, r in residuals_of(boosted_residuals(fam, v * c, axis=axis))]
             assert [float(r[t]) for _, r in cols] == single
         # the zero-R trial has no harmonics: every residual is exactly zero
         if len(singles) > 1:

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from amwave.algebra import commutator, cross, dot, make_generators, operator_norm as norm
-from amwave.cli import SUITE_TABLE, _table
+from amwave.cli import SUITE_TABLE, _table, judge
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -18,15 +16,15 @@ from amwave.residuals import (
     BRACKETS,
     EQUATIONS,
     Terms,
+    equation_columns,
     equation_fields,
-    equation_residuals,
     field_scale,
     relative,
-    report_item,
 )
 
 from support import (
     abelian_family,
+    equation_residuals,
     fd_curl,
     fd_div,
     fd_dt,
@@ -544,23 +542,7 @@ def test_relative_is_absolute_below_a_scale_of_one_and_relative_above():
 
 def test_report_serialization():
     fam = xz_family()
-    items = [report_item(name, r, TOL) for name, r in residuals("wca", fam)]
+    items = [it for col in equation_columns("wca", Terms.of(fam)) for it in judge(col, TOL)]
     assert all(d["pass"] is True for d in items)
     assert len(items) == 6
     assert all(type(d["residual"]) is float for d in items)
-
-
-def test_report_item_holds_the_residual_magnitude_to_the_tolerance():
-    def item(residual, tolerance=TOL):
-        it = report_item("x", residual, tolerance)
-        assert list(it) == ["name", "residual", "tolerance", "pass"]
-        assert type(it["residual"]) is float and type(it["tolerance"]) is float
-        return it
-    for bad in (np.nan, np.inf, -np.inf, 2 * TOL):
-        assert item(bad)["pass"] is False, bad
-    assert item(TOL)["pass"] is True  # equal to the tolerance passes
-    zero = item(-0.0)
-    assert zero["pass"] is True and math.copysign(1.0, zero["residual"]) == -1.0
-    it = item(np.float64(0.5 * TOL), np.float64(TOL))
-    assert it == {"name": "x", "residual": 0.5 * TOL, "tolerance": TOL, "pass": True}
-    assert type(it["pass"]) is bool

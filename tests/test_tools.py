@@ -28,7 +28,10 @@ def test_report_hashes_lists_96_distinct_runs_that_all_build(report_hashes):
     exports = list(report_hashes.exports())
     labels = [label for label, _ in configs + exports]
     assert len(labels) == len(set(labels)) == 96
-    assert "96 runs" in report_hashes.__doc__
+    # an export's CSV and its verdict are hashed apart, under distinct labels
+    verdicts = [f"{label} verdict" for label, _ in exports]
+    assert len(set(labels + verdicts)) == len(configs) + 2 * len(exports) == 107
+    assert "107 lines for\n96 runs" in report_hashes.__doc__
     assert all(type(cfg) is RunConfig for _, cfg in configs)
     for _, argv in exports:
         cfg = _collect_config(build_parser().parse_args([*argv, "--out", "out.csv"]))

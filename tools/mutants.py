@@ -117,9 +117,9 @@ MUTANTS = (
     # (test_relativity.py::test_batch_columns_equal_single_family_bits),
     # and the gauge suite's wca read from the unrotated half
     # (test_cli.py::test_batched_suites_equal_a_loop_over_single_families)
-    Mutant("boost_frame_split", "relativity.py", "r.reshape((s,) + ctx.batch_shape)[j]",
-           "r.reshape((s,) + ctx.batch_shape)[s - 1 - j]"),
-    Mutant("gauge_rotated_half", "cli.py", "f.norm[n:] for", "f.norm[:n] for"),
+    Mutant("boost_frame_split", "relativity.py", "np.reshape(x, (s,) + ctx.batch_shape)[j]",
+           "np.reshape(x, (s,) + ctx.batch_shape)[s - 1 - j]"),
+    Mutant("gauge_rotated_half", "cli.py", "[norm[n:] for", "[norm[:n] for"),
     # the Dirac kernels every zitter check and export runs through
     Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
            "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
@@ -136,14 +136,35 @@ MUTANTS = (
            "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])\n"
            "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 3])"),
     # the Poynting residuals' scales
-    Mutant("abelian_scale", "cli.py", '("abelian_equals_em", relative(abelian, scale0), 1e-10)',
-           '("abelian_equals_em", abelian, 1e-10)'),
+    Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian, scale0, 1e-10)',
+           '("abelian_equals_em", abelian, 1.0, 1e-10)'),
     # the floor below which every residual is absolute, raised
     # (test_residuals.py::test_relative_is_absolute_below_a_scale_of_one_and_relative_above,
     # and, first in the run order, the suite tests whose scales lie below 2)
     Mutant("relative_floor", "residuals.py", "return norm / np.maximum(1.0, scale)",
            "return norm / np.maximum(2.0, scale)"),
-    Mutant("flux_norm_check", "cli.py", "if not np.isfinite(norms).all():", "if False:"),
+    # the judge: its guard on the scale, which a flux's overflowing norm
+    # trips (test_cli.py::test_a_flux_whose_norm_overflows_is_config_error),
+    # and a pass rule that compares the norm, not norm / scale
+    # (test_cli.py::test_judge_holds_the_residual_magnitude_to_the_tolerance)
+    Mutant("flux_norm_check", "cli.py", "if not np.isfinite(scale).all():", "if False:"),
+    Mutant("judge_unscaled", "cli.py", "(np.abs(res) <= tol)",
+           "(np.abs(np.broadcast_to(norm, res.shape)) <= tol)"),
+    # the generator-set checks at any hbar: the pair test on the unscaled
+    # generators, and the old SU(2) bound, which grows as hbar, not hbar^2
+    # (test_algebra.py::test_su2_sets_build_with_every_pair_noncommuting_at_any_hbar)
+    Mutant("pairs_unscaled", "algebra.py",
+           "gs = self.generators / (np.abs(self.generators).max(initial=0.0) or 1.0)",
+           "gs = self.generators"),
+    Mutant("su2_old_bound", "algebra.py",
+           "sx, sy, sz = gs.generators / gs.hbar\n"
+           "    for (a, b, c) in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):\n"
+           "        defect = operator_norm(commutator(a, b) - 1j * c)\n"
+           "        if not defect <= HERMITICITY_TOL:",
+           "sx, sy, sz = gs.generators\n"
+           "    for (a, b, c) in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):\n"
+           "        defect = operator_norm(commutator(a, b) - 1j * gs.hbar * c)\n"
+           "        if defect > HERMITICITY_TOL * max(1.0, gs.hbar):"),
 )
 
 # name -> why no test can tell the mutant from the program

@@ -1,6 +1,7 @@
 """Determinism gate: sha256 of the report and CSV bodies for a fixed set of runs.
 
-Prints one line per configuration, ``<sha256>  <label>``, for 96 runs:
+Prints one line per hashed body, ``<sha256>  <label>``: 107 lines for
+96 runs, each export run hashed twice, its CSV and its verdict:
 
 - 21 report bodies: all nine suites at seeds 1 and 42 with 25 trials
   (poynting: 3 trials, 200 samples), plus wca/zca/exact at seed 7 with
@@ -33,10 +34,13 @@ Prints one line per configuration, ``<sha256>  <label>``, for 96 runs:
   off-axis momentum 0.3,-0.4,0.9.
 - 3 ``amwave poynting --seed 2`` CSV bodies: the default generator,
   su3_gellmann and su2_spin_one.
+- 11 verdict lines, one for each of the 11 exports above, labelled as
+  its CSV with `` verdict`` appended.
 
-Every hashed body is the bytes the program writes to a file: a report
-as ``write_report`` writes it for ``amwave verify --out``, a CSV as the
-command writes it with ``--out``.  A refactor that promises
+Every hashed body is the bytes the program writes: a report as
+``write_report`` writes it for ``amwave verify --out``, a CSV as the
+command writes it with ``--out``, and a verdict as the export prints it
+on stderr.  A refactor that promises
 byte-identical output compares the old and the new source tree in one
 command:
 
@@ -45,7 +49,7 @@ command:
 It runs every configuration above under the ``src/`` beside this tool
 and under the old tree, each in its own interpreter, prints the label
 of each configuration whose hash differs (or that one tree did not
-run), and exits 1 on any difference or failed run, 0 when all 96 agree.
+run), and exits 1 on any difference or failed run, 0 when all 107 agree.
 Without ``--against`` it prints the hash lines of the tree on
 PYTHONPATH:
 
@@ -159,15 +163,16 @@ def report_body(cfg: RunConfig) -> bytes:
     return written(lambda path: write_report(run_suite(cfg), path))
 
 
-def export_body(argv: list[str]) -> bytes:
-    """The bytes ``amwave <argv> --out FILE`` writes; the verdict on stderr
-    is dropped."""
+def export_bodies(argv: list[str]) -> tuple[bytes, bytes]:
+    """The bytes ``amwave <argv> --out FILE`` writes, and the verdict it
+    prints on stderr."""
     from amwave.cli import main as cli_main
+    verdict = io.StringIO()
 
     def write(path):
-        with contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stderr(verdict):
             cli_main([*argv, "--out", path])
-    return written(write)
+    return written(write), verdict.getvalue().encode()
 
 
 def against(old_src: str) -> int:
@@ -204,7 +209,9 @@ def main() -> int:
     for label, cfg in configs():
         print(f"{hashlib.sha256(report_body(cfg)).hexdigest()}  {label}")
     for label, argv in exports():
-        print(f"{hashlib.sha256(export_body(argv)).hexdigest()}  {label}")
+        csv, verdict = export_bodies(argv)
+        print(f"{hashlib.sha256(csv).hexdigest()}  {label}")
+        print(f"{hashlib.sha256(verdict).hexdigest()}  {label} verdict")
     return 0
 
 
