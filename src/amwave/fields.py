@@ -193,7 +193,7 @@ class HarmonicField:
 
     def _require(self, other: "HarmonicField"):
         if other.is_vector != self.is_vector or not _compatible(self.ctx, other.ctx):
-            raise ValueError("fields must share a wave context")
+            raise ValueError("fields must be of one kind and share a wave context")
 
     def __add__(self, other: "HarmonicField") -> "HarmonicField":
         self._require(other)

@@ -7,8 +7,8 @@ the full gauge-field equations (``full``), the six weak-coupling
 conditions, the Maxwell-type equations (``maxwell``), the w-terms
 (``w``) and the transversality battery (``battery``).  A row holds its
 scale rule, the terms whose largest amplitude norm scales its residuals
-(``a``, or ``b, e``), and its ``(item name, expression, unit factor)``
-entries; each expression is defined once in ``BRACKETS``.
+(``a``, or ``b, e``), and its ``(item name, expression)`` entries; each
+expression is defined once in ``BRACKETS``.
 
 ``equation_fields(label, terms)`` evaluates a row into named residual
 fields by exact termwise algebra (no grid), and ``equation_columns``
@@ -173,67 +173,57 @@ BRACKETS = {
 
 class EquationSet(NamedTuple):
     scale: tuple[str, ...]  # the terms whose largest norm scales a residual
-    items: tuple[tuple[str, str, complex], ...]  # (name, expression, unit factor)
+    items: tuple[tuple[str, str], ...]  # (name, expression)
 
 
-def _own(*names):
-    """Items that are their own expressions, with unit factor 1."""
-    return tuple((name, name, 1) for name in names)
-
-
-# The unit factors are +-1 or +-i, which are exact in floating point, so an
-# expression's residual is the same number in every set that lists it.
 EQUATIONS = {
-    "full": EquationSet(("a",), (("div_E", "ym_div_E", 1), ("faraday", "ym_faraday", 1),
-                                 ("div_B", "ym_div_B", 1), ("ampere", "ym_ampere", 1))),
+    "full": EquationSet(("a",), (("div_E", "ym_div_E"), ("faraday", "ym_faraday"),
+                                 ("div_B", "ym_div_B"), ("ampere", "ym_ampere"))),
     # the six conditions left after discarding the g^2 self-interactions
     "wca": EquationSet(("a",), (
-        ("wca1_scalar_wave", "scalar_wave", 1),
-        ("wca2_phi_diva", "phi_diva", 1),
-        ("wca3_induction", "induction", 1),
-        ("wca4_div_m", "div_m", 1),
-        ("wca5_vector_wave", "vector_wave", 1),
-        ("wca6_ampere_bracket", "ampere_bracket", 1),
+        ("wca1_scalar_wave", "scalar_wave"),
+        ("wca2_phi_diva", "phi_diva"),
+        ("wca3_induction", "induction"),
+        ("wca4_div_m", "div_m"),
+        ("wca5_vector_wave", "vector_wave"),
+        ("wca6_ampere_bracket", "ampere_bracket"),
     )),
     # all eight conditions of the unapproximated equations: items 1 and 6
     # are coupling-free, 2, 4, 5 and 7 carry g and 3 and 8 g^2 (factors
     # stripped, see module doc); only 3 and 8 obstruct generic
     # noncommuting amplitudes
     "exact": EquationSet(("a",), (
-        ("exact1_scalar_wave", "scalar_wave", 1),
-        ("exact2_phi_diva", "phi_diva", 1),
-        ("exact3_a_n_bracket", "a_n_bracket", 1),
-        ("exact4_induction", "induction", 1),
-        ("exact5_div_m", "div_m", 1),
-        ("exact6_vector_wave", "vector_wave", 1),
-        ("exact7_ampere_bracket", "ampere_bracket", -1j),
-        ("exact8_phi_n_bracket", "phi_n_bracket", 1),
+        ("exact1_scalar_wave", "scalar_wave"),
+        ("exact2_phi_diva", "phi_diva"),
+        ("exact3_a_n_bracket", "a_n_bracket"),
+        ("exact4_induction", "induction"),
+        ("exact5_div_m", "div_m"),
+        ("exact6_vector_wave", "vector_wave"),
+        ("exact7_ampere_bracket", "ampere_bracket"),
+        ("exact8_phi_n_bracket", "phi_n_bracket"),
     )),
     # the six spatial conditions of the zero-coupling (Maxwell-type) system
     "zca": EquationSet(("a",), (
-        ("zca1_div_m", "div_m", 1),
-        ("zca2_curl_n", "induction", -1j),
-        ("zca3_scalar_wave", "scalar_wave", 1),
-        ("zca4_div_n", "div_n", 1),
-        ("zca5_vector_wave", "vector_wave", -1),
-        ("zca6_n_curl_m", "n_curl_m", 1),
+        ("zca1_div_m", "div_m"),
+        ("zca2_curl_n", "induction"),
+        ("zca3_scalar_wave", "scalar_wave"),
+        ("zca4_div_n", "div_n"),
+        ("zca5_vector_wave", "vector_wave"),
+        ("zca6_n_curl_m", "n_curl_m"),
     )),
-    "maxwell": EquationSet(("b", "e"), _own("div_E", "faraday", "div_B", "ampere")),
-    "w": EquationSet(("a",), _own("w1", "w2", "w3", "w4")),
-    "battery": EquationSet(("b", "e"), _own(
+    "maxwell": EquationSet(("b", "e"), tuple((n, n) for n in (
+        "div_E", "faraday", "div_B", "ampere"))),
+    "w": EquationSet(("a",), tuple((n, n) for n in ("w1", "w2", "w3", "w4"))),
+    "battery": EquationSet(("b", "e"), tuple((n, n) for n in (
         "khat_dot_B", "khat_dot_E", "B_dot_E", "B_minus_khat_cross_E",
-        "E_minus_B_cross_khat", "B_cross_B", "E_cross_E", "ExB_perpendicular_part")),
+        "E_minus_B_cross_khat", "B_cross_B", "E_cross_E", "ExB_perpendicular_part"))),
 }
 
 
 def equation_fields(label: str, terms: Terms) -> list[tuple[str, HarmonicField]]:
     """The named residual fields of one set; only the expressions the set
     lists are evaluated, and only the products they read are built."""
-    out = []
-    for name, expr, factor in EQUATIONS[label].items:
-        res = BRACKETS[expr](terms)
-        out.append((name, res if factor == 1 else factor * res))
-    return out
+    return [(name, BRACKETS[expr](terms)) for name, expr in EQUATIONS[label].items]
 
 
 def equation_columns(label: str, terms: Terms):

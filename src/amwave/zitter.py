@@ -1,27 +1,30 @@
 """Free Dirac electron in momentum space: eigenstates, projectors, and the
 position/spin trembling-motion operators with their closed forms.
 
-Everything is plain 4x4 matrix algebra at a fixed momentum.  The evolution
-factor exp(-2iHt/hbar) inside Z_r(t) is computed by spectral decomposition
-of the Hermitian Hamiltonian (exact and stable for any t), never by series.
+Everything is plain 4x4 matrix algebra at a fixed momentum.  The free
+Hamiltonian squares to a number, H^2 = E_p^2, so H^-1 = H / E_p^2 and
+the evolution factor inside Z_r(t) is a first-degree polynomial in H,
+exp(-2iHt/hbar) = cos(phi) - i sin(phi) H / E_p with phi = 2 E_p t / hbar:
+elementwise arithmetic on H, stable for any t, with no eigensolver and no
+series.
 
 The Dirac matrices are read-only module constants.  Everything that depends
-only on the momentum (|p|, E_p, phat, H as ``hmat``, eigh(H), H^-1, the
-four eigenstates as ``states`` and the wobble's size hbar c / 2 E_p as
-``wobble_scale``) is computed once per ``DiracContext`` and cached
-read-only on it.  A context holds one momentum, or the momenta of T
-trials on a leading axis; then each cached value is a per-trial stack, and
-the operator stacks, expectations and closed forms take one time (and one
-mixing angle) per trial.  Each trial of a stack gets the bits its own
-context would give it.  Z_r(t) is one stacked kernel over a leading t
-axis (``position_stack``), Z_s(t) is built from it (``spin_stack``), and
-``expectations`` contracts either with a state; one time is a one-row
-stack.  ``expectations`` holds each row's imaginary part to max(1, the
-row's operator norm), so a zero expectation of a large operator is
-accepted.
+only on the momentum (|p|, E_p, phat, H as ``hmat``, the position
+prefactor, the four eigenstates as ``states`` and the wobble's size
+hbar c / 2 E_p as ``wobble_scale``) is computed once per ``DiracContext``
+and cached read-only on it.  A context holds one momentum, or the momenta
+of T trials on a leading axis; then each cached value is a per-trial
+stack, and the operator stacks, expectations and closed forms take one
+time (and one mixing angle) per trial.  Each trial of a stack gets the
+bits its own context would give it.  Z_r(t) is one stacked kernel over a
+leading t axis (``position_stack``), Z_s(t) is built from it
+(``spin_stack``), and ``expectations`` contracts either with a state; one
+time is a one-row stack.  ``expectations`` holds each row's imaginary
+part to max(1, the row's operator norm), so a zero expectation of a
+large operator is accepted.
 
 The module stands on ``algebra`` alone: the norms, ``dots``, ``square``
-and ``diag`` it shares with the other modules live there.
+and ``real_cross`` it shares with the other modules live there.
 
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
@@ -38,7 +41,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, diag, dots, frobenius_norms, readonly, real_cross, square, sup_norms
+from .algebra import PAULI, dots, frobenius_norms, readonly, real_cross, square, sup_norms
 
 POLAR_EPS = 1e-10
 
@@ -133,13 +136,12 @@ class DiracContext:
 
     @functools.cached_property
     def u_minus(self) -> float | np.ndarray:
-        return _value(np.sqrt(self.energy - self.mass * self.c ** 2))
+        """sqrt(E_p - m c^2), as c |p| / sqrt(E_p + m c^2), which does not cancel."""
+        return _value(self.c * self.pnorm / self.u_plus)
 
     def check_polar(self):
         """Raises PolarSingularity where the closed-form eigenstates are
-        undefined, for any trial of a stack: |p| overflows, p + p_z = 0, or
-        |p| so small that E - m c^2 rounds to 0 (the states divide by its
-        square root)."""
+        undefined, for any trial of a stack: |p| overflows, or p + p_z = 0."""
         pn = self.pnorm
         if not np.isfinite(pn).all():
             raise PolarSingularity("|p| overflowed to inf; pick a smaller momentum")
@@ -147,8 +149,6 @@ class DiracContext:
         if (pn + self.p[..., 2] <= POLAR_EPS * pn).any():
             raise PolarSingularity(
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
-        if np.equal(self.u_minus, 0.0).any():
-            raise PolarSingularity("|p| is too small: E - m c^2 rounds to zero")
 
     @functools.cached_property
     def hmat(self) -> np.ndarray:
@@ -157,23 +157,13 @@ class DiracContext:
                         + self.mass * self.c ** 2 * BETA)
 
     @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """eigh(H) as (w, v, v^H)."""
-        w, v = np.linalg.eigh(self.hmat)
-        return readonly(w), readonly(v), readonly(np.swapaxes(v.conj(), -1, -2))
-
-    @functools.cached_property
-    def hinv(self) -> np.ndarray:
-        """H^-1 = v diag(1/w) v^H."""
-        w, v, vh = self.spectrum
-        return readonly(v @ diag(1.0 / w) @ vh)
-
-    @functools.cached_property
     def position_prefactor(self) -> np.ndarray:
-        """(i hbar c / 2) [alpha_i - c p_i H^-1], shape (3, 4, 4), or (T, 3, 4, 4)."""
+        """(i hbar c / 2) [alpha_i - c p_i H^-1], shape (3, 4, 4), or (T, 3, 4, 4),
+        with H^-1 = H / E_p^2."""
         cp = self.c * self.p[..., None, None]
+        hinv = self.hmat / _col(_col(square(self.energy)))
         return readonly(np.stack([
-            (0.5j * self.hbar * self.c) * (ALPHA[i] - cp[..., i, :, :] * self.hinv)
+            (0.5j * self.hbar * self.c) * (ALPHA[i] - cp[..., i, :, :] * hinv)
             for i in range(3)
         ], axis=-3))
 
@@ -186,28 +176,35 @@ class DiracContext:
         +1 for j < 2 and helicity +hbar/2 for even j.  Each is normalized
         to unit norm; the shared closed-form prefactor is
         1/sqrt(4 E_p p (p + p_z)).  A polar momentum raises on every
-        access, since nothing is cached then, and so does a small |p|
-        (below about 1e-2 m c) at which u_minus = sqrt(E - m c^2) cancels
-        so far that the states miss unit norm, or a large one (from about
-        2.8e102 m c along +z) at which 4 E_p p (p + p_z) overflows; in a
-        stack, any trial's momentum does."""
+        access, since nothing is cached then, and so does one at which the
+        states miss unit norm: a tiny |p| (below about 1e-156 m c along +z)
+        at which 4 E_p p (p + p_z) underflows, or one so near the -z ray
+        that p + p_z cancels.  So does a large |p| (from about 2.8e102 m c
+        along +z) at which that product overflows; in a stack, any trial's
+        momentum does."""
         self.check_polar()
         p, pz = self.pnorm, self.p[..., 2]
-        up, um, cp = self.u_plus, self.u_minus, self.c * p
-        # the four spinors on a leading axis: each is
-        # norm [u top, s (c p / u) top] with top = [p + p_z, p_+] or [-p_-, p + p_z]
+        up, um = self.u_plus, self.u_minus
+        # the four spinors on a leading axis: each is norm [u top, s (c p / u) top],
+        # where c p / u_+ = u_- and c p / u_- = u_+, with
+        # top = [p + p_z, p_+] or [-p_-, p + p_z]
         top = np.array([[p + pz, self.p_plus], [-self.p_minus, p + pz]] * 2).swapaxes(1, -1)
         u = np.array([up, up, um, um])
-        lower = np.array([cp / up, -(cp / up), -(cp / um), cp / um])
-        norm = 1.0 / np.sqrt(4.0 * self.energy * p * (p + pz))
-        if np.equal(norm, 0.0).any():  # 1 / sqrt(inf): the product overflowed
-            raise PolarSingularity("the states' normalisation 4 E_p |p| (|p| + p_z) overflows")
-        amps = readonly(_col(norm) * np.concatenate(
+        lower = np.array([um, -um, -up, up])
+        nsq = 4.0 * self.energy * p * (p + pz)
+        for bound, edge in ((np.inf, "overflows"), (0.0, "underflows to zero")):
+            if np.equal(nsq, bound).any():
+                raise PolarSingularity(f"the states' normalisation 4 E_p |p| (|p| + p_z) {edge}")
+        amps = readonly(_col(1.0 / np.sqrt(nsq)) * np.concatenate(
             [_col(u) * top, _col(lower) * top], axis=-1))
         off = _off_unit_norm(amps).any(axis=0)
         if off.any():
-            first = np.asarray(p).reshape(-1)[np.flatnonzero(off)[0]]
-            raise PolarSingularity(f"|p| = {first:.3g} is too small: E - m c^2 cancels")
+            first = np.flatnonzero(off)[0]
+            if np.reshape(nsq, -1)[first] < np.finfo(float).tiny:
+                raise PolarSingularity(
+                    f"|p| = {np.reshape(p, -1)[first]:.3g} is too small: "
+                    "the states' normalisation 4 E_p |p| (|p| + p_z) underflows")
+            raise PolarSingularity("p + p_z cancels; rotate the momentum away from the -z ray")
         return amps
 
 
@@ -255,14 +252,16 @@ def position_stack(ctx: DiracContext, ts) -> np.ndarray:
     Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1),
 
     for every t in the finite 1-D array ts, shape (T, 3, 4, 4); on a
-    stacked context ts holds one time per trial."""
+    stacked context ts holds one time per trial.  By H^2 = E_p^2 the tail
+    is H^-1 (exp(-2iHt/hbar) - 1) = ((cos phi - 1) / E_p^2) H - (i sin phi / E_p) 1
+    with phi = 2 E_p t / hbar, built elementwise over the time axis."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
         raise ValueError("times must be a finite 1-D array")
-    w, v, vh = ctx.spectrum
-    phases = diag(np.exp(-2j * w * ts[:, None] / ctx.hbar) - 1.0)
-    # the one-time formula's operation order, so each row matches it bit for bit
-    tail = ctx.hinv @ (v @ phases @ vh)
+    ep = ctx.energy
+    phi = 2.0 * ep * ts / ctx.hbar
+    tail = (_col(_col((np.cos(phi) - 1.0) / square(ep))) * ctx.hmat
+            - _col(_col(1j * (np.sin(phi) / ep))) * np.eye(4))
     return ctx.position_prefactor @ tail[:, None]
 
 

@@ -118,7 +118,7 @@ def assert_one_config_error(code, err):
 @pytest.mark.parametrize("flag", ["--velocity=1", "--velocity=-1.5", "--pair=1,2",
                                   "--pair=3,4", "--momentum=0,0,0",
                                   "--momentum=0,0,-0.8", "--momentum=0,0,-1e-12",
-                                  "--momentum=0,0,7e-34", "--momentum=0,0,1e-3",
+                                  "--momentum=0,0,1e-160", "--momentum=0,0,1e120",
                                   "--momentum=1e200,0,1e200",
                                   "--momentum=nan,0,0.8", "--theta=inf",
                                   "--samples=4", f"--trials={10**29}", f"--steps={2**63}",
@@ -170,7 +170,8 @@ def test_the_shared_parser_leaks_nothing_between_calls():
 
 
 def test_momentum_errors_name_their_cause(tmp_path):
-    for flag, cause in (("--momentum=0,0,1e-3", "is too small"),
+    for flag, cause in (("--momentum=0,0,1e-160", "is too small"),
+                        ("--momentum=0,0,1e-170", "underflows to zero"),
                         ("--momentum=1e200,0,1e200", "overflowed"),
                         # from about |p| = 2.83e102 along +z
                         ("--momentum=0,0,1e120",
@@ -178,9 +179,11 @@ def test_momentum_errors_name_their_cause(tmp_path):
         code, err = run_main(["zitter", "--steps", "4", flag])
         assert_one_config_error(code, err)
         assert cause in err[0], err
-    code, err = run_main(["zitter", "--steps", "4", "--momentum=0,0,1e100",
-                          "--out", str(tmp_path / "z.csv")])
-    assert code == EXIT_PASS, err
+    # small momenta build: u_minus = c |p| / sqrt(E_p + m c^2) does not cancel
+    for momentum in ("0,0,1e100", "0,0,1e-3", "0,0,7e-34", "0,0,1e-150"):
+        code, err = run_main(["zitter", "--steps", "4", f"--momentum={momentum}",
+                              "--out", str(tmp_path / "z.csv")])
+        assert code == EXIT_PASS, err
 
 
 @pytest.mark.parametrize("theta", [9e307, -9e307, 1.7976931348623157e308])

@@ -1,3 +1,4 @@
+import operator
 import warnings
 
 import numpy as np
@@ -247,6 +248,18 @@ def test_term_merging():
     h = g + field(ctx, {2: vec([0, 1, 0], sx)})
     assert h.orders == (2,)
     np.testing.assert_array_equal(h.amps[0], vec([1, 1, 0], sx))
+
+
+def test_sums_take_fields_of_one_kind_on_one_context():
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0, 0, 1.0]))
+    other = WaveContext(generators=SPIN_HALF, k=np.array([0, 1.0, 0]))
+    sx = SPIN_HALF.generators[0]
+    scalar, vector = field(ctx, {1: sx}), field(ctx, {1: vec([1, 0, 0], sx)})
+    for a, b in ((scalar, vector), (vector, scalar), (scalar, field(other, {1: sx})),
+                 (vector, field(other, {1: vec([1, 0, 0], sx)}))):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="^fields must be of one kind and share a wave"):
+                op(a, b)
 
 
 def test_field_validates_amplitudes():

@@ -447,8 +447,8 @@ def test_scaling_covariance():
             assert n2 / n1 == pytest.approx(2.0 ** deg, rel=1e-9)
 
 
-# Items that evaluate one shared bracket, possibly times -1 or +-i.  Those
-# factors are exact in floating point, so the residuals must agree exactly.
+# Items of different sets that evaluate one shared bracket, so their
+# residuals must agree exactly.
 SHARED_BRACKETS = (
     ("wca1_scalar_wave", "exact1_scalar_wave"),
     ("wca1_scalar_wave", "zca3_scalar_wave"),
@@ -477,7 +477,7 @@ def test_shared_brackets_agree_across_sets(kind, coplanar):
 
 
 def test_table_has_no_dead_or_dangling_rows():
-    listed = {expr for row in EQUATIONS.values() for _, expr, _ in row.items}
+    listed = {expr for row in EQUATIONS.values() for _, expr in row.items}
     assert listed == set(BRACKETS)
     named = {label for row in SUITE_TABLE.values() if getattr(row.columns, "func", None) is _table
              for label in row.columns.args[0]}

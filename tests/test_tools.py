@@ -67,3 +67,18 @@ def test_every_mutant_names_text_that_occurs_once():
         text = (mutants.SRC / "amwave" / m.file).read_text()
         assert text.count(m.old) == 1, m.name
         assert m.new != m.old, m.name
+
+
+def test_compare_of_a_tree_with_itself_reports_no_change(report_hashes, capsys):
+    labels = ["zitter seed=11 trials=3", "wca seed=3 fixed R"]
+    assert report_hashes.compare(str(report_hashes.NEW_SRC), labels) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("0 of 2 configurations differ; 0 pass flags changed; "
+                   "items or tolerances changed in 0; largest margin drop 0.00 decades\n")
+
+
+def test_margin_counts_a_residual_below_eps_as_eps(report_hashes):
+    assert report_hashes.margin(1e-14, 1e-12) == 2.0
+    assert report_hashes.margin(0.0, 1e-12) == report_hashes.margin(1e-20, 1e-12)
+    assert report_hashes.margin(float("nan"), 1e-12) == float("-inf")

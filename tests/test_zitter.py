@@ -96,18 +96,46 @@ def test_eigenstates_axis_momentum():
     assert np.linalg.norm(psi1 - want) <= 1e-12
 
 
+def assert_unit_norm_eigenstates(ctx):
+    """ctx.states, of one context or a stack, have unit norm and are
+    eigenstates of H with energy +-E_p, each to 1e-15 (relative to E_p)."""
+    energy = np.asarray(ctx.energy)
+    for st, (es, _) in zip(ctx.states, LABELS):
+        assert np.abs(np.linalg.norm(st, axis=-1) - 1.0).max() <= 1e-15
+        resid = np.einsum("...ab,...b->...a", ctx.hmat, st) - es * energy[..., None] * st
+        assert (np.linalg.norm(resid, axis=-1) <= 1e-15 * energy).all()
+
+
 def test_polar_singularity():
-    with pytest.raises(PolarSingularity):
+    with pytest.raises(PolarSingularity, match="-z ray"):
         DiracContext(p=np.array([0.0, 0.0, -0.7])).states
-    with pytest.raises(PolarSingularity):
+    with pytest.raises(PolarSingularity, match="-z ray"):
         SuperpositionSpec(0.3, (1, 3)).state_vector(
             DiracContext(p=np.array([0.0, 0.0, -0.7])))
-    # E - m c^2 rounds to zero, and the states divide by its square root
-    with pytest.raises(PolarSingularity, match="too small"):
-        DiracContext(p=np.array([0.0, 0.0, 7e-34])).states
-    # E - m c^2 cancels, and the closed-form states miss unit norm
-    with pytest.raises(PolarSingularity, match="too small"):
-        DiracContext(p=np.array([0.0, 0.0, 1e-3])).states
+    with pytest.raises(PolarSingularity, match="-z ray"):
+        DiracContext(p=np.array([0.0, 0.0, 0.0])).states
+    # so near the -z ray that p + p_z cancels, and the states miss unit norm
+    with pytest.raises(PolarSingularity, match=r"^p \+ p_z cancels"):
+        DiracContext(p=np.array([1e-3, 0.0, -1.0])).states
+    with np.errstate(over="ignore"), pytest.raises(PolarSingularity, match="overflows$"):
+        DiracContext(p=np.array([0.0, 0.0, 1e120])).states
+    # 4 E_p |p| (|p| + p_z) is subnormal, so the states miss unit norm, or
+    # it underflows to zero, with |p|^2
+    with pytest.raises(PolarSingularity, match=r"^\|p\| = 1e-160 is too small: .* underflows$"):
+        DiracContext(p=np.array([0.0, 0.0, 1e-160])).states
+    with pytest.raises(PolarSingularity, match="underflows to zero$"):
+        DiracContext(p=np.array([0.0, 0.0, 1e-170])).states
+    # small momenta are not refused: u_minus = c |p| / sqrt(E_p + m c^2)
+    # does not cancel as sqrt(E_p - m c^2) does
+    for pz in (1e-150, 7e-34, 1e-3, 5e-3):
+        assert_unit_norm_eigenstates(DiracContext(p=np.array([0.0, 0.0, pz])))
+
+
+def test_small_momenta_along_z_give_unit_norm_eigenstates():
+    # sqrt(E_p - m c^2) refused 254 of these, the largest at |p| = 9.3e-3
+    stack = DiracContext(p=np.outer(np.logspace(-6.0, 0.0, 400), [0.0, 0.0, 1.0]))
+    assert stack.states.shape == (4, 400, 4)
+    assert_unit_norm_eigenstates(stack)
 
 
 def test_position_wobble_closed_form():
@@ -295,13 +323,25 @@ def test_si_amplitude_frequency_is_the_closed_form_in_si_floats():
 # --- stacked time series ------------------------------------------------------
 
 def reference_position_operator(ctx, t):
-    """Z_r(t) by the one-time formula, one 4x4 product at a time."""
+    """Z_r(t) by the one-time formula, one 4x4 product at a time, from
+    H^2 = E_p^2: H^-1 = H / E_p^2 and, with phi = 2 E_p t / hbar,
+    H^-1 (exp(-2iHt/hbar) - 1) = ((cos phi - 1) / E_p^2) H - (i sin phi / E_p) 1."""
+    ep = ctx.energy
+    phi = 2.0 * ep * t / ctx.hbar
+    hinv = ctx.hmat / ep ** 2
+    tail = ((np.cos(phi) - 1.0) / ep ** 2) * ctx.hmat - (1j * (np.sin(phi) / ep)) * np.eye(4)
+    return np.stack([(0.5j * ctx.hbar * ctx.c)
+                     * (ALPHA[i] - ctx.c * ctx.p[i] * hinv) @ tail for i in range(3)])
+
+
+def eigh_position_operator(ctx, t):
+    """Z_r(t) by the spectral decomposition of H, an oracle independent of
+    H^2 = E_p^2."""
     w, v = np.linalg.eigh(ctx.hmat)
     hinv = v @ np.diag(1.0 / w) @ v.conj().T
     phase = v @ np.diag(np.exp(-2j * w * t / ctx.hbar) - 1.0) @ v.conj().T
-    tail = hinv @ phase
     return np.stack([(0.5j * ctx.hbar * ctx.c)
-                     * (ALPHA[i] - ctx.c * ctx.p[i] * hinv) @ tail for i in range(3)])
+                     * (ALPHA[i] - ctx.c * ctx.p[i] * hinv) @ hinv @ phase for i in range(3)])
 
 
 def reference_expectation(spec, ctx, t, spin):
@@ -363,6 +403,17 @@ def test_one_time_operators_match_reference_bitwise():
             assert np.array_equal(got_r[0], zr) and np.array_equal(got_s[0], zs)
 
 
+def test_position_operator_matches_the_spectral_decomposition():
+    rng = np.random.default_rng(32)
+    contexts = series_contexts() + [random_ctx(rng, hbar=rng.uniform(0.5, 2.0),
+                                               c=rng.uniform(0.5, 2.0)) for _ in range(40)]
+    for ctx in contexts:
+        ts = np.concatenate([[0.0], rng.uniform(-4.0, 8.0, 5) * ctx.hbar / ctx.energy])
+        for t, got in zip(ts, position_stack(ctx, ts)):
+            err = np.abs(got - eigh_position_operator(ctx, t)).max()
+            assert err <= 1e-12 * ctx.wobble_scale, (ctx.p, t)
+
+
 def test_series_rejects_non_finite_times():
     ctx = DiracContext(p=np.array([0.0, 0.0, 0.8]))
     spec = SuperpositionSpec(0.4, (1, 3))
@@ -400,16 +451,15 @@ def test_constants_and_caches_are_read_only():
     assert all(type(m) is np.ndarray for m in (ALPHA, BETA, SIGMA))
     assert ALPHA.shape == SIGMA.shape == (3, 4, 4) and BETA.shape == (4, 4)
     ctx = DiracContext(p=np.array([0.2, -0.1, 0.7]))
-    w, v, vh = ctx.spectrum
-    assert ctx.hinv is ctx.hinv and ctx.spectrum is ctx.spectrum
-    assert ctx.states is ctx.states
-    for arr in (ALPHA, BETA, SIGMA, ctx.hmat, w, v, vh, ctx.hinv,
+    assert ctx.states is ctx.states and ctx.position_prefactor is ctx.position_prefactor
+    for arr in (ALPHA, BETA, SIGMA, ctx.hmat,
                 ctx.phat, ctx.position_prefactor, ctx.states, ctx.states[0],
                 helicity_operator(ctx), *projectors(ctx)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
-    assert np.array_equal(vh, v.conj().T)
-    assert np.abs(ctx.hinv @ ctx.hmat - np.eye(4)).max() <= 1e-12
+    # H^2 = E_p^2, which the position operators rest on
+    esq = ctx.energy ** 2
+    assert np.abs(ctx.hmat @ ctx.hmat - esq * np.eye(4)).max() <= 1e-12 * esq
 
 
 def same_bits(a, b) -> bool:
@@ -437,10 +487,8 @@ def test_stacked_context_gives_each_trial_its_own_bits(trials, units):
     for t in range(trials):
         one = DiracContext(p=p[t], **units)
         for name in ("pnorm", "energy", "u_plus", "u_minus", "p_plus", "p_minus",
-                     "phat", "hmat", "hinv", "position_prefactor"):
+                     "phat", "hmat", "position_prefactor"):
             assert same_bits(getattr(stack, name)[t], getattr(one, name)), name
-        for got, want in zip(stack.spectrum, one.spectrum):
-            assert same_bits(got[t], want)
         assert stack.states.shape == (4, trials, 4)
         for got, want in zip(stack.states, one.states):
             assert same_bits(got[t], want)
@@ -500,8 +548,9 @@ def test_stacked_context_rejects_bad_momenta(bad):
         DiracContext(p=bad)
 
 
-@pytest.mark.parametrize("row", [[0.0, 0.0, -0.7], [0.0, 0.0, 0.0], [0.0, 0.0, 7e-34],
-                                 [0.0, 0.0, 1e-3], [0.0, 0.0, 1e120], [1e200, 0.0, 1e200]])
+@pytest.mark.parametrize("row", [[0.0, 0.0, -0.7], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-160],
+                                 [0.0, 0.0, 1e-170], [0.0, 0.0, 1e120], [1e200, 0.0, 1e200],
+                                 [1e-3, 0.0, -1.0]])
 def test_polar_and_small_momentum_checks_apply_to_each_trial(row):
     with np.errstate(over="ignore"), pytest.raises(PolarSingularity) as one:
         DiracContext(p=np.array(row)).states
@@ -513,8 +562,9 @@ def test_polar_and_small_momentum_checks_apply_to_each_trial(row):
 
 
 def test_small_momentum_message_names_the_first_offending_trial():
-    stack = DiracContext(p=np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 5e-3], [0.0, 0.0, 1e-3]]))
-    with pytest.raises(PolarSingularity, match=r"^\|p\| = 0.005 is too small"):
+    stack = DiracContext(p=np.array([[0.3, -0.2, 0.8], [0.0, 0.0, 5e-3], [0.0, 0.0, 1e-158],
+                                     [0.0, 0.0, 1e-160]]))
+    with pytest.raises(PolarSingularity, match=r"^\|p\| = 1e-158 is too small"):
         stack.states
 
 

@@ -95,6 +95,11 @@ MUTANTS = (
     Mutant("real_dot_term", "algebra.py",
            "\n            + n[..., 2, :, :] * v[..., 2, :, :])", ")"),
     Mutant("overflow_guard", "fields.py", "< SQRT_MAX / (2 * ctx.dim):", "< np.inf:"),
+    # a sum of a scalar and a vector field, or of fields on two contexts
+    # (test_fields.py::test_sums_take_fields_of_one_kind_on_one_context)
+    Mutant("require_kind_and_context", "fields.py",
+           "if other.is_vector != self.is_vector or not _compatible",
+           "if other.is_vector != self.is_vector and not _compatible"),
     # the boost as a plain matrix
     Mutant("boost_matrix", "relativity.py", "m[..., 0, i] = m[..., i, 0] = -gamma * beta",
            "m[..., 0, i] = m[..., i, 0] = gamma * beta"),
@@ -120,10 +125,22 @@ MUTANTS = (
     Mutant("boost_frame_split", "relativity.py", "np.reshape(x, (s,) + ctx.batch_shape)[j]",
            "np.reshape(x, (s,) + ctx.batch_shape)[s - 1 - j]"),
     Mutant("gauge_rotated_half", "cli.py", "[norm[n:] for", "[norm[:n] for"),
-    # the Dirac kernels every zitter check and export runs through
-    Mutant("position_stack", "zitter.py", "np.exp(-2j * w * ts[:, None] / ctx.hbar)",
-           "np.exp(2j * w * ts[:, None] / ctx.hbar)"),
+    # the Dirac kernels every zitter check and export runs through: the
+    # phase at half its frequency, the evolution run backwards in time and
+    # H^-1 taken as H / E_p
+    # (test_acceptance.py::test_criterion_09_zitter_closed_forms, first in
+    # the run order, and the bitwise and spectral oracles of test_zitter.py)
+    Mutant("position_stack", "zitter.py", "phi = 2.0 * ep * ts / ctx.hbar",
+           "phi = ep * ts / ctx.hbar"),
+    Mutant("position_stack_sin_sign", "zitter.py", "- _col(_col(1j * (np.sin(phi) / ep)))",
+           "+ _col(_col(1j * (np.sin(phi) / ep)))"),
+    Mutant("hinv_energy", "zitter.py", "self.hmat / _col(_col(square(self.energy)))",
+           "self.hmat / _col(_col(self.energy))"),
     Mutant("spin_stack", "zitter.py", "return real_cross(p, zr)", "return real_cross(-p, zr)"),
+    # u_minus as sqrt(E_p - m c^2), which cancels at small |p|
+    # (test_zitter.py::test_polar_singularity)
+    Mutant("u_minus_cancels", "zitter.py", "_value(self.c * self.pnorm / self.u_plus)",
+           "_value(np.sqrt(self.energy - self.mass * self.c ** 2))"),
     # the trial streams: a seeding hash constant one bit off
     # (test_seeding.py::test_spawned_streams_equal_numpys_children_word_for_word_and_draw_for_draw),
     # and the zitter draw's angle and time columns swapped

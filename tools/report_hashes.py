@@ -54,6 +54,23 @@ Without ``--against`` it prints the hash lines of the tree on
 PYTHONPATH:
 
     PYTHONPATH=src python tools/report_hashes.py > new.txt
+
+A change that moves report bits on purpose compares what the reports
+say, not their bytes:
+
+    python tools/report_hashes.py --compare /path/to/old/checkout/src
+
+It runs the 85 report configurations above (not the exports) under both
+trees, each in its own interpreter, and prints one line for each
+configuration whose items differ: how many pass flags changed, whether
+an item or a tolerance changed, and for each item name (the trial prefix
+dropped) the largest drop of the margin log10(tol / |residual|) over its
+trials, negative where every trial's margin grew.  Each changed pass
+flag follows on a line of its own.  A residual below eps = 2.2e-16, the
+rounding of a relative residual of order one, counts as eps, so an
+exact zero in one tree and rounding in the other is no drop.  It exits 1
+on a failed run, a changed pass flag, item or tolerance, or a drop of
+more than one decade; else 0.
 """
 
 from __future__ import annotations
@@ -61,7 +78,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -175,21 +195,27 @@ def export_bodies(argv: list[str]) -> tuple[bytes, bytes]:
     return written(write), verdict.getvalue().encode()
 
 
-def against(old_src: str) -> int:
-    """Print the labels whose hashes differ between ``old_src`` and
-    NEW_SRC; 1 on any difference or failed run."""
-    runs = [subprocess.Popen([sys.executable, __file__], stdout=subprocess.PIPE, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)})
+def under_both(old_src: str, args: list[str]) -> tuple[list[str], bool]:
+    """This tool's stdout with ``args`` under ``old_src`` and under
+    NEW_SRC, each run in its own interpreter, and whether either failed."""
+    runs = [subprocess.Popen([sys.executable, __file__, *args], stdout=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
             for src in (old_src, NEW_SRC)]
-    hashes, failed = [], False
+    outs, failed = [], False
     for src, proc in zip((old_src, NEW_SRC), runs):
-        out = proc.communicate()[0]
+        outs.append(proc.communicate()[0])
         if proc.returncode:
             print(f"run under {src} failed with exit code {proc.returncode}")
             failed = True
-        lines = (line.split("  ", 1) for line in out.splitlines())
-        hashes.append({label: digest for digest, label in lines})
-    old, new = hashes
+    return outs, failed
+
+
+def against(old_src: str) -> int:
+    """Print the labels whose hashes differ between ``old_src`` and
+    NEW_SRC; 1 on any difference or failed run."""
+    outs, failed = under_both(old_src, [])
+    old, new = ({label: digest for digest, label in
+                 (line.split("  ", 1) for line in out.splitlines())} for out in outs)
     labels = {**old, **new}
     differ = [label for label in labels if old.get(label) != new.get(label)]
     for label in differ:
@@ -198,11 +224,73 @@ def against(old_src: str) -> int:
     return 1 if differ or failed else 0
 
 
+def print_items(labels: list[str]):
+    """Print (label, items) of each configuration in ``labels``, or of
+    every one, as a JSON line; an item is (name, residual, tolerance, pass)."""
+    from amwave.cli import run_suite
+    for label, cfg in configs():
+        if not labels or label in labels:
+            items = [[it["name"], it["residual"], it["tolerance"], it["pass"]]
+                     for it in run_suite(cfg)["items"]]
+            print(json.dumps([label, items]))
+
+
+EPS = sys.float_info.epsilon
+
+
+def margin(residual: float, tol: float) -> float:
+    """log10(tol / |residual|), the residual taken as at least EPS; -inf
+    for a residual that is not finite."""
+    if not math.isfinite(residual):
+        return -math.inf
+    return math.log10(tol / max(abs(residual), EPS))
+
+
+def compare(old_src: str, labels: list[str] | None = None) -> int:
+    """Print how the items of each configuration (in ``labels``, or every
+    one) differ between ``old_src`` and NEW_SRC, as the module doc says."""
+    outs, failed = under_both(old_src, ["--items", *(labels or [])])
+    old, new = ({label: {name: rest for name, *rest in items}
+                 for label, items in map(json.loads, out.splitlines())} for out in outs)
+    changed = flips = tols = 0
+    worst = 0.0
+    for label in {**old, **new}:
+        a, b = old.get(label, {}), new.get(label, {})
+        if a == b:
+            continue
+        changed += 1
+        common = a.keys() & b.keys()
+        flipped = sorted((name, a[name][2], b[name][2]) for name in common
+                         if a[name][2] != b[name][2])
+        moved = a.keys() != b.keys() or any(a[name][1] != b[name][1] for name in common)
+        drops = {}
+        for name in common:
+            key = re.sub(r"^trial\d+/", "", name)
+            was, now = margin(*a[name][:2]), margin(*b[name][:2])
+            drops[key] = max(drops.get(key, -math.inf), 0.0 if was == now else was - now)
+        flips += len(flipped)
+        tols += moved
+        worst = max([worst, *drops.values()])
+        print(f"{label}: {len(flipped)} pass flags changed, items and tolerances "
+              f"{'changed' if moved else 'unchanged'}; largest margin drop per item: "
+              + ", ".join(f"{key} {drop:+.2f}" for key, drop in sorted(drops.items())))
+        for name, was, now in flipped:
+            print(f"  {name}: pass {was} -> {now}")
+    print(f"{changed} of {len(old | new)} configurations differ; {flips} pass flags changed; "
+          f"items or tolerances changed in {tols}; largest margin drop {worst:.2f} decades",
+          file=sys.stderr)
+    return 1 if failed or flips or tols or worst > 1.0 else 0
+
+
 def main() -> int:
-    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
-        return against(sys.argv[2])
-    if len(sys.argv) > 1:
-        print("usage: report_hashes.py [--against OLD_SRC]", file=sys.stderr)
+    args = sys.argv[1:]
+    if args[:1] in (["--against"], ["--compare"]) and len(args) == 2:
+        return (against if args[0] == "--against" else compare)(args[1])
+    if args[:1] == ["--items"]:
+        print_items(args[1:])
+        return 0
+    if args:
+        print("usage: report_hashes.py [--against OLD_SRC | --compare OLD_SRC]", file=sys.stderr)
         return 2
     import amwave
     print(f"# amwave from {amwave.__file__}", file=sys.stderr)
