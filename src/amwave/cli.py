@@ -67,11 +67,9 @@ from .seeding import seeded_generators, spawn_states
 from .zitter import (
     DiracContext,
     SuperpositionSpec,
-    expectations,
     position_closed_form,
-    position_stack,
     spin_closed_form,
-    spin_stack,
+    wobble_expectations,
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -146,22 +144,22 @@ def _zitter_residuals(cfg: RunConfig, _, rngs):
     """Each trial draws a momentum p, a mixing angle and a time t from one
     ``random(5)`` call of its own generator, each mapped as ``uniform``
     maps a draw; t's range needs that trial's E_p.  The group is one
-    stacked DiracContext: Z_r(t) is built once per trial and Z_s(t) from
-    it, and the four expectations are taken on those two stacks."""
+    stacked DiracContext, and one ``wobble_expectations`` call gives the
+    position and spin wobbles of (1,3), (1,4) and pure (1,3) at each time."""
     u = np.array([rng.random(5) for rng in rngs])
     p = _uniform(-1.0, 1.0, u[:, :3])
     p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
     ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
     theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
     t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
-    zr = position_stack(ctx, t)
-    zs = spin_stack(zr, ctx.p)
     mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
                             in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
-    devs = [("position_vs_closed", expectations(zr, mix13) - position_closed_form(theta, ctx, t)),
-            ("spin_vs_closed", expectations(zs, mix14) - spin_closed_form(theta, ctx, t)),
-            ("pure_energy_zero", expectations(zr, pure13), 1e-14),
-            ("same_helicity_spin_zero", expectations(zs, mix13), 1e-14)]
+    (pos13, spin13), (_, spin14), (pure, _) = wobble_expectations(
+        ctx, np.stack([mix13, mix14, pure13]), t)
+    devs = [("position_vs_closed", pos13 - position_closed_form(theta, ctx, t)),
+            ("spin_vs_closed", spin14 - spin_closed_form(theta, ctx, t)),
+            ("pure_energy_zero", pure, 1e-14),
+            ("same_helicity_spin_zero", spin13, 1e-14)]
     # relative to the wobble's size
     return [(name, np.abs(dev).max(axis=1), ctx.wobble_scale, *tol) for name, dev, *tol in devs]
 
@@ -583,30 +581,22 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Iterator[list], np.nda
     equal-helicity mixes, spin wobble for the opposite-helicity ones.
     Closed-form columns are filled for the (1,3) position and (1,4) spin
     cases and left blank otherwise; the deviation column is then empty.
-    One loop walks the series SERIES_BLOCK times at a time: each block's
-    Z_r(t) stack (and Z_s(t) from it, for the spin wobble), numeric
-    expectation, closed form and deviation, so no temporary grows with the
-    series.
+    The numeric column is one ``wobble_expectations`` call on the whole
+    grid: the state meets the context's two basis operators once, and
+    each time costs a few scalar operations, with no operator per time.
     """
     ctx = cfg.dirac
     psi = SuperpositionSpec(cfg.theta, cfg.pair).state_vector(ctx)
-    spin_like = cfg.pair in ((1, 4), (2, 3))
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
     t_max = cfg.t_max if cfg.t_max is not None else np.pi * ctx.hbar / ctx.energy
     header = ["t", "num_x", "num_y", "num_z",
               "closed_x", "closed_y", "closed_z", "abs_dev"]
     ts = np.linspace(0.0, t_max, cfg.steps)
-    num, closed = np.empty((cfg.steps, 3)), np.empty((cfg.steps, 3))
-    dev = np.empty(cfg.steps if closed_form else 0)
-    for start in range(0, cfg.steps, SERIES_BLOCK):
-        block = slice(start, start + SERIES_BLOCK)
-        zr = position_stack(ctx, ts[block])
-        num[block] = expectations(spin_stack(zr, ctx.p) if spin_like else zr, psi)
-        if closed_form is not None:
-            closed[block] = closed_form(cfg.theta, ctx, ts[block])
-            dev[block] = np.abs(num[block] - closed[block]).max(axis=1)
+    num = wobble_expectations(ctx, psi, ts)[1 if cfg.pair in ((1, 4), (2, 3)) else 0]
     if closed_form is None:
-        return header, _rows((ts, num), blank=("",) * 4), dev
+        return header, _rows((ts, num), blank=("",) * 4), np.empty(0)
+    closed = closed_form(cfg.theta, ctx, ts)
+    dev = np.abs(num - closed).max(axis=1)
     return header, _rows((ts, num, closed, dev)), dev
 
 

@@ -9,30 +9,28 @@ elementwise arithmetic on H, stable for any t, with no eigensolver and no
 series.
 
 The Dirac matrices are read-only module constants.  Everything that depends
-only on the momentum (|p|, E_p, phat, H as ``hmat``, the position
-prefactor, the four eigenstates as ``states`` and the wobble's size
-hbar c / 2 E_p as ``wobble_scale``) is computed once per ``DiracContext``
-and cached read-only on it.  A context holds one momentum, or the momenta
-of T trials on a leading axis; then each cached value is a per-trial
-stack, and the operator stacks, expectations and closed forms take one
-time (and one mixing angle) per trial.  Each trial of a stack gets the
-bits its own context would give it.  Z_r(t) is one stacked kernel over a
-leading t axis (``position_stack``), Z_s(t) is built from it
-(``spin_stack``), and ``expectations`` contracts either with a state; one
-time is a one-row stack.  ``expectations`` holds each row's imaginary
-part to max(1, the row's operator norm), so a zero expectation of a
-large operator is accepted.
+only on the momentum (|p|, E_p, phat, H as ``hmat``, the position prefactor
+P, the wobble basis (P H, P), the four eigenstates as ``states`` and the
+wobble's size hbar c / 2 E_p as ``wobble_scale``) is computed once per
+``DiracContext`` and cached read-only on it.  A context holds one momentum,
+or the momenta of T trials on a leading axis; then each cached value is a
+per-trial stack, and the expectations and closed forms take one time (and
+one mixing angle) per trial.  Each trial of a stack gets the bits its own
+context would give it.  Z_r(t) = a(t) P H + b(t) P and Z_s(t) = p x Z_r(t)
+are linear in the basis, so ``wobble_expectations`` contracts a state with
+it once and evaluates both series as Re[a(t) e_PH + b(t) e_P], with no
+operator built per time.
 
-The module stands on ``algebra`` alone: the norms, ``dots``, ``square``
-and ``real_cross`` it shares with the other modules live there.
+The module stands on ``algebra`` alone: the norms, ``dots`` and ``square``
+it shares with the other modules live there.
 
 Work in natural units (m = c = hbar = 1) for numerics; the SI layer at the
 bottom only evaluates closed-form expressions, so the 1e21 1/s frequencies
 never enter a time grid.
 
-The closed-form eigenvectors divide by p + p_z and hence degenerate as the
-momentum approaches the -z ray; callers hitting PolarSingularity should
-rotate their momentum first.
+The closed-form eigenvectors divide by |p| + p_z, which is computed without
+cancellation (``norm_plus_pz``), and degenerate only on the -z ray;
+callers hitting PolarSingularity should rotate their momentum first.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, dots, frobenius_norms, readonly, real_cross, square, sup_norms
+from .algebra import PAULI, dots, frobenius_norms, readonly, square
 
 POLAR_EPS = 1e-10
 
@@ -139,6 +137,14 @@ class DiracContext:
         """sqrt(E_p - m c^2), as c |p| / sqrt(E_p + m c^2), which does not cancel."""
         return _value(self.c * self.pnorm / self.u_plus)
 
+    @functools.cached_property
+    def norm_plus_pz(self) -> float | np.ndarray:
+        """|p| + p_z, as (p_x^2 + p_y^2) / (|p| - p_z) where p_z < 0, which does not cancel."""
+        px, py, pz = np.moveaxis(self.p, -1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _value(np.where(pz < 0.0, (px * px + py * py) / (self.pnorm - pz),
+                                   self.pnorm + pz))
+
     def check_polar(self):
         """Raises PolarSingularity where the closed-form eigenstates are
         undefined, for any trial of a stack: |p| overflows, or p + p_z = 0."""
@@ -146,7 +152,7 @@ class DiracContext:
         if not np.isfinite(pn).all():
             raise PolarSingularity("|p| overflowed to inf; pick a smaller momentum")
         # |p| = 0 is caught too: then p + p_z = 0 <= 0
-        if (pn + self.p[..., 2] <= POLAR_EPS * pn).any():
+        if np.any(self.norm_plus_pz <= POLAR_EPS * pn):
             raise PolarSingularity(
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
 
@@ -158,14 +164,19 @@ class DiracContext:
 
     @functools.cached_property
     def position_prefactor(self) -> np.ndarray:
-        """(i hbar c / 2) [alpha_i - c p_i H^-1], shape (3, 4, 4), or (T, 3, 4, 4),
-        with H^-1 = H / E_p^2."""
+        """P = (i hbar c / 2) [alpha_i - c p_i H / E_p^2], (3, 4, 4) or (T, 3, 4, 4)."""
         cp = self.c * self.p[..., None, None]
         hinv = self.hmat / _col(_col(square(self.energy)))
-        return readonly(np.stack([
-            (0.5j * self.hbar * self.c) * (ALPHA[i] - cp[..., i, :, :] * hinv)
-            for i in range(3)
-        ], axis=-3))
+        return readonly((0.5j * self.hbar * self.c) * (ALPHA - cp * hinv[..., None, :, :]))
+
+    @functools.cached_property
+    def wobble_basis(self) -> np.ndarray:
+        """(P H, P) with P the position prefactor, shape (2, 3, 4, 4), or
+        (T, 2, 3, 4, 4): Z_r(t) = a(t) P H + b(t) P (``wobble_expectations``)."""
+        pre = self.position_prefactor
+        # the three P_i H as one (12, 4) @ (4, 4) product per trial
+        ph = np.reshape(np.reshape(pre, pre.shape[:-3] + (12, 4)) @ self.hmat, pre.shape)
+        return readonly(np.stack([ph, pre], axis=-4))
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -178,20 +189,19 @@ class DiracContext:
         1/sqrt(4 E_p p (p + p_z)).  A polar momentum raises on every
         access, since nothing is cached then, and so does one at which the
         states miss unit norm: a tiny |p| (below about 1e-156 m c along +z)
-        at which 4 E_p p (p + p_z) underflows, or one so near the -z ray
-        that p + p_z cancels.  So does a large |p| (from about 2.8e102 m c
-        along +z) at which that product overflows; in a stack, any trial's
-        momentum does."""
+        at which 4 E_p p (p + p_z) underflows.  So does a large |p| (from
+        about 2.8e102 m c along +z) at which that product overflows; in a
+        stack, any trial's momentum does."""
         self.check_polar()
-        p, pz = self.pnorm, self.p[..., 2]
+        p, ppz = self.pnorm, self.norm_plus_pz
         up, um = self.u_plus, self.u_minus
         # the four spinors on a leading axis: each is norm [u top, s (c p / u) top],
         # where c p / u_+ = u_- and c p / u_- = u_+, with
         # top = [p + p_z, p_+] or [-p_-, p + p_z]
-        top = np.array([[p + pz, self.p_plus], [-self.p_minus, p + pz]] * 2).swapaxes(1, -1)
+        top = np.array([[ppz, self.p_plus], [-self.p_minus, ppz]] * 2).swapaxes(1, -1)
         u = np.array([up, up, um, um])
         lower = np.array([um, -um, -up, up])
-        nsq = 4.0 * self.energy * p * (p + pz)
+        nsq = 4.0 * self.energy * p * ppz
         for bound, edge in ((np.inf, "overflows"), (0.0, "underflows to zero")):
             if np.equal(nsq, bound).any():
                 raise PolarSingularity(f"the states' normalisation 4 E_p |p| (|p| + p_z) {edge}")
@@ -199,12 +209,9 @@ class DiracContext:
             [_col(u) * top, _col(lower) * top], axis=-1))
         off = _off_unit_norm(amps).any(axis=0)
         if off.any():
-            first = np.flatnonzero(off)[0]
-            if np.reshape(nsq, -1)[first] < np.finfo(float).tiny:
-                raise PolarSingularity(
-                    f"|p| = {np.reshape(p, -1)[first]:.3g} is too small: "
-                    "the states' normalisation 4 E_p |p| (|p| + p_z) underflows")
-            raise PolarSingularity("p + p_z cancels; rotate the momentum away from the -z ray")
+            raise PolarSingularity(
+                f"|p| = {np.reshape(p, -1)[np.flatnonzero(off)[0]]:.3g} is too small: "
+                "the states' normalisation 4 E_p |p| (|p| + p_z) underflows")
         return amps
 
 
@@ -244,51 +251,53 @@ class SuperpositionSpec:
         return ct * ctx.states[a - 1] + st * ctx.states[b - 1]
 
 
-# --- operator stacks ------------------------------------------------------------
+# --- the wobble series ----------------------------------------------------------
 
-def position_stack(ctx: DiracContext, ts) -> np.ndarray:
-    """The oscillating part of the Heisenberg position operator,
+def wobble_expectations(ctx: DiracContext, psi: np.ndarray, ts) -> np.ndarray:
+    """The position and spin wobbles <psi| Z_r(t) |psi> and <psi| Z_s(t) |psi>,
+    Z_s = p x Z_r, for every t in the finite 1-D array ts: real, shape
+    (2, N, 3), behind any leading state axes of psi; on a stacked context,
+    one time and one state per trial.
 
-    Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1),
+    Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1) is
+    a B_PH + b B_P in the ``wobble_basis``: by H^2 = E_p^2 the tail is a H + b
+    with a = (cos phi - 1) / E_p^2, b = -i s, s = sin(phi) / E_p and
+    phi = 2 E_p t / hbar.  So psi meets each basis operator once, p x that
+    pair gives the spin wobble's, and each series is Re[a e_PH + b e_P].
 
-    for every t in the finite 1-D array ts, shape (T, 3, 4, 4); on a
-    stacked context ts holds one time per trial.  By H^2 = E_p^2 the tail
-    is H^-1 (exp(-2iHt/hbar) - 1) = ((cos phi - 1) / E_p^2) H - (i sin phi / E_p) 1
-    with phi = 2 E_p t / hbar, built elementwise over the time axis."""
+    Each time's imaginary part is held to 1e-10 max(1, sup_i ||Z_i(t)||_F):
+    the norm bounds the expectation of a unit state, so a zero expectation
+    is held to the size of its operator.  The norm is exact: by H^2 = E_p^2
+    the basis' Gram matrix has <B_PH,i, B_P,i> = 0, ||B_PH,i|| = E_p ||B_P,i||
+    and ||B_P,i||^2 = (hbar c)^2 (m^2 c^4 + c^2 q_i) / E_p^2, or (hbar c)^2 q_i
+    for p x B_P, q_i = |p|^2 - p_i^2; so ||Z_i||^2 = (a^2 E_p^2 + s^2) ||B_P,i||^2."""
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
         raise ValueError("times must be a finite 1-D array")
-    ep = ctx.energy
+    ep, esq, p = ctx.energy, square(ctx.energy), ctx.p
     phi = 2.0 * ep * ts / ctx.hbar
-    tail = (_col(_col((np.cos(phi) - 1.0) / square(ep))) * ctx.hmat
-            - _col(_col(1j * (np.sin(phi) / ep))) * np.eye(4))
-    return ctx.position_prefactor @ tail[:, None]
-
-
-def spin_stack(zr: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Z_s(t) = -Z_r(t) x p from a (T, 3, 4, 4) stack zr of Z_r(t) and the
-    number 3-vector p, or a (T, 3) stack of them, one per row of zr: the
-    operator vector p x Z_r(t)."""
-    return real_cross(p, zr)
-
-
-def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi| op_ti |psi> for a (T, 3, 4, 4) stack of Hermitian operators and
-    one state psi, or a (T, 4) stack of states, one per row; real, shape
-    (T, 3).  Each row's imaginary part is checked against max(1, that
-    row's operator norm): the norm bounds the expectation of a unit state,
-    so an expectation that is zero is held to the size of its operator."""
-    vals = np.einsum("...a,...iab,...b->...i", psi.conj(), ops, psi)
-    scale = np.fmax(1.0, sup_norms(ops, ops.shape[:1]))
-    if np.any(np.abs(vals.imag).max(axis=1) > 1e-10 * scale):
+    a, s = (np.cos(phi) - 1.0) / esq, np.sin(phi) / ep
+    e = np.einsum("...a,...kiab,...b->...ki", psi.conj(), ctx.wobble_basis, psi)
+    if p.ndim == 1:  # one context: the times are a new axis
+        e = e[..., None, :, :]
+    e = np.stack([e, np.cross(p[..., None, :], e)], axis=-4)  # <p x Z> = p x <Z>
+    e_ph, e_p = e[..., 0, :], e[..., 1, :]
+    # sup_i ||B_P,i||^2 of each wobble, at the largest q_i: |p|^2 less the smallest p_i^2
+    q = dots(p, p) - np.min(p * p, axis=-1)
+    sup_bp = (ctx.hbar * ctx.c) ** 2 * np.array([(square(ctx.mass * ctx.c ** 2)
+                                                  + ctx.c ** 2 * q) / esq, q])
+    norms = np.sqrt(np.reshape(sup_bp, (2, -1)) * (a * a * esq + s * s))
+    a, s = _col(a), _col(s)
+    # with b = -i s: a e_PH + b e_P = (a Re e_PH + s Im e_P) + i (a Im e_PH - s Re e_P)
+    if np.any(np.abs(a * e_ph.imag - s * e_p.real) > _col(1e-10 * np.fmax(1.0, norms))):
         raise ValueError("expectation of a Hermitian operator came out complex")
-    return vals.real
+    return a * e_ph.real + s * e_p.imag
 
 
 def zitter_position_expectation(spec: SuperpositionSpec, ctx: DiracContext,
                                 t: float) -> np.ndarray:
-    """<Psi| Z_r(t) |Psi> by direct 4x4 algebra; a real length 3-vector."""
-    return expectations(position_stack(ctx, [t]), spec.state_vector(ctx))[0]
+    """<Psi| Z_r(t) |Psi> at one time; a real length 3-vector."""
+    return wobble_expectations(ctx, spec.state_vector(ctx), [t])[0, 0]
 
 
 # --- closed forms -------------------------------------------------------------
@@ -319,13 +328,13 @@ def spin_closed_form(theta: float, ctx: DiracContext, t) -> np.ndarray:
     """Spin wobble of the (1, 4) mix for general momentum; shapes as in
     ``position_closed_form``."""
     px, py, pz = ctx.p.T  # numpy floats on one context, not 0-d arrays, for square
-    p = ctx.pnorm
+    ppz = ctx.norm_plus_pz
     ep = ctx.energy
     w = 2.0 * ep / ctx.hbar
     cw = np.cos(w * t) - 1.0
     sw = np.sin(w * t)
-    ex = -cw * (square(py) / (p + pz) + pz) + sw * (px * py / (p + pz))
-    ey = cw * (px * py / (p + pz)) - sw * (square(px) / (p + pz) + pz)
+    ex = -cw * (square(py) / ppz + pz) + sw * (px * py / ppz)
+    ey = cw * (px * py / ppz) - sw * (square(px) / ppz + pz)
     ez = cw * px + sw * py
     return _col(-np.sin(2.0 * theta) * ctx.wobble_scale) * np.stack([ex, ey, ez], axis=-1)
 
@@ -347,11 +356,11 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
     """<Psi_1| alpha |Psi_4> in closed form (a complex 3-vector), for one
     momentum."""
     px, py = ctx.p[0], ctx.p[1]
-    p, pz = ctx.pnorm, ctx.p[2]
+    p, ppz = ctx.pnorm, ctx.norm_plus_pz
     pm = ctx.p_minus
     return np.array([
-        1.0 - px * pm / (p * (p + pz)),
-        -(1j + py * pm / (p * (p + pz))),
+        1.0 - px * pm / (p * ppz),
+        -(1j + py * pm / (p * ppz)),
         -pm / p,
     ])
 

@@ -1,7 +1,9 @@
 """Reference constructions shared by the tests: dense operands, fixed and
 special families, the generator set and Dirac states no command builds,
-columns read as (name, residual) pairs, and a finite-difference oracle
-that knows a field only through ``eval_at``.
+the direct Dirac operator path (one 4x4 product per time) as the oracle
+of ``zitter.wobble_expectations``, columns read as (name, residual)
+pairs, and a finite-difference oracle that knows a field only through
+``eval_at``.
 
 The special families extend ``random_family``'s draw with more draws from
 the same generator, so a seeded test gets the same numbers in the same
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from amwave.algebra import GeneratorSet, frobenius_norms, make_generators
+from amwave.algebra import GeneratorSet, frobenius_norms, make_generators, real_cross, sup_norms
 from amwave.fields import SolutionFamily, WaveContext, dt, random_family
 from amwave.residuals import equation_columns, relative
 
@@ -105,6 +107,38 @@ class DoubletSpec:
         npos, nneg = (frobenius_norms(x[..., None, :])[..., None] for x in (pos, neg))
         return (ct * (pos / np.where(npos > 0, npos, 1.0))
                 + st * (neg / np.where(nneg > 0, nneg, 1.0)))
+
+
+# --- the direct Dirac operator path ---------------------------------------------
+
+def position_stack(ctx, ts) -> np.ndarray:
+    """Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1)
+    for every t in the 1-D array ts, shape (T, 3, 4, 4), one time per trial
+    on a stacked context: the position prefactor times the tail
+    H^-1 (exp(-2iHt/hbar) - 1) = ((cos phi - 1) / E_p^2) H - (i sin phi / E_p) 1,
+    phi = 2 E_p t / hbar, one 4x4 product per time and component."""
+    ts = np.asarray(ts, dtype=float)
+    ep = np.asarray(ctx.energy)[..., None, None]
+    phi = 2.0 * ctx.energy * ts / ctx.hbar
+    tail = (((np.cos(phi) - 1.0)[:, None, None] / ep ** 2) * ctx.hmat
+            - (1j * np.sin(phi)[:, None, None] / ep) * np.eye(4))
+    return ctx.position_prefactor @ tail[:, None]
+
+
+def spin_stack(zr: np.ndarray, p) -> np.ndarray:
+    """Z_s(t) = p x Z_r(t) from a (T, 3, 4, 4) stack zr, p one 3-vector or one per row."""
+    return real_cross(p, zr)
+
+
+def expectations(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi| op_ti |psi> for a (T, 3, 4, 4) stack of Hermitian operators and
+    one state psi, or one per row; real, shape (T, 3), each row's imaginary
+    part held to 1e-10 max(1, that row's largest operator norm)."""
+    vals = np.einsum("...a,...iab,...b->...i", psi.conj(), ops, psi)
+    scale = np.fmax(1.0, sup_norms(ops, ops.shape[:1]))
+    if np.any(np.abs(vals.imag).max(axis=1) > 1e-10 * scale):
+        raise ValueError("expectation of a Hermitian operator came out complex")
+    return vals.real
 
 
 def xz_family(gens=None, *, knorm: float = 1.0, c: float = 1.0, g: float = 0.1) -> SolutionFamily:

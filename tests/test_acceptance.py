@@ -25,12 +25,10 @@ from amwave.zitter import (
     SuperpositionSpec,
     amplitude_frequency_si,
     compton_wavelength_si,
-    expectations,
     position_closed_form,
-    position_stack,
     spin_closed_form,
     spin_closed_form_z,
-    spin_stack,
+    wobble_expectations,
     zitter_position_expectation,
 )
 
@@ -186,8 +184,8 @@ def test_criterion_08_lorentz():
 
 
 def spin_expectation(spec, ctx, t):
-    """<Psi| Z_s(t) |Psi> at one time, from one-row stacks."""
-    return expectations(spin_stack(position_stack(ctx, [t]), ctx.p), spec.state_vector(ctx))[0]
+    """<Psi| Z_s(t) |Psi> at one time."""
+    return wobble_expectations(ctx, spec.state_vector(ctx), [t])[1, 0]
 
 
 def test_criterion_09_zitter_closed_forms():

@@ -53,11 +53,9 @@ from amwave.residuals import Terms, equation_fields, relative
 from amwave.zitter import (
     DiracContext,
     SuperpositionSpec,
-    expectations,
     position_closed_form,
-    position_stack,
     spin_closed_form,
-    spin_stack,
+    wobble_expectations,
     zitter_position_expectation,
 )
 
@@ -928,25 +926,24 @@ def test_zitter_pairs_without_closed_form_leave_columns_blank(tmp_path, pair):
 
 
 def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
-    def nan_expectations(ops, psi):
-        return np.full(ops.shape[:2], np.nan)
+    def nan_expectations(ctx, psi, ts):
+        return np.full((2, len(ts), 3), np.nan)
 
-    monkeypatch.setattr("amwave.cli.expectations", nan_expectations)
+    monkeypatch.setattr("amwave.cli.wobble_expectations", nan_expectations)
     out = tmp_path / "z.csv"
     assert main(["zitter", "--pair", "1,3", "--steps", "3", "--out", str(out)]) == EXIT_FAIL
     assert capsys.readouterr().err.startswith("FAIL zitter: max |numeric - closed| = nan")
 
 
 def zitter_rows_one_time_at_a_time(cfg):
-    """The CSV body an export should write, each row from one-row stacks."""
+    """The CSV body an export should write, each row from a one-time kernel call."""
     ctx = cfg.dirac
     psi = SuperpositionSpec(cfg.theta, cfg.pair).state_vector(ctx)
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
     lines = []
     for t in np.linspace(0.0, np.pi * ctx.hbar / ctx.energy, cfg.steps):
-        zr = position_stack(ctx, [t])
-        op = spin_stack(zr, ctx.p) if cfg.pair in ((1, 4), (2, 3)) else zr
-        num = expectations(op, psi)[0].tolist()
+        spin = cfg.pair in ((1, 4), (2, 3))
+        num = wobble_expectations(ctx, psi, [t])[int(spin), 0].tolist()
         if closed_form is None:
             cells = [t, *num, "", "", "", ""]
         else:
@@ -970,30 +967,30 @@ def test_zitter_export_rows_equal_a_per_time_evaluation_bitwise(tmp_path, pair, 
     assert body == zitter_rows_one_time_at_a_time(cfg)
 
 
-def test_zitter_export_is_evaluated_in_fixed_blocks(monkeypatch):
-    sizes, spins = [], []
-    stack, spin = amwave.cli.position_stack, amwave.cli.spin_stack
-    monkeypatch.setattr("amwave.cli.position_stack",
-                        lambda ctx, ts: sizes.append(len(ts)) or stack(ctx, ts))
-    monkeypatch.setattr("amwave.cli.spin_stack",
-                        lambda zr, p: spins.append(len(zr)) or spin(zr, p))
+def test_zitter_export_builds_no_operator_per_step(monkeypatch):
+    # one kernel call on the whole grid, whose only operators are the
+    # context's (2, 3, 4, 4) basis (P H, P)
+    calls, products = [], []
+    kernel, einsum = amwave.cli.wobble_expectations, np.einsum
+    monkeypatch.setattr("amwave.cli.wobble_expectations",
+                        lambda ctx, psi, ts: calls.append(len(ts)) or kernel(ctx, psi, ts))
+    monkeypatch.setattr(np, "einsum", lambda spec, *ops: products.append(
+        [np.shape(op) for op in ops]) or einsum(spec, *ops))
     steps = 2 * SERIES_BLOCK + 3
-    for pair in ((1, 3), (1, 4)):
+    for pair in ((1, 3), (1, 4), (2, 3), (2, 4)):
         cfg = RunConfig(suite="zitter", pair=pair, steps=steps)
-        sizes.clear()
-        spins.clear()
+        calls.clear()
+        products.clear()
         _, rows, dev = zitter_timeseries(cfg)
+        assert calls == [steps]
+        # the one contraction of a state with operators (the others build the context)
+        assert [ops for ops in products if len(ops) == 3] == [[(4,), (2, 3, 4, 4), (4,)]]
+        # the rows stream in blocks, and the block length changes no value
         whole = (list(rows), dev)
-        assert sizes == [SERIES_BLOCK, SERIES_BLOCK, 3]
-        # a position pair never builds Z_s(t)
-        assert spins == ([] if pair == (1, 3) else sizes)
-        # the block length changes no value
-        sizes.clear()
         with monkeypatch.context() as patch:
             patch.setattr("amwave.cli.SERIES_BLOCK", 7)
             _, rows, dev = zitter_timeseries(cfg)
             assert list(rows) == whole[0] and np.array_equal(dev, whole[1])
-        assert sizes == [min(7, steps - start) for start in range(0, steps, 7)]
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -1122,8 +1119,8 @@ def _single_family_items(cfg, fam, rng):
 
 
 def spin_expectation(spec, ctx, t):
-    """<Psi| Z_s(t) |Psi> at one time, from one-row stacks."""
-    return expectations(spin_stack(position_stack(ctx, [t]), ctx.p), spec.state_vector(ctx))[0]
+    """<Psi| Z_s(t) |Psi> at one time."""
+    return wobble_expectations(ctx, spec.state_vector(ctx), [t])[1, 0]
 
 
 def _single_trial_items(cfg, fam, rng):
@@ -1191,7 +1188,8 @@ def test_zitter_and_poynting_equal_a_loop_over_single_trials(suite, generator):
 
 def _zitter_columns_trial_by_trial(cfg, rngs):
     """The zitter suite's columns from one DiracContext per trial, each
-    trial drawing p, theta and t in turn and contracting one-row stacks."""
+    trial drawing p, theta and t in turn and taking each state's
+    expectation at its one time."""
     rows = []
     for rng in rngs:
         p = rng.uniform(-1.0, 1.0, 3)
@@ -1199,15 +1197,19 @@ def _zitter_columns_trial_by_trial(cfg, rngs):
         ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
         theta = rng.uniform(0.0, np.pi / 2.0)
         t = rng.uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy)
-        zr = position_stack(ctx, [t])
-        zs = spin_stack(zr, ctx.p)
         mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx)
                                 for angle, pair in ((theta, (1, 3)), (theta, (1, 4)),
                                                     (0.0, (1, 3))))
-        rows.append((np.abs(expectations(zr, mix13)[0] - position_closed_form(theta, ctx, t)).max(),
-                     np.abs(expectations(zs, mix14)[0] - spin_closed_form(theta, ctx, t)).max(),
-                     np.abs(expectations(zr, pure13)[0]).max(),
-                     np.abs(expectations(zs, mix13)[0]).max()))
+
+        def zr(psi):
+            return wobble_expectations(ctx, psi, [t])[0, 0]
+
+        def zs(psi):
+            return wobble_expectations(ctx, psi, [t])[1, 0]
+        rows.append((np.abs(zr(mix13) - position_closed_form(theta, ctx, t)).max(),
+                     np.abs(zs(mix14) - spin_closed_form(theta, ctx, t)).max(),
+                     np.abs(zr(pure13)).max(),
+                     np.abs(zs(mix13)).max()))
     return [np.array(col) for col in zip(*rows)]
 
 

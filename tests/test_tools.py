@@ -2,6 +2,7 @@
 any suite, so a rename in the package that breaks them fails here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,12 +71,26 @@ def test_every_mutant_names_text_that_occurs_once():
 
 
 def test_compare_of_a_tree_with_itself_reports_no_change(report_hashes, capsys):
-    labels = ["zitter seed=11 trials=3", "wca seed=3 fixed R"]
+    labels = ["zitter seed=11 trials=3", "wca seed=3 fixed R",
+              "zitter csv pair=1,4 momentum=0.3,-0.4,0.9", "poynting csv seed=2 su2_spin_one"]
     assert report_hashes.compare(str(report_hashes.NEW_SRC), labels) == 0
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("0 of 2 configurations differ; 0 pass flags changed; "
+    assert err == ("0 of 4 runs differ; 0 pass flags changed; "
                    "items or tolerances changed in 0; largest margin drop 0.00 decades\n")
+
+
+def test_an_export_is_compared_by_its_verdict_item(report_hashes, capsys):
+    # the items the exports' verdicts judge, one per export
+    assert [it["name"] for it in report_hashes.export_items(["zitter", "--steps", "5"])] \
+        == ["abs_dev"]
+    items = report_hashes.export_items(["poynting", "--steps", "5", "--samples", "5"])
+    assert [it["name"] for it in items] == ["quadrature_vs_closed"] and items[0]["pass"]
+    report_hashes.print_items(["zitter csv pair=2,3 momentum=0,0,0.8"])
+    label, items = json.loads(capsys.readouterr().out)
+    # a pair without a closed form compares nothing: its deviation is 0
+    assert label == "zitter csv pair=2,3 momentum=0,0,0.8" and items == [
+        ["abs_dev", 0.0, 1e-12, True]]
 
 
 def test_margin_counts_a_residual_below_eps_as_eps(report_hashes):

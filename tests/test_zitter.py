@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from amwave import zitter
-from amwave.algebra import commutator, operator_norm
+from amwave.algebra import commutator, operator_norm, sup_norms
 from amwave.zitter import (
     ALPHA,
     BETA,
@@ -17,18 +17,16 @@ from amwave.zitter import (
     amplitude_frequency,
     amplitude_frequency_si,
     compton_wavelength_si,
-    expectations,
     helicity_operator,
     position_closed_form,
-    position_stack,
     projectors,
     spin_closed_form,
     spin_closed_form_z,
-    spin_stack,
+    wobble_expectations,
     zitter_position_expectation,
 )
 
-from support import DoubletSpec
+from support import DoubletSpec, expectations, position_stack, spin_stack
 
 # (energy sign, helicity / hbar) of ctx.states, in their order
 LABELS = ((+1, +0.5), (+1, -0.5), (-1, +0.5), (-1, -0.5))
@@ -40,9 +38,14 @@ def random_ctx(rng, **kw) -> DiracContext:
     return DiracContext(p=p, **kw)
 
 
+def wobble(ctx, psi, ts, spin=False):
+    """The kernel's spin series if spin, else its position series."""
+    return wobble_expectations(ctx, psi, ts)[..., int(spin), :, :]
+
+
 def spin_expectation(spec, ctx, t):
-    """<Psi| Z_s(t) |Psi> at one time, from one-row stacks."""
-    return expectations(spin_stack(position_stack(ctx, [t]), ctx.p), spec.state_vector(ctx))[0]
+    """<Psi| Z_s(t) |Psi> at one time."""
+    return wobble(ctx, spec.state_vector(ctx), [t], spin=True)[0]
 
 
 def test_dirac_algebra():
@@ -114,9 +117,9 @@ def test_polar_singularity():
             DiracContext(p=np.array([0.0, 0.0, -0.7])))
     with pytest.raises(PolarSingularity, match="-z ray"):
         DiracContext(p=np.array([0.0, 0.0, 0.0])).states
-    # so near the -z ray that p + p_z cancels, and the states miss unit norm
-    with pytest.raises(PolarSingularity, match=r"^p \+ p_z cancels"):
-        DiracContext(p=np.array([1e-3, 0.0, -1.0])).states
+    # within POLAR_EPS |p| of the -z ray
+    with pytest.raises(PolarSingularity, match="-z ray"):
+        DiracContext(p=np.array([1e-6, 0.0, -1.0])).states
     with np.errstate(over="ignore"), pytest.raises(PolarSingularity, match="overflows$"):
         DiracContext(p=np.array([0.0, 0.0, 1e120])).states
     # 4 E_p |p| (|p| + p_z) is subnormal, so the states miss unit norm, or
@@ -129,6 +132,23 @@ def test_polar_singularity():
     # does not cancel as sqrt(E_p - m c^2) does
     for pz in (1e-150, 7e-34, 1e-3, 5e-3):
         assert_unit_norm_eigenstates(DiracContext(p=np.array([0.0, 0.0, pz])))
+    # nor near the -z ray: |p| + p_z = (p_x^2 + p_y^2) / (|p| - p_z) does not cancel
+    assert_unit_norm_eigenstates(DiracContext(p=np.array([1e-3, 0.0, -1.0])))
+
+
+def test_momenta_near_the_minus_z_ray_are_refused_only_within_polar_eps():
+    # (sin d, 0, -cos d): |p| + p_z = 1 - cos d, below POLAR_EPS |p| for d < 1.4e-5;
+    # |p| + p_z taken as written refused 67 of these, up to d = 5e-3
+    refused = []
+    for d in np.logspace(-9.0, -1.0, 81):
+        ctx = DiracContext(p=np.array([np.sin(d), 0.0, np.cos(np.pi - d)]))
+        try:
+            assert_unit_norm_eigenstates(ctx)
+        except PolarSingularity as exc:
+            assert str(exc) == "p + p_z vanishes; rotate the momentum away from the -z ray"
+            assert ctx.norm_plus_pz <= zitter.POLAR_EPS * ctx.pnorm
+            refused.append(d)
+    assert len(refused) == 42 and max(refused) < 1.6e-5
 
 
 def test_small_momenta_along_z_give_unit_norm_eigenstates():
@@ -188,46 +208,31 @@ def test_spin_wobble_needs_opposite_helicity():
 
 
 def test_operator_identity_spin_from_position():
+    # Z_s(t) = p x Z_r(t) with p a number vector, so <Z_s> = p x <Z_r> in any state
     rng = np.random.default_rng(12)
     for _ in range(5):
         ctx = random_ctx(rng)
-        t = rng.uniform(0, 5)
-        (zr,) = zrs = position_stack(ctx, [t])
-        (zs,) = spin_stack(zrs, ctx.p)
-        p = ctx.p
-        manual = np.stack([
-            -(zr[1] * p[2] - zr[2] * p[1]),
-            -(zr[2] * p[0] - zr[0] * p[2]),
-            -(zr[0] * p[1] - zr[1] * p[0]),
-        ])
-        assert np.abs(zs - manual).max() <= 1e-12
+        ts = rng.uniform(0, 5, 3)
+        psi = DoubletSpec(0.9, (0.6, 0.8j, 0.3, -0.1)).state_vector(ctx)
+        zr, zs = wobble_expectations(ctx, psi, ts)
+        assert np.abs(zs - np.cross(ctx.p, zr)).max() <= 1e-12
 
 
 def test_spin_evolution_derivative():
-    # S(t) = S(0) - Z_r(t) x p implies dS/dt|_0 = -c alpha x p, checked by
-    # central differences with second-order h-refinement
+    # S(t) = S(0) - Z_r(t) x p implies d<S>/dt|_0 = -c <alpha x p>, checked by
+    # central differences with second-order h-refinement, in a state with
+    # every energy and helicity component
     rng = np.random.default_rng(13)
     ctx = random_ctx(rng)
-    s0 = 0.5 * ctx.hbar * SIGMA
+    psi = DoubletSpec(0.9, (0.6, 0.8j, 0.3, -0.1)).state_vector(ctx)
     p = ctx.p
-
-    def s_of_t(t):
-        (zr,) = position_stack(ctx, [t])
-        return s0 - np.stack([
-            zr[1] * p[2] - zr[2] * p[1],
-            zr[2] * p[0] - zr[0] * p[2],
-            zr[0] * p[1] - zr[1] * p[0],
-        ])
-
-    want = -ctx.c * np.stack([
-        ALPHA[1] * p[2] - ALPHA[2] * p[1],
-        ALPHA[2] * p[0] - ALPHA[0] * p[2],
-        ALPHA[0] * p[1] - ALPHA[1] * p[0],
-    ])
+    axp = np.stack([ALPHA[(i + 1) % 3] * p[(i + 2) % 3] - ALPHA[(i + 2) % 3] * p[(i + 1) % 3]
+                    for i in range(3)])
+    want = -ctx.c * np.einsum("a,iab,b->i", psi.conj(), axp, psi).real
     errs = []
     for h in (1e-3, 5e-4):
-        fd = (s_of_t(h) - s_of_t(-h)) / (2 * h)
-        errs.append(np.abs(fd - want).max())
+        zs = wobble(ctx, psi, [-h, h], spin=True)  # <S(t)> - <S(0)> = <Z_s(t)>
+        errs.append(np.abs((zs[1] - zs[0]) / (2 * h) - want).max())
     assert errs[0] <= 1e-4
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0  # O(h^2)
@@ -364,23 +369,38 @@ def series_contexts():
     return ctxs + [random_ctx(rng, hbar=rng.uniform(0.5, 2.0)) for _ in range(3)]
 
 
+def basis_position_operator(ctx, t):
+    """Z_r(t) = a B_PH + b B_P at one time, from the context's wobble basis."""
+    ep = ctx.energy
+    phi = 2.0 * ep * t / ctx.hbar
+    ph, pre = ctx.wobble_basis
+    return ((np.cos(phi) - 1.0) / ep ** 2) * ph - (1j * np.sin(phi) / ep) * pre
+
+
+def spin_bound(ctx, spin):
+    """The kernel's error bound against the direct path, relative to the
+    wobble's size: Z_s = p x Z_r is |p| times larger."""
+    return 1e-14 * ctx.wobble_scale * (max(1.0, ctx.pnorm) if spin else 1.0)
+
+
 @pytest.mark.parametrize("steps", [0, 1, 7])
 def test_stacked_series_matches_per_time_evaluation_bitwise(steps):
     for ctx in series_contexts():
         ts = np.linspace(0.0, 3.0 * np.pi * ctx.hbar / ctx.energy, steps)
-        zr = position_stack(ctx, ts)
-        assert zr.shape == (steps, 3, 4, 4)
-        # expectations takes no empty stack, and an export of 0 steps makes no call
-        for spec in SPECS if steps else ():
-            for spin in (False, True):
-                got = expectations(spin_stack(zr, ctx.p) if spin else zr, spec.state_vector(ctx))
-                assert got.shape == (steps, 3)
+        psis = np.stack([spec.state_vector(ctx) for spec in SPECS])
+        for spin in (False, True):
+            # every state in one call, as the suite contracts its states
+            both = wobble(ctx, psis, ts, spin=spin)
+            assert both.shape == (len(SPECS), steps, 3)
+            for spec, psi, row in zip(SPECS, psis, both):
+                got = wobble(ctx, psi, ts, spin=spin)
+                assert got.shape == (steps, 3) and np.array_equal(got, row)
                 one = spin_expectation if spin else zitter_position_expectation
                 want = np.array([one(spec, ctx, t) for t in ts]).reshape(steps, 3)
                 assert np.array_equal(got, want)
                 ref = np.array([reference_expectation(spec, ctx, t, spin)
                                 for t in ts]).reshape(steps, 3)
-                assert np.array_equal(got, ref)
+                assert np.abs(got - ref).max(initial=0.0) <= spin_bound(ctx, spin)
         for theta in (0.0, 0.7):
             pos = position_closed_form(theta, ctx, ts)
             spin = spin_closed_form(theta, ctx, ts)
@@ -390,17 +410,39 @@ def test_stacked_series_matches_per_time_evaluation_bitwise(steps):
                 assert np.array_equal(spin[row], spin_closed_form(theta, ctx, t))
 
 
-def test_one_time_operators_match_reference_bitwise():
+def test_basis_gives_the_one_time_operators():
     rng = np.random.default_rng(31)
     for ctx in series_contexts():
+        ph, pre = ctx.wobble_basis
+        assert np.array_equal(pre, ctx.position_prefactor)
+        assert np.array_equal(ph, ctx.position_prefactor @ ctx.hmat)
         for t in (0.0, rng.uniform(0.0, 6.0), -rng.uniform(0.0, 2.0)):
-            zr = reference_position_operator(ctx, t)
-            p = ctx.p
-            zs = np.stack([-(zr[(i + 1) % 3] * p[(i + 2) % 3]
-                             - zr[(i + 2) % 3] * p[(i + 1) % 3]) for i in range(3)])
-            got_r = position_stack(ctx, [t])
-            got_s = spin_stack(got_r, p)
-            assert np.array_equal(got_r[0], zr) and np.array_equal(got_s[0], zs)
+            err = np.abs(basis_position_operator(ctx, t) - reference_position_operator(ctx, t))
+            assert err.max() <= 1e-14 * ctx.wobble_scale, (ctx.p, t)
+
+
+def test_kernel_matches_the_direct_operator_path():
+    # 300 contexts, half as the suite draws them, half with |p| over five
+    # decades and hbar over four, each at 4 times in a general state
+    rng = np.random.default_rng(33)
+    worst = [0.0, 0.0]
+    for k in range(300):
+        wide = k % 2
+        p = rng.uniform(-1.0, 1.0, 3)
+        p[2] = abs(p[2]) + 0.2
+        ctx = DiracContext(p=p * 10.0 ** rng.uniform(-3.0, 2.0) if wide else p,
+                           hbar=10.0 ** rng.uniform(-1.0, 3.0) if wide else rng.uniform(0.5, 2.0),
+                           c=rng.uniform(0.5, 2.0), mass=rng.uniform(0.5, 2.0))
+        ts = rng.uniform(-4.0, 8.0, 4) * ctx.hbar / ctx.energy
+        coefficients = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
+        psi = DoubletSpec(rng.uniform(0.0, np.pi / 2.0), coefficients).state_vector(ctx)
+        zr = position_stack(ctx, ts)
+        for spin in (False, True):
+            want = expectations(spin_stack(zr, ctx.p) if spin else zr, psi)
+            err = np.abs(wobble(ctx, psi, ts, spin=spin) - want).max()
+            assert err <= spin_bound(ctx, spin), (ctx.p, ts, spin)
+            worst[spin] = max(worst[spin], err / spin_bound(ctx, spin))
+    assert max(worst) > 0.0  # the two paths round differently: the test compares something
 
 
 def test_position_operator_matches_the_spectral_decomposition():
@@ -409,9 +451,14 @@ def test_position_operator_matches_the_spectral_decomposition():
                                                c=rng.uniform(0.5, 2.0)) for _ in range(40)]
     for ctx in contexts:
         ts = np.concatenate([[0.0], rng.uniform(-4.0, 8.0, 5) * ctx.hbar / ctx.energy])
-        for t, got in zip(ts, position_stack(ctx, ts)):
-            err = np.abs(got - eigh_position_operator(ctx, t)).max()
+        psis = np.stack([spec.state_vector(ctx) for spec in SPECS])
+        got = wobble(ctx, psis, ts)
+        for row, t in enumerate(ts):
+            zr = eigh_position_operator(ctx, t)
+            err = np.abs(basis_position_operator(ctx, t) - zr).max()
             assert err <= 1e-12 * ctx.wobble_scale, (ctx.p, t)
+            want = np.einsum("sa,iab,sb->si", psis.conj(), zr, psis).real
+            assert np.abs(got[:, row] - want).max() <= 1e-12 * ctx.wobble_scale, (ctx.p, t)
 
 
 def test_series_rejects_non_finite_times():
@@ -419,32 +466,87 @@ def test_series_rejects_non_finite_times():
     spec = SuperpositionSpec(0.4, (1, 3))
     for ts in ([0.0, np.nan], [[0.0, 1.0]], 0.5):
         with pytest.raises(ValueError, match="^times must be a finite 1-D array$"):
-            position_stack(ctx, ts)
+            wobble_expectations(ctx, spec.state_vector(ctx), ts)
     with pytest.raises(ValueError, match="finite"):
         zitter_position_expectation(spec, ctx, np.inf)
     with pytest.raises(PolarSingularity):
         zitter_position_expectation(spec, DiracContext(p=np.array([0.0, 0.0, -0.7])), 0.0)
 
 
+# The kernel's Hermitian check at its threshold.  A real y_i added to the
+# diagonal of B_P's component i adds y_i <psi|psi> to e_P, and so
+# -s(t) y to the imaginary part of the position series at t, with
+# s = sin(phi) / E_p, and -s(t) p x y to the spin series', and leaves the
+# real parts.  The threshold of each is 1e-10 max(1, sup_i ||Z_i(t)||_F),
+# the norm from the direct path; at hbar = 1e3 the norms are hundreds.
+# Along p the shift moves the position series alone; along p x y-hat
+# the spin series reaches its threshold first.
+
+def with_p_shift(ctx, y):
+    """A copy of ctx whose cached wobble basis has y_i 1 added to B_P,i."""
+    shifted = DiracContext(p=ctx.p, hbar=ctx.hbar, c=ctx.c, mass=ctx.mass)
+    basis = ctx.wobble_basis.copy()
+    basis[1] += np.asarray(y)[:, None, None] * np.eye(4)
+    shifted.__dict__["wobble_basis"] = basis
+    return shifted
+
+
+def at_phases(ctx, phis):
+    """The times at which phi = 2 E_p t / hbar takes the values phis."""
+    return np.asarray(phis) * ctx.hbar / (2.0 * ctx.energy)
+
+
+def thresholds(ctx, t):
+    """1e-10 max(1, sup_i ||Z_i(t)||_F) of Z_r and Z_s, from the direct path."""
+    zr = position_stack(ctx, [t])
+    return [1e-10 * max(1.0, sup_norms(z, (1,))[0]) for z in (zr, spin_stack(zr, ctx.p))]
+
+
+def shift_at(ctx, t, u, factor):
+    """The shift along u whose larger imaginary part, over both series, is
+    factor times that series' threshold at t; and which series that is."""
+    s = abs(np.sin(2.0 * ctx.energy * t / ctx.hbar) / ctx.energy)
+    ratios = [s * np.abs(x).max() / thr
+              for x, thr in zip((u, np.cross(ctx.p, u)), thresholds(ctx, t))]
+    return factor * np.asarray(u) / max(ratios), int(np.argmax(ratios))
+
+
+SHIFTS = [np.array([0.3, -0.2, 0.8]), np.cross([0.3, -0.2, 0.8], [0.0, 1.0, 0.0])]
+
+
 def test_imaginary_expectation_is_rejected_per_row():
-    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    eye = np.eye(4)
-    loud = np.broadcast_to(1e6 * eye + 1e-5j * eye, (3, 4, 4))  # imag/scale 1e-11
-    quiet = np.broadcast_to(1e-9j * eye, (3, 4, 4))             # imag/scale 1e-9
-    assert np.array_equal(zitter.expectations(np.stack([loud]), psi),
-                          np.full((1, 3), 1e6))
-    # the quiet row fails against its own scale, not against the loud row's
+    ctx = DiracContext(p=np.array([0.3, -0.2, 0.8]), hbar=1e3)
+    psi = SuperpositionSpec(0.6, (1, 3)).state_vector(ctx)
+    ts = at_phases(ctx, [0.5, 1.0, 2.0, 3.0, 4.0])
+    want = wobble_expectations(ctx, psi, ts)
+    for u, binding in zip(SHIFTS, (0, 1)):
+        for row, t in enumerate(ts):
+            y, which = shift_at(ctx, t, u, 1.0 - 1e-4)
+            assert which == binding
+            got = wobble_expectations(with_p_shift(ctx, y), psi, [t])
+            assert np.abs(got[:, 0] - want[:, row]).max() <= 1e-15 * ctx.wobble_scale
+            with pytest.raises(ValueError, match="complex"):
+                wobble_expectations(with_p_shift(ctx, shift_at(ctx, t, u, 1.0 + 1e-4)[0]),
+                                    psi, [t])
+    # phi = pi: the largest norm, and s = 0, so the shift leaves that row
+    # real; the quiet row fails against its own scale, not the loud row's
+    quiet, loud = at_phases(ctx, [0.5, np.pi])
+    y, _ = shift_at(ctx, quiet, SHIFTS[0], 1.01)
+    assert abs(np.sin(0.5) / ctx.energy) * np.abs(y).max() < thresholds(ctx, loud)[0]
     with pytest.raises(ValueError, match="complex"):
-        zitter.expectations(np.stack([loud, quiet]), psi)
+        wobble_expectations(with_p_shift(ctx, y), psi, [loud, quiet])
 
 
 def test_a_zero_expectation_is_held_to_its_operators_size():
-    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    op = np.zeros((4, 4), dtype=complex)
-    op[0, 1] = op[1, 0] = 1e6
-    op[0, 0] = 1e-8j  # the rounding of a Hermitian operator of norm 1e6
-    vals = zitter.expectations(np.broadcast_to(op, (1, 3, 4, 4)), psi)
-    assert np.array_equal(vals, np.zeros((1, 3)))
+    # pure (1,3) has no position wobble, and (1,3) no spin wobble: zero
+    # expectations of operators with norms in the hundreds
+    ctx = DiracContext(p=np.array([0.3, -0.2, 0.8]), hbar=1e3)
+    t = at_phases(ctx, [2.0])[0]
+    assert min(thresholds(ctx, t)) > 1e-8
+    for spin, spec in ((0, SuperpositionSpec(0.0, (1, 3))), (1, SuperpositionSpec(0.6, (1, 3)))):
+        shifted = with_p_shift(ctx, shift_at(ctx, t, SHIFTS[spin], 1.0 - 1e-4)[0])
+        vals = wobble_expectations(shifted, spec.state_vector(ctx), [t])[spin]
+        assert np.abs(vals).max() <= 1e-14 * ctx.wobble_scale
 
 
 def test_constants_and_caches_are_read_only():
@@ -452,7 +554,8 @@ def test_constants_and_caches_are_read_only():
     assert ALPHA.shape == SIGMA.shape == (3, 4, 4) and BETA.shape == (4, 4)
     ctx = DiracContext(p=np.array([0.2, -0.1, 0.7]))
     assert ctx.states is ctx.states and ctx.position_prefactor is ctx.position_prefactor
-    for arr in (ALPHA, BETA, SIGMA, ctx.hmat,
+    assert ctx.wobble_basis is ctx.wobble_basis and ctx.wobble_basis.shape == (2, 3, 4, 4)
+    for arr in (ALPHA, BETA, SIGMA, ctx.hmat, ctx.wobble_basis,
                 ctx.phat, ctx.position_prefactor, ctx.states, ctx.states[0],
                 helicity_operator(ctx), *projectors(ctx)):
         with pytest.raises(ValueError, match="read-only"):
@@ -487,7 +590,7 @@ def test_stacked_context_gives_each_trial_its_own_bits(trials, units):
     for t in range(trials):
         one = DiracContext(p=p[t], **units)
         for name in ("pnorm", "energy", "u_plus", "u_minus", "p_plus", "p_minus",
-                     "phat", "hmat", "position_prefactor"):
+                     "phat", "hmat", "position_prefactor", "wobble_basis", "norm_plus_pz"):
             assert same_bits(getattr(stack, name)[t], getattr(one, name)), name
         assert stack.states.shape == (4, trials, 4)
         for got, want in zip(stack.states, one.states):
@@ -505,9 +608,7 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
     theta = rng.uniform(0.0, np.pi / 2.0, trials)
     ts = rng.uniform(-2.0, 6.0, trials)
     stack = DiracContext(p=p, **units)
-    zr = position_stack(stack, ts)
-    zs = spin_stack(zr, stack.p)
-    assert zr.shape == zs.shape == (trials, 3, 4, 4)
+    assert stack.wobble_basis.shape == (trials, 2, 3, 4, 4)
     # the last split has no negative-energy part, so its doublet norm is 0
     specs = [dict(pair=(1, 3)), dict(pair=(1, 4)), dict(pair=(2, 3)),
              dict(coefficients=(0.6, 0.8j, 0.3, -0.1)), dict(coefficients=(0.6, 0.8, 0.0, 0.0))]
@@ -516,25 +617,25 @@ def test_stacked_operators_and_expectations_equal_one_trial_calls(trials, units)
     def spec(kw):  # a state pair, or a general split of the two doublets
         return (DoubletSpec if "coefficients" in kw else SuperpositionSpec)(**kw)
 
-    psis = [spec(kw).state_vector(stack) for kw in specs]
+    psis = np.stack([spec(kw).state_vector(stack) for kw in specs])
 
     def at_trial(kw, t):  # trial t's spec: its own angle, or the shared one
         return {**kw, "theta": kw["theta"][t]} if np.ndim(kw["theta"]) else kw
 
-    vals = [expectations(ops, psi) for ops in (zr, zs) for psi in psis]
+    # every state in one call, one time per trial
+    vals = [wobble(stack, psis, ts, spin=spin) for spin in (False, True)]
+    assert vals[0].shape == vals[1].shape == (len(specs), trials, 3)
     position = position_closed_form(theta, stack, ts)
     spin = spin_closed_form(theta, stack, ts)
     for t in range(trials):
         one = DiracContext(p=p[t], **units)
-        zr1 = position_stack(one, [ts[t]])
-        zs1 = spin_stack(zr1, one.p)
-        assert same_bits(zr[t], zr1[0]) and same_bits(zs[t], zs1[0])
         psis1 = [spec(at_trial(kw, t)).state_vector(one) for kw in specs]
         for psi, psi1 in zip(psis, psis1):
             assert same_bits(psi[t], psi1)
-        vals1 = [expectations(ops, psi) for ops in (zr1, zs1) for psi in psis1]
-        for got, want in zip(vals, vals1):
-            assert same_bits(got[t], want[0])
+        for got, is_spin in zip(vals, (False, True)):
+            for row, psi1 in zip(got, psis1):
+                want = wobble(one, psi1, [ts[t]], spin=is_spin)
+                assert same_bits(row[t], want[0])
         assert same_bits(position[t], position_closed_form(theta[t], one, ts[t]))
         assert same_bits(spin[t], spin_closed_form(theta[t], one, ts[t]))
 
@@ -550,7 +651,7 @@ def test_stacked_context_rejects_bad_momenta(bad):
 
 @pytest.mark.parametrize("row", [[0.0, 0.0, -0.7], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-160],
                                  [0.0, 0.0, 1e-170], [0.0, 0.0, 1e120], [1e200, 0.0, 1e200],
-                                 [1e-3, 0.0, -1.0]])
+                                 [1e-6, 0.0, -1.0]])
 def test_polar_and_small_momentum_checks_apply_to_each_trial(row):
     with np.errstate(over="ignore"), pytest.raises(PolarSingularity) as one:
         DiracContext(p=np.array(row)).states
@@ -591,4 +692,4 @@ def test_stacked_squares_keep_the_one_trial_bits():
 def test_an_empty_stack_has_no_expectations():
     ctx = DiracContext(p=np.array([0.3, -0.2, 0.8]))
     psi = SuperpositionSpec(np.pi / 4.0, (1, 3)).state_vector(ctx)
-    assert expectations(position_stack(ctx, []), psi).shape == (0, 3)
+    assert wobble_expectations(ctx, psi, []).shape == (2, 0, 3)

@@ -125,18 +125,30 @@ MUTANTS = (
     Mutant("boost_frame_split", "relativity.py", "np.reshape(x, (s,) + ctx.batch_shape)[j]",
            "np.reshape(x, (s,) + ctx.batch_shape)[s - 1 - j]"),
     Mutant("gauge_rotated_half", "cli.py", "[norm[n:] for", "[norm[:n] for"),
-    # the Dirac kernels every zitter check and export runs through: the
-    # phase at half its frequency, the evolution run backwards in time and
-    # H^-1 taken as H / E_p
+    # the Dirac kernel every zitter check and export runs through: the
+    # phase at half its frequency, the evolution run backwards in time,
+    # H^-1 taken as H / E_p in the series' coefficient a, and the spin
+    # wobble crossed with -p
     # (test_acceptance.py::test_criterion_09_zitter_closed_forms, first in
-    # the run order, and the bitwise and spectral oracles of test_zitter.py)
-    Mutant("position_stack", "zitter.py", "phi = 2.0 * ep * ts / ctx.hbar",
+    # the run order, and the direct-path and spectral oracles of test_zitter.py)
+    Mutant("wobble_phase", "zitter.py", "phi = 2.0 * ep * ts / ctx.hbar",
            "phi = ep * ts / ctx.hbar"),
-    Mutant("position_stack_sin_sign", "zitter.py", "- _col(_col(1j * (np.sin(phi) / ep)))",
-           "+ _col(_col(1j * (np.sin(phi) / ep)))"),
-    Mutant("hinv_energy", "zitter.py", "self.hmat / _col(_col(square(self.energy)))",
-           "self.hmat / _col(_col(self.energy))"),
-    Mutant("spin_stack", "zitter.py", "return real_cross(p, zr)", "return real_cross(-p, zr)"),
+    Mutant("wobble_sin_sign", "zitter.py", "return a * e_ph.real + s * e_p.imag",
+           "return a * e_ph.real - s * e_p.imag"),
+    Mutant("hinv_energy", "zitter.py", "a, s = (np.cos(phi) - 1.0) / esq,",
+           "a, s = (np.cos(phi) - 1.0) / ep,"),
+    Mutant("spin_cross", "zitter.py", "np.cross(p[..., None, :], e)",
+           "np.cross(-p[..., None, :], e)"),
+    # the exact norm of Z(t) that scales the kernel's Hermitian check: the
+    # weights of its two basis terms swapped, and the position and spin
+    # Gram entries swapped
+    # (test_zitter.py::test_imaginary_expectation_is_rejected_per_row)
+    Mutant("wobble_norm_weights", "zitter.py", "(a * a * esq + s * s)", "(s * s * esq + a * a)"),
+    Mutant("wobble_gram_swap", "zitter.py", "+ ctx.c ** 2 * q) / esq, q])",
+           "+ ctx.c ** 2 * q) / esq, q][::-1])"),
+    # |p| + p_z taken as written below the xy plane, where it cancels
+    # (test_zitter.py::test_polar_singularity)
+    Mutant("norm_plus_pz_cancels", "zitter.py", "np.where(pz < 0.0,", "np.where(pz < -np.inf,"),
     # u_minus as sqrt(E_p - m c^2), which cancels at small |p|
     # (test_zitter.py::test_polar_singularity)
     Mutant("u_minus_cancels", "zitter.py", "_value(self.c * self.pnorm / self.u_plus)",

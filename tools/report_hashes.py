@@ -60,17 +60,19 @@ say, not their bytes:
 
     python tools/report_hashes.py --compare /path/to/old/checkout/src
 
-It runs the 85 report configurations above (not the exports) under both
-trees, each in its own interpreter, and prints one line for each
-configuration whose items differ: how many pass flags changed, whether
-an item or a tolerance changed, and for each item name (the trial prefix
-dropped) the largest drop of the margin log10(tol / |residual|) over its
-trials, negative where every trial's margin grew.  Each changed pass
-flag follows on a line of its own.  A residual below eps = 2.2e-16, the
-rounding of a relative residual of order one, counts as eps, so an
-exact zero in one tree and rounding in the other is no drop.  It exits 1
-on a failed run, a changed pass flag, item or tolerance, or a drop of
-more than one decade; else 0.
+It runs the 96 runs above under both trees, each in its own
+interpreter: each report configuration's items, and each export's
+verdict item, the one ``judge`` gives it (``abs_dev`` or
+``quadrature_vs_closed``), so a PASS/FAIL flip of a verdict is a changed
+pass flag.  It prints one line for each run whose items differ: how
+many pass flags changed, whether an item or a tolerance changed, and for
+each item name (the trial prefix dropped) the largest drop of the margin
+log10(tol / |residual|) over its trials, negative where every trial's
+margin grew.  Each changed pass flag follows on a line of its own.  A
+residual below eps = 2.2e-16, the rounding of a relative residual of
+order one, counts as eps, so an exact zero in one tree and rounding in
+the other is no drop.  It exits 1 on a failed run, a changed pass flag,
+item or tolerance, or a drop of more than one decade; else 0.
 """
 
 from __future__ import annotations
@@ -224,15 +226,28 @@ def against(old_src: str) -> int:
     return 1 if differ or failed else 0
 
 
+def export_items(argv: list[str]) -> list[dict]:
+    """The items ``judge`` makes for the verdict of ``amwave <argv>`` while the export runs."""
+    from amwave import cli
+    judged, judge = [], cli.judge
+    cli.judge = lambda *args: judged.extend(items := judge(*args)) or items
+    try:
+        export_bodies(argv)
+    finally:
+        cli.judge = judge
+    return judged
+
+
 def print_items(labels: list[str]):
-    """Print (label, items) of each configuration in ``labels``, or of
-    every one, as a JSON line; an item is (name, residual, tolerance, pass)."""
+    """Print (label, items) of each run in ``labels``, or of every one, as
+    a JSON line; an item is (name, residual, tolerance, pass)."""
     from amwave.cli import run_suite
-    for label, cfg in configs():
+    runs = [(label, lambda cfg=cfg: run_suite(cfg)["items"]) for label, cfg in configs()]
+    runs += [(label, lambda argv=argv: export_items(argv)) for label, argv in exports()]
+    for label, items in runs:
         if not labels or label in labels:
-            items = [[it["name"], it["residual"], it["tolerance"], it["pass"]]
-                     for it in run_suite(cfg)["items"]]
-            print(json.dumps([label, items]))
+            print(json.dumps([label, [[it["name"], it["residual"], it["tolerance"], it["pass"]]
+                                      for it in items()]]))
 
 
 EPS = sys.float_info.epsilon
@@ -247,8 +262,8 @@ def margin(residual: float, tol: float) -> float:
 
 
 def compare(old_src: str, labels: list[str] | None = None) -> int:
-    """Print how the items of each configuration (in ``labels``, or every
-    one) differ between ``old_src`` and NEW_SRC, as the module doc says."""
+    """Print how the items of each run (in ``labels``, or every one)
+    differ between ``old_src`` and NEW_SRC, as the module doc says."""
     outs, failed = under_both(old_src, ["--items", *(labels or [])])
     old, new = ({label: {name: rest for name, *rest in items}
                  for label, items in map(json.loads, out.splitlines())} for out in outs)
@@ -276,7 +291,7 @@ def compare(old_src: str, labels: list[str] | None = None) -> int:
               + ", ".join(f"{key} {drop:+.2f}" for key, drop in sorted(drops.items())))
         for name, was, now in flipped:
             print(f"  {name}: pass {was} -> {now}")
-    print(f"{changed} of {len(old | new)} configurations differ; {flips} pass flags changed; "
+    print(f"{changed} of {len(old | new)} runs differ; {flips} pass flags changed; "
           f"items or tolerances changed in {tols}; largest margin drop {worst:.2f} decades",
           file=sys.stderr)
     return 1 if failed or flips or tols or worst > 1.0 else 0
