@@ -4,7 +4,10 @@ All wave amplitudes in this package are dense complex square matrices
 (operators on the generator representation space) or 3-vectors whose
 components are such matrices, held as plain complex arrays of shape
 (..., d, d) and (..., 3, d, d); the operators the API keeps and hands
-out (generators, family amplitudes, field values) are read-only.
+out (generators, family amplitudes, field values) are read-only.  The
+kernels below also take the amplitudes of a stack of T trials as
+``fields`` holds them, with the trial axis last, (..., [3,] d, d, T), so
+that each contraction's inner loop runs over the trials.
 Products never commute, so every binary operation preserves the written
 order of its factors; commutator-type expressions are composed by the
 caller, e.g. ``dot(u, v) - dot(v, u)``.
@@ -128,47 +131,106 @@ def diag(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape + (n,))
 
 
-# The kernels take stacks: leading axes (a trial axis) broadcast, and
-# operands of different dimension raise numpy's ValueError.
+# The kernels take stacks (..., [3,] d, d) + batch: leading axes (a grid
+# of harmonic orders, or a trial axis) broadcast, and ``batch``, () by
+# default, is (T,) for the trial axis of a stacked field, which trails:
+# an einsum names it after the matrix axes, and one wave simply has none.
+# A real vector or a unitary that is one per trial comes as batch + (3,)
+# or batch + (d, d), as ``fields.WaveContext`` holds it.  Operands of
+# different dimension raise numpy's ValueError.
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] = xy - yx on (..., d, d) arrays."""
-    return x @ y - y @ x
+def move_axes(x: np.ndarray, src: int, dst: int, k: int) -> np.ndarray:
+    """x with its k axes from ``src`` on moved to ``dst`` on, indices from
+    the end when negative: np.moveaxis's view by one transpose, which costs
+    a tenth as much as np.moveaxis, about as much as a kernel here."""
+    n = x.ndim
+    order = [i for i in range(n) if not 0 <= i - src % n < k]
+    order[dst % n:dst % n] = range(src % n, src % n + k)
+    return x.transpose(order)
 
 
-def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def by_matmul(op, batch: tuple[int, ...], *xs: np.ndarray) -> np.ndarray:
+    """op(*xs) for a product ``op`` of (..., d, d) + batch arrays by matmul,
+    whose bits need each matrix contiguous: on a stack the trial axis is
+    moved in front of the matrix axes for it, as a contiguous copy, and the
+    result's back after."""
+    k = len(batch)
+    out = op(*(np.ascontiguousarray(move_axes(x, -k, -2 - k, k)) for x in xs))
+    return move_axes(out, -2 - k, -k, k)
+
+
+def commutator(x: np.ndarray, y: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """[x, y] = xy - yx on (..., d, d) + batch arrays (``by_matmul``)."""
+    return by_matmul(lambda a, b: a @ b - b @ a, batch, x, y)
+
+
+def cross(u: np.ndarray, v: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Operator cross product (u x v)_i = eps_ijk u_j v_k on (..., 3, d, d)
-    component arrays, order preserved.  Note u x u is generally nonzero;
-    a real 3-vector times an operator vector is ``real_cross``.  Finite operands
-    get the dense eps contraction's bits: its two nonzero terms per component
-    are summed in its order and operand layout, into a C-ordered result."""
-    return np.ascontiguousarray(np.einsum("...nzab,...nzbc->...zac", u[..., _J, :, :] * _E,
-                                          v[..., _K, :, :]))
+    + batch component arrays, order preserved.  Note u x u is generally
+    nonzero; a real 3-vector times an operator vector is ``real_cross``.
+    Finite operands get the dense eps contraction's bits: its two nonzero
+    terms per component are summed in its order and operand layout, into a
+    C-ordered result."""
+    t, rest = "t"[:len(batch)], (slice(None),) * (2 + len(batch))
+    return np.ascontiguousarray(np.einsum(f"...nzab{t},...nzbc{t}->...zac{t}", u[(..., _J) + rest]
+                                          * _E[(...,) + (None,) * len(batch)], v[(..., _K) + rest]))
 
 
-def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ordered dot product sum_i u_i v_i on (..., 3, d, d) component arrays
-    (matrix products, not symmetrized)."""
-    return np.einsum("...iab,...ibc->...ac", u, v)
+def dot(u: np.ndarray, v: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Ordered dot product sum_i u_i v_i on (..., 3, d, d) + batch component
+    arrays (matrix products, not symmetrized)."""
+    t = "t"[:len(batch)]
+    return np.einsum(f"...iab{t},...ibc{t}->...ac{t}", u, v)
 
 
-# A real 3-vector n (..., 3) acts on operator vectors (..., 3, d, d) as
+def commutator_sv(a: np.ndarray, v: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """[a, v_i] = a v_i - v_i a for each component of v, (..., 3, d, d) +
+    batch, with a (..., d, d) + batch; each product is one einsum."""
+    t = "t"[:len(batch)]
+    return (np.einsum(f"...ab{t},...ibc{t}->...iac{t}", a, v)
+            - np.einsum(f"...iab{t},...bc{t}->...iac{t}", v, a))
+
+
+def conjugate(u: np.ndarray, v: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """u v_i u+ for each component of v, (..., 3, d, d) + batch, by one
+    three-operand einsum; u is (d, d), or one per trial, batch + (d, d)."""
+    t, k = "t"[:len(batch)], len(batch)
+    u = move_axes(u.reshape((1,) * (k + 2 - u.ndim) + u.shape), 0, -k, k)
+    return np.einsum(f"ab{t},...ibc{t},cd{t}->...iad{t}", u, v, np.conj(u.swapaxes(0, 1)))
+
+
+def _lift(x: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    """x, (3,) or lead + batch + (3,), as lead + (3, 1, 1) + batch: x (x) 1
+    on operator vectors, its one trial axis and component axis swapped."""
+    x = x.reshape((1,) * (len(batch) + 1 - x.ndim) + x.shape).swapaxes(-1, -1 - len(batch))
+    return x[(..., slice(None), None, None) + (slice(None),) * len(batch)]
+
+
+def outer(x, s: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """x_i s for each component of x, (3,) or lead + batch + (3,), with s
+    (..., d, d) + batch: the operator vector (..., 3, d, d) + batch, as an
+    elementwise product (an einsum's bits, but for the sign of a zero)."""
+    return _lift(np.asarray(x), batch) * s[(..., None) + (slice(None),) * (2 + len(batch))]
+
+
+# A real 3-vector n acts on operator vectors (..., 3, d, d) + batch as
 # n (x) identity, whose zeros add only +-0: so these elementwise products
 # give finite operands the bits of ``cross`` and ``dot`` on n so lifted
-# (up to the sign of a zero), without the d x d matrix products.
+# (up to the sign of a zero), without the d x d matrix products.  n is
+# (3,) or lead + batch + (3,); its leading axes broadcast against v's.
 
-def real_cross(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """n x v; n's leading axes broadcast against v's."""
-    n = np.asarray(n, dtype=float)[..., None, None]
-    i, j = [1, 2, 0], [2, 0, 1]
-    return n[..., i, :, :] * v[..., j, :, :] - n[..., j, :, :] * v[..., i, :, :]
+def real_cross(n, v: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """n x v."""
+    n, rest = _lift(np.asarray(n, dtype=float), batch), (slice(None),) * (2 + len(batch))
+    i, j = (..., [1, 2, 0]) + rest, (..., [2, 0, 1]) + rest
+    return n[i] * v[j] - n[j] * v[i]
 
 
-def real_dot(n: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """n . v, summed in index order; n's leading axes broadcast against v's."""
-    n = np.asarray(n, dtype=float)[..., None, None]
-    return (n[..., 0, :, :] * v[..., 0, :, :] + n[..., 1, :, :] * v[..., 1, :, :]
-            + n[..., 2, :, :] * v[..., 2, :, :])
+def real_dot(n, v: np.ndarray, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """n . v, summed in index order."""
+    n, rest = _lift(np.asarray(n, dtype=float), batch), (slice(None),) * (2 + len(batch))
+    c = [(..., i) + rest for i in range(3)]
+    return n[c[0]] * v[c[0]] + n[c[1]] * v[c[1]] + n[c[2]] * v[c[2]]
 
 
 # --- generator sets ---------------------------------------------------------

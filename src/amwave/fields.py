@@ -23,11 +23,16 @@ orders that are exactly zero in every trial, and a field takes its
 ``norm`` only when it is read.
 
 A field lives on a ``WaveContext``: one wave, or the waves of T trials
-stacked on a leading axis.  A stack puts a trial
-axis in front of every amplitude, so one evaluation of an expression
-serves all T trials; one wave is the same code with an empty trial axis,
-and each trial of a stack gets the bits its own single-wave field would
-get.  A ``SolutionFamily`` stacks the same way.
+stacked on a leading axis.  A stacked field holds its amplitudes with
+the trial axis last, behind the component and matrix axes, so one
+evaluation of an expression serves all T trials, and each of the small
+contractions of the ``algebra`` kernels runs its inner loop over the
+trials; one wave is the same code with no trial axis, and each trial of
+a stack gets the bits its own single-wave field would get.  Only this
+module and its kernels (and the flux table ``poynting`` builds with them)
+know where the trial axis sits: what a field takes and hands out
+(``field``, ``amplitude``, ``eval_at``) has the trial axis first, as a
+``SolutionFamily`` and every other stack of the package does.
 """
 
 from __future__ import annotations
@@ -43,10 +48,13 @@ from .algebra import (
     GeneratorSet,
     NonFiniteValue,
     commutator,
+    commutator_sv,
     cross,
     dot,
     dots,
     frobenius_norms,
+    move_axes,
+    outer,
     readonly,
     real_cross,
     real_dot,
@@ -132,12 +140,9 @@ def _compatible(a, b) -> bool:
                         and a.c == b.c and a.g == b.g and a.dim == b.dim)
 
 
-def _per_trial(x, a: np.ndarray):
-    """x, a scalar or one value per trial (per order and trial), shaped to
-    broadcast against a slot's amplitudes ``a`` (against all of them)."""
-    if np.ndim(x) == 0:
-        return x
-    return np.reshape(x, np.shape(x) + (1,) * (a.ndim - np.ndim(x)))
+def _trials_first(x: np.ndarray, batch: tuple[int, ...], at: int = 0) -> np.ndarray:
+    """x, (...) + batch, with its trailing trial axis moved to axis ``at``: a view."""
+    return move_axes(x, -len(batch), at, len(batch))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +150,12 @@ class HarmonicField:
     """A scalar or vector harmonic field on one wave or on a stack of waves.
 
     ``orders`` are the harmonic orders, sorted.  ``amps`` is one read-only
-    complex array holding amp_m for each of them, shape (H,) + batch +
-    (d, d) for a scalar field or (H,) + batch + (3, d, d) for a vector
-    field, where batch is ``ctx.batch_shape``: () on one wave, (T,) on a
-    stack.  On a stack each order is a slot shared by every trial; a trial
-    without that order holds zeros in it.  Build one with ``field``; the
-    operations below work on the raw arrays.
+    complex array holding amp_m for each of them, shape (H, d, d) + batch
+    for a scalar field or (H, 3, d, d) + batch for a vector field, where
+    batch is ``ctx.batch_shape``: () on one wave, (T,) on a stack, whose
+    trial axis is last.  On a stack each order is a slot shared by every
+    trial; a trial without that order holds zeros in it.  Build one with
+    ``field``; the operations below work on the raw arrays.
     """
 
     ctx: WaveContext
@@ -170,22 +175,24 @@ class HarmonicField:
         """The largest amplitude norm (``algebra.operator_norm``), 0 for no
         orders: a float, or one per trial on a stack; ``_field`` keeps it finite."""
         batch = self.ctx.batch_shape
-        top = sup_norms(np.moveaxis(self.amps, 0, len(batch)), batch)
+        top = sup_norms(_trials_first(self.amps, batch), batch)
         return top if batch else float(top)
 
     def amplitude(self, m: int) -> np.ndarray:
-        """amp_m, read-only; zeros for an order the field does not hold."""
-        if m in self.orders:
-            return self.amps[self.orders.index(m)]
-        return readonly(np.zeros(self.amps.shape[1:], dtype=complex))
+        """amp_m, read-only, batch + ([3,] d, d); zeros for an order the
+        field does not hold."""
+        slot = (self.amps[self.orders.index(m)] if m in self.orders
+                else readonly(np.zeros(self.amps.shape[1:], dtype=complex)))
+        return _trials_first(slot, self.ctx.batch_shape)
 
     def eval_at(self, r, t: float) -> np.ndarray:
-        """The field's value at (r, t), read-only; one per trial on a stack."""
+        """The field's value at (r, t), read-only; one per trial on a stack,
+        batch + ([3,] d, d)."""
         phase = dots(self.ctx.k, np.asarray(r, float)) - self.ctx.omega * t
         out = np.zeros(self.amps.shape[1:], dtype=complex)
         for m, amp in zip(self.orders, self.amps):
-            out += _per_trial(np.exp(1j * m * phase), amp) * amp
-        return readonly(out)
+            out += np.exp(1j * m * phase) * amp
+        return readonly(_trials_first(out, self.ctx.batch_shape))
 
     def with_amps(self, amps: np.ndarray) -> "HarmonicField":
         """The field with ``amps``, a new array it takes, at ``orders``."""
@@ -216,7 +223,7 @@ class HarmonicField:
 
 
 def _field(ctx: WaveContext, orders, amps: np.ndarray, seen=None) -> HarmonicField:
-    """The field holding ``amps`` (H,) + batch + ([3,] d, d), a new array it
+    """The field holding ``amps`` (H, [3,] d, d) + batch, a new array it
     marks read-only, at the H sorted ``orders``, less each slot that is
     exactly zero in every trial.  A non-finite amplitude norm raises
     NonFiniteValue, naming the first such order in ``seen`` (default: sorted);
@@ -225,7 +232,8 @@ def _field(ctx: WaveContext, orders, amps: np.ndarray, seen=None) -> HarmonicFie
     # each order's largest real or imaginary part; NaN if one is NaN
     peak = np.abs(amps.view(float)).max(axis=tuple(range(1, amps.ndim)), initial=0.0)
     if not peak.max(initial=0.0) < SQRT_MAX / (2 * ctx.dim):
-        bad = ~np.isfinite(frobenius_norms(amps)).reshape(len(orders), -1).all(axis=1)
+        norms = frobenius_norms(_trials_first(amps, ctx.batch_shape, 1))
+        bad = ~np.isfinite(norms).reshape(len(orders), -1).all(axis=1)
         if bad.any():
             m = next(m for m in (seen or orders) if bad[orders.index(m)])
             raise NonFiniteValue(f"amplitude of order {m} is not finite")
@@ -243,7 +251,7 @@ def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
         acc[m] = amp if m not in acc else acc[m] + amp
     orders = sorted(acc)
     if not orders:
-        shape = (0,) + ctx.batch_shape + (3,) * vector + (ctx.dim, ctx.dim)
+        shape = (0,) + (3,) * vector + (ctx.dim, ctx.dim) + ctx.batch_shape
         return HarmonicField(ctx, (), readonly(np.zeros(shape, dtype=complex)))
     return _field(ctx, orders, np.stack([acc[m] for m in orders]), list(acc))
 
@@ -263,7 +271,7 @@ def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:
             lead = f"{batch} + " if batch else ""
             raise ValueError(f"amplitude of order {m} has shape {arr.shape}, "
                              f"not {lead}([3,] {d}, {d})")
-        arrays[operator.index(m)] = arr
+        arrays[operator.index(m)] = move_axes(arr, 0, -len(batch), len(batch))
     kinds = {arr.ndim for arr in arrays.values()}
     if len(kinds) != 1:
         raise ValueError("need at least one amplitude, all scalar or all vector")
@@ -276,22 +284,26 @@ def stack_fields(ctx: WaveContext, parts: Sequence[HarmonicField]) -> HarmonicFi
     vector = parts[0].is_vector
     shape = (-1,) + (3,) * vector + (ctx.dim, ctx.dim)
     orders = sorted({m for f in parts for m in f.orders})
-    return _collect(ctx, vector, [
-        (m, np.concatenate([f.amplitude(m).reshape(shape) for f in parts])) for m in orders])
+    return _collect(ctx, vector, [(m, move_axes(np.concatenate(
+        [f.amplitude(m).reshape(shape) for f in parts]), 0, -1, 1)) for m in orders])
 
 
 def _termwise(f: HarmonicField, factor, amps=None) -> HarmonicField:
     """amps (f's by default) times factor(m) at each order m of f, as a
-    field: factor(m) is a scalar, or on a stack one value per trial."""
+    field: factor(m) is a scalar, or on a stack one value per trial, which
+    multiplies the trailing trial axis."""
     amps = f.amps if amps is None else amps
-    return _field(f.ctx, f.orders, amps * _per_trial([factor(m) for m in f.orders], amps))
+    x = np.array([factor(m) for m in f.orders])
+    x = x.reshape(x.shape[:1] + (1,) * (amps.ndim - x.ndim) + x.shape[1:])
+    return _field(f.ctx, f.orders, amps * x)
 
 
 # --- products (order preserving; harmonic orders add) ------------------------
 
 def _product(f: HarmonicField, g: HarmonicField, vector: bool, op) -> HarmonicField:
-    """op(f_m1, g_m2) at order m1 + m2 by one ``op`` call, in first-seen order."""
-    out = op(f.amps[:, None], g.amps[None, :])
+    """op(f_m1, g_m2) at order m1 + m2 by one ``op`` call on the stacks
+    (``algebra``'s kernels), in first-seen order."""
+    out = op(f.amps[:, None], g.amps[None, :], f.ctx.batch_shape)
     return _collect(f.ctx, vector, ((m1 + m2, out[i, j])
                                     for i, m1 in enumerate(f.orders)
                                     for j, m2 in enumerate(g.orders)))
@@ -307,8 +319,7 @@ def comm_sv(f: HarmonicField, v: HarmonicField) -> HarmonicField:
     """[f, v] componentwise for a scalar and a vector field."""
     if not _compatible(f.ctx, v.ctx):
         raise ValueError("fields must share a wave context")
-    return _product(f, v, True, lambda a, b: (np.einsum("...ab,...ibc->...iac", a, b)
-                                              - np.einsum("...iab,...bc->...iac", b, a)))
+    return _product(f, v, True, commutator_sv)
 
 
 def vdot(u: HarmonicField, v: HarmonicField) -> HarmonicField:
@@ -324,29 +335,29 @@ def vcross(u: HarmonicField, v: HarmonicField) -> HarmonicField:
 def ndot(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Dot of a constant numeric 3-vector (one per trial on a stack) with a
     vector field."""
-    return _field(v.ctx, v.orders, real_dot(n, v.amps))
+    return _field(v.ctx, v.orders, real_dot(n, v.amps, v.ctx.batch_shape))
 
 
 def ncross(n: Sequence[float], v: HarmonicField) -> HarmonicField:
     """Cross of a constant numeric 3-vector (one per trial on a stack) with
     a vector field."""
-    return _field(v.ctx, v.orders, real_cross(n, v.amps))
+    return _field(v.ctx, v.orders, real_cross(n, v.amps, v.ctx.batch_shape))
 
 
 # --- exact differential operators --------------------------------------------
 
 def div(v: HarmonicField) -> HarmonicField:
-    return _termwise(v, lambda m: 1j * m, real_dot(v.ctx.k, v.amps))
+    return _termwise(v, lambda m: 1j * m, real_dot(v.ctx.k, v.amps, v.ctx.batch_shape))
 
 
 def curl(v: HarmonicField) -> HarmonicField:
-    return _termwise(v, lambda m: 1j * m, real_cross(v.ctx.k, v.amps))
+    return _termwise(v, lambda m: 1j * m, real_cross(v.ctx.k, v.amps, v.ctx.batch_shape))
 
 
 def grad(f: HarmonicField) -> HarmonicField:
     k = f.ctx.k
     mk = np.array([1j * m * k for m in f.orders]).reshape((len(f.orders),) + k.shape)
-    return _field(f.ctx, f.orders, np.einsum("...i,...ab->...iab", mk, f.amps))
+    return _field(f.ctx, f.orders, outer(mk, f.amps, f.ctx.batch_shape))
 
 
 def dt(f: HarmonicField) -> HarmonicField:

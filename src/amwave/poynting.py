@@ -63,19 +63,19 @@ def _flux_form(fam: SolutionFamily):
     Re F = sum_m cos(m phi) Herm(amp_m) + sin(m phi) Herm(i amp_m): a fixed
     Hermitian basis of 2H rows weighted by c(phi) = [cos(m phi) | sin(m phi)],
     so the flux is c_E^T X c_B with X_pq = (c/4 pi) U_p x V_q over the bases
-    U of E and V of B.  Returns X, shape (2H_E, 2H_B) + batch + (3, d, d),
+    U of E and V of B.  Returns X, shape (2H_E, 2H_B, 3, d, d) + batch,
     the orders of E and of B (for ``_trig``) and the masks over X of the
     blocks: 'first'/'second' pair equal orders 1/2, 'mixed' unequal ones
     (E and B hold orders 1 and 2 only), 'total' all.  A trial of a stack
     whose merge dropped an order has zero rows in its slot.
     """
-    def basis(f):  # (2H,) + batch + (3, d, d): Herm(amp_m) for each order, then Herm(i amp_m)
+    def basis(f):  # (2H, 3, d, d) + batch: Herm(amp_m) for each order, then Herm(i amp_m)
         a = np.concatenate([f.amps, 1j * f.amps])
-        return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+        return 0.5 * (a + np.conj(np.swapaxes(a, 2, 3)))
 
     b, e = build_fields(fam)
     u, v = basis(e), basis(b)
-    table = cross(u[:, None], v[None, :])
+    table = cross(u[:, None], v[None, :], fam.ctx.batch_shape)
     me, mb = np.tile(e.orders, 2)[:, None], np.tile(b.orders, 2)[None, :]
     masks = {"first": (me == 1) & (mb == 1), "mixed": me != mb,
              "second": (me == 2) & (mb == 2), "total": np.ones(table.shape[:2], bool)}
@@ -135,7 +135,7 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
         w = np.reshape([weight(kr, np.signbit(kr), om)
                         for kr, om in zip(dots(k, at).tolist(), omegas)],
                        ctx.batch_shape + table.shape[:2])
-        out.append({name: np.einsum("...pq,pq...iab->...iab", w * mask, table)
+        out.append({name: np.einsum("...pq,pqiab...->...iab", w * mask, table)
                     for name, mask in masks.items()})
     return out
 

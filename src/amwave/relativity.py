@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .algebra import diag, frobenius_norms, readonly
+from .algebra import by_matmul, conjugate, diag, frobenius_norms, readonly
 from .fields import HarmonicField, SolutionFamily, WaveContext, build_fields, ncross, stack_fields
 from .residuals import Terms, equation_columns, perpendicular_part
 
@@ -144,9 +144,8 @@ def gauge_conjugate(f: HarmonicField, u: np.ndarray) -> HarmonicField:
     """
     ud = u.conj().swapaxes(-1, -2)
     _check_unitary(u, ud)
-    amps = (np.einsum("...ab,h...ibc,...cd->h...iad", u, f.amps, ud) if f.is_vector
-            else u @ f.amps @ ud)
-    return f.with_amps(amps)
+    return f.with_amps(conjugate(u, f.amps, f.ctx.batch_shape) if f.is_vector
+                       else by_matmul(lambda x: u @ x @ ud, f.ctx.batch_shape, f.amps))
 
 
 def unitary_exponential(hermitian: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import real_dot, square
+from .algebra import outer, real_dot, square
 from .fields import (
     HarmonicField,
     SolutionFamily,
@@ -73,9 +73,8 @@ def field_scale(*fields: HarmonicField):
 def perpendicular_part(v: HarmonicField, direction: np.ndarray) -> HarmonicField:
     """Componentwise projection of every amplitude orthogonal to a unit
     vector (one per trial on a stack)."""
-    nhat = np.asarray(direction, dtype=float)
-    perp = v.amps - np.einsum("...i,h...ab->h...iab", nhat, real_dot(nhat, v.amps))
-    return v.with_amps(perp)
+    nhat, batch = np.asarray(direction, dtype=float), v.ctx.batch_shape
+    return v.with_amps(v.amps - outer(nhat, real_dot(nhat, v.amps, batch), batch))
 
 
 class Terms:

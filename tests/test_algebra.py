@@ -10,6 +10,8 @@ from amwave.algebra import (
     GeneratorSet,
     UnsupportedGenerator,
     commutator,
+    commutator_sv,
+    conjugate,
     cross,
     diag,
     dot,
@@ -168,22 +170,38 @@ def test_dim_mismatch():
         dot(u, v)
 
 
-# The dense contractions the kernels must match bit for bit: every term of
-# eps_ijk u_j v_k and delta_ij u_i v_j, the zero ones included.
+# The dense contractions the kernels must match bit for bit, on operands
+# with the trial axis first: every term of eps_ijk u_j v_k and delta_ij
+# u_i v_j, the zero ones included, and the einsums a stack with a leading
+# trial axis ran for comm_sv and for the gauge conjugation.
 LEVI_CIVITA = np.zeros((3, 3, 3))
 LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
 LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
 DENSE = {
     cross: lambda u, v: np.einsum("ijk,...jab,...kbc->...iac", LEVI_CIVITA, u, v),
     dot: lambda u, v: np.einsum("ij,...iab,...jbc->...ac", np.eye(3), u, v),
+    commutator_sv: lambda a, v: (np.einsum("...ab,...ibc->...iac", a, v)
+                                 - np.einsum("...iab,...bc->...iac", v, a)),
+    conjugate: lambda u, v: np.einsum("...ab,...ibc,...cd->...iad", u, v,
+                                      u.conj().swapaxes(-1, -2)),
 }
-# leading axes of u and v: none, a trial axis, and an order-pair grid
-LEADS = (((), ()), ((3,), (3,)), ((2, 1, 3), (1, 3, 3)))
+# each kernel's operands: an operator vector (3, d, d), an operator (d, d),
+# or a unitary (d, d), one per trial on a stack and without leading axes
+OPERANDS = {cross: ("vector", "vector"), dot: ("vector", "vector"),
+            commutator_sv: ("operator", "vector"), conjugate: ("unitary", "vector")}
+# leading axes of the two operands: none, a leading trial axis (as a
+# family's tau holds it), and an order-pair grid
+LEADS = (((), ()), ((3,), (3,)), ((2, 1), (1, 3)))
+# views of an array with the trial axis last (k of them): the layouts a
+# kernel may meet, which ``fields`` makes contiguous
 VIEWS = {
-    "plain": lambda x: x,
-    "transposed": lambda x: np.swapaxes(x, -1, -2),
-    "components reversed": lambda x: x[..., ::-1, :, :],
-    "columns reversed": lambda x: x[..., ::-1],
+    "plain": lambda x, k: x,
+    "transposed": lambda x, k: np.swapaxes(x, -2 - k, -1 - k),
+    # the components of a vector, a leading axis of a matrix, if it has one
+    "components reversed": lambda x, k: (x[(..., slice(None, None, -1)) + (slice(None),) * (2 + k)]
+                                         if x.ndim > 2 + k else x),
+    "columns reversed": lambda x, k: x[(..., slice(None, None, -1)) + (slice(None),) * k],
+    "trials reversed": lambda x, k: x[(..., slice(None, None, -1)) if k else ...],
 }
 
 
@@ -191,25 +209,38 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-@settings(max_examples=200, deadline=None)
-@given(kernel=st.sampled_from([cross, dot]), d=st.sampled_from([2, 3]),
-       leads=st.sampled_from(LEADS), views=st.tuples(*[st.sampled_from(sorted(VIEWS))] * 2),
+@settings(max_examples=300, deadline=None)
+@given(kernel=st.sampled_from(list(DENSE)), d=st.sampled_from([2, 3]),
+       leads=st.sampled_from(LEADS), trials=st.sampled_from([0, 1, 2, 3]),
+       views=st.tuples(*[st.sampled_from(sorted(VIEWS))] * 2),
        seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0.0, 0.3, 0.9]),
        decades=st.sampled_from([0, 150]))
-def test_kernels_have_the_dense_contraction_bits(kernel, d, leads, views, seed, zeros, decades):
+def test_kernels_have_the_dense_contraction_bits(kernel, d, leads, trials, views, seed, zeros,
+                                                 decades):
     # entries: exact zeros of either sign, the rest normal numbers scaled by
-    # up to 1e+-150, so that every product and sum stays finite
+    # up to 1e+-150, so that every product and sum stays finite.  A stack's
+    # operands hold their trial axis last for the kernel (T = 1, 2, 3, so
+    # also T = d) and first for the dense contraction.
     rng = np.random.default_rng(seed)
+    batch = (trials,) if trials else ()
+    k = len(batch)
 
-    def operand(lead, view):
-        x = rng.normal(size=lead + (3, d, d, 2)) * 10.0 ** rng.uniform(-decades, decades,
-                                                                     lead + (3, d, d, 2))
+    def operand(kind, lead, view):
+        core = {"vector": (3, d, d), "operator": (d, d), "unitary": (d, d)}[kind]
+        shape = (() if kind == "unitary" else lead) + core + batch + (2,)
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-decades, decades, shape)
         x[rng.random(x.shape) < zeros] = 0.0
         x = np.copysign(x, rng.normal(size=x.shape))
-        return VIEWS[view](x.view(complex)[..., 0])
+        x = VIEWS[view](x.view(complex)[..., 0], k)
+        # the kernel's operand, and the dense contraction's, trial axis first
+        first = np.moveaxis(x, range(-k, 0), range(-k - len(core), -len(core)))
+        return (first if kind == "unitary" else x), first
 
-    u, v = (operand(lead, view) for lead, view in zip(leads, views))
-    got, want = kernel(u, v), DENSE[kernel](u, v)
+    (u, u_first), (v, v_first) = (operand(kind, lead, view) for kind, lead, view
+                                  in zip(OPERANDS[kernel], leads, views))
+    got, want = kernel(u, v, batch), DENSE[kernel](u_first, v_first)
+    core = 2 if kernel is dot else 3
+    got = np.moveaxis(got, range(-k, 0), range(-k - core, -core))
     assert got.shape == want.shape
     assert np.array_equal(_bits(got), _bits(want))
 
@@ -305,7 +336,7 @@ def test_sup_norms_take_each_trials_largest_block_norm():
 
 
 # a real 3-vector k per wave, with operator vectors of one wave, of T
-# trials, and of a grid of orders by T trials
+# trials, and of a grid of orders by T trials, the trials first or last
 REAL_LEADS = ((), (4,), (2, 4))
 
 
@@ -326,6 +357,16 @@ def test_real_kernels_have_the_bits_of_the_lifted_dense_kernels(d, lead):
             got, want = kernel(k, v), dense(numeric_lift(k, d), v)
             assert got.shape == want.shape
             assert np.array_equal(_bits(got + 0.0), _bits(want + 0.0)), kernel.__name__
+            if not lead:
+                continue
+            # the T trials last, as a stacked field holds them, with k one
+            # per trial, and one k for all of them
+            core = 3 if kernel is real_cross else 2
+            for n in (k, k[0]):
+                want = dense(numeric_lift(n, d), v)
+                got = kernel(n, np.moveaxis(v, len(lead) - 1, -1), lead[-1:])
+                got = np.moveaxis(got, -1, -1 - core)
+                assert np.array_equal(_bits(got + 0.0), _bits(want + 0.0)), kernel.__name__
 
 
 def test_diag_builds_each_vectors_diagonal_matrix():

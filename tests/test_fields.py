@@ -619,9 +619,9 @@ def test_batch_gives_each_trial_its_single_wave_field():
             name_j, f = single[k]
             assert name_j == name
             # a kept amplitude is nonzero, a dropped one holds zeros
-            held = [i for i, amp in enumerate(fb.amps) if np.any(amp[j] != 0)]
+            held = [i for i, amp in enumerate(fb.amps) if np.any(amp[..., j] != 0)]
             assert tuple(fb.orders[i] for i in held) == f.orders, (name, j)
-            assert np.array_equal(fb.amps[held, j], f.amps), (name, j)
+            assert np.array_equal(fb.amps[held, ..., j], f.amps), (name, j)
             assert fb.norm[j] == f.norm, (name, j)
             dropped |= {(name, j, m) for m in fb.orders if m not in f.orders}
     assert ("b", 0, 2) in dropped and ("b", 1, 2) not in dropped
@@ -675,12 +675,13 @@ PRODUCTS = {
 
 
 def pair_loop(f, g, kernel):
-    """The product of f and g as one kernel call per order pair, each
-    order's terms summed in first-seen (m1, m2) order."""
+    """The product of f and g as one kernel call per order pair on the
+    amplitudes with the trial axis first, each order's terms summed in
+    first-seen (m1, m2) order."""
     acc = {}
-    for m1, a1 in zip(f.orders, f.amps):
-        for m2, a2 in zip(g.orders, g.amps):
-            amp = kernel(a1, a2)
+    for m1 in f.orders:
+        for m2 in g.orders:
+            amp = kernel(f.amplitude(m1), g.amplitude(m2))
             acc[m1 + m2] = acc[m1 + m2] + amp if m1 + m2 in acc else amp
     return field(f.ctx, acc)
 
@@ -700,9 +701,9 @@ def test_batched_product_equals_a_pair_loop_bit_for_bit(kind, product):
     f = random_field(ctx, (-1, 1, 2), f_vector, rng)
     # trial 1 has no order-2 amplitude of f: its slot holds exact zeros
     amps = np.array(f.amps)
-    amps[2, 1] = 0.0
+    amps[2, ..., 1] = 0.0
     f = f.with_amps(amps)
-    assert f.orders == (-1, 1, 2) and not f.amps[2, 1].any()
+    assert f.orders == (-1, 1, 2) and not f.amps[2, ..., 1].any()
     # order 2 of f g sums three pair terms, so their order shows in its bits
     for g in [random_field(ctx, (0, 1, 3), g_vector, rng)] + [f] * (f_vector == g_vector):
         got, want = product(f, g), pair_loop(f, g, kernel)
@@ -719,10 +720,12 @@ def test_norm_is_each_trials_largest_amplitude_norm_taken_when_read(vector):
     for ctx in (stack, one):
         f = random_field(ctx, (-1, 1, 2), vector, rng)
         amps = np.array(f.amps)
-        amps[1, ..., 0, 0] *= 1e3  # the largest norm sits at order 1
+        # the largest norm sits at order 1 (a stack's trial axis is last)
+        amps[(1, ..., 0, 0) + (slice(None),) * len(ctx.batch_shape)] *= 1e3
         f = f.with_amps(amps)
         assert "norm" not in vars(f)  # no norm is taken until one is read
-        norms = frobenius_norms(f.amps).reshape((3,) + ctx.batch_shape + (-1,))
+        norms = frobenius_norms(np.stack([f.amplitude(m) for m in f.orders])).reshape(
+            (3,) + ctx.batch_shape + (-1,))
         want = norms.max(axis=(0, -1))
         assert np.array_equal(f.norm, want) and f.norm is f.norm
         assert type(f.norm) is (float if ctx is one else np.ndarray)
@@ -753,7 +756,7 @@ def test_batched_product_names_the_pair_loops_non_finite_order(product, bad):
     def spoiled(orders, vector, m):  # a field whose order-m amplitude holds a bad entry
         f = random_field(ctx, orders, vector, rng)
         amps = np.array(f.amps)
-        amps[orders.index(m), 1, ..., 0, 1] = bad
+        amps[orders.index(m), ..., 0, 1, 1] = bad  # trial 1, last on the amplitudes
         return HarmonicField(ctx, f.orders, readonly(amps))
 
     # f_1 and g_3 are bad, so the sums 2 (from -1 + 3), 0 and 4 are: 2 is

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -293,14 +295,15 @@ def test_a_call_builds_each_distinct_table_once(monkeypatch):
     assert len(built) == 3
 
 
-def mixed_stack(kind, seed):
-    """[generic, diagonal, generic] families of one generator kind: the
-    diagonal family's tau x tau is an exact zero, so alone it has no second
-    harmonic while the stack holds that slot, zeroed for it."""
+def mixed_stack(kind, seed, trials=3):
+    """[generic, diagonal, generic] families of one generator kind, the
+    first ``trials`` of them: the diagonal family's tau x tau is an exact
+    zero, so alone it has no second harmonic while the stack holds that
+    slot, zeroed for it."""
     rng = np.random.default_rng(seed)
     gens = make_generators(kind)
     fams = [random_family(gens, rng, g=0.4), diagonal_family(gens, rng, g=0.4),
-            random_family(gens, rng, g=0.4)]
+            random_family(gens, rng, g=0.4)][:trials]
     assert build_fields(fams[1])[0].orders == (1,)
     stack = SolutionFamily.stack(fams)
     assert build_fields(stack)[0].orders == (1, 2)
@@ -310,12 +313,14 @@ def mixed_stack(kind, seed):
 @pytest.mark.parametrize("samples", (5, 200))
 @pytest.mark.parametrize("kind", KINDS)
 def test_stacked_fluxes_give_each_trial_its_own_bytes(kind, samples):
-    for seed in range(4):
-        fams, stack, rng = mixed_stack(kind, seed)
-        r = rng.uniform(-1, 1, (3, 3))
+    # 3 trials, and as many as the matrices have rows (2 or 3), so that a
+    # per-trial factor broadcast along a matrix axis cannot pass
+    for seed, trials in itertools.product(range(4), {3, make_generators(kind).dim}):
+        fams, stack, rng = mixed_stack(kind, seed, trials)
+        r = rng.uniform(-1, 1, (trials, 3))
         at_r, at_origin = flux_averages(stack, samples, (r, None))
         closed = amw_flux(stack)
-        r0 = rng.uniform(-1, 1, (3, 3))
+        r0 = rng.uniform(-1, 1, (trials, 3))
         a01 = -np.cross(stack.ctx.khat, np.cross(stack.ctx.khat, r0))
         em = em_flux(a01, stack.ctx)
         for t, fam in enumerate(fams):

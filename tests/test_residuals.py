@@ -503,26 +503,36 @@ def _columns(fam):
     return [equation_residuals(label, terms) for label in EQUATIONS]
 
 
+def _families(kind, rng):
+    """An abelian, a broken (wca and zca fail), an all-zero (every field
+    empty) and a random family of one generator kind."""
+    gens = make_generators(kind)
+    ctx = WaveContext(generators=gens, k=np.array([0.3, -0.2, 1.1]), g=0.7)
+    return [abelian_family(gens, rng, g=0.7),
+            noncoplanar_family(gens, rng, g=0.7),
+            SolutionFamily(ctx=ctx, R=(np.zeros(3),) * gens.n_coeffs),
+            random_family(gens, rng, g=0.7)]
+
+
 def test_stacked_columns_equal_each_family_bits():
-    rng = np.random.default_rng(41)
-    spin_half = make_generators("su2_spin_half")
-    ctx = WaveContext(generators=spin_half, k=np.array([0.3, -0.2, 1.1]), g=0.7)
-    fams = [abelian_family(spin_half, rng, g=0.7),
-            noncoplanar_family(spin_half, rng, g=0.7),  # wca, zca fail
-            SolutionFamily(ctx=ctx, R=(np.zeros(3),) * 4),           # every field empty
-            random_family(spin_half, rng, g=0.7)]
-    stacked = _columns(SolutionFamily.stack(fams))
-    singles = [_columns(fam) for fam in fams]
-    for k, cols in enumerate(stacked):
-        for i, (name, r) in enumerate(cols):
-            assert isinstance(r, np.ndarray) and r.shape == (len(fams),), name
-            for t, single in enumerate(singles):
-                name_t, want = single[k][i]
-                assert name_t == name and isinstance(want, float), (name, t)
-                assert r[t] == want, (name, t, r[t], want)
-    # the all-zero family's residuals are exactly zero, the broken one fails
-    assert all(r[2] == 0.0 for cols in stacked for _, r in cols)
-    assert failed([(name, r[1]) for name, r in dict(zip(EQUATIONS, stacked))["wca"]])
+    # stacks of 4 trials, and of as many trials as the matrices have rows,
+    # so that a per-trial factor broadcast along a matrix axis cannot pass
+    for kind, trials in (("su2_spin_half", 4), ("su2_spin_half", 2), ("su2_spin_one", 3),
+                         ("su3_gellmann", 3)):
+        fams = _families(kind, np.random.default_rng(41))[:trials]
+        stacked = _columns(SolutionFamily.stack(fams))
+        singles = [_columns(fam) for fam in fams]
+        for k, cols in enumerate(stacked):
+            for i, (name, r) in enumerate(cols):
+                assert isinstance(r, np.ndarray) and r.shape == (len(fams),), name
+                for t, single in enumerate(singles):
+                    name_t, want = single[k][i]
+                    assert name_t == name and isinstance(want, float), (kind, name, t)
+                    assert r[t] == want, (kind, name, t, r[t], want)
+        # the all-zero family's residuals are exactly zero, the broken one fails
+        if trials > 2:
+            assert all(r[2] == 0.0 for cols in stacked for _, r in cols)
+        assert failed([(name, r[1]) for name, r in dict(zip(EQUATIONS, stacked))["wca"]])
 
 
 def test_relative_is_absolute_below_a_scale_of_one_and_relative_above():

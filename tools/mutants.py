@@ -88,12 +88,15 @@ MUTANTS = (
     Mutant("series_block", "algebra.py", "SERIES_BLOCK = 128", "SERIES_BLOCK = 127"),
     # a real 3-vector acting on an operator vector, and the overflow guard
     # that lets a field take its norms only when they are read
-    Mutant("real_cross_sign", "algebra.py",
-           "return n[..., i, :, :] * v[..., j, :, :] - n[..., j, :, :] * v[..., i, :, :]",
-           "return (n[..., i, :, :] * v[..., j, :, :] - n[..., j, :, :] * v[..., i, :, :])"
-           " * np.array([1.0, 1.0, -1.0])[:, None, None]"),
-    Mutant("real_dot_term", "algebra.py",
-           "\n            + n[..., 2, :, :] * v[..., 2, :, :])", ")"),
+    Mutant("real_cross_sign", "algebra.py", "return n[i] * v[j] - n[j] * v[i]",
+           "return (n[i] * v[j] - n[j] * v[i]) * _lift([1.0, 1.0, -1.0], batch)"),
+    Mutant("real_dot_term", "algebra.py", " + n[c[2]] * v[c[2]]", ""),
+    # a per-trial factor of a stacked field on its last matrix axis instead
+    # of its trailing trial axis: only a stack of d trials broadcasts it
+    # (the stacks of 2 spin-1/2 and 3 spin-1 or su3 trials in
+    # test_residuals.py, test_relativity.py and test_poynting.py)
+    Mutant("per_trial_axis", "fields.py", "(1,) * (amps.ndim - x.ndim) + x.shape[1:])",
+           "(1,) * (amps.ndim - x.ndim - 1) + x.shape[1:] + (1,))"),
     Mutant("overflow_guard", "fields.py", "< SQRT_MAX / (2 * ctx.dim):", "< np.inf:"),
     # a sum of a scalar and a vector field, or of fields on two contexts
     # (test_fields.py::test_sums_take_fields_of_one_kind_on_one_context)
