@@ -12,14 +12,17 @@ amplitudes overflow, or a scale that does).  Each suite is one row of
 ``SUITE_TABLE``: its columns, its default tolerance, its fixed generator
 kind if it has one, whether its trials draw a family, and the columns
 that open its report.  Every column is (name, norm, scale[, tolerance]);
-one function, ``judge``, turns each into report items and gives both
-exports their verdicts: it refuses a scale that is not finite, divides
-(``residuals.relative``) and holds |residual| to the tolerance.
+one function, ``judge``, turns each into a judged column of residuals and
+pass flags and gives both exports their verdicts: it refuses a scale that
+is not finite, divides (``residuals.relative``) and holds |residual| to
+the tolerance.
 Every suite runs once per generator group (``RunConfig.kinds``), in one
 thread, on the group's families drawn straight into one stacked
 ``SolutionFamily``, or all trials as one group if they draw none; boost and
-gauge evaluate their two frames or gauges as one stack.  ``write_report``
-writes the bytes of ``json.dumps(report, indent=2)``, each item from a template.
+gauge evaluate their two frames or gauges as one stack.  A report holds
+its items as judged columns, and ``write_report`` writes the bytes of
+``json.dumps(report, indent=2)`` with them materialized: each column's item
+is a template with its name and tolerance baked in, filled per trial.
 """
 
 from __future__ import annotations
@@ -459,23 +462,32 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
     return SolutionFamily.stack(fams) if fams else None
 
 
-def judge(column, tol: float, prefixes=("",)) -> list[dict]:
-    """The report items of a column (name, norm, scale[, tolerance]), one
-    per prefix, named prefix + name: the residual relative(norm, scale),
-    which passes when |residual| <= the column's tolerance, else ``tol``, so
-    a NaN or an infinite residual fails.  Raises NonFiniteValue if a scale
-    is not finite, as any norm would pass against it."""
+class Judged(NamedTuple):
+    """A judged column: its item name, its residuals and pass flags (one
+    per trial of a group, or one for an opening column) and its tolerance."""
+
+    name: str
+    residual: np.ndarray
+    passed: np.ndarray
+    tol: float
+
+
+def judge(column, tol: float, trials: int = 1) -> Judged:
+    """A column (name, norm, scale[, tolerance]) judged for ``trials``
+    trials: the residual relative(norm, scale), which passes when
+    |residual| <= the column's tolerance, else ``tol``, so a NaN or an
+    infinite residual fails.  Raises NonFiniteValue if a scale is not
+    finite, as any norm would pass against it."""
     name, norm, scale, *given = column
     if not np.isfinite(scale).all():
         raise NonFiniteValue(f"the scale of {name} is not finite")
     tol = float(given[0] if given else tol)
-    res = np.broadcast_to(np.asarray(relative(norm, scale), dtype=float), len(prefixes))
-    return [{"name": p + name, "residual": r, "tolerance": tol, "pass": ok}
-            for p, r, ok in zip(prefixes, res.tolist(), (np.abs(res) <= tol).tolist())]
+    res = np.broadcast_to(np.asarray(relative(norm, scale), dtype=float), trials)
+    return Judged(name, res, np.abs(res) <= tol, tol)
 
 
-def _run_trials(cfg: RunConfig) -> list[dict]:
-    """Every trial's report items, each named trialNNN/<item>, in trial order.
+def _run_trials(cfg: RunConfig) -> list[tuple[np.ndarray, list[Judged]]]:
+    """(trial numbers, judged columns) of each generator group.
 
     The trials of each generator kind (``cfg.kinds``) run as one group, or
     all trials if the suite's trials draw no family: the group's families
@@ -489,34 +501,55 @@ def _run_trials(cfg: RunConfig) -> list[dict]:
     every = np.arange(cfg.trials)
     # every trial's seed words at once; a group's generators live while it runs
     states = spawn_states(cfg.seed, every)
-    per_trial = [[] for _ in range(cfg.trials)]
     step = len(kinds) if suite.family else 1
+    groups = []
     for first, kind in enumerate(kinds[:min(step, cfg.trials)]):
-        idx = every[first::step].tolist()
-        group = seeded_generators(states[first::step])
-        fams = _group_families(cfg, kind, group) if suite.family else None
-        prefixes = [f"trial{i:03d}/" for i in idx]
-        for column in suite.columns(cfg, fams, group):
-            for i, item in zip(idx, judge(column, cfg.tol, prefixes)):
-                per_trial[i].append(item)
-    return [it for items in per_trial for it in items]
+        idx = every[first::step]
+        rngs = seeded_generators(states[first::step])
+        fams = _group_families(cfg, kind, rngs) if suite.family else None
+        groups.append((idx, [judge(col, cfg.tol, len(idx))
+                             for col in suite.columns(cfg, fams, rngs)]))
+    return groups
 
 
 def run_suite(cfg: RunConfig) -> dict:
-    opening = [item for col in SUITE_TABLE[cfg.suite].opening() for item in judge(col, cfg.tol)]
-    items = opening + _run_trials(cfg)
-    failed = sum(not it["pass"] for it in items)
+    """The report of a run.  Its items are held by column, as (opening,
+    groups): the judged opening columns, an item each, and ``_run_trials``'
+    groups, an item per trial and column; in the report they run opening
+    first, then by trial, then by column."""
+    opening = [judge(col, cfg.tol) for col in SUITE_TABLE[cfg.suite].opening()]
+    groups = _run_trials(cfg)
+    cols = [*opening, *(col for _, group in groups for col in group)]
+    total = sum(col.passed.size for col in cols)
+    failed = total - int(sum(np.count_nonzero(col.passed) for col in cols))
     return {
         "suite": cfg.suite,
         "config": cfg.canonical(),
         "rng": "numpy PCG64; trial i uses SeedSequence(seed).spawn(trials)[i]",
-        "items": items,
+        "items": (opening, groups),
         "summary": {
-            "total": len(items),
+            "total": total,
             "failed": failed,
             "overall_pass": not failed,
         },
     }
+
+
+def _failed_names(items, limit: int) -> list[str]:
+    """The names of the first ``limit`` failing items of a report's
+    (opening, groups), in report order."""
+    opening, groups = items
+    fails = sorted((i, c, col.name) for idx, group in groups for c, col in enumerate(group)
+                   for i in idx[~col.passed][:limit].tolist())
+    return ([col.name for col in opening if not col.passed[0]]
+            + [f"trial{i:03d}/{name}" for i, _, name in fails])[:limit]
+
+
+def _refuse_special(path: str | None):
+    """Refuse a ``path`` that exists but is no regular file (a directory, a
+    device), so the rename of ``_write`` never replaces it."""
+    if path is not None and os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file")
 
 
 def _write(path: str | None, emit):
@@ -528,8 +561,7 @@ def _write(path: str | None, emit):
     if path is None:
         emit(sys.stdout)
         return
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(f"{path} exists and is not a regular file")
+    _refuse_special(path)  # again, in case the path changed since the run began
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -541,22 +573,43 @@ def _write(path: str | None, emit):
         raise
 
 
+def _item_texts(prefixes: list[str], cols: list[Judged], residuals, tols) -> list[str]:
+    """The report text of the items of each prefix, one per column in
+    order, each named prefix + its column's name, as ``json.dumps(report,
+    indent=2)`` writes them.  ``residuals`` and ``tols`` iterate over the
+    texts of the columns' residuals and tolerances, column by column; each
+    column's items come from one f-string with its name and tolerance text
+    bound once."""
+    items = []
+    for col in cols:
+        name, tol = encode_basestring_ascii(col.name)[1:], next(tols)
+        items.append([f'\n    {{\n      "name": "{prefix}{name},\n      "residual": {res},'
+                      f'\n      "tolerance": {tol},\n      "pass": {("false", "true")[ok]}\n    }}'
+                      for prefix, res, ok in zip(prefixes, itertools.islice(residuals, len(prefixes)),
+                                                 col.passed.tolist())])
+    return list(map(",".join, zip(*items)))
+
+
 def write_report(report: dict, path: str | None):
     """Write ``json.dumps(report, indent=2)`` and a newline, byte for byte,
-    with each item from one template: json's indenting encoder is slower.
-    One compact json call encodes every residual (no float's text holds
-    ", "), and each tolerance object is encoded once: a column shares one."""
-    items = report["items"]
-    residuals = json.dumps([it["residual"] for it in items])[1:-1].split(", ")
-    tols = {id(it["tolerance"]): it["tolerance"] for it in items}
-    tol_text = {key: json.dumps(tol) for key, tol in tols.items()}
-    text = ",".join(f'\n    {{\n      "name": {encode_basestring_ascii(it["name"])},\n'
-                    f'      "residual": {r},\n'
-                    f'      "tolerance": {tol_text[id(it["tolerance"])]},\n'
-                    f'      "pass": {"true" if it["pass"] else "false"}\n    }}'
-                    for it, r in zip(items, residuals))
+    for the report with its items materialized, straight from the columns
+    of ``run_suite``'s (opening, groups): json's indenting encoder is
+    slower, and the items need no dicts.  One compact json call gives the
+    text of every residual and tolerance (no float's text holds ", "), and
+    the trials of the groups interleave in trial order."""
+    opening, groups = report["items"]
+    parts = [([""], opening)] + [([f"trial{i:03d}/" for i in idx.tolist()], cols)
+                                 for idx, cols in groups]
+    cols = [col for _, part in parts for col in part]
+    values = np.concatenate([col.residual for col in cols] or [[]]).tolist()
+    numbers = json.dumps(values + [col.tol for col in cols])[1:-1].split(", ")
+    residuals, tols = iter(numbers[:len(values)]), iter(numbers[len(values):])
+    texts = [_item_texts(prefixes, part, residuals, tols) for prefixes, part in parts]
+    trials = sorted(pair for (idx, _), part in zip(groups, texts[1:])
+                    for pair in zip(idx.tolist(), part))
+    text = ",".join(texts[0] + [items for _, items in trials])
     body = json.dumps({**report, "items": []}, indent=2).replace(
-        '\n  "items": []', f'\n  "items": [{text}\n  ]' if items else '\n  "items": []', 1)
+        '\n  "items": []', f'\n  "items": [{text}\n  ]' if text else '\n  "items": []', 1)
     _write(path, lambda fh: fh.write(body + "\n"))
 
 
@@ -625,13 +678,13 @@ def write_timeseries(header: list[str], rows, path: str | None):
 # --- commands ------------------------------------------------------------------------
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    _refuse_special(cfg.out)  # before the run, which it would waste
     report = run_suite(cfg)
     write_report(report, cfg.out)
     failed = report["summary"]["failed"]
     total = report["summary"]["total"]
     if failed:
-        names = [it["name"] for it in report["items"] if not it["pass"]]
-        preview = ", ".join(names[:8]) + ("..." if len(names) > 8 else "")
+        preview = ", ".join(_failed_names(report["items"], 8)) + ("..." if failed > 8 else "")
         print(f"FAIL {cfg.suite}: {failed}/{total} items failed ({preview})", file=sys.stderr)
         return EXIT_FAIL
     print(f"PASS {cfg.suite}: {total} items", file=sys.stderr)
@@ -642,17 +695,17 @@ def _cmd_zitter(cfg: RunConfig) -> int:
     header, rows, dev = zitter_timeseries(cfg)
     # relative to hbar c / 2 E_p, as the suite's residuals are, and judged
     # before the export, so a scale that overflows writes no file
-    worst, = judge(("abs_dev", dev.max(initial=0.0), cfg.dirac.wobble_scale), cfg.tol)
+    worst = judge(("abs_dev", dev.max(initial=0.0), cfg.dirac.wobble_scale), cfg.tol)
     write_timeseries(header, rows, cfg.csv_path)
     if not dev.size:  # no samples, or a pair without a closed form
         why = ": pair {},{} has no closed form".format(*cfg.pair) if cfg.steps else ""
         print(f"PASS zitter: {cfg.steps} samples, nothing compared{why}", file=sys.stderr)
         return EXIT_PASS
-    if not worst["pass"]:
-        print(f"FAIL zitter: max |numeric - closed| = {worst['residual']:.3e} relative to "
+    if not worst.passed[0]:
+        print(f"FAIL zitter: max |numeric - closed| = {worst.residual[0]:.3e} relative to "
               "max(1, hbar c / 2 E_p)", file=sys.stderr)
         return EXIT_FAIL
-    print(f"PASS zitter: {cfg.steps} samples, max relative deviation {worst['residual']:.3e}",
+    print(f"PASS zitter: {cfg.steps} samples, max relative deviation {worst.residual[0]:.3e}",
           file=sys.stderr)
     return EXIT_PASS
 
@@ -661,13 +714,13 @@ def _cmd_poynting(cfg: RunConfig) -> int:
     fam = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)]).trial(0)
     closed = amw_flux(fam)  # judged before the export, so an overflow writes no file
     quad = flux_quadrature(fam, samples=cfg.samples)
-    err, = judge(("quadrature_vs_closed", operator_norm(quad - closed), operator_norm(closed)),
-                 cfg.tol)
+    err = judge(("quadrature_vs_closed", operator_norm(quad - closed), operator_norm(closed)),
+                cfg.tol)
     header, rows = poynting_timeseries(cfg, fam)
     write_timeseries(header, rows, cfg.csv_path)
-    verdict = "PASS" if err["pass"] else "FAIL"
-    print(f"{verdict} poynting: quadrature vs closed = {err['residual']:.3e}", file=sys.stderr)
-    return EXIT_PASS if err["pass"] else EXIT_FAIL
+    verdict = "PASS" if err.passed[0] else "FAIL"
+    print(f"{verdict} poynting: quadrature vs closed = {err.residual[0]:.3e}", file=sys.stderr)
+    return EXIT_PASS if err.passed[0] else EXIT_FAIL
 
 
 class _Parser(argparse.ArgumentParser):

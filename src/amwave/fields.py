@@ -202,13 +202,19 @@ class HarmonicField:
         if other.is_vector != self.is_vector or not _compatible(self.ctx, other.ctx):
             raise ValueError("fields must be of one kind and share a wave context")
 
+    # a sum of two fields that hold the same orders is one array op, with the
+    # bits of the merge: a - b and a + (-b) are the same IEEE operation
     def __add__(self, other: "HarmonicField") -> "HarmonicField":
         self._require(other)
+        if other.orders == self.orders:
+            return _field(self.ctx, self.orders, self.amps + other.amps)
         return _collect(self.ctx, self.is_vector,
                         [*zip(self.orders, self.amps), *zip(other.orders, other.amps)])
 
     def __sub__(self, other: "HarmonicField") -> "HarmonicField":
         self._require(other)
+        if other.orders == self.orders:
+            return _field(self.ctx, self.orders, self.amps - other.amps)
         return _collect(self.ctx, self.is_vector,
                         [*zip(self.orders, self.amps), *zip(other.orders, -other.amps)])
 
@@ -229,17 +235,19 @@ def _field(ctx: WaveContext, orders, amps: np.ndarray, seen=None) -> HarmonicFie
     NonFiniteValue, naming the first such order in ``seen`` (default: sorted);
     the norms are taken only if a component is NaN or reaches SQRT_MAX / (2 d)."""
     amps = np.ascontiguousarray(amps)
-    # each order's largest real or imaginary part; NaN if one is NaN
-    peak = np.abs(amps.view(float)).max(axis=tuple(range(1, amps.ndim)), initial=0.0)
-    if not peak.max(initial=0.0) < SQRT_MAX / (2 * ctx.dim):
+    # each order's largest real or imaginary part; NaN if one is NaN, which
+    # fails every comparison and so takes the norms
+    peaks = np.abs(amps.view(float)).max(axis=tuple(range(1, amps.ndim)), initial=0.0).tolist()
+    limit = SQRT_MAX / (2 * ctx.dim)
+    if not all(p < limit for p in peaks):
         norms = frobenius_norms(_trials_first(amps, ctx.batch_shape, 1))
         bad = ~np.isfinite(norms).reshape(len(orders), -1).all(axis=1)
         if bad.any():
             m = next(m for m in (seen or orders) if bad[orders.index(m)])
             raise NonFiniteValue(f"amplitude of order {m} is not finite")
-    if not peak.all():
-        amps = amps[peak > 0.0]
-        orders = [m for m, p in zip(orders, peak) if p > 0.0]
+    if not all(peaks):
+        keep = [i for i, p in enumerate(peaks) if p > 0.0]
+        amps, orders = amps[keep], [orders[i] for i in keep]
     return HarmonicField(ctx, tuple(orders), readonly(amps))
 
 
@@ -253,7 +261,7 @@ def _collect(ctx: WaveContext, vector: bool, pairs) -> HarmonicField:
     if not orders:
         shape = (0,) + (3,) * vector + (ctx.dim, ctx.dim) + ctx.batch_shape
         return HarmonicField(ctx, (), readonly(np.zeros(shape, dtype=complex)))
-    return _field(ctx, orders, np.stack([acc[m] for m in orders]), list(acc))
+    return _field(ctx, orders, np.array([acc[m] for m in orders]), list(acc))
 
 
 def field(ctx: WaveContext, amplitudes: Mapping[int, object]) -> HarmonicField:

@@ -83,9 +83,17 @@ def _flux_form(fam: SolutionFamily):
 
 
 def _trig(orders, phase: np.ndarray) -> np.ndarray:
-    """c(phi), shape (N, 2H): cos(m phase) for each order, then sin(m phase)."""
-    mphi = np.multiply.outer(phase, np.asarray(orders, dtype=float))
-    return np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
+    """c(phi), shape (N, 2H): cos(m phase) for each order, then sin(m phase).
+    It is built in one (2H, N) array, whose rows keep numpy's contiguous
+    cos and sin loops: m phase goes into the sine rows, whose cosines fill
+    the cosine rows before their sines replace them; then one copy
+    transposes it."""
+    h = len(orders)
+    rows = np.empty((2 * h, len(phase)))
+    mphi = np.multiply.outer(np.asarray(orders, dtype=float), phase, out=rows[h:])
+    np.cos(mphi, out=rows[:h])
+    np.sin(mphi, out=mphi)
+    return rows.T.copy()
 
 
 def _trig_pair(orders_e, orders_b, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 special families, the generator set and Dirac states no command builds,
 the direct Dirac operator path (one 4x4 product per time) as the oracle
 of ``zitter.wobble_expectations``, columns read as (name, residual)
-pairs, and a finite-difference oracle that knows a field only through
+pairs, judged columns and reports read as item dicts, and a
+finite-difference oracle that knows a field only through
 ``eval_at``.
 
 The special families extend ``random_family``'s draw with more draws from
@@ -67,6 +68,32 @@ def residuals_of(columns) -> list[tuple]:
     """(name, residual) of each (name, norm, scale[, tol]) column, the
     residual being relative(norm, scale), as ``cli.judge`` takes it."""
     return [(name, relative(norm, scale)) for name, norm, scale, *_ in columns]
+
+
+def judged_items(col, prefixes=("",)) -> list[dict]:
+    """The report items of a judged column (name, residuals, pass flags,
+    tolerance), one per prefix and residual, named prefix + name."""
+    return [{"name": p + col.name, "residual": r, "tolerance": col.tol, "pass": ok}
+            for p, r, ok in zip(prefixes, col.residual.tolist(), col.passed.tolist())]
+
+
+def report_items(report: dict) -> list[dict]:
+    """The items of a report that ``cli.run_suite`` holds by column, as
+    dicts in report order: the opening columns' items, then each trial's,
+    column by column."""
+    opening, groups = report["items"]
+    per_trial = {}
+    for idx, cols in groups:
+        prefixes = [f"trial{i:03d}/" for i in idx.tolist()]
+        for i, items in zip(idx.tolist(), zip(*(judged_items(col, prefixes) for col in cols))):
+            per_trial[i] = list(items)
+    return ([it for col in opening for it in judged_items(col)]
+            + [it for i in sorted(per_trial) for it in per_trial[i]])
+
+
+def materialized(report: dict) -> dict:
+    """The report with its items as dicts, as ``cli.write_report`` writes it."""
+    return {**report, "items": report_items(report)}
 
 
 def equation_residuals(label: str, terms) -> list[tuple]:

@@ -35,7 +35,9 @@ from amwave.cli import (
     OPTIONS,
     SUITES,
     ConfigError,
+    Judged,
     RunConfig,
+    _failed_names,
     _group_families,
     build_parser,
     config_from_file,
@@ -59,7 +61,7 @@ from amwave.zitter import (
     zitter_position_expectation,
 )
 
-from support import equation_residuals
+from support import equation_residuals, judged_items, materialized, report_items
 
 
 def read_json(path):
@@ -712,7 +714,7 @@ def test_wca_suite_all_pass():
     cfg = RunConfig(suite="wca", trials=6, seed=3)
     report = run_suite(cfg)
     assert report["summary"] == {"total": 36, "failed": 0, "overall_pass": True}
-    names = {it["name"].split("/")[1] for it in report["items"]}
+    names = {it["name"].split("/")[1] for it in report_items(report)}
     assert len(names) == 6
 
 
@@ -724,7 +726,7 @@ def test_wca_hundred_trials_six_hundred_entries():
 def test_exact_suite_flags_g2_items():
     cfg = RunConfig(suite="exact", trials=4, seed=3)
     report = run_suite(cfg)
-    failed = {it["name"].split("/")[1] for it in report["items"] if not it["pass"]}
+    failed = {it["name"].split("/")[1] for it in report_items(report) if not it["pass"]}
     assert failed == {"exact3_a_n_bracket", "exact8_phi_n_bracket"}
     assert report["summary"]["failed"] == 8
 
@@ -835,28 +837,75 @@ def test_written_report_has_default_file_mode(tmp_path):
 
 ODD_NUMBERS = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.2e-308,
                1e-12, 0.1, 1e16, 1.7976931348623157e308, 123456789.0)
+ODD_NAMES = ["a", 'q"uote\\', "tab\tnew\nline", "caf\u00e9 \u03c4 \U0001d6d1", "", "100% {x}"]
+
+
+def _odd_column(j: int, residuals) -> Judged:
+    """A judged column of odd residuals, named and held to a tolerance by j."""
+    res, tol = np.array(residuals), ODD_NUMBERS[j % len(ODD_NUMBERS)]
+    return Judged(ODD_NAMES[j % len(ODD_NAMES)], res, np.abs(res) <= tol, tol)
 
 
 def _report(kind: str) -> dict:
-    if kind in ("exact", "su3"):  # a failing report and one with constant items
-        return run_suite(RunConfig(suite=kind, trials=3, seed=2))
+    if kind in SUITES:  # exact fails items, su3 opens with constant items
+        return run_suite(RunConfig(suite=kind, trials=3, seed=2, samples=64))
     report = run_suite(RunConfig(suite="wca", trials=1, seed=1))
     if kind == "empty":
-        return {**report, "items": []}
-    names = ["trial000/a", 'q"uote\\', "tab\tnew\nline", "caf\u00e9 \u03c4 \U0001d6d1", ""]
-    return {**report, "items": [
-        {"name": names[i % len(names)], "residual": r, "tolerance": tol, "pass": r <= tol}
-        for i, (r, tol) in enumerate((r, tol) for r in ODD_NUMBERS for tol in ODD_NUMBERS)]}
+        return {**report, "items": ([], [])}
+    # every odd residual against every odd tolerance: in the opening, and in
+    # two groups whose trials interleave and one whose numbers pass 999
+    n = len(ODD_NUMBERS)
+    opening = [_odd_column(j, [r]) for j, r in enumerate(ODD_NUMBERS)]
+    groups = [(np.arange(first, 2 * n, 2), [_odd_column(j + first, np.roll(ODD_NUMBERS, j))
+                                            for j in range(n)]) for first in (0, 1)]
+    groups.append((np.array([998, 999, 1000]), [_odd_column(j, ODD_NUMBERS[j:j + 3])
+                                               for j in (0, 3, 6, 9)]))
+    return {**report, "items": (opening, groups)}
 
 
-@pytest.mark.parametrize("kind", ["exact", "su3", "odd numbers", "empty"])
+@pytest.mark.parametrize("kind", [*SUITES, "odd numbers", "empty"])
 def test_report_writer_writes_the_json_dumps_bytes(tmp_path, kind):
     report = _report(kind)
     out = tmp_path / "r.json"
     write_report(report, str(out))
-    assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
-    if kind == "exact":
-        assert not report["summary"]["overall_pass"]
+    want = materialized(report)
+    assert out.read_bytes() == (json.dumps(want, indent=2) + "\n").encode()
+    failing = [it["name"] for it in want["items"] if not it["pass"]]
+    if kind in SUITES:
+        assert report["summary"] == {"total": len(want["items"]), "failed": len(failing),
+                                     "overall_pass": not failing}
+        assert bool(failing) == (kind in ("exact", "full"))
+    # the preview of the failing items keeps report order
+    for limit in (0, 1, 8, len(failing) + 1):
+        assert _failed_names(report["items"], limit) == failing[:limit]
+
+
+def test_the_fail_line_previews_the_first_eight_failing_items_in_report_order(tmp_path):
+    out = tmp_path / "r.json"
+    # su3's opening items fail too at a tolerance below their rounding
+    for argv in (["verify", "exact", "--trials", "3"], ["verify", "exact", "--trials", "5"],
+                 ["verify", "su3", "--trials", "2", "--tol", "1e-300"]):
+        code, err = run_main([*argv, "--seed", "2", "--out", str(out)])
+        items = read_json(out)["items"]
+        failing = [it["name"] for it in items if not it["pass"]]
+        assert code == EXIT_FAIL and len(failing) > 2
+        preview = ", ".join(failing[:8]) + ("..." if len(failing) > 8 else "")
+        assert err == [f"FAIL {argv[1]}: {len(failing)}/{len(items)} items failed ({preview})"]
+    # the opening's two items with rounding come first
+    assert failing[:2] == ["f458", "f678"] and failing[2].startswith("trial000/")
+
+
+def test_verify_refuses_an_out_path_that_is_no_file_before_the_run(tmp_path, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the suite ran")
+    monkeypatch.setattr("amwave.cli.run_suite", never)
+    code, err = run_main(["verify", "wca", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err == [f"i/o error: {tmp_path} exists and is not a regular file"]
+    # the writer checks again, for a path that changed while the suite ran
+    with pytest.raises(OSError, match="exists and is not a regular file$"):
+        write_report(_report("empty"), str(tmp_path))
+    assert os.listdir(tmp_path) == []
 
 
 def test_timeseries_bytes_are_csv_writers(tmp_path):
@@ -1025,7 +1074,7 @@ def test_a_closed_form_off_by_1e_9_fails_at_a_large_hbar(tmp_path, monkeypatch, 
                                                          pair):
     exact = getattr(amwave.cli, closed)
     monkeypatch.setattr(f"amwave.cli.{closed}", lambda *args: exact(*args) * (1.0 + 1e-9))
-    items = run_suite(RunConfig(suite="zitter", trials=20, hbar=1e3))["items"]
+    items = report_items(run_suite(RunConfig(suite="zitter", trials=20, hbar=1e3)))
     assert {it["name"].split("/")[1] for it in items if not it["pass"]} == {item}
     assert sum(not it["pass"] for it in items) == 20
     config = config_file(tmp_path / "cfg.yaml", {"hbar": 1e4})
@@ -1182,7 +1231,7 @@ def test_zitter_and_poynting_equal_a_loop_over_single_trials(suite, generator):
                     want += [(f"trial{i:03d}/{name}", r, tol)
                              for name, r, tol in _single_trial_items(cfg, fam, rng)]
                 got = [(it["name"], it["residual"], it["tolerance"])
-                       for it in run_suite(cfg)["items"]]
+                       for it in report_items(run_suite(cfg))]
                 assert got == want, (units, seed, trials)
 
 
@@ -1361,7 +1410,7 @@ def test_batched_suites_equal_a_loop_over_single_families(suite, generator):
                 want += [(f"trial{i:03d}/{it['name']}", it["residual"], it["tolerance"])
                          for it in _single_family_items(cfg, fam, rng)]
             got = [(it["name"], it["residual"], it["tolerance"])
-                   for it in run_suite(cfg)["items"] if it["name"].startswith("trial")]
+                   for it in report_items(run_suite(cfg)) if it["name"].startswith("trial")]
             assert got == want, (seed, trials)
 
 
@@ -1370,9 +1419,11 @@ TOL = 1e-12
 
 def test_judge_holds_the_residual_magnitude_to_the_tolerance():
     def item(norm, tolerance=TOL, scale=1.0):
-        it, = judge(("x", norm, scale), tolerance)
-        assert list(it) == ["name", "residual", "tolerance", "pass"]
-        assert type(it["residual"]) is float and type(it["tolerance"]) is float
+        col = judge(("x", norm, scale), tolerance)
+        assert col.residual.dtype == float and col.passed.dtype == bool
+        assert col.residual.shape == col.passed.shape == (1,) and type(col.tol) is float
+        it, = judged_items(col)
+        assert type(it["residual"]) is float and type(it["pass"]) is bool
         return it
     for bad in (np.nan, np.inf, -np.inf, 2 * TOL):
         assert item(bad)["pass"] is False, bad
@@ -1381,19 +1432,21 @@ def test_judge_holds_the_residual_magnitude_to_the_tolerance():
     assert zero["pass"] is True and math.copysign(1.0, zero["residual"]) == -1.0
     it = item(np.float64(0.5 * TOL), np.float64(TOL))
     assert it == {"name": "x", "residual": 0.5 * TOL, "tolerance": TOL, "pass": True}
-    assert type(it["pass"]) is bool
     # the residual, not the norm, is held to the tolerance
     assert item(2.0, 0.6, scale=4.0) == {"name": "x", "residual": 0.5, "tolerance": 0.6,
                                          "pass": True}
     assert item(0.5, 0.4, scale=0.25)["pass"] is False  # absolute below a scale of 1
-    # one item per prefix, the column's own tolerance over the default
-    assert judge(("y", np.array([1.0, 3.0]), np.array([0.5, 4.0]), 0.8), TOL, ("a/", "b/")) == [
+    # one residual per trial, the column's own tolerance over the default
+    col = judge(("y", np.array([1.0, 3.0]), np.array([0.5, 4.0]), 0.8), TOL, 2)
+    assert judged_items(col, ("a/", "b/")) == [
         {"name": "a/y", "residual": 1.0, "tolerance": 0.8, "pass": False},
         {"name": "b/y", "residual": 0.75, "tolerance": 0.8, "pass": True}]
+    # one value for all trials is every trial's
+    assert judge(("z", 0.5, 1.0), TOL, 3).residual.tolist() == [0.5] * 3
     # a scale that is not finite would pass any norm
     for scale in (np.inf, np.nan, np.array([1.0, np.inf])):
         with pytest.raises(NonFiniteValue, match="^the scale of x is not finite$"):
-            judge(("x", np.array([0.0, 1.0]), scale), TOL, ("a/", "b/"))
+            judge(("x", np.array([0.0, 1.0]), scale), TOL, 2)
 
 
 @pytest.mark.parametrize("generator", ["both", "su3_gellmann"])
@@ -1421,7 +1474,7 @@ def test_every_column_is_name_norm_scale_and_the_report_is_its_relative_residual
             for i, (name, r, tol) in zip(idx, residuals(column, len(idx))):
                 per_trial[i].append((f"trial{i:03d}/{name}", r, tol))
     want += [it for items in per_trial for it in items]
-    got = [(it["name"], it["residual"].hex(), it["tolerance"]) for it in run_suite(cfg)["items"]]
+    got = [(it["name"], it["residual"].hex(), it["tolerance"]) for it in report_items(run_suite(cfg))]
     assert got == want
 
 

@@ -23,6 +23,7 @@ from amwave.fields import (
     HarmonicField,
     SolutionFamily,
     WaveContext,
+    _collect,
     build_fields,
     build_potentials,
     comm_ss,
@@ -768,6 +769,38 @@ def test_batched_product_names_the_pair_loops_non_finite_order(product, bad):
         with pytest.raises(NonFiniteValue) as want:
             pair_loop(f, g, kernel)
     assert str(got.value) == str(want.value) == "amplitude of order 2 is not finite"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+@pytest.mark.parametrize("vector", [False, True])
+def test_a_same_order_sum_has_the_bits_of_the_merge(op, vector):
+    # the merge of (order, amplitude) pairs, the path of fields with unlike orders
+    def merge(f, g):
+        return _collect(f.ctx, vector, [*zip(f.orders, f.amps),
+                                        *zip(g.orders, g.amps if op is operator.add else -g.amps)])
+    rng = np.random.default_rng(64)
+    for ctx in (WaveContext(generators=SPIN_HALF, k=rng.normal(size=(4, 3))),
+                WaveContext(generators=SPIN_HALF, k=rng.normal(size=3))):
+        every_trial = (slice(None),) * len(ctx.batch_shape)
+        f, g = (random_field(ctx, (-1, 1, 2), vector, rng) for _ in range(2))
+        # order 1 of the result cancels to an exact zero in every trial
+        amps = np.array(g.amps)
+        amps[1] = f.amps[1] if op is operator.sub else -f.amps[1]
+        g = g.with_amps(amps)
+        got, want = op(f, g), merge(f, g)
+        assert got.orders == want.orders == (-1, 2) and not got.amps.flags.writeable
+        assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+        # one entry of orders 1 and 2 at 1e154 in every trial: a field with
+        # finite norms whose sum with itself, or difference with its
+        # negation, has norms that overflow
+        big = np.array(f.amps)
+        big[(slice(1, None), ..., 0, 0) + every_trial] = 1e154
+        h = f.with_amps(big)
+        twin = h if op is operator.add else -1.0 * h
+        for sum_of in (op, merge):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    NonFiniteValue, match="^amplitude of order 1 is not finite$"):
+                sum_of(h, twin)
 
 
 def test_square_of_a_0d_array_is_its_float_square():

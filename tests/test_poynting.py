@@ -282,6 +282,21 @@ def test_shared_table_averages_equal_two_tables(kind, samples):
                 assert got[key].tobytes() == val.tobytes(), (key, pos is None)
 
 
+@pytest.mark.parametrize("orders", [(1,), (1, 2), (2, 1, 3)])
+def test_trig_table_has_the_bits_of_its_cos_and_sin_arrays_side_by_side(orders):
+    # the table is built in one array on contiguous rows, and must hold the
+    # bits of cos and sin taken on the (N, H) array of m phase
+    rng = np.random.default_rng(43)
+    for n in (1, 5, 128, 10_000):
+        phase = rng.uniform(-1e4, 1e4, n)
+        phase[0] = -0.0
+        mphi = np.multiply.outer(phase, np.asarray(orders, dtype=float))
+        want = np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1)
+        got = _trig(orders, phase)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_a_call_builds_each_distinct_table_once(monkeypatch):
     # the two fixed-k families share omega, hence their origin table
     rng = np.random.default_rng(41)

@@ -25,6 +25,7 @@ from amwave.residuals import (
 from support import (
     abelian_family,
     equation_residuals,
+    judged_items,
     fd_curl,
     fd_div,
     fd_dt,
@@ -552,7 +553,8 @@ def test_relative_is_absolute_below_a_scale_of_one_and_relative_above():
 
 def test_report_serialization():
     fam = xz_family()
-    items = [it for col in equation_columns("wca", Terms.of(fam)) for it in judge(col, TOL)]
+    items = [it for col in equation_columns("wca", Terms.of(fam))
+             for it in judged_items(judge(col, TOL))]
     assert all(d["pass"] is True for d in items)
     assert len(items) == 6
     assert all(type(d["residual"]) is float for d in items)

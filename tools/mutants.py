@@ -97,7 +97,14 @@ MUTANTS = (
     # test_residuals.py, test_relativity.py and test_poynting.py)
     Mutant("per_trial_axis", "fields.py", "(1,) * (amps.ndim - x.ndim) + x.shape[1:])",
            "(1,) * (amps.ndim - x.ndim - 1) + x.shape[1:] + (1,))"),
-    Mutant("overflow_guard", "fields.py", "< SQRT_MAX / (2 * ctx.dim):", "< np.inf:"),
+    Mutant("overflow_guard", "fields.py", "limit = SQRT_MAX / (2 * ctx.dim)", "limit = np.inf"),
+    # a sum of two fields with the same orders that skips _field, so a slot
+    # that cancels stays and an overflow passes
+    # (test_fields.py::test_term_merging, first in the run order, and
+    # test_fields.py::test_a_same_order_sum_has_the_bits_of_the_merge)
+    Mutant("same_order_unchecked", "fields.py",
+           "return _field(self.ctx, self.orders, self.amps + other.amps)",
+           "return HarmonicField(self.ctx, self.orders, readonly(self.amps + other.amps))"),
     # a sum of a scalar and a vector field, or of fields on two contexts
     # (test_fields.py::test_sums_take_fields_of_one_kind_on_one_context)
     Mutant("require_kind_and_context", "fields.py",
@@ -180,8 +187,8 @@ MUTANTS = (
     # and a pass rule that compares the norm, not norm / scale
     # (test_cli.py::test_judge_holds_the_residual_magnitude_to_the_tolerance)
     Mutant("flux_norm_check", "cli.py", "if not np.isfinite(scale).all():", "if False:"),
-    Mutant("judge_unscaled", "cli.py", "(np.abs(res) <= tol)",
-           "(np.abs(np.broadcast_to(norm, res.shape)) <= tol)"),
+    Mutant("judge_unscaled", "cli.py", "np.abs(res) <= tol, tol)",
+           "np.abs(np.broadcast_to(norm, res.shape)) <= tol, tol)"),
     # the generator-set checks at any hbar: the pair test on the unscaled
     # generators, and the old SU(2) bound, which grows as hbar, not hbar^2
     # (test_algebra.py::test_su2_sets_build_with_every_pair_noncommuting_at_any_hbar)

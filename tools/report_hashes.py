@@ -226,11 +226,22 @@ def against(old_src: str) -> int:
     return 1 if differ or failed else 0
 
 
+def as_items(judged) -> list[dict]:
+    """What ``judge`` returns, as item dicts: older trees return the list
+    of them, newer ones a judged column (name, residuals, pass flags,
+    tolerance), one item per residual."""
+    if isinstance(judged, list):
+        return judged
+    name, residual, passed, tol = judged
+    return [{"name": name, "residual": r, "tolerance": tol, "pass": ok}
+            for r, ok in zip(residual.tolist(), passed.tolist())]
+
+
 def export_items(argv: list[str]) -> list[dict]:
     """The items ``judge`` makes for the verdict of ``amwave <argv>`` while the export runs."""
     from amwave import cli
     judged, judge = [], cli.judge
-    cli.judge = lambda *args: judged.extend(items := judge(*args)) or items
+    cli.judge = lambda *args: judged.extend(as_items(result := judge(*args))) or result
     try:
         export_bodies(argv)
     finally:
@@ -240,9 +251,10 @@ def export_items(argv: list[str]) -> list[dict]:
 
 def print_items(labels: list[str]):
     """Print (label, items) of each run in ``labels``, or of every one, as
-    a JSON line; an item is (name, residual, tolerance, pass)."""
-    from amwave.cli import run_suite
-    runs = [(label, lambda cfg=cfg: run_suite(cfg)["items"]) for label, cfg in configs()]
+    a JSON line; an item is (name, residual, tolerance, pass), read from
+    the report body, so any tree's report API serves."""
+    runs = [(label, lambda cfg=cfg: json.loads(report_body(cfg))["items"])
+            for label, cfg in configs()]
     runs += [(label, lambda argv=argv: export_items(argv)) for label, argv in exports()]
     for label, items in runs:
         if not labels or label in labels:
