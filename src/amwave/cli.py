@@ -34,7 +34,7 @@ import os
 import re
 import sys
 import tempfile
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Callable, Collection
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
 from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
@@ -180,10 +180,10 @@ def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
                            R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
     a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
     closed, closed0 = amw_flux(fams), amw_flux(fams0)
-    at_r, at_origin = flux_averages(fams, cfg.samples, (r, None))
+    at_r, mixed_at_origin = flux_averages(fams, cfg.samples, ((r, "total"), (None, "mixed")))
     # each trial's operator_norm
     scale, scale0, quad, mixed, abelian = (sup_norms(x, ctx.batch_shape) for x in (
-        closed, closed0, at_r["total"] - closed, at_origin["mixed"],
+        closed, closed0, at_r - closed, mixed_at_origin,
         closed0 - em_flux(a01, fams0.ctx)))
     return [("quadrature_vs_closed", quad, scale),
             ("mixed_block_average", mixed, scale, 1e-10),
@@ -615,20 +615,18 @@ def write_report(report: dict, path: str | None):
 
 # --- time series -----------------------------------------------------------------
 
-def _rows(columns, blank=()) -> Iterator[list]:
-    """The rows of a time-series table, read from its numeric columns: a
-    row is a list of floats followed by the ``blank`` cells.  They are made
-    SERIES_BLOCK at a time, so an export never holds more than one block of
-    them as Python lists."""
-    blank = list(blank)
-    for start in range(0, len(columns[0]), SERIES_BLOCK):
-        rows = np.column_stack([c[start:start + SERIES_BLOCK] for c in columns]).tolist()
-        yield from (row + blank for row in rows)
+class Series(NamedTuple):
+    """A time-series table: its header, its numeric columns (one float per
+    row each) and the number of blank cells that end every row."""
+
+    header: list[str]
+    columns: tuple[np.ndarray, ...]
+    blank: int = 0
 
 
-def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Iterator[list], np.ndarray]:
-    """Rows of (t, numeric expectation, closed form, deviation), and the
-    deviation column on its own.
+def zitter_timeseries(cfg: RunConfig) -> tuple[Series, np.ndarray]:
+    """The table of (t, numeric expectation, closed form, deviation), and
+    the deviation column on its own.
 
     The observable follows the pair: position wobble for the
     equal-helicity mixes, spin wobble for the opposite-helicity ones.
@@ -647,13 +645,13 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[list[str], Iterator[list], np.nda
     ts = np.linspace(0.0, t_max, cfg.steps)
     num = wobble_expectations(ctx, psi, ts)[1 if cfg.pair in ((1, 4), (2, 3)) else 0]
     if closed_form is None:
-        return header, _rows((ts, num), blank=("",) * 4), np.empty(0)
+        return Series(header, (ts, *num.T), blank=4), np.empty(0)
     closed = closed_form(cfg.theta, ctx, ts)
     dev = np.abs(num - closed).max(axis=1)
-    return header, _rows((ts, num, closed, dev)), dev
+    return Series(header, (ts, *num.T, *closed.T, dev)), dev
 
 
-def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str], Iterator[list]]:
+def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> Series:
     """Instantaneous flux blocks along khat plus the running average.
 
     Each block column is the identity part (trace over dimension) of
@@ -664,14 +662,24 @@ def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[list[str],
     ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
     blocks = flux_block_series(fam, ts)
     running = np.cumsum(blocks["total"]) / np.arange(1, len(ts) + 1)
-    cols = (ts, blocks["first"], blocks["mixed"], blocks["second"], running)
-    return ["t", "first", "mixed", "second", "running_avg"], _rows(cols)
+    return Series(["t", "first", "mixed", "second", "running_avg"],
+                  (ts, blocks["first"], blocks["mixed"], blocks["second"], running))
 
 
-def write_timeseries(header: list[str], rows, path: str | None):
-    """Write the rows as ``csv.writer`` does: no cell needs quoting, no row is one blank."""
+def write_timeseries(series: Series, path: str | None):
+    """Write the table as ``csv.writer`` does (no cell needs quoting, no
+    row is one blank), SERIES_BLOCK rows at a time: each column of a block
+    becomes text with one ``repr`` per float (a float's ``str``), its rows
+    are joined from those texts, and the block is one write, so an export
+    holds one block of text at a time."""
+    header, columns, blank = series
+    end = "," * blank + "\r\n"
+
     def emit(fh):
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in itertools.chain([header], rows))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), SERIES_BLOCK):
+            texts = [map(repr, col[start:start + SERIES_BLOCK].tolist()) for col in columns]
+            fh.write(end.join(map(",".join, zip(*texts))) + end)
     _write(path, emit)
 
 
@@ -692,11 +700,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _cmd_zitter(cfg: RunConfig) -> int:
-    header, rows, dev = zitter_timeseries(cfg)
+    _refuse_special(cfg.csv_path)  # before the series, which it would waste
+    series, dev = zitter_timeseries(cfg)
     # relative to hbar c / 2 E_p, as the suite's residuals are, and judged
     # before the export, so a scale that overflows writes no file
     worst = judge(("abs_dev", dev.max(initial=0.0), cfg.dirac.wobble_scale), cfg.tol)
-    write_timeseries(header, rows, cfg.csv_path)
+    write_timeseries(series, cfg.csv_path)
     if not dev.size:  # no samples, or a pair without a closed form
         why = ": pair {},{} has no closed form".format(*cfg.pair) if cfg.steps else ""
         print(f"PASS zitter: {cfg.steps} samples, nothing compared{why}", file=sys.stderr)
@@ -711,13 +720,13 @@ def _cmd_zitter(cfg: RunConfig) -> int:
 
 
 def _cmd_poynting(cfg: RunConfig) -> int:
+    _refuse_special(cfg.csv_path)  # before the quadrature and series, which it would waste
     fam = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)]).trial(0)
     closed = amw_flux(fam)  # judged before the export, so an overflow writes no file
     quad = flux_quadrature(fam, samples=cfg.samples)
     err = judge(("quadrature_vs_closed", operator_norm(quad - closed), operator_norm(closed)),
                 cfg.tol)
-    header, rows = poynting_timeseries(cfg, fam)
-    write_timeseries(header, rows, cfg.csv_path)
+    write_timeseries(poynting_timeseries(cfg, fam), cfg.csv_path)
     verdict = "PASS" if err.passed[0] else "FAIL"
     print(f"{verdict} poynting: quadrature vs closed = {err.residual[0]:.3e}", file=sys.stderr)
     return EXIT_PASS if err.passed[0] else EXIT_FAIL

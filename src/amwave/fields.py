@@ -464,10 +464,22 @@ class SolutionFamily:
         """phi = khat . tau, read-only."""
         return readonly(real_dot(self.ctx.khat, self.tau))
 
+    @functools.cached_property
+    def k_cross_tau(self) -> np.ndarray:
+        """k x tau, read-only: the first-harmonic amplitude of B over i, and
+        a factor of the closed-form flux."""
+        return readonly(real_cross(self.ctx.k, self.tau))
+
+    @functools.cached_property
+    def tau_cross_tau(self) -> np.ndarray:
+        """tau x tau, read-only: the second-harmonic amplitude of B over
+        -i g, and a factor of the closed-form flux."""
+        return readonly(cross(self.tau, self.tau))
+
     @property
     def eta(self) -> np.ndarray:
         """Second-harmonic structure vector, tau x tau = i*eta_scale*eta."""
-        return readonly((1.0 / (1j * self.ctx.generators.eta_scale)) * cross(self.tau, self.tau))
+        return readonly((1.0 / (1j * self.ctx.generators.eta_scale)) * self.tau_cross_tau)
 
 
 def build_potentials(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
@@ -481,9 +493,8 @@ def build_fields(fam: SolutionFamily) -> tuple[HarmonicField, HarmonicField]:
     B carries i*(k x tau) at the first harmonic and -i*g*(tau x tau) at the
     second (equal to g*eta_scale*eta); E = -khat x B harmonic by harmonic.
     """
-    ctx, tau = fam.ctx, fam.tau
-    b = field(ctx, {1: real_cross(ctx.k, tau) * 1j,
-                    2: cross(tau, tau) * (-1j * ctx.g)})
+    ctx = fam.ctx
+    b = field(ctx, {1: fam.k_cross_tau * 1j, 2: fam.tau_cross_tau * (-1j * ctx.g)})
     return b, -1.0 * ncross(ctx.khat, b)
 
 

@@ -17,8 +17,9 @@ array; each trial of a stack gets the bits its own family gives alone.
 The quadrature oracle averages the instantaneous flux over one exact
 period with the trapezoid rule (exact up to rounding from 5 nodes on), as
 one contraction of basis cross products with averaged phase weights;
-``flux_averages`` splits it into the squared first-harmonic, mixed, and
-squared second-harmonic blocks (the mixed one averages to zero).
+``flux_averages`` gives any of the squared first-harmonic, mixed, and
+squared second-harmonic blocks (the mixed one averages to zero), or
+their total.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .algebra import SERIES_BLOCK, cross, dot, dots, real_cross, square
+from .algebra import SERIES_BLOCK, cross, dot, dots, square
 from .fields import SolutionFamily, build_fields
 
 
@@ -50,9 +51,7 @@ def em_flux(a01, ctx) -> np.ndarray:
 def amw_flux(fam: SolutionFamily) -> np.ndarray:
     """Closed-form time-averaged flux of a generator-valued wave family:
     khat times the operator magnitude of the module doc."""
-    ctx, tau = fam.ctx, fam.tau
-    kxt = real_cross(ctx.k, tau)
-    txt = cross(tau, tau)
+    ctx, kxt, txt = fam.ctx, fam.k_cross_tau, fam.tau_cross_tau
     op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
     return np.einsum("...i,...ab->...iab", ctx.khat, op)
 
@@ -105,17 +104,18 @@ def _trig_pair(orders_e, orders_b, phase: np.ndarray) -> tuple[np.ndarray, np.nd
     return ce, ce.copy() if orders_b == orders_e else _trig(orders_b, phase)
 
 
-def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.ndarray]]:
-    """Trapezoid averages of (c/4 pi) Re E x Re B over one period at each
-    position in ``rs`` (None is the origin; on a stack a position is (T, 3),
-    one per trial), split into the harmonic blocks: 'first' (squared first
-    harmonic), 'mixed' (the order-g cross terms, which average to zero),
-    'second' (squared second harmonic) and 'total' (the whole average, as
-    ``flux_quadrature``).  One basis table serves every position and
-    trial: each average is one (2H_E, 2H_B) weight matrix per trial on it,
-    with no sample axis.  A trial's weights depend only on its exact k.r
-    (its sign too, for a zero) and omega, and a call builds each distinct
-    cos/sin table once, for all the positions and trials that share it.
+def flux_averages(fam: SolutionFamily, samples: int, requests) -> list[np.ndarray]:
+    """Trapezoid averages of (c/4 pi) Re E x Re B over one period, one for
+    each (position, block) in ``requests``: the position None is the
+    origin, and on a stack a position is (T, 3), one per trial; the block
+    is 'first' (squared first harmonic), 'mixed' (the order-g cross terms,
+    which average to zero), 'second' (squared second harmonic) or 'total'
+    (the whole average, as ``flux_quadrature``).  Only the requested blocks
+    are contracted.  One basis table serves every request and trial: each
+    average is one (2H_E, 2H_B) weight matrix per trial on it, with no
+    sample axis.  A trial's weights depend only on its exact k.r (its sign
+    too, for a zero) and omega, and a call builds each distinct cos/sin
+    table once, for all the requests and trials that share it.
 
     ``samples`` (N) must be >= 1; below 5 the average aliases (see below).
     """
@@ -138,13 +138,12 @@ def flux_averages(fam: SolutionFamily, samples: int, rs) -> list[dict[str, np.nd
         return ce.T @ cb / samples
 
     out = []
-    for r in rs:
+    for r, block in requests:
         at = np.zeros_like(k) if r is None else np.asarray(r, dtype=float).reshape(-1, 3)
         w = np.reshape([weight(kr, np.signbit(kr), om)
                         for kr, om in zip(dots(k, at).tolist(), omegas)],
                        ctx.batch_shape + table.shape[:2])
-        out.append({name: np.einsum("...pq,pqiab...->...iab", w * mask, table)
-                    for name, mask in masks.items()})
+        out.append(np.einsum("...pq,pqiab...->...iab", w * masks[block], table))
     return out
 
 
@@ -152,7 +151,7 @@ def flux_quadrature(fam: SolutionFamily, samples: int = 10_000) -> np.ndarray:
     """Trapezoid time average of (c/4 pi) Re(E) x Re(B) over one period at
     the origin, shape (3, d, d), from ``samples`` nodes; exact up to
     rounding for samples >= 5, aliased below that, and samples < 1 raises."""
-    return flux_averages(fam, samples, (None,))[0]["total"]
+    return flux_averages(fam, samples, ((None, "total"),))[0]
 
 
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:

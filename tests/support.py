@@ -2,8 +2,8 @@
 special families, the generator set and Dirac states no command builds,
 the direct Dirac operator path (one 4x4 product per time) as the oracle
 of ``zitter.wobble_expectations``, columns read as (name, residual)
-pairs, judged columns and reports read as item dicts, and a
-finite-difference oracle that knows a field only through
+pairs, judged columns and reports read as item dicts, every flux block
+of a position by name, and a finite-difference oracle that knows a field only through
 ``eval_at``.
 
 The special families extend ``random_family``'s draw with more draws from
@@ -17,6 +17,7 @@ import numpy as np
 
 from amwave.algebra import GeneratorSet, frobenius_norms, make_generators, real_cross, sup_norms
 from amwave.fields import SolutionFamily, WaveContext, dt, random_family
+from amwave.poynting import flux_averages
 from amwave.residuals import equation_columns, relative
 
 
@@ -94,6 +95,16 @@ def report_items(report: dict) -> list[dict]:
 def materialized(report: dict) -> dict:
     """The report with its items as dicts, as ``cli.write_report`` writes it."""
     return {**report, "items": report_items(report)}
+
+
+FLUX_BLOCKS = ("first", "mixed", "second", "total")
+
+
+def flux_blocks(fam, samples: int, rs) -> list[dict]:
+    """Every block of ``poynting.flux_averages`` at each position in ``rs``,
+    by name, from one call that requests them all."""
+    got = iter(flux_averages(fam, samples, [(r, block) for r in rs for block in FLUX_BLOCKS]))
+    return [{block: next(got) for block in FLUX_BLOCKS} for _ in rs]
 
 
 def equation_residuals(label: str, terms) -> list[tuple]:

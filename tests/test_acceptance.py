@@ -232,10 +232,10 @@ def test_criterion_11_poynting():
         fam = random_family(make_generators(kind), rng, g=0.3)
         closed = amw_flux(fam)
         scale = max(1.0, operator_norm(closed))
-        quad = flux_averages(fam, 10_000, (rng.uniform(-1, 1, 3),))[0]["total"]
+        quad, = flux_averages(fam, 10_000, ((rng.uniform(-1, 1, 3), "total"),))
         worst_quad = max(worst_quad, operator_norm(quad - closed) / scale)
-        blocks = flux_averages(fam, 10_000, (None,))[0]
-        worst_mixed = max(worst_mixed, operator_norm(blocks["mixed"]) / scale)
+        mixed, = flux_averages(fam, 10_000, ((None, "mixed"),))
+        worst_mixed = max(worst_mixed, operator_norm(mixed) / scale)
     from amwave.fields import SolutionFamily, WaveContext
     gens = make_generators("su2_spin_half")
     ctx0 = WaveContext(generators=gens, k=np.array([0.1, -0.4, 1.0]), g=0.0)

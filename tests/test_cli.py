@@ -37,6 +37,7 @@ from amwave.cli import (
     ConfigError,
     Judged,
     RunConfig,
+    Series,
     _failed_names,
     _group_families,
     build_parser,
@@ -908,17 +909,67 @@ def test_verify_refuses_an_out_path_that_is_no_file_before_the_run(tmp_path, mon
     assert os.listdir(tmp_path) == []
 
 
-def test_timeseries_bytes_are_csv_writers(tmp_path):
-    header = ["t", "num_x", "closed_x", "abs_dev"]
-    rows = [[0.0, -0.0, "", ""], [1e-300, 5e-324, 1.7976931348623157e308, 0.1],
-            [float("nan"), float("inf"), -float("inf"), 1 / 3], [1e22, 123456789.0, -2.5e-7, ""]]
-    out, want = tmp_path / "mine.csv", tmp_path / "csv.csv"
-    write_timeseries(header, iter(rows), str(out))
-    with open(want, "w", newline="") as fh:
+def csv_writer_bytes(path, header, columns, blank=0) -> bytes:
+    """The bytes ``csv.writer`` writes for a header and the rows of
+    ``columns`` (floats), each row ending in ``blank`` empty cells."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
-    assert out.read_bytes() == want.read_bytes()
+        writer.writerows([*row, *[""] * blank] for row in zip(*(c.tolist() for c in columns)))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["zitter", "poynting"])
+def test_an_export_refuses_an_out_path_that_is_no_file_before_it_computes(
+        tmp_path, monkeypatch, command):
+    def never(*args):
+        raise AssertionError("the export computed")
+    for name in ("zitter_timeseries", "poynting_timeseries", "amw_flux", "flux_quadrature"):
+        monkeypatch.setattr(f"amwave.cli.{name}", never)
+    code, err = run_main([command, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert err == [f"i/o error: {tmp_path} exists and is not a regular file"]
+    assert os.listdir(tmp_path) == []
+
+
+def test_timeseries_bytes_are_csv_writers(tmp_path):
+    header = ["t", "num_x", "closed_x", "abs_dev", "closed_y", "closed_z"]
+    columns = np.array([[0.0, 1e-300, float("nan"), 1e22],
+                        [-0.0, 5e-324, float("inf"), 123456789.0],
+                        [0.1, 1.7976931348623157e308, -float("inf"), -2.5e-7],
+                        [1e16, 1 / 3, 1e-4, 9e15]])
+    out = tmp_path / "mine.csv"
+    for blank in (0, 2):
+        write_timeseries(Series(header, tuple(columns), blank), str(out))
+        assert out.read_bytes() == csv_writer_bytes(tmp_path / "csv.csv", header, columns, blank)
+
+
+# floats whose text takes each of repr's forms: signed zeros, subnormals,
+# the infinities and NaN, both sides of the exponent switches at 1e16 and
+# 1e-4, and 1e22, the largest power of ten a float holds exactly
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, float("inf"), -float("inf"), float("nan"),
+                9999999999999998.0, 1e16, 1.0000000000000002e16, 9.999999999999999e-05,
+                1e-4, 0.00010000000000000002, 1e22, -1e22]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), ncols=st.integers(1, 5), blank=st.sampled_from([0, 1, 4]),
+       rows=st.sampled_from([0, 1, SERIES_BLOCK - 1, SERIES_BLOCK, SERIES_BLOCK + 1]))
+def test_timeseries_encoder_writes_csv_writers_bytes_in_any_block(
+        tmp_path, data, ncols, blank, rows):
+    columns = tuple(np.array(data.draw(st.lists(_FLOATS, min_size=rows, max_size=rows)))
+                    for _ in range(ncols))
+    header = [f"c{i}" for i in range(ncols + blank)]
+    want = csv_writer_bytes(tmp_path / "csv.csv", header, columns, blank)
+    out = tmp_path / "mine.csv"
+    write_timeseries(Series(header, columns, blank), str(out))
+    assert out.read_bytes() == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("amwave.cli.SERIES_BLOCK", 7)
+        write_timeseries(Series(header, columns, blank), str(out))
+    assert out.read_bytes() == want
 
 
 # k = z and R_1, R_3 in the x-z plane, so the family is valid, but so large
@@ -957,8 +1008,8 @@ def test_zitter_timeseries_zero_theta(tmp_path):
 def test_zitter_timeseries_matches_closed_form():
     cfg = RunConfig(suite="zitter", theta=0.7, pair=(1, 4),
                     momentum=(0.0, 0.0, 0.8), steps=200)
-    _, rows, dev = zitter_timeseries(cfg)
-    devs = [row[-1] for row in rows]
+    series, dev = zitter_timeseries(cfg)
+    devs = series.columns[-1].tolist()
     assert max(devs) <= 1e-12
     assert devs == dev.tolist()
 
@@ -971,7 +1022,7 @@ def test_zitter_pairs_without_closed_form_leave_columns_blank(tmp_path, pair):
     assert len(rows) == 5
     assert all(row[4:] == ["", "", "", ""] for row in rows)
     cfg = RunConfig(suite="zitter", pair=tuple(int(x) for x in pair.split(",")), steps=5)
-    assert zitter_timeseries(cfg)[2].size == 0
+    assert zitter_timeseries(cfg)[1].size == 0
 
 
 def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
@@ -1016,7 +1067,7 @@ def test_zitter_export_rows_equal_a_per_time_evaluation_bitwise(tmp_path, pair, 
     assert body == zitter_rows_one_time_at_a_time(cfg)
 
 
-def test_zitter_export_builds_no_operator_per_step(monkeypatch):
+def test_zitter_export_builds_no_operator_per_step(tmp_path, monkeypatch):
     # one kernel call on the whole grid, whose only operators are the
     # context's (2, 3, 4, 4) basis (P H, P)
     calls, products = [], []
@@ -1030,16 +1081,19 @@ def test_zitter_export_builds_no_operator_per_step(monkeypatch):
         cfg = RunConfig(suite="zitter", pair=pair, steps=steps)
         calls.clear()
         products.clear()
-        _, rows, dev = zitter_timeseries(cfg)
+        series, dev = zitter_timeseries(cfg)
         assert calls == [steps]
         # the one contraction of a state with operators (the others build the context)
         assert [ops for ops in products if len(ops) == 3] == [[(4,), (2, 3, 4, 4), (4,)]]
-        # the rows stream in blocks, and the block length changes no value
-        whole = (list(rows), dev)
+        # the rows are written in blocks, and the block length changes no byte
+        out = tmp_path / "z.csv"
+        write_timeseries(series, str(out))
+        whole = (out.read_bytes(), dev)
         with monkeypatch.context() as patch:
             patch.setattr("amwave.cli.SERIES_BLOCK", 7)
-            _, rows, dev = zitter_timeseries(cfg)
-            assert list(rows) == whole[0] and np.array_equal(dev, whole[1])
+            series, dev = zitter_timeseries(cfg)
+            write_timeseries(series, str(out))
+            assert out.read_bytes() == whole[0] and np.array_equal(dev, whole[1])
 
 
 @pytest.mark.parametrize("argv, says", [
@@ -1195,7 +1249,8 @@ def _single_trial_items(cfg, fam, rng):
                 ("pure_energy_zero", float(np.abs(pure).max()) / scale, 1e-14),
                 ("same_helicity_spin_zero", float(np.abs(samehel).max()) / scale, 1e-14)]
     closed = amw_flux(fam)
-    at_r, at_origin = flux_averages(fam, cfg.samples, (rng.uniform(-1, 1, 3), None))
+    at_r, mixed = flux_averages(fam, cfg.samples, ((rng.uniform(-1, 1, 3), "total"),
+                                                   (None, "mixed")))
     scale = max(1.0, operator_norm(closed))
     n = len(fam.ctx.generators.generators)
     ctx0 = WaveContext(generators=fam.ctx.generators, k=fam.ctx.k, c=cfg.c, g=0.0)
@@ -1203,8 +1258,8 @@ def _single_trial_items(cfg, fam, rng):
     fam0 = SolutionFamily(ctx=ctx0, R=(r0,) + (np.zeros(3),) * n)
     a01 = -np.cross(ctx0.khat, np.cross(ctx0.khat, r0))
     flux0 = amw_flux(fam0)
-    return [("quadrature_vs_closed", operator_norm(at_r["total"] - closed) / scale, cfg.tol),
-            ("mixed_block_average", operator_norm(at_origin["mixed"]) / scale, 1e-10),
+    return [("quadrature_vs_closed", operator_norm(at_r - closed) / scale, cfg.tol),
+            ("mixed_block_average", operator_norm(mixed) / scale, 1e-10),
             ("abelian_equals_em", operator_norm(flux0 - em_flux(a01, ctx0))
              / max(1.0, operator_norm(flux0)), 1e-10)]
 

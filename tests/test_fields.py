@@ -388,9 +388,11 @@ def test_cached_context_and_family_values_are_read_only():
     assert ctx.knorm == float(np.linalg.norm(ctx.k))
     np.testing.assert_array_equal(ctx.khat, ctx.k / np.linalg.norm(ctx.k))
     assert fam.tau is fam.tau and fam.phi_amplitude is fam.phi_amplitude
+    assert fam.k_cross_tau is fam.k_cross_tau and fam.tau_cross_tau is fam.tau_cross_tau
     assert ctx.khat is ctx.khat
     b, _ = build_fields(fam)
-    for arr in (fam.tau, fam.phi_amplitude, fam.eta, ctx.khat, ctx.k,
+    for arr in (fam.tau, fam.phi_amplitude, fam.eta, fam.k_cross_tau, fam.tau_cross_tau,
+                ctx.khat, ctx.k,
                 b.amplitude(5), b.eval_at(ctx.k, 0.3)):
         with pytest.raises(ValueError):
             arr[0] = 1.0

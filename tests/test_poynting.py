@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from amwave.algebra import cross, make_generators, operator_norm
-from amwave.cli import RunConfig, poynting_timeseries
+import amwave.fields
+from amwave.cli import RunConfig, poynting_timeseries, run_suite
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -23,7 +24,7 @@ from amwave.poynting import (
     flux_quadrature,
 )
 
-from support import diagonal_family, identity_set, numeric_lift, xz_family
+from support import diagonal_family, flux_blocks, identity_set, numeric_lift, xz_family
 
 SPIN_HALF = make_generators("su2_spin_half")
 
@@ -78,7 +79,7 @@ def test_amw_quadrature_matches_closed_form(kind):
     rng = np.random.default_rng(5)
     fam = random_family(make_generators(kind), rng, g=0.3)
     closed = amw_flux(fam)
-    quad = flux_averages(fam, 10_000, (rng.uniform(-1, 1, 3),))[0]["total"]
+    quad, = flux_averages(fam, 10_000, ((rng.uniform(-1, 1, 3), "total"),))
     assert operator_norm(quad - closed) <= 1e-8
 
 
@@ -98,7 +99,7 @@ def test_amw_flux_abelian_reduces_to_em():
 def test_mixed_block_averages_to_zero():
     rng = np.random.default_rng(9)
     fam = random_family(SPIN_HALF, rng, g=0.5)
-    blocks = flux_averages(fam, 10_000, (None,))[0]
+    blocks = flux_blocks(fam, 10_000, (None,))[0]
     assert operator_norm(blocks["mixed"]) <= 1e-10
     closed = amw_flux(fam)
     assert operator_norm(blocks["total"] - closed) <= 1e-8
@@ -171,7 +172,7 @@ def test_contraction_matches_sample_loop(kind, samples):
     ts = np.linspace(0.0, fam.ctx.period, samples + 1)[:-1]
     want = {key: val.mean(axis=0) for key, val in loop_blocks(fam, ts, r).items()}
     scale = np.abs(want["total"]).max()
-    blocks = flux_averages(fam, samples, (r,))[0]
+    blocks = flux_blocks(fam, samples, (r,))[0]
     quad = blocks["total"]
     assert blocks.keys() == want.keys()
     for key, val in want.items():
@@ -185,8 +186,9 @@ def test_timeseries_matches_sample_loop(kind):
     rng = np.random.default_rng(19)
     fam = random_family(make_generators(kind), rng, g=0.4)
     cfg = RunConfig(suite="poynting", steps=33, samples=5)
-    header, rows = poynting_timeseries(cfg, fam)
-    got = dict(zip(header, np.array(list(rows)).T))
+    header, columns, blank = poynting_timeseries(cfg, fam)
+    got = dict(zip(header, columns))
+    assert blank == 0
     ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
     khat, d = fam.ctx.khat, fam.ctx.dim
     want = {key: np.einsum("i,tiaa->t", khat, val).real / d
@@ -203,7 +205,7 @@ def test_five_samples_match_closed_form(kind):
     rng = np.random.default_rng(23)
     fam = random_family(make_generators(kind), rng, g=0.3)
     closed = amw_flux(fam)
-    quad = flux_averages(fam, 5, (rng.uniform(-1, 1, 3),))[0]["total"]
+    quad, = flux_averages(fam, 5, ((rng.uniform(-1, 1, 3), "total"),))
     assert operator_norm(quad - closed) / max(1.0, operator_norm(closed)) <= 1e-14
 
 
@@ -211,9 +213,9 @@ def test_quadrature_of_an_empty_field_is_zero():
     ctx = WaveContext(generators=SPIN_HALF, k=np.array([0.0, 0.0, 1.0]), g=0.1)
     fam = SolutionFamily(ctx=ctx, R=tuple(np.zeros(3) for _ in range(4)))
     assert operator_norm(flux_quadrature(fam, samples=5)) == 0.0
-    assert all(operator_norm(v) == 0.0 for v in flux_averages(fam, 5, (None,))[0].values())
-    _, rows = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
-    assert [row[1:] for row in rows] == [[0.0] * 4] * 3
+    assert all(operator_norm(v) == 0.0 for v in flux_blocks(fam, 5, (None,))[0].values())
+    series = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
+    assert [col.tolist() for col in series.columns[1:]] == [[0.0] * 3] * 4
 
 
 @pytest.mark.parametrize("steps", (5, 6, 33, 128))
@@ -221,8 +223,8 @@ def test_quadrature_of_an_empty_field_is_zero():
 def test_last_running_average_is_the_closed_form(kind, steps):
     rng = np.random.default_rng(29)
     fam = random_family(make_generators(kind), rng, g=0.4)
-    _, rows = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
-    last = list(rows)[-1]
+    series = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
+    last = [col[-1] for col in series.columns]
     closed = amw_flux(fam)
     want = np.einsum("i,iaa->", fam.ctx.khat, closed).real / fam.ctx.dim
     assert last[-1] == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -235,16 +237,16 @@ def test_bad_sample_counts_raise(samples):
     with pytest.raises(ValueError, match="samples"):
         flux_quadrature(fam, samples=samples)
     with pytest.raises(ValueError, match="samples"):
-        flux_averages(fam, samples, (None,))
+        flux_averages(fam, samples, ((None, "total"),))
 
 
 def test_averages_at_several_positions_match_single_calls():
     rng = np.random.default_rng(31)
     fam = random_family(make_generators("su2_spin_one"), rng, g=0.4)
     r = rng.uniform(-1, 1, 3)
-    at_r, at_origin = flux_averages(fam, 7, (r, None))
+    at_r, at_origin = flux_blocks(fam, 7, (r, None))
     for got, pos in ((at_r, r), (at_origin, None)):
-        blocks = flux_averages(fam, 7, (pos,))[0]
+        blocks = flux_blocks(fam, 7, (pos,))[0]
         assert got.keys() == blocks.keys()
         for key, val in blocks.items():
             np.testing.assert_array_equal(got[key], val)
@@ -275,7 +277,7 @@ def test_shared_table_averages_equal_two_tables(kind, samples):
         _, orders_e, orders_b, _ = _flux_form(fam)
         assert orders_e == orders_b == (1, 2)
         rs = (rng.uniform(-1, 1, 3), None)
-        for pos, got in zip(rs, flux_averages(fam, samples, rs)):
+        for pos, got in zip(rs, flux_blocks(fam, samples, rs)):
             want = two_table_averages(fam, samples, pos)
             assert got.keys() == want.keys()
             for key, val in want.items():
@@ -306,8 +308,45 @@ def test_a_call_builds_each_distinct_table_once(monkeypatch):
     built = []
     monkeypatch.setattr("amwave.poynting._trig_pair",
                         lambda *args, pair=_trig_pair: built.append(1) or pair(*args))
-    flux_averages(fams, 7, (rng.uniform(-1, 1, (2, 3)), None, None))
+    flux_averages(fams, 7, ((rng.uniform(-1, 1, (2, 3)), "total"), (None, "total"),
+                            (None, "mixed")))
     assert len(built) == 3
+
+
+def test_only_the_requested_blocks_are_contracted(monkeypatch):
+    # the quadrature reads the total at the origin, the suite the total at
+    # r and the mixed block at the origin: each is one contraction of the
+    # basis table, per generator group
+    specs, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda spec, *ops, **kw: specs.append(spec)
+                        or einsum(spec, *ops, **kw))
+    flux_quadrature(xz_family(), samples=7)
+    assert specs.count("...pq,pqiab...->...iab") == 1
+    specs.clear()
+    run_suite(RunConfig(suite="poynting", trials=3, samples=7))
+    assert specs.count("...pq,pqiab...->...iab") == 2 * 2
+
+
+def test_a_family_crosses_tau_once_for_its_fields_and_its_flux(monkeypatch):
+    fam = random_family(SPIN_HALF, np.random.default_rng(47), g=0.4)
+    calls = []
+
+    def counted(name):
+        kernel = getattr(amwave.fields, name)
+
+        def run(u, v, *rest):
+            if v is fam.tau:
+                calls.append(name)
+            return kernel(u, v, *rest)
+        return run
+    for name in ("cross", "real_cross"):
+        monkeypatch.setattr(f"amwave.fields.{name}", counted(name))
+    amw_flux(fam)
+    b, _ = build_fields(fam)
+    fam.eta
+    assert sorted(calls) == ["cross", "real_cross"]
+    assert b.amplitude(1).tobytes() == (fam.k_cross_tau * 1j).tobytes()
+    assert b.amplitude(2).tobytes() == (fam.tau_cross_tau * (-1j * fam.ctx.g)).tobytes()
 
 
 def mixed_stack(kind, seed, trials=3):
@@ -333,14 +372,14 @@ def test_stacked_fluxes_give_each_trial_its_own_bytes(kind, samples):
     for seed, trials in itertools.product(range(4), {3, make_generators(kind).dim}):
         fams, stack, rng = mixed_stack(kind, seed, trials)
         r = rng.uniform(-1, 1, (trials, 3))
-        at_r, at_origin = flux_averages(stack, samples, (r, None))
+        at_r, at_origin = flux_blocks(stack, samples, (r, None))
         closed = amw_flux(stack)
         r0 = rng.uniform(-1, 1, (trials, 3))
         a01 = -np.cross(stack.ctx.khat, np.cross(stack.ctx.khat, r0))
         em = em_flux(a01, stack.ctx)
         for t, fam in enumerate(fams):
             for got, pos in ((at_r, r[t]), (at_origin, None)):
-                want = flux_averages(fam, samples, (pos,))[0]
+                want = flux_blocks(fam, samples, (pos,))[0]
                 assert got.keys() == want.keys()
                 for key, val in want.items():
                     assert got[key][t].tobytes() == val.tobytes(), (seed, t, key, pos is None)

@@ -369,7 +369,7 @@ def test_api_edge_returns_plain_arrays():
     assert type(flux) is np.ndarray and flux.shape == (3, d, d)
     quad = flux_quadrature(fam, samples=5)
     assert type(quad) is np.ndarray and quad.shape == (3, d, d)
-    blocks = flux_averages(fam, 5, (None,))[0]
-    assert sorted(blocks) == ["first", "mixed", "second", "total"]
-    for val in blocks.values():
+    blocks = flux_averages(fam, 5, [(None, b) for b in ("first", "mixed", "second", "total")])
+    assert len(blocks) == 4
+    for val in blocks:
         assert type(val) is np.ndarray and val.shape == (3, d, d)

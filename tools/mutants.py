@@ -174,6 +174,14 @@ MUTANTS = (
            "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])",
            "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])\n"
            "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 3])"),
+    # the CSV encoder: the blank cells that end a row one short, and each
+    # block's last row left unended
+    # (test_cli.py::test_timeseries_bytes_are_csv_writers, first in the run
+    # order, and test_timeseries_encoder_writes_csv_writers_bytes_in_any_block)
+    Mutant("blank_suffix_short", "cli.py", 'end = "," * blank + "\\r\\n"',
+           'end = "," * (blank - 1) + "\\r\\n"'),
+    Mutant("block_end_dropped", "cli.py", 'fh.write(end.join(map(",".join, zip(*texts))) + end)',
+           'fh.write(end.join(map(",".join, zip(*texts))))'),
     # the Poynting residuals' scales
     Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian, scale0, 1e-10)',
            '("abelian_equals_em", abelian, 1.0, 1e-10)'),
