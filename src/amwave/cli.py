@@ -19,10 +19,11 @@ the tolerance.
 Every suite runs once per generator group (``RunConfig.kinds``), in one
 thread, on the group's families drawn straight into one stacked
 ``SolutionFamily``, or all trials as one group if they draw none; boost and
-gauge evaluate their two frames or gauges as one stack.  A report holds
-its items as judged columns, and ``write_report`` writes the bytes of
-``json.dumps(report, indent=2)`` with them materialized: each column's item
-is a template with its name and tolerance baked in, filled per trial.
+gauge evaluate their two frames or gauges as one stack.  Each group
+writes its rows of every column, so a report holds its items as judged
+columns in trial order, one per item, and ``write_report`` writes the
+bytes of ``json.dumps(report, indent=2)`` with them materialized: each
+column's items come from one f-string with its name and tolerance bound.
 """
 
 from __future__ import annotations
@@ -155,10 +156,9 @@ def _zitter_residuals(cfg: RunConfig, _, rngs):
     ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
     theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
     t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
-    mix13, mix14, pure13 = (SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
-                            in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3))))
-    (pos13, spin13), (_, spin14), (pure, _) = wobble_expectations(
-        ctx, np.stack([mix13, mix14, pure13]), t)
+    mixes = np.stack([SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
+                      in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3)))])
+    (pos13, spin13), (_, spin14), (pure, _) = wobble_expectations(ctx, mixes, t)
     devs = [("position_vs_closed", pos13 - position_closed_form(theta, ctx, t)),
             ("spin_vs_closed", spin14 - spin_closed_form(theta, ctx, t)),
             ("pure_energy_zero", pure, 1e-14),
@@ -357,13 +357,15 @@ class RunConfig:
         # the program's own constructors hold the rules; building what the
         # run will build turns a bad value into a config error up front
         try:
-            self.dirac.states
             axis = boost_axis(self.boost_axis)
             boost_matrix(self.velocity * self.c, c=self.c)
             SuperpositionSpec(self.theta, self.pair)
-            if self.t_max is not None and not np.isfinite(
-                    2.0 * self.dirac.energy * self.t_max / self.hbar):
-                raise ValueError(f"t_max = {self.t_max!r} overflows the phase 2 E_p t / hbar")
+            # only the zitter suite and export build a Dirac context
+            if self.suite == "zitter":
+                self.dirac.states
+                if self.t_max is not None and not np.isfinite(
+                        2.0 * self.dirac.energy * self.t_max / self.hbar):
+                    raise ValueError(f"t_max = {self.t_max!r} overflows the phase 2 E_p t / hbar")
             if SUITE_TABLE[self.suite].family:
                 for kind in self.kinds[:self.trials]:
                     _group_families(self, kind, ())
@@ -464,7 +466,8 @@ def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
 
 class Judged(NamedTuple):
     """A judged column: its item name, its residuals and pass flags (one
-    per trial of a group, or one for an opening column) and its tolerance."""
+    per trial of the run, in trial order, or one for an opening or export
+    column) and its tolerance."""
 
     name: str
     residual: np.ndarray
@@ -472,61 +475,71 @@ class Judged(NamedTuple):
     tol: float
 
 
-def judge(column, tol: float, trials: int = 1) -> Judged:
-    """A column (name, norm, scale[, tolerance]) judged for ``trials``
-    trials: the residual relative(norm, scale), which passes when
-    |residual| <= the column's tolerance, else ``tol``, so a NaN or an
-    infinite residual fails.  Raises NonFiniteValue if a scale is not
-    finite, as any norm would pass against it."""
+def judge(column, tol: float) -> Judged:
+    """A column (name, norm, scale[, tolerance]) judged: the residual
+    relative(norm, scale), which passes when |residual| <= the column's
+    tolerance, else ``tol``, so a NaN or an infinite residual fails.
+    Raises NonFiniteValue if a scale is not finite, as any norm would pass
+    against it."""
     name, norm, scale, *given = column
     if not np.isfinite(scale).all():
         raise NonFiniteValue(f"the scale of {name} is not finite")
     tol = float(given[0] if given else tol)
-    res = np.broadcast_to(np.asarray(relative(norm, scale), dtype=float), trials)
+    res = np.array(relative(norm, scale), dtype=float, ndmin=1)
     return Judged(name, res, np.abs(res) <= tol, tol)
 
 
-def _run_trials(cfg: RunConfig) -> list[tuple[np.ndarray, list[Judged]]]:
-    """(trial numbers, judged columns) of each generator group.
+def _run_trials(cfg: RunConfig) -> list[Judged]:
+    """The judged columns of the run's trials, one per report item, each
+    holding every trial's residual in trial order.
 
     The trials of each generator kind (``cfg.kinds``) run as one group, or
     all trials if the suite's trials draw no family: the group's families
     are drawn as one stack (``_group_families``), each trial from its own
     generator, and the suite's columns are computed once on that stack.
     Whatever a suite draws comes from the same per-trial generators after
-    the family, so grouping changes no value."""
+    the family, so grouping changes no value.  Trial i is in group
+    i % step, and each group writes its norms and scales into its own
+    rows, [first::step], of each column; every group must yield the same
+    columns (names and tolerances, in order), and ``judge`` runs once per
+    column."""
     suite, kinds = SUITE_TABLE[cfg.suite], cfg.kinds
-    # the first allocation sized by the trial count, so a count that memory
-    # cannot hold fails here at once
-    every = np.arange(cfg.trials)
-    # every trial's seed words at once; a group's generators live while it runs
-    states = spawn_states(cfg.seed, every)
+    # every trial's seed words at once, the first allocation sized by the
+    # trial count, so a count that memory cannot hold fails here at once; a
+    # group's generators live while it runs
+    states = spawn_states(cfg.seed, np.arange(cfg.trials))
     step = len(kinds) if suite.family else 1
-    groups = []
     for first, kind in enumerate(kinds[:min(step, cfg.trials)]):
-        idx = every[first::step]
         rngs = seeded_generators(states[first::step])
         fams = _group_families(cfg, kind, rngs) if suite.family else None
-        groups.append((idx, [judge(col, cfg.tol, len(idx))
-                             for col in suite.columns(cfg, fams, rngs)]))
-    return groups
+        cols = suite.columns(cfg, fams, rngs)
+        got = [(name, *tol) for name, _, _, *tol in cols]
+        if not first:
+            # NaN until a group fills it, so a row no group wrote would fail
+            heads, (norms, scales) = got, np.full((2, len(cols), cfg.trials), np.nan)
+        elif got != heads:
+            raise RuntimeError(f"the {kind} trials of {cfg.suite} yield other columns")
+        for j, (_, norm, scale, *_) in enumerate(cols):
+            norms[j, first::step], scales[j, first::step] = norm, scale
+    return [judge((name, norm, scale, *tol), cfg.tol)
+            for (name, *tol), norm, scale in zip(heads, norms, scales)]
 
 
 def run_suite(cfg: RunConfig) -> dict:
     """The report of a run.  Its items are held by column, as (opening,
-    groups): the judged opening columns, an item each, and ``_run_trials``'
-    groups, an item per trial and column; in the report they run opening
-    first, then by trial, then by column."""
+    columns): the judged opening columns, an item each, and ``_run_trials``'
+    columns, an item per trial each; in the report they run opening first,
+    then by trial, then by column."""
     opening = [judge(col, cfg.tol) for col in SUITE_TABLE[cfg.suite].opening()]
-    groups = _run_trials(cfg)
-    cols = [*opening, *(col for _, group in groups for col in group)]
+    columns = _run_trials(cfg)
+    cols = [*opening, *columns]
     total = sum(col.passed.size for col in cols)
     failed = total - int(sum(np.count_nonzero(col.passed) for col in cols))
     return {
         "suite": cfg.suite,
         "config": cfg.canonical(),
         "rng": "numpy PCG64; trial i uses SeedSequence(seed).spawn(trials)[i]",
-        "items": (opening, groups),
+        "items": (opening, columns),
         "summary": {
             "total": total,
             "failed": failed,
@@ -537,12 +550,12 @@ def run_suite(cfg: RunConfig) -> dict:
 
 def _failed_names(items, limit: int) -> list[str]:
     """The names of the first ``limit`` failing items of a report's
-    (opening, groups), in report order."""
-    opening, groups = items
-    fails = sorted((i, c, col.name) for idx, group in groups for c, col in enumerate(group)
-                   for i in idx[~col.passed][:limit].tolist())
+    (opening, columns), in report order: the opening's, then those of one
+    (trials, columns) matrix of failures, read row by row."""
+    opening, columns = items
+    failed = np.argwhere(~np.array([col.passed for col in columns], dtype=bool, ndmin=2).T)
     return ([col.name for col in opening if not col.passed[0]]
-            + [f"trial{i:03d}/{name}" for i, _, name in fails])[:limit]
+            + [f"trial{i:03d}/{columns[c].name}" for i, c in failed[:limit].tolist()])[:limit]
 
 
 def _refuse_special(path: str | None):
@@ -593,21 +606,17 @@ def _item_texts(prefixes: list[str], cols: list[Judged], residuals, tols) -> lis
 def write_report(report: dict, path: str | None):
     """Write ``json.dumps(report, indent=2)`` and a newline, byte for byte,
     for the report with its items materialized, straight from the columns
-    of ``run_suite``'s (opening, groups): json's indenting encoder is
+    of ``run_suite``'s (opening, columns): json's indenting encoder is
     slower, and the items need no dicts.  One compact json call gives the
-    text of every residual and tolerance (no float's text holds ", "), and
-    the trials of the groups interleave in trial order."""
-    opening, groups = report["items"]
-    parts = [([""], opening)] + [([f"trial{i:03d}/" for i in idx.tolist()], cols)
-                                 for idx, cols in groups]
-    cols = [col for _, part in parts for col in part]
+    text of every residual and tolerance (no float's text holds ", ")."""
+    opening, columns = report["items"]
+    cols = [*opening, *columns]
     values = np.concatenate([col.residual for col in cols] or [[]]).tolist()
     numbers = json.dumps(values + [col.tol for col in cols])[1:-1].split(", ")
     residuals, tols = iter(numbers[:len(values)]), iter(numbers[len(values):])
-    texts = [_item_texts(prefixes, part, residuals, tols) for prefixes, part in parts]
-    trials = sorted(pair for (idx, _), part in zip(groups, texts[1:])
-                    for pair in zip(idx.tolist(), part))
-    text = ",".join(texts[0] + [items for _, items in trials])
+    trials = [f"trial{i:03d}/" for i in range(len(columns[0].passed) if columns else 0)]
+    text = ",".join(_item_texts([""], opening, residuals, tols)
+                    + _item_texts(trials, columns, residuals, tols))
     body = json.dumps({**report, "items": []}, indent=2).replace(
         '\n  "items": []', f'\n  "items": [{text}\n  ]' if text else '\n  "items": []', 1)
     _write(path, lambda fh: fh.write(body + "\n"))
@@ -689,8 +698,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     _refuse_special(cfg.out)  # before the run, which it would waste
     report = run_suite(cfg)
     write_report(report, cfg.out)
-    failed = report["summary"]["failed"]
-    total = report["summary"]["total"]
+    failed, total = report["summary"]["failed"], report["summary"]["total"]
     if failed:
         preview = ", ".join(_failed_names(report["items"], 8)) + ("..." if failed > 8 else "")
         print(f"FAIL {cfg.suite}: {failed}/{total} items failed ({preview})", file=sys.stderr)

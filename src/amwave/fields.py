@@ -122,8 +122,14 @@ class WaveContext:
         return self.generators.dim
 
     @property
-    def period(self) -> float:
-        return 2.0 * np.pi / self.omega
+    @np.errstate(divide="ignore", over="ignore")
+    def period(self) -> float | np.ndarray:
+        """2 pi / omega; one that overflows (omega below about 3.5e-308)
+        raises NonFiniteValue."""
+        period = np.divide(2.0 * np.pi, self.omega)
+        if not np.isfinite(period).all():
+            raise NonFiniteValue("the period 2 pi / omega is not finite")
+        return period
 
 
 def _unchecked(cls, **values):

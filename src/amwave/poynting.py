@@ -28,7 +28,7 @@ import functools
 
 import numpy as np
 
-from .algebra import SERIES_BLOCK, cross, dot, dots, square
+from .algebra import SERIES_BLOCK, cross, dot, dots, readonly, square
 from .fields import SolutionFamily, build_fields
 
 
@@ -56,8 +56,10 @@ def amw_flux(fam: SolutionFamily) -> np.ndarray:
     return np.einsum("...i,...ab->...iab", ctx.khat, op)
 
 
+@functools.lru_cache(maxsize=1)  # an export's quadrature and series share it
 def _flux_form(fam: SolutionFamily):
-    """(c/4 pi) Re E x Re B as a bilinear form in the phase phi.
+    """(c/4 pi) Re E x Re B as a bilinear form in the phase phi, built once
+    for the last family asked, read-only.
 
     Re F = sum_m cos(m phi) Herm(amp_m) + sin(m phi) Herm(i amp_m): a fixed
     Hermitian basis of 2H rows weighted by c(phi) = [cos(m phi) | sin(m phi)],
@@ -78,7 +80,8 @@ def _flux_form(fam: SolutionFamily):
     me, mb = np.tile(e.orders, 2)[:, None], np.tile(b.orders, 2)[None, :]
     masks = {"first": (me == 1) & (mb == 1), "mixed": me != mb,
              "second": (me == 2) & (mb == 2), "total": np.ones(table.shape[:2], bool)}
-    return (fam.ctx.c / (4.0 * np.pi)) * table, e.orders, b.orders, masks
+    return (readonly((fam.ctx.c / (4.0 * np.pi)) * table), e.orders, b.orders,
+            {name: readonly(mask) for name, mask in masks.items()})
 
 
 def _trig(orders, phase: np.ndarray) -> np.ndarray:
@@ -124,24 +127,25 @@ def flux_averages(fam: SolutionFamily, samples: int, requests) -> list[np.ndarra
     ctx = fam.ctx
     table, orders_e, orders_b, masks = _flux_form(fam)
     k, omegas = ctx.k.reshape(-1, 3), np.ravel(ctx.omega).tolist()
+    periods = np.ravel(ctx.period).tolist()
 
     @functools.cache  # one cos/sin table per distinct (k.r, its sign bit, omega)
-    def weight(kr: float, negative: bool, omega: float) -> np.ndarray:
+    def weight(kr: float, negative: bool, omega: float, period: float) -> np.ndarray:
         # N nodes over one exact period; the endpoint repeats the first node,
         # so the trapezoid rule is their plain mean.  The integrand is a
         # trigonometric polynomial of degree m_E + m_B <= 4 in phi, and the
         # N-point rule averages e^{i j phi} exactly unless N divides j, so it
         # is exact up to rounding once N >= 5 (Trefethen & Weideman, SIAM
         # Review 2014); fewer nodes alias, and RunConfig rejects them.
-        wt = omega * np.linspace(0.0, 2.0 * np.pi / omega, samples + 1)[:-1]
+        wt = omega * np.linspace(0.0, period, samples + 1)[:-1]
         ce, cb = _trig_pair(orders_e, orders_b, kr - wt)
         return ce.T @ cb / samples
 
     out = []
     for r, block in requests:
         at = np.zeros_like(k) if r is None else np.asarray(r, dtype=float).reshape(-1, 3)
-        w = np.reshape([weight(kr, np.signbit(kr), om)
-                        for kr, om in zip(dots(k, at).tolist(), omegas)],
+        w = np.reshape([weight(kr, np.signbit(kr), om, per)
+                        for kr, om, per in zip(dots(k, at).tolist(), omegas, periods)],
                        ctx.batch_shape + table.shape[:2])
         out.append(np.einsum("...pq,pqiab...->...iab", w * masks[block], table))
     return out

@@ -47,7 +47,7 @@ POLAR_EPS = 1e-10
 class PolarSingularity(ValueError):
     """A momentum the closed-form eigenstates cannot take: too close to the
     -z ray, too small, or too large for |p| or the states' normalisation
-    to be finite."""
+    to be finite; or units at which E_p underflows to zero."""
 
 
 _ZERO2 = np.zeros((2, 2), dtype=complex)
@@ -147,10 +147,13 @@ class DiracContext:
 
     def check_polar(self):
         """Raises PolarSingularity where the closed-form eigenstates are
-        undefined, for any trial of a stack: |p| overflows, or p + p_z = 0."""
+        undefined, for any trial of a stack: |p| overflows, E_p underflows
+        to zero (at c below about 1e-162 with m = 1), or p + p_z = 0."""
         pn = self.pnorm
         if not np.isfinite(pn).all():
             raise PolarSingularity("|p| overflowed to inf; pick a smaller momentum")
+        if not np.all(self.energy > 0.0):
+            raise PolarSingularity("E_p = sqrt(p^2 c^2 + m^2 c^4) underflows to zero")
         # |p| = 0 is caught too: then p + p_z = 0 <= 0
         if np.any(self.norm_plus_pz <= POLAR_EPS * pn):
             raise PolarSingularity(
@@ -328,11 +331,8 @@ def spin_closed_form(theta: float, ctx: DiracContext, t) -> np.ndarray:
     """Spin wobble of the (1, 4) mix for general momentum; shapes as in
     ``position_closed_form``."""
     px, py, pz = ctx.p.T  # numpy floats on one context, not 0-d arrays, for square
-    ppz = ctx.norm_plus_pz
-    ep = ctx.energy
-    w = 2.0 * ep / ctx.hbar
-    cw = np.cos(w * t) - 1.0
-    sw = np.sin(w * t)
+    ppz, w = ctx.norm_plus_pz, 2.0 * ctx.energy / ctx.hbar
+    cw, sw = np.cos(w * t) - 1.0, np.sin(w * t)
     ex = -cw * (square(py) / ppz + pz) + sw * (px * py / ppz)
     ey = cw * (px * py / ppz) - sw * (square(px) / ppz + pz)
     ez = cw * px + sw * py
@@ -345,8 +345,7 @@ def spin_closed_form_z(theta: float, ctx: DiracContext, t: float) -> np.ndarray:
     sin(2 theta) (c hbar p / E_p) sin(E_p t / hbar)
         [cos(E_p t / hbar) yhat - sin(E_p t / hbar) xhat].
     """
-    p = ctx.pnorm
-    ep = ctx.energy
+    p, ep = ctx.pnorm, ctx.energy
     half = ep * t / ctx.hbar
     coeff = np.sin(2.0 * theta) * (ctx.c * ctx.hbar * p / ep) * np.sin(half)
     return coeff * np.array([-np.sin(half), np.cos(half), 0.0])
@@ -356,13 +355,8 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
     """<Psi_1| alpha |Psi_4> in closed form (a complex 3-vector), for one
     momentum."""
     px, py = ctx.p[0], ctx.p[1]
-    p, ppz = ctx.pnorm, ctx.norm_plus_pz
-    pm = ctx.p_minus
-    return np.array([
-        1.0 - px * pm / (p * ppz),
-        -(1j + py * pm / (p * ppz)),
-        -pm / p,
-    ])
+    p, ppz, pm = ctx.pnorm, ctx.norm_plus_pz, ctx.p_minus
+    return np.array([1.0 - px * pm / (p * ppz), -(1j + py * pm / (p * ppz)), -pm / p])
 
 
 # --- projectors ----------------------------------------------------------------

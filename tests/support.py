@@ -82,14 +82,11 @@ def report_items(report: dict) -> list[dict]:
     """The items of a report that ``cli.run_suite`` holds by column, as
     dicts in report order: the opening columns' items, then each trial's,
     column by column."""
-    opening, groups = report["items"]
-    per_trial = {}
-    for idx, cols in groups:
-        prefixes = [f"trial{i:03d}/" for i in idx.tolist()]
-        for i, items in zip(idx.tolist(), zip(*(judged_items(col, prefixes) for col in cols))):
-            per_trial[i] = list(items)
+    opening, columns = report["items"]
+    prefixes = [f"trial{i:03d}/" for i in range(len(columns[0].passed) if columns else 0)]
     return ([it for col in opening for it in judged_items(col)]
-            + [it for i in sorted(per_trial) for it in per_trial[i]])
+            + [it for trial in zip(*(judged_items(col, prefixes) for col in columns))
+               for it in trial])
 
 
 def materialized(report: dict) -> dict:

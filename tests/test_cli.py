@@ -187,6 +187,27 @@ def test_momentum_errors_name_their_cause(tmp_path):
         assert code == EXIT_PASS, err
 
 
+def test_the_momentum_and_t_max_are_checked_only_where_they_are_read(tmp_path):
+    # a momentum on the -z ray, and a t_max whose phase overflows
+    for values in ({"momentum": (0.0, 0.0, -1.0)}, {"t_max": 1e308}):
+        for suite in SUITES:
+            if suite == "zitter":
+                with pytest.raises(ConfigError):
+                    RunConfig(suite=suite, **values)
+            else:
+                RunConfig(suite=suite, **values)
+    # at c = 1e160 the default momentum's E_p overflows, and at 1e-160 its
+    # states underflow: the zitter export refuses them, wca never reads them
+    for c, why in ((1e160, "a value overflowed"), (1e-160, "|p| = 0.8 is too small")):
+        config = config_file(tmp_path / "cfg.yaml", {"c": c})
+        code, err = run_main(["verify", "wca", "--trials", "2", "--config", config,
+                              "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_PASS, err
+        code, err = run_main(["zitter", "--config", config, "--out", str(tmp_path / "z.csv")])
+        assert_one_config_error(code, err)
+        assert why in err[0], err
+
+
 @pytest.mark.parametrize("theta", [9e307, -9e307, 1.7976931348623157e308])
 def test_a_theta_whose_double_overflows_is_a_config_error(tmp_path, theta):
     # sin(2 theta) needs 2 theta finite: |theta| <= 8.988e307
@@ -289,6 +310,9 @@ _COUNT = st.one_of(st.integers(0, 3), st.floats(-1.0, 50.0, allow_nan=False), st
 # (1.0, True) or none at all, which are no axis
 _AXES = ("x", "y", "z", 0, 1, 2)
 _AXIS = st.sampled_from(_AXES + (1.0, 2.5, True, "w"))
+# c and hbar, which no flag sets: ordinary, and so small or large that
+# their squares and E_p underflow or overflow
+_UNIT = st.sampled_from([0.5, 2.0, 1.0e-200, 1.0e-320, 1.0e200])
 _BY_FLAG = {o.flag[0]: name for name, o in OPTIONS.items() if o.flag}
 
 
@@ -333,13 +357,14 @@ def config_file(path, values: dict):
        coupling=st.sampled_from([0.1, 0.0, -2.0, float("nan"), float("inf")]),
        samples=st.integers(1, 48), in_yaml=st.booleans(),
        count=st.none() | st.tuples(st.sampled_from(_COUNTS), _COUNT),
-       axis=st.none() | _AXIS, unread=st.none() | st.sampled_from(sorted(_BY_FLAG)))
+       axis=st.none() | _AXIS, unread=st.none() | st.sampled_from(sorted(_BY_FLAG)),
+       c=st.none() | _UNIT, hbar=st.none() | _UNIT)
 def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
-                                coupling, samples, in_yaml, count, axis, unread):
+                                coupling, samples, in_yaml, count, axis, unread, c, hbar):
     # each command gets only the flags it reads; the other values go in the
     # config file, which takes every key
-    in_file = {name: val for name, val in (("k", k), ("R", R), ("boost_axis", axis))
-               if val is not None}
+    in_file = {name: val for name, val in (("k", k), ("R", R), ("boost_axis", axis),
+                                           ("c", c), ("hbar", hbar)) if val is not None}
     flagged = {"trials": 1, "samples": samples, "steps": 4, "coupling": coupling}
     (in_file if in_yaml else flagged).update(
         velocity=velocity, pair=list(pair), momentum=list(momentum))
@@ -409,6 +434,20 @@ def test_an_option_a_command_does_not_read_leaves_its_output_unchanged(tmp_path,
     for name in unread:
         assert output({**base, name: changed[name]}) == want, name
     assert not series.exists()
+
+
+@pytest.mark.parametrize("c", [1.0e-200, 1.0e-320])
+def test_a_tiny_c_never_crashes_a_command(tmp_path, c):
+    # E_p underflows to zero, and at 1e-320 the period 2 pi / omega overflows
+    config = config_file(tmp_path / "cfg.yaml", {"c": c})
+    for command in _READERS:
+        code, err = run_main([*command, "--config", config, "--out", str(tmp_path / "out")])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE) and len(err) == 1, (command, err)
+        if command[-1] == "zitter":
+            assert_one_config_error(code, err)
+            assert "E_p = sqrt(p^2 c^2 + m^2 c^4) underflows to zero" in err[0]
+        if command[-1] == "poynting":
+            assert "nan" not in err[0].lower(), err
 
 
 def readme() -> str:
@@ -600,11 +639,11 @@ def test_overflowing_family_is_config_error(tmp_path, argv):
 
 
 # a Python float power that overflows raises OverflowError: g ** 2 in the
-# closed-form flux, and c ** 2 in the Dirac energy every config builds
+# closed-form flux, and c ** 2 in the Dirac energy every zitter config builds
 @pytest.mark.parametrize("argv, family", [
     (["verify", "poynting", "--trials", "2", "--samples", "5", "--coupling", "2e154"], {}),
     (["poynting", "--coupling", "2e154"], {}),
-    (["verify", "wca", "--trials", "2"], {"c": 1e160}),
+    (["verify", "zitter", "--trials", "2"], {"c": 1e160}),
     (["zitter", "--steps", "4"], {"c": 1e160}),
     (["poynting", "--steps", "4"], {"c": 1e160}),
 ])
@@ -854,14 +893,11 @@ def _report(kind: str) -> dict:
     if kind == "empty":
         return {**report, "items": ([], [])}
     # every odd residual against every odd tolerance: in the opening, and in
-    # two groups whose trials interleave and one whose numbers pass 999
+    # columns over 1001 trials, whose numbers pass 999
     n = len(ODD_NUMBERS)
     opening = [_odd_column(j, [r]) for j, r in enumerate(ODD_NUMBERS)]
-    groups = [(np.arange(first, 2 * n, 2), [_odd_column(j + first, np.roll(ODD_NUMBERS, j))
-                                            for j in range(n)]) for first in (0, 1)]
-    groups.append((np.array([998, 999, 1000]), [_odd_column(j, ODD_NUMBERS[j:j + 3])
-                                               for j in (0, 3, 6, 9)]))
-    return {**report, "items": (opening, groups)}
+    columns = [_odd_column(j, np.resize(np.roll(ODD_NUMBERS, j), 1001)) for j in range(n)]
+    return {**report, "items": (opening, columns)}
 
 
 @pytest.mark.parametrize("kind", [*SUITES, "odd numbers", "empty"])
@@ -879,6 +915,24 @@ def test_report_writer_writes_the_json_dumps_bytes(tmp_path, kind):
     # the preview of the failing items keeps report order
     for limit in (0, 1, 8, len(failing) + 1):
         assert _failed_names(report["items"], limit) == failing[:limit]
+
+
+_HEADS = [("a", 1e-12), ("b", 1e-12)]
+
+
+@pytest.mark.parametrize("second", [_HEADS[::-1], _HEADS[:1], _HEADS + [("c", 1e-12)],
+                                    [_HEADS[0], ("b", 0.5)]],
+                         ids=["reordered", "short", "long", "other tolerance"])
+def test_a_group_with_other_columns_fails_loudly_and_writes_no_report(
+        tmp_path, monkeypatch, second):
+    def columns(cfg, fams, rngs):
+        heads = _HEADS if fams.ctx.generators.kind == "su2_spin_half" else second
+        return [(name, np.zeros(len(rngs)), 1.0, tol) for name, tol in heads]
+    monkeypatch.setitem(SUITE_TABLE, "wca", SUITE_TABLE["wca"]._replace(columns=columns))
+    out = tmp_path / "r.json"
+    with pytest.raises(RuntimeError, match="^the su2_spin_one trials of wca yield other columns"):
+        main(["verify", "wca", "--trials", "3", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_the_fail_line_previews_the_first_eight_failing_items_in_report_order(tmp_path):
@@ -1165,6 +1219,18 @@ def test_poynting_export(tmp_path):
     mixed = np.array([float(r[2]) for r in rows[1:]])
     # the pointwise mixed block oscillates but its running average decays
     assert abs(np.mean(mixed[:-1])) <= 1e-3
+
+
+def test_a_poynting_export_builds_its_flux_table_once(monkeypatch, tmp_path):
+    # the quadrature and the series share one read-only table
+    built, build = [], amwave.poynting.build_fields
+    monkeypatch.setattr(amwave.poynting, "build_fields",
+                        lambda fam: built.append(fam) or build(fam))
+    assert main(["poynting", "--steps", "8", "--out", str(tmp_path / "p.csv")]) == EXIT_PASS
+    fam, = built
+    table, _, _, masks = amwave.poynting._flux_form(fam)
+    assert len(built) == 1
+    assert not table.flags.writeable and not any(m.flags.writeable for m in masks.values())
 
 
 def test_boost_and_su3_commands(tmp_path, capsys):
@@ -1492,16 +1558,16 @@ def test_judge_holds_the_residual_magnitude_to_the_tolerance():
                                          "pass": True}
     assert item(0.5, 0.4, scale=0.25)["pass"] is False  # absolute below a scale of 1
     # one residual per trial, the column's own tolerance over the default
-    col = judge(("y", np.array([1.0, 3.0]), np.array([0.5, 4.0]), 0.8), TOL, 2)
+    col = judge(("y", np.array([1.0, 3.0]), np.array([0.5, 4.0]), 0.8), TOL)
     assert judged_items(col, ("a/", "b/")) == [
         {"name": "a/y", "residual": 1.0, "tolerance": 0.8, "pass": False},
         {"name": "b/y", "residual": 0.75, "tolerance": 0.8, "pass": True}]
-    # one value for all trials is every trial's
-    assert judge(("z", 0.5, 1.0), TOL, 3).residual.tolist() == [0.5] * 3
+    # one scale for all trials is every trial's
+    assert judge(("z", np.array([0.5, 3.0]), 2.0), TOL).residual.tolist() == [0.25, 1.5]
     # a scale that is not finite would pass any norm
     for scale in (np.inf, np.nan, np.array([1.0, np.inf])):
         with pytest.raises(NonFiniteValue, match="^the scale of x is not finite$"):
-            judge(("x", np.array([0.0, 1.0]), scale), TOL, 2)
+            judge(("x", np.array([0.0, 1.0]), scale), TOL)
 
 
 @pytest.mark.parametrize("generator", ["both", "su3_gellmann"])

@@ -135,6 +135,17 @@ MUTANTS = (
     Mutant("boost_frame_split", "relativity.py", "np.reshape(x, (s,) + ctx.batch_shape)[j]",
            "np.reshape(x, (s,) + ctx.batch_shape)[s - 1 - j]"),
     Mutant("gauge_rotated_half", "cli.py", "[norm[n:] for", "[norm[:n] for"),
+    # the trial table: each generator group's rows written at the other
+    # group's offset, which an odd trial count cannot hold and an even one
+    # fills with the other kind's residuals
+    # (test_cli.py::test_numeric_boost_axis_writes_the_letter_report, first
+    # in the run order, and test_batched_suites_equal_a_loop_over_single_families),
+    # and a group whose columns differ from the first group's taken unchecked
+    # (test_cli.py::test_a_group_with_other_columns_fails_loudly_and_writes_no_report)
+    Mutant("group_rows_offset", "cli.py",
+           "norms[j, first::step], scales[j, first::step] = norm, scale",
+           "norms[j, step - 1 - first::step], scales[j, step - 1 - first::step] = norm, scale"),
+    Mutant("group_columns_unchecked", "cli.py", "elif got != heads:", "elif False:"),
     # the Dirac kernel every zitter check and export runs through: the
     # phase at half its frequency, the evolution run backwards in time,
     # H^-1 taken as H / E_p in the series' coefficient a, and the spin
