@@ -28,7 +28,8 @@ one module needs: norms (``frobenius_norms``, ``sup_norms``), per-vector
 dot products (``dots``), the float-power square (``square``), diagonal
 matrices (``diag``) and the block length of a time series
 (``SERIES_BLOCK``).  Each gives every trial of a stack the bits that one
-trial gets alone.
+trial gets alone.  ``su3_columns`` holds the Gell-Mann set's structure
+constants to their printed values, the checks that open the su3 suite.
 """
 
 from __future__ import annotations
@@ -383,3 +384,27 @@ def structure_constants(basis: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
         if np.abs(arr.imag).max() > 1e-12:
             raise ValueError(f"{name} constants acquired imaginary part")
     return f.real.copy(), d.real.copy()
+
+
+# The nonzero f_abc of the Gell-Mann set, up to the order of (a, b, c)
+SU3_F_VALUES = {
+    (1, 2, 3): 1.0,
+    (1, 4, 7): 0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5, (3, 4, 5): 0.5,
+    (1, 5, 6): -0.5, (3, 6, 7): -0.5,
+    (4, 5, 8): np.sqrt(3.0) / 2.0, (6, 7, 8): np.sqrt(3.0) / 2.0,
+}
+
+
+def su3_columns() -> list[tuple]:
+    """The structure-constant table checks that open the su3 report, as
+    absolute (name, norm, 1.0) columns: each listed f_abc of the Gell-Mann
+    set against its value, f's antisymmetry, and every unlisted f_abc zero."""
+    f, _ = structure_constants(make_generators("su3_gellmann"))
+    cols = [(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), 1.0)
+            for (a, b, c), want in SU3_F_VALUES.items()]
+    cols.append(("f_antisymmetry", np.abs(f + np.transpose(f, (0, 2, 1))).max(), 1.0))
+    listed = np.zeros_like(f, dtype=bool)
+    for (a, b, c) in SU3_F_VALUES:
+        for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
+            listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
+    return cols + [("f_unlisted_vanish", np.abs(f[~listed]).max(), 1.0)]

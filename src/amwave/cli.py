@@ -9,9 +9,10 @@ bit-identical reports.  Reports carry no timestamps for the same reason.
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
 amplitudes overflow, or a scale that does).  Each suite is one row of
-``SUITE_TABLE``: its columns, its default tolerance, its fixed generator
-kind if it has one, whether its trials draw a family, and the columns
-that open its report.  Every column is (name, norm, scale[, tolerance]);
+``SUITE_TABLE``: its columns (equation rows, or a columns function of
+the physics module that holds its check), its default tolerance, its
+fixed generator kind if it has one, whether its trials draw a family,
+and the columns that open its report.  Every column is (name, norm, scale[, tolerance]);
 one function, ``judge``, turns each into a judged column of residuals and
 pass flags and gives both exports their verdicts: it refuses a scale that
 is not finite, divides (``residuals.relative``) and holds |residual| to
@@ -43,29 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    SERIES_BLOCK,
-    NonFiniteValue,
-    make_generators,
-    operator_norm,
-    structure_constants,
-    sup_norms,
-)
-from .fields import SolutionFamily, WaveContext, build_potentials, random_families, stack_fields
-from .poynting import (
-    amw_flux,
-    em_flux,
-    flux_averages,
-    flux_block_series,
-    flux_quadrature,
-)
-from .relativity import (
-    boost_axis,
-    boost_columns,
-    boost_matrix,
-    gauge_conjugate,
-    unitary_exponential,
-)
+from .algebra import SERIES_BLOCK, NonFiniteValue, make_generators, operator_norm, su3_columns
+from .fields import SolutionFamily, WaveContext, random_families
+from .poynting import amw_flux, flux_block_series, flux_columns, flux_quadrature
+from .relativity import boost_axis, boost_columns, boost_matrix, gauge_columns
 from .residuals import Terms, equation_columns, relative
 from .seeding import seeded_generators, spawn_states
 from .zitter import (
@@ -73,6 +55,7 @@ from .zitter import (
     SuperpositionSpec,
     position_closed_form,
     spin_closed_form,
+    wobble_columns,
     wobble_expectations,
 )
 
@@ -84,13 +67,6 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 GENERATORS = ("both", "su2_spin_half", "su2_spin_one", "su3_gellmann")
-
-SU3_F_VALUES = {
-    (1, 2, 3): 1.0,
-    (1, 4, 7): 0.5, (2, 4, 6): 0.5, (2, 5, 7): 0.5, (3, 4, 5): 0.5,
-    (1, 5, 6): -0.5, (3, 6, 7): -0.5,
-    (4, 5, 8): np.sqrt(3.0) / 2.0, (6, 7, 8): np.sqrt(3.0) / 2.0,
-}
 
 
 class ConfigError(ValueError):
@@ -106,6 +82,7 @@ class ConfigError(ValueError):
 # columns are a function of (cfg, fams, rngs): ``fams`` is the group's
 # stacked SolutionFamily (None for a suite whose trials draw no family)
 # and ``rngs`` the trials' generators, each already past its family draw.
+# A row passes a physics module's columns function only what it reads.
 
 
 def _table(labels: tuple[str, ...], cfg: RunConfig, fams: SolutionFamily, rngs):
@@ -113,95 +90,6 @@ def _table(labels: tuple[str, ...], cfg: RunConfig, fams: SolutionFamily, rngs):
     ``Terms`` of the group's stacked family, so the rows share its products."""
     terms = Terms.of(fams)
     return [col for label in labels for col in equation_columns(label, terms)]
-
-
-def _gauge_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    """Full-equation residuals before and after a random constant gauge
-    rotation U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn
-    right after its family, and the wca conditions on the rotated wave,
-    all on one ``Terms`` of the T original and the T rotated waves."""
-    ctx, gens, n = fams.ctx, fams.ctx.generators, len(rngs)
-    coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
-    herm = np.zeros((gens.dim, gens.dim), dtype=complex)
-    for c, g in zip(coeffs.T, gens.generators):
-        herm = herm + g * c[:, None, None]
-    u = unitary_exponential(herm)
-    wave = WaveContext(generators=gens, k=np.tile(ctx.k, (2, 1)), c=ctx.c, g=ctx.g)
-    both = Terms(*(stack_fields(wave, (f, gauge_conjugate(f, u)))
-                   for f in build_potentials(fams)), wave)
-    # the drift compares two residuals, so it is absolute
-    full = [relative(norm, scale) for _, norm, scale in equation_columns("full", both)]
-    drift = np.max([np.abs(r[:n] - r[n:]) for r in full], axis=0)
-    # the rotated half's worst wca norm, scaled as the unrotated potentials
-    # are: a division by a positive scale keeps the order of what it divides
-    wca = equation_columns("wca", both)
-    return [("residual_norm_invariance", drift, 1.0),
-            ("conjugated_wca", np.max([norm[n:] for _, norm, _ in wca], axis=0), wca[0][2][:n])]
-
-
-def _uniform(low, high, u):
-    """``Generator.uniform(low, high)``'s own arithmetic on draws u of ``Generator.random``."""
-    return low + (high - low) * u
-
-
-def _zitter_residuals(cfg: RunConfig, _, rngs):
-    """Each trial draws a momentum p, a mixing angle and a time t from one
-    ``random(5)`` call of its own generator, each mapped as ``uniform``
-    maps a draw; t's range needs that trial's E_p.  The group is one
-    stacked DiracContext, and one ``wobble_expectations`` call gives the
-    position and spin wobbles of (1,3), (1,4) and pure (1,3) at each time."""
-    u = np.array([rng.random(5) for rng in rngs])
-    p = _uniform(-1.0, 1.0, u[:, :3])
-    p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
-    ctx = DiracContext(p=p, hbar=cfg.hbar, c=cfg.c)
-    theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
-    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
-    mixes = np.stack([SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
-                      in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3)))])
-    (pos13, spin13), (_, spin14), (pure, _) = wobble_expectations(ctx, mixes, t)
-    devs = [("position_vs_closed", pos13 - position_closed_form(theta, ctx, t)),
-            ("spin_vs_closed", spin14 - spin_closed_form(theta, ctx, t)),
-            ("pure_energy_zero", pure, 1e-14),
-            ("same_helicity_spin_zero", spin13, 1e-14)]
-    # relative to the wobble's size
-    return [(name, np.abs(dev).max(axis=1), ctx.wobble_scale, *tol) for name, dev, *tol in devs]
-
-
-def _poynting_residuals(cfg: RunConfig, fams: SolutionFamily, rngs):
-    """The flux quadrature at a random r against the closed form, the mixed
-    block at the origin, and the g = 0 wave on a random r0 against the
-    classical flux, each on the whole group at once; each trial draws r,
-    then r0.  The first two are relative to max(1, each trial's closed-form
-    flux norm), the last to max(1, its g = 0 flux norm); a finite flux above
-    about 1e154 has squares, and so a norm, that overflow."""
-    r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
-    ctx = fams.ctx
-    fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
-                           R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
-    a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
-    closed, closed0 = amw_flux(fams), amw_flux(fams0)
-    at_r, mixed_at_origin = flux_averages(fams, cfg.samples, ((r, "total"), (None, "mixed")))
-    # each trial's operator_norm
-    scale, scale0, quad, mixed, abelian = (sup_norms(x, ctx.batch_shape) for x in (
-        closed, closed0, at_r - closed, mixed_at_origin,
-        closed0 - em_flux(a01, fams0.ctx)))
-    return [("quadrature_vs_closed", quad, scale),
-            ("mixed_block_average", mixed, scale, 1e-10),
-            ("abelian_equals_em", abelian, scale0, 1e-10)]
-
-
-def _su3_constants() -> list[tuple]:
-    """The structure-constant table checks that open the su3 report, absolute."""
-    gens = make_generators("su3_gellmann")
-    f, _ = structure_constants(gens)
-    cols = [(f"f{a}{b}{c}", abs(f[a - 1, b - 1, c - 1] - want), 1.0)
-            for (a, b, c), want in SU3_F_VALUES.items()]
-    cols.append(("f_antisymmetry", np.abs(f + np.transpose(f, (0, 2, 1))).max(), 1.0))
-    listed = np.zeros_like(f, dtype=bool)
-    for (a, b, c) in SU3_F_VALUES:
-        for perm in ((a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)):
-            listed[perm[0] - 1, perm[1] - 1, perm[2] - 1] = True
-    return cols + [("f_unlisted_vanish", np.abs(f[~listed]).max(), 1.0)]
 
 
 class Suite(NamedTuple):
@@ -228,10 +116,11 @@ SUITE_TABLE = {
     # once for both
     "boost": Suite(lambda cfg, fams, rngs: boost_columns(
         fams, (cfg.velocity, -cfg.velocity), axis=cfg.boost_axis), 1e-10),
-    "gauge": Suite(_gauge_residuals, 1e-12),
-    "zitter": Suite(_zitter_residuals, 1e-12, family=False),
-    "poynting": Suite(_poynting_residuals, 1e-12),
-    "su3": Suite(partial(_table, ("zca",)), 1e-12, "su3_gellmann", opening=_su3_constants),
+    "gauge": Suite(lambda cfg, fams, rngs: gauge_columns(fams, rngs), 1e-12),
+    "zitter": Suite(lambda cfg, _, rngs: wobble_columns(rngs, cfg.hbar, cfg.c), 1e-12,
+                    family=False),
+    "poynting": Suite(lambda cfg, fams, rngs: flux_columns(fams, rngs, cfg.samples), 1e-12),
+    "su3": Suite(partial(_table, ("zca",)), 1e-12, "su3_gellmann", opening=su3_columns),
 }
 SUITES = tuple(SUITE_TABLE)
 

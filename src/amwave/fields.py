@@ -75,8 +75,9 @@ class WaveContext:
     """Wave vector, coupling and generator set of one wave, or of T waves
     on a leading trial axis: then ``k`` is (T, 3) and ``knorm``, ``khat``
     and ``omega`` hold each wave's own value.  The frequency is
-    the dispersion's, omega = c |k|; one that overflows raises
-    NonFiniteValue."""
+    the dispersion's, omega = c |k|; one that overflows, or one whose
+    period 2 pi / omega does (omega below about 3.5e-308, zero included:
+    k = 0, or c |k| underflows), raises NonFiniteValue."""
 
     generators: GeneratorSet
     k: np.ndarray
@@ -95,8 +96,6 @@ class WaveContext:
             peak = np.abs(k).max(axis=-1)
             unit = k / np.expand_dims(np.where(peak > 0.0, peak, 1.0), -1)
             knorm = np.where(small, peak * np.sqrt(dots(unit, unit)), knorm)
-        if not (knorm > 0.0).all():
-            raise ValueError("|k| must be positive")
         if not 0.0 < self.c < np.inf:
             raise ValueError("c must be positive and finite")
         if not np.isfinite(self.g):
@@ -104,6 +103,12 @@ class WaveContext:
         omega = self.c * knorm
         if not np.isfinite(omega).all():
             raise NonFiniteValue("the frequency omega = c*|k| is not finite")
+        # a subnormal omega (a boosted one too) has lost digits, and a zero
+        # one zeroes every time derivative
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(2.0 * np.pi / omega).all():
+                raise NonFiniteValue("the period 2 pi / omega is not finite: omega = c*|k| "
+                                     "must be positive, above about 3.5e-308")
         object.__setattr__(self, "k", readonly(k))
         object.__setattr__(self, "knorm", float(knorm) if k.ndim == 1 else readonly(knorm))
         object.__setattr__(self, "omega", float(omega) if k.ndim == 1 else readonly(omega))
@@ -122,14 +127,9 @@ class WaveContext:
         return self.generators.dim
 
     @property
-    @np.errstate(divide="ignore", over="ignore")
     def period(self) -> float | np.ndarray:
-        """2 pi / omega; one that overflows (omega below about 3.5e-308)
-        raises NonFiniteValue."""
-        period = np.divide(2.0 * np.pi, self.omega)
-        if not np.isfinite(period).all():
-            raise NonFiniteValue("the period 2 pi / omega is not finite")
-        return period
+        """2 pi / omega, finite, as the frequency check makes it."""
+        return 2.0 * np.pi / self.omega
 
 
 def _unchecked(cls, **values):

@@ -19,7 +19,7 @@ period with the trapezoid rule (exact up to rounding from 5 nodes on), as
 one contraction of basis cross products with averaged phase weights;
 ``flux_averages`` gives any of the squared first-harmonic, mixed, and
 squared second-harmonic blocks (the mixed one averages to zero), or
-their total.
+their total; ``flux_columns`` builds the poynting suite's columns from them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import functools
 
 import numpy as np
 
-from .algebra import SERIES_BLOCK, cross, dot, dots, readonly, square
-from .fields import SolutionFamily, build_fields
+from .algebra import SERIES_BLOCK, cross, dot, dots, readonly, square, sup_norms
+from .fields import SolutionFamily, WaveContext, build_fields
 
 
 class NonTransverseAmplitude(ValueError):
@@ -156,6 +156,31 @@ def flux_quadrature(fam: SolutionFamily, samples: int = 10_000) -> np.ndarray:
     the origin, shape (3, d, d), from ``samples`` nodes; exact up to
     rounding for samples >= 5, aliased below that, and samples < 1 raises."""
     return flux_averages(fam, samples, ((None, "total"),))[0]
+
+
+def flux_columns(fams: SolutionFamily, rngs, samples: int):
+    """The poynting suite's columns for a stack of T families: the flux
+    quadrature (``samples`` nodes) at a random r against the closed form,
+    the mixed block at the origin, and the g = 0 wave on a random r0
+    against the classical flux, each on the whole stack at once; each
+    trial draws r, then r0, from its generator in ``rngs``.  The first two
+    are relative to max(1, each trial's closed-form flux norm), the last to
+    max(1, its g = 0 flux norm); a finite flux above about 1e154 has
+    squares, and so a norm, that overflow."""
+    r, r0 = np.split(np.array([rng.uniform(-1.0, 1.0, 6) for rng in rngs]), 2, axis=1)
+    ctx = fams.ctx
+    fams0 = SolutionFamily(ctx=WaveContext(generators=ctx.generators, k=ctx.k, c=ctx.c, g=0.0),
+                           R=(r0,) + (np.zeros_like(r0),) * len(ctx.generators.generators))
+    a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
+    closed, closed0 = amw_flux(fams), amw_flux(fams0)
+    at_r, mixed_at_origin = flux_averages(fams, samples, ((r, "total"), (None, "mixed")))
+    # each trial's operator_norm
+    scale, scale0, quad, mixed, abelian = (sup_norms(x, ctx.batch_shape) for x in (
+        closed, closed0, at_r - closed, mixed_at_origin,
+        closed0 - em_flux(a01, fams0.ctx)))
+    return [("quadrature_vs_closed", quad, scale),
+            ("mixed_block_average", mixed, scale, 1e-10),
+            ("abelian_equals_em", abelian, scale0, 1e-10)]
 
 
 def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:

@@ -7,7 +7,8 @@ wave stays a plane wave under a boost: each harmonic's closed-form fields
 transform by the standard field transformation and the wave four-vector
 with C, so the boosted-frame check is the ``maxwell`` row of
 ``residuals.EQUATIONS`` evaluated on the boosted wave, exact termwise
-algebra rather than a grid computation.
+algebra rather than a grid computation.  The boost and gauge suites'
+columns are built here, ``boost_columns`` and ``gauge_columns``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ from dataclasses import replace
 import numpy as np
 
 from .algebra import by_matmul, conjugate, diag, frobenius_norms, readonly
-from .fields import HarmonicField, SolutionFamily, WaveContext, build_fields, ncross, stack_fields
-from .residuals import Terms, equation_columns, perpendicular_part
+from .fields import (
+    HarmonicField,
+    SolutionFamily,
+    WaveContext,
+    build_fields,
+    build_potentials,
+    ncross,
+    stack_fields,
+)
+from .residuals import Terms, equation_columns, perpendicular_part, relative
 
 BOOST_AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -157,3 +166,29 @@ def unitary_exponential(hermitian: np.ndarray) -> np.ndarray:
         raise ValueError("generator of a unitary must be Hermitian")
     w, v = np.linalg.eigh(h)
     return v @ diag(np.exp(1j * w)) @ v.conj().swapaxes(-1, -2)
+
+
+def gauge_columns(fams: SolutionFamily, rngs):
+    """The gauge suite's columns for a stack of T families: full-equation
+    residuals before and after a random constant gauge rotation
+    U = exp(iH), H = sum_l c_l G_l with each trial's c_l drawn from its
+    generator in ``rngs`` (right after its family), and the wca conditions
+    on the rotated wave, all on one ``Terms`` of the T original and the T
+    rotated waves."""
+    ctx, gens, n = fams.ctx, fams.ctx.generators, len(rngs)
+    coeffs = np.array([rng.uniform(-1.0, 1.0, len(gens.generators)) for rng in rngs])
+    herm = np.zeros((gens.dim, gens.dim), dtype=complex)
+    for c, g in zip(coeffs.T, gens.generators):
+        herm = herm + g * c[:, None, None]
+    u = unitary_exponential(herm)
+    wave = WaveContext(generators=gens, k=np.tile(ctx.k, (2, 1)), c=ctx.c, g=ctx.g)
+    both = Terms(*(stack_fields(wave, (f, gauge_conjugate(f, u)))
+                   for f in build_potentials(fams)), wave)
+    # the drift compares two residuals, so it is absolute
+    full = [relative(norm, scale) for _, norm, scale in equation_columns("full", both)]
+    drift = np.max([np.abs(r[:n] - r[n:]) for r in full], axis=0)
+    # the rotated half's worst wca norm, scaled as the unrotated potentials
+    # are: a division by a positive scale keeps the order of what it divides
+    wca = equation_columns("wca", both)
+    return [("residual_norm_invariance", drift, 1.0),
+            ("conjugated_wca", np.max([norm[n:] for _, norm, _ in wca], axis=0), wca[0][2][:n])]

@@ -19,7 +19,8 @@ one mixing angle) per trial.  Each trial of a stack gets the bits its own
 context would give it.  Z_r(t) = a(t) P H + b(t) P and Z_s(t) = p x Z_r(t)
 are linear in the basis, so ``wobble_expectations`` contracts a state with
 it once and evaluates both series as Re[a(t) e_PH + b(t) e_P], with no
-operator built per time.
+operator built per time.  ``wobble_columns`` builds the zitter suite's
+columns from one such call on a stack of random trials.
 
 The module stands on ``algebra`` alone: the norms, ``dots`` and ``square``
 it shares with the other modules live there.
@@ -39,7 +40,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, dots, frobenius_norms, readonly, square
+from .algebra import PAULI, NonFiniteValue, dots, frobenius_norms, readonly, square
 
 POLAR_EPS = 1e-10
 
@@ -148,12 +149,18 @@ class DiracContext:
     def check_polar(self):
         """Raises PolarSingularity where the closed-form eigenstates are
         undefined, for any trial of a stack: |p| overflows, E_p underflows
-        to zero (at c below about 1e-162 with m = 1), or p + p_z = 0."""
+        to zero (at c below about 1e-162 with m = 1), or p + p_z = 0; and
+        NonFiniteValue where the wobble frequency 2 E_p / hbar overflows
+        (at hbar below about 1.1e-308 E_p), as every closed form would
+        then read NaN."""
         pn = self.pnorm
         if not np.isfinite(pn).all():
             raise PolarSingularity("|p| overflowed to inf; pick a smaller momentum")
         if not np.all(self.energy > 0.0):
             raise PolarSingularity("E_p = sqrt(p^2 c^2 + m^2 c^4) underflows to zero")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(2.0 * self.energy / self.hbar).all():
+                raise NonFiniteValue("the wobble frequency 2 E_p / hbar overflows")
         # |p| = 0 is caught too: then p + p_z = 0 <= 0
         if np.any(self.norm_plus_pz <= POLAR_EPS * pn):
             raise PolarSingularity(
@@ -357,6 +364,37 @@ def alpha_matrix_element_14(ctx: DiracContext) -> np.ndarray:
     px, py = ctx.p[0], ctx.p[1]
     p, ppz, pm = ctx.pnorm, ctx.norm_plus_pz, ctx.p_minus
     return np.array([1.0 - px * pm / (p * ppz), -(1j + py * pm / (p * ppz)), -pm / p])
+
+
+# --- the zitter suite ---------------------------------------------------------
+
+def _uniform(low, high, u):
+    """``Generator.uniform(low, high)``'s own arithmetic on draws u of ``Generator.random``."""
+    return low + (high - low) * u
+
+
+def wobble_columns(rngs, hbar: float, c: float):
+    """The zitter suite's columns: each trial draws a momentum p, a mixing
+    angle and a time t from one ``random(5)`` call of its generator in
+    ``rngs``, each mapped as ``uniform`` maps a draw; t's range needs that
+    trial's E_p.  The trials are one stacked DiracContext at ``hbar`` and
+    ``c``, and one ``wobble_expectations`` call gives the position and spin
+    wobbles of (1,3), (1,4) and pure (1,3) at each time."""
+    u = np.array([rng.random(5) for rng in rngs])
+    p = _uniform(-1.0, 1.0, u[:, :3])
+    p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
+    ctx = DiracContext(p=p, hbar=hbar, c=c)
+    theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
+    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
+    mixes = np.stack([SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
+                      in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3)))])
+    (pos13, spin13), (_, spin14), (pure, _) = wobble_expectations(ctx, mixes, t)
+    devs = [("position_vs_closed", pos13 - position_closed_form(theta, ctx, t)),
+            ("spin_vs_closed", spin14 - spin_closed_form(theta, ctx, t)),
+            ("pure_energy_zero", pure, 1e-14),
+            ("same_helicity_spin_zero", spin13, 1e-14)]
+    # relative to the wobble's size
+    return [(name, np.abs(dev).max(axis=1), ctx.wobble_scale, *tol) for name, dev, *tol in devs]
 
 
 # --- projectors ----------------------------------------------------------------

@@ -450,6 +450,40 @@ def test_a_tiny_c_never_crashes_a_command(tmp_path, c):
             assert "nan" not in err[0].lower(), err
 
 
+# omega = c |k| = 0.3 c underflows to 0 at c = 5e-324, where every time
+# derivative vanished; a boost near c takes omega = 1e-307 below 3.5e-308
+# while the run builds the boosted wave
+@pytest.mark.parametrize("argv, family", [
+    (["verify", "zca"], {"c": 5.0e-324, "k": [0, 0, 0.3]}),
+    (["verify", "boost"], {"c": 5.0e-324, "k": [0, 0, 0.3]}),
+    (["verify", "boost", "--velocity", "0.9999999999999999"], {"k": [0, 0, 1.0e-307]}),
+])
+def test_a_frequency_whose_period_overflows_is_config_error(tmp_path, argv, family):
+    config = config_file(tmp_path / "cfg.yaml", family)
+    code, err = run_main([*argv, "--trials", "2", "--config", config,
+                          "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err[0].endswith("the period 2 pi / omega is not finite: omega = c*|k| must be "
+                           "positive, above about 3.5e-308"), err
+    assert not (tmp_path / "out").exists()
+
+
+# at hbar = 1e-320 the wobble frequency 2 E_p / hbar overflows, and every
+# closed form read sin(inf * t) = NaN; at 1e-300 it is finite
+@pytest.mark.parametrize("argv", [["verify", "zitter", "--trials", "4"],
+                                  ["zitter", "--steps", "5"]])
+def test_a_wobble_frequency_that_overflows_is_config_error(tmp_path, argv):
+    out = str(tmp_path / "out")
+    config = config_file(tmp_path / "tiny.yaml", {"hbar": 1.0e-320})
+    code, err = run_main([*argv, "--config", config, "--out", out])
+    assert_one_config_error(code, err)
+    assert err[0].endswith("the wobble frequency 2 E_p / hbar overflows"), err
+    assert not os.path.exists(out)
+    config = config_file(tmp_path / "small.yaml", {"hbar": 1.0e-300})
+    code, err = run_main([*argv, "--config", config, "--out", out])
+    assert code == EXIT_PASS, err
+
+
 def readme() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -712,7 +746,7 @@ def test_abelian_equals_em_is_relative_to_the_flux(tmp_path, monkeypatch):
     items = _abelian_items(tmp_path)
     assert len(items) == 4 and all(it["pass"] for it in items), items
     # a relative error of 1e-9 in the classical flux still fails
-    monkeypatch.setattr("amwave.cli.em_flux", lambda a01, ctx: (1 + 1e-9) * em_flux(a01, ctx))
+    monkeypatch.setattr("amwave.poynting.em_flux", lambda a01, ctx: (1 + 1e-9) * em_flux(a01, ctx))
     items = _abelian_items(tmp_path)
     assert len(items) == 4 and not any(it["pass"] for it in items), items
 
@@ -1180,8 +1214,13 @@ def test_zitter_passes_at_a_large_hbar(tmp_path, argv, hbar):
     ("spin_closed_form", "spin_vs_closed", "1,4")])
 def test_a_closed_form_off_by_1e_9_fails_at_a_large_hbar(tmp_path, monkeypatch, closed, item,
                                                          pair):
-    exact = getattr(amwave.cli, closed)
-    monkeypatch.setattr(f"amwave.cli.{closed}", lambda *args: exact(*args) * (1.0 + 1e-9))
+    # the suite reads the closed form in zitter, the export in cli
+    exact = getattr(amwave.zitter, closed)
+
+    def off(*args):
+        return exact(*args) * (1.0 + 1e-9)
+    for module in ("zitter", "cli"):
+        monkeypatch.setattr(f"amwave.{module}.{closed}", off)
     items = report_items(run_suite(RunConfig(suite="zitter", trials=20, hbar=1e3)))
     assert {it["name"].split("/")[1] for it in items if not it["pass"]} == {item}
     assert sum(not it["pass"] for it in items) == 20
@@ -1419,16 +1458,22 @@ def test_importing_the_cli_does_not_import_numpy_random():
     assert out.strip() == "False"
 
 
-# the module layers: zitter stands on algebra alone, and poynting needs no zitter
+# the module layers: zitter stands on algebra alone, poynting and
+# relativity, which hold their suites' columns, need no other physics
+# module, and algebra, which holds su3's opening columns, needs no fields;
+# each case checks the modules it names, space-separated, in one interpreter
 @pytest.mark.parametrize("module, absent", [("zitter", "amwave.fields"),
-                                            ("poynting", "amwave.zitter")])
+                                            ("poynting", "amwave.zitter"),
+                                            ("poynting", "amwave.relativity"),
+                                            ("relativity", "amwave.zitter amwave.poynting"),
+                                            ("algebra", "amwave.fields")])
 def test_a_module_loads_only_the_layers_it_stands_on(module, absent):
     src = str(Path(amwave.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import amwave.{module}; "
-            f"print({absent!r} in sys.modules)")
+            f"print([name for name in {absent.split()!r} if name in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_no_module_imports_another_modules_private_name():

@@ -4,7 +4,7 @@ equal numpy's SeedSequence children, word for word and draw for draw."""
 import numpy as np
 import pytest
 
-from amwave.cli import _uniform
+from amwave.zitter import _uniform
 from amwave.seeding import seeded_generators, spawn_states
 from amwave.zitter import DiracContext
 

@@ -37,6 +37,9 @@ def test_report_hashes_lists_96_distinct_runs_that_all_build(report_hashes):
     for _, argv in exports:
         cfg = _collect_config(build_parser().parse_args([*argv, "--out", "out.csv"]))
         assert cfg.suite == argv[0]
+    # the defect runs are a second set, which no hash line holds
+    defects = [label for label, _ in report_hashes.defect_configs()]
+    assert len(defects) == len(set(defects) - set(labels + verdicts)) == 10
 
 
 SAMPLE = '''"""A module docstring
@@ -71,12 +74,14 @@ def test_every_mutant_names_text_that_occurs_once():
 
 
 def test_compare_of_a_tree_with_itself_reports_no_change(report_hashes, capsys):
+    # a few hashed runs, and every defect run, which fails items in both trees
     labels = ["zitter seed=11 trials=3", "wca seed=3 fixed R",
-              "zitter csv pair=1,4 momentum=0.3,-0.4,0.9", "poynting csv seed=2 su2_spin_one"]
+              "zitter csv pair=1,4 momentum=0.3,-0.4,0.9", "poynting csv seed=2 su2_spin_one",
+              *(label for label, _ in report_hashes.defect_configs())]
     assert report_hashes.compare(str(report_hashes.NEW_SRC), labels) == 0
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("0 of 4 runs differ; 0 pass flags changed; "
+    assert err == ("0 of 14 runs differ; 0 pass flags changed; "
                    "items or tolerances changed in 0; largest margin drop 0.00 decades\n")
 
 

@@ -134,7 +134,7 @@ MUTANTS = (
     # (test_cli.py::test_batched_suites_equal_a_loop_over_single_families)
     Mutant("boost_frame_split", "relativity.py", "np.reshape(x, (s,) + ctx.batch_shape)[j]",
            "np.reshape(x, (s,) + ctx.batch_shape)[s - 1 - j]"),
-    Mutant("gauge_rotated_half", "cli.py", "[norm[n:] for", "[norm[:n] for"),
+    Mutant("gauge_rotated_half", "relativity.py", "[norm[n:] for", "[norm[:n] for"),
     # the trial table: each generator group's rows written at the other
     # group's offset, which an odd trial count cannot hold and an even one
     # fills with the other kind's residuals
@@ -174,13 +174,22 @@ MUTANTS = (
     # (test_zitter.py::test_polar_singularity)
     Mutant("u_minus_cancels", "zitter.py", "_value(self.c * self.pnorm / self.u_plus)",
            "_value(np.sqrt(self.energy - self.mass * self.c ** 2))"),
+    # the frequency checks: a wave whose period 2 pi / omega overflows, and
+    # a Dirac context whose wobble frequency 2 E_p / hbar does, let through
+    # (test_cli.py::test_bad_family_config_is_config_error, a zero k, first
+    # in the run order, and test_a_frequency_whose_period_overflows_is_config_error;
+    # test_cli.py::test_a_wobble_frequency_that_overflows_is_config_error)
+    Mutant("period_check", "fields.py", "if not np.isfinite(2.0 * np.pi / omega).all():",
+           "if False:"),
+    Mutant("wobble_frequency_check", "zitter.py",
+           "if not np.isfinite(2.0 * self.energy / self.hbar).all():", "if False:"),
     # the trial streams: a seeding hash constant one bit off
     # (test_seeding.py::test_spawned_streams_equal_numpys_children_word_for_word_and_draw_for_draw),
     # and the zitter draw's angle and time columns swapped
     # (test_cli.py::test_zitter_group_columns_equal_a_trial_by_trial_loop)
     Mutant("seeding_constant", "seeding.py", "INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875",
            "INIT_A, MULT_A = 0x43B0D7E5, 0x931E8874"),
-    Mutant("zitter_draw_columns", "cli.py",
+    Mutant("zitter_draw_columns", "zitter.py",
            "theta = _uniform(0.0, np.pi / 2.0, u[:, 3])\n"
            "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])",
            "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])\n"
@@ -194,7 +203,7 @@ MUTANTS = (
     Mutant("block_end_dropped", "cli.py", 'fh.write(end.join(map(",".join, zip(*texts))) + end)',
            'fh.write(end.join(map(",".join, zip(*texts))))'),
     # the Poynting residuals' scales
-    Mutant("abelian_scale", "cli.py", '("abelian_equals_em", abelian, scale0, 1e-10)',
+    Mutant("abelian_scale", "poynting.py", '("abelian_equals_em", abelian, scale0, 1e-10)',
            '("abelian_equals_em", abelian, 1.0, 1e-10)'),
     # the floor below which every residual is absolute, raised
     # (test_residuals.py::test_relative_is_absolute_below_a_scale_of_one_and_relative_above,

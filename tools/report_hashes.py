@@ -60,13 +60,15 @@ say, not their bytes:
 
     python tools/report_hashes.py --compare /path/to/old/checkout/src
 
-It runs the 96 runs above under both trees, each in its own
-interpreter: each report configuration's items, and each export's
+It runs the 96 runs above under both trees, each in its own interpreter,
+and then a second set that no hash line holds: the 10 plain runs of the
+defects on record (``defect_configs``), whose failing items a fix would
+flip.  It reads each report configuration's items, and each export's
 verdict item, the one ``judge`` gives it (``abs_dev`` or
 ``quadrature_vs_closed``), so a PASS/FAIL flip of a verdict is a changed
-pass flag.  It prints one line for each run whose items differ: how
-many pass flags changed, whether an item or a tolerance changed, and for
-each item name (the trial prefix dropped) the largest drop of the margin
+pass flag.  It prints one line for each run whose items differ: how many
+pass flags changed, whether an item or a tolerance changed, and for each
+item name (the trial prefix dropped) the largest drop of the margin
 log10(tol / |residual|) over its trials, negative where every trial's
 margin grew.  Each changed pass flag follows on a line of its own.  A
 residual below eps = 2.2e-16, the rounding of a relative residual of
@@ -80,6 +82,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -157,6 +160,28 @@ def configs():
         suite="poynting", seed=5, trials=25, samples=200)
     yield "poynting seed=5 coupling=0", RunConfig(
         suite="poynting", seed=5, trials=10, samples=200, coupling=0.0)
+
+
+def defect_configs():
+    """The defects on record, as plain runs: true families that fail at
+    |k| = 1000 and at hbar = 1000 (exact fails there only as the paper
+    predicts), a boost a step below c, the flux quadrature at |k| = 1e6,
+    and the zitter suite at hbar = 1e-13, where its residuals cannot tell
+    a closed form from twice it.  ``--compare`` runs them after the hashed
+    runs; no hash line holds them."""
+    from amwave.cli import RunConfig
+    for suite in ("wca", "zca", "gauge"):
+        yield f"defect {suite} seed=3 k=1000", RunConfig(
+            suite=suite, seed=3, trials=4, k=(0.0, 600.0, 800.0))
+    for suite in ("zca", "full", "gauge", "exact"):
+        yield f"defect {suite} seed=42 hbar=1000", RunConfig(
+            suite=suite, seed=42, trials=4, hbar=1e3)
+    yield "defect boost seed=3 velocity=0.9999999999999999", RunConfig(
+        suite="boost", seed=3, trials=2, velocity=0.9999999999999999)
+    yield "defect poynting seed=42 k=1e6", RunConfig(
+        suite="poynting", seed=42, trials=4, samples=5, k=(0.0, 0.0, 1e6))
+    yield "defect zitter seed=42 hbar=1e-13", RunConfig(
+        suite="zitter", seed=42, trials=20, hbar=1e-13)
 
 
 def exports():
@@ -254,7 +279,7 @@ def print_items(labels: list[str]):
     a JSON line; an item is (name, residual, tolerance, pass), read from
     the report body, so any tree's report API serves."""
     runs = [(label, lambda cfg=cfg: json.loads(report_body(cfg))["items"])
-            for label, cfg in configs()]
+            for label, cfg in itertools.chain(configs(), defect_configs())]
     runs += [(label, lambda argv=argv: export_items(argv)) for label, argv in exports()]
     for label, items in runs:
         if not labels or label in labels:
