@@ -19,7 +19,8 @@ period with the trapezoid rule (exact up to rounding from 5 nodes on), as
 one contraction of basis cross products with averaged phase weights;
 ``flux_averages`` gives any of the squared first-harmonic, mixed, and
 squared second-harmonic blocks (the mixed one averages to zero), or
-their total; ``flux_columns`` builds the poynting suite's columns from them.
+their total; ``flux_columns`` builds the poynting suite's columns from them,
+and ``flux_timeseries`` the poynting export's series and verdict column.
 """
 
 from __future__ import annotations
@@ -100,9 +101,11 @@ def _trig(orders, phase: np.ndarray) -> np.ndarray:
 
 def _trig_pair(orders_e, orders_b, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c_E(phi) and c_B(phi): one table when the orders agree, as they do
-    for every generator-valued wave.  B then reads a copy, because numpy
+    for most generator-valued waves.  B then reads a copy, because numpy
     takes ``x.T @ x`` as a symmetric product whose bits differ from
-    ``x.T @ y``."""
+    ``x.T @ y``.  They need not agree: where the generator vectors are
+    parallel and lie across k, B can keep a second harmonic of rounding
+    size along k whose E counterpart cancels, so E holds order 1 alone."""
     ce = _trig(orders_e, phase)
     return ce, ce.copy() if orders_b == orders_e else _trig(orders_b, phase)
 
@@ -158,6 +161,12 @@ def flux_quadrature(fam: SolutionFamily, samples: int = 10_000) -> np.ndarray:
     return flux_averages(fam, samples, ((None, "total"),))[0]
 
 
+def _quadrature_vs_closed(average: np.ndarray, closed: np.ndarray, batch: tuple[int, ...]):
+    """The column of a flux quadrature against the closed form, relative to
+    max(1, the closed form's norm), per trial on a stack."""
+    return ("quadrature_vs_closed", sup_norms(average - closed, batch), sup_norms(closed, batch))
+
+
 def flux_columns(fams: SolutionFamily, rngs, samples: int):
     """The poynting suite's columns for a stack of T families: the flux
     quadrature (``samples`` nodes) at a random r against the closed form,
@@ -174,29 +183,37 @@ def flux_columns(fams: SolutionFamily, rngs, samples: int):
     a01 = -np.cross(fams0.ctx.khat, np.cross(fams0.ctx.khat, r0))
     closed, closed0 = amw_flux(fams), amw_flux(fams0)
     at_r, mixed_at_origin = flux_averages(fams, samples, ((r, "total"), (None, "mixed")))
+    vs_closed = _quadrature_vs_closed(at_r, closed, ctx.batch_shape)
     # each trial's operator_norm
-    scale, scale0, quad, mixed, abelian = (sup_norms(x, ctx.batch_shape) for x in (
-        closed, closed0, at_r - closed, mixed_at_origin,
-        closed0 - em_flux(a01, fams0.ctx)))
-    return [("quadrature_vs_closed", quad, scale),
-            ("mixed_block_average", mixed, scale, 1e-10),
+    scale0, mixed, abelian = (sup_norms(x, ctx.batch_shape) for x in (
+        closed0, mixed_at_origin, closed0 - em_flux(a01, fams0.ctx)))
+    return [vs_closed,
+            ("mixed_block_average", mixed, vs_closed[2], 1e-10),
             ("abelian_equals_em", abelian, scale0, 1e-10)]
 
 
-def flux_block_series(fam: SolutionFamily, ts) -> dict[str, np.ndarray]:
-    """Instantaneous flux along khat at r = 0 and each time in ``ts``, per
-    harmonic block (keys as ``flux_averages``): the identity part
-    tr(.)/d of khat . (c/4 pi) Re E x Re B, as c_E(t)^T S c_B(t),
-    evaluated SERIES_BLOCK times at a time so its temporaries stay bounded."""
-    ctx = fam.ctx
+def flux_timeseries(fam: SolutionFamily, steps: int, samples: int):
+    """The poynting export of one family: ``steps`` equally spaced times
+    over one period [0, period), the flux blocks 'first', 'mixed' and
+    'second' at r = 0 at each time (keys as ``flux_averages``), the running
+    average of their total, which from 5 steps on ends at the exact period
+    mean, and the verdict column of the flux quadrature (``samples`` nodes)
+    at the origin against the closed form.  The quadrature and the series
+    share one flux table.
+
+    A block at time t is the identity part tr(.)/d of khat . (c/4 pi)
+    Re E x Re B restricted to it, c_E(t)^T S c_B(t), evaluated SERIES_BLOCK
+    times at a time so its temporaries stay bounded."""
+    ctx, closed = fam.ctx, amw_flux(fam)
+    vs_closed = _quadrature_vs_closed(flux_quadrature(fam, samples), closed, ctx.batch_shape)
+    ts = np.linspace(0.0, ctx.period, steps, endpoint=False)
     table, orders_e, orders_b, masks = _flux_form(fam)
     s = np.einsum("i,pqiaa->pq", ctx.khat, table).real / ctx.dim
-    ts = np.asarray(ts, dtype=float)
-    out = {name: np.empty(len(ts)) for name in masks}
-    for start in range(0, len(ts), SERIES_BLOCK):
+    out = {name: np.empty(steps) for name in masks}
+    for start in range(0, steps, SERIES_BLOCK):
         block = slice(start, start + SERIES_BLOCK)
-        phase = -ctx.omega * ts[block]
-        ce, cb = _trig_pair(orders_e, orders_b, phase)
+        ce, cb = _trig_pair(orders_e, orders_b, -ctx.omega * ts[block])
         for name, mask in masks.items():
             out[name][block] = np.einsum("tp,pq,tq->t", ce, s * mask, cb)
-    return out
+    running = np.cumsum(out["total"]) / np.arange(1, steps + 1)
+    return ts, (out["first"], out["mixed"], out["second"]), running, vs_closed

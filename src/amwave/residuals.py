@@ -110,6 +110,7 @@ class Terms:
     at = functools.cached_property(lambda w: w.inv_c * dt(w.a))   # dA/dt / c
     gp = functools.cached_property(lambda w: grad(w.phi))
     ca = functools.cached_property(lambda w: curl(w.a))
+    da = functools.cached_property(lambda w: div(w.a))
     bp = functools.cached_property(lambda w: w.ca - w.ig * w.m)
     ep = functools.cached_property(lambda w: -w.at - w.gp - w.ig * w.n)
     fields = functools.cached_property(
@@ -130,13 +131,13 @@ BRACKETS = {
                             + w.ig * (comm_sv(w.phi, w.ep) + vcross(w.a, w.bp)
                                       + vcross(w.bp, w.a))),
     # the operator brackets of the graded condition sets
-    "scalar_wave": lambda w: (1j * w.kn) * div(w.a) - laplacian(w.phi),
-    "phi_diva": lambda w: comm_ss(w.phi, div(w.a)),
+    "scalar_wave": lambda w: (1j * w.kn) * w.da - laplacian(w.phi),
+    "phi_diva": lambda w: comm_ss(w.phi, w.da),
     "a_n_bracket": lambda w: vdot(w.a, w.n) - vdot(w.n, w.a),
     "induction": lambda w: 2.0 * w.kn * w.m + 1j * curl(w.n),
     "div_m": lambda w: div(w.m),
     "div_n": lambda w: div(w.n),
-    "vector_wave": lambda w: (grad(div(w.a)) - laplacian(w.a) - square(w.kn) * w.a
+    "vector_wave": lambda w: (grad(w.da) - laplacian(w.a) - square(w.kn) * w.a
                               - (1j * w.kn) * w.gp),
     "ampere_bracket": lambda w: ((1j * w.kn) * w.n - vcross(w.a, w.ca)
                                  - vcross(w.ca, w.a) + curl(w.m)

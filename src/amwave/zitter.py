@@ -18,9 +18,12 @@ per-trial stack, and the expectations and closed forms take one time (and
 one mixing angle) per trial.  Each trial of a stack gets the bits its own
 context would give it.  Z_r(t) = a(t) P H + b(t) P and Z_s(t) = p x Z_r(t)
 are linear in the basis, so ``wobble_expectations`` contracts a state with
-it once and evaluates both series as Re[a(t) e_PH + b(t) e_P], with no
-operator built per time.  ``wobble_columns`` builds the zitter suite's
-columns from one such call on a stack of random trials.
+it once and evaluates each wobble it is asked for as Re[a(t) e_PH +
+b(t) e_P], with no operator built per time.  ``PAIRS`` gives each state
+pair the wobble its mixes show and that wobble's closed form, if any.
+``wobble_columns`` builds the zitter suite's columns from one kernel
+call on a stack of random trials, and ``wobble_timeseries`` the zitter
+export's from one on a time grid, for the one wobble its pair shows.
 
 The module stands on ``algebra`` alone: the norms, ``dots`` and ``square``
 it shares with the other modules live there.
@@ -166,6 +169,15 @@ class DiracContext:
             raise PolarSingularity(
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
 
+    def export_window(self, t_max: float | None = None) -> float:
+        """The end of an export's time grid [0, t_max]: by default half a
+        wobble period, pi hbar / E_p, for one electron.  Raises ValueError
+        where the phase 2 E_p t_max / hbar at its end overflows, as every
+        wobble there would then read NaN."""
+        if t_max is not None and not np.isfinite(2.0 * self.energy * t_max / self.hbar):
+            raise ValueError(f"t_max = {t_max!r} overflows the phase 2 E_p t / hbar")
+        return np.pi * self.hbar / self.energy if t_max is None else t_max
+
     @functools.cached_property
     def hmat(self) -> np.ndarray:
         """H = c alpha.p + beta m c^2 as a (4, 4) array, or (T, 4, 4)."""
@@ -236,6 +248,16 @@ def _off_unit_norm(amp: np.ndarray) -> np.ndarray:
     return abs(frobenius_norms(amp[..., None, :]) - 1.0) > 1e-12
 
 
+WOBBLES = ("position", "spin")
+# The four state pairs (1-based), each with the wobble its mixes show and
+# the name of that wobble's closed form in this module, if it has one: an
+# equal-helicity mix trembles in position, an opposite-helicity one in
+# spin.  A closed form is looked up by its name when it is called, so one
+# patch of it reaches every caller.
+PAIRS = {(1, 3): ("position", "position_closed_form"), (1, 4): ("spin", "spin_closed_form"),
+         (2, 3): ("spin", None), (2, 4): ("position", None)}
+
+
 @dataclass(frozen=True)
 class SuperpositionSpec:
     """cos(theta) |psi_+> + sin(theta) |psi_->, for the state pair ``pair``:
@@ -251,8 +273,7 @@ class SuperpositionSpec:
         # |theta| <= max / 2, which a NaN fails too
         if not np.all(np.abs(self.theta) <= np.finfo(float).max / 2.0):
             raise ValueError("theta must be finite, and so must 2 theta")
-        a, b = self.pair
-        if a not in (1, 2) or b not in (3, 4):
+        if tuple(self.pair) not in PAIRS:
             raise ValueError("pair must combine one of (1,2) with one of (3,4)")
 
     def state_vector(self, ctx: DiracContext) -> np.ndarray:
@@ -263,11 +284,12 @@ class SuperpositionSpec:
 
 # --- the wobble series ----------------------------------------------------------
 
-def wobble_expectations(ctx: DiracContext, psi: np.ndarray, ts) -> np.ndarray:
-    """The position and spin wobbles <psi| Z_r(t) |psi> and <psi| Z_s(t) |psi>,
-    Z_s = p x Z_r, for every t in the finite 1-D array ts: real, shape
-    (2, N, 3), behind any leading state axes of psi; on a stacked context,
-    one time and one state per trial.
+def wobble_expectations(ctx: DiracContext, psi: np.ndarray, ts, wobbles=WOBBLES) -> np.ndarray:
+    """The wobbles named in ``wobbles`` (WOBBLES), each <psi| Z(t) |psi>
+    for Z the position wobble Z_r or the spin wobble Z_s = p x Z_r, at
+    every t in the finite 1-D array ts: real, shape (len(wobbles), N, 3),
+    behind any leading state axes of psi; on a stacked context, one time
+    and one state per trial.  Only the named wobbles are evaluated.
 
     Z_r(t) = (i hbar c / 2) [alpha - c H^-1 p] H^-1 (exp(-2iHt/hbar) - 1) is
     a B_PH + b B_P in the ``wobble_basis``: by H^2 = E_p^2 the tail is a H + b
@@ -290,13 +312,15 @@ def wobble_expectations(ctx: DiracContext, psi: np.ndarray, ts) -> np.ndarray:
     e = np.einsum("...a,...kiab,...b->...ki", psi.conj(), ctx.wobble_basis, psi)
     if p.ndim == 1:  # one context: the times are a new axis
         e = e[..., None, :, :]
-    e = np.stack([e, np.cross(p[..., None, :], e)], axis=-4)  # <p x Z> = p x <Z>
-    e_ph, e_p = e[..., 0, :], e[..., 1, :]
-    # sup_i ||B_P,i||^2 of each wobble, at the largest q_i: |p|^2 less the smallest p_i^2
+    # sup_i ||B_P,i||^2 / (hbar c)^2 of each wobble, at the largest q_i:
+    # |p|^2 less the smallest p_i^2
     q = dots(p, p) - np.min(p * p, axis=-1)
-    sup_bp = (ctx.hbar * ctx.c) ** 2 * np.array([(square(ctx.mass * ctx.c ** 2)
-                                                  + ctx.c ** 2 * q) / esq, q])
-    norms = np.sqrt(np.reshape(sup_bp, (2, -1)) * (a * a * esq + s * s))
+    gram = {"position": (square(ctx.mass * ctx.c ** 2) + ctx.c ** 2 * q) / esq, "spin": q}
+    # <p x Z> = p x <Z>
+    e = np.stack([np.cross(p[..., None, :], e) if w == "spin" else e for w in wobbles], axis=-4)
+    e_ph, e_p = e[..., 0, :], e[..., 1, :]
+    sup_bp = (ctx.hbar * ctx.c) ** 2 * np.array([gram[w] for w in wobbles])
+    norms = np.sqrt(np.reshape(sup_bp, (len(wobbles), -1)) * (a * a * esq + s * s))
     a, s = _col(a), _col(s)
     # with b = -i s: a e_PH + b e_P = (a Re e_PH + s Im e_P) + i (a Im e_PH - s Re e_P)
     if np.any(np.abs(a * e_ph.imag - s * e_p.real) > _col(1e-10 * np.fmax(1.0, norms))):
@@ -307,7 +331,7 @@ def wobble_expectations(ctx: DiracContext, psi: np.ndarray, ts) -> np.ndarray:
 def zitter_position_expectation(spec: SuperpositionSpec, ctx: DiracContext,
                                 t: float) -> np.ndarray:
     """<Psi| Z_r(t) |Psi> at one time; a real length 3-vector."""
-    return wobble_expectations(ctx, spec.state_vector(ctx), [t])[0, 0]
+    return wobble_expectations(ctx, spec.state_vector(ctx), [t], ("position",))[0, 0]
 
 
 # --- closed forms -------------------------------------------------------------
@@ -378,23 +402,54 @@ def wobble_columns(rngs, hbar: float, c: float):
     angle and a time t from one ``random(5)`` call of its generator in
     ``rngs``, each mapped as ``uniform`` maps a draw; t's range needs that
     trial's E_p.  The trials are one stacked DiracContext at ``hbar`` and
-    ``c``, and one ``wobble_expectations`` call gives the position and spin
-    wobbles of (1,3), (1,4) and pure (1,3) at each time."""
+    ``c``, and one ``wobble_expectations`` call gives both wobbles of the
+    mix of each pair with a closed form (PAIRS) and of the pure state
+    (1,3).  Each mix is held to the closed form of the wobble its pair
+    shows, the pure state's position wobble and the (1,3) mix's spin
+    wobble to zero."""
     u = np.array([rng.random(5) for rng in rngs])
     p = _uniform(-1.0, 1.0, u[:, :3])
     p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
     ctx = DiracContext(p=p, hbar=hbar, c=c)
     theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
     t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
-    mixes = np.stack([SuperpositionSpec(angle, pair).state_vector(ctx) for angle, pair
-                      in ((theta, (1, 3)), (theta, (1, 4)), (0.0, (1, 3)))])
-    (pos13, spin13), (_, spin14), (pure, _) = wobble_expectations(ctx, mixes, t)
-    devs = [("position_vs_closed", pos13 - position_closed_form(theta, ctx, t)),
-            ("spin_vs_closed", spin14 - spin_closed_form(theta, ctx, t)),
-            ("pure_energy_zero", pure, 1e-14),
-            ("same_helicity_spin_zero", spin13, 1e-14)]
+    closed = [(pair, wobble, globals()[name]) for pair, (wobble, name) in PAIRS.items() if name]
+    mixes = [SuperpositionSpec(theta, pair).state_vector(ctx) for pair, _, _ in closed]
+    # both wobbles of each mix, (1,3) first, then of the pure state (1,3)
+    series = wobble_expectations(
+        ctx, np.stack(mixes + [SuperpositionSpec(0.0, (1, 3)).state_vector(ctx)]), t)
+    devs = [(f"{wobble}_vs_closed", series[i, WOBBLES.index(wobble)] - closed_form(theta, ctx, t))
+            for i, (_, wobble, closed_form) in enumerate(closed)]
+    devs += [("pure_energy_zero", series[-1, 0], 1e-14),
+             ("same_helicity_spin_zero", series[0, 1], 1e-14)]
     # relative to the wobble's size
     return [(name, np.abs(dev).max(axis=1), ctx.wobble_scale, *tol) for name, dev, *tol in devs]
+
+
+def wobble_timeseries(ctx: DiracContext, theta: float, pair, steps: int, t_max=None):
+    """The zitter export of the mix ``SuperpositionSpec(theta, pair)``:
+    ``steps`` equally spaced times over [0, ``ctx.export_window(t_max)``],
+    its columns and its verdict column.  The columns are the x, y and z of
+    the wobble the pair shows (PAIRS), then, for a pair with a closed
+    form, the closed form's x, y and z and each time's largest deviation
+    |numeric - closed|.  The verdict column is ("abs_dev", the largest
+    deviation, 0 where nothing is compared, hbar c / 2 E_p): relative to
+    the wobble's size, as the suite's residuals are.
+
+    The numeric columns are one ``wobble_expectations`` call on the whole
+    grid for the one wobble: the state meets the context's two basis
+    operators once, and each time costs a few scalar operations, with no
+    operator per time."""
+    wobble, name = PAIRS[pair]
+    ts = np.linspace(0.0, ctx.export_window(t_max), steps)
+    psi = SuperpositionSpec(theta, pair).state_vector(ctx)
+    num, = wobble_expectations(ctx, psi, ts, (wobble,))
+    cols, dev = tuple(num.T), np.empty(0)
+    if name is not None:
+        closed = globals()[name](theta, ctx, ts)
+        dev = np.abs(num - closed).max(axis=1)
+        cols += (*closed.T, dev)
+    return ts, cols, ("abs_dev", dev.max(initial=0.0), ctx.wobble_scale)
 
 
 # --- projectors ----------------------------------------------------------------

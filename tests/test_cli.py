@@ -1012,8 +1012,9 @@ def test_an_export_refuses_an_out_path_that_is_no_file_before_it_computes(
         tmp_path, monkeypatch, command):
     def never(*args):
         raise AssertionError("the export computed")
-    for name in ("zitter_timeseries", "poynting_timeseries", "amw_flux", "flux_quadrature"):
-        monkeypatch.setattr(f"amwave.cli.{name}", never)
+    for name in ("cli.zitter_timeseries", "cli.poynting_timeseries", "zitter.wobble_expectations",
+                 "poynting.amw_flux", "poynting.flux_quadrature"):
+        monkeypatch.setattr(f"amwave.{name}", never)
     code, err = run_main([command, "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert err == [f"i/o error: {tmp_path} exists and is not a regular file"]
@@ -1096,10 +1097,10 @@ def test_zitter_timeseries_zero_theta(tmp_path):
 def test_zitter_timeseries_matches_closed_form():
     cfg = RunConfig(suite="zitter", theta=0.7, pair=(1, 4),
                     momentum=(0.0, 0.0, 0.8), steps=200)
-    series, dev = zitter_timeseries(cfg)
+    series, (name, worst, scale) = zitter_timeseries(cfg)
     devs = series.columns[-1].tolist()
     assert max(devs) <= 1e-12
-    assert devs == dev.tolist()
+    assert (name, worst, scale) == ("abs_dev", max(devs), cfg.dirac.wobble_scale)
 
 
 @pytest.mark.parametrize("pair", ["2,3", "2,4"])
@@ -1110,14 +1111,15 @@ def test_zitter_pairs_without_closed_form_leave_columns_blank(tmp_path, pair):
     assert len(rows) == 5
     assert all(row[4:] == ["", "", "", ""] for row in rows)
     cfg = RunConfig(suite="zitter", pair=tuple(int(x) for x in pair.split(",")), steps=5)
-    assert zitter_timeseries(cfg)[1].size == 0
+    series, (_, worst, _) = zitter_timeseries(cfg)
+    assert (len(series.columns), series.blank, worst) == (4, 4, 0.0)
 
 
 def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
-    def nan_expectations(ctx, psi, ts):
-        return np.full((2, len(ts), 3), np.nan)
+    def nan_expectations(ctx, psi, ts, wobbles):
+        return np.full((len(wobbles), len(ts), 3), np.nan)
 
-    monkeypatch.setattr("amwave.cli.wobble_expectations", nan_expectations)
+    monkeypatch.setattr("amwave.zitter.wobble_expectations", nan_expectations)
     out = tmp_path / "z.csv"
     assert main(["zitter", "--pair", "1,3", "--steps", "3", "--out", str(out)]) == EXIT_FAIL
     assert capsys.readouterr().err.startswith("FAIL zitter: max |numeric - closed| = nan")
@@ -1156,21 +1158,22 @@ def test_zitter_export_rows_equal_a_per_time_evaluation_bitwise(tmp_path, pair, 
 
 
 def test_zitter_export_builds_no_operator_per_step(tmp_path, monkeypatch):
-    # one kernel call on the whole grid, whose only operators are the
-    # context's (2, 3, 4, 4) basis (P H, P)
+    # one kernel call on the whole grid for the one wobble the pair shows,
+    # whose only operators are the context's (2, 3, 4, 4) basis (P H, P)
     calls, products = [], []
-    kernel, einsum = amwave.cli.wobble_expectations, np.einsum
-    monkeypatch.setattr("amwave.cli.wobble_expectations",
-                        lambda ctx, psi, ts: calls.append(len(ts)) or kernel(ctx, psi, ts))
+    kernel, einsum = amwave.zitter.wobble_expectations, np.einsum
+    monkeypatch.setattr("amwave.zitter.wobble_expectations", lambda ctx, psi, ts, wobbles: (
+        calls.append((len(ts), wobbles)) or kernel(ctx, psi, ts, wobbles)))
     monkeypatch.setattr(np, "einsum", lambda spec, *ops: products.append(
         [np.shape(op) for op in ops]) or einsum(spec, *ops))
     steps = 2 * SERIES_BLOCK + 3
-    for pair in ((1, 3), (1, 4), (2, 3), (2, 4)):
+    for pair, wobble in (((1, 3), "position"), ((1, 4), "spin"),
+                         ((2, 3), "spin"), ((2, 4), "position")):
         cfg = RunConfig(suite="zitter", pair=pair, steps=steps)
         calls.clear()
         products.clear()
         series, dev = zitter_timeseries(cfg)
-        assert calls == [steps]
+        assert calls == [(steps, (wobble,))]
         # the one contraction of a state with operators (the others build the context)
         assert [ops for ops in products if len(ops) == 3] == [[(4,), (2, 3, 4, 4), (4,)]]
         # the rows are written in blocks, and the block length changes no byte
@@ -1214,13 +1217,12 @@ def test_zitter_passes_at_a_large_hbar(tmp_path, argv, hbar):
     ("spin_closed_form", "spin_vs_closed", "1,4")])
 def test_a_closed_form_off_by_1e_9_fails_at_a_large_hbar(tmp_path, monkeypatch, closed, item,
                                                          pair):
-    # the suite reads the closed form in zitter, the export in cli
+    # the suite and the export both look the closed form up in zitter
     exact = getattr(amwave.zitter, closed)
 
     def off(*args):
         return exact(*args) * (1.0 + 1e-9)
-    for module in ("zitter", "cli"):
-        monkeypatch.setattr(f"amwave.{module}.{closed}", off)
+    monkeypatch.setattr(f"amwave.zitter.{closed}", off)
     items = report_items(run_suite(RunConfig(suite="zitter", trials=20, hbar=1e3)))
     assert {it["name"].split("/")[1] for it in items if not it["pass"]} == {item}
     assert sum(not it["pass"] for it in items) == 20
@@ -1493,6 +1495,9 @@ UNREAD_PUBLIC_NAMES = {
     "zitter_position_expectation": "perfbench/probes.py times it",
     "random_family": "perfbench/probes.py draws its family with it, and the tests' "
                      "special families start from it",
+    "position_closed_form": "zitter.PAIRS names it, and the suite and the export look it up "
+                            "by that name, so one patch of it reaches both",
+    "spin_closed_form": "zitter.PAIRS names it, as position_closed_form",
     "spin_closed_form_z": "one of the paper's printed results",
     "alpha_matrix_element_14": "one of the paper's printed results",
     "compton_wavelength_si": "one of the paper's printed results",

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import yaml
 
 from amwave.algebra import cross, make_generators, operator_norm
 import amwave.fields
-from amwave.cli import RunConfig, poynting_timeseries, run_suite
+from amwave.cli import EXIT_PASS, RunConfig, main, poynting_timeseries, run_suite
 from amwave.fields import (
     SolutionFamily,
     WaveContext,
@@ -186,7 +187,7 @@ def test_timeseries_matches_sample_loop(kind):
     rng = np.random.default_rng(19)
     fam = random_family(make_generators(kind), rng, g=0.4)
     cfg = RunConfig(suite="poynting", steps=33, samples=5)
-    header, columns, blank = poynting_timeseries(cfg, fam)
+    (header, columns, blank), _ = poynting_timeseries(cfg, fam)
     got = dict(zip(header, columns))
     assert blank == 0
     ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
@@ -214,7 +215,7 @@ def test_quadrature_of_an_empty_field_is_zero():
     fam = SolutionFamily(ctx=ctx, R=tuple(np.zeros(3) for _ in range(4)))
     assert operator_norm(flux_quadrature(fam, samples=5)) == 0.0
     assert all(operator_norm(v) == 0.0 for v in flux_blocks(fam, 5, (None,))[0].values())
-    series = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
+    series, _ = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
     assert [col.tolist() for col in series.columns[1:]] == [[0.0] * 3] * 4
 
 
@@ -223,7 +224,7 @@ def test_quadrature_of_an_empty_field_is_zero():
 def test_last_running_average_is_the_closed_form(kind, steps):
     rng = np.random.default_rng(29)
     fam = random_family(make_generators(kind), rng, g=0.4)
-    series = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
+    series, _ = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
     last = [col[-1] for col in series.columns]
     closed = amw_flux(fam)
     want = np.einsum("i,iaa->", fam.ctx.khat, closed).real / fam.ctx.dim
@@ -395,3 +396,22 @@ def test_stacked_em_flux_refuses_a_longitudinal_trial():
     a01[1] = khat[1]
     with pytest.raises(NonTransverseAmplitude):
         em_flux(a01, stack.ctx)
+
+
+# k along z and the three generator vectors parallel, across k: B keeps a
+# second harmonic of rounding size along k, and E's cancels
+UNEQUAL_ORDERS_R = [[0.2, 0.1, 0.5], [0.6, 0.8, 0.0], [0.3, 0.4, 0.0], [-0.9, -1.2, 0.0]]
+
+
+def test_a_wave_whose_e_and_b_hold_other_orders_passes_the_suite_and_the_export(tmp_path):
+    ctx = WaveContext(generators=SPIN_HALF, k=np.array([0.0, 0.0, 1.0]), g=0.1)
+    fam = SolutionFamily(ctx=ctx, R=tuple(np.array(r) for r in UNEQUAL_ORDERS_R))
+    _, orders_e, orders_b, _ = _flux_form(fam)
+    assert (orders_e, orders_b) == ((1,), (1, 2))
+    closed = amw_flux(fam)
+    assert operator_norm(flux_quadrature(fam) - closed) / max(1.0, operator_norm(closed)) <= 1e-14
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({"family": {
+        "generator": "su2_spin_half", "k": [0.0, 0.0, 1.0], "R": UNEQUAL_ORDERS_R}}))
+    for argv in (["verify", "poynting", "--trials", "4"], ["poynting", "--steps", "16"]):
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_PASS

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import amwave.residuals
 from amwave.algebra import commutator, cross, dot, make_generators, operator_norm as norm
 from amwave.cli import SUITE_TABLE, _table, judge
 from amwave.fields import (
@@ -496,6 +497,17 @@ def test_rows_build_only_the_products_they_read():
     m = terms.m
     equation_residuals("w", terms)
     assert terms.m is m  # built once, shared by every row
+
+
+def test_a_terms_takes_the_divergence_of_a_once(monkeypatch):
+    # scalar_wave, phi_diva and vector_wave read div A, in wca, exact and zca
+    terms = Terms.of(random_family(make_generators("su2_spin_half"),
+                                   np.random.default_rng(3)))
+    taken, take = [], amwave.residuals.div
+    monkeypatch.setattr("amwave.residuals.div", lambda f: taken.append(f) or take(f))
+    for label in ("wca", "exact", "zca"):
+        equation_residuals(label, terms)
+    assert sum(f is terms.a for f in taken) == 1
 
 
 def _columns(fam):

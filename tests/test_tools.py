@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from amwave.cli import RunConfig, _collect_config, build_parser
+from amwave.zitter import PAIRS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -40,6 +41,11 @@ def test_report_hashes_lists_96_distinct_runs_that_all_build(report_hashes):
     # the defect runs are a second set, which no hash line holds
     defects = [label for label, _ in report_hashes.defect_configs()]
     assert len(defects) == len(set(defects) - set(labels + verdicts)) == 10
+
+
+def test_report_hashes_exports_every_pair_of_the_pair_table(report_hashes):
+    assert sorted(tuple(map(int, pair.split(","))) for pair in report_hashes.ZITTER_PAIRS) \
+        == sorted(PAIRS)
 
 
 SAMPLE = '''"""A module docstring

@@ -165,8 +165,13 @@ MUTANTS = (
     # Gram entries swapped
     # (test_zitter.py::test_imaginary_expectation_is_rejected_per_row)
     Mutant("wobble_norm_weights", "zitter.py", "(a * a * esq + s * s)", "(s * s * esq + a * a)"),
-    Mutant("wobble_gram_swap", "zitter.py", "+ ctx.c ** 2 * q) / esq, q])",
-           "+ ctx.c ** 2 * q) / esq, q][::-1])"),
+    Mutant("wobble_gram_swap", "zitter.py",
+           '{"position": (square(ctx.mass * ctx.c ** 2) + ctx.c ** 2 * q) / esq, "spin": q}',
+           '{"spin": (square(ctx.mass * ctx.c ** 2) + ctx.c ** 2 * q) / esq, "position": q}'),
+    # the pair table: the opposite-helicity pair (2,3) exported as a
+    # position wobble
+    # (test_cli.py::test_zitter_export_rows_equal_a_per_time_evaluation_bitwise)
+    Mutant("pair_wobble", "zitter.py", '(2, 3): ("spin", None)', '(2, 3): ("position", None)'),
     # |p| + p_z taken as written below the xy plane, where it cancels
     # (test_zitter.py::test_polar_singularity)
     Mutant("norm_plus_pz_cancels", "zitter.py", "np.where(pz < 0.0,", "np.where(pz < -np.inf,"),
