@@ -54,16 +54,23 @@ _K = np.array([[2, 2, 1], [1, 0, 0]])
 _E = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])[..., None, None]
 
 
-class NonFiniteValue(ValueError):
+class InputError(ValueError):
+    """A value from outside the program that it refuses, raised where the
+    value is read: the base of every such refusal, which the command line
+    reports as one ``config error:`` line and exit code 2.  A plain
+    ValueError is left for internal invariants and API misuse."""
+
+
+class NonFiniteValue(InputError):
     """A value that must be finite is NaN or infinite: a non-finite input,
     or an amplitude that overflowed."""
 
 
-class DimMismatch(ValueError):
+class DimMismatch(InputError):
     """Operands live in representation spaces of different dimension."""
 
 
-class UnsupportedGenerator(ValueError):
+class UnsupportedGenerator(InputError):
     """Requested generator-set kind is not implemented."""
 
 
@@ -278,7 +285,7 @@ class GeneratorSet:
         if self.kind not in KINDS:
             raise UnsupportedGenerator(f"unknown generator kind {self.kind!r}")
         if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+            raise InputError("hbar must be positive")
         gens = np.array(self.generators, dtype=complex)
         if gens.ndim != 3 or gens.shape[1:] != (self.dim, self.dim):
             raise DimMismatch("generator dimension mismatch")
@@ -318,12 +325,12 @@ class GeneratorSet:
 def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
     """Build one of the supported generator sets.
 
-    Spin generators are scaled by hbar; Gell-Mann matrices are returned
-    exactly as printed (no hbar factor).  Memoized per (kind, hbar): a set
-    is immutable (frozen, read-only matrices), so callers share one.
+    Spin generators are scaled by hbar, which their set refuses unless it
+    is positive; Gell-Mann matrices are returned exactly as printed and
+    read no hbar (their set's is 1), so no hbar refuses them.  Memoized
+    per (kind, hbar): a set is immutable (frozen, read-only matrices), so
+    callers share one.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
     if kind == "su2_spin_half":
         gs = GeneratorSet(kind, 2, [0.5 * hbar * s for s in PAULI], hbar=hbar, eta_scale=hbar)
     elif kind == "su2_spin_one":
@@ -334,7 +341,7 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
         sz = hbar * np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
         gs = GeneratorSet(kind, 3, [sx, sy, sz], hbar=hbar, eta_scale=hbar)
     elif kind == "su3_gellmann":
-        gs = GeneratorSet(kind, 3, _GELLMANN, hbar=hbar, eta_scale=1.0)
+        gs = GeneratorSet(kind, 3, _GELLMANN, eta_scale=1.0)
         _validate_gellmann(gs)
         return gs
     else:
@@ -345,12 +352,13 @@ def make_generators(kind: str, hbar: float = 1.0) -> GeneratorSet:
 
 def _validate_su2(gs: GeneratorSet):
     # [S_i, S_j] = i hbar S_k checked on S / hbar, so the bound holds at any
-    # hbar; a NaN defect fails
+    # normal hbar; a NaN defect fails, as at a subnormal hbar, whose scaled
+    # generators have lost their digits
     sx, sy, sz = gs.generators / gs.hbar
     for (a, b, c) in ((sx, sy, sz), (sy, sz, sx), (sz, sx, sy)):
         defect = operator_norm(commutator(a, b) - 1j * c)
         if not defect <= HERMITICITY_TOL:
-            raise ValueError(f"SU(2) algebra violated, defect {defect}")
+            raise InputError(f"SU(2) algebra violated at hbar = {gs.hbar!r}, defect {defect}")
 
 
 def _validate_gellmann(gs: GeneratorSet):

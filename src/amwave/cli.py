@@ -8,11 +8,17 @@ bit-identical reports.  Reports carry no timestamps for the same reason.
 
 Exit codes: 0 all checks passed, 1 numerical failure (failing items are
 listed), 2 usage or configuration error (including a family whose
-amplitudes overflow, or a scale that does).  Each suite is one row of
-``SUITE_TABLE``: its columns (equation rows, or a columns function of
-the physics module that holds its check), its default tolerance, its
-fixed generator kind if it has one, whether its trials draw a family,
-and the columns that open its report.  Every column is (name, norm, scale[, tolerance]);
+amplitudes overflow, or a scale that does).  A bad input is refused
+where its value is read, as an ``algebra.InputError``: ``RunConfig``
+checks each option by its row of the options table alone, the run's own
+constructors check the rest as they build it, and ``main`` alone turns
+an InputError into exit 2 and one ``config error:`` line.
+
+Each suite is one row of ``SUITE_TABLE``: its columns (equation rows,
+or a columns function of the physics module that holds its check), its
+default tolerance, its fixed generator kind if it has one, whether its
+trials draw a family, and the columns that open its report.  Every
+column is (name, norm, scale[, tolerance]);
 one function, ``judge``, turns each into a judged column of residuals and
 pass flags and gives both exports their verdicts: it refuses a scale that
 is not finite, divides (``residuals.relative``) and holds |residual| to
@@ -41,19 +47,19 @@ import sys
 import tempfile
 from collections.abc import Callable, Collection
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import SERIES_BLOCK, NonFiniteValue, make_generators, su3_columns
+from .algebra import SERIES_BLOCK, InputError, NonFiniteValue, make_generators, su3_columns
 from .fields import SolutionFamily, WaveContext, random_families
 from .poynting import flux_columns, flux_timeseries
-from .relativity import boost_axis, boost_columns, boost_matrix, gauge_columns
+from .relativity import boost_axis, boost_columns, gauge_columns
 from .residuals import Terms, equation_columns, relative
 from .seeding import seeded_generators, spawn_states
-from .zitter import DiracContext, SuperpositionSpec, wobble_columns, wobble_timeseries
+from .zitter import wobble_columns, wobble_timeseries
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -65,8 +71,8 @@ os.umask(_UMASK)
 GENERATORS = ("both", "su2_spin_half", "su2_spin_one", "su3_gellmann")
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(InputError):
+    """An option's value that its row refuses, or a bad command line."""
 
 
 # --- the suite table ---------------------------------------------------------------
@@ -127,6 +133,10 @@ SUITES = tuple(SUITE_TABLE)
 # build the flags, the config-file keys, the checks, the config echo, and
 # the commands that read each option: "verify SUITE" (boost and
 # su3-constants are verify boost and verify su3), "zitter" and "poynting".
+# A row's check holds a value to its kind (a real, a count of at least
+# one, a path), for every command; only a command that reads the option
+# checks it further, as it builds what the value sets (a wave, a boost, a
+# Dirac state).
 _VERIFY = frozenset(f"verify {s}" for s in SUITES)
 _EVERY = _VERIFY | {"zitter", "poynting"}
 # the commands that build a family, and those whose family has a fixed generator
@@ -239,28 +249,9 @@ class RunConfig:
                     setattr(self, f.name, check(f.name, val))
             except TypeError as exc:  # k, momentum, pair or R is no sequence
                 raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
-        # the program's own constructors hold the rules; building what the
-        # run will build turns a bad value into a config error up front
-        try:
-            axis = boost_axis(self.boost_axis)
-            boost_matrix(self.velocity * self.c, c=self.c)
-            SuperpositionSpec(self.theta, self.pair)
-            # only the zitter suite and export build a Dirac context
-            if self.suite == "zitter":
-                self.dirac.states
-                self.dirac.export_window(self.t_max)
-            if SUITE_TABLE[self.suite].family:
-                for kind in self.kinds[:self.trials]:
-                    _group_families(self, kind, ())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the report names the axis one way, whether it was given as 2 or z
-        self.boost_axis = "xyz"[axis]
-
-    @cached_property
-    def dirac(self) -> DiracContext:
-        """The Dirac context of momentum, hbar and c, built once for the check and the export."""
-        return DiracContext(p=np.array(self.momentum), hbar=self.hbar, c=self.c)
+        # the axis last, after every other value's check; the report names it
+        # one way, whether it was given as 2 or z
+        self.boost_axis = "xyz"[boost_axis(self.boost_axis)]
 
     @property
     def csv_path(self) -> str | None:
@@ -334,17 +325,15 @@ def config_from_file(path: str, overrides: dict | None = None,
 
 # --- trial plumbing ------------------------------------------------------------
 
-def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily | None:
+def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily:
     """The families of one generator group's trials, stacked: the config's
-    fixed family, built once, or one drawn from each trial's generator.
-    None for no trials, after a check of the config's units, k and R."""
+    fixed family, built once, or one drawn from each trial's generator."""
     gens = make_generators(kind, hbar=cfg.hbar)
-    if cfg.R is None and rngs:
+    if cfg.R is None:
         return random_families(gens, rngs, k=cfg.k, c=cfg.c, g=cfg.coupling)
     k = cfg.k if cfg.k is not None else (0.0, 0.0, 1.0)
-    ctx = WaveContext(generators=gens, k=k, c=cfg.c, g=cfg.coupling)
-    fams = [SolutionFamily(ctx=ctx, R=cfg.R)] * len(rngs) if cfg.R is not None else ()
-    return SolutionFamily.stack(fams) if fams else None
+    fam = SolutionFamily(ctx=WaveContext(generators=gens, k=k, c=cfg.c, g=cfg.coupling), R=cfg.R)
+    return SolutionFamily.stack([fam] * len(rngs))
 
 
 class Judged(NamedTuple):
@@ -520,7 +509,8 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[Series, tuple]:
     """The table of (t, numeric wobble, closed form, deviation) of
     ``zitter.wobble_timeseries``, whose closed-form and deviation cells
     are blank for a pair without a closed form, and its verdict column."""
-    ts, cols, verdict = wobble_timeseries(cfg.dirac, cfg.theta, cfg.pair, cfg.steps, cfg.t_max)
+    ts, cols, verdict = wobble_timeseries(cfg.momentum, cfg.hbar, cfg.c, cfg.theta, cfg.pair,
+                                          cfg.steps, cfg.t_max)
     header = ["t", "num_x", "num_y", "num_z", "closed_x", "closed_y", "closed_z", "abs_dev"]
     return Series(header, (ts, *cols), blank=len(header) - 1 - len(cols)), verdict
 
@@ -653,11 +643,11 @@ def main(argv: list[str] | None = None) -> int:
         # residuals, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.run(_collect_config(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NonFiniteValue, OverflowError) as exc:  # OverflowError: a float power
         print(f"config error: a value overflowed: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except InputError as exc:  # every other refusal of a value, wherever it is read
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # a size that passed its checks but cannot be allocated
         print("config error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .algebra import (
     GeneratorSet,
+    InputError,
     NonFiniteValue,
     commutator,
     commutator_sv,
@@ -75,9 +76,10 @@ class WaveContext:
     """Wave vector, coupling and generator set of one wave, or of T waves
     on a leading trial axis: then ``k`` is (T, 3) and ``knorm``, ``khat``
     and ``omega`` hold each wave's own value.  The frequency is
-    the dispersion's, omega = c |k|; one that overflows, or one whose
-    period 2 pi / omega does (omega below about 3.5e-308, zero included:
-    k = 0, or c |k| underflows), raises NonFiniteValue."""
+    the dispersion's, omega = c |k|; one that overflows raises
+    NonFiniteValue, and one whose period 2 pi / omega does (omega below
+    about 3.5e-308, zero included: k = 0, or c |k| underflows), a bad
+    input and no overflow, raises InputError."""
 
     generators: GeneratorSet
     k: np.ndarray
@@ -89,7 +91,7 @@ class WaveContext:
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
         if k.ndim not in (1, 2) or k.shape[-1] != 3 or not k.size or not np.isfinite(k).all():
-            raise ValueError("k must be a finite real 3-vector for each wave")
+            raise InputError("k must be a finite real 3-vector for each wave")
         knorm = np.sqrt(dots(k, k))
         small = knorm < SMALL_KNORM
         if small.any():  # |k|^2 below the normal range: taken on k / max |k_i|
@@ -97,9 +99,9 @@ class WaveContext:
             unit = k / np.expand_dims(np.where(peak > 0.0, peak, 1.0), -1)
             knorm = np.where(small, peak * np.sqrt(dots(unit, unit)), knorm)
         if not 0.0 < self.c < np.inf:
-            raise ValueError("c must be positive and finite")
+            raise InputError("c must be positive and finite")
         if not np.isfinite(self.g):
-            raise ValueError("coupling g must be finite")
+            raise InputError("coupling g must be finite")
         omega = self.c * knorm
         if not np.isfinite(omega).all():
             raise NonFiniteValue("the frequency omega = c*|k| is not finite")
@@ -107,8 +109,8 @@ class WaveContext:
         # one zeroes every time derivative
         with np.errstate(divide="ignore", over="ignore"):
             if not np.isfinite(2.0 * np.pi / omega).all():
-                raise NonFiniteValue("the period 2 pi / omega is not finite: omega = c*|k| "
-                                     "must be positive, above about 3.5e-308")
+                raise InputError("the period 2 pi / omega is not finite: omega = c*|k| "
+                                 "must be positive, above about 3.5e-308")
         object.__setattr__(self, "k", readonly(k))
         object.__setattr__(self, "knorm", float(knorm) if k.ndim == 1 else readonly(knorm))
         object.__setattr__(self, "omega", float(omega) if k.ndim == 1 else readonly(omega))
@@ -402,10 +404,10 @@ class SolutionFamily:
         gens, shape = self.ctx.generators, self.ctx.batch_shape + (3,)
         vecs = tuple(readonly(np.array(r, dtype=float)) for r in self.R)
         if len(vecs) != gens.n_coeffs:
-            raise ValueError(f"expected {gens.n_coeffs} coefficient vectors, got {len(vecs)}")
+            raise InputError(f"expected {gens.n_coeffs} coefficient vectors, got {len(vecs)}")
         stack = np.stack(vecs, axis=-2) if all(v.shape == shape for v in vecs) else None
         if stack is None or not np.isfinite(stack).all():
-            raise ValueError("coefficient vectors must be finite 3-vectors")
+            raise InputError("coefficient vectors must be finite 3-vectors")
         object.__setattr__(self, "R", vecs)
         # the vectors of noncommuting generators must be coplanar with k, so
         # that the self-interaction amplitude stays divergence free
@@ -428,7 +430,7 @@ class SolutionFamily:
                  * lengths[..., l] * lengths[..., m])
         bad = np.flatnonzero((np.abs(triple) > bound).reshape(-1, len(l)).any(axis=0))
         if bad.size:
-            raise ValueError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
+            raise InputError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
                              "are not coplanar with k")
 
     @classmethod

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .algebra import by_matmul, conjugate, diag, frobenius_norms, readonly
+from .algebra import InputError, by_matmul, conjugate, diag, frobenius_norms, readonly
 from .fields import (
     HarmonicField,
     SolutionFamily,
@@ -32,7 +32,7 @@ from .residuals import Terms, equation_columns, perpendicular_part, relative
 BOOST_AXES = {"x": 0, "y": 1, "z": 2}
 
 
-class SuperluminalBoost(ValueError):
+class SuperluminalBoost(InputError):
     """|v| >= c requested."""
 
 
@@ -47,7 +47,7 @@ def boost_axis(axis: int | str) -> int:
         axis = BOOST_AXES.get(axis, axis)
     if (isinstance(axis, bool) or not isinstance(axis, (int, np.integer))
             or axis not in (0, 1, 2)):
-        raise ValueError(f"axis must be 0, 1, 2 (or 'x', 'y', 'z'), got {axis!r}")
+        raise InputError(f"axis must be 0, 1, 2 (or 'x', 'y', 'z'), got {axis!r}")
     return int(axis)
 
 

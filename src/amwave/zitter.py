@@ -43,12 +43,12 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, NonFiniteValue, dots, frobenius_norms, readonly, square
+from .algebra import PAULI, InputError, NonFiniteValue, dots, frobenius_norms, readonly, square
 
 POLAR_EPS = 1e-10
 
 
-class PolarSingularity(ValueError):
+class PolarSingularity(InputError):
     """A momentum the closed-form eigenstates cannot take: too close to the
     -z ray, too small, or too large for |p| or the states' normalisation
     to be finite; or units at which E_p underflows to zero."""
@@ -99,9 +99,9 @@ class DiracContext:
         p = np.array(self.p, dtype=float)
         if (p.ndim not in (1, 2) or p.shape[-1:] != (3,) or p.size == 0
                 or not np.all(np.isfinite(p))):
-            raise ValueError("p must be a finite real 3-vector")
+            raise InputError("p must be a finite real 3-vector")
         if not all(0.0 < x < np.inf for x in (self.mass, self.c, self.hbar)):
-            raise ValueError("mass, c and hbar must be positive and finite")
+            raise InputError("mass, c and hbar must be positive and finite")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -170,13 +170,18 @@ class DiracContext:
                 "p + p_z vanishes; rotate the momentum away from the -z ray")
 
     def export_window(self, t_max: float | None = None) -> float:
-        """The end of an export's time grid [0, t_max]: by default half a
-        wobble period, pi hbar / E_p, for one electron.  Raises ValueError
+        """The end of an export's time grid [0, t_max], for one electron
+        that passed ``check_polar``: by default half a wobble period,
+        pi hbar / E_p, which raises NonFiniteValue where it overflows (at
+        hbar above about 5.7e307 E_p).  A given t_max raises InputError
         where the phase 2 E_p t_max / hbar at its end overflows, as every
         wobble there would then read NaN."""
         if t_max is not None and not np.isfinite(2.0 * self.energy * t_max / self.hbar):
-            raise ValueError(f"t_max = {t_max!r} overflows the phase 2 E_p t / hbar")
-        return np.pi * self.hbar / self.energy if t_max is None else t_max
+            raise InputError(f"t_max = {t_max!r} overflows the phase 2 E_p t / hbar")
+        window = np.pi * self.hbar / self.energy if t_max is None else t_max
+        if not np.isfinite(window):
+            raise NonFiniteValue("the export window pi hbar / E_p is not finite")
+        return window
 
     @functools.cached_property
     def hmat(self) -> np.ndarray:
@@ -272,9 +277,9 @@ class SuperpositionSpec:
         # sin(2 theta) needs 2 theta finite; doubling is exact, so it is iff
         # |theta| <= max / 2, which a NaN fails too
         if not np.all(np.abs(self.theta) <= np.finfo(float).max / 2.0):
-            raise ValueError("theta must be finite, and so must 2 theta")
+            raise InputError("theta must be finite, and so must 2 theta")
         if tuple(self.pair) not in PAIRS:
-            raise ValueError("pair must combine one of (1,2) with one of (3,4)")
+            raise InputError("pair must combine one of (1,2) with one of (3,4)")
 
     def state_vector(self, ctx: DiracContext) -> np.ndarray:
         a, b = self.pair
@@ -400,21 +405,26 @@ def _uniform(low, high, u):
 def wobble_columns(rngs, hbar: float, c: float):
     """The zitter suite's columns: each trial draws a momentum p, a mixing
     angle and a time t from one ``random(5)`` call of its generator in
-    ``rngs``, each mapped as ``uniform`` maps a draw; t's range needs that
-    trial's E_p.  The trials are one stacked DiracContext at ``hbar`` and
-    ``c``, and one ``wobble_expectations`` call gives both wobbles of the
-    mix of each pair with a closed form (PAIRS) and of the pure state
-    (1,3).  Each mix is held to the closed form of the wobble its pair
-    shows, the pure state's position wobble and the (1,3) mix's spin
-    wobble to zero."""
+    ``rngs``, each mapped as ``uniform`` maps a draw; t's range, two
+    wobble periods 4 pi hbar / E_p, needs that trial's E_p, and raises
+    NonFiniteValue where it overflows (at hbar above about 1.4e307 E_p).
+    The trials are one stacked DiracContext at ``hbar`` and ``c``, and one
+    ``wobble_expectations`` call gives both wobbles of the mix of each
+    pair with a closed form (PAIRS) and of the pure state (1,3).  Each mix
+    is held to the closed form of the wobble its pair shows, the pure
+    state's position wobble and the (1,3) mix's spin wobble to zero."""
     u = np.array([rng.random(5) for rng in rngs])
     p = _uniform(-1.0, 1.0, u[:, :3])
     p[:, 2] = abs(p[:, 2]) + 0.2  # stay clear of the -z polar singularity
     ctx = DiracContext(p=p, hbar=hbar, c=c)
     theta = _uniform(0.0, np.pi / 2.0, u[:, 3])
-    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])
     closed = [(pair, wobble, globals()[name]) for pair, (wobble, name) in PAIRS.items() if name]
+    # the states first: they refuse an E_p that underflows, which the range divides by
     mixes = [SuperpositionSpec(theta, pair).state_vector(ctx) for pair, _, _ in closed]
+    span = 4.0 * np.pi * ctx.hbar / ctx.energy
+    if not np.isfinite(span).all():
+        raise NonFiniteValue("the time range 4 pi hbar / E_p is not finite")
+    t = _uniform(0.0, span, u[:, 4])
     # both wobbles of each mix, (1,3) first, then of the pure state (1,3)
     series = wobble_expectations(
         ctx, np.stack(mixes + [SuperpositionSpec(0.0, (1, 3)).state_vector(ctx)]), t)
@@ -426,9 +436,10 @@ def wobble_columns(rngs, hbar: float, c: float):
     return [(name, np.abs(dev).max(axis=1), ctx.wobble_scale, *tol) for name, dev, *tol in devs]
 
 
-def wobble_timeseries(ctx: DiracContext, theta: float, pair, steps: int, t_max=None):
-    """The zitter export of the mix ``SuperpositionSpec(theta, pair)``:
-    ``steps`` equally spaced times over [0, ``ctx.export_window(t_max)``],
+def wobble_timeseries(p, hbar: float, c: float, theta: float, pair, steps: int, t_max=None):
+    """The zitter export of the mix ``SuperpositionSpec(theta, pair)`` of
+    an electron of momentum ``p`` at ``hbar`` and ``c``, one DiracContext:
+    ``steps`` equally spaced times over [0, its ``export_window(t_max)``],
     its columns and its verdict column.  The columns are the x, y and z of
     the wobble the pair shows (PAIRS), then, for a pair with a closed
     form, the closed form's x, y and z and each time's largest deviation
@@ -440,9 +451,11 @@ def wobble_timeseries(ctx: DiracContext, theta: float, pair, steps: int, t_max=N
     grid for the one wobble: the state meets the context's two basis
     operators once, and each time costs a few scalar operations, with no
     operator per time."""
+    ctx = DiracContext(p=p, hbar=hbar, c=c)
+    # the mix checks theta and the pair, and its states E_p, before the window reads them
+    psi = SuperpositionSpec(theta, pair).state_vector(ctx)
     wobble, name = PAIRS[pair]
     ts = np.linspace(0.0, ctx.export_window(t_max), steps)
-    psi = SuperpositionSpec(theta, pair).state_vector(ctx)
     num, = wobble_expectations(ctx, psi, ts, (wobble,))
     cols, dev = tuple(num.T), np.empty(0)
     if name is not None:

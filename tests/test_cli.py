@@ -16,14 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import amwave
 from amwave.algebra import (
     SERIES_BLOCK,
+    DimMismatch,
     GeneratorSet,
+    InputError,
     NonFiniteValue,
+    UnsupportedGenerator,
     make_generators,
     operator_norm,
 )
@@ -51,10 +54,11 @@ from amwave.cli import (
 )
 from amwave.fields import SolutionFamily, WaveContext, random_family
 from amwave.poynting import amw_flux, em_flux, flux_averages
-from amwave.relativity import gauge_conjugate, unitary_exponential
+from amwave.relativity import SuperluminalBoost, gauge_conjugate, unitary_exponential
 from amwave.residuals import Terms, equation_fields, relative
 from amwave.zitter import (
     DiracContext,
+    PolarSingularity,
     SuperpositionSpec,
     position_closed_form,
     spin_closed_form,
@@ -188,14 +192,20 @@ def test_momentum_errors_name_their_cause(tmp_path):
 
 
 def test_the_momentum_and_t_max_are_checked_only_where_they_are_read(tmp_path):
-    # a momentum on the -z ray, and a t_max whose phase overflows
-    for values in ({"momentum": (0.0, 0.0, -1.0)}, {"t_max": 1e308}):
+    # a momentum on the -z ray, and a t_max whose phase overflows: RunConfig
+    # holds each to its kind alone, and only the zitter export, which reads
+    # them, refuses them
+    for values in ({"momentum": [0.0, 0.0, -1.0]}, {"t_max": 1e308}):
         for suite in SUITES:
-            if suite == "zitter":
-                with pytest.raises(ConfigError):
-                    RunConfig(suite=suite, **values)
-            else:
-                RunConfig(suite=suite, **values)
+            RunConfig(suite=suite, **values)
+        config = config_file(tmp_path / "cfg.yaml", values)
+        for argv in (["verify", "wca"], ["verify", "zitter"]):
+            code, err = run_main([*argv, "--trials", "2", "--config", config,
+                                  "--out", str(tmp_path / "r.json")])
+            assert code == EXIT_PASS, err
+        code, err = run_main(["zitter", "--config", config, "--out", str(tmp_path / "z.csv")])
+        assert_one_config_error(code, err)
+        assert not (tmp_path / "z.csv").exists()
     # at c = 1e160 the default momentum's E_p overflows, and at 1e-160 its
     # states underflow: the zitter export refuses them, wca never reads them
     for c, why in ((1e160, "a value overflowed"), (1e-160, "|p| = 0.8 is too small")):
@@ -249,9 +259,10 @@ LARGE_R = [[0, 0, 0], [1e160, 0, 0], [0, 1e160, 0], [0, 0, 0]]
 def test_bad_family_config_is_config_error(tmp_path, family):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"family": family}))
-    for argv in (["verify", "wca"], ["verify", "boost"], ["poynting", "--steps", "2"]):
-        code, err = run_main([*argv, "--trials", "2", "--config", str(path),
-                              "--out", str(tmp_path / "out")])
+    # the export reads no --trials, which it would refuse before it built the family
+    for argv in (["verify", "wca", "--trials", "2"], ["verify", "boost", "--trials", "2"],
+                 ["poynting", "--steps", "2"]):
+        code, err = run_main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
         assert_one_config_error(code, err)
         # none of these families may get as far as an overflow
         assert "overflowed" not in err[0]
@@ -311,8 +322,11 @@ _COUNT = st.one_of(st.integers(0, 3), st.floats(-1.0, 50.0, allow_nan=False), st
 _AXES = ("x", "y", "z", 0, 1, 2)
 _AXIS = st.sampled_from(_AXES + (1.0, 2.5, True, "w"))
 # c and hbar, which no flag sets: ordinary, and so small or large that
-# their squares and E_p underflow or overflow
-_UNIT = st.sampled_from([0.5, 2.0, 1.0e-200, 1.0e-320, 1.0e200])
+# their squares, E_p, the wobble's time range or a spin generator set
+# underflow, overflow or lose their digits
+_UNIT = [0.5, 2.0, 1.0e-200, 1.0e-320, 1.0e200]
+EXTREME_HBAR = (1.0e-320, 1.0e-300, 2.0e307, 1.0e308, 1.7e308)
+EXTREME_C = (1.0e-320, 1.0e-200, 1.0e300)
 _BY_FLAG = {o.flag[0]: name for name, o in OPTIONS.items() if o.flag}
 
 
@@ -346,8 +360,19 @@ def config_file(path, values: dict):
     return str(path)
 
 
+# plain values for every drawn argument but the command and the units
+_PLAIN = {"velocity": 0.5, "pair": (1, 4), "momentum": (0.0, 0.0, 0.8), "k": None, "R": None,
+          "coupling": 0.1, "samples": 5, "in_yaml": True, "count": None, "axis": None,
+          "unread": None, "c": None}
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+# the zitter commands at an hbar whose wobble time range overflows, which
+# crashed them with a ValueError traceback
+@example(command=["verify", "zitter"], hbar=2.0e307, **_PLAIN)
+@example(command=["zitter"], hbar=1.0e308, **_PLAIN)
+@example(command=["zitter"], hbar=1.7e308, **_PLAIN)
 @given(command=st.sampled_from([["verify", s] for s in SUITES]
                                + [["zitter"], ["poynting"], ["boost"]]),
        velocity=_FLOAT,
@@ -358,7 +383,8 @@ def config_file(path, values: dict):
        samples=st.integers(1, 48), in_yaml=st.booleans(),
        count=st.none() | st.tuples(st.sampled_from(_COUNTS), _COUNT),
        axis=st.none() | _AXIS, unread=st.none() | st.sampled_from(sorted(_BY_FLAG)),
-       c=st.none() | _UNIT, hbar=st.none() | _UNIT)
+       c=st.none() | st.sampled_from(sorted({*_UNIT, *EXTREME_C})),
+       hbar=st.none() | st.sampled_from(sorted({*_UNIT, *EXTREME_HBAR})))
 def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, R,
                                 coupling, samples, in_yaml, count, axis, unread, c, hbar):
     # each command gets only the flags it reads; the other values go in the
@@ -482,6 +508,81 @@ def test_a_wobble_frequency_that_overflows_is_config_error(tmp_path, argv):
     config = config_file(tmp_path / "small.yaml", {"hbar": 1.0e-300})
     code, err = run_main([*argv, "--config", config, "--out", out])
     assert code == EXIT_PASS, err
+
+
+# the wobble's time range overflows at a large hbar: the suite's two
+# periods 4 pi hbar / E_p from about 1.4e307 E_p, the export's default half
+# period pi hbar / E_p from about 5.7e307 E_p, each refused where it is built
+_RANGE, _WINDOW = "the time range 4 pi hbar / E_p", "the export window pi hbar / E_p"
+
+
+@pytest.mark.parametrize("argv, hbar, message", [
+    (["verify", "zitter", "--trials", "4"], 2.0e307, _RANGE),
+    (["verify", "zitter", "--trials", "4"], 1.0e308, _RANGE),
+    (["verify", "zitter", "--trials", "4"], 1.7e308, _RANGE),
+    (["zitter", "--steps", "5"], 1.0e308, _WINDOW),
+    (["zitter", "--steps", "5"], 1.7e308, _WINDOW),
+])
+def test_a_wobble_time_range_that_overflows_is_config_error(tmp_path, argv, hbar, message):
+    config = config_file(tmp_path / "cfg.yaml", {"hbar": hbar})
+    code, err = run_main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert_one_config_error(code, err)
+    assert err == [f"config error: a value overflowed: {message} is not finite"]
+    assert not (tmp_path / "out").exists()
+
+
+# the tiny c are test_a_tiny_c_never_crashes_a_command's
+@pytest.mark.parametrize("units", [{"hbar": v} for v in EXTREME_HBAR] + [{"c": 1.0e300}],
+                         ids=lambda units: "{}={!r}".format(*next(iter(units.items()))))
+def test_extreme_units_never_crash_a_command(tmp_path, units):
+    config = config_file(tmp_path / "cfg.yaml", {**units, "trials": 2, "steps": 4, "samples": 5})
+    out = tmp_path / "out"
+    for command in _READERS:
+        out.unlink(missing_ok=True)
+        code, err = run_main([*command, "--config", config, "--out", str(out)])
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE) and len(err) == 1, (command, err)
+        if code == EXIT_USAGE:
+            assert err[0].startswith("config error: ") and not out.exists(), (command, err)
+
+
+def test_an_option_a_command_does_not_read_is_checked_for_its_kind_alone(tmp_path):
+    # a boost faster than light, a momentum on the -z ray, a theta whose
+    # double overflows, two positive-energy states and a t_max whose phase
+    # overflows: each a real number or a pair, so only a reader refuses it
+    config = config_file(tmp_path / "cfg.yaml", {
+        "velocity": 2.0, "momentum": [0.0, 0.0, -1.0], "theta": 1.7e308, "pair": [1, 2],
+        "t_max": 1.0e308, "trials": 2, "steps": 3, "samples": 5})
+    for command in _READERS:
+        code, err = run_main([*command, "--config", config, "--out", str(tmp_path / "out")])
+        if command in (["verify", "boost"], ["zitter"]):
+            assert_one_config_error(code, err)
+        else:
+            assert code != EXIT_USAGE, (command, err)
+    assert run_main(["verify", "boost", "--config", config]) == (
+        EXIT_USAGE, ["config error: |v| = 2.0 >= c = 1.0"])
+    assert run_main(["zitter", "--config", config]) == (
+        EXIT_USAGE, ["config error: theta must be finite, and so must 2 theta"])
+    # the su3 suite's Gell-Mann set reads no hbar, which a spin set refuses
+    config = config_file(tmp_path / "hbar.yaml", {"hbar": -1.0, "trials": 2})
+    assert run_main(["verify", "su3", "--config", config, "--out", str(tmp_path / "out")]) == (
+        EXIT_PASS, ["PASS su3: 23 items"])
+    assert run_main(["verify", "wca", "--config", config]) == (
+        EXIT_USAGE, ["config error: hbar must be positive"])
+
+
+def test_a_run_config_builds_no_physics_object(monkeypatch):
+    # it checks each option by its row alone; the run builds what it reads
+    def never(*args, **kwargs):
+        raise AssertionError("RunConfig built a physics object")
+    for cls in (GeneratorSet, WaveContext, SolutionFamily, DiracContext, SuperpositionSpec):
+        monkeypatch.setattr(cls, "__post_init__", never)
+    for name in ("algebra.make_generators", "cli.make_generators", "relativity.boost_matrix",
+                 "cli.random_families"):
+        monkeypatch.setattr(f"amwave.{name}", never)
+    for suite in SUITES:
+        cfg = RunConfig(suite=suite, k=(0.0, 0.0, 1.0), R=((0, 0, 0), (1, 0, 0), (0, 0, 0),
+                                                              (0, 0, 1)), boost_axis=2)
+        assert cfg.boost_axis == "z" and not hasattr(cfg, "dirac")
 
 
 def readme() -> str:
@@ -1100,7 +1201,7 @@ def test_zitter_timeseries_matches_closed_form():
     series, (name, worst, scale) = zitter_timeseries(cfg)
     devs = series.columns[-1].tolist()
     assert max(devs) <= 1e-12
-    assert (name, worst, scale) == ("abs_dev", max(devs), cfg.dirac.wobble_scale)
+    assert (name, worst, scale) == ("abs_dev", max(devs), dirac(cfg).wobble_scale)
 
 
 @pytest.mark.parametrize("pair", ["2,3", "2,4"])
@@ -1125,9 +1226,14 @@ def test_zitter_nan_deviation_fails(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("FAIL zitter: max |numeric - closed| = nan")
 
 
+def dirac(cfg):
+    """The Dirac context of a config's momentum and units, as the export builds it."""
+    return DiracContext(p=np.array(cfg.momentum), hbar=cfg.hbar, c=cfg.c)
+
+
 def zitter_rows_one_time_at_a_time(cfg):
     """The CSV body an export should write, each row from a one-time kernel call."""
-    ctx = cfg.dirac
+    ctx = dirac(cfg)
     psi = SuperpositionSpec(cfg.theta, cfg.pair).state_vector(ctx)
     closed_form = {(1, 3): position_closed_form, (1, 4): spin_closed_form}.get(cfg.pair)
     lines = []
@@ -1560,6 +1666,83 @@ def test_every_public_name_is_read_in_the_package_or_listed():
             unread |= {f"{cls.name}.{name}" for name, stmt in _members(cls)
                        if not name.startswith("_") and not (read - _names_read(stmt))[name]}
     assert unread == set(UNREAD_PUBLIC_NAMES), sorted(unread ^ set(UNREAD_PUBLIC_NAMES))
+
+
+# each raise of a plain ValueError in the package, by module and message
+# (an f-string's fields as {}), with why it refuses no value from outside
+# the program: such a refusal is an InputError, which main alone reports
+PLAIN_VALUE_ERRORS = {
+    ("algebra", "generators must be Hermitian"):
+        "API misuse: a GeneratorSet of a caller's matrices; make_generators builds Hermitian ones",
+    ("algebra", "Gell-Mann matrices must be traceless"):
+        "internal invariant of the printed Gell-Mann set",
+    ("algebra", "tr(G_a G_b) = 2 delta_ab violated"):
+        "internal invariant of the printed Gell-Mann set",
+    ("algebra", "{} constants acquired imaginary part"):
+        "internal invariant: the trace formulas give real constants on Hermitian generators",
+    ("fields", "fields must be of one kind and share a wave context"):
+        "API misuse: a sum or product of fields that a caller mixed",
+    ("fields", "fields must share a wave context"): "API misuse, as above",
+    ("fields", "amplitude of order {} has shape {}, not {}([3,] {}, {})"):
+        "API misuse: amplitudes of another shape than their context's",
+    ("fields", "need at least one amplitude, all scalar or all vector"):
+        "API misuse: a field of no amplitudes, or of both kinds",
+    ("fields", "a stack needs families that share generators, c and g"):
+        "API misuse: the run stacks the families of one generator group",
+    ("poynting", "samples must be >= 1, got {}"):
+        "API misuse: every command's samples is held to >= 5 by its option row first",
+    ("relativity", "generator of a unitary must be Hermitian"):
+        "API misuse: the gauge suite exponentiates real sums of Hermitian generators",
+    ("seeding", "the seed and each spawn key must be a non-negative integer"):
+        "API misuse: every command's seed is held to a count by its option row first",
+    ("seeding", "holds only the four uint64 words that seed PCG64"):
+        "internal invariant: numpy asks a PCG64 seed for exactly those words",
+    ("zitter", "times must be a finite 1-D array"):
+        "API misuse: the suite and the export refuse a time range that overflows where "
+        "they build it",
+    ("zitter", "expectation of a Hermitian operator came out complex"):
+        "internal invariant of the wobble kernel",
+}
+
+
+def _message(node) -> str:
+    """The text of a raise's message, an f-string's fields as {}."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return node.value if isinstance(node, ast.Constant) else ast.unparse(node)
+
+
+def test_every_plain_value_error_is_listed_and_every_other_refusal_is_an_input_error():
+    package = Path(amwave.__file__).resolve().parent
+    raised = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            call = exc if isinstance(exc, ast.Call) else None
+            if getattr(call.func if call else exc, "id", None) == "ValueError":
+                raised.append((path.stem, _message(call.args[0]) if call and call.args else ""))
+    assert sorted(raised) == sorted(PLAIN_VALUE_ERRORS), set(raised) ^ set(PLAIN_VALUE_ERRORS)
+    for cls in (NonFiniteValue, DimMismatch, UnsupportedGenerator, SuperluminalBoost,
+                PolarSingularity, ConfigError):
+        assert issubclass(cls, InputError), cls
+
+
+def test_main_alone_turns_an_input_error_into_an_exit_code():
+    # no other function catches a ValueError, any of its subclasses or an
+    # OverflowError, so each refusal reaches main with its own text
+    package = Path(amwave.__file__).resolve().parent
+    caught = {"ValueError", "OverflowError"} | {
+        name for module in ("algebra", "fields", "relativity", "zitter", "poynting", "cli")
+        for name, obj in vars(getattr(amwave, module)).items()
+        if isinstance(obj, type) and issubclass(obj, ValueError)}
+    catchers = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None and caught & {
+                        getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}:
+                    catchers.add(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert catchers == {"cli.main"}
 
 
 @pytest.mark.parametrize("suite, generator", [

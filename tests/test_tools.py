@@ -38,9 +38,13 @@ def test_report_hashes_lists_96_distinct_runs_that_all_build(report_hashes):
     for _, argv in exports:
         cfg = _collect_config(build_parser().parse_args([*argv, "--out", "out.csv"]))
         assert cfg.suite == argv[0]
-    # the defect runs are a second set, which no hash line holds
+    # the defect runs are a second set, which no hash line holds, and the
+    # bad-input runs a third
     defects = [label for label, _ in report_hashes.defect_configs()]
     assert len(defects) == len(set(defects) - set(labels + verdicts)) == 10
+    bad = [label for label, _, _ in report_hashes.bad_inputs()]
+    assert len(bad) == len(set(bad) - set(labels + verdicts + defects)) == 17
+    assert "17 bad-input runs" in report_hashes.__doc__
 
 
 def test_report_hashes_exports_every_pair_of_the_pair_table(report_hashes):
@@ -80,15 +84,26 @@ def test_every_mutant_names_text_that_occurs_once():
 
 
 def test_compare_of_a_tree_with_itself_reports_no_change(report_hashes, capsys):
-    # a few hashed runs, and every defect run, which fails items in both trees
+    # a few hashed runs, every defect run, which fails items in both trees,
+    # and every bad-input run, which both trees refuse
     labels = ["zitter seed=11 trials=3", "wca seed=3 fixed R",
               "zitter csv pair=1,4 momentum=0.3,-0.4,0.9", "poynting csv seed=2 su2_spin_one",
-              *(label for label, _ in report_hashes.defect_configs())]
+              *(label for label, _ in report_hashes.defect_configs()),
+              *(label for label, _, _ in report_hashes.bad_inputs())]
     assert report_hashes.compare(str(report_hashes.NEW_SRC), labels) == 0
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("0 of 14 runs differ; 0 pass flags changed; "
+    assert err == ("0 of 17 bad-input runs differ; "
+                   "0 not refused as one config error by the new tree\n"
+                   "0 of 14 runs differ; 0 pass flags changed; "
                    "items or tolerances changed in 0; largest margin drop 0.00 decades\n")
+
+
+def test_a_bad_input_run_is_its_exit_code_stderr_and_written_file(report_hashes):
+    got = report_hashes.refusal(["zitter", "--steps", "3"], {"hbar": 1.0e308})
+    assert got == {"exit": 2, "wrote": False, "stderr": [
+        "config error: a value overflowed: the export window pi hbar / E_p is not finite"]}
+    assert report_hashes.refusal(["zitter", "--steps", "3"], {})["wrote"]
 
 
 def test_an_export_is_compared_by_its_verdict_item(report_hashes, capsys):

@@ -188,17 +188,26 @@ MUTANTS = (
            "if False:"),
     Mutant("wobble_frequency_check", "zitter.py",
            "if not np.isfinite(2.0 * self.energy / self.hbar).all():", "if False:"),
+    # the wobble's time ranges at a large hbar: the suite's 4 pi hbar / E_p
+    # and the export's default window pi hbar / E_p let through to the
+    # kernel, which then raises a plain ValueError
+    # (test_cli.py::test_cli_inputs_never_crash, its explicit examples first,
+    # and test_a_wobble_time_range_that_overflows_is_config_error)
+    Mutant("time_range_check", "zitter.py", "if not np.isfinite(span).all():", "if False:"),
+    Mutant("export_window_check", "zitter.py", "if not np.isfinite(window):", "if False:"),
+    # a refusal no longer an input error: main lets a polar momentum's
+    # PolarSingularity escape as a traceback
+    # (test_cli.py::test_bad_flag_values_are_config_errors, first in the run order)
+    Mutant("polar_singularity_parent", "zitter.py", "class PolarSingularity(InputError):",
+           "class PolarSingularity(ValueError):"),
     # the trial streams: a seeding hash constant one bit off
     # (test_seeding.py::test_spawned_streams_equal_numpys_children_word_for_word_and_draw_for_draw),
-    # and the zitter draw's angle and time columns swapped
+    # and the zitter draw's angle read from the time's column
     # (test_cli.py::test_zitter_group_columns_equal_a_trial_by_trial_loop)
     Mutant("seeding_constant", "seeding.py", "INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875",
            "INIT_A, MULT_A = 0x43B0D7E5, 0x931E8874"),
-    Mutant("zitter_draw_columns", "zitter.py",
-           "theta = _uniform(0.0, np.pi / 2.0, u[:, 3])\n"
-           "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 4])",
-           "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])\n"
-           "    t = _uniform(0.0, 4.0 * np.pi * ctx.hbar / ctx.energy, u[:, 3])"),
+    Mutant("zitter_draw_columns", "zitter.py", "theta = _uniform(0.0, np.pi / 2.0, u[:, 3])",
+           "theta = _uniform(0.0, np.pi / 2.0, u[:, 4])"),
     # the CSV encoder: the blank cells that end a row one short, and each
     # block's last row left unended
     # (test_cli.py::test_timeseries_bytes_are_csv_writers, first in the run

@@ -61,20 +61,25 @@ say, not their bytes:
     python tools/report_hashes.py --compare /path/to/old/checkout/src
 
 It runs the 96 runs above under both trees, each in its own interpreter,
-and then a second set that no hash line holds: the 10 plain runs of the
+and then two sets that no hash line holds: the 10 plain runs of the
 defects on record (``defect_configs``), whose failing items a fix would
-flip.  It reads each report configuration's items, and each export's
-verdict item, the one ``judge`` gives it (``abs_dev`` or
-``quadrature_vs_closed``), so a PASS/FAIL flip of a verdict is a changed
-pass flag.  It prints one line for each run whose items differ: how many
-pass flags changed, whether an item or a tolerance changed, and for each
-item name (the trial prefix dropped) the largest drop of the margin
-log10(tol / |residual|) over its trials, negative where every trial's
-margin grew.  Each changed pass flag follows on a line of its own.  A
-residual below eps = 2.2e-16, the rounding of a relative residual of
-order one, counts as eps, so an exact zero in one tree and rounding in
-the other is no drop.  It exits 1 on a failed run, a changed pass flag,
-item or tolerance, or a drop of more than one decade; else 0.
+flip, and 17 bad-input runs (``bad_inputs``), each of which must exit 2
+with one ``config error:`` line and write no file.  It reads each report
+configuration's items, and each export's verdict item, the one ``judge``
+gives it (``abs_dev`` or ``quadrature_vs_closed``), so a PASS/FAIL flip
+of a verdict is a changed pass flag.  It prints one line for each run
+whose items differ: how many pass flags changed, whether an item or a
+tolerance changed, and for each item name (the trial prefix dropped)
+the largest drop of the margin log10(tol / |residual|) over its trials,
+negative where every trial's margin grew.  Each changed pass flag follows
+on a line of its own.  A residual below eps = 2.2e-16, the rounding of a
+relative residual of order one, counts as eps, so an exact zero in one
+tree and rounding in the other is no drop.  For the bad-input runs it
+prints each run whose exit code, stderr lines or written file differ
+between the trees, old then new.  It exits 1 on a failed run, a changed
+pass flag, item or tolerance, a drop of more than one decade, or a
+bad-input run that the new tree does not refuse as one config error;
+else 0.
 """
 
 from __future__ import annotations
@@ -184,6 +189,29 @@ def defect_configs():
         suite="zitter", seed=42, trials=20, hbar=1e-13)
 
 
+def bad_inputs():
+    """The bad-input runs, as (label, argv, family section of a config
+    file): one command for each rule the flags of
+    ``test_bad_flag_values_are_config_errors`` break, and units so large
+    or small that a run meets an overflow, an underflow or a generator set
+    that loses its digits."""
+    for argv in (["verify", "boost", "--velocity=1"], ["zitter", "--pair=1,2"],
+                 ["zitter", "--momentum=0,0,-0.8"], ["zitter", "--momentum=0,0,1e-160"],
+                 ["zitter", "--momentum=0,0,1e120"], ["zitter", "--momentum=1e200,0,1e200"],
+                 ["zitter", "--momentum=nan,0,0.8"], ["zitter", "--theta=inf"],
+                 ["verify", "poynting", "--samples=4"], ["verify", "wca", f"--trials={10**29}"],
+                 ["zitter", f"--steps={2**63}"]):
+        yield f"bad {' '.join(argv)}", argv, {}
+    for argv, family in ((["verify", "zitter"], {"hbar": 2.0e307}),
+                         (["zitter"], {"hbar": 1.0e308}),
+                         (["verify", "wca"], {"hbar": 1.0e-320}),
+                         (["verify", "zca"], {"c": 1.0e-320}),
+                         (["zitter"], {"c": 1.0e-200}),
+                         (["verify", "zitter"], {"c": 1.0e300})):
+        yield f"bad {' '.join(argv)} " + " ".join(f"{k}={v!r}" for k, v in family.items()), \
+            argv, family
+
+
 def exports():
     for pair in ZITTER_PAIRS:
         for momentum in ZITTER_MOMENTA:
@@ -220,6 +248,26 @@ def export_bodies(argv: list[str]) -> tuple[bytes, bytes]:
         with contextlib.redirect_stderr(verdict):
             cli_main([*argv, "--out", path])
     return written(write), verdict.getvalue().encode()
+
+
+def refusal(argv: list[str], family: dict) -> dict:
+    """What ``amwave <argv> --config FILE --out PATH`` does, FILE holding
+    ``family`` as its family section: its exit code, or the type of the
+    exception it raised, its stderr lines, and whether it wrote PATH."""
+    import yaml
+    from amwave.cli import main as cli_main
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "cfg.yaml"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            yaml.safe_dump({"family": family}, fh)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = cli_main([*argv, "--config", config, "--out", out])
+        except Exception as exc:  # a crash is an outcome to compare too
+            code = f"raised {type(exc).__name__}"
+            err.write(f"{exc}\n")
+        return {"exit": code, "stderr": err.getvalue().splitlines(), "wrote": os.path.exists(out)}
 
 
 def under_both(old_src: str, args: list[str]) -> tuple[list[str], bool]:
@@ -281,10 +329,13 @@ def print_items(labels: list[str]):
     runs = [(label, lambda cfg=cfg: json.loads(report_body(cfg))["items"])
             for label, cfg in itertools.chain(configs(), defect_configs())]
     runs += [(label, lambda argv=argv: export_items(argv)) for label, argv in exports()]
+    runs += [(label, lambda argv=argv, family=family: refusal(argv, family))
+             for label, argv, family in bad_inputs()]
     for label, items in runs:
         if not labels or label in labels:
-            print(json.dumps([label, [[it["name"], it["residual"], it["tolerance"], it["pass"]]
-                                      for it in items()]]))
+            got = items()
+            print(json.dumps([label, got if isinstance(got, dict) else [
+                [it["name"], it["residual"], it["tolerance"], it["pass"]] for it in got]]))
 
 
 EPS = sys.float_info.epsilon
@@ -302,8 +353,11 @@ def compare(old_src: str, labels: list[str] | None = None) -> int:
     """Print how the items of each run (in ``labels``, or every one)
     differ between ``old_src`` and NEW_SRC, as the module doc says."""
     outs, failed = under_both(old_src, ["--items", *(labels or [])])
-    old, new = ({label: {name: rest for name, *rest in items}
-                 for label, items in map(json.loads, out.splitlines())} for out in outs)
+    runs = [dict(map(json.loads, out.splitlines())) for out in outs]
+    old, new = ({label: {name: rest for name, *rest in items} for label, items in run.items()
+                 if not isinstance(items, dict)} for run in runs)
+    refused = compare_refusals(*({label: got for label, got in run.items() if isinstance(got, dict)}
+                                 for run in runs))
     changed = flips = tols = 0
     worst = 0.0
     for label in {**old, **new}:
@@ -331,7 +385,21 @@ def compare(old_src: str, labels: list[str] | None = None) -> int:
     print(f"{changed} of {len(old | new)} runs differ; {flips} pass flags changed; "
           f"items or tolerances changed in {tols}; largest margin drop {worst:.2f} decades",
           file=sys.stderr)
-    return 1 if failed or flips or tols or worst > 1.0 else 0
+    return 1 if failed or flips or tols or worst > 1.0 or not refused else 0
+
+
+def compare_refusals(old: dict, new: dict) -> bool:
+    """Print each bad-input run whose outcome differs between the trees,
+    and a summary; whether the new tree refused every one as a config error."""
+    differ = [label for label in {**old, **new} if old.get(label) != new.get(label)]
+    for label in differ:
+        print(f"{label}: {old.get(label)} -> {new.get(label)}")
+    missed = [label for label, got in new.items() if got["exit"] != 2 or got["wrote"]
+              or len(got["stderr"]) != 1 or not got["stderr"][0].startswith("config error: ")]
+    missed += [label for label in old.keys() - new.keys()]
+    print(f"{len(differ)} of {len(old | new)} bad-input runs differ; "
+          f"{len(missed)} not refused as one config error by the new tree", file=sys.stderr)
+    return not missed
 
 
 def main() -> int:
