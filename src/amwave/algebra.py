@@ -25,7 +25,8 @@ Conventions:
 
 This module is also the one home of the plain-array rules that more than
 one module needs: norms (``frobenius_norms``, ``sup_norms``), per-vector
-dot products (``dots``), the float-power square (``square``), diagonal
+dot products (``dots``), the float-power square (``square``) and the
+named refusal of one that overflows (``squarable``), diagonal
 matrices (``diag``) and the block length of a time series
 (``SERIES_BLOCK``).  Each gives every trial of a stack the bits that one
 trial gets alone.  ``su3_columns`` holds the Gell-Mann set's structure
@@ -47,6 +48,10 @@ HERMITICITY_TOL = 1e-12
 # length.  A 2000-step zitter export ran no faster at 256 or 512 rows, and
 # its peak RSS was 0.5 MB higher than at 128.
 SERIES_BLOCK = 128
+
+# the largest float whose square is finite, by Python's float power and by
+# numpy's product alike
+SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 # [n, z]: the n-th nonzero term eps_zjk of cross product component z, by (j, k).
 _J = np.array([[1, 0, 0], [2, 2, 1]])
@@ -129,6 +134,16 @@ def square(x):
     if np.ndim(x) == 0:
         return float(x) ** 2
     return np.array([v ** 2 for v in np.asarray(x).tolist()])
+
+
+def squarable(name: str, x):
+    """x, if its square (each value's, for an array) is finite; else
+    NonFiniteValue naming ``name``, raised before any power is taken, where
+    Python's float power would raise an OverflowError that names nothing.
+    A NaN passes, as it squares to NaN."""
+    if np.any(np.abs(x) > SQRT_MAX):
+        raise NonFiniteValue(f"the square of {name} overflows")
+    return x
 
 
 def diag(x: np.ndarray) -> np.ndarray:

@@ -222,8 +222,9 @@ class RunConfig:
         None, lambda name, val: tuple(_vector(name, v) for v in val), "family", reads=_FAMILY)
     velocity: float = _option(0.5, _real, "boost", reads={"verify boost"},
                               flag=("--velocity", float, "boost speed in units of c"))
-    # boost_axis checks the axis, below, and takes 0, 1 and 2 as well
-    boost_axis: str = _option("z", None, "boost", key="axis", reads={"verify boost"})
+    # the report names the axis one way, whether it was given as 2 or z
+    boost_axis: str = _option("z", lambda name, val: "xyz"[boost_axis(val)], "boost",
+                              key="axis", reads={"verify boost"})
     theta: float = _option(float(np.pi / 4.0), _real, "zitter", flag=("--theta", float),
                            reads={"zitter"})
     pair: tuple[int, int] = _option((1, 4), _PAIR, "zitter", flag=("--pair", _comma(int, 2)),
@@ -249,9 +250,6 @@ class RunConfig:
                     setattr(self, f.name, check(f.name, val))
             except TypeError as exc:  # k, momentum, pair or R is no sequence
                 raise ConfigError(f"malformed k, momentum, pair or R: {exc}") from exc
-        # the axis last, after every other value's check; the report names it
-        # one way, whether it was given as 2 or z
-        self.boost_axis = "xyz"[boost_axis(self.boost_axis)]
 
     @property
     def csv_path(self) -> str | None:
@@ -327,13 +325,13 @@ def config_from_file(path: str, overrides: dict | None = None,
 
 def _group_families(cfg: RunConfig, kind: str, rngs) -> SolutionFamily:
     """The families of one generator group's trials, stacked: the config's
-    fixed family, built once, or one drawn from each trial's generator."""
+    fixed family in every trial, or one drawn from each trial's generator."""
     gens = make_generators(kind, hbar=cfg.hbar)
     if cfg.R is None:
         return random_families(gens, rngs, k=cfg.k, c=cfg.c, g=cfg.coupling)
     k = cfg.k if cfg.k is not None else (0.0, 0.0, 1.0)
-    fam = SolutionFamily(ctx=WaveContext(generators=gens, k=k, c=cfg.c, g=cfg.coupling), R=cfg.R)
-    return SolutionFamily.stack([fam] * len(rngs))
+    ctx = WaveContext(generators=gens, k=[k] * len(rngs), c=cfg.c, g=cfg.coupling)
+    return SolutionFamily(ctx=ctx, R=tuple([r] * len(rngs) for r in cfg.R))
 
 
 class Judged(NamedTuple):
@@ -515,10 +513,11 @@ def zitter_timeseries(cfg: RunConfig) -> tuple[Series, tuple]:
     return Series(header, (ts, *cols), blank=len(header) - 1 - len(cols)), verdict
 
 
-def poynting_timeseries(cfg: RunConfig, fam: SolutionFamily) -> tuple[Series, tuple]:
+def poynting_timeseries(cfg: RunConfig, fams: SolutionFamily) -> tuple[Series, tuple]:
     """The table of (t, flux blocks, running average) of
-    ``poynting.flux_timeseries`` and its verdict column."""
-    ts, blocks, running, verdict = flux_timeseries(fam, cfg.steps, cfg.samples)
+    ``poynting.flux_timeseries`` on a stack of one family, and its verdict
+    column."""
+    ts, blocks, running, verdict = flux_timeseries(fams, cfg.steps, cfg.samples)
     return Series(["t", "first", "mixed", "second", "running_avg"], (ts, *blocks, running)), verdict
 
 
@@ -574,8 +573,8 @@ def _cmd_zitter(cfg: RunConfig) -> int:
 
 def _cmd_poynting(cfg: RunConfig) -> int:
     _refuse_special(cfg.csv_path)  # before the quadrature and series, which it would waste
-    fam = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)]).trial(0)
-    series, column = poynting_timeseries(cfg, fam)
+    fams = _group_families(cfg, cfg.kinds[0], [np.random.default_rng(cfg.seed)])
+    series, column = poynting_timeseries(cfg, fams)
     err = judge(column, cfg.tol)  # before the export, so an overflow writes no file
     write_timeseries(series, cfg.csv_path)
     verdict = "PASS" if err.passed[0] else "FAIL"

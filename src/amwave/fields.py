@@ -45,6 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
+    SQRT_MAX,
     GeneratorSet,
     InputError,
     NonFiniteValue,
@@ -62,10 +63,6 @@ from .algebra import (
     square,
     sup_norms,
 )
-
-# a (d, d) block whose 2 d^2 real parts all lie below SQRT_MAX / (2 d) in size
-# has a finite Frobenius norm: its squares sum to under half the float range
-SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 # below this |k| the square |k|^2 is subnormal, so it loses digits or reads 0
 SMALL_KNORM = np.sqrt(np.finfo(float).tiny)
@@ -132,15 +129,6 @@ class WaveContext:
     def period(self) -> float | np.ndarray:
         """2 pi / omega, finite, as the frequency check makes it."""
         return 2.0 * np.pi / self.omega
-
-
-def _unchecked(cls, **values):
-    """An instance of the frozen dataclass ``cls`` holding ``values``,
-    built without running its checks."""
-    obj = object.__new__(cls)
-    for name, val in values.items():
-        object.__setattr__(obj, name, val)
-    return obj
 
 
 def _compatible(a, b) -> bool:
@@ -246,6 +234,8 @@ def _field(ctx: WaveContext, orders, amps: np.ndarray, seen=None) -> HarmonicFie
     # each order's largest real or imaginary part; NaN if one is NaN, which
     # fails every comparison and so takes the norms
     peaks = np.abs(amps.view(float)).max(axis=tuple(range(1, amps.ndim)), initial=0.0).tolist()
+    # a (d, d) block whose 2 d^2 real parts all lie below SQRT_MAX / (2 d) in
+    # size has a finite Frobenius norm: its squares sum to under half the float range
     limit = SQRT_MAX / (2 * ctx.dim)
     if not all(p < limit for p in peaks):
         norms = frobenius_norms(_trials_first(amps, ctx.batch_shape, 1))
@@ -433,27 +423,6 @@ class SolutionFamily:
             raise InputError(f"coefficient vectors R_{l[bad[0]]}, R_{m[bad[0]]} "
                              "are not coplanar with k")
 
-    @classmethod
-    def stack(cls, families) -> "SolutionFamily":
-        """The families of T trials, which share one generator set, c and g,
-        on one leading axis: each R_l is (T, 3), ``ctx`` holds each family's
-        own ``k`` and ``omega``, and ``build_fields`` takes it as one family."""
-        families = tuple(families)
-        ctxs = [f.ctx for f in families]
-        if len({(c.generators, c.c, c.g) for c in ctxs}) != 1:
-            raise ValueError("a stack needs families that share generators, c and g")
-        ctx = WaveContext(generators=ctxs[0].generators, k=[c.k for c in ctxs],
-                          c=ctxs[0].c, g=ctxs[0].g)
-        return _unchecked(cls, ctx=ctx, R=tuple(readonly(np.array(r))
-                                                for r in zip(*(f.R for f in families))))
-
-    def trial(self, t: int) -> "SolutionFamily":
-        """Trial t of a stack: a view of its checked numbers, not checked again."""
-        ctx = self.ctx
-        wave = _unchecked(WaveContext, generators=ctx.generators, k=ctx.k[t], c=ctx.c, g=ctx.g,
-                          omega=float(ctx.omega[t]), knorm=float(ctx.knorm[t]))
-        return _unchecked(SolutionFamily, ctx=wave, R=tuple(r[t] for r in self.R))
-
     @functools.cached_property
     def tau(self) -> np.ndarray:
         """tau = R_0 (x) identity + sum_l R_l (x) G_l, read-only, the basis
@@ -534,5 +503,8 @@ def random_families(gens: GeneratorSet, rngs: Sequence[np.random.Generator], *,
 def random_family(gens: GeneratorSet, rng: np.random.Generator, *,
                   k: Sequence[float] | None = None, c: float = 1.0,
                   g: float = 0.1) -> SolutionFamily:
-    """One family, drawn as ``random_families`` draws each trial."""
-    return random_families(gens, [rng], k=k, c=c, g=g).trial(0)
+    """One family, drawn as ``random_families`` draws each trial: its row 0,
+    built again by the constructor."""
+    row = random_families(gens, [rng], k=k, c=c, g=g)
+    return SolutionFamily(ctx=WaveContext(generators=gens, k=row.ctx.k[0], c=c, g=g),
+                          R=tuple(r[0] for r in row.R))

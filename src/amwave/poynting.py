@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 
-from .algebra import SERIES_BLOCK, cross, dot, dots, readonly, square, sup_norms
+from .algebra import SERIES_BLOCK, cross, dot, dots, readonly, square, squarable, sup_norms
 from .fields import SolutionFamily, WaveContext, build_fields
 
 
@@ -53,7 +53,7 @@ def amw_flux(fam: SolutionFamily) -> np.ndarray:
     """Closed-form time-averaged flux of a generator-valued wave family:
     khat times the operator magnitude of the module doc."""
     ctx, kxt, txt = fam.ctx, fam.k_cross_tau, fam.tau_cross_tau
-    op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (ctx.g ** 2) * dot(txt, txt))
+    op = (ctx.c / (8.0 * np.pi)) * (dot(kxt, kxt) - (squarable("g", ctx.g) ** 2) * dot(txt, txt))
     return np.einsum("...i,...ab->...iab", ctx.khat, op)
 
 
@@ -192,8 +192,9 @@ def flux_columns(fams: SolutionFamily, rngs, samples: int):
             ("abelian_equals_em", abelian, scale0, 1e-10)]
 
 
-def flux_timeseries(fam: SolutionFamily, steps: int, samples: int):
-    """The poynting export of one family: ``steps`` equally spaced times
+def flux_timeseries(fams: SolutionFamily, steps: int, samples: int):
+    """The poynting export of the family of ``fams``, a stack of one, as
+    the poynting suite takes its families: ``steps`` equally spaced times
     over one period [0, period), the flux blocks 'first', 'mixed' and
     'second' at r = 0 at each time (keys as ``flux_averages``), the running
     average of their total, which from 5 steps on ends at the exact period
@@ -204,15 +205,15 @@ def flux_timeseries(fam: SolutionFamily, steps: int, samples: int):
     A block at time t is the identity part tr(.)/d of khat . (c/4 pi)
     Re E x Re B restricted to it, c_E(t)^T S c_B(t), evaluated SERIES_BLOCK
     times at a time so its temporaries stay bounded."""
-    ctx, closed = fam.ctx, amw_flux(fam)
-    vs_closed = _quadrature_vs_closed(flux_quadrature(fam, samples), closed, ctx.batch_shape)
-    ts = np.linspace(0.0, ctx.period, steps, endpoint=False)
-    table, orders_e, orders_b, masks = _flux_form(fam)
-    s = np.einsum("i,pqiaa->pq", ctx.khat, table).real / ctx.dim
+    ctx, closed = fams.ctx, amw_flux(fams)
+    vs_closed = _quadrature_vs_closed(flux_quadrature(fams, samples), closed, ctx.batch_shape)
+    ts = np.linspace(0.0, ctx.period[0], steps, endpoint=False)
+    table, orders_e, orders_b, masks = _flux_form(fams)
+    s = np.einsum("i,pqiaa->pq", ctx.khat[0], table[..., 0]).real / ctx.dim
     out = {name: np.empty(steps) for name in masks}
     for start in range(0, steps, SERIES_BLOCK):
         block = slice(start, start + SERIES_BLOCK)
-        ce, cb = _trig_pair(orders_e, orders_b, -ctx.omega * ts[block])
+        ce, cb = _trig_pair(orders_e, orders_b, -ctx.omega[0] * ts[block])
         for name, mask in masks.items():
             out[name][block] = np.einsum("tp,pq,tq->t", ce, s * mask, cb)
     running = np.cumsum(out["total"]) / np.arange(1, steps + 1)

@@ -16,8 +16,8 @@ turns them into columns, ``(name, norm, scale)``: the field's sup norm
 over harmonics and components, and the row's scale.  ``terms`` is a
 ``Terms``, a wave's potentials and context with the products the
 expressions share, each built once, when an expression first reads it.
-On a stack of waves (``fields.SolutionFamily.stack``) a column holds one
-norm and one scale per trial.
+On a stack of waves (a ``fields.SolutionFamily`` of T trials) a column
+holds one norm and one scale per trial.
 
 Every check of the package, these rows and the suites' other columns,
 is judged one way (``cli.judge``): its residual is ``relative(norm,

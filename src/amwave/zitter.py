@@ -43,7 +43,8 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .algebra import PAULI, InputError, NonFiniteValue, dots, frobenius_norms, readonly, square
+from .algebra import (PAULI, InputError, NonFiniteValue, dots, frobenius_norms, readonly,
+                      square, squarable)
 
 POLAR_EPS = 1e-10
 
@@ -115,9 +116,11 @@ class DiracContext:
 
     @functools.cached_property
     def energy(self) -> float | np.ndarray:
-        """E_p = sqrt(p^2 c^2 + m^2 c^4)."""
-        return _value(np.sqrt(square(self.pnorm * self.c)
-                              + (self.mass * self.c ** 2) ** 2))
+        """E_p = sqrt(p^2 c^2 + m^2 c^4).  Where p c, c or m c^2 squares
+        past the float range (above about 1.3e154), NonFiniteValue names it."""
+        pc = squarable("p c in E_p", self.pnorm * self.c)
+        mc2 = squarable("m c^2 in E_p", self.mass * squarable("c", self.c) ** 2)
+        return _value(np.sqrt(square(pc) + mc2 ** 2))
 
     @functools.cached_property
     def wobble_scale(self) -> float | np.ndarray:
@@ -324,7 +327,8 @@ def wobble_expectations(ctx: DiracContext, psi: np.ndarray, ts, wobbles=WOBBLES)
     # <p x Z> = p x <Z>
     e = np.stack([np.cross(p[..., None, :], e) if w == "spin" else e for w in wobbles], axis=-4)
     e_ph, e_p = e[..., 0, :], e[..., 1, :]
-    sup_bp = (ctx.hbar * ctx.c) ** 2 * np.array([gram[w] for w in wobbles])
+    sup_bp = squarable("hbar c in the wobble norm", ctx.hbar * ctx.c) ** 2 * np.array(
+        [gram[w] for w in wobbles])
     norms = np.sqrt(np.reshape(sup_bp, (len(wobbles), -1)) * (a * a * esq + s * s))
     a, s = _col(a), _col(s)
     # with b = -i s: a e_PH + b e_P = (a Re e_PH + s Im e_P) + i (a Im e_PH - s Re e_P)

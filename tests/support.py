@@ -1,5 +1,6 @@
 """Reference constructions shared by the tests: dense operands, fixed and
-special families, the generator set and Dirac states no command builds,
+special families, stacks of families built by the constructors, the
+generator set and Dirac states no command builds,
 the direct Dirac operator path (one 4x4 product per time) as the oracle
 of ``zitter.wobble_expectations``, columns read as (name, residual)
 pairs, judged columns and reports read as item dicts, every flux block
@@ -59,10 +60,30 @@ def noncoplanar_family(gens, rng, **kw) -> SolutionFamily:
     normal = np.cross(fam.ctx.khat, fam.R[1])
     coeffs, idx = list(fam.R), min(2, len(fam.R) - 1)
     coeffs[idx] = coeffs[idx] + rng.uniform(0.5, 1.0) * normal / np.linalg.norm(normal)
+    return _unchecked_family(fam.ctx, tuple(coeffs))
+
+
+def _unchecked_family(ctx, R) -> SolutionFamily:
+    """The family (ctx, R), built without the constructor's checks."""
     bad = object.__new__(SolutionFamily)
-    object.__setattr__(bad, "ctx", fam.ctx)
-    object.__setattr__(bad, "R", tuple(coeffs))
+    object.__setattr__(bad, "ctx", ctx)
+    object.__setattr__(bad, "R", R)
     return bad
+
+
+def stack_families(fams, checked: bool = True) -> SolutionFamily:
+    """The families ``fams`` (each one family or a stack), which share
+    generators, c and g, as one stack of their trials in order, built by
+    the constructors from their concatenated k and R_l; ``checked=False``
+    skips the family's checks, for a stack that holds a
+    ``noncoplanar_family``."""
+    fams = list(fams)
+    first = fams[0].ctx
+    ctx = WaveContext(generators=first.generators, c=first.c, g=first.g,
+                      k=np.concatenate([np.reshape(f.ctx.k, (-1, 3)) for f in fams]))
+    R = tuple(np.concatenate([np.reshape(r, (-1, 3)) for r in rows])
+              for rows in zip(*(f.R for f in fams)))
+    return SolutionFamily(ctx=ctx, R=R) if checked else _unchecked_family(ctx, R)
 
 
 def residuals_of(columns) -> list[tuple]:

@@ -420,9 +420,11 @@ def test_cli_inputs_never_crash(tmp_path, command, velocity, pair, momentum, k, 
         assert_one_config_error(code, err)
     if count is not None and type(count[1]) is not int:
         assert_one_config_error(code, err)
-        # a non-finite coupling is refused before steps or samples is checked
+        # a non-finite coupling, and a bad axis, whose row comes before
+        # theirs, are refused before steps or samples is checked
         assert (f"{count[0]} must be an integer" in err[0]
-                or not np.isfinite(coupling) and "coupling must be a real number" in err[0])
+                or not np.isfinite(coupling) and "coupling must be a real number" in err[0]
+                or not valid_axis and "axis must be" in err[0])
     if unread is not None:
         assert_one_config_error(code, err)
         assert not out.exists() and not series.exists()
@@ -529,6 +531,23 @@ def test_a_wobble_time_range_that_overflows_is_config_error(tmp_path, argv, hbar
     assert_one_config_error(code, err)
     assert err == [f"config error: a value overflowed: {message} is not finite"]
     assert not (tmp_path / "out").exists()
+
+
+# a square that would pass the float range, in E_p, in the wobble norm or
+# in the closed-form flux, is refused by name before Python's float power
+# raises an OverflowError
+@pytest.mark.parametrize("argv, units, name", [
+    (["poynting", "--steps", "5", "--coupling", "2e154"], {}, "g"),
+    (["verify", "zitter", "--trials", "4"], {"c": 1.0e300}, "p c in E_p"),
+    (["zitter", "--steps", "5"], {"c": 1.0e300}, "p c in E_p"),
+    (["zitter", "--steps", "5"], {"c": 1.0e100}, "m c^2 in E_p"),
+    (["zitter", "--steps", "5"], {"hbar": 2.0e307}, "hbar c in the wobble norm"),
+])
+def test_a_square_that_overflows_is_named(tmp_path, argv, units, name):
+    config = config_file(tmp_path / "cfg.yaml", units)
+    code, err = run_main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert err == [f"config error: a value overflowed: the square of {name} overflows"]
+    assert code == EXIT_USAGE and not (tmp_path / "out").exists()
 
 
 # the tiny c are test_a_tiny_c_never_crashes_a_command's
@@ -773,8 +792,8 @@ def test_overflowing_family_is_config_error(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
-# a Python float power that overflows raises OverflowError: g ** 2 in the
-# closed-form flux, and c ** 2 in the Dirac energy every zitter config builds
+# a square that overflows a float: g ** 2 in the closed-form flux, and
+# (p c) ** 2 in the Dirac energy every zitter config builds
 @pytest.mark.parametrize("argv, family", [
     (["verify", "poynting", "--trials", "2", "--samples", "5", "--coupling", "2e154"], {}),
     (["poynting", "--coupling", "2e154"], {}),
@@ -1687,8 +1706,6 @@ PLAIN_VALUE_ERRORS = {
         "API misuse: amplitudes of another shape than their context's",
     ("fields", "need at least one amplitude, all scalar or all vector"):
         "API misuse: a field of no amplitudes, or of both kinds",
-    ("fields", "a stack needs families that share generators, c and g"):
-        "API misuse: the run stacks the families of one generator group",
     ("poynting", "samples must be >= 1, got {}"):
         "API misuse: every command's samples is held to >= 5 by its option row first",
     ("relativity", "generator of a unitary must be Hermitian"):
@@ -1743,6 +1760,37 @@ def test_main_alone_turns_an_input_error_into_an_exit_code():
                         getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}:
                     catchers.add(f"{path.stem}.{getattr(top, 'name', '')}")
     assert catchers == {"cli.main"}
+
+
+def test_every_object_is_built_by_its_constructor():
+    # object.__new__ would build a WaveContext or a SolutionFamily around
+    # the checks of its constructor
+    package = Path(amwave.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__" and getattr(node.func.value, "id", None) == "object"]
+    assert found == []
+
+
+@pytest.mark.parametrize("k", [None, (0.6, 0.0, 0.8)])
+@pytest.mark.parametrize("trials", [1, 4])
+def test_a_fixed_family_group_holds_the_config_family_in_every_trial(k, trials):
+    R = ((0.3, -0.2, 0.5), (1.0, 0.0, 0.0), (0.0, 0.0, -0.7), (0.4, 0.0, 1.0))
+    cfg = RunConfig(suite="wca", generator="su2_spin_half", k=k, R=R, c=2.0, coupling=0.3,
+                    hbar=0.5)
+    group = _group_families(cfg, "su2_spin_half",
+                            [np.random.default_rng(i) for i in range(trials)])
+    gens = make_generators("su2_spin_half", hbar=0.5)
+    want = SolutionFamily(ctx=WaveContext(generators=gens, k=k or (0.0, 0.0, 1.0), c=2.0, g=0.3),
+                          R=R)
+    assert group.ctx.batch_shape == (trials,) and len(group.R) == len(want.R)
+    for t in range(trials):
+        pairs = [(group.ctx.k[t], want.ctx.k), (group.ctx.knorm[t], want.ctx.knorm),
+                 (group.ctx.omega[t], want.ctx.omega), (group.tau[t], want.tau),
+                 *((r[t], w) for r, w in zip(group.R, want.R))]
+        for got, ref in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), t
 
 
 @pytest.mark.parametrize("suite, generator", [

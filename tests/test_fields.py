@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amwave.algebra import (
+    SQRT_MAX,
+    InputError,
     NonFiniteValue,
     commutator,
     GeneratorSet,
@@ -19,7 +21,6 @@ from amwave.algebra import (
 )
 from amwave.algebra import operator_norm as norm
 from amwave.fields import (
-    SQRT_MAX,
     HarmonicField,
     SolutionFamily,
     WaveContext,
@@ -57,6 +58,7 @@ from support import (
     generator_set,
     noncoplanar_family,
     numeric_lift,
+    stack_families,
     xz_family,
 )
 
@@ -295,7 +297,7 @@ def test_non_finite_values_are_rejected_not_dropped():
     with np.errstate(over="ignore", invalid="ignore"):
         fam = SolutionFamily(ctx=WaveContext(generators=SPIN_HALF, k=k),
                              R=(huge, zero, zero, huge))
-        for owner in (fam, SolutionFamily.stack((fam,))):
+        for owner in (fam, stack_families([fam])):
             with pytest.raises(NonFiniteValue, match="not finite"):
                 owner.tau
 
@@ -460,7 +462,7 @@ def test_group_draw_equals_a_stack_of_single_draws(kind, k, c, g, trials):
     group = random_families(gens, group_rngs, k=k, c=c, g=g)
     singles = [random_family(gens, rng, k=k, c=c, g=g) for rng in single_rngs]
     loop = [_family_one_draw_at_a_time(gens, rng, k, c, g) for rng in loop_rngs]
-    for ref in (SolutionFamily.stack(singles), SolutionFamily.stack(loop)):
+    for ref in (stack_families(singles), stack_families(loop)):
         assert group.ctx.batch_shape == ref.ctx.batch_shape == (trials,)
         for name in ("k", "knorm", "omega", "khat"):
             assert np.array_equal(getattr(group.ctx, name), getattr(ref.ctx, name)), name
@@ -472,13 +474,23 @@ def test_group_draw_equals_a_stack_of_single_draws(kind, k, c, g, trials):
     # the suites draw from the same generators after the family
     for a, b, l in zip(group_rngs, single_rngs, loop_rngs):
         assert a.bit_generator.state == b.bit_generator.state == l.bit_generator.state
-    # trial t of the stack holds the single family's numbers
-    for t, single in enumerate(singles):
-        view = group.trial(t)
-        assert view.ctx.knorm == single.ctx.knorm and view.ctx.omega == single.ctx.omega
-        assert type(view.ctx.knorm) is type(view.ctx.omega) is float
-        assert np.array_equal(view.ctx.k, single.ctx.k)
-        assert all(np.array_equal(x, y) for x, y in zip(view.R, single.R))
+
+
+@pytest.mark.parametrize("kind", sorted(GROUP_KINDS))
+@pytest.mark.parametrize("k, c, g", [(None, 1.0, 0.1), ((0.3, -1.7, 0.4), 0.5, 0.0)])
+def test_random_family_is_row_0_of_random_families_bit_for_bit(kind, k, c, g):
+    gens = GROUP_KINDS[kind]
+    for seed in range(5):
+        one = random_family(gens, np.random.default_rng(seed), k=k, c=c, g=g)
+        row = random_families(gens, [np.random.default_rng(seed)], k=k, c=c, g=g)
+        assert one.ctx.batch_shape == () and row.ctx.batch_shape == (1,)
+        pairs = [(getattr(one.ctx, name), getattr(row.ctx, name)[0])
+                 for name in ("k", "knorm", "omega", "khat")]
+        pairs += [*zip(one.R, (r[0] for r in row.R)), (one.tau, row.tau[0])]
+        assert len(one.R) == len(row.R) == gens.n_coeffs
+        assert type(one.ctx.knorm) is type(one.ctx.omega) is float
+        for got, want in pairs:
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), seed
 
 
 def test_group_coplanarity_check_names_the_first_offending_pair():
@@ -486,11 +498,9 @@ def test_group_coplanarity_check_names_the_first_offending_pair():
     rng = np.random.default_rng(4)
     fams = [random_family(gens, rng), noncoplanar_family(gens, rng),
             random_family(gens, rng)]
-    stack = SolutionFamily.stack(fams)  # stacks skip the check their families passed
     with pytest.raises(ValueError, match=r"R_1, R_2 are not coplanar"):
-        SolutionFamily(ctx=stack.ctx, R=stack.R)
-    good = SolutionFamily.stack([fams[0], fams[2]])
-    SolutionFamily(ctx=good.ctx, R=good.R)
+        stack_families(fams)
+    stack_families([fams[0], fams[2]])
     # k = z, one trial with R_1 = x and R_3 = y; commuting G_3, G_8 may leave the plane
     ctx = WaveContext(generators=gens, k=[[0.0, 0.0, 1.0]] * 3)
     R = np.zeros((9, 3, 3))
@@ -613,7 +623,7 @@ def test_batch_gives_each_trial_its_single_wave_field():
             abelian_family(SPIN_HALF, rng, g=0.7)]
     us = [unitary_exponential((0.4 + 0.3 * i) * g)
           for i, g in enumerate([*SPIN_HALF.generators, SPIN_HALF.generators[0]])]
-    batch = _expressions(SolutionFamily.stack(fams), np.stack(us))
+    batch = _expressions(stack_families(fams), np.stack(us))
     singles = [_expressions(fam, u) for fam, u in zip(fams, us)]
     dropped = set()
     for k, (name, fb) in enumerate(batch):
@@ -633,7 +643,7 @@ def test_batch_gives_each_trial_its_single_wave_field():
 
 def test_wave_batch_stacks_each_wave_and_checks_them():
     fams = [random_family(SPIN_HALF, np.random.default_rng(i)) for i in range(3)]
-    stack = SolutionFamily.stack(f for f in fams)  # any iterable
+    stack = stack_families(f for f in fams)  # any iterable
     ctx = stack.ctx
     assert ctx.batch_shape == (3,)
     assert [r.shape for r in stack.R] == [(3, 3)] * 4
@@ -641,12 +651,9 @@ def test_wave_batch_stacks_each_wave_and_checks_them():
         assert np.array_equal(getattr(ctx, name), [getattr(f.ctx, name) for f in fams])
         with pytest.raises(ValueError):
             getattr(ctx, name)[0] = 0.0
-    other = random_family(make_generators("su2_spin_one"), np.random.default_rng(5))
-    for bad in ((), (fams[0].ctx, other.ctx),
-                (fams[0].ctx, random_family(SPIN_HALF, np.random.default_rng(6), g=0.2).ctx)):
-        with pytest.raises(ValueError):
-            SolutionFamily.stack(SolutionFamily(ctx=c, R=(np.zeros(3),) * c.generators.n_coeffs)
-                                 for c in bad)
+    # each wave of a stack is checked: one k = 0 refuses the stack
+    with pytest.raises(InputError, match="period"):
+        WaveContext(generators=SPIN_HALF, k=[fams[0].ctx.k, np.zeros(3)])
 
 
 @pytest.mark.parametrize("kind", ["su2_spin_half", "su2_spin_one"])
@@ -656,7 +663,7 @@ def test_stacked_eval_at_gives_each_trial_its_single_value(kind):
     fams = [random_family(gens, rng, k=rng.normal(size=3)),
             diagonal_family(gens, rng),  # B holds no second harmonic
             random_family(gens, rng, k=rng.normal(size=3), g=0.1)]
-    stack = SolutionFamily.stack(fams)
+    stack = stack_families(fams)
     r, t = np.array([0.4, -1.3, 0.8]), 0.9
     got = [f.eval_at(r, t) for f in (*build_potentials(stack), *build_fields(stack))]
     for j, fam in enumerate(fams):

@@ -25,7 +25,8 @@ from amwave.poynting import (
     flux_quadrature,
 )
 
-from support import diagonal_family, flux_blocks, identity_set, numeric_lift, xz_family
+from support import (diagonal_family, flux_blocks, identity_set, numeric_lift, stack_families,
+                     xz_family)
 
 SPIN_HALF = make_generators("su2_spin_half")
 
@@ -187,7 +188,7 @@ def test_timeseries_matches_sample_loop(kind):
     rng = np.random.default_rng(19)
     fam = random_family(make_generators(kind), rng, g=0.4)
     cfg = RunConfig(suite="poynting", steps=33, samples=5)
-    (header, columns, blank), _ = poynting_timeseries(cfg, fam)
+    (header, columns, blank), _ = poynting_timeseries(cfg, stack_families([fam]))
     got = dict(zip(header, columns))
     assert blank == 0
     ts = np.linspace(0.0, fam.ctx.period, cfg.steps, endpoint=False)
@@ -215,7 +216,7 @@ def test_quadrature_of_an_empty_field_is_zero():
     fam = SolutionFamily(ctx=ctx, R=tuple(np.zeros(3) for _ in range(4)))
     assert operator_norm(flux_quadrature(fam, samples=5)) == 0.0
     assert all(operator_norm(v) == 0.0 for v in flux_blocks(fam, 5, (None,))[0].values())
-    series, _ = poynting_timeseries(RunConfig(suite="poynting", steps=3), fam)
+    series, _ = poynting_timeseries(RunConfig(suite="poynting", steps=3), stack_families([fam]))
     assert [col.tolist() for col in series.columns[1:]] == [[0.0] * 3] * 4
 
 
@@ -224,7 +225,8 @@ def test_quadrature_of_an_empty_field_is_zero():
 def test_last_running_average_is_the_closed_form(kind, steps):
     rng = np.random.default_rng(29)
     fam = random_family(make_generators(kind), rng, g=0.4)
-    series, _ = poynting_timeseries(RunConfig(suite="poynting", steps=steps), fam)
+    series, _ = poynting_timeseries(RunConfig(suite="poynting", steps=steps),
+                                    stack_families([fam]))
     last = [col[-1] for col in series.columns]
     closed = amw_flux(fam)
     want = np.einsum("i,iaa->", fam.ctx.khat, closed).real / fam.ctx.dim
@@ -304,8 +306,8 @@ def test_a_call_builds_each_distinct_table_once(monkeypatch):
     # the two fixed-k families share omega, hence their origin table
     rng = np.random.default_rng(41)
     gens = make_generators("su2_spin_one")
-    fams = SolutionFamily.stack(random_family(gens, rng, k=(0.0, 0.6, -0.8), g=0.4)
-                                for _ in range(2))
+    fams = stack_families(random_family(gens, rng, k=(0.0, 0.6, -0.8), g=0.4)
+                          for _ in range(2))
     built = []
     monkeypatch.setattr("amwave.poynting._trig_pair",
                         lambda *args, pair=_trig_pair: built.append(1) or pair(*args))
@@ -360,7 +362,7 @@ def mixed_stack(kind, seed, trials=3):
     fams = [random_family(gens, rng, g=0.4), diagonal_family(gens, rng, g=0.4),
             random_family(gens, rng, g=0.4)][:trials]
     assert build_fields(fams[1])[0].orders == (1,)
-    stack = SolutionFamily.stack(fams)
+    stack = stack_families(fams)
     assert build_fields(stack)[0].orders == (1, 2)
     return fams, stack, rng
 

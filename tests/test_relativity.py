@@ -35,7 +35,7 @@ from amwave.residuals import (
     relative,
 )
 
-from support import equation_residuals, numeric_lift, residuals_of, xz_family
+from support import equation_residuals, numeric_lift, residuals_of, stack_families, xz_family
 
 SPIN_HALF = make_generators("su2_spin_half")
 
@@ -248,7 +248,7 @@ def _mixed_batches(kind: str, c: float, g: float):
                                           c=c, g=g),
                           R=(np.zeros(3),) * gens.n_coeffs)
     fams.insert(2, zero)
-    return [(part, SolutionFamily.stack(part)) for part in (fams, fams[:1], fams[:gens.dim])]
+    return [(part, stack_families(part)) for part in (fams, fams[:1], fams[:gens.dim])]
 
 
 @pytest.mark.parametrize("kind, c, g", [("su2_spin_half", 1.0, 0.1),

@@ -33,6 +33,7 @@ from support import (
     fd_grad,
     fd_laplacian,
     noncoplanar_family,
+    stack_families,
     xz_family,
 )
 
@@ -533,7 +534,7 @@ def test_stacked_columns_equal_each_family_bits():
     for kind, trials in (("su2_spin_half", 4), ("su2_spin_half", 2), ("su2_spin_one", 3),
                          ("su3_gellmann", 3)):
         fams = _families(kind, np.random.default_rng(41))[:trials]
-        stacked = _columns(SolutionFamily.stack(fams))
+        stacked = _columns(stack_families(fams, checked=False))
         singles = [_columns(fam) for fam in fams]
         for k, cols in enumerate(stacked):
             for i, (name, r) in enumerate(cols):

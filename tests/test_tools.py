@@ -43,8 +43,8 @@ def test_report_hashes_lists_96_distinct_runs_that_all_build(report_hashes):
     defects = [label for label, _ in report_hashes.defect_configs()]
     assert len(defects) == len(set(defects) - set(labels + verdicts)) == 10
     bad = [label for label, _, _ in report_hashes.bad_inputs()]
-    assert len(bad) == len(set(bad) - set(labels + verdicts + defects)) == 17
-    assert "17 bad-input runs" in report_hashes.__doc__
+    assert len(bad) == len(set(bad) - set(labels + verdicts + defects)) == 19
+    assert "19 bad-input runs" in report_hashes.__doc__
 
 
 def test_report_hashes_exports_every_pair_of_the_pair_table(report_hashes):
@@ -93,7 +93,7 @@ def test_compare_of_a_tree_with_itself_reports_no_change(report_hashes, capsys):
     assert report_hashes.compare(str(report_hashes.NEW_SRC), labels) == 0
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("0 of 17 bad-input runs differ; "
+    assert err == ("0 of 19 bad-input runs differ; "
                    "0 not refused as one config error by the new tree\n"
                    "0 of 14 runs differ; 0 pass flags changed; "
                    "items or tolerances changed in 0; largest margin drop 0.00 decades\n")

@@ -146,6 +146,11 @@ MUTANTS = (
            "norms[j, first::step], scales[j, first::step] = norm, scale",
            "norms[j, step - 1 - first::step], scales[j, step - 1 - first::step] = norm, scale"),
     Mutant("group_columns_unchecked", "cli.py", "elif got != heads:", "elif False:"),
+    # a fixed family's group built from the wrong rows, R_0 and R_1 swapped
+    # (test_cli.py::test_bad_family_config_is_config_error, first in the run
+    # order, and test_a_fixed_family_group_holds_the_config_family_in_every_trial)
+    Mutant("fixed_family_rows", "cli.py", "R=tuple([r] * len(rngs) for r in cfg.R))",
+           "R=tuple([r] * len(rngs) for r in (cfg.R[1], cfg.R[0], *cfg.R[2:])))"),
     # the Dirac kernel every zitter check and export runs through: the
     # phase at half its frequency, the evolution run backwards in time,
     # H^-1 taken as H / E_p in the series' coefficient a, and the spin
@@ -195,6 +200,10 @@ MUTANTS = (
     # and test_a_wobble_time_range_that_overflows_is_config_error)
     Mutant("time_range_check", "zitter.py", "if not np.isfinite(span).all():", "if False:"),
     Mutant("export_window_check", "zitter.py", "if not np.isfinite(window):", "if False:"),
+    # a square past the float range left to Python's float power, whose
+    # OverflowError names no value
+    # (test_cli.py::test_a_square_that_overflows_is_named)
+    Mutant("overflow_unnamed", "algebra.py", "if np.any(np.abs(x) > SQRT_MAX):", "if False:"),
     # a refusal no longer an input error: main lets a polar momentum's
     # PolarSingularity escape as a traceback
     # (test_cli.py::test_bad_flag_values_are_config_errors, first in the run order)

@@ -63,7 +63,7 @@ say, not their bytes:
 It runs the 96 runs above under both trees, each in its own interpreter,
 and then two sets that no hash line holds: the 10 plain runs of the
 defects on record (``defect_configs``), whose failing items a fix would
-flip, and 17 bad-input runs (``bad_inputs``), each of which must exit 2
+flip, and 19 bad-input runs (``bad_inputs``), each of which must exit 2
 with one ``config error:`` line and write no file.  It reads each report
 configuration's items, and each export's verdict item, the one ``judge``
 gives it (``abs_dev`` or ``quadrature_vs_closed``), so a PASS/FAIL flip
@@ -207,7 +207,9 @@ def bad_inputs():
                          (["verify", "wca"], {"hbar": 1.0e-320}),
                          (["verify", "zca"], {"c": 1.0e-320}),
                          (["zitter"], {"c": 1.0e-200}),
-                         (["verify", "zitter"], {"c": 1.0e300})):
+                         (["verify", "zitter"], {"c": 1.0e300}),
+                         (["zitter"], {"c": 1.0e300}),
+                         (["zitter"], {"hbar": 2.0e307})):
         yield f"bad {' '.join(argv)} " + " ".join(f"{k}={v!r}" for k, v in family.items()), \
             argv, family
 
